@@ -9,8 +9,11 @@ own, depending on the program's crates by path) into `$CARGO_TARGET_DIR`
 its output. The last line printed is the JSON result; on any failed check
 the script exits nonzero and prints no result.
 
+BENCHMARK.json is the one catalog of workloads, metrics and units: the
+binary prints metric names and values, and this script attaches the units.
+
 Checks made here, on top of those inside the run:
-  * the result names exactly the metrics BENCHMARK.json declares for the
+  * the run printed exactly the metrics BENCHMARK.json declares for the
     mode (end-to-end untraced, per-layer traced);
   * the accuracy fingerprint (window TV, window W2, delivered share, as
     bit patterns) repeats across runs of one seed with the same binary;
@@ -29,6 +32,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SPEC = ROOT / "BENCHMARK.json"
 DEFAULT_SEED = 1
 # Default-seed accuracy of the pipeline as of this benchmark's commit. A
 # later change may improve on it; it may not fall behind by more than
@@ -42,7 +46,10 @@ PINNED = {
                         "delivered_share": 0.9425237333333333},
 }
 PIN_SLACK = 0.05
-RUN_TIMEOUT_S = 170
+# The run stops adding epochs at OVERRUN x --seconds; set-up, the untimed
+# history and the accuracy solves come on top.
+OVERRUN = 1.3
+MARGIN_S = 90
 
 
 def fail(msg):
@@ -50,9 +57,9 @@ def fail(msg):
     sys.exit(1)
 
 
-def parse_args():
+def parse_args(spec):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", required=True, choices=sorted(PINNED))
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--seconds", required=True, type=int)
     p.add_argument("--trace", required=True, type=int, choices=(0, 1))
@@ -70,11 +77,6 @@ def build(target):
     if done.returncode != 0:
         fail(f"build failed ({done.returncode})")
     return target / "release" / "perfbench"
-
-
-def declared_metrics(trace):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [m["name"] for m in spec["per_layer" if trace else "end_to_end"]]
 
 
 def parse_fingerprint(fingerprint):
@@ -108,8 +110,26 @@ def check_pinned(workload, values):
              f"{pinned['delivered_share']}")
 
 
+def result_line(spec, trace, printed):
+    """The benchmark's result: the printed values in BENCHMARK.json's
+    order, with its units. Fails unless the names match exactly."""
+    declared = spec["per_layer" if trace else "end_to_end"]
+    values = printed["metrics"]
+    want = [m["name"] for m in declared]
+    if sorted(values) != sorted(want):
+        missing = sorted(set(want) - set(values))
+        extra = sorted(set(values) - set(want))
+        fail(f"metrics differ from BENCHMARK.json: missing {missing}, not declared {extra}")
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in declared}
+    return json.dumps({"correct": True, "attempted": printed["attempted"],
+                       "failed": printed["failed"], "metrics": metrics})
+
+
 def main():
-    args = parse_args()
+    spec = json.loads(SPEC.read_text())
+    args = parse_args(spec)
+    if args.workload not in PINNED:
+        fail(f"no pinned accuracy for {args.workload}")
     target = Path(os.environ.get("CARGO_TARGET_DIR", ".bench_build"))
     if not target.is_absolute():
         target = ROOT / target
@@ -117,11 +137,11 @@ def main():
     scratch = target / "perfbench-scratch" / str(os.getpid())
     cmd = [str(binary), "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace), "--scratch", str(scratch)]
+    timeout = OVERRUN * args.seconds + MARGIN_S
     try:
-        done = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True,
-                              timeout=RUN_TIMEOUT_S)
+        done = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        fail(f"run exceeded {RUN_TIMEOUT_S} s")
+        fail(f"run exceeded {timeout:.0f} s")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     lines = done.stdout.splitlines()
@@ -131,10 +151,7 @@ def main():
     fingerprint = next((l.split(": ", 1)[1] for l in lines if l.startswith("fingerprint: ")), None)
     if fingerprint is None:
         fail("run printed no fingerprint")
-    result = json.loads(lines[-1])
-    want = declared_metrics(args.trace == 1)
-    if list(result["metrics"]) != want:
-        fail(f"metrics {list(result['metrics'])} differ from BENCHMARK.json {want}")
+    result = result_line(spec, args.trace == 1, json.loads(lines[-1]))
     check_repeat(target, binary, args, fingerprint)
     if args.seed == DEFAULT_SEED:
         check_pinned(args.workload, parse_fingerprint(fingerprint))
@@ -142,7 +159,7 @@ def main():
         if not line.startswith("fingerprint: "):
             print(line)
     print(f"# accuracy {fingerprint}")
-    print(lines[-1])
+    print(result)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@
 //! run also drives a second, separately recovered cluster assembled from
 //! its parts — K × `AggregatorNode::ingest_epoch`, then
 //! `SimTransport::begin_epoch`, then `Coordinator::close_epoch` — and
-//! replays the pass's own WAL and checkpoint through the store to time
-//! persistence.
+//! times the two layers that run inside the close from outside: retention,
+//! by appending each closed epoch plane to a shadow estimator holding the
+//! same history, and persistence, by replaying the pass's own WAL and
+//! checkpoint through a scratch store.
 
 use std::path::{Path, PathBuf};
 
@@ -19,16 +21,17 @@ use dam_cluster::{
     AggregatorNode, CheckpointError, CheckpointStore, Cluster, ClusterConfig, Coordinator,
     SimTransport,
 };
+use dam_core::validate::IngestSummary;
 use dam_core::Pyramid;
 use dam_geo::{Grid2D, Point};
-use dam_stream::{StreamConfig, StreamingEstimator};
+use dam_stream::{PipelineHealth, StreamConfig, StreamingEstimator};
 
 use crate::report::Metrics;
 use crate::scenario::node_faults;
 use crate::{
-    bursts_per_epoch, delivered, fold_bits, grid, retained_mb, same_bits, stats, stream_config,
-    timed, trace_overhead_pct, Answer, Args, EmLayer, Input, Ledger, Log, Outcome, QueryLayer,
-    FNV_SEED, SCORED_EPOCHS, WINDOW,
+    baseline_note, delivered, fold_bits, grid, retained_mb, same_bits, stats, stream_config, timed,
+    trace_overhead_pct, Answer, Args, EmLayer, Input, Ledger, Log, Outcome, QueryLayer, FNV_SEED,
+    SCORED_EPOCHS, WINDOW,
 };
 
 /// Aggregator nodes (majority quorum: 3).
@@ -45,8 +48,26 @@ const RECOVERY_REPS: usize = 3;
 /// Repetitions of each timed persistence call in the traced replay.
 const PERSIST_REPS: usize = 5;
 
-const LAYERS: [&str; 4] =
-    ["ledger.ingest.share", "ledger.deliver.share", "ledger.close.share", "ledger.persist.share"];
+const LAYERS: [&str; 5] = [
+    "ledger.ingest.share",
+    "ledger.deliver.share",
+    "ledger.close.share",
+    "ledger.retain.share",
+    "ledger.persist.share",
+];
+const CLOSE: usize = 2;
+const PERSIST: usize = 4;
+
+/// Layers this workload cannot time apart: EM and the pyramid run inside
+/// `Coordinator::close_epoch` (their cost stays in the close layer), and
+/// readers query the coordinator's pyramid, not a `QueryService`.
+const NOT_RUN: [&str; 5] = [
+    "em.ms_per_window",
+    "em.us_per_iter",
+    "ledger.em.share",
+    "ledger.pyramid.share",
+    "query.obs_tax_ns",
+];
 
 /// Reads the coordinator's published snapshot once per query, as a
 /// dashboard would.
@@ -78,33 +99,52 @@ struct Split {
     nodes: Vec<AggregatorNode>,
     transport: SimTransport,
     coord: Coordinator,
+    /// See [`shadow`].
+    shadow: StreamingEstimator,
     seed: u64,
 }
 
 impl Split {
+    /// The recovered cluster, with the seconds the recovery took (the
+    /// shadow estimator is built after, untimed).
     fn recover(
         grid: &Grid2D,
         config: StreamConfig,
         cluster: ClusterConfig,
         store: CheckpointStore,
-    ) -> Result<Self, CheckpointError> {
-        let coord =
-            Coordinator::with_store(grid.clone(), config, cluster, store, CHECKPOINT_EVERY)?;
-        let nodes = (0..NODES)
-            .map(|n| {
-                let dam = &config.dam;
-                AggregatorNode::new(
-                    grid.clone(),
-                    dam,
-                    config.policy,
-                    n,
-                    NODES,
-                    cluster.partition_seed,
-                )
-            })
-            .collect();
-        let transport = SimTransport::new(NODES, node_faults());
-        Ok(Self { nodes, transport, coord, seed: config.seed })
+    ) -> Result<(Self, f64), CheckpointError> {
+        let (parts, secs) = timed(|| -> Result<_, CheckpointError> {
+            let coord =
+                Coordinator::with_store(grid.clone(), config, cluster, store, CHECKPOINT_EVERY)?;
+            let nodes: Vec<AggregatorNode> = (0..NODES)
+                .map(|n| {
+                    let dam = &config.dam;
+                    AggregatorNode::new(
+                        grid.clone(),
+                        dam,
+                        config.policy,
+                        n,
+                        NODES,
+                        cluster.partition_seed,
+                    )
+                })
+                .collect();
+            Ok((coord, nodes, SimTransport::new(NODES, node_faults())))
+        });
+        let (coord, nodes, transport) = parts?;
+        let shadow = shadow(grid, config, coord.estimator());
+        Ok((Self { nodes, transport, coord, shadow, seed: config.seed }, secs))
+    }
+
+    /// Retention of closed epoch `epoch`, ms: its plane appended to the
+    /// shadow estimator (untimed copy first).
+    fn retain_ms(&mut self, epoch: usize) -> f64 {
+        let Some(plane) = self.coord.estimator().tree().epoch_plane(epoch).map(<[f64]>::to_vec)
+        else {
+            return 0.0;
+        };
+        let summary = IngestSummary::default();
+        timed(|| self.shadow.ingest_epoch_plane(&plane, &summary)).1 * 1e3
     }
 
     /// One epoch; returns per-layer ms (node ingest, delivery, close)
@@ -132,6 +172,19 @@ impl Split {
         let (secs, quarantined) = out?;
         Ok((secs.map(|s| s * 1e3), total * 1e3, quarantined))
     }
+}
+
+/// A fresh estimator holding the same epoch planes as `est` (a plane no
+/// longer retained is restored as zeros), so appending the coordinator's
+/// next plane to it times retention at the coordinator's history length.
+fn shadow(grid: &Grid2D, config: StreamConfig, est: &StreamingEstimator) -> StreamingEstimator {
+    let tree = est.tree();
+    let zero = vec![0.0; tree.n_cells()];
+    let planes: Vec<Vec<f64>> =
+        (0..tree.len()).map(|t| tree.epoch_plane(t).unwrap_or(&zero).to_vec()).collect();
+    let mut shadow = StreamingEstimator::new(grid.clone(), config);
+    shadow.restore(&planes, 0, PipelineHealth::default(), None);
+    shadow
 }
 
 /// Persistence timings replayed from a pass's own store.
@@ -196,6 +249,7 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
     let cluster = ClusterConfig::new(NODES);
     let plan = node_faults();
     let mut input = Input::new(args.seed, &spec);
+    let baseline = baseline_note();
     let mut log = Log::default();
     let mut out = Outcome::default();
     let dir = |name: &str| -> PathBuf { args.scratch.join(name) };
@@ -231,12 +285,12 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
     let untraced_passes =
         (args.timed_epochs() as f64 / PASS_EPOCHS as f64).round().max(1.0) as usize;
     let passes = if args.trace { untraced_passes.div_ceil(2) } else { untraced_passes };
-    let bursts = bursts_per_epoch(passes * PASS_EPOCHS);
     let mut ledger = Ledger::new(&LAYERS);
     let mut queries = QueryLayer::default();
     let mut em = EmLayer::default();
     let mut persist = Persist::default();
     let (mut untraced_ms, mut node_ns, mut pyramid_us) = (Vec::new(), Vec::new(), Vec::new());
+    let mut close_calls = Vec::new();
     let (mut read_ms, mut restore_ms) = (Vec::new(), Vec::new());
     let (mut quarantined, mut polls, mut retries, mut dups, mut state_mb) =
         (0u64, 0u64, 0u64, 0u64, 0.0);
@@ -250,12 +304,13 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
         let mut live = None;
         for _ in 0..reps {
             let store = revive_dir(&crash, &dir("live"))?;
+            let before = log.probe();
             let (c, secs) = timed(|| {
                 Cluster::with_store(grid.clone(), config, cluster, plan, store, CHECKPOINT_EVERY)
             });
+            let after = log.probe();
             let c = c?;
-            log.setup_s.push(secs);
-            log.attempted += 1;
+            log.setup(secs, before.max(after));
             let snap = c.coordinator().snapshot();
             log.check(snap.epoch == HISTORY, || {
                 format!("recovered snapshot at epoch {} after a history of {HISTORY}", snap.epoch)
@@ -268,10 +323,10 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
         if args.trace {
             let store = revive_dir(&crash, &dir("split"))?;
             let (_, read) = timed(|| store.read_checkpoint());
-            let (s, total) = timed(|| Split::recover(&grid, config, cluster, store));
+            let (s, total) = Split::recover(&grid, config, cluster, store)?;
             read_ms.push(read * 1e3);
             restore_ms.push((total - read) * 1e3);
-            split = Some(s?);
+            split = Some(s);
         }
 
         input.set_truth_state(truth_at_crash.clone());
@@ -285,6 +340,7 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
             let e = HISTORY + i;
             let scored = scoring && i < SCORED_EPOCHS;
             let points = input.epoch(e, scored);
+            let before = log.probe();
             let (closed, secs) = timed(|| live.ingest_epoch(&points));
             let snap = match closed {
                 Ok(outcome) => outcome.snapshot,
@@ -295,17 +351,12 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
                 }
             };
             let coord = live.coordinator();
-            log.check_snapshot(&snap, e + 1);
-            estimates = fold_bits(estimates, snap.estimate.values());
-            if scored {
-                let ok = delivered(&snap);
-                log.score(i, &snap.estimate, &input.truth(), points.len(), ok - ok_before);
-                ok_before = ok;
-            }
             match split.as_mut() {
                 None => {
-                    log.epoch(secs, points.len());
-                    log.bursts(&Reader(coord), args.seed, spec.d, i, bursts);
+                    let mid = log.probe();
+                    let bursts = log.bursts(&Reader(coord), args.seed, spec.d, i);
+                    let after = log.probe();
+                    log.epoch(secs, points.len(), bursts, [before, mid, after]);
                 }
                 Some(split) => {
                     untraced_ms.push(secs * 1e3);
@@ -315,8 +366,13 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
                     log.check(same_bits(s.estimate.values(), snap.estimate.values()), || {
                         format!("epoch {e}: split cluster and Cluster disagree")
                     });
-                    ledger.record(&[layer_ms[0], layer_ms[1], layer_ms[2], 0.0], total_ms);
-                    node_ns.push(layer_ms[0] * 1e6 / points.len() as f64);
+                    // Retention runs inside the close; its shadow cost
+                    // moves from the close layer into its own.
+                    let retain_ms = split.retain_ms(e);
+                    let [ingest, deliver, close] = layer_ms;
+                    ledger.record(&[ingest, deliver, close - retain_ms, retain_ms, 0.0], total_ms);
+                    close_calls.push(close);
+                    node_ns.push(ingest * 1e6 / points.len() as f64);
                     quarantined += q;
                     em.window(s.em_iters, s.warm, &config);
                     let (_, build) = timed(|| Pyramid::from_plane(s.estimate.values(), spec.d));
@@ -324,7 +380,13 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
                     queries.measure(&Reader(&split.coord), &s.pyramid, args.seed, i);
                 }
             }
-            log.probe();
+            log.check_snapshot(&snap, e + 1);
+            estimates = fold_bits(estimates, snap.estimate.values());
+            if scored {
+                let ok = delivered(&snap);
+                log.score(i, &snap.estimate, &input.truth(), points.len(), ok - ok_before);
+                ok_before = ok;
+            }
         }
         match first_pass {
             None => first_pass = Some(estimates),
@@ -343,17 +405,17 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
         }
     }
     out.notes.push(format!("estimate stream fnv1a {:016x}", first_pass.unwrap_or(0)));
+    out.notes.push(baseline);
 
     let mut metrics = Metrics::default();
     if args.trace {
         // Persistence runs inside `close_epoch`; its replayed cost moves
         // from the close layer into its own.
         let persist_ms = persist.per_epoch_ms();
-        let (close, persisted) = (2, 3);
-        for ms in &mut ledger.layers[close].1 {
+        for ms in &mut ledger.layers[CLOSE].1 {
             *ms -= persist_ms;
         }
-        for ms in &mut ledger.layers[persisted].1 {
+        for ms in &mut ledger.layers[PERSIST].1 {
             *ms = persist_ms;
         }
         let epochs = ledger.total_ms.len() as f64;
@@ -363,12 +425,11 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
         metrics.set("cluster.node.ns_per_report", node);
         em.report(&mut metrics, &[]);
         metrics.set("pyramid.build_us", stats::median(&pyramid_us));
+        let retain = ledger.layer("ledger.retain.share");
+        metrics.set("stream.retain.us_per_epoch", stats::median(retain) * 1e3);
         metrics.set("stream.retain.state_mb", state_mb);
         queries.report(&mut metrics, false);
-        metrics.set(
-            "cluster.close_ms",
-            stats::median(ledger.layer("ledger.close.share")) + persist_ms,
-        );
+        metrics.set("cluster.close_ms", stats::median(&close_calls));
         metrics.set("cluster.polls_per_epoch", polls as f64 / epochs);
         metrics.set("cluster.retries", retries as f64);
         metrics.set("cluster.dup_dropped", dups as f64);
@@ -384,6 +445,7 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
         metrics.set("obs.trace_overhead_pct", trace_overhead_pct(&ledger.total_ms, &untraced_ms));
         metrics.set("host.ref_ms", stats::median(&log.probe_ms));
         ledger.report(&mut metrics, &mut out.notes);
+        metrics.not_run(&NOT_RUN);
         out.notes.push(format!(
             "recovery: read_checkpoint {read:.4} ms + rest of with_store {restore:.4} ms"
         ));

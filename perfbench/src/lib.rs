@@ -44,16 +44,19 @@ pub const W2_STRIDE: usize = 25;
 /// Queries of each kind in one burst (point, three ranges, heatmap): 100
 /// queries.
 pub const QUERIES_PER_KIND: usize = 20;
-/// A query-latency sample for the median averages one burst from each of
-/// this many consecutive epochs. A shared host flips between a fast and
-/// a slow state every few milliseconds and holds either for up to
-/// ~0.5 s; a sample taken in one contiguous stretch lands wholly in one
-/// state, and the median of such samples jumps between the two from run
-/// to run.
-pub const BATCH_EPOCHS: usize = 16;
-/// Fewest median samples in a run (each of [`BATCH_EPOCHS`] bursts, so
-/// the single bursts behind p99 number 16 times as many).
-pub const MIN_BATCHES: usize = 1000;
+/// Reader bursts after each publish (~1.5 ms of queries on the slowest
+/// workload): those of 20 quiet epochs give the 1000 p99 needs.
+pub const BURSTS_PER_EPOCH: usize = 50;
+/// A sample counts as taken on a quiet host when the host probes on
+/// either side of it read at most this multiple of the run's quiet probe
+/// time (the probes' 5th percentile). A shared host flips between a fast
+/// and a ~1.7× slower state, for seconds at a time or every few
+/// milliseconds, and the share of time in each changes from minute to
+/// minute; percentiles over the quiet samples repeat, percentiles over all
+/// samples follow the mix.
+pub const QUIET_GATE: f64 = 1.2;
+/// Fewest set-ups a run reports the median of.
+pub const MIN_SETUPS: usize = 3;
 /// Same-kind queries per batch in the traced run's latency split.
 const KIND_BATCH: usize = 32;
 /// A run stops adding timed epochs (never below [`MIN_EPOCHS`]) once it
@@ -103,7 +106,7 @@ impl Workload {
                 Spec { d: 64, users: 20_000, corrupt: false, epochs_per_s: 10.0 }
             }
             Workload::Ingest1m => {
-                Spec { d: 20, users: 1_000_000, corrupt: true, epochs_per_s: 9.0 }
+                Spec { d: 20, users: 1_000_000, corrupt: true, epochs_per_s: 22.0 }
             }
             // 300k users make a ~10 ms epoch; a 5 ms one (50k users)
             // often falls wholly inside one of the host's fast or slow
@@ -166,12 +169,6 @@ impl Args {
     }
 }
 
-/// Reader bursts per epoch so that `epochs` epochs yield at least
-/// [`MIN_BATCHES`] latency samples.
-pub fn bursts_per_epoch(epochs: usize) -> usize {
-    MIN_BATCHES.div_ceil((epochs / BATCH_EPOCHS).max(1))
-}
-
 /// The cold protocol the first window runs: 150 EM iterations.
 pub fn cold_em() -> EmParams {
     EmParams { max_iters: 150, rel_tol: 1e-9, gain_tol: 1e-7 }
@@ -219,10 +216,21 @@ pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 
 /// The process's resident-set high-water mark (`VmHWM`), MiB.
 pub fn peak_rss_mb() -> Option<f64> {
+    status_mb("VmHWM:")
+}
+
+/// A memory line of `/proc/self/status`, MiB.
+fn status_mb(field: &str) -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
     let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kib / 1024.0)
+}
+
+/// The harness's own share of `peak_rss_mb`: resident memory once the
+/// inputs are generated, before the program is built.
+pub(crate) fn baseline_note() -> String {
+    format!("harness rss before the program is built {:.1} MiB", status_mb("VmRSS:").unwrap_or(0.0))
 }
 
 /// FNV-1a over the bit patterns of `values`, folded into `h`.
@@ -325,17 +333,25 @@ fn first(heatmap: Option<Vec<f64>>) -> f64 {
     heatmap.and_then(|h| h.first().copied()).unwrap_or(f64::NAN)
 }
 
+/// One timed epoch of the untraced run and the reader bursts after it,
+/// each with the slower of the host probes just before and just after
+/// it (ms).
+#[derive(Debug)]
+struct Timed {
+    epoch_ms: f64,
+    reports: u64,
+    epoch_flank: f64,
+    /// Per-query µs of each burst (bursts are of equal size).
+    burst_us: Vec<f64>,
+    burst_flank: f64,
+}
+
 /// Samples of the untraced run and the output checks.
 #[derive(Debug, Default)]
 pub(crate) struct Log {
-    pub setup_s: Vec<f64>,
-    pub epoch_ms: Vec<f64>,
-    epoch_s: f64,
-    reports: u64,
-    /// Per-query µs of each burst, one row per timed epoch.
-    burst_us: Vec<Vec<f64>>,
-    queries: u64,
-    query_s: f64,
+    /// `(seconds, flanking probe ms)` per set-up.
+    setups: Vec<(f64, f64)>,
+    timed: Vec<Timed>,
     pub probe_ms: Vec<f64>,
     tv: Vec<f64>,
     w2: Vec<f64>,
@@ -357,12 +373,33 @@ impl Log {
         }
     }
 
-    /// One timed epoch close of `reports` submitted reports.
-    pub(crate) fn epoch(&mut self, secs: f64, reports: usize) {
-        self.epoch_ms.push(secs * 1e3);
-        self.epoch_s += secs;
-        self.reports += reports as u64;
+    /// Host-speed control, outside every timed span; returns its ms.
+    pub(crate) fn probe(&mut self) -> f64 {
+        let (sum, secs) = timed(host_probe);
+        self.sink += sum;
+        self.probe_ms.push(secs * 1e3);
+        secs * 1e3
+    }
+
+    /// One set-up of `secs`, whose slowest probe (before, between its
+    /// steps, after) read `flank` ms.
+    pub(crate) fn setup(&mut self, secs: f64, flank: f64) {
+        self.setups.push((secs, flank));
         self.attempted += 1;
+    }
+
+    /// One timed epoch close of `reports` submitted reports followed by
+    /// the reader's `bursts`; `probes` read before the epoch, between it
+    /// and the bursts, and after the bursts (ms).
+    pub(crate) fn epoch(&mut self, secs: f64, reports: usize, bursts: Vec<f64>, probes: [f64; 3]) {
+        self.attempted += 1 + (bursts.len() * QUERIES_PER_KIND * 5) as u64;
+        self.timed.push(Timed {
+            epoch_ms: secs * 1e3,
+            reports: reports as u64,
+            epoch_flank: probes[0].max(probes[1]),
+            burst_us: bursts,
+            burst_flank: probes[1].max(probes[2]),
+        });
     }
 
     /// Every published snapshot: finite, mass 1, at the expected epoch.
@@ -405,48 +442,29 @@ impl Log {
         self.delivered += delivered;
     }
 
-    /// The closed-loop reader's `count` bursts after the publish of
-    /// timed epoch `epoch` (each generated untimed, then sent).
+    /// The closed-loop reader's [`BURSTS_PER_EPOCH`] bursts after the
+    /// publish of timed epoch `epoch` (each generated untimed, then
+    /// sent); per-query µs of each.
     pub(crate) fn bursts(
         &mut self,
         target: &impl Answer,
         seed: u64,
         d: u32,
         epoch: usize,
-        count: usize,
-    ) {
-        let mut row = Vec::with_capacity(count);
-        for b in 0..count {
-            let burst = mixed_burst(seed, epoch * count + b, d, QUERIES_PER_KIND);
+    ) -> Vec<f64> {
+        let mut row = Vec::with_capacity(BURSTS_PER_EPOCH);
+        for b in 0..BURSTS_PER_EPOCH {
+            let burst = mixed_burst(seed, epoch * BURSTS_PER_EPOCH + b, d, QUERIES_PER_KIND);
             let (sum, secs) = timed(|| burst.iter().map(|&q| target.answer(q)).sum::<f64>());
             self.sink += sum;
             row.push(secs * 1e6 / burst.len() as f64);
-            self.queries += burst.len() as u64;
-            self.query_s += secs;
-            self.attempted += burst.len() as u64;
         }
-        self.burst_us.push(row);
+        row
     }
 
-    /// Per-query µs samples: burst `b` of [`BATCH_EPOCHS`] consecutive
-    /// epochs, averaged (equal-sized bursts), for every `b` and every
-    /// whole block of epochs.
-    fn query_samples(&self) -> Vec<f64> {
-        let mut samples = Vec::new();
-        for block in self.burst_us.chunks_exact(BATCH_EPOCHS) {
-            let count = block.iter().map(Vec::len).min().unwrap_or(0);
-            for b in 0..count {
-                samples.push(block.iter().map(|row| row[b]).sum::<f64>() / BATCH_EPOCHS as f64);
-            }
-        }
-        samples
-    }
-
-    /// Host-speed control, between epochs.
-    pub(crate) fn probe(&mut self) {
-        let (sum, secs) = timed(host_probe);
-        self.sink += sum;
-        self.probe_ms.push(secs * 1e3);
+    /// The probe time at or under which a sample counts as quiet.
+    fn quiet_level(&self) -> f64 {
+        QUIET_GATE * stats::percentile(&self.probe_ms, 0.05).unwrap_or(f64::NAN)
     }
 
     pub(crate) fn delivered_share(&self) -> f64 {
@@ -463,30 +481,39 @@ impl Log {
         )
     }
 
-    /// The end-to-end metrics of an untraced run.
+    /// The end-to-end metrics of an untraced run. Timings come from the
+    /// quiet samples (see [`QUIET_GATE`]), topped up with the next
+    /// quietest to the count each percentile needs.
     pub(crate) fn end_to_end(&mut self, metrics: &mut Metrics) {
+        let level = self.quiet_level();
+        let need = stats::samples_needed;
+        let epochs = |n| stats::quiet(&self.timed, |t| t.epoch_flank, level, n);
+        let (mid, tail) = (epochs(need(0.5)), epochs(need(0.9)));
+        let sets = need(0.99).div_ceil(BURSTS_PER_EPOCH);
+        let sets = stats::quiet(&self.timed, |t| t.burst_flank, level, sets);
+        let setups = stats::quiet(&self.setups, |s| s.1, level, MIN_SETUPS);
+        let mid_ms: Vec<f64> = mid.iter().map(|t| t.epoch_ms).collect();
+        let tail_ms: Vec<f64> = tail.iter().map(|t| t.epoch_ms).collect();
+        let bursts: Vec<f64> = sets.iter().flat_map(|t| t.burst_us.iter().copied()).collect();
+        let setup_s: Vec<f64> = setups.iter().map(|s| s.0).collect();
+        let reports: u64 = mid.iter().map(|t| t.reports).sum();
         let pct = |xs: &[f64], p: f64, failures: &mut Vec<String>| {
             stats::percentile(xs, p).unwrap_or_else(|e| {
                 failures.push(e.to_string());
                 f64::NAN
             })
         };
-        let (p50, p90) = (
-            pct(&self.epoch_ms, 0.5, &mut self.failures),
-            pct(&self.epoch_ms, 0.9, &mut self.failures),
-        );
-        // The median over samples spread across 16 epochs; the tail over
-        // single bursts, where a stall shows as a reader meets it (a
-        // spread sample's tail is the worst second or two of the run).
-        let bursts: Vec<f64> = self.burst_us.concat();
-        let q50 = pct(&self.query_samples(), 0.5, &mut self.failures);
         let q99 = pct(&bursts, 0.99, &mut self.failures);
-        metrics.set("setup_s", stats::median(&self.setup_s));
-        metrics.set("epoch_ms_p50", p50);
-        metrics.set("epoch_ms_p90", p90);
-        metrics.set("reports_per_s", self.reports as f64 / self.epoch_s);
-        metrics.set("queries_per_s", self.queries as f64 / self.query_s);
-        metrics.set("query_us_p50", q50);
+        // A burst is ~20-50 µs of queries, so one preemption of a few ms
+        // outweighs a thousand bursts: throughput is taken over the
+        // bursts up to p99, which is reported on its own.
+        let kept: Vec<f64> = bursts.iter().copied().filter(|&b| b <= q99).collect();
+        metrics.set("setup_s", stats::median(&setup_s));
+        metrics.set("epoch_ms_p50", pct(&mid_ms, 0.5, &mut self.failures));
+        metrics.set("epoch_ms_p90", pct(&tail_ms, 0.9, &mut self.failures));
+        metrics.set("reports_per_s", reports as f64 * 1e3 / mid_ms.iter().sum::<f64>());
+        metrics.set("queries_per_s", 1e6 / stats::mean(&kept));
+        metrics.set("query_us_p50", pct(&bursts, 0.5, &mut self.failures));
         metrics.set("query_us_p99", q99);
         metrics.set("window_tv", stats::mean(&self.tv));
         metrics.set("window_w2", stats::mean(&self.w2));
@@ -497,12 +524,17 @@ impl Log {
 
     /// Lines describing the run beyond the result metrics.
     pub(crate) fn notes(&self) -> Vec<String> {
+        let level = self.quiet_level();
+        let quiet = |flanks: &mut dyn Iterator<Item = f64>| flanks.filter(|&f| f <= level).count();
         vec![
             format!(
-                "timed epochs {}, query-latency samples {}, set-ups {}",
-                self.epoch_ms.len(),
-                self.query_samples().len(),
-                self.setup_s.len()
+                "quiet samples (all probes <= {level:.4} ms): epochs {}, reader burst sets {} of \
+                 {}; set-ups {} of {}",
+                quiet(&mut self.timed.iter().map(|t| t.epoch_flank)),
+                quiet(&mut self.timed.iter().map(|t| t.burst_flank)),
+                self.timed.len(),
+                quiet(&mut self.setups.iter().map(|s| s.1)),
+                self.setups.len(),
             ),
             format!(
                 "host.ref_ms {:.4} (median of {})",

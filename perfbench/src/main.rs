@@ -1,9 +1,9 @@
 //! `perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//! --scratch <dir>`: runs one workload and prints, last, one JSON result
-//! line. Exits 1 without a result when an output check fails, 2 on bad
-//! arguments. `run.py` builds this binary and is the entry point.
+//! --scratch <dir>`: runs one workload and prints, last, one JSON line of
+//! metric names and values. Exits 1 without it when an output check
+//! fails, 2 on bad arguments. `run.py` builds this binary, is the entry
+//! point, and turns the line into the benchmark's result.
 
-use perfbench::report::{END_TO_END, PER_LAYER};
 use perfbench::{run, Args};
 
 fn main() {
@@ -22,9 +22,7 @@ fn main() {
     }
     println!("fingerprint: {}", outcome.fingerprint);
     let line = if outcome.failures.is_empty() {
-        let (catalog, zero_missing) =
-            if args.trace { (&PER_LAYER[..], true) } else { (&END_TO_END[..], false) };
-        outcome.metrics.result_line(catalog, zero_missing, outcome.attempted, outcome.failed)
+        outcome.metrics.result_line(outcome.attempted, outcome.failed)
     } else {
         Err(outcome.failures.join("\n"))
     };

@@ -1,81 +1,8 @@
-//! The metric catalog and the result line.
+//! The values a run measured, and the line it hands to `run.py`.
 //!
-//! Every metric the benchmark can print is declared here once, with its
-//! unit; `BENCHMARK.json` at the repository root declares the same names
-//! (a test keeps the two in step). The untraced run prints exactly the
-//! end-to-end set, the traced run exactly the per-layer set.
-
-/// A declared metric.
-#[derive(Debug, Clone, Copy)]
-pub struct MetricDef {
-    pub name: &'static str,
-    pub unit: &'static str,
-}
-
-const fn m(name: &'static str, unit: &'static str) -> MetricDef {
-    MetricDef { name, unit }
-}
-
-/// The workloads, by the name `--workload` takes.
-pub const WORKLOADS: [&str; 3] = ["stream-fft", "ingest-1m", "durable-cluster"];
-
-/// What a user of the pipeline sees; measured with tracing off.
-pub const END_TO_END: [MetricDef; 11] = [
-    m("setup_s", "s"),
-    m("epoch_ms_p50", "ms"),
-    m("epoch_ms_p90", "ms"),
-    m("reports_per_s", "1/s"),
-    m("queries_per_s", "1/s"),
-    m("query_us_p50", "us"),
-    m("query_us_p99", "us"),
-    m("window_tv", "tv"),
-    m("window_w2", "cells"),
-    m("peak_rss_mb", "MiB"),
-    m("delivered_share", "ratio"),
-];
-
-/// One layer each; measured in the traced run. A layer a workload does
-/// not run reports 0.
-pub const PER_LAYER: [MetricDef; 38] = [
-    m("core.ingest.ns_per_report", "ns"),
-    m("core.ingest.quarantined", "count"),
-    m("em.ms_per_window", "ms"),
-    m("em.iters_per_window", "count"),
-    m("em.us_per_iter", "us"),
-    m("em.cap_hit_share", "ratio"),
-    m("pyramid.build_us", "us"),
-    m("stream.retain.us_per_epoch", "us"),
-    m("stream.retain.state_mb", "MiB"),
-    m("query.point_ns", "ns"),
-    m("query.range_ns", "ns"),
-    m("query.heatmap_ns", "ns"),
-    m("query.cover_nodes_mean", "count"),
-    m("query.obs_tax_ns", "ns"),
-    m("cluster.node.ns_per_report", "ns"),
-    m("cluster.close_ms", "ms"),
-    m("cluster.polls_per_epoch", "count"),
-    m("cluster.retries", "count"),
-    m("cluster.dup_dropped", "count"),
-    m("cluster.wal_bytes_per_epoch", "bytes"),
-    m("cluster.checkpoint_bytes", "bytes"),
-    m("cluster.checkpoint_write_ms", "ms"),
-    m("cluster.checkpoint_read_ms", "ms"),
-    m("cluster.recover.restore_ms", "ms"),
-    m("cluster.recover.replay_entries", "count"),
-    m("transport.w2_ms", "ms"),
-    m("obs.trace_overhead_pct", "%"),
-    m("host.ref_ms", "ms"),
-    m("ledger.epoch_ms", "ms"),
-    m("ledger.ingest.share", "ratio"),
-    m("ledger.retain.share", "ratio"),
-    m("ledger.em.share", "ratio"),
-    m("ledger.pyramid.share", "ratio"),
-    m("ledger.deliver.share", "ratio"),
-    m("ledger.close.share", "ratio"),
-    m("ledger.persist.share", "ratio"),
-    m("ledger.residual.share", "ratio"),
-    m("ledger.recover.read_share", "ratio"),
-];
+//! The binary prints names and values only. `BENCHMARK.json` at the
+//! repository root is the one catalog: `run.py` checks the printed names
+//! against it and attaches the units.
 
 /// Whether `name` is a legal metric or workload name: 1 to 64 of
 /// `[A-Za-z0-9_.-]`, starting with a letter or digit.
@@ -100,36 +27,26 @@ impl Metrics {
         }
     }
 
-    pub fn get(&self, name: &str) -> Option<f64> {
-        self.values.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+    /// Records 0 for layers the workload does not run. Naming them is
+    /// what lets `run.py` fail on any other metric left unset.
+    pub fn not_run(&mut self, names: &[&'static str]) {
+        for &name in names {
+            self.set(name, 0.0);
+        }
     }
 
-    /// The result line over `catalog`: every declared metric, each
-    /// finite. Layers the run never set report 0 when `zero_missing`.
-    pub fn result_line(
-        &self,
-        catalog: &[MetricDef],
-        zero_missing: bool,
-        attempted: u64,
-        failed: u64,
-    ) -> Result<String, String> {
-        let mut parts = Vec::with_capacity(catalog.len());
-        for def in catalog {
-            let value = match (self.get(def.name), zero_missing) {
-                (Some(v), _) => v,
-                (None, true) => 0.0,
-                (None, false) => return Err(format!("metric {} was not measured", def.name)),
-            };
+    /// `{"attempted": .., "failed": .., "metrics": {name: value, ..}}`,
+    /// refused when a value is not finite.
+    pub fn result_line(&self, attempted: u64, failed: u64) -> Result<String, String> {
+        let mut parts = Vec::with_capacity(self.values.len());
+        for &(name, value) in &self.values {
             if !value.is_finite() {
-                return Err(format!("metric {} is not finite: {value}", def.name));
+                return Err(format!("metric {name} is not finite: {value}"));
             }
-            parts.push(format!(
-                "\"{}\": {{\"value\": {value}, \"unit\": \"{}\"}}",
-                def.name, def.unit
-            ));
+            parts.push(format!("\"{name}\": {value}"));
         }
         Ok(format!(
-            "{{\"correct\": true, \"attempted\": {attempted}, \"failed\": {failed}, \"metrics\": {{{}}}}}",
+            "{{\"attempted\": {attempted}, \"failed\": {failed}, \"metrics\": {{{}}}}}",
             parts.join(", ")
         ))
     }
@@ -139,10 +56,20 @@ impl Metrics {
 mod tests {
     use super::*;
 
+    /// Every `"name"` value in `BENCHMARK.json`: workloads and metrics.
+    fn declared_names() -> Vec<String> {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
+        let json = std::fs::read_to_string(path).expect("BENCHMARK.json at the repo root");
+        json.split("\"name\": \"")
+            .skip(1)
+            .map(|rest| rest.split('"').next().unwrap_or_default().to_string())
+            .collect()
+    }
+
     #[test]
-    fn names_are_legal_and_unique() {
-        let all: Vec<&str> =
-            END_TO_END.iter().chain(&PER_LAYER).map(|d| d.name).chain(WORKLOADS).collect();
+    fn declared_names_are_legal_and_unique() {
+        let all = declared_names();
+        assert!(all.len() > 10, "{all:?}");
         for name in &all {
             assert!(valid_name(name), "{name}");
         }
@@ -155,38 +82,15 @@ mod tests {
     }
 
     #[test]
-    fn catalog_matches_benchmark_json() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
-        let json = std::fs::read_to_string(path).expect("BENCHMARK.json at the repo root");
-        let declared = |name: &str| json.matches(&format!("\"name\": \"{name}\"")).count();
-        for def in END_TO_END.iter().chain(&PER_LAYER) {
-            assert_eq!(declared(def.name), 1, "{} must be declared once", def.name);
-            assert!(
-                json.contains(&format!("\"name\": \"{}\", \"unit\": \"{}\"", def.name, def.unit))
-            );
-        }
-        for w in WORKLOADS {
-            assert_eq!(declared(w), 1, "workload {w}");
-        }
-        let names = json.matches("\"name\": ").count();
-        assert_eq!(names, END_TO_END.len() + PER_LAYER.len() + WORKLOADS.len());
-    }
-
-    #[test]
-    fn result_line_refuses_missing_and_non_finite_values() {
-        let cat = [m("a", "s"), m("b", "ms")];
+    fn result_line_refuses_non_finite_values() {
         let mut ms = Metrics::default();
         ms.set("a", 1.5);
-        assert!(ms.result_line(&cat, false, 1, 0).is_err());
-        let line = ms.result_line(&cat, true, 3, 0).expect("zero-filled");
-        assert!(line.contains("\"b\": {\"value\": 0, \"unit\": \"ms\"}"), "{line}");
-        ms.set("b", f64::NAN);
-        assert!(ms.result_line(&cat, true, 3, 0).is_err());
-        ms.set("b", 0.25);
+        ms.not_run(&["b"]);
         assert_eq!(
-            ms.result_line(&cat, false, 3, 0).expect("complete"),
-            "{\"correct\": true, \"attempted\": 3, \"failed\": 0, \"metrics\": \
-             {\"a\": {\"value\": 1.5, \"unit\": \"s\"}, \"b\": {\"value\": 0.25, \"unit\": \"ms\"}}}"
+            ms.result_line(3, 0).expect("finite"),
+            "{\"attempted\": 3, \"failed\": 0, \"metrics\": {\"a\": 1.5, \"b\": 0}}"
         );
+        ms.set("b", f64::NAN);
+        assert!(ms.result_line(3, 0).is_err());
     }
 }

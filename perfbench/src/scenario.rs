@@ -61,13 +61,14 @@ const ORBIT_EPOCHS: f64 = 96.0;
 /// Spread of a focus (standard deviation, unit-square units).
 const FOCUS_SD: f64 = 0.05;
 
-/// Where one user stands relative to the scene.
+/// Where one user stands relative to the scene. Single precision keeps
+/// the table at 12 MiB, so `peak_rss_mb` is mostly the program's.
 #[derive(Debug, Clone, Copy)]
 enum Place {
     /// At a fixed uniform location.
-    Background(f64, f64),
+    Background(f32, f32),
     /// At an offset from focus 0 or 1.
-    Focus(u8, f64, f64),
+    Focus(u8, f32, f32),
 }
 
 /// Places drawn per run: an epoch of fewer users takes a different
@@ -92,11 +93,11 @@ impl Population {
         let places = (0..PLACES.max(users))
             .map(|_| {
                 if rng.unit() < BACKGROUND {
-                    return Place::Background(rng.unit(), rng.unit());
+                    return Place::Background(rng.unit() as f32, rng.unit() as f32);
                 }
                 let focus = u8::from(rng.unit() < 0.45);
                 let (nx, ny) = rng.normal_pair();
-                Place::Focus(focus, FOCUS_SD * nx, FOCUS_SD * ny)
+                Place::Focus(focus, (FOCUS_SD * nx) as f32, (FOCUS_SD * ny) as f32)
             })
             .collect();
         Self { seed, users, places }
@@ -117,10 +118,10 @@ impl Population {
             .chain(head)
             .take(self.users)
             .map(|&place| match place {
-                Place::Background(x, y) => Point::new(x, y),
+                Place::Background(x, y) => Point::new(x.into(), y.into()),
                 Place::Focus(f, dx, dy) => Point::new(
-                    (foci[f as usize].0 + sx * dx).clamp(0.0, 1.0),
-                    (foci[f as usize].1 + sy * dy).clamp(0.0, 1.0),
+                    (foci[f as usize].0 + sx * f64::from(dx)).clamp(0.0, 1.0),
+                    (foci[f as usize].1 + sy * f64::from(dy)).clamp(0.0, 1.0),
                 ),
             })
             .collect()

@@ -14,13 +14,32 @@ use dam_stream::{QueryService, StreamConfig, StreamingEstimator};
 
 use crate::report::Metrics;
 use crate::{
-    bursts_per_epoch, delivered, fold_bits, grid, retained_mb, same_bits, stats, stream_config,
-    timed, trace_overhead_pct, Args, EmLayer, Input, Ledger, Log, Outcome, QueryLayer, FNV_SEED,
+    baseline_note, delivered, fold_bits, grid, retained_mb, same_bits, stats, stream_config, timed,
+    trace_overhead_pct, Args, EmLayer, Input, Ledger, Log, Outcome, QueryLayer, FNV_SEED,
     MIN_EPOCHS, SCORED_EPOCHS, WINDOW,
 };
 
-/// Set-ups per untraced run (the median is reported).
-const SETUP_REPS: usize = 5;
+/// Set-ups per untraced run (the median of the quiet ones is reported).
+const SETUP_REPS: usize = 9;
+
+/// The cluster's layers, which a stream workload does not run.
+const NOT_RUN: [&str; 15] = [
+    "cluster.node.ns_per_report",
+    "cluster.close_ms",
+    "cluster.polls_per_epoch",
+    "cluster.retries",
+    "cluster.dup_dropped",
+    "cluster.wal_bytes_per_epoch",
+    "cluster.checkpoint_bytes",
+    "cluster.checkpoint_write_ms",
+    "cluster.checkpoint_read_ms",
+    "cluster.recover.restore_ms",
+    "cluster.recover.replay_entries",
+    "ledger.deliver.share",
+    "ledger.close.share",
+    "ledger.persist.share",
+    "ledger.recover.read_share",
+];
 
 const LAYERS: [&str; 4] =
     ["ledger.ingest.share", "ledger.retain.share", "ledger.em.share", "ledger.pyramid.share"];
@@ -87,6 +106,7 @@ pub(crate) fn run(args: &Args) -> Outcome {
     let grid = grid(&spec);
     let config = stream_config(args.seed);
     let mut input = Input::new(args.seed, &spec);
+    let baseline = baseline_note();
     let mut log = Log::default();
     let mut out = Outcome::default();
 
@@ -98,16 +118,17 @@ pub(crate) fn run(args: &Args) -> Outcome {
     let mut split = args.trace.then(|| Split::new(grid.clone(), config));
     for rep in 0..reps {
         let last = rep + 1 == reps;
+        let mut flank = log.probe();
         let (svc, mut secs) = timed(|| QueryService::new(grid.clone(), config));
         for e in 0..WINDOW {
             let points = input.epoch(e, last);
             secs += timed(|| svc.ingest_epoch(&points)).1;
-            log.attempted += 1;
+            flank = flank.max(log.probe());
             if let (true, Some(split)) = (last, split.as_mut()) {
                 split.epoch(&points);
             }
         }
-        log.setup_s.push(secs);
+        log.setup(secs, flank);
         let snap = svc.snapshot();
         log.check_snapshot(&snap, WINDOW);
         match &first_window {
@@ -131,7 +152,6 @@ pub(crate) fn run(args: &Args) -> Outcome {
 
     let epochs =
         if args.trace { (args.timed_epochs() / 2).max(MIN_EPOCHS) } else { args.timed_epochs() };
-    let bursts = bursts_per_epoch(epochs);
     let mut ledger = Ledger::new(&LAYERS);
     let mut queries = QueryLayer::default();
     let mut em = EmLayer::default();
@@ -146,19 +166,15 @@ pub(crate) fn run(args: &Args) -> Outcome {
         let e = WINDOW + i;
         let scored = i < SCORED_EPOCHS;
         let points = input.epoch(e, scored);
+        let before = log.probe();
         let (_, secs) = timed(|| svc.ingest_epoch(&points));
         let snap = svc.snapshot();
-        log.check_snapshot(&snap, e + 1);
-        estimates = fold_bits(estimates, snap.estimate.values());
-        if scored {
-            let ok = delivered(&snap);
-            log.score(i, &snap.estimate, &input.truth(), points.len(), ok - ok_before);
-            ok_before = ok;
-        }
         match split.as_mut() {
             None => {
-                log.epoch(secs, points.len());
-                log.bursts(&svc, args.seed, spec.d, i, bursts);
+                let mid = log.probe();
+                let bursts = log.bursts(&svc, args.seed, spec.d, i);
+                let after = log.probe();
+                log.epoch(secs, points.len(), bursts, [before, mid, after]);
             }
             Some(split) => {
                 untraced_ms.push(secs * 1e3);
@@ -175,9 +191,16 @@ pub(crate) fn run(args: &Args) -> Outcome {
                 queries.measure(&svc, &s.pyramid, args.seed, i);
             }
         }
-        log.probe();
+        log.check_snapshot(&snap, e + 1);
+        estimates = fold_bits(estimates, snap.estimate.values());
+        if scored {
+            let ok = delivered(&snap);
+            log.score(i, &snap.estimate, &input.truth(), points.len(), ok - ok_before);
+            ok_before = ok;
+        }
     }
     out.notes.push(format!("estimate stream fnv1a {estimates:016x}"));
+    out.notes.push(baseline);
 
     let mut metrics = Metrics::default();
     match split {
@@ -199,6 +222,7 @@ pub(crate) fn run(args: &Args) -> Outcome {
                 .set("obs.trace_overhead_pct", trace_overhead_pct(&ledger.total_ms, &untraced_ms));
             metrics.set("host.ref_ms", stats::median(&log.probe_ms));
             ledger.report(&mut metrics, &mut out.notes);
+            metrics.not_run(&NOT_RUN);
         }
     }
     out.fingerprint = log.fingerprint();

@@ -42,8 +42,8 @@ PINNED = {
                    "delivered_share": 1.0},
     "ingest-1m": {"window_tv": 0.04540551314470789, "window_w2": 1.139389922677211,
                   "delivered_share": 0.9966738389347204},
-    "durable-cluster": {"window_tv": 0.04671317964952755, "window_w2": 1.1401174317655505,
-                        "delivered_share": 0.9425237333333333},
+    "durable-cluster": {"window_tv": 0.04509352213511371, "window_w2": 1.1392929713128244,
+                        "delivered_share": 0.94327104},
 }
 PIN_SLACK = 0.05
 # The run stops adding epochs at OVERRUN x --seconds; set-up, the untimed

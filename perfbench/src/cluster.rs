@@ -29,9 +29,9 @@ use dam_stream::{PipelineHealth, StreamConfig, StreamingEstimator};
 use crate::report::Metrics;
 use crate::scenario::node_faults;
 use crate::{
-    baseline_note, delivered, fold_bits, grid, retained_mb, same_bits, stats, stream_config, timed,
-    trace_overhead_pct, Answer, Args, EmLayer, Input, Ledger, Log, Outcome, QueryLayer, FNV_SEED,
-    SCORED_EPOCHS, WINDOW,
+    at_ref, baseline_note, delivered, fold_bits, grid, retained_mb, same_bits, stats,
+    stream_config, timed, trace_overhead_pct, Answer, Args, EmLayer, Input, Ledger, Log, Outcome,
+    QueryLayer, FNV_SEED, SCORED_EPOCHS, WINDOW,
 };
 
 /// Aggregator nodes (majority quorum: 3).
@@ -310,7 +310,7 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
             });
             let after = log.probe();
             let c = c?;
-            log.setup(secs, before.max(after));
+            log.setup(at_ref(secs, before, after), secs);
             let snap = c.coordinator().snapshot();
             log.check(snap.epoch == HISTORY, || {
                 format!("recovered snapshot at epoch {} after a history of {HISTORY}", snap.epoch)
@@ -353,10 +353,9 @@ fn try_run(args: &Args) -> Result<Outcome, CheckpointError> {
             let coord = live.coordinator();
             match split.as_mut() {
                 None => {
-                    let mid = log.probe();
-                    let bursts = log.bursts(&Reader(coord), args.seed, spec.d, i);
                     let after = log.probe();
-                    log.epoch(secs, points.len(), bursts, [before, mid, after]);
+                    let bursts = log.bursts(&Reader(coord), args.seed, spec.d, i);
+                    log.epoch(secs, before, after, points.len(), bursts);
                 }
                 Some(split) => {
                     untraced_ms.push(secs * 1e3);

@@ -27,7 +27,7 @@ use dam_stream::{QueryService, Snapshot, StreamConfig};
 use dam_transport::SinkhornParams;
 
 use report::Metrics;
-use scenario::{host_probe, mixed_burst, Query};
+use scenario::{mixed_burst, pool_probe, reader_probe, Query};
 
 /// Privacy budget of every workload.
 pub const EPS: f64 = 3.5;
@@ -45,18 +45,17 @@ pub const W2_STRIDE: usize = 25;
 /// queries.
 pub const QUERIES_PER_KIND: usize = 20;
 /// Reader bursts after each publish (~1.5 ms of queries on the slowest
-/// workload): those of 20 quiet epochs give the 1000 p99 needs.
+/// workload): 20 epochs give the 1000 bursts p99 needs.
 pub const BURSTS_PER_EPOCH: usize = 50;
-/// A sample counts as taken on a quiet host when the host probes on
-/// either side of it read at most this multiple of the run's quiet probe
-/// time (the probes' 5th percentile). A shared host flips between a fast
-/// and a ~1.7× slower state, for seconds at a time or every few
-/// milliseconds, and the share of time in each changes from minute to
-/// minute; percentiles over the quiet samples repeat, percentiles over all
-/// samples follow the mix.
-pub const QUIET_GATE: f64 = 1.2;
-/// Fewest set-ups a run reports the median of.
-pub const MIN_SETUPS: usize = 3;
+/// Every timing is rescaled to a host on which the host probes flanking
+/// it read this many ms, their nominal time on a quiet host.
+///
+/// A shared host's speed is not its own: it flips between a fast state and
+/// one about 1.7× slower, for milliseconds or for minutes, and raw epoch
+/// medians of one commit moved by up to 35 % between runs. The probes (no
+/// program code) slow down with the host, so a timing divided by the
+/// probes around it repeats where the raw timing follows the host.
+pub const PROBE_REF_MS: f64 = 1.0;
 /// Same-kind queries per batch in the traced run's latency split.
 const KIND_BATCH: usize = 32;
 /// A run stops adding timed epochs (never below [`MIN_EPOCHS`]) once it
@@ -108,12 +107,12 @@ impl Workload {
             Workload::Ingest1m => {
                 Spec { d: 20, users: 1_000_000, corrupt: true, epochs_per_s: 22.0 }
             }
-            // 300k users make a ~10 ms epoch; a 5 ms one (50k users)
-            // often falls wholly inside one of the host's fast or slow
-            // states, and the epoch-time median jumps between them from
-            // run to run.
+            // 1M users make a ~30 ms epoch. A shared host stalls the
+            // program's threads for a few ms at a time, in some minutes
+            // on more than a tenth of the epochs; on the 10 ms epochs of
+            // 300k users that moved the run's epoch p90 by 40 %.
             Workload::DurableCluster => {
-                Spec { d: 20, users: 300_000, corrupt: false, epochs_per_s: 40.0 }
+                Spec { d: 20, users: 1_000_000, corrupt: false, epochs_per_s: 24.0 }
             }
         }
     }
@@ -333,26 +332,33 @@ fn first(heatmap: Option<Vec<f64>>) -> f64 {
     heatmap.and_then(|h| h.first().copied()).unwrap_or(f64::NAN)
 }
 
+/// `secs` rescaled to [`PROBE_REF_MS`] by the host probes read just
+/// before and just after it (ms).
+pub(crate) fn at_ref(secs: f64, before: f64, after: f64) -> f64 {
+    secs * 2.0 * PROBE_REF_MS / (before + after)
+}
+
 /// One timed epoch of the untraced run and the reader bursts after it,
-/// each with the slower of the host probes just before and just after
-/// it (ms).
+/// rescaled by [`at_ref`].
 #[derive(Debug)]
 struct Timed {
     epoch_ms: f64,
+    raw_ms: f64,
     reports: u64,
-    epoch_flank: f64,
     /// Per-query µs of each burst (bursts are of equal size).
     burst_us: Vec<f64>,
-    burst_flank: f64,
 }
 
 /// Samples of the untraced run and the output checks.
 #[derive(Debug, Default)]
 pub(crate) struct Log {
-    /// `(seconds, flanking probe ms)` per set-up.
+    /// `(rescaled, raw)` seconds per set-up.
     setups: Vec<(f64, f64)>,
     timed: Vec<Timed>,
+    /// Pool probe times (ms): around epochs and set-up steps.
     pub probe_ms: Vec<f64>,
+    /// Reader probe times (ms): around the reader's bursts.
+    reader_ms: Vec<f64>,
     tv: Vec<f64>,
     w2: Vec<f64>,
     pub w2_ms: Vec<f64>,
@@ -373,32 +379,46 @@ impl Log {
         }
     }
 
-    /// Host-speed control, outside every timed span; returns its ms.
+    /// Host-speed control of the program's thread pool, outside every
+    /// timed span; returns its ms.
     pub(crate) fn probe(&mut self) -> f64 {
-        let (sum, secs) = timed(host_probe);
+        let (sum, secs) = timed(pool_probe);
         self.sink += sum;
         self.probe_ms.push(secs * 1e3);
         secs * 1e3
     }
 
-    /// One set-up of `secs`, whose slowest probe (before, between its
-    /// steps, after) read `flank` ms.
-    pub(crate) fn setup(&mut self, secs: f64, flank: f64) {
-        self.setups.push((secs, flank));
+    /// Host-speed control of the reader's thread; returns its ms.
+    fn probe_reader(&mut self) -> f64 {
+        let (sum, secs) = timed(reader_probe);
+        self.sink += sum;
+        self.reader_ms.push(secs * 1e3);
+        secs * 1e3
+    }
+
+    /// One set-up: its rescaled and raw seconds.
+    pub(crate) fn setup(&mut self, rescaled: f64, raw: f64) {
+        self.setups.push((rescaled, raw));
         self.attempted += 1;
     }
 
-    /// One timed epoch close of `reports` submitted reports followed by
-    /// the reader's `bursts`; `probes` read before the epoch, between it
-    /// and the bursts, and after the bursts (ms).
-    pub(crate) fn epoch(&mut self, secs: f64, reports: usize, bursts: Vec<f64>, probes: [f64; 3]) {
+    /// One timed epoch close of `secs` and `reports` submitted reports
+    /// between probes reading `before` and `after`, followed by the
+    /// reader's `bursts` (from [`Log::bursts`]).
+    pub(crate) fn epoch(
+        &mut self,
+        secs: f64,
+        before: f64,
+        after: f64,
+        reports: usize,
+        bursts: Vec<f64>,
+    ) {
         self.attempted += 1 + (bursts.len() * QUERIES_PER_KIND * 5) as u64;
         self.timed.push(Timed {
-            epoch_ms: secs * 1e3,
+            epoch_ms: at_ref(secs, before, after) * 1e3,
+            raw_ms: secs * 1e3,
             reports: reports as u64,
-            epoch_flank: probes[0].max(probes[1]),
             burst_us: bursts,
-            burst_flank: probes[1].max(probes[2]),
         });
     }
 
@@ -444,7 +464,8 @@ impl Log {
 
     /// The closed-loop reader's [`BURSTS_PER_EPOCH`] bursts after the
     /// publish of timed epoch `epoch` (each generated untimed, then
-    /// sent); per-query µs of each.
+    /// sent), between two reader probes; per-query µs of each,
+    /// rescaled by [`at_ref`].
     pub(crate) fn bursts(
         &mut self,
         target: &impl Answer,
@@ -453,18 +474,15 @@ impl Log {
         epoch: usize,
     ) -> Vec<f64> {
         let mut row = Vec::with_capacity(BURSTS_PER_EPOCH);
+        let before = self.probe_reader();
         for b in 0..BURSTS_PER_EPOCH {
             let burst = mixed_burst(seed, epoch * BURSTS_PER_EPOCH + b, d, QUERIES_PER_KIND);
             let (sum, secs) = timed(|| burst.iter().map(|&q| target.answer(q)).sum::<f64>());
             self.sink += sum;
             row.push(secs * 1e6 / burst.len() as f64);
         }
-        row
-    }
-
-    /// The probe time at or under which a sample counts as quiet.
-    fn quiet_level(&self) -> f64 {
-        QUIET_GATE * stats::percentile(&self.probe_ms, 0.05).unwrap_or(f64::NAN)
+        let after = self.probe_reader();
+        row.iter().map(|&us| at_ref(us, before, after)).collect()
     }
 
     pub(crate) fn delivered_share(&self) -> f64 {
@@ -481,22 +499,13 @@ impl Log {
         )
     }
 
-    /// The end-to-end metrics of an untraced run. Timings come from the
-    /// quiet samples (see [`QUIET_GATE`]), topped up with the next
-    /// quietest to the count each percentile needs.
+    /// The end-to-end metrics of an untraced run, every timing rescaled
+    /// by [`at_ref`].
     pub(crate) fn end_to_end(&mut self, metrics: &mut Metrics) {
-        let level = self.quiet_level();
-        let need = stats::samples_needed;
-        let epochs = |n| stats::quiet(&self.timed, |t| t.epoch_flank, level, n);
-        let (mid, tail) = (epochs(need(0.5)), epochs(need(0.9)));
-        let sets = need(0.99).div_ceil(BURSTS_PER_EPOCH);
-        let sets = stats::quiet(&self.timed, |t| t.burst_flank, level, sets);
-        let setups = stats::quiet(&self.setups, |s| s.1, level, MIN_SETUPS);
-        let mid_ms: Vec<f64> = mid.iter().map(|t| t.epoch_ms).collect();
-        let tail_ms: Vec<f64> = tail.iter().map(|t| t.epoch_ms).collect();
-        let bursts: Vec<f64> = sets.iter().flat_map(|t| t.burst_us.iter().copied()).collect();
-        let setup_s: Vec<f64> = setups.iter().map(|s| s.0).collect();
-        let reports: u64 = mid.iter().map(|t| t.reports).sum();
+        let epoch_ms: Vec<f64> = self.timed.iter().map(|t| t.epoch_ms).collect();
+        let bursts: Vec<f64> = self.timed.iter().flat_map(|t| t.burst_us.iter().copied()).collect();
+        let setup_s: Vec<f64> = self.setups.iter().map(|s| s.0).collect();
+        let reports: u64 = self.timed.iter().map(|t| t.reports).sum();
         let pct = |xs: &[f64], p: f64, failures: &mut Vec<String>| {
             stats::percentile(xs, p).unwrap_or_else(|e| {
                 failures.push(e.to_string());
@@ -509,9 +518,9 @@ impl Log {
         // bursts up to p99, which is reported on its own.
         let kept: Vec<f64> = bursts.iter().copied().filter(|&b| b <= q99).collect();
         metrics.set("setup_s", stats::median(&setup_s));
-        metrics.set("epoch_ms_p50", pct(&mid_ms, 0.5, &mut self.failures));
-        metrics.set("epoch_ms_p90", pct(&tail_ms, 0.9, &mut self.failures));
-        metrics.set("reports_per_s", reports as f64 * 1e3 / mid_ms.iter().sum::<f64>());
+        metrics.set("epoch_ms_p50", pct(&epoch_ms, 0.5, &mut self.failures));
+        metrics.set("epoch_ms_p90", pct(&epoch_ms, 0.9, &mut self.failures));
+        metrics.set("reports_per_s", reports as f64 * 1e3 / epoch_ms.iter().sum::<f64>());
         metrics.set("queries_per_s", 1e6 / stats::mean(&kept));
         metrics.set("query_us_p50", pct(&bursts, 0.5, &mut self.failures));
         metrics.set("query_us_p99", q99);
@@ -524,22 +533,23 @@ impl Log {
 
     /// Lines describing the run beyond the result metrics.
     pub(crate) fn notes(&self) -> Vec<String> {
-        let level = self.quiet_level();
-        let quiet = |flanks: &mut dyn Iterator<Item = f64>| flanks.filter(|&f| f <= level).count();
+        let raw_ms: Vec<f64> = self.timed.iter().map(|t| t.raw_ms).collect();
+        let raw_setup: Vec<f64> = self.setups.iter().map(|s| s.1).collect();
         vec![
             format!(
-                "quiet samples (all probes <= {level:.4} ms): epochs {}, reader burst sets {} of \
-                 {}; set-ups {} of {}",
-                quiet(&mut self.timed.iter().map(|t| t.epoch_flank)),
-                quiet(&mut self.timed.iter().map(|t| t.burst_flank)),
-                self.timed.len(),
-                quiet(&mut self.setups.iter().map(|s| s.1)),
-                self.setups.len(),
+                "host probes: pool {:.4} ms (median of {}), reader {:.4} ms (median of {}); \
+                 timings are rescaled to {PROBE_REF_MS} ms",
+                stats::median(&self.probe_ms),
+                self.probe_ms.len(),
+                stats::median(&self.reader_ms),
+                self.reader_ms.len()
             ),
             format!(
-                "host.ref_ms {:.4} (median of {})",
-                stats::median(&self.probe_ms),
-                self.probe_ms.len()
+                "raw wall time: epoch p50 {:.4} ms over {} epochs, set-up median {:.4} s of {}",
+                stats::median(&raw_ms),
+                raw_ms.len(),
+                stats::median(&raw_setup),
+                raw_setup.len()
             ),
             format!("failed_share {:.6}", 1.0 - self.delivered_share()),
         ]

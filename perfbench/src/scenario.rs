@@ -238,16 +238,70 @@ pub fn node_faults() -> NodeFaultPlan {
     }
 }
 
-/// Host-speed control: Jacobi sweeps of a 5-point stencil over a fixed
-/// 64 × 64 plane (~1 ms on a 2 GHz core). Independent of the program, so
-/// a change in its time is a change in the host. Returns the plane's sum
-/// so the work cannot be optimised away.
-pub fn host_probe() -> f64 {
+/// Jacobi sweeps of one stencil probe (~1 ms on the fast state of a
+/// 2 GHz core).
+const PROBE_SWEEPS: usize = 600;
+/// Tasks per pool thread a pool probe splits its work into, claimed one
+/// by one as the program claims its shards, so a thread that falls behind
+/// hands work to the others.
+const POOL_PROBE_TASKS_PER_THREAD: usize = 4;
+/// Query-shaped operations in one reader probe (~0.4 ms on the fast
+/// state, about as long as its half of the stencil work).
+const READER_PROBE_OPS: usize = 4000;
+
+/// Host-speed control of the program's thread pool: one stencil probe's
+/// work per thread of the program's default budget, run as small tasks on
+/// the pool its parallel layers run on (no threads of the benchmark's
+/// own). On a quiet host it takes ~1 ms; a busy vCPU slows it as it slows
+/// the program's parallel epochs. Returns a sum of the work so it cannot
+/// be optimised away.
+pub fn pool_probe() -> f64 {
+    let threads = rayon::current_num_threads();
+    let tasks = POOL_PROBE_TASKS_PER_THREAD * threads;
+    let sums = std::sync::Mutex::new(0.0);
+    rayon::pool::run(tasks, None, |_| {
+        let s = stencil(PROBE_SWEEPS / POOL_PROBE_TASKS_PER_THREAD);
+        *sums.lock().unwrap_or_else(|e| e.into_inner()) += s;
+    });
+    sums.into_inner().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Host-speed control of the reader's thread, made like a query: half a
+/// stencil probe of arithmetic, then [`READER_PROBE_OPS`] operations each
+/// of two clock reads, a reference-count round trip, a short row sum and
+/// two atomic adds (a `QueryService` query times, snapshots and counts
+/// itself around its pyramid lookup). The two halves take about equal
+/// time and slow down differently on a busy host, the arithmetic more,
+/// and together they slow as the reader's bursts do.
+pub fn reader_probe() -> f64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+    const ROWS: usize = 64 * 64;
+    let table: Arc<Vec<f64>> = Arc::new((0..ROWS + 64).map(|i| (i % 13) as f64).collect());
+    let counter = AtomicU64::new(0);
+    let mut rng = Rng::keyed(0, SALT_QUERIES, u64::MAX);
+    let mut sum = stencil(PROBE_SWEEPS / 2);
+    for _ in 0..READER_PROBE_OPS {
+        let t0 = Instant::now();
+        let row = Arc::clone(&table);
+        let start = rng.below(ROWS as u32) as usize;
+        let len = 1 + rng.below(24) as usize;
+        sum += row[start..start + len].iter().sum::<f64>();
+        counter.fetch_add(1, Ordering::Relaxed);
+        counter.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+    std::hint::black_box(counter.load(Ordering::Relaxed));
+    sum
+}
+
+/// Jacobi sweeps of a 5-point stencil over a fixed 64 × 64 plane: no
+/// program code, so a change in its time is a change in the host.
+fn stencil(sweeps: usize) -> f64 {
     const N: usize = 64;
-    const SWEEPS: usize = 400;
     let mut a: Vec<f64> = (0..N * N).map(|i| (i % 7) as f64).collect();
     let mut b = vec![0.0; N * N];
-    for _ in 0..SWEEPS {
+    for _ in 0..sweeps {
         for y in 1..N - 1 {
             for x in 1..N - 1 {
                 let i = y * N + x;

@@ -61,17 +61,6 @@ pub fn mean(samples: &[f64]) -> f64 {
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
-/// The items taken on a quiet host: every item whose `flank` (the host
-/// probe time around it) is at most `level`, and never fewer than `min`
-/// (or all items), topped up with the next quietest. Quietest first.
-pub fn quiet<T>(items: &[T], flank: impl Fn(&T) -> f64, level: f64, min: usize) -> Vec<&T> {
-    let mut sorted: Vec<&T> = items.iter().collect();
-    sorted.sort_by(|a, b| flank(a).total_cmp(&flank(b)));
-    let quiet = sorted.iter().take_while(|&&t| flank(t) <= level).count();
-    sorted.truncate(quiet.max(min));
-    sorted
-}
-
 fn nearest_rank(samples: &[f64], p: f64) -> f64 {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
@@ -100,16 +89,6 @@ mod tests {
         assert!(matches!(percentile(&xs, 0.99), Err(StatsError::TooFewSamples { need: 1000, .. })));
         let xs: Vec<f64> = (1..=1000).map(f64::from).collect();
         assert_eq!(percentile(&xs, 0.99), Ok(990.0));
-    }
-
-    #[test]
-    fn quiet_keeps_the_gated_items_and_tops_up_to_the_minimum() {
-        // (value, flank)
-        let items = [(1.0, 0.7), (2.0, 1.1), (3.0, 0.65), (4.0, 0.8), (5.0, 1.3)];
-        let values = |xs: Vec<&(f64, f64)>| xs.iter().map(|x| x.0).collect::<Vec<_>>();
-        assert_eq!(values(quiet(&items, |x| x.1, 0.8, 2)), [3.0, 1.0, 4.0]);
-        assert_eq!(values(quiet(&items, |x| x.1, 0.6, 2)), [3.0, 1.0]);
-        assert_eq!(values(quiet(&items, |x| x.1, 0.6, 9)).len(), 5);
     }
 
     #[test]

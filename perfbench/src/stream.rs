@@ -14,12 +14,12 @@ use dam_stream::{QueryService, StreamConfig, StreamingEstimator};
 
 use crate::report::Metrics;
 use crate::{
-    baseline_note, delivered, fold_bits, grid, retained_mb, same_bits, stats, stream_config, timed,
-    trace_overhead_pct, Args, EmLayer, Input, Ledger, Log, Outcome, QueryLayer, FNV_SEED,
-    MIN_EPOCHS, SCORED_EPOCHS, WINDOW,
+    at_ref, baseline_note, delivered, fold_bits, grid, retained_mb, same_bits, stats,
+    stream_config, timed, trace_overhead_pct, Args, EmLayer, Input, Ledger, Log, Outcome,
+    QueryLayer, FNV_SEED, MIN_EPOCHS, SCORED_EPOCHS, WINDOW,
 };
 
-/// Set-ups per untraced run (the median of the quiet ones is reported).
+/// Set-ups per untraced run (the median is reported).
 const SETUP_REPS: usize = 9;
 
 /// The cluster's layers, which a stream workload does not run.
@@ -118,17 +118,23 @@ pub(crate) fn run(args: &Args) -> Outcome {
     let mut split = args.trace.then(|| Split::new(grid.clone(), config));
     for rep in 0..reps {
         let last = rep + 1 == reps;
-        let mut flank = log.probe();
-        let (svc, mut secs) = timed(|| QueryService::new(grid.clone(), config));
+        // Each step (the service's construction with the first epoch,
+        // then one epoch each) is rescaled by the probes around it.
+        let mut before = log.probe();
+        let (svc, mut step) = timed(|| QueryService::new(grid.clone(), config));
+        let (mut raw, mut rescaled) = (0.0, 0.0);
         for e in 0..WINDOW {
             let points = input.epoch(e, last);
-            secs += timed(|| svc.ingest_epoch(&points)).1;
-            flank = flank.max(log.probe());
+            step += timed(|| svc.ingest_epoch(&points)).1;
+            let after = log.probe();
+            raw += step;
+            rescaled += at_ref(step, before, after);
+            (step, before) = (0.0, after);
             if let (true, Some(split)) = (last, split.as_mut()) {
                 split.epoch(&points);
             }
         }
-        log.setup(secs, flank);
+        log.setup(rescaled, raw);
         let snap = svc.snapshot();
         log.check_snapshot(&snap, WINDOW);
         match &first_window {
@@ -171,10 +177,9 @@ pub(crate) fn run(args: &Args) -> Outcome {
         let snap = svc.snapshot();
         match split.as_mut() {
             None => {
-                let mid = log.probe();
-                let bursts = log.bursts(&svc, args.seed, spec.d, i);
                 let after = log.probe();
-                log.epoch(secs, points.len(), bursts, [before, mid, after]);
+                let bursts = log.bursts(&svc, args.seed, spec.d, i);
+                log.epoch(secs, before, after, points.len(), bursts);
             }
             Some(split) => {
                 untraced_ms.push(secs * 1e3);

@@ -10,10 +10,11 @@
 //! worker count (recorded in the JSON); on a single-core runner the two
 //! paths are equivalent by construction.
 //!
-//! The `validated` row measures the same sharded batch through the
-//! ingest-validation path (`report_batch_validated_in`, clamp policy) on
-//! all-clean points — the per-report cost of the fault-tolerance checks,
-//! which the guard holds within ~10% of the raw sharded path.
+//! The `sharded` row (`report_batch`) is itself the validated per-point
+//! loop under the clamp policy on clean input — `DamClient` has one
+//! report loop. The `validated` row measures the same batch through
+//! `report_batch_validated_in` with a reused scratch buffer and the
+//! summary kept; the guard holds it within ~10% of the `sharded` row.
 //!
 //! The `metered` row adds the dam-obs recording the streaming estimator
 //! performs per ingest batch (summary counters, batch-latency histogram)

@@ -125,7 +125,7 @@ fn bench_streaming(c: &mut Criterion) {
         for &t in &QUERY_T {
             group.bench_with_input(BenchmarkId::new("tree", t), &t, |bench, &t| {
                 bench.iter(|| {
-                    tree.prefix_into(t, &mut out);
+                    tree.try_prefix_into(t, &mut out).unwrap();
                     black_box(out[0])
                 });
             });

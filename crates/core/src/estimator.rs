@@ -13,7 +13,7 @@ use crate::grid::KernelKind;
 use crate::kernel::DiscreteKernel;
 use crate::radius::optimal_b_cells;
 use crate::response::GridAreaResponse;
-use crate::shard::sharded_accumulate_in;
+use crate::shard::{sharded_accumulate_in, SHARD_SIZE};
 use crate::validate::{
     check_counts, check_point_in, covered_square, IngestError, IngestPolicy, IngestSummary,
     PointCheck,
@@ -173,6 +173,13 @@ impl DamClient {
     /// result is bit-identical for any `threads` value (including
     /// `Some(1)`, the sequential reference). Feed the buffer to
     /// [`DamAggregator::ingest_counts`].
+    ///
+    /// This is the validated loop under [`IngestPolicy::Clamp`] with the
+    /// summary dropped: a finite point clamped onto the covered square
+    /// lands in the same edge cell `Grid2D::cell_of` would pick, so the
+    /// buffer matches the per-point [`DamClient::report`] reference bit for
+    /// bit, while non-finite points are quarantined instead of inventing
+    /// mass in a corner cell.
     pub fn report_batch(
         &self,
         points: &[Point],
@@ -180,51 +187,33 @@ impl DamClient {
         threads: Option<usize>,
     ) -> Vec<f64> {
         let mut scratch = Vec::new();
-        self.report_batch_in(points, master_seed, threads, &mut scratch);
+        self.report_batch_validated_in(
+            points,
+            master_seed,
+            threads,
+            IngestPolicy::Clamp,
+            &mut scratch,
+        );
         scratch
     }
 
-    /// [`DamClient::report_batch`] with a caller-owned scratch allocation
-    /// (see [`crate::shard::sharded_accumulate_in`]): on return `scratch`
+    /// [`DamClient::report_batch`] with an ingest-validation stage in
+    /// front of the randomizer and a caller-owned scratch allocation:
+    /// every point is checked against the grid's covered square, malformed
+    /// reports (non-finite coordinates, plus out-of-domain ones under
+    /// [`IngestPolicy::Reject`]) are quarantined, and the returned
+    /// [`IngestSummary`] accounts for every report. On return `scratch`
     /// holds exactly the merged output-grid counts, and its capacity is
     /// reused across calls — the per-epoch ingest path of a streaming
     /// estimator allocates nothing in steady state.
-    pub fn report_batch_in(
-        &self,
-        points: &[Point],
-        master_seed: u64,
-        threads: Option<usize>,
-        scratch: &mut Vec<f64>,
-    ) {
-        let od = self.kernel().out_d() as usize;
-        sharded_accumulate_in(
-            points.len(),
-            od * od,
-            master_seed,
-            threads,
-            scratch,
-            |range, rng, buf| {
-                for &p in &points[range] {
-                    let noisy = self.response.respond(self.grid.cell_of(p), rng);
-                    buf[noisy.iy as usize * od + noisy.ix as usize] += 1.0;
-                }
-            },
-        );
-    }
-
-    /// [`DamClient::report_batch_in`] with an ingest-validation stage in
-    /// front of the randomizer: every point is checked against the grid's
-    /// covered square, malformed reports (non-finite coordinates, plus
-    /// out-of-domain ones under [`IngestPolicy::Reject`]) are quarantined,
-    /// and the returned [`IngestSummary`] accounts for every report.
     ///
     /// Determinism guarantees, both bit-exact for any `threads` value:
     ///
     /// * quarantined points consume **no** randomness, so the valid
     ///   remainder of a batch reports exactly as if the garbage had never
     ///   arrived;
-    /// * an all-valid batch produces output bit-identical to the
-    ///   unvalidated [`DamClient::report_batch_in`] path.
+    /// * an all-valid batch reports exactly as the per-point
+    ///   [`DamClient::report`] loop over the same shard streams.
     ///
     /// The per-shard seen/quarantined/clamped tallies ride the same
     /// shard-order merge as the counts (three tail slots per shard
@@ -237,52 +226,14 @@ impl DamClient {
         policy: IngestPolicy,
         scratch: &mut Vec<f64>,
     ) -> IngestSummary {
-        let od = self.kernel().out_d() as usize;
-        let n = od * od;
-        // Hoisted out of the per-point loop: recomputing the covered
-        // square per report is what would push validation past its ~10%
-        // throughput budget (the guard in `BENCH_reports.json`).
-        let domain = covered_square(&self.grid);
-        // Three meta slots per shard buffer (seen / quarantined / clamped):
-        // the deterministic shard-order merge sums them exactly like count
-        // cells, and the whole-number tallies stay exact in f64 far beyond
-        // any realistic batch size. Tallies live in integer registers for
-        // the duration of a shard and spill once.
-        sharded_accumulate_in(
-            points.len(),
-            n + 3,
+        self.report_batch_validated_partition_in(
+            points,
             master_seed,
             threads,
+            policy,
+            |_| true,
             scratch,
-            |range, rng, buf| {
-                let (mut quarantined, mut clamped) = (0u64, 0u64);
-                buf[n] += range.len() as f64;
-                for (i, &p) in points[range.clone()].iter().enumerate() {
-                    let accepted = match check_point_in(&domain, policy, range.start + i, p) {
-                        PointCheck::Accept(q) => q,
-                        PointCheck::Clamped(q) => {
-                            clamped += 1;
-                            q
-                        }
-                        PointCheck::Quarantine(_) => {
-                            quarantined += 1;
-                            continue;
-                        }
-                    };
-                    let noisy = self.response.respond(self.grid.cell_of(accepted), rng);
-                    buf[noisy.iy as usize * od + noisy.ix as usize] += 1.0;
-                }
-                buf[n + 1] += quarantined as f64;
-                buf[n + 2] += clamped as f64;
-            },
-        );
-        let summary = IngestSummary {
-            seen: scratch[n] as u64,
-            quarantined: scratch[n + 1] as u64,
-            clamped: scratch[n + 2] as u64,
-        };
-        scratch.truncate(n);
-        summary
+        )
     }
 
     /// [`DamClient::report_batch_validated_in`] restricted to the report
@@ -318,7 +269,15 @@ impl DamClient {
     {
         let od = self.kernel().out_d() as usize;
         let n = od * od;
+        // Hoisted out of the per-point loop: recomputing the covered
+        // square per report is what would push validation past its ~10%
+        // throughput budget (the guard in `BENCH_reports.json`).
         let domain = covered_square(&self.grid);
+        // Three meta slots per shard buffer (seen / quarantined / clamped):
+        // the deterministic shard-order merge sums them exactly like count
+        // cells, and the whole-number tallies stay exact in f64 far beyond
+        // any realistic batch size. Tallies live in integer registers for
+        // the duration of a shard and spill once.
         sharded_accumulate_in(
             points.len(),
             n + 3,
@@ -326,7 +285,7 @@ impl DamClient {
             threads,
             scratch,
             |range, rng, buf| {
-                if !owns(range.start / crate::shard::SHARD_SIZE) {
+                if !owns(range.start / SHARD_SIZE) {
                     return;
                 }
                 let (mut quarantined, mut clamped) = (0u64, 0u64);
@@ -588,6 +547,26 @@ mod tests {
             assert_eq!(summary.seen, points.len() as u64);
             assert_eq!(summary.quarantined, 0);
             assert_eq!(summary.clamped, 0);
+        }
+    }
+
+    #[test]
+    fn report_batch_counts_only_finite_points() {
+        let grid = Grid2D::new(BoundingBox::unit(), 6);
+        let client = DamClient::new(grid, &DamConfig::dam(2.0));
+        let mut points = cluster_points(Point::new(0.4, 0.6), 3_000, 0.2, 13);
+        let finite = points.len();
+        for k in 0..12 {
+            let garbage = match k % 3 {
+                0 => Point::new(f64::NAN, 0.5),
+                1 => Point::new(0.5, f64::INFINITY),
+                _ => Point::new(f64::NEG_INFINITY, f64::NAN),
+            };
+            points.insert(k * 200, garbage);
+        }
+        for threads in [Some(1), Some(4)] {
+            let counts = client.report_batch(&points, 0xBAD, threads);
+            assert_eq!(counts.iter().sum::<f64>(), finite as f64, "threads {threads:?}");
         }
     }
 

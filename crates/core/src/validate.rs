@@ -4,17 +4,17 @@
 //! The production deployments the ROADMAP targets ingest reports from
 //! millions of uncontrolled clients: GPS glitches put points kilometres
 //! outside the service area, broken serializers deliver `NaN`
-//! coordinates, and replayed batches duplicate whole shards. The
-//! unvalidated hot path ([`crate::DamClient::report_batch_in`]) silently
-//! buckets all of that — `Grid2D::cell_of` clamps any finite coordinate
-//! into the grid and maps `NaN` to cell `(0, 0)` — which is exactly how a
+//! coordinates, and replayed batches duplicate whole shards. Bucketing
+//! all of that unchecked — `Grid2D::cell_of` clamps any finite coordinate
+//! into the grid and maps `NaN` to cell `(0, 0)` — is exactly how a
 //! multiplicative EM post-process ends up amplifying garbage counts into
 //! confident phantom mass.
 //!
-//! This module is the explicit alternative: every point is checked before
-//! it reaches the randomizer, invalid reports are **quarantined** (counted,
-//! never ingested), and the caller chooses what happens to finite but
-//! out-of-domain coordinates via [`IngestPolicy`]:
+//! So every batch path ([`crate::DamClient::report_batch`] and its
+//! validated/partitioned forms share one per-point loop) checks each point
+//! before it reaches the randomizer, invalid reports are **quarantined**
+//! (counted, never ingested), and the caller chooses what happens to
+//! finite but out-of-domain coordinates via [`IngestPolicy`]:
 //!
 //! * [`IngestPolicy::Clamp`] — project the point onto the domain boundary
 //!   and ingest it (counted as clamped). The lenient production default:

@@ -93,28 +93,36 @@ fn report_batch_matches_explicit_sequential_shard_loop() {
     let grid = Grid2D::new(BoundingBox::unit(), 5);
     let config = DamConfig::dam(1.5);
     let client = DamClient::new(grid, &config);
-    let points = span_points(3 * SHARD_SIZE + 17);
     let master_seed = 0xDEC0DE;
+    // Finite points outside the unit square: the batch clamps them onto
+    // the covered square, which must land in the edge cell `report`
+    // buckets them into.
+    let out_of_domain: Vec<Point> = span_points(SHARD_SIZE + 5)
+        .into_iter()
+        .map(|p| Point::new(3.0 * p.x - 1.0, 1.0 - 4.0 * p.y))
+        .collect();
 
-    // Reference: run every shard in order on one thread, driving the
-    // per-point `report` API with the shard's derived stream by hand.
-    let od = client.kernel().out_d() as usize;
-    let mut reference = vec![0.0f64; od * od];
-    for s in 0..n_shards(points.len()) {
-        let mut rng = shard_rng(master_seed, s as u64);
-        for &p in &points[shard_range(s, points.len())] {
-            let noisy = client.report(p, &mut rng);
-            reference[noisy.iy as usize * od + noisy.ix as usize] += 1.0;
+    for points in [span_points(3 * SHARD_SIZE + 17), out_of_domain] {
+        // Reference: run every shard in order on one thread, driving the
+        // per-point `report` API with the shard's derived stream by hand.
+        let od = client.kernel().out_d() as usize;
+        let mut reference = vec![0.0f64; od * od];
+        for s in 0..n_shards(points.len()) {
+            let mut rng = shard_rng(master_seed, s as u64);
+            for &p in &points[shard_range(s, points.len())] {
+                let noisy = client.report(p, &mut rng);
+                reference[noisy.iy as usize * od + noisy.ix as usize] += 1.0;
+            }
         }
-    }
 
-    for threads in [Some(1), Some(2), Some(8), None] {
-        let batch = client.report_batch(&points, master_seed, threads);
-        assert_eq!(
-            bits(&reference),
-            bits(&batch),
-            "threads {threads:?} must reproduce the sequential shard loop"
-        );
+        for threads in [Some(1), Some(2), Some(8), None] {
+            let batch = client.report_batch(&points, master_seed, threads);
+            assert_eq!(
+                bits(&reference),
+                bits(&batch),
+                "threads {threads:?} must reproduce the sequential shard loop"
+            );
+        }
     }
 }
 

@@ -361,24 +361,14 @@ pub fn expectation_maximization<C: ChannelOp + ?Sized>(
     smoother: Option<&dyn Fn(&mut [f64])>,
     params: EmParams,
 ) -> Vec<f64> {
-    expectation_maximization_in(channel, counts, smoother, params, &mut EmWorkspace::new())
+    expectation_maximization_warm(channel, counts, None, smoother, params, &mut EmWorkspace::new())
+        .estimate
 }
 
-/// [`expectation_maximization`] with a caller-supplied [`EmWorkspace`], so
-/// repeated EM runs against same-shaped channels reuse all scratch (the
-/// workspace is threaded through every `apply`/`accumulate_adjoint`;
-/// steady-state iterations allocate nothing).
-pub fn expectation_maximization_in<C: ChannelOp + ?Sized>(
-    channel: &C,
-    counts: &[f64],
-    smoother: Option<&dyn Fn(&mut [f64])>,
-    params: EmParams,
-    ws: &mut EmWorkspace,
-) -> Vec<f64> {
-    expectation_maximization_warm(channel, counts, None, smoother, params, ws).estimate
-}
-
-/// [`expectation_maximization_in`] with an optional **warm start**,
+/// [`expectation_maximization`] with a caller-supplied [`EmWorkspace`]
+/// (repeated runs against same-shaped channels reuse all scratch; the
+/// workspace is threaded through every `apply`/`accumulate_adjoint`, so
+/// steady-state iterations allocate nothing), an optional **warm start**,
 /// iteration accounting and graceful numerical degradation.
 ///
 /// `init`, when provided, seeds the iteration with a previous estimate

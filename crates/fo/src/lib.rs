@@ -31,10 +31,7 @@ pub mod pm;
 pub mod sr;
 pub mod sw;
 
-pub use em::{
-    expectation_maximization, expectation_maximization_in, Channel, ChannelOp, EmHealth, EmParams,
-    EmWorkspace,
-};
+pub use em::{expectation_maximization, Channel, ChannelOp, EmHealth, EmParams, EmWorkspace};
 pub use grr::Grr;
 pub use oue::Oue;
 pub use sw::SquareWave;

@@ -6,10 +6,11 @@
 //! * the [`DamClient`] (kernel + response tables, built once);
 //! * the resolved [`EmOperator`] (stencil offsets or FFT plan + kernel
 //!   spectrum, built once — every window's PostProcess reuses it);
-//! * an [`EpochRing`] maintaining the exact sliding-window counts
-//!   incrementally (one plane add + one subtract per epoch);
 //! * a [`CountTree`] over the full epoch history for O(log T) prefix and
-//!   arbitrary-window queries;
+//!   arbitrary-window queries — its leaves are the retained epoch planes;
+//! * the exact sliding-window counts, slid incrementally off those leaves
+//!   (one plane update per epoch: add the new plane, subtract the leaf
+//!   `window` epochs back);
 //! * a long-lived [`EmWorkspace`] plus the previous window's estimate, so
 //!   each window's EM **warm-starts** from the last solution under the
 //!   small `warm_em` budget ([`WindowEstimate::em_iters`] records the
@@ -39,7 +40,6 @@
 //! `threads` value (the crate's determinism suite pins it end to end).
 
 use crate::health::{names, PipelineHealth};
-use crate::ring::EpochRing;
 use crate::tree::CountTree;
 use dam_core::em2d::smooth_2d;
 use dam_core::validate::{sanitize_counts, IngestPolicy};
@@ -187,7 +187,8 @@ pub struct StreamingEstimator {
     client: DamClient,
     operator: EmOperator,
     grid: Grid2D,
-    ring: EpochRing,
+    /// Exact sum of the last `min(epochs, window)` retained planes.
+    window_counts: Vec<f64>,
     tree: CountTree,
     scratch: Vec<f64>,
     ws: EmWorkspace,
@@ -229,7 +230,7 @@ impl StreamingEstimator {
             client,
             operator,
             grid,
-            ring: EpochRing::new(n_out, config.window),
+            window_counts: vec![0.0; n_out],
             tree: CountTree::new(n_out, config.noise_scale, tree_seed, config.dam.threads),
             scratch: Vec::new(),
             ws,
@@ -275,12 +276,7 @@ impl StreamingEstimator {
     /// The exact noisy-report counts of the current sliding window.
     #[inline]
     pub fn window_counts(&self) -> &[f64] {
-        self.ring.window_counts()
-    }
-
-    /// Reports inside the current sliding window.
-    pub fn window_total(&self) -> f64 {
-        self.ring.window_counts().iter().sum()
+        &self.window_counts
     }
 
     /// The deterministic master seed keying epoch `epoch`'s shard streams.
@@ -309,12 +305,11 @@ impl StreamingEstimator {
     /// forward and appends the epoch plane to the continual-counting
     /// tree. Returns the epoch index just ingested.
     ///
-    /// An all-valid batch produces output bit-identical to the historic
-    /// unvalidated path — quarantined reports consume no randomness, so
-    /// validation is invisible to clean streams.
+    /// Quarantined reports consume no randomness, so validation is
+    /// invisible to the valid remainder of a batch.
     ///
     /// The randomize/aggregate/window hot path reuses its buffers (shard
-    /// scratch and ring slots); the tree, by contrast, *retains* each
+    /// scratch and the window sum); the tree, by contrast, *retains* each
     /// epoch — one O(n_cells) plane copy per epoch plus the amortized
     /// dyadic parents, O(T·n_cells) total over the stream's life. That
     /// history is what the O(log T) queries read; see the ROADMAP open
@@ -326,7 +321,7 @@ impl StreamingEstimator {
     /// [`StreamingEstimator::ingest_epoch`] with a post-aggregation
     /// tamper hook: after the epoch's validated reports are randomized
     /// and aggregated, `tamper(epoch, plane)` may mutate the count plane
-    /// before it enters the window ring and the tree. This is the
+    /// before it enters the window and the tree. This is the
     /// fault-injection seam (`fig_stream --inject` wires
     /// `dam_fault::FaultPlan` plane poisoning through it) — production
     /// callers use [`StreamingEstimator::ingest_epoch`].
@@ -354,8 +349,7 @@ impl StreamingEstimator {
         self.hh.clamped.add(summary.clamped);
         tamper(self.epochs, &mut self.scratch);
         self.hh.sanitized_cells.add(sanitize_counts(&mut self.scratch) as u64);
-        self.ring.push(&self.scratch);
-        self.tree.append(&self.scratch);
+        let epoch = self.retain();
         self.reports += points.len() as u64;
         self.hh.epochs_ingested.incr();
         let dt = self.obs.now_ns().saturating_sub(t0);
@@ -363,8 +357,6 @@ impl StreamingEstimator {
         if !points.is_empty() {
             self.hh.ns_per_report.set(dt as f64 / points.len() as f64);
         }
-        let epoch = self.epochs;
-        self.epochs += 1;
         epoch
     }
 
@@ -391,13 +383,9 @@ impl StreamingEstimator {
         self.hh.quarantined.add(summary.quarantined);
         self.hh.clamped.add(summary.clamped);
         self.hh.sanitized_cells.add(sanitize_counts(&mut self.scratch) as u64);
-        self.ring.push(&self.scratch);
-        self.tree.append(&self.scratch);
         self.reports += summary.seen;
         self.hh.epochs_ingested.incr();
-        let epoch = self.epochs;
-        self.epochs += 1;
-        epoch
+        self.retain()
     }
 
     /// Records an epoch the collector never delivered (outage, dropped
@@ -409,12 +397,8 @@ impl StreamingEstimator {
         let n = self.client.kernel().n_out();
         self.scratch.clear();
         self.scratch.resize(n, 0.0);
-        self.ring.push(&self.scratch);
-        self.tree.append(&self.scratch);
         self.hh.epochs_missed.incr();
-        let epoch = self.epochs;
-        self.epochs += 1;
-        epoch
+        self.retain()
     }
 
     /// The current sliding-window estimate, **warm-started** from the
@@ -497,8 +481,8 @@ impl StreamingEstimator {
     /// checkpoint: re-ingests `planes` (epoch order, raw — no health
     /// accounting, those counters arrive wholesale in `health`), then
     /// installs the persisted health record, report counter, and
-    /// warm-start seed. Ring and tree rebuild through the same exact
-    /// integer arithmetic that built them originally, so every
+    /// warm-start seed. Window and tree rebuild through the same
+    /// retention step that built them originally, so every
     /// subsequent window estimate is bit-identical to the uncrashed
     /// run's.
     ///
@@ -513,29 +497,58 @@ impl StreamingEstimator {
     ) {
         assert_eq!(self.epochs, 0, "restore targets a fresh estimator");
         for plane in planes {
-            self.ring.push(plane);
-            self.tree.append(plane);
+            self.scratch.clear();
+            self.scratch.extend_from_slice(plane);
+            self.retain();
         }
-        self.epochs = planes.len();
         self.reports = reports;
         health.store_into(&self.obs);
         self.prev = warm;
     }
 
+    /// The one retention step every ingest and restore path ends in:
+    /// slides the window sum onto the epoch plane staged in `scratch`,
+    /// appends that plane to the tree as the next leaf and advances the
+    /// epoch counter. Returns the epoch index retained.
+    ///
+    /// Once the window is full the update is `acc += new - old`, with
+    /// `old` read back from the tree's leaf `window` epochs behind — the
+    /// same expression, in the same order, that rebuilding or restoring
+    /// the stream evaluates, so the sum is bit-reproducible even for
+    /// fractional (tampered) planes, and exact for whole-number ones.
+    fn retain(&mut self) -> usize {
+        let plane = &self.scratch;
+        let window = self.config.window;
+        match self.epochs.checked_sub(window).and_then(|t| self.tree.epoch_plane(t)) {
+            Some(old) => {
+                for ((acc, &new), &old) in self.window_counts.iter_mut().zip(plane).zip(old) {
+                    *acc += new - old;
+                }
+            }
+            None => {
+                for (acc, &v) in self.window_counts.iter_mut().zip(plane) {
+                    *acc += v;
+                }
+            }
+        }
+        self.tree.append(plane);
+        let epoch = self.epochs;
+        self.epochs += 1;
+        epoch
+    }
+
     fn run_em(&mut self, init: Option<&[f64]>) -> WindowEstimate {
+        let held = self.epochs.min(self.config.window);
         let _span = self.obs.span_at(
             "em_window",
-            LogicalStamp {
-                epoch: self.epochs as u64,
-                window: self.ring.len() as u64,
-                iteration: 0,
-            },
+            LogicalStamp { epoch: self.epochs as u64, window: held as u64, iteration: 0 },
         );
         // A stream younger than the window covers fewer epochs than
-        // configured: still a well-defined estimate (the ring sums what
-        // it holds), but flagged so consumers know the evidence is thin.
-        self.hh.partial_window.set(if self.ring.len() < self.ring.window() { 1.0 } else { 0.0 });
-        let counts = self.ring.window_counts();
+        // configured: still a well-defined estimate (the window sums what
+        // the stream holds), but flagged so consumers know the evidence
+        // is thin.
+        self.hh.partial_window.set(if held < self.config.window { 1.0 } else { 0.0 });
+        let counts = &self.window_counts;
         if counts.iter().sum::<f64>() <= 0.0 {
             // An empty window carries no information; degrade to uniform.
             self.hh.degenerate_windows.incr();
@@ -668,9 +681,10 @@ mod tests {
         for e in 0..7 {
             s.ingest_epoch(&focus_points((0.5, 0.5), 2_000, e));
         }
-        // The ring's incremental window equals the tree's dyadic query
-        // for the same epoch range (both exact integer sums).
-        let from_tree = s.tree().window(4, 7);
+        // The incremental window equals the tree's dyadic query for the
+        // same epoch range (both exact integer sums).
+        let mut from_tree = vec![0.0; s.window_counts().len()];
+        s.tree().try_window_into(4, 7, &mut from_tree).unwrap();
         assert_eq!(s.window_counts(), &from_tree[..]);
     }
 
@@ -744,9 +758,10 @@ mod tests {
             plane[2] = -5.0;
         });
         assert_eq!(s.health().sanitized_cells, 3);
-        // The retained plane (ring and tree alike) is finite.
+        // The retained plane (window and tree alike) is finite.
         assert!(s.window_counts().iter().all(|v| v.is_finite() && *v >= 0.0));
-        assert!(s.tree().window(0, 1).iter().all(|v| v.is_finite() && *v >= 0.0));
+        let (leaf, _) = s.tree().window_clamped(0, 1).unwrap();
+        assert!(leaf.iter().all(|v| v.is_finite() && *v >= 0.0));
         let est = s.estimate_window();
         assert!(est.histogram.values().iter().all(|v| v.is_finite()));
         assert!(!est.health.is_clean());

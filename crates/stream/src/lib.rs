@@ -11,17 +11,15 @@
 //!   stream costs O(log T) plane reads, and the optional central-DP mode
 //!   pays only an O(log T) noise-variance factor per node
 //!   ([`tree::CountTree`]);
-//! * [`ring`] — the **epoch ring buffer** ([`ring::EpochRing`]): the
-//!   last W epoch planes with the sliding-window sum maintained
-//!   incrementally and exactly (whole-number counts), slots reused in
-//!   place;
 //! * [`estimator`] — the [`estimator::StreamingEstimator`] facade wrapping
 //!   `dam_core::DamConfig`: epochs ingest through the deterministic
-//!   sharded report pipeline (bit-identical for any thread count), each
-//!   window's EM **warm-starts** from the previous window's estimate via
-//!   a long-lived operator + workspace, converging in a few iterations in
-//!   steady state instead of a cold run's hundreds. All SAM variants and
-//!   EM backends ride it unchanged;
+//!   sharded report pipeline (bit-identical for any thread count), the
+//!   sliding-window sum slides off the tree's leaves (add the new epoch
+//!   plane, subtract the one `W` epochs back — exact for whole-number
+//!   counts), and each window's EM **warm-starts** from the previous
+//!   window's estimate via a long-lived operator + workspace, converging
+//!   in a few iterations in steady state instead of a cold run's
+//!   hundreds. All SAM variants and EM backends ride it unchanged;
 //! * [`service`] — the serve-while-ingesting [`service::QueryService`]:
 //!   one writer ingests epochs while any number of query threads answer
 //!   point/range/heatmap queries from an immutable epoch-versioned
@@ -38,12 +36,11 @@
 
 pub mod estimator;
 pub mod health;
-pub mod ring;
+mod ring;
 pub mod service;
 pub mod tree;
 
 pub use estimator::{StreamConfig, StreamingEstimator, WindowEstimate};
 pub use health::{PipelineHealth, StreamError};
-pub use ring::EpochRing;
 pub use service::{QueryService, Snapshot};
 pub use tree::CountTree;

@@ -1,164 +1,81 @@
-//! Fixed-capacity ring of epoch count planes with an incrementally
-//! maintained sliding-window sum.
-//!
-//! The streaming estimator's hot path touches exactly one plane per
-//! epoch: the new epoch's counts are added to the running window sum and
-//! the evicted epoch's counts subtracted — O(n_cells) per epoch instead
-//! of the O(W·n_cells) rescan. Because every plane holds whole-number
-//! report counts, the add/subtract arithmetic is exact (f64 represents
-//! integers up to 2⁵³), so the incremental sum is **bit-identical** to
-//! recomputing the window from scratch — pinned by
-//! [`EpochRing::recompute_into`] in the tests.
-//!
-//! Evicted slots are overwritten in place, so a steady-state stream
-//! allocates nothing here.
-
-/// Ring of the most recent `window` epoch planes plus their running sum.
-#[derive(Debug, Clone)]
-pub struct EpochRing {
-    planes: Vec<Vec<f64>>,
-    n_cells: usize,
-    window: usize,
-    /// Next slot to (over)write.
-    head: usize,
-    /// Planes currently held (saturates at `window`).
-    len: usize,
-    /// Exact sum of the held planes.
-    window_counts: Vec<f64>,
-}
-
-impl EpochRing {
-    /// An empty ring holding up to `window` planes of `n_cells` cells.
-    pub fn new(n_cells: usize, window: usize) -> Self {
-        assert!(window > 0, "window must hold at least one epoch");
-        assert!(n_cells > 0, "planes must have at least one cell");
-        Self {
-            planes: Vec::with_capacity(window),
-            n_cells,
-            window,
-            head: 0,
-            len: 0,
-            window_counts: vec![0.0; n_cells],
-        }
-    }
-
-    /// Window capacity in epochs.
-    #[inline]
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Planes currently held (`min(epochs ingested, window)`).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True before the first epoch.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The running sum over the held planes (the sliding-window counts).
-    #[inline]
-    pub fn window_counts(&self) -> &[f64] {
-        &self.window_counts
-    }
-
-    /// Pushes epoch counts, evicting the oldest plane once full. Updates
-    /// the running window sum incrementally (exact for whole-number
-    /// counts).
-    pub fn push(&mut self, plane: &[f64]) {
-        assert_eq!(plane.len(), self.n_cells, "plane does not match ring width");
-        if self.planes.len() < self.window {
-            self.planes.push(plane.to_vec());
-            for (acc, &v) in self.window_counts.iter_mut().zip(plane) {
-                *acc += v;
-            }
-        } else {
-            let slot = &mut self.planes[self.head];
-            for ((acc, old), &new) in self.window_counts.iter_mut().zip(slot.iter_mut()).zip(plane)
-            {
-                *acc += new - *old;
-                *old = new;
-            }
-        }
-        self.head = (self.head + 1) % self.window;
-        self.len = (self.len + 1).min(self.window);
-    }
-
-    /// Recomputes the window sum from the held planes in epoch order
-    /// (oldest first) — the O(W) reference the incremental sum must match
-    /// bit-for-bit.
-    pub fn recompute_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.n_cells, "output does not match ring width");
-        out.fill(0.0);
-        let start = if self.len < self.window { 0 } else { self.head };
-        for i in 0..self.len {
-            let plane = &self.planes[(start + i) % self.window];
-            for (acc, &v) in out.iter_mut().zip(plane) {
-                *acc += v;
-            }
-        }
-    }
-}
+//! The sliding window as a ring over the count tree's last `window`
+//! epoch leaves. [`StreamingEstimator`](crate::StreamingEstimator) keeps no planes of its own: its
+//! `window_counts` plane adds each new epoch and subtracts the leaf
+//! `window` epochs back. These tests pin the ring contract on that plane
+//! — the incremental sum equals a rescan of the held leaves bit for bit,
+//! a full window drops exactly its oldest epoch, and a window the stream
+//! has not yet filled sums every epoch it holds.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::estimator::{StreamConfig, StreamingEstimator};
+    use dam_core::validate::IngestSummary;
+    use dam_core::DamConfig;
+    use dam_geo::{BoundingBox, Grid2D};
+
+    fn estimator(window: usize) -> StreamingEstimator {
+        let dam = DamConfig { b_hat: Some(1), ..DamConfig::dam(2.0) }.with_threads(Some(1));
+        StreamingEstimator::new(
+            Grid2D::new(BoundingBox::unit(), 3),
+            StreamConfig::new(dam, window, 5),
+        )
+    }
 
     fn plane(epoch: usize, n_cells: usize) -> Vec<f64> {
         (0..n_cells).map(|c| ((epoch * 13 + c * 3) % 7) as f64).collect()
     }
 
+    /// A plane holding `value` in cell `cell` and zero elsewhere.
+    fn one_hot(cell: usize, value: f64, n_cells: usize) -> Vec<f64> {
+        let mut p = vec![0.0; n_cells];
+        p[cell] = value;
+        p
+    }
+
+    /// Rescan of the tree leaves the window holds.
+    fn recompute(s: &StreamingEstimator) -> Vec<f64> {
+        let t1 = s.epochs();
+        let t0 = t1.saturating_sub(s.config().window);
+        let mut out = vec![0.0; s.window_counts().len()];
+        for t in t0..t1 {
+            for (acc, &v) in out.iter_mut().zip(s.tree().epoch_plane(t).unwrap()) {
+                *acc += v;
+            }
+        }
+        out
+    }
+
     #[test]
     fn incremental_sum_matches_recompute_bit_for_bit() {
-        let n_cells = 12;
-        let mut ring = EpochRing::new(n_cells, 4);
-        let mut reference = vec![0.0; n_cells];
+        let mut s = estimator(4);
+        let n_cells = s.window_counts().len();
         for e in 0..11 {
-            ring.push(&plane(e, n_cells));
-            ring.recompute_into(&mut reference);
-            let bits: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-            let inc: Vec<u64> = ring.window_counts().iter().map(|v| v.to_bits()).collect();
+            s.ingest_epoch_plane(&plane(e, n_cells), &IngestSummary::default());
+            let bits: Vec<u64> = recompute(&s).iter().map(|v| v.to_bits()).collect();
+            let inc: Vec<u64> = s.window_counts().iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits, inc, "epoch {e}");
         }
     }
 
     #[test]
     fn eviction_drops_exactly_the_oldest_epoch() {
-        let n_cells = 3;
-        let mut ring = EpochRing::new(n_cells, 2);
-        ring.push(&[1.0, 0.0, 0.0]);
-        ring.push(&[0.0, 2.0, 0.0]);
-        ring.push(&[0.0, 0.0, 4.0]);
-        assert_eq!(ring.window_counts(), &[0.0, 2.0, 4.0]);
-        assert_eq!(ring.len(), 2);
-    }
-
-    #[test]
-    fn slots_are_reused_without_reallocating() {
-        let n_cells = 8;
-        let mut ring = EpochRing::new(n_cells, 3);
-        for e in 0..3 {
-            ring.push(&plane(e, n_cells));
-        }
-        let ptrs: Vec<*const f64> = ring.planes.iter().map(|p| p.as_ptr()).collect();
-        for e in 3..9 {
-            ring.push(&plane(e, n_cells));
-        }
-        let after: Vec<*const f64> = ring.planes.iter().map(|p| p.as_ptr()).collect();
-        assert_eq!(ptrs, after, "steady-state pushes must reuse the evicted slots");
+        let mut s = estimator(2);
+        let n_cells = s.window_counts().len();
+        s.ingest_epoch_plane(&one_hot(0, 1.0, n_cells), &IngestSummary::default());
+        s.ingest_epoch_plane(&one_hot(1, 2.0, n_cells), &IngestSummary::default());
+        s.ingest_epoch_plane(&one_hot(2, 4.0, n_cells), &IngestSummary::default());
+        assert_eq!(&s.window_counts()[..3], &[0.0, 2.0, 4.0]);
+        assert!(s.window_counts()[3..].iter().all(|&v| v == 0.0));
+        assert!(!s.estimate_window().health.partial_window);
     }
 
     #[test]
     fn partial_window_sums_all_held_planes() {
-        let n_cells = 4;
-        let mut ring = EpochRing::new(n_cells, 5);
-        ring.push(&[1.0; 4]);
-        ring.push(&[2.0; 4]);
-        assert_eq!(ring.window_counts(), &[3.0; 4]);
-        assert_eq!(ring.len(), 2);
+        let mut s = estimator(5);
+        let n_cells = s.window_counts().len();
+        s.ingest_epoch_plane(&vec![1.0; n_cells], &IngestSummary::default());
+        s.ingest_epoch_plane(&vec![2.0; n_cells], &IngestSummary::default());
+        assert_eq!(s.window_counts(), &vec![3.0; n_cells][..]);
+        assert!(s.estimate_window().health.partial_window);
     }
 }

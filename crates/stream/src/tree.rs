@@ -150,19 +150,9 @@ impl CountTree {
         }
     }
 
-    /// Writes the (noisy, if configured) prefix sum `[0, t)` into `out`.
-    ///
-    /// Panics on out-of-range `t` — the right contract for in-process
-    /// callers whose bounds are their own invariants. Callers whose `t`
-    /// crosses a trust boundary use [`CountTree::try_prefix_into`].
-    pub fn prefix_into(&self, t: usize, out: &mut [f64]) {
-        // lint: allow(no-panic-in-lib, panicking on caller bounds bugs is this wrapper's documented contract; try_prefix_into is the structured-error form)
-        self.try_prefix_into(t, out).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`CountTree::prefix_into`] returning a structured
-    /// [`StreamError`] instead of panicking when `t` exceeds the epochs
-    /// ingested — for queries arriving from outside the process.
+    /// Writes the (noisy, if configured) prefix sum `[0, t)` into `out`,
+    /// or returns a structured [`StreamError`] when `t` exceeds the epochs
+    /// ingested.
     pub fn try_prefix_into(&self, t: usize, out: &mut [f64]) -> Result<(), StreamError> {
         if t > self.len() {
             return Err(StreamError::PastStreamHead { t, len: self.len() });
@@ -178,16 +168,8 @@ impl CountTree {
     /// floating-point rounding (noise included — a node's noise is
     /// deterministic), so the realised noise covers only the symmetric
     /// difference; exact planes cancel exactly (integer arithmetic).
-    ///
-    /// Panics on reversed or out-of-range bounds; see
-    /// [`CountTree::try_window_into`] for the structured-error form.
-    pub fn window_into(&self, t0: usize, t1: usize, out: &mut [f64]) {
-        // lint: allow(no-panic-in-lib, panicking on caller bounds bugs is this wrapper's documented contract; try_window_into is the structured-error form)
-        self.try_window_into(t0, t1, out).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`CountTree::window_into`] returning a structured [`StreamError`]
-    /// on reversed bounds or a window past the stream head.
+    /// Reversed bounds or a window past the stream head return a
+    /// structured [`StreamError`].
     pub fn try_window_into(
         &self,
         t0: usize,
@@ -217,20 +199,6 @@ impl CountTree {
         let mut out = vec![0.0; self.n_cells];
         self.try_window_into(c0, c1, &mut out)?;
         Ok((out, (c0, c1) != (t0, t1)))
-    }
-
-    /// [`CountTree::prefix_into`], allocating.
-    pub fn prefix(&self, t: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_cells];
-        self.prefix_into(t, &mut out);
-        out
-    }
-
-    /// [`CountTree::window_into`], allocating.
-    pub fn window(&self, t0: usize, t1: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_cells];
-        self.window_into(t0, t1, &mut out);
-        out
     }
 
     /// Adds `sign ×` every node of the dyadic decomposition of `[0, t)`
@@ -322,6 +290,18 @@ mod tests {
         (0..n_cells).map(|c| ((epoch * 31 + c * 7) % 11) as f64).collect()
     }
 
+    fn prefix(tree: &CountTree, t: usize) -> Vec<f64> {
+        let mut out = vec![0.0; tree.n_cells()];
+        tree.try_prefix_into(t, &mut out).unwrap();
+        out
+    }
+
+    fn window(tree: &CountTree, t0: usize, t1: usize) -> Vec<f64> {
+        let mut out = vec![0.0; tree.n_cells()];
+        tree.try_window_into(t0, t1, &mut out).unwrap();
+        out
+    }
+
     fn naive_window(planes: &[Vec<f64>], t0: usize, t1: usize, n_cells: usize) -> Vec<f64> {
         let mut acc = vec![0.0; n_cells];
         for plane in &planes[t0..t1] {
@@ -341,7 +321,7 @@ mod tests {
             tree.append(plane);
         }
         for t in 0..=13 {
-            assert_eq!(tree.prefix(t), naive_window(&planes, 0, t, n_cells), "prefix {t}");
+            assert_eq!(prefix(&tree, t), naive_window(&planes, 0, t, n_cells), "prefix {t}");
         }
     }
 
@@ -356,7 +336,7 @@ mod tests {
         for t0 in 0..=11 {
             for t1 in t0..=11 {
                 assert_eq!(
-                    tree.window(t0, t1),
+                    window(&tree, t0, t1),
                     naive_window(&planes, t0, t1, n_cells),
                     "window [{t0}, {t1})"
                 );
@@ -385,14 +365,14 @@ mod tests {
         for plane in &planes {
             tree.append(plane);
         }
-        let a = tree.prefix(5);
-        let b = tree.prefix(5);
+        let a = prefix(&tree, 5);
+        let b = prefix(&tree, 5);
         assert_eq!(a, b, "a node's noise must be a pure function of its identity");
         // Nodes shared by both sides of a window difference cancel (to
         // floating-point rounding): [4, 4) is empty and its
         // decompositions share every node, so far less than one noise
         // draw's worth of mass may remain.
-        let empty = tree.window(4, 4);
+        let empty = window(&tree, 4, 4);
         assert!(empty.iter().all(|&v| v.abs() < 1e-12), "shared-node noise must cancel");
     }
 
@@ -412,8 +392,8 @@ mod tests {
             exact.append(&plane);
         }
         for t in [8usize, 12, 15] {
-            let with_noise = noisy.prefix(t);
-            let clean = exact.prefix(t);
+            let with_noise = prefix(&noisy, t);
+            let clean = prefix(&exact, t);
             let var = with_noise.iter().zip(&clean).map(|(n, c)| (n - c) * (n - c)).sum::<f64>()
                 / n_cells as f64;
             let expect = 2.0 * scale * scale * CountTree::prefix_nodes(t) as f64;
@@ -422,13 +402,6 @@ mod tests {
                 "prefix {t}: variance {var:.2} vs expected {expect:.2}"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "past the stream head")]
-    fn prefix_past_head_is_rejected() {
-        let tree = CountTree::exact(4);
-        tree.prefix(1);
     }
 
     #[test]
@@ -451,9 +424,10 @@ mod tests {
             tree.try_window_into(1, 9, &mut out),
             Err(StreamError::PastStreamHead { t: 9, len: 3 })
         );
-        // The Ok path matches the panicking API exactly.
+        // The Ok path is the exact window sum.
         tree.try_window_into(1, 3, &mut out).unwrap();
-        assert_eq!(out, tree.window(1, 3));
+        let planes: Vec<Vec<f64>> = (0..3).map(|e| epoch_plane(e, n_cells)).collect();
+        assert_eq!(out, naive_window(&planes, 1, 3, n_cells));
     }
 
     #[test]

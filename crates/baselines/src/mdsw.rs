@@ -14,7 +14,7 @@
 
 use dam_core::shard::sharded_accumulate;
 use dam_core::SpatialEstimator;
-use dam_fo::em::{expectation_maximization, smooth_1d, Channel, EmParams};
+use dam_fo::em::{expectation_maximization, smooth_1d, Channel, EmParams, EmWorkspace};
 use dam_fo::sw::SquareWave;
 use dam_geo::{Grid2D, Histogram2D, Point};
 use rand::{Rng, RngCore};
@@ -80,7 +80,8 @@ impl Mdsw {
         let matrix = sw.transition_matrix(d);
         debug_assert_eq!(counts.len(), matrix.n_out);
         let channel = Channel::new(matrix.n_out, matrix.n_in, matrix.data.clone());
-        expectation_maximization(&channel, counts, Some(&|f: &mut [f64]| smooth_1d(f)), em)
+        let ems: Option<&dyn Fn(&mut [f64])> = Some(&smooth_1d);
+        expectation_maximization(&channel, counts, None, ems, em, &mut EmWorkspace::new()).estimate
     }
 
     /// Joint-EM estimation: both coordinates are perturbed independently,
@@ -136,7 +137,15 @@ impl Mdsw {
         // every pair of cells and washes out exactly the correlation this
         // variant exists to preserve; the maximum-likelihood estimate is
         // the honest choice here.
-        let est = expectation_maximization(&channel, &counts, None, self.em);
+        let est = expectation_maximization(
+            &channel,
+            &counts,
+            None,
+            None,
+            self.em,
+            &mut EmWorkspace::new(),
+        )
+        .estimate;
         Histogram2D::from_values(grid.clone(), est).normalized()
     }
 }

@@ -11,12 +11,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dam_bench::{bench_grid, bench_points};
-use dam_core::em2d::{post_process, EmBackend, PostProcess};
+use dam_core::em2d::{EmBackend, EmOperator, PostProcess};
 use dam_core::grid::KernelKind;
 use dam_core::kernel::DiscreteKernel;
 use dam_core::response::GridAreaResponse;
 use dam_core::{ConvChannel, FftChannel};
-use dam_fo::em::{expectation_maximization, Channel, EmParams};
+use dam_fo::em::{expectation_maximization, Channel, ChannelOp, EmParams, EmRun, EmWorkspace};
 use dam_geo::rng::seeded;
 use dam_geo::{CellIndex, Histogram2D};
 use dam_transport::cost::CostMatrix;
@@ -60,12 +60,13 @@ fn bench_postprocess(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("em", d), &d, |bench, _| {
             bench.iter(|| {
-                black_box(post_process(
-                    &kernel,
+                black_box(EmOperator::new(&kernel, EmBackend::Auto).post_process(
                     &counts,
                     &grid,
                     PostProcess::Em,
                     EmParams { max_iters: 100, rel_tol: 1e-6, gain_tol: 0.0 },
+                    None,
+                    &mut EmWorkspace::new(),
                 ))
             });
         });
@@ -85,6 +86,12 @@ fn em_counts(kernel: &DiscreteKernel, seed: u64) -> Vec<f64> {
         counts[o.iy as usize * kernel.out_d() as usize + o.ix as usize] += 1.0;
     }
     counts
+}
+
+/// One cold-start EM run through a fresh workspace — what every timed EM
+/// row measures.
+fn cold_em<C: ChannelOp + ?Sized>(channel: &C, counts: &[f64], params: EmParams) -> EmRun {
+    expectation_maximization(channel, counts, None, None, params, &mut EmWorkspace::new())
 }
 
 /// Iterations per timed EM run in the d-sweep (matches the PR 1 baseline
@@ -112,12 +119,12 @@ fn bench_dense_vs_conv(c: &mut Criterion) {
         let counts = em_counts(&kernel, 6);
         let conv = ConvChannel::new(&kernel);
         group.bench_with_input(BenchmarkId::new("conv", d), &d, |bench, _| {
-            bench.iter(|| black_box(expectation_maximization(&conv, &counts, None, params)));
+            bench.iter(|| black_box(cold_em(&conv, &counts, params)));
         });
         if d < 64 {
             let dense: Channel = kernel.channel();
             group.bench_with_input(BenchmarkId::new("dense", d), &d, |bench, _| {
-                bench.iter(|| black_box(expectation_maximization(&dense, &counts, None, params)));
+                bench.iter(|| black_box(cold_em(&dense, &counts, params)));
             });
         }
     }
@@ -135,11 +142,11 @@ fn bench_conv_vs_fft(c: &mut Criterion) {
         let counts = em_counts(&kernel, 6);
         let conv = ConvChannel::new(&kernel);
         group.bench_with_input(BenchmarkId::new("conv", b), &b, |bench, _| {
-            bench.iter(|| black_box(expectation_maximization(&conv, &counts, None, params)));
+            bench.iter(|| black_box(cold_em(&conv, &counts, params)));
         });
         let fft = FftChannel::new(&kernel);
         group.bench_with_input(BenchmarkId::new("fft", b), &b, |bench, _| {
-            bench.iter(|| black_box(expectation_maximization(&fft, &counts, None, params)));
+            bench.iter(|| black_box(cold_em(&fft, &counts, params)));
         });
     }
     group.finish();

@@ -311,7 +311,7 @@ impl ChannelOp for FftChannel {
 mod tests {
     use super::*;
     use crate::grid::KernelKind;
-    use dam_fo::em::{expectation_maximization, EmParams};
+    use dam_fo::em::{expectation_maximization, EmParams, EmWorkspace};
     use rand::{Rng, SeedableRng};
 
     fn random_f(n: usize, seed: u64) -> Vec<f64> {
@@ -427,8 +427,12 @@ mod tests {
         let fftc = FftChannel::new(&kernel);
         let counts: Vec<f64> = (0..conv.n_out()).map(|o| ((o * 11) % 17) as f64).collect();
         let params = EmParams { max_iters: 60, rel_tol: 0.0, gain_tol: 0.0 };
-        let fc = expectation_maximization(&conv, &counts, None, params);
-        let ff = expectation_maximization(&fftc, &counts, None, params);
+        let fc =
+            expectation_maximization(&conv, &counts, None, None, params, &mut EmWorkspace::new())
+                .estimate;
+        let ff =
+            expectation_maximization(&fftc, &counts, None, None, params, &mut EmWorkspace::new())
+                .estimate;
         for i in 0..conv.n_in() {
             assert!((fc[i] - ff[i]).abs() < 1e-9, "bin {i}: {} vs {}", fc[i], ff[i]);
         }
@@ -441,8 +445,12 @@ mod tests {
         let conv = ConvChannel::new(&kernel);
         let counts: Vec<f64> = (0..conv.n_out()).map(|o| ((o * 7) % 13) as f64).collect();
         let params = EmParams { max_iters: 80, rel_tol: 0.0, gain_tol: 0.0 };
-        let fd = expectation_maximization(&dense, &counts, None, params);
-        let fc = expectation_maximization(&conv, &counts, None, params);
+        let fd =
+            expectation_maximization(&dense, &counts, None, None, params, &mut EmWorkspace::new())
+                .estimate;
+        let fc =
+            expectation_maximization(&conv, &counts, None, None, params, &mut EmWorkspace::new())
+                .estimate;
         for i in 0..conv.n_in() {
             assert!((fd[i] - fc[i]).abs() < 1e-12, "bin {i}: {} vs {}", fd[i], fc[i]);
         }
@@ -461,8 +469,11 @@ mod tests {
             &conv,
             &counts,
             None,
+            None,
             EmParams { max_iters: 25, rel_tol: 1e-9, gain_tol: 0.0 },
-        );
+            &mut EmWorkspace::new(),
+        )
+        .estimate;
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(f.iter().all(|&x| x >= 0.0));
     }

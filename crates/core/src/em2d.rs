@@ -7,9 +7,7 @@
 //! iterations — the 2-D analogue of SW-EMS's `[1,2,1]/4`.
 
 use crate::kernel::DiscreteKernel;
-use dam_fo::em::{
-    expectation_maximization_warm, ChannelOp, EmHealth, EmParams, EmRun, EmWorkspace,
-};
+use dam_fo::em::{expectation_maximization, ChannelOp, EmHealth, EmParams, EmRun, EmWorkspace};
 use dam_geo::{Grid2D, Histogram2D};
 
 /// Post-processing flavour.
@@ -113,39 +111,6 @@ pub fn smooth_2d(d: usize, f: &mut [f64]) {
     }
 }
 
-/// Runs EM (or EMS) on noisy output-cell counts and returns the estimated
-/// input distribution as a normalized histogram over `input_grid`,
-/// auto-selecting the structured operator for the kernel shape (never
-/// materialises the dense channel matrix).
-///
-/// `noisy_counts` must be row-major over the kernel's output grid
-/// (`out_d²` entries).
-pub fn post_process(
-    kernel: &DiscreteKernel,
-    noisy_counts: &[f64],
-    input_grid: &Grid2D,
-    post: PostProcess,
-    params: EmParams,
-) -> Histogram2D {
-    post_process_with(kernel, noisy_counts, input_grid, post, params, EmBackend::Auto)
-}
-
-/// [`post_process`] with an explicit [`EmBackend`] — the dense path exists
-/// for A/B comparison and regression tests, `Convolution`/`Fft` pin one
-/// side of the `Auto` crossover.
-pub fn post_process_with(
-    kernel: &DiscreteKernel,
-    noisy_counts: &[f64],
-    input_grid: &Grid2D,
-    post: PostProcess,
-    params: EmParams,
-    backend: EmBackend,
-) -> Histogram2D {
-    let mut op = EmOperator::new(kernel, backend);
-    op.post_process_warm(noisy_counts, input_grid, post, params, None, &mut EmWorkspace::new())
-        .histogram
-}
-
 /// Everything one PostProcess run produced: the estimate, the iteration
 /// accounting and the numerical-health record — including whether the
 /// spectral backend had to be abandoned for the exact stencil.
@@ -158,33 +123,37 @@ pub struct PostProcessOutcome {
     /// What the solver repaired ([`EmHealth::is_clean`] on healthy runs).
     pub em_health: EmHealth,
     /// The FFT backend diverged and the run was redone on the exact
-    /// stencil operator (see [`EmOperator::post_process_warm`]).
+    /// stencil operator (see [`EmOperator::post_process`]).
     pub backend_fallback: bool,
 }
 
-/// A resolved EM operator, reusable across PostProcess runs.
+/// A resolved EM operator: the one 2-D PostProcess entry.
 ///
-/// One-shot callers go through [`post_process_with`], which builds the
-/// channel, runs EM once and throws everything away. A *streaming* caller
-/// re-runs EM against the **same kernel** every window, so the channel
-/// (stencil offsets or the FFT plan + kernel spectrum — the expensive
-/// setup) should be built once and kept. `EmOperator` is that long-lived
-/// piece: construct it per kernel/backend, then call
-/// [`EmOperator::post_process_warm`] per window with a shared
-/// [`EmWorkspace`] and (optionally) the previous window's estimate as the
-/// warm start.
+/// Construct it per kernel/backend (resolving [`EmBackend::Auto`] and
+/// building the channel — stencil offsets or the FFT plan + kernel
+/// spectrum, the expensive setup), then call [`EmOperator::post_process`].
+/// A one-shot caller builds one, runs it once without a warm start and
+/// drops it:
+///
+/// ```text
+/// EmOperator::new(&kernel, backend)
+///     .post_process(counts, grid, post, params, None, &mut EmWorkspace::new())
+/// ```
+///
+/// A *streaming* caller re-runs EM against the **same kernel** every
+/// window, so it keeps the operator alive and calls
+/// [`EmOperator::post_process`] per window with a shared [`EmWorkspace`]
+/// and the previous window's estimate as the warm start.
 pub struct EmOperator {
     channel: Box<dyn ChannelOp + Send + Sync>,
     /// Resolved backend actually in use (never [`EmBackend::Auto`]).
     resolved: EmBackend,
     /// The kernel, kept so a diverging FFT run can rebuild the exact
-    /// stencil operator on demand (see [`EmOperator::post_process_warm`]).
+    /// stencil operator on demand (see [`EmOperator::post_process`]).
     kernel: DiscreteKernel,
     /// Lazily-built stencil fallback (only materialised after the first
     /// FFT divergence; reused for every later fallback).
     stencil_fallback: Option<Box<dyn ChannelOp + Send + Sync>>,
-    d: u32,
-    n_out: usize,
 }
 
 impl EmOperator {
@@ -197,14 +166,7 @@ impl EmOperator {
             EmBackend::Fft => Box::new(kernel.fft_channel()),
             EmBackend::Auto => unreachable!("resolve never returns Auto"),
         };
-        Self {
-            channel,
-            resolved,
-            kernel: kernel.clone(),
-            stencil_fallback: None,
-            d: kernel.d(),
-            n_out: kernel.n_out(),
-        }
+        Self { channel, resolved, kernel: kernel.clone(), stencil_fallback: None }
     }
 
     /// The backend the cost model resolved to.
@@ -229,7 +191,7 @@ impl EmOperator {
     /// subsequent windows) and the outcome records `backend_fallback` so
     /// the pipeline's health surface can expose the degraded-but-serving
     /// state. Iteration counts sum across the rerun.
-    pub fn post_process_warm(
+    pub fn post_process(
         &mut self,
         noisy_counts: &[f64],
         input_grid: &Grid2D,
@@ -238,15 +200,15 @@ impl EmOperator {
         init: Option<&[f64]>,
         ws: &mut EmWorkspace,
     ) -> PostProcessOutcome {
-        assert_eq!(noisy_counts.len(), self.n_out, "counts do not match output grid");
-        assert_eq!(input_grid.d(), self.d, "kernel built for a different grid resolution");
-        let d = self.d as usize;
+        assert_eq!(noisy_counts.len(), self.kernel.n_out(), "counts do not match output grid");
+        assert_eq!(input_grid.d(), self.kernel.d(), "kernel built for a different grid resolution");
+        let d = self.kernel.d() as usize;
         let smoother = move |f: &mut [f64]| smooth_2d(d, f);
         let smoother: Option<&dyn Fn(&mut [f64])> = match post {
             PostProcess::Em => None,
             PostProcess::Ems => Some(&smoother),
         };
-        let run = expectation_maximization_warm(
+        let run = expectation_maximization(
             self.channel.as_ref(),
             noisy_counts,
             init,
@@ -264,14 +226,8 @@ impl EmOperator {
         }
         let stencil =
             self.stencil_fallback.get_or_insert_with(|| Box::new(self.kernel.conv_channel()));
-        let EmRun { estimate, iters, health } = expectation_maximization_warm(
-            stencil.as_ref(),
-            noisy_counts,
-            init,
-            smoother,
-            params,
-            ws,
-        );
+        let EmRun { estimate, iters, health } =
+            expectation_maximization(stencil.as_ref(), noisy_counts, init, smoother, params, ws);
         let mut em_health = run.health;
         em_health.merge(&health);
         PostProcessOutcome {
@@ -290,6 +246,17 @@ mod tests {
     use crate::response::GridAreaResponse;
     use dam_geo::{BoundingBox, CellIndex};
     use rand::SeedableRng;
+
+    fn one_shot(
+        k: &DiscreteKernel,
+        counts: &[f64],
+        grid: &Grid2D,
+        post: PostProcess,
+    ) -> Histogram2D {
+        EmOperator::new(k, EmBackend::Auto)
+            .post_process(counts, grid, post, EmParams::default(), None, &mut EmWorkspace::new())
+            .histogram
+    }
 
     #[test]
     fn auto_resolves_to_stencil_small_radius_and_fft_large_radius() {
@@ -350,7 +317,7 @@ mod tests {
             let o = resp.respond(truth, &mut rng);
             counts[o.iy as usize * kernel.out_d() as usize + o.ix as usize] += 1.0;
         }
-        let est = post_process(&kernel, &counts, &grid, PostProcess::Em, EmParams::default());
+        let est = one_shot(&kernel, &counts, &grid, PostProcess::Em);
         let peak = est.get(truth);
         assert!(peak > 0.5, "estimated mass at the true cell is only {peak}");
         assert!((est.total() - 1.0).abs() < 1e-9);
@@ -370,7 +337,7 @@ mod tests {
             let o = resp.respond(c, &mut rng);
             counts[o.iy as usize * kernel.out_d() as usize + o.ix as usize] += 1.0;
         }
-        let est = post_process(&kernel, &counts, &grid, PostProcess::Ems, EmParams::default());
+        let est = one_shot(&kernel, &counts, &grid, PostProcess::Ems);
         let m00 = est.get(CellIndex::new(0, 0));
         let m33 = est.get(CellIndex::new(3, 3));
         // The smoothing fixpoint diffuses the corners substantially, but

@@ -8,7 +8,7 @@
 //! interface the experiment harness drives for DAM, DAM-NS, HUEM and all
 //! the baselines in `dam-baselines`.
 
-use crate::em2d::{post_process_with, EmBackend, PostProcess};
+use crate::em2d::{EmBackend, EmOperator, PostProcess};
 use crate::grid::KernelKind;
 use crate::kernel::DiscreteKernel;
 use crate::radius::optimal_b_cells;
@@ -18,7 +18,7 @@ use crate::validate::{
     check_counts, check_point_in, covered_square, IngestError, IngestPolicy, IngestSummary,
     PointCheck,
 };
-use dam_fo::em::EmParams;
+use dam_fo::em::{EmParams, EmWorkspace};
 use dam_geo::{CellIndex, Grid2D, Histogram2D, Point};
 use rand::RngCore;
 
@@ -385,20 +385,13 @@ impl DamAggregator {
         self.n_reports
     }
 
-    /// Runs PostProcess through the auto-selected structured operator and
-    /// returns the estimated distribution.
-    pub fn estimate(&self, post: PostProcess, em: EmParams) -> Histogram2D {
-        self.estimate_with(post, em, EmBackend::Auto)
-    }
-
-    /// Runs PostProcess against an explicit [`EmBackend`].
-    pub fn estimate_with(
-        &self,
-        post: PostProcess,
-        em: EmParams,
-        backend: EmBackend,
-    ) -> Histogram2D {
-        post_process_with(&self.kernel, &self.counts, &self.input_grid, post, em, backend)
+    /// Runs PostProcess on the [`EmBackend`] (`Auto` picks the structured
+    /// operator for the kernel shape) and returns the estimated
+    /// distribution.
+    pub fn estimate(&self, post: PostProcess, em: EmParams, backend: EmBackend) -> Histogram2D {
+        EmOperator::new(&self.kernel, backend)
+            .post_process(&self.counts, &self.input_grid, post, em, None, &mut EmWorkspace::new())
+            .histogram
     }
 }
 
@@ -435,7 +428,7 @@ impl SpatialEstimator for DamEstimator {
         // identically no matter how many threads execute the batch.
         let master_seed = rng.next_u64();
         agg.ingest_counts(&client.report_batch(points, master_seed, self.config.threads));
-        agg.estimate_with(self.config.post, self.config.em, self.config.backend)
+        agg.estimate(self.config.post, self.config.em, self.config.backend)
     }
 }
 
@@ -510,7 +503,7 @@ mod tests {
             agg.ingest(client.report(p, &mut rng));
         }
         assert_eq!(agg.n_reports(), 500);
-        let est = agg.estimate(PostProcess::Em, EmParams::default());
+        let est = agg.estimate(PostProcess::Em, EmParams::default(), EmBackend::Auto);
         assert!((est.total() - 1.0).abs() < 1e-9);
     }
 

@@ -7,7 +7,8 @@
 //! level quarters its parent's nodes — down to cell granularity, so an
 //! axis-aligned range decomposes into a **node cover** whose size is
 //! proportional to the range *boundary* (O(d·log d) worst case) instead
-//! of its area, with O(log d) recursion depth.
+//! of its area, read in one pass per level. Every pyramid is full depth:
+//! its leaf level holds one node per cell.
 //!
 //! Three construction paths:
 //!
@@ -110,45 +111,24 @@ impl Pyramid {
     /// Builds the exact full-depth pyramid over a row-major `d × d`
     /// plane (leaf level = the plane itself; parents aggregate).
     pub fn from_plane(plane: &[f64], d: u32) -> Self {
-        Self::from_plane_with_depth(plane, d, usize::MAX)
-    }
-
-    /// [`Pyramid::from_plane`] capped at `max_levels` levels: the leaf
-    /// level then covers `per > 1` cells per node and range answers
-    /// apportion fringe mass uniformly inside leaf nodes (the classic
-    /// coarse-hierarchy trade: O(4^levels) memory against exactness).
-    pub fn from_plane_with_depth(plane: &[f64], d: u32, max_levels: usize) -> Self {
-        let full = Self::n_levels_for(d);
+        let n_levels = Self::n_levels_for(d);
         assert_eq!(plane.len(), (d as usize) * (d as usize), "plane does not match grid size");
-        assert!(max_levels >= 1, "pyramid needs at least the root level");
-        let n_levels = full.min(max_levels);
         let padded = d.next_power_of_two();
         let mut levels = Vec::with_capacity(n_levels);
-        // Leaf level straight from the plane (summing per × per blocks;
-        // a block degenerates to one cell at full depth).
-        let leaf_side = 1u32 << (n_levels - 1);
-        let leaf_per = padded >> (n_levels - 1);
-        let mut leaf = PyramidLevel {
-            side: leaf_side,
-            per: leaf_per,
-            values: vec![0.0; (leaf_side as usize) * (leaf_side as usize)],
-        };
-        for ny in 0..leaf_side {
-            for nx in 0..leaf_side {
-                let Some((cx0, cy0, cx1, cy1)) = leaf.extent(d, nx, ny) else { continue };
-                let mut acc = 0.0;
-                for cy in cy0..=cy1 {
-                    for cx in cx0..=cx1 {
-                        acc += plane[(cy * d + cx) as usize];
-                    }
-                }
-                leaf.values[(ny * leaf_side + nx) as usize] = acc;
+        // Leaf level: the plane laid out on the padded side (`0.0 + v`
+        // turns a negative zero into the positive zero a summing
+        // accumulator would hold).
+        let side = padded as usize;
+        let mut leaf = vec![0.0; side * side];
+        for (row, src) in leaf.chunks_exact_mut(side).zip(plane.chunks_exact(d as usize)) {
+            for (node, &v) in row.iter_mut().zip(src) {
+                *node = 0.0 + v;
             }
         }
         // Parents: each node the sum of its four children. `top` is the
         // finest level built so far, so the loop needs no `last()`
         // lookups (and no unwraps) on the growing vector.
-        let mut top = leaf;
+        let mut top = PyramidLevel { side: padded, per: 1, values: leaf };
         while top.side > 1 {
             let child = &top;
             let side = child.side / 2;
@@ -374,24 +354,14 @@ impl Pyramid {
         self.levels.get(li).filter(|l| l.side == side)
     }
 
-    /// Whether the leaf level is at cell granularity (full depth).
-    #[inline]
-    pub fn leaf_is_cells(&self) -> bool {
-        self.levels.last().map(|l| l.per == 1).unwrap_or(false)
-    }
-
-    /// Leaf value at cell `(ix, iy)` — the plane value on a full-depth
-    /// pyramid, the containing leaf node's mass apportioned uniformly on
-    /// a depth-capped one.
+    /// Leaf value at cell `(ix, iy)`.
     pub fn cell(&self, ix: u32, iy: u32) -> f64 {
         assert!(ix < self.d && iy < self.d, "cell exceeds the grid");
         self.range_sum(ix, iy, ix, iy)
     }
 
     /// Sum over the inclusive cell rectangle `x0..=x1 × y0..=y1` read
-    /// through the minimal node cover (coarsest fully-contained nodes;
-    /// on a depth-capped pyramid, fringe leaf nodes apportion their mass
-    /// by covered-area fraction).
+    /// through the minimal node cover (coarsest fully-contained nodes).
     pub fn range_sum(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> f64 {
         self.range_sum_counted(x0, y0, x1, y1).0
     }
@@ -399,25 +369,15 @@ impl Pyramid {
     /// [`Pyramid::range_sum`] plus the number of nodes the cover read —
     /// the quantity the `range` bench pins against naive O(cells)
     /// summation.
+    ///
+    /// The cover is walked level by level: at each level the nodes wholly
+    /// inside the query form a rectangle, and the nodes to emit are that
+    /// rectangle minus the (doubled) rectangle already emitted at the
+    /// coarser level — a thin ring summed as contiguous row slices. The
+    /// leaf ring is the query's unaligned cell fringe itself.
     pub fn range_sum_counted(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> (f64, usize) {
         assert!(x0 <= x1 && y0 <= y1, "inverted range");
         assert!(x1 < self.d && y1 < self.d, "query exceeds the grid");
-        if self.leaf_is_cells() {
-            return self.range_sum_canonical(x0, y0, x1, y1);
-        }
-        let mut nodes = 0usize;
-        let sum = self.cover(0, 0, 0, (x0, y0, x1, y1), &mut nodes);
-        (sum, nodes)
-    }
-
-    /// The canonical cover, walked level-by-level: at each level the
-    /// nodes wholly inside the query form a rectangle, and the nodes to
-    /// emit are that rectangle minus the (doubled) rectangle already
-    /// emitted at the coarser level — a thin ring summed as contiguous
-    /// row slices. Exactly the minimal cover the recursion would emit,
-    /// without per-node call overhead; requires a full-depth pyramid
-    /// (the leaf ring is the query's unaligned cell fringe itself).
-    fn range_sum_canonical(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> (f64, usize) {
         let mut sum = 0.0;
         let mut nodes = 0usize;
         // The previous level's contained node rectangle (lo inclusive,
@@ -469,44 +429,6 @@ impl Pyramid {
             prev = Some((nx_lo, ny_lo, nx_hi, ny_hi));
         }
         (sum, nodes)
-    }
-
-    fn cover(
-        &self,
-        li: usize,
-        nx: u32,
-        ny: u32,
-        q: (u32, u32, u32, u32),
-        nodes: &mut usize,
-    ) -> f64 {
-        let lv = &self.levels[li];
-        let Some((cx0, cy0, cx1, cy1)) = lv.extent(self.d, nx, ny) else { return 0.0 };
-        let (qx0, qy0, qx1, qy1) = q;
-        if cx1 < qx0 || cx0 > qx1 || cy1 < qy0 || cy0 > qy1 {
-            return 0.0;
-        }
-        let v = lv.values[(ny * lv.side + nx) as usize];
-        if qx0 <= cx0 && cx1 <= qx1 && qy0 <= cy0 && cy1 <= qy1 {
-            *nodes += 1;
-            return v;
-        }
-        if li + 1 == self.levels.len() {
-            // Leaf fringe: apportion by covered-area fraction
-            // (uniformity assumption inside a leaf node). Unreachable at
-            // full depth, where a leaf is a single cell.
-            *nodes += 1;
-            let ow = (qx1.min(cx1) + 1 - qx0.max(cx0)) as u64;
-            let oh = (qy1.min(cy1) + 1 - qy0.max(cy0)) as u64;
-            let cells = (cx1 + 1 - cx0) as u64 * (cy1 + 1 - cy0) as u64;
-            return v * (ow * oh) as f64 / cells as f64;
-        }
-        let mut acc = 0.0;
-        for dy in 0..2u32 {
-            for dx in 0..2u32 {
-                acc += self.cover(li + 1, 2 * nx + dx, 2 * ny + dy, q, nodes);
-            }
-        }
-        acc
     }
 
     /// Largest `|node − Σ children|` across the pyramid — 0 (to float
@@ -578,7 +500,6 @@ mod tests {
             assert_eq!(p.n_levels(), Pyramid::n_levels_for(d));
             assert_eq!(p.levels()[0].side(), 1);
             assert_eq!(p.levels().last().unwrap().per(), 1);
-            assert!(p.leaf_is_cells());
             for (li, lv) in p.levels().iter().enumerate() {
                 assert_eq!(lv.side(), 1 << li);
                 assert_eq!(lv.side() * lv.per(), d.next_power_of_two());
@@ -629,21 +550,6 @@ mod tests {
                 assert!((p.cell(x, y) - pl[(y * d + x) as usize]).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn depth_capped_pyramid_apportions_the_leaf_fringe() {
-        // d = 8 capped to 3 levels: leaves cover 2×2 cells. A 1-cell
-        // query reads a quarter of its (uniform) leaf node.
-        let d = 8;
-        let pl = plane(d, |_, _| 1.0);
-        let p = Pyramid::from_plane_with_depth(&pl, d, 3);
-        assert!(!p.leaf_is_cells());
-        assert_eq!(p.levels().last().unwrap().per(), 2);
-        assert!((p.range_sum(3, 3, 3, 3) - 1.0).abs() < 1e-12);
-        // Aligned rectangles are still exact.
-        assert!((p.range_sum(2, 2, 5, 5) - 16.0).abs() < 1e-12);
-        assert!(p.max_inconsistency() < 1e-12);
     }
 
     #[test]

@@ -147,9 +147,9 @@ proptest! {
         // Fixed iteration count: every operator must walk the same
         // trajectory, not merely stop near the same optimum.
         let params = EmParams { max_iters: 60, rel_tol: 0.0, gain_tol: 0.0 };
-        let fd = expectation_maximization(&dense, &counts, None, params);
-        let fc = expectation_maximization(&conv, &counts, None, params);
-        let ff = expectation_maximization(&fft, &counts, None, params);
+        let fd = expectation_maximization(&dense, &counts, None, None, params, &mut EmWorkspace::new()).estimate;
+        let fc = expectation_maximization(&conv, &counts, None, None, params, &mut EmWorkspace::new()).estimate;
+        let ff = expectation_maximization(&fft, &counts, None, None, params, &mut EmWorkspace::new()).estimate;
         for i in 0..conv.n_in() {
             prop_assert!(
                 (fd[i] - fc[i]).abs() <= CONV_TOL,
@@ -244,12 +244,11 @@ fn fft_matches_dense_on_awkward_shapes() {
     }
 }
 
-/// End-to-end: the default `post_process` (auto backend) and every
+/// End-to-end: `EmOperator::post_process` on the auto backend and every
 /// explicit backend agree on a full pipeline histogram.
 #[test]
 fn post_process_backends_agree_end_to_end() {
-    use dam_core::em2d::{post_process, post_process_with, PostProcess};
-    use dam_core::EmBackend;
+    use dam_core::{EmBackend, EmOperator, PostProcess};
     use dam_geo::{BoundingBox, Grid2D};
 
     for (family, eps, d, b) in
@@ -262,10 +261,14 @@ fn post_process_backends_agree_end_to_end() {
             .map(|x| (x * 50.0).round())
             .collect::<Vec<_>>();
         let params = EmParams { max_iters: 40, rel_tol: 0.0, gain_tol: 0.0 };
-        let auto = post_process(&kernel, &counts, &grid, PostProcess::Em, params);
+        let post_process = |post, backend| {
+            EmOperator::new(&kernel, backend)
+                .post_process(&counts, &grid, post, params, None, &mut EmWorkspace::new())
+                .histogram
+        };
+        let auto = post_process(PostProcess::Em, EmBackend::Auto);
         for backend in [EmBackend::Convolution, EmBackend::Dense, EmBackend::Fft] {
-            let explicit =
-                post_process_with(&kernel, &counts, &grid, PostProcess::Em, params, backend);
+            let explicit = post_process(PostProcess::Em, backend);
             for (a, b_val) in auto.values().iter().zip(explicit.values()) {
                 assert!(
                     (a - b_val).abs() <= FFT_TOL,
@@ -277,9 +280,8 @@ fn post_process_backends_agree_end_to_end() {
         }
         // The EMS flavour must agree too (smoothing happens outside the
         // operator, but exercises the swap/normalise plumbing).
-        let auto_ems = post_process(&kernel, &counts, &grid, PostProcess::Ems, params);
-        let fft_ems =
-            post_process_with(&kernel, &counts, &grid, PostProcess::Ems, params, EmBackend::Fft);
+        let auto_ems = post_process(PostProcess::Ems, EmBackend::Auto);
+        let fft_ems = post_process(PostProcess::Ems, EmBackend::Fft);
         for (a, b_val) in auto_ems.values().iter().zip(fft_ems.values()) {
             assert!((a - b_val).abs() <= FFT_TOL, "{} EMS: {a} vs {b_val}", family_name(family));
         }

@@ -8,9 +8,8 @@
 //! spread), and a **zero-count window** reached through the user-facing
 //! aggregator rather than the raw EM entry point.
 
-use dam_core::em2d::post_process_with;
-use dam_core::{DamAggregator, DamClient, DamConfig, EmBackend, PostProcess};
-use dam_fo::em::EmParams;
+use dam_core::{DamAggregator, DamClient, DamConfig, EmBackend, EmOperator, PostProcess};
+use dam_fo::em::{EmParams, EmWorkspace};
 use dam_geo::{BoundingBox, CellIndex, Grid2D};
 
 const D: u32 = 12;
@@ -34,14 +33,16 @@ fn empty_report_set_yields_uniform_on_every_backend() {
     let uniform = 1.0 / (D * D) as f64;
     for backend in BACKENDS {
         for post in [PostProcess::Em, PostProcess::Ems] {
-            let hist = post_process_with(
-                client.kernel(),
-                &counts,
-                client.grid(),
-                post,
-                EmParams::default(),
-                backend,
-            );
+            let hist = EmOperator::new(client.kernel(), backend)
+                .post_process(
+                    &counts,
+                    client.grid(),
+                    post,
+                    EmParams::default(),
+                    None,
+                    &mut EmWorkspace::new(),
+                )
+                .histogram;
             let label = format!("{backend:?}/{post:?}");
             assert_valid_distribution(hist.values(), &label);
             assert!(
@@ -57,7 +58,7 @@ fn zero_count_window_through_the_aggregator_does_not_panic() {
     let client = client();
     let agg = DamAggregator::new(&client);
     for backend in BACKENDS {
-        let hist = agg.estimate_with(PostProcess::Em, EmParams::default(), backend);
+        let hist = agg.estimate(PostProcess::Em, EmParams::default(), backend);
         assert_valid_distribution(hist.values(), &format!("aggregator/{backend:?}"));
     }
 }
@@ -71,7 +72,7 @@ fn all_mass_in_one_cell_agrees_across_backends() {
         agg.ingest(CellIndex::new(center, center));
     }
     let em = EmParams::default();
-    let reference = agg.estimate_with(PostProcess::Em, em, EmBackend::Dense);
+    let reference = agg.estimate(PostProcess::Em, em, EmBackend::Dense);
     assert_valid_distribution(reference.values(), "Dense");
     // The spike must actually concentrate mass (the wide ε = 2 disk
     // spreads it, but the estimate must not be the uniform fallback).
@@ -83,7 +84,7 @@ fn all_mass_in_one_cell_agrees_across_backends() {
     for (backend, tol) in
         [(EmBackend::Auto, 1e-6), (EmBackend::Convolution, 1e-9), (EmBackend::Fft, 1e-6)]
     {
-        let hist = agg.estimate_with(PostProcess::Em, em, backend);
+        let hist = agg.estimate(PostProcess::Em, em, backend);
         assert_valid_distribution(hist.values(), &format!("{backend:?}"));
         let max_diff = hist
             .values()

@@ -25,8 +25,7 @@ pub struct CliArgs {
     /// Skip the Local-Privacy calibration for SEM-Geo-I.
     pub no_calib: bool,
     /// EM operator for SAM-family PostProcess (`--em-backend
-    /// {auto,conv,dense,fft}`; `--dense-em` is kept as an alias for
-    /// `--em-backend dense`). `Auto` picks stencil vs FFT from the
+    /// {auto,conv,dense,fft}`). `Auto` picks stencil vs FFT from the
     /// measured crossover.
     pub em_backend: EmBackend,
     /// W₂ solver for every figure's error metric (`--w2-solver
@@ -98,7 +97,6 @@ impl CliArgs {
                 "--out" => out.out = PathBuf::from(value("--out")),
                 "--fast" => out.fast = true,
                 "--no-calib" => out.no_calib = true,
-                "--dense-em" => out.em_backend = EmBackend::Dense,
                 "--em-backend" => {
                     let name = value("--em-backend");
                     out.em_backend = EmBackend::from_label(&name).unwrap_or_else(|| {
@@ -132,7 +130,7 @@ impl CliArgs {
                 "--metrics-out" => out.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
                 other => panic!(
                     "unknown flag {other}; known: --repeats --users --seed --out --fast \
-                     --no-calib --em-backend --dense-em --w2-solver --threads --epochs --window \
+                     --no-calib --em-backend --w2-solver --threads --epochs --window \
                      --inject --metrics-out"
                 ),
             }
@@ -187,11 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_em_is_an_alias_for_the_dense_backend() {
-        assert_eq!(parse("--dense-em").em_backend, EmBackend::Dense);
-    }
-
-    #[test]
     fn w2_solver_parses_every_value() {
         assert_eq!(parse("").w2_solver, W2Solver::Auto);
         assert_eq!(parse("--w2-solver auto").w2_solver, W2Solver::Auto);
@@ -223,7 +216,7 @@ mod tests {
     #[test]
     fn explicit_values() {
         let a = parse(
-            "--repeats 7 --users 1000 --seed 9 --out /tmp/x --no-calib --dense-em --threads 2",
+            "--repeats 7 --users 1000 --seed 9 --out /tmp/x --no-calib --em-backend dense --threads 2",
         );
         assert_eq!(a.repeats, 7);
         assert_eq!(a.users, Some(1000));

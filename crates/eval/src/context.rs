@@ -34,8 +34,7 @@ pub struct EvalContext {
     /// Skip LP calibration (use ε as ε′ directly).
     pub no_calib: bool,
     /// EM operator used by SAM-family mechanisms (`--em-backend`; `Auto`
-    /// unless a path is pinned explicitly, with `--dense-em` as the
-    /// legacy alias for the dense reference path).
+    /// unless a path is pinned explicitly).
     pub em_backend: EmBackend,
     /// Worker threads for the job runner and every mechanism's sharded
     /// report pipeline (`None` = available parallelism). Estimates are

@@ -15,7 +15,6 @@
 //! --em-backend B  EM operator for SAM PostProcess: auto (default; picks
 //!               the stencil or the FFT from the measured (d, b̂)
 //!               crossover), conv, dense, or fft
-//! --dense-em    legacy alias for --em-backend dense
 //! --threads N   worker threads for the job runner and the sharded report
 //!               pipeline (default: available parallelism; results are
 //!               bit-identical for any value)

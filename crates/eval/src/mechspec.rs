@@ -60,7 +60,7 @@ impl MechSpec {
         ctx: &EvalContext,
     ) -> Box<dyn SpatialEstimator + Send + Sync> {
         // Every SAM-family estimator inherits the context's EM backend
-        // (convolution by default, dense only under `--dense-em`) and the
+        // (`Auto` by default, dense only under `--em-backend dense`) and the
         // report-pipeline thread count.
         let sam = |config: DamConfig| {
             Box::new(DamEstimator::new(DamConfig {

@@ -110,11 +110,6 @@ impl EmWorkspace {
     pub fn set_ll_trace(&mut self, trace: dam_obs::Trace) {
         self.ll_trace = Some(trace);
     }
-
-    /// Detaches the ll-gain trace, if any.
-    pub fn clear_ll_trace(&mut self) {
-        self.ll_trace = None;
-    }
 }
 
 /// The two linear-algebra primitives EM needs from a reporting channel.
@@ -279,7 +274,7 @@ impl EmParams {
 /// A long-running pipeline cannot treat a corrupted count plane or a
 /// diverged iteration as fatal — the stream keeps coming. Instead of
 /// panicking (or silently returning `NaN` everywhere, which is worse),
-/// [`expectation_maximization_warm`] detects the degenerate cases,
+/// [`expectation_maximization`] detects the degenerate cases,
 /// recovers, and reports what happened here so the caller's health
 /// surface can expose it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -349,35 +344,24 @@ const WARM_UNIFORM_MIX: f64 = 1e-6;
 const MAX_RESEEDS: usize = 3;
 
 /// Runs EM (optionally with a smoothing step — "EMS") and returns the
-/// estimated input distribution (sums to 1).
+/// estimated input distribution (sums to 1) together with the iteration
+/// count and the numerical-health record.
 ///
 /// `counts[o]` is how many users reported output `o`. `smoother`, when
 /// provided, is applied to the estimate after each M-step (it may leave the
 /// vector un-normalised; EM renormalises). The channel may be any
-/// [`ChannelOp`] — dense or structured.
-pub fn expectation_maximization<C: ChannelOp + ?Sized>(
-    channel: &C,
-    counts: &[f64],
-    smoother: Option<&dyn Fn(&mut [f64])>,
-    params: EmParams,
-) -> Vec<f64> {
-    expectation_maximization_warm(channel, counts, None, smoother, params, &mut EmWorkspace::new())
-        .estimate
-}
-
-/// [`expectation_maximization`] with a caller-supplied [`EmWorkspace`]
-/// (repeated runs against same-shaped channels reuse all scratch; the
-/// workspace is threaded through every `apply`/`accumulate_adjoint`, so
-/// steady-state iterations allocate nothing), an optional **warm start**,
-/// iteration accounting and graceful numerical degradation.
+/// [`ChannelOp`] — dense or structured. `ws` is threaded through every
+/// `apply`/`accumulate_adjoint`, so repeated runs against same-shaped
+/// channels reuse all scratch and steady-state iterations allocate
+/// nothing; one-shot callers pass a fresh [`EmWorkspace::new`].
 ///
-/// `init`, when provided, seeds the iteration with a previous estimate
-/// (blended with a tiny uniform floor so exact zeros stay recoverable)
-/// instead of the uniform distribution. A warm start near the optimum
-/// converges under `params.rel_tol` in a handful of iterations — the
-/// mechanism the sliding-window streaming estimator relies on — and the
-/// returned [`EmRun::iters`] records exactly how many it took, so callers
-/// can measure the warm-vs-cold ratio.
+/// `init`, when provided, **warm-starts** the iteration from a previous
+/// estimate (blended with a tiny uniform floor so exact zeros stay
+/// recoverable) instead of the uniform distribution. A warm start near
+/// the optimum converges under `params.rel_tol` in a handful of
+/// iterations — the mechanism the sliding-window streaming estimator
+/// relies on — and the returned [`EmRun::iters`] records exactly how many
+/// it took, so callers can measure the warm-vs-cold ratio.
 ///
 /// The run never panics on degenerate numerics and never returns a
 /// non-finite estimate; it repairs and records in [`EmRun::health`]:
@@ -390,9 +374,9 @@ pub fn expectation_maximization<C: ChannelOp + ?Sized>(
 ///   iterating (`degenerate_input`) — there is nothing to fit;
 /// * an iteration diverging to a non-finite estimate or log-likelihood is
 ///   re-seeded from `½·(last good estimate) + ½·uniform` (`reseeds`), up
-///   to [`MAX_RESEEDS`] times; after that the last good estimate is
+///   to `MAX_RESEEDS` (three) times; after that the last good estimate is
 ///   returned as the best effort.
-pub fn expectation_maximization_warm<C: ChannelOp + ?Sized>(
+pub fn expectation_maximization<C: ChannelOp + ?Sized>(
     channel: &C,
     counts: &[f64],
     init: Option<&[f64]>,
@@ -561,11 +545,16 @@ mod tests {
         Channel::new(n, n, data)
     }
 
+    /// Cold start through a fresh workspace, estimate only.
+    fn cold<C: ChannelOp + ?Sized>(ch: &C, counts: &[f64], params: EmParams) -> Vec<f64> {
+        expectation_maximization(ch, counts, None, None, params, &mut EmWorkspace::new()).estimate
+    }
+
     #[test]
     fn identity_channel_recovers_input_exactly() {
         let ch = noisy_channel(4, 1.0 - 1e-12);
         let counts = [40.0, 30.0, 20.0, 10.0];
-        let f = expectation_maximization(&ch, &counts, None, EmParams::default());
+        let f = cold(&ch, &counts, EmParams::default());
         for (i, expect) in [0.4, 0.3, 0.2, 0.1].iter().enumerate() {
             assert!((f[i] - expect).abs() < 1e-6, "bin {i}: {} vs {expect}", f[i]);
         }
@@ -583,12 +572,7 @@ mod tests {
                 counts[o] += 1e6 * ch.at(o, i) * input[i];
             }
         }
-        let f = expectation_maximization(
-            &ch,
-            &counts,
-            None,
-            EmParams { max_iters: 5000, rel_tol: 1e-12, gain_tol: 0.0 },
-        );
+        let f = cold(&ch, &counts, EmParams { max_iters: 5000, rel_tol: 1e-12, gain_tol: 0.0 });
         for i in 0..3 {
             assert!((f[i] - input[i]).abs() < 1e-3, "bin {i}: {} vs {}", f[i], input[i]);
         }
@@ -598,7 +582,7 @@ mod tests {
     fn estimate_is_a_distribution() {
         let ch = noisy_channel(5, 0.5);
         let counts = [10.0, 0.0, 5.0, 0.0, 100.0];
-        let f = expectation_maximization(&ch, &counts, None, EmParams::default());
+        let f = cold(&ch, &counts, EmParams::default());
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(f.iter().all(|&x| x >= 0.0));
     }
@@ -635,7 +619,7 @@ mod tests {
         let ch = noisy_channel(3, 0.8);
         let dyn_ch: &dyn ChannelOp = &ch;
         let counts = [50.0, 30.0, 20.0];
-        let f = expectation_maximization(dyn_ch, &counts, None, EmParams::default());
+        let f = cold(dyn_ch, &counts, EmParams::default());
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
@@ -717,15 +701,9 @@ mod tests {
         let counts = [400.0, 250.0, 150.0, 100.0, 60.0, 40.0];
         let params = EmParams { max_iters: 500, rel_tol: 1e-9, gain_tol: 0.0 };
         let mut ws = EmWorkspace::new();
-        let cold = expectation_maximization_warm(&ch, &counts, None, None, params, &mut ws);
-        let warm = expectation_maximization_warm(
-            &ch,
-            &counts,
-            Some(&cold.estimate),
-            None,
-            params,
-            &mut ws,
-        );
+        let cold = expectation_maximization(&ch, &counts, None, None, params, &mut ws);
+        let warm =
+            expectation_maximization(&ch, &counts, Some(&cold.estimate), None, params, &mut ws);
         assert!(
             warm.iters < cold.iters / 2,
             "warm start took {} iters vs cold {}",
@@ -750,7 +728,7 @@ mod tests {
             }
         }
         let stale = [0.5, 0.5, 0.0];
-        let run = expectation_maximization_warm(
+        let run = expectation_maximization(
             &ch,
             &counts,
             Some(&stale),
@@ -767,27 +745,59 @@ mod tests {
 
     #[test]
     fn warm_entry_without_init_matches_cold_path() {
-        let ch = noisy_channel(4, 0.6);
+        // A dense channel that stages its input through a workspace plane,
+        // the way the structured operators park their scratch there.
+        struct Staged(Channel);
+        impl ChannelOp for Staged {
+            fn n_in(&self) -> usize {
+                self.0.n_in
+            }
+            fn n_out(&self) -> usize {
+                self.0.n_out
+            }
+            fn apply(&self, f: &[f64], out: &mut [f64], ws: &mut EmWorkspace) {
+                let [staged] = ws.planes([f.len()]);
+                staged.copy_from_slice(f);
+                self.0.apply(staged, out, &mut EmWorkspace::new());
+            }
+            fn accumulate_adjoint(
+                &self,
+                w: &[f64],
+                f: &[f64],
+                f_new: &mut [f64],
+                ws: &mut EmWorkspace,
+            ) {
+                self.0.accumulate_adjoint(w, f, f_new, ws);
+            }
+        }
+        // A cold run through a workspace a warm run already used must be
+        // bit-identical to one through a fresh workspace: nothing a run
+        // leaves behind may leak into the next.
+        let ch = Staged(noisy_channel(4, 0.6));
         let counts = [40.0, 30.0, 20.0, 10.0];
         let params = EmParams::default();
-        let via_in = expectation_maximization(&ch, &counts, None, params);
-        let via_warm = expectation_maximization_warm(
-            &ch,
-            &counts,
-            None,
-            None,
-            params,
-            &mut EmWorkspace::new(),
+        let fresh =
+            expectation_maximization(&ch, &counts, None, None, params, &mut EmWorkspace::new());
+        let mut ws = EmWorkspace::new();
+        let stale = [0.7, 0.1, 0.1, 0.1];
+        let _ = expectation_maximization(&ch, &counts, Some(&stale), None, params, &mut ws);
+        let reused = expectation_maximization(&ch, &counts, None, None, params, &mut ws);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&fresh.estimate),
+            bits(&reused.estimate),
+            "workspace reuse moved the estimate"
         );
-        assert_eq!(via_in, via_warm.estimate, "delegation must be exact");
-        assert!(via_warm.iters >= 1 && via_warm.iters <= params.max_iters);
+        assert_eq!(fresh.iters, reused.iters);
+        assert_eq!(fresh.health, reused.health);
+        assert!(fresh.iters >= 1 && fresh.iters <= params.max_iters);
     }
 
     #[test]
     fn zero_total_counts_degrade_to_uniform() {
         let ch = noisy_channel(4, 0.7);
         for counts in [vec![0.0; 4], vec![-1.0, f64::NAN, 0.0, f64::NEG_INFINITY]] {
-            let run = expectation_maximization_warm(
+            let run = expectation_maximization(
                 &ch,
                 &counts,
                 None,
@@ -808,7 +818,7 @@ mod tests {
         let mut dirty = clean.to_vec();
         dirty[1] = f64::NAN;
         dirty[3] = f64::INFINITY;
-        let run = expectation_maximization_warm(
+        let run = expectation_maximization(
             &ch,
             &dirty,
             None,
@@ -822,7 +832,7 @@ mod tests {
         assert!(run.estimate.iter().all(|x| x.is_finite() && *x >= 0.0));
         // Must match the run on the explicitly-zeroed plane exactly.
         let zeroed = [40.0, 0.0, 20.0, 0.0];
-        let reference = expectation_maximization_warm(
+        let reference = expectation_maximization(
             &ch,
             &zeroed,
             None,
@@ -839,7 +849,7 @@ mod tests {
         let ch = noisy_channel(3, 0.7);
         let counts = [50.0, 30.0, 20.0];
         let stale = [f64::NAN, 0.6, 0.4];
-        let run = expectation_maximization_warm(
+        let run = expectation_maximization(
             &ch,
             &counts,
             Some(&stale),
@@ -889,7 +899,7 @@ mod tests {
         let hostile = Hostile { inner: noisy_channel(4, 0.7), calls: std::cell::Cell::new(0) };
         let counts = [40.0, 30.0, 20.0, 10.0];
         let mut ws = EmWorkspace::new();
-        let run = expectation_maximization_warm(
+        let run = expectation_maximization(
             &hostile,
             &counts,
             None,
@@ -913,8 +923,7 @@ mod tests {
         let ch = noisy_channel(4, 0.6);
         let counts = [40.0, 30.0, 20.0, 10.0];
         let mut ws = EmWorkspace::new();
-        let _ =
-            expectation_maximization_warm(&ch, &counts, None, None, EmParams::default(), &mut ws);
+        let _ = expectation_maximization(&ch, &counts, None, None, EmParams::default(), &mut ws);
         assert_eq!(ws.tainted_handoffs(), 0);
         assert_eq!(ws.first_taint(), None);
     }
@@ -923,7 +932,7 @@ mod tests {
     fn clean_runs_report_clean_health() {
         let ch = noisy_channel(4, 0.6);
         let counts = [40.0, 30.0, 20.0, 10.0];
-        let run = expectation_maximization_warm(
+        let run = expectation_maximization(
             &ch,
             &counts,
             None,

@@ -1,7 +1,7 @@
 //! Property-based tests of the 1-D frequency oracles.
 
 use dam_fo::alias::AliasTable;
-use dam_fo::em::{expectation_maximization, Channel, EmParams};
+use dam_fo::em::{expectation_maximization, Channel, EmParams, EmWorkspace};
 use dam_fo::{Grr, Oue, SquareWave};
 use proptest::prelude::*;
 
@@ -91,7 +91,8 @@ proptest! {
             data[i * n + i] = keep;
         }
         let ch = Channel::new(n, n, data);
-        let f = expectation_maximization(&ch, &counts, None, EmParams::default());
+        let f = expectation_maximization(&ch, &counts, None, None, EmParams::default(), &mut EmWorkspace::new())
+            .estimate;
         prop_assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         prop_assert!(f.iter().all(|&x| (0.0..=1.0 + 1e-12).contains(&x)));
     }
@@ -126,8 +127,11 @@ proptest! {
                 &ch,
                 &counts,
                 None,
+                None,
                 EmParams { max_iters: iters, rel_tol: 0.0, gain_tol: 0.0 },
-            );
+                &mut EmWorkspace::new(),
+            )
+            .estimate;
             let cur = ll(&f);
             prop_assert!(cur + 1e-6 >= prev, "likelihood fell: {prev} -> {cur} at {iters}");
             prev = cur;

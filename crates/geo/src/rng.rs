@@ -29,7 +29,7 @@ const SHARD_SALT: u64 = 0x5AAD_ED5A_11CE_D001;
 ///
 /// SplitMix64 stream splitting: the shard id is finalized through
 /// [`splitmix64`] before entering the seed, so sequential shard ids land
-/// in uncorrelated streams, and the [`SHARD_SALT`] keeps shard streams
+/// in uncorrelated streams, and the `SHARD_SALT` keeps shard streams
 /// disjoint from the per-task streams handed out by [`derived`]. Because
 /// the stream depends only on `(master, shard)`, a sharded computation is
 /// bit-identical no matter how many threads execute it.

@@ -27,7 +27,7 @@ pub fn answer_from_histogram(est: &Histogram2D, q: &RangeQuery) -> f64 {
 
 /// A [`Pyramid`] built once over a histogram estimate so that every
 /// subsequent range reads a minimal node cover (boundary-proportional,
-/// O(log d) recursion depth) instead of summing O(cells) — the
+/// one pass per level) instead of summing O(cells) — the
 /// `BENCH_range.json` numbers pin the speedup at d = 256. Answers equal
 /// [`answer_from_histogram`] up to float summation order.
 #[derive(Debug, Clone)]
@@ -91,7 +91,7 @@ mod tests {
             let fast = idx.answer(&q);
             assert!((naive - fast).abs() < 1e-9, "{q:?}: {fast} vs {naive}");
         }
-        assert!(idx.pyramid().leaf_is_cells());
+        assert_eq!(idx.pyramid().levels().last().unwrap().per(), 1);
     }
 
     #[test]

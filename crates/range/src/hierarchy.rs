@@ -202,7 +202,7 @@ mod tests {
         let grid = Grid2D::new(BoundingBox::unit(), 16);
         let oracle = HierarchicalOracle::fit(&clustered_points(1000), &grid, 1.0, &mut rng);
         assert_eq!(oracle.n_levels(), 5); // sides 1, 2, 4, 8, 16
-        assert!(oracle.pyramid().leaf_is_cells());
+        assert_eq!(oracle.pyramid().levels().last().unwrap().per(), 1);
     }
 
     #[test]

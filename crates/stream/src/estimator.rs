@@ -53,6 +53,13 @@ use dam_obs::{Counter, Gauge, Histogram, LogicalStamp, Plane, Registry};
 /// stream in the workspace.
 const EPOCH_SALT: u64 = 0x5712_4A40_BEC0_0001;
 
+/// Uniform share blended into the diffusion forecast before it seeds the
+/// next window's EM. Mass growth under EM's multiplicative update is
+/// geometric from the starting level, so tracking a *moving*
+/// distribution needs every cell at a viable launch level; 5% costs
+/// little in steady state and keeps far-field jumps recoverable.
+const WARM_MIX: f64 = 0.05;
+
 /// Configuration of the continual-observation pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
@@ -73,31 +80,15 @@ pub struct StreamConfig {
     /// default): a small iteration budget — which doubles as the
     /// early-stopping regularizer against noise overfitting — plus the
     /// per-report-gain tolerance that exits after a couple of iterations
-    /// when the window barely changed.
+    /// when the window barely changed. The warm seed itself (diffusion
+    /// forecast plus uniform floor) is fixed; see
+    /// [`StreamingEstimator::estimate_window`].
     pub warm_em: EmParams,
-    /// Uniform share blended into the forecast before it seeds the next
-    /// window's EM. Mass growth under EM's multiplicative update is
-    /// geometric from the starting level, so tracking a *moving*
-    /// distribution needs every cell at a viable launch level; 5% costs
-    /// little in steady state and keeps far-field jumps recoverable.
-    pub warm_mix: f64,
     /// What happens to finite out-of-domain report coordinates
     /// ([`IngestPolicy::Clamp`] by default; non-finite coordinates are
     /// always quarantined). Quarantine counts surface through
     /// [`StreamingEstimator::health`].
     pub policy: IngestPolicy,
-    /// Diffusion-forecast passes: how many times the 3×3 binomial
-    /// smoother is applied to the diffused half of the warm seed
-    /// (`seed = (prev + smoothed)/2` before the uniform blend). A
-    /// sliding window's distribution is the old one *moved a little* in
-    /// an unknown direction; the smoothing pass is exactly that
-    /// motion-agnostic forecast, handing the leading edge of a drifting
-    /// focus real mass (a uniform blend alone leaves it at `mix/d²`,
-    /// which multiplicative EM is slow to grow), while the undiffused
-    /// half keeps the fitted sharpness W₂ rewards. Measured in the
-    /// fig_stream regimes: this seed turns warm tracking from ~25% worse
-    /// TV than the cold protocol into better-on-both-metrics.
-    pub forecast_smooth: usize,
 }
 
 impl StreamConfig {
@@ -110,9 +101,7 @@ impl StreamConfig {
             seed,
             noise_scale: 0.0,
             warm_em: EmParams::streaming(),
-            warm_mix: 0.05,
             policy: IngestPolicy::Clamp,
-            forecast_smooth: 1,
         }
     }
 }
@@ -402,27 +391,32 @@ impl StreamingEstimator {
     }
 
     /// The current sliding-window estimate, **warm-started** from the
-    /// previous window's solution when one exists (half-diffused by
-    /// `forecast_smooth` binomial passes, blended with `warm_mix`
-    /// uniform, run under the `warm_em` budget; the first window runs
-    /// the cold `dam.em` protocol). Stores the raw result as the next
-    /// window's warm start.
+    /// previous window's solution when one exists (half-diffused by one
+    /// binomial pass, blended with `WARM_MIX` uniform, run under the
+    /// `warm_em` budget; the first window runs the cold `dam.em`
+    /// protocol). Stores the raw result as the next window's warm start.
     pub fn estimate_window(&mut self) -> WindowEstimate {
         let init = match self.prev.take() {
             Some(prev) => {
+                // Diffusion forecast: a sliding window's distribution is
+                // the old one *moved a little* in an unknown direction,
+                // and one 3×3 binomial pass is that motion-agnostic
+                // forecast — it hands the leading edge of a drifting
+                // focus real mass (a uniform blend alone leaves it at
+                // `WARM_MIX/d²`, which multiplicative EM is slow to grow).
+                // Measured in the fig_stream regimes: this seed turns warm
+                // tracking from ~25% worse TV than the cold protocol into
+                // better-on-both-metrics.
                 let mut diffused = prev.clone();
-                for _ in 0..self.config.forecast_smooth {
-                    smooth_2d(self.grid.d() as usize, &mut diffused);
-                }
-                let u = self.config.warm_mix / prev.len() as f64;
-                let mix = self.config.warm_mix;
+                smooth_2d(self.grid.d() as usize, &mut diffused);
+                let u = WARM_MIX / prev.len() as f64;
                 // Half the mass keeps the fitted sharpness, half carries
                 // the diffusion forecast — enough leading-edge mass to
                 // track drift without paying the full blur in W₂.
                 let seed: Vec<f64> = prev
                     .iter()
                     .zip(&diffused)
-                    .map(|(&p, &s)| (1.0 - mix) * (0.5 * p + 0.5 * s) + u)
+                    .map(|(&p, &s)| (1.0 - WARM_MIX) * (0.5 * p + 0.5 * s) + u)
                     .collect();
                 Some(seed)
             }
@@ -440,12 +434,6 @@ impl StreamingEstimator {
     /// ratio is the headline warm-start saving.
     pub fn estimate_window_cold(&mut self) -> WindowEstimate {
         self.run_em(None)
-    }
-
-    /// Drops the warm-start state (the next [`Self::estimate_window`]
-    /// runs cold) — e.g. after a known distribution break.
-    pub fn reset_warm_state(&mut self) {
-        self.prev = None;
     }
 
     /// The previous window's raw estimate — the seed the next
@@ -563,7 +551,7 @@ impl StreamingEstimator {
         }
         let warm = init.is_some();
         let params = if warm { self.config.warm_em } else { self.config.dam.em };
-        let outcome = self.operator.post_process_warm(
+        let outcome = self.operator.post_process(
             counts,
             &self.grid,
             self.config.dam.post,

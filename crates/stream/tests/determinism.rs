@@ -5,7 +5,7 @@
 //! already honours.
 
 use dam_core::tuning::PARALLEL_WORK_THRESHOLD;
-use dam_core::DamConfig;
+use dam_core::{DamConfig, EmBackend, Pyramid};
 use dam_fo::em::EmParams;
 use dam_geo::rng::splitmix64;
 use dam_geo::{BoundingBox, Grid2D, Point};
@@ -121,4 +121,40 @@ fn noisy_tree_is_bit_identical_for_any_thread_count() {
     for threads in [Some(4), None] {
         assert_eq!(reference, build(threads));
     }
+}
+
+/// FNV-1a fold of the window chain below. Moving it is a behaviour
+/// change of the warm streaming path, not a refactor.
+const WARM_WINDOW_CHAIN_BITS: u64 = 0x12e8_ca27_49f7_b903;
+
+#[test]
+fn warm_window_chain_matches_pinned_bits() {
+    // A cold first window, then five warm ones (diffusion forecast +
+    // uniform floor + streaming budget), on the stencil backend so no FFT
+    // twiddle roundoff enters the pin. Every window's estimate bits, its
+    // iteration count and two unaligned pyramid range answers fold into
+    // one hash: any drift in the warm seed, the EM driver or the pyramid
+    // leaf level moves it.
+    let dam = DamConfig { backend: EmBackend::Convolution, ..DamConfig::dam(3.0) };
+    let d = 8;
+    let grid = Grid2D::new(BoundingBox::unit(), d);
+    let mut s = StreamingEstimator::new(grid, StreamConfig::new(dam, 3, 0xC0FFEE));
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for e in 0..6 {
+        s.ingest_epoch(&epoch_points(e, 5_000));
+        let est = s.estimate_window();
+        let values = est.histogram.values();
+        bits(values).into_iter().for_each(&mut fold);
+        fold(est.em_iters as u64);
+        let p = Pyramid::from_plane(values, d);
+        fold(p.range_sum(1, 2, 6, 5).to_bits());
+        fold(p.range_sum(3, 0, 4, 6).to_bits());
+    }
+    assert_eq!(h, WARM_WINDOW_CHAIN_BITS, "warm window chain moved: {h:#018x}");
 }

@@ -11,7 +11,7 @@
 //! noisy cell, and one analyst aggregating — and renders before/after
 //! heatmaps.
 
-use spatial_ldp::core::em2d::PostProcess;
+use spatial_ldp::core::em2d::{EmBackend, PostProcess};
 use spatial_ldp::core::{DamAggregator, DamClient, DamConfig};
 use spatial_ldp::data::{load, DatasetKind};
 use spatial_ldp::fo::em::EmParams;
@@ -65,7 +65,7 @@ fn main() {
         aggregator.ingest(noisy_cell);
     }
 
-    let estimate = aggregator.estimate(PostProcess::Em, EmParams::default());
+    let estimate = aggregator.estimate(PostProcess::Em, EmParams::default(), EmBackend::Auto);
     let truth = Histogram2D::from_points(grid.clone(), &part.points).normalized();
     let err = w2_auto(&estimate, &truth).expect("w2");
 

@@ -4,7 +4,9 @@
 //! the spectral operator's O(n² log n); the OT solvers scale as expected.
 //!
 //! The EM groups (`em_dense_vs_conv` d-sweep at b̂ = 4, `em_conv_vs_fft`
-//! radius sweep at d = 64) also emit `BENCH_em.json` at the repo root —
+//! radius sweep at d = 64 plus the d = 20, b̂ = 4 pair the `ingest-1m` and
+//! `durable-cluster` benchmark workloads run at) also emit
+//! `BENCH_em.json` at the repo root —
 //! machine-readable medians, per-row backend labels, the measured
 //! stencil↔FFT crossover radius and the radius `EmBackend::Auto` switches
 //! at, so later PRs can regress against a recorded perf trajectory.
@@ -105,6 +107,15 @@ const RADIUS_SWEEP_ITERS: usize = 10;
 const RADIUS_SWEEP_B: [u32; 4] = [4, 8, 16, 32];
 /// Grid side of the radius sweep.
 const RADIUS_SWEEP_D: u32 = 64;
+/// Extra `(d, b̂)` stencil-vs-spectral pair outside the sweep: the shape
+/// of the end-to-end benchmark's 1M-users/epoch workloads, where
+/// `EmBackend::Auto` picks the FFT.
+const SMALL_PAIR: (u32, u32) = (20, 4);
+
+/// `(d, b̂)` shapes of the `em_conv_vs_fft` group, keyed `d{d}_b{b̂}`.
+fn conv_vs_fft_shapes() -> impl Iterator<Item = (u32, u32)> {
+    RADIUS_SWEEP_B.iter().map(|&b| (RADIUS_SWEEP_D, b)).chain([SMALL_PAIR])
+}
 
 /// Dense vs convolution EM at fixed iteration counts, b̂ = 4. Dense is
 /// skipped at d = 64 (the 5184 × 4096 matrix is exactly what the
@@ -132,20 +143,22 @@ fn bench_dense_vs_conv(c: &mut Criterion) {
 }
 
 /// Stencil vs spectral EM across the radius sweep at d = 64 — the
-/// crossover `EmBackend::Auto` is calibrated against.
+/// crossover `EmBackend::Auto` is calibrated against — and at
+/// [`SMALL_PAIR`].
 fn bench_conv_vs_fft(c: &mut Criterion) {
     let params = EmParams { max_iters: RADIUS_SWEEP_ITERS, rel_tol: 0.0, gain_tol: 0.0 };
     let mut group = c.benchmark_group("em_conv_vs_fft");
     group.sample_size(5);
-    for &b in &RADIUS_SWEEP_B {
-        let kernel = DiscreteKernel::dam(3.5, RADIUS_SWEEP_D, b, KernelKind::Shrunken);
+    for (d, b) in conv_vs_fft_shapes() {
+        let kernel = DiscreteKernel::dam(3.5, d, b, KernelKind::Shrunken);
         let counts = em_counts(&kernel, 6);
         let conv = ConvChannel::new(&kernel);
-        group.bench_with_input(BenchmarkId::new("conv", b), &b, |bench, _| {
+        let shape = format!("d{d}_b{b}");
+        group.bench_with_input(BenchmarkId::new("conv", &shape), &b, |bench, _| {
             bench.iter(|| black_box(cold_em(&conv, &counts, params)));
         });
         let fft = FftChannel::new(&kernel);
-        group.bench_with_input(BenchmarkId::new("fft", b), &b, |bench, _| {
+        group.bench_with_input(BenchmarkId::new("fft", &shape), &b, |bench, _| {
             bench.iter(|| black_box(cold_em(&fft, &counts, params)));
         });
     }
@@ -158,7 +171,7 @@ fn bench_conv_vs_fft(c: &mut Criterion) {
 /// auto-model crossover radii. Registered after both EM groups so every
 /// median is available.
 fn emit_bench_json(c: &mut Criterion) {
-    let lookup = |group: &str, backend: &str, param: u32| -> Option<f64> {
+    let lookup = |group: &str, backend: &str, param: &str| -> Option<f64> {
         c.results()
             .iter()
             .find(|(name, _)| name == &format!("{group}/{backend}/{param}"))
@@ -176,22 +189,23 @@ fn emit_bench_json(c: &mut Criterion) {
     };
     for &d in &[16u32, 32, 64] {
         for backend in ["dense", "conv"] {
-            if let Some(ns) = lookup("em_dense_vs_conv", backend, d) {
+            if let Some(ns) = lookup("em_dense_vs_conv", backend, &d.to_string()) {
                 row(d, 4, backend, D_SWEEP_ITERS, ns);
             }
         }
     }
     let mut measured_crossover: Option<u32> = None;
-    for &b in &RADIUS_SWEEP_B {
-        let conv = lookup("em_conv_vs_fft", "conv", b);
-        let fft = lookup("em_conv_vs_fft", "fft", b);
+    for (d, b) in conv_vs_fft_shapes() {
+        let shape = format!("d{d}_b{b}");
+        let conv = lookup("em_conv_vs_fft", "conv", &shape);
+        let fft = lookup("em_conv_vs_fft", "fft", &shape);
         for (backend, ns) in [("conv", conv), ("fft", fft)] {
             if let Some(ns) = ns {
-                row(RADIUS_SWEEP_D, b, backend, RADIUS_SWEEP_ITERS, ns);
+                row(d, b, backend, RADIUS_SWEEP_ITERS, ns);
             }
         }
         if let (Some(cv), Some(ff)) = (conv, fft) {
-            if ff < cv && measured_crossover.is_none() {
+            if d == RADIUS_SWEEP_D && ff < cv && measured_crossover.is_none() {
                 measured_crossover = Some(b);
             }
         }
@@ -204,9 +218,11 @@ fn emit_bench_json(c: &mut Criterion) {
         _ => "null".to_string(),
     };
     let dense_speedup =
-        ratio(lookup("em_dense_vs_conv", "dense", 32), lookup("em_dense_vs_conv", "conv", 32));
-    let fft_speedup =
-        ratio(lookup("em_conv_vs_fft", "conv", 32), lookup("em_conv_vs_fft", "fft", 32));
+        ratio(lookup("em_dense_vs_conv", "dense", "32"), lookup("em_dense_vs_conv", "conv", "32"));
+    let fft_speedup = ratio(
+        lookup("em_conv_vs_fft", "conv", "d64_b32"),
+        lookup("em_conv_vs_fft", "fft", "d64_b32"),
+    );
     let fmt_opt = |v: Option<u32>| v.map(|b| b.to_string()).unwrap_or_else(|| "null".into());
     let json = format!(
         "{{\n  \"bench\": \"em_backends\",\n  \"radius_sweep_d\": {RADIUS_SWEEP_D},\n  \

@@ -189,9 +189,9 @@ impl ChannelOp for ConvChannel {
 ///   because `t + s ≤ d + 2b̂ - 1 < n` on both axes.
 ///
 /// The kernel spectrum is computed **once** here and reused by every EM
-/// iteration; per-call scratch (padded grid, row spectra, half-spectrum)
-/// lives in the [`EmWorkspace`], so steady-state iterations allocate
-/// nothing.
+/// iteration. Each primitive transforms, multiplies and inverts in place
+/// in one workspace plane — a single `n × (n + 2)` half-spectrum — so
+/// steady-state iterations allocate nothing.
 #[derive(Debug, Clone)]
 pub struct FftChannel {
     /// Input grid side.
@@ -215,16 +215,9 @@ impl FftChannel {
         let side = kernel.box_side();
         let far = kernel.q_hat();
         let fft = Fft2d::new(out_d);
-        let n = fft.n();
-        let mut pad = vec![0.0f64; fft.real_len()];
-        for (dy, row) in kernel.offset_masses().chunks_exact(side).enumerate() {
-            for (dx, &m) in row.iter().enumerate() {
-                pad[dy * n + dx] = m - far;
-            }
-        }
-        let mut rowspec = vec![0.0f64; fft.rowspec_len()];
+        let delta: Vec<f64> = kernel.offset_masses().iter().map(|&m| m - far).collect();
         let mut kspec = vec![0.0f64; fft.spectrum_len()];
-        fft.forward(&pad, &mut rowspec, &mut kspec);
+        fft.forward(&delta, side, &mut kspec);
         Self { d, out_d, far, fft, kspec }
     }
 
@@ -238,25 +231,6 @@ impl FftChannel {
     #[inline]
     pub fn far_mass(&self) -> f64 {
         self.far
-    }
-
-    /// Zero-pads a `src_d × src_d` field into the workspace's `n × n`
-    /// grid, transforms it, and leaves the half-spectrum in `spec`.
-    fn transform_padded<'w>(
-        &self,
-        src: &[f64],
-        src_d: usize,
-        ws: &'w mut EmWorkspace,
-    ) -> [&'w mut Vec<f64>; 3] {
-        let n = self.fft.n();
-        let [pad, rowspec, spec] =
-            ws.planes([self.fft.real_len(), self.fft.rowspec_len(), self.fft.spectrum_len()]);
-        pad.fill(0.0);
-        for (src_row, pad_row) in src.chunks_exact(src_d).zip(pad.chunks_mut(n)) {
-            pad_row[..src_d].copy_from_slice(src_row);
-        }
-        self.fft.forward(pad, rowspec, spec);
-        [pad, rowspec, spec]
     }
 }
 
@@ -274,13 +248,13 @@ impl ChannelOp for FftChannel {
     fn apply(&self, f: &[f64], out: &mut [f64], ws: &mut EmWorkspace) {
         debug_assert_eq!(f.len(), self.n_in());
         debug_assert_eq!(out.len(), self.n_out());
-        let n = self.fft.n();
         let far_term = self.far * f.iter().sum::<f64>();
-        let [pad, rowspec, spec] = self.transform_padded(f, self.d, ws);
+        let [spec] = ws.planes([self.fft.spectrum_len()]);
+        self.fft.forward(f, self.d, spec);
         spectrum_mul(spec, &self.kspec);
-        self.fft.inverse(spec, rowspec, pad);
-        for (out_row, pad_row) in out.chunks_exact_mut(self.out_d).zip(pad.chunks_exact(n)) {
-            for (o, &c) in out_row.iter_mut().zip(&pad_row[..self.out_d]) {
+        let rows = self.fft.inverse(spec, self.out_d);
+        for (out_row, row) in out.chunks_exact_mut(self.out_d).zip(rows) {
+            for (o, &c) in out_row.iter_mut().zip(row) {
                 *o = far_term + c;
             }
         }
@@ -290,17 +264,15 @@ impl ChannelOp for FftChannel {
         debug_assert_eq!(w.len(), self.n_out());
         debug_assert_eq!(f.len(), self.n_in());
         debug_assert_eq!(f_new.len(), self.n_in());
-        let n = self.fft.n();
         let far_term = self.far * w.iter().sum::<f64>();
-        let [pad, rowspec, spec] = self.transform_padded(w, self.out_d, ws);
+        let [spec] = ws.planes([self.fft.spectrum_len()]);
+        self.fft.forward(w, self.out_d, spec);
         spectrum_mul_conj(spec, &self.kspec);
-        self.fft.inverse(spec, rowspec, pad);
-        let d = self.d;
-        for iy in 0..d {
-            let (f_row, pad_row) = (&f[iy * d..(iy + 1) * d], &pad[iy * n..iy * n + d]);
-            for (new, (&fi, &c)) in
-                f_new[iy * d..(iy + 1) * d].iter_mut().zip(f_row.iter().zip(pad_row))
-            {
+        let rows = self.fft.inverse(spec, self.d);
+        for ((new_row, f_row), row) in
+            f_new.chunks_exact_mut(self.d).zip(f.chunks_exact(self.d)).zip(rows)
+        {
+            for (new, (&fi, &c)) in new_row.iter_mut().zip(f_row.iter().zip(row)) {
                 *new = fi * (far_term + c);
             }
         }

@@ -25,6 +25,26 @@
 //! transform does half the complex-FFT work, and the spectra it trades in
 //! are half-size, which also halves the per-iteration multiply cost.
 //!
+//! # Layout
+//!
+//! A spectrum is one row-major half-spectrum: `n` rows (column frequency
+//! `ky`), each holding the `n/2 + 1` interleaved complex row frequencies
+//! `kx`, so `S[ky, kx]` lives at `spec[ky·(n + 2) + 2·kx]`. A row's real
+//! transform runs in place in its own row — the `n + 2` floats hold the
+//! `n` reals before and the half-spectrum after. The column pass runs
+//! each butterfly between two *whole rows*: one twiddle, then a
+//! contiguous sweep over the `n/2 + 1` column frequencies. One
+//! `n × (n + 2)` buffer is thus the only scratch a transform pair needs.
+//!
+//! Rows that are all zero are never transformed ([`Fft2d::forward`]
+//! writes `+0.0` into them), and rows the caller never reads back are
+//! never inverted ([`Fft2d::inverse`] takes the row count). Every other
+//! element gets exactly the butterflies, twiddles and operation order of
+//! a transform of the whole padded grid. A transformed zero row would be
+//! zero too, up to the sign of some zero imaginary parts, and a zero's
+//! sign can only reach results that are themselves zero — so the EM
+//! estimates stay bit-identical (pinned by the `conv_equivalence` suite).
+//!
 //! # Padding scheme
 //!
 //! Convolutions are evaluated circularly on a `next_pow2(d + 2b̂)` grid.
@@ -35,16 +55,19 @@
 //! contaminates the cells that are read back — equivalence with the
 //! dense operator is exact up to roundoff (tested to ≤ 1e-9).
 //!
-//! # Parallelism and determinism
+//! # Serial by measurement
 //!
-//! All 2-D passes are row-parallel on the persistent worker pool
-//! (`rayon::par_chunks_mut`), gated on [`crate::tuning`]'s measured
-//! work threshold. Each row's arithmetic is independent of which worker
-//! runs it and of the thread count, so transforms are **bit-identical
-//! for any `--threads` value** (asserted by the determinism suite).
+//! Transforms run on the calling thread. One EM iteration (`apply` +
+//! `accumulate_adjoint`) at `d = 64, b̂ = 14` (n = 128, the largest
+//! transform the benchmark workloads run) measured a median 431 µs
+//! serial against 603 µs with the same row passes handed to the
+//! persistent pool (nine interleaved rounds, best of five 300-iteration
+//! samples each, 2-vCPU x86-64 host; serial was faster in seven): a
+//! 128-point row is too little work to pay for the handoff. With no
+//! parallel path, transforms are trivially **bit-identical for any
+//! `--threads` value** (asserted by the determinism suite).
 
-use crate::tuning::{next_pow2, PARALLEL_WORK_THRESHOLD};
-use rayon::prelude::*;
+use crate::tuning::next_pow2;
 
 /// Precomputed tables for one in-place complex FFT size.
 #[derive(Debug, Clone)]
@@ -73,43 +96,52 @@ impl CfftPlan {
         Self { n, rev, tw }
     }
 
-    /// In-place complex FFT of `data` (`2n` floats, interleaved).
-    /// `inverse` conjugates the twiddles but does **not** scale — callers
-    /// fold the `1/n` factors into their final pass exactly once.
-    fn transform(&self, data: &mut [f64], inverse: bool) {
+    /// In-place complex FFT over `n` elements of `width` floats each
+    /// (`n · width` floats). `width = 2` is the 1-D transform of one
+    /// interleaved sequence; a wider element is a whole spectrum row, and
+    /// every complex value in it gets the same butterfly — `width / 2`
+    /// independent transforms that share each twiddle load and run as one
+    /// contiguous sweep. `inverse` conjugates the twiddles but does
+    /// **not** scale — callers fold the `1/n` factors into their final
+    /// pass exactly once.
+    ///
+    /// Always inlined so the 1-D call sites compile with `width = 2`
+    /// known (an out-of-line call measured ~20% slower per EM iteration).
+    /// Indexing inside each block measured ~2× faster on a 64-point row
+    /// transform than zipping per-element chunk iterators, whose set-up
+    /// cost dominates the one- and two-butterfly blocks of the early
+    /// stages.
+    #[inline(always)]
+    fn transform(&self, data: &mut [f64], width: usize, inverse: bool) {
         let n = self.n;
-        debug_assert_eq!(data.len(), 2 * n);
-        for i in 0..n {
-            let j = self.rev[i] as usize;
+        debug_assert_eq!(data.len(), n * width);
+        for (i, &j) in self.rev.iter().enumerate() {
+            let j = j as usize;
             if i < j {
-                data.swap(2 * i, 2 * j);
-                data.swap(2 * i + 1, 2 * j + 1);
+                let (lo, hi) = data.split_at_mut(j * width);
+                lo[i * width..(i + 1) * width].swap_with_slice(&mut hi[..width]);
             }
         }
         let mut len = 2;
         while len <= n {
-            let half = len / 2;
-            let step = n / len;
-            for start in (0..n).step_by(len) {
+            let (half, step) = (len / 2, n / len);
+            for block in data.chunks_exact_mut(len * width) {
+                let (lo, hi) = block.split_at_mut(half * width);
                 for j in 0..half {
-                    let (wr, wi) = {
-                        let k = 2 * j * step;
-                        let (re, im) = (self.tw[k], self.tw[k + 1]);
-                        if inverse {
-                            (re, -im)
-                        } else {
-                            (re, im)
-                        }
-                    };
-                    let a = 2 * (start + j);
-                    let b = 2 * (start + j + half);
-                    let (br, bi) = (data[b], data[b + 1]);
-                    let tr = wr * br - wi * bi;
-                    let ti = wr * bi + wi * br;
-                    data[b] = data[a] - tr;
-                    data[b + 1] = data[a + 1] - ti;
-                    data[a] += tr;
-                    data[a + 1] += ti;
+                    let k = 2 * j * step;
+                    let (wr, wi) =
+                        (self.tw[k], if inverse { -self.tw[k + 1] } else { self.tw[k + 1] });
+                    let a = &mut lo[j * width..(j + 1) * width];
+                    let b = &mut hi[j * width..(j + 1) * width];
+                    for c in (0..width).step_by(2) {
+                        let (br, bi) = (b[c], b[c + 1]);
+                        let tr = wr * br - wi * bi;
+                        let ti = wr * bi + wi * br;
+                        b[c] = a[c] - tr;
+                        b[c + 1] = a[c + 1] - ti;
+                        a[c] += tr;
+                        a[c + 1] += ti;
+                    }
                 }
             }
             len <<= 1;
@@ -119,11 +151,8 @@ impl CfftPlan {
 
 /// A reusable plan for real 2-D FFTs on an `n × n` power-of-two grid.
 ///
-/// Spectra use the *transposed half-spectrum* layout: `half + 1` rows
-/// (row-frequency index `kx ∈ [0, n/2]`), each holding `n` interleaved
-/// complex values over the column-frequency index. The transposition is
-/// what lets every pass — row transforms, column transforms, and the
-/// gather/scatter between them — run as contiguous row-parallel sweeps.
+/// Spectra use the row-major half-spectrum layout described in the
+/// [module docs](self): `n` rows of `n/2 + 1` interleaved complex values.
 #[derive(Debug, Clone)]
 pub struct Fft2d {
     n: usize,
@@ -134,9 +163,6 @@ pub struct Fft2d {
     halfplan: CfftPlan,
     /// Untangle twiddles `e^{-2πik/n}` for `k ∈ [0, n/2]`, interleaved.
     unt: Vec<f64>,
-    /// Row-parallel passes only when a sweep clears the measured
-    /// pool-handoff threshold.
-    parallel: bool,
 }
 
 impl Fft2d {
@@ -151,13 +177,7 @@ impl Fft2d {
             unt.push(angle.cos());
             unt.push(angle.sin());
         }
-        // Gate on the *calibrated* per-primitive cost in stencil-MAC
-        // units (butterflies are ~4× a contiguous MAC), so the FFT
-        // engages the pool at exactly the work level the stencil does:
-        // serial through n = 64, parallel from n = 128 up — the whole
-        // regime `EmBackend::Auto` routes here.
-        let parallel = crate::tuning::fft_equivalent_flops(n) >= PARALLEL_WORK_THRESHOLD;
-        Self { n, half, full: CfftPlan::new(n), halfplan: CfftPlan::new(half), unt, parallel }
+        Self { n, half, full: CfftPlan::new(n), halfplan: CfftPlan::new(half), unt }
     }
 
     /// Padded grid side.
@@ -166,82 +186,47 @@ impl Fft2d {
         self.n
     }
 
-    /// Whether 2-D passes hand rows to the persistent worker pool
-    /// (transform results are bit-identical either way; exposed so tests
-    /// can pin which path they exercise).
+    /// Floats in a half-spectrum (`n` rows × `n/2 + 1` complex).
     #[inline]
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
-    /// Floats in a real `n × n` buffer.
-    #[inline]
-    pub fn real_len(&self) -> usize {
-        self.n * self.n
-    }
-
-    /// Floats in the intermediate row-spectrum buffer
-    /// (`n` rows × `half + 1` complex).
-    #[inline]
-    pub fn rowspec_len(&self) -> usize {
+    pub fn spectrum_len(&self) -> usize {
         self.n * (self.half + 1) * 2
     }
 
-    /// Floats in a transposed half-spectrum (`half + 1` rows × `n`
-    /// complex).
-    #[inline]
-    pub fn spectrum_len(&self) -> usize {
-        (self.half + 1) * self.n * 2
-    }
-
-    /// Applies `f(row_index, row)` to every `row_len`-chunk of `buf`,
-    /// in parallel when the plan is large enough to pay for it.
-    fn rows(&self, buf: &mut [f64], row_len: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
-        if self.parallel {
-            buf.par_chunks_mut(row_len).enumerate().for_each(|(i, row)| f(i, row));
-        } else {
-            for (i, row) in buf.chunks_mut(row_len).enumerate() {
-                f(i, row);
-            }
-        }
-    }
-
-    /// Real FFT of one length-`n` row: `src` holds `n` reals, `dst`
-    /// receives `half + 1` interleaved complex frequencies.
-    fn rfft_row(&self, src: &[f64], dst: &mut [f64]) {
+    /// Real FFT of one row in place: `row[..n]` holds the `n` reals on
+    /// entry; on return the row holds `half + 1` interleaved complex
+    /// frequencies.
+    fn rfft_row(&self, row: &mut [f64]) {
         let (n, h) = (self.n, self.half);
-        debug_assert_eq!(src.len(), n);
-        debug_assert_eq!(dst.len(), 2 * (h + 1));
-        // Even/odd interleave is exactly the memory layout of `src`
+        debug_assert_eq!(row.len(), 2 * (h + 1));
+        // Even/odd interleave is exactly the memory layout of the reals
         // reinterpreted as h complex numbers.
-        dst[..n].copy_from_slice(src);
-        self.halfplan.transform(&mut dst[..n], false);
+        self.halfplan.transform(&mut row[..n], 2, false);
         // Untangle Z (length h) into the real spectrum X (length h + 1):
         // X[k] = A - i·w·B with A = (Z[k] + conj(Z[h-k]))/2,
         // B = (Z[k] - conj(Z[h-k]))/2, w = e^{-2πik/n}; Z[h] ≡ Z[0].
-        let (z0r, z0i) = (dst[0], dst[1]);
-        dst[0] = z0r + z0i;
-        dst[1] = 0.0;
-        dst[2 * h] = z0r - z0i;
-        dst[2 * h + 1] = 0.0;
+        let (z0r, z0i) = (row[0], row[1]);
+        row[0] = z0r + z0i;
+        row[1] = 0.0;
+        row[2 * h] = z0r - z0i;
+        row[2 * h + 1] = 0.0;
         let mut k = 1;
         while 2 * k <= h {
             let j = h - k;
-            let (zkr, zki) = (dst[2 * k], dst[2 * k + 1]);
-            let (zjr, zji) = (dst[2 * j], dst[2 * j + 1]);
+            let (zkr, zki) = (row[2 * k], row[2 * k + 1]);
+            let (zjr, zji) = (row[2 * j], row[2 * j + 1]);
             let (ar, ai) = ((zkr + zjr) / 2.0, (zki - zji) / 2.0);
             let (br, bi) = ((zkr - zjr) / 2.0, (zki + zji) / 2.0);
             let (wr, wi) = (self.unt[2 * k], self.unt[2 * k + 1]);
             // -i·w·B = (wi·br + wr·bi) - i·... expanded directly:
             let (twr, twi) = (wr * br - wi * bi, wr * bi + wi * br);
-            dst[2 * k] = ar + twi;
-            dst[2 * k + 1] = ai - twr;
+            row[2 * k] = ar + twi;
+            row[2 * k + 1] = ai - twr;
             // X[h-k] follows from the same pair with conjugated roles.
             let (wjr, wji) = (-wr, wi); // w' = e^{-2πi(h-k)/n} = -conj(w)
             let (bjr, bji) = (-br, bi); // B' = -conj(B)
             let (tjr, tji) = (wjr * bjr - wji * bji, wjr * bji + wji * bjr);
-            dst[2 * j] = ar + tji;
-            dst[2 * j + 1] = -ai - tjr;
+            row[2 * j] = ar + tji;
+            row[2 * j + 1] = -ai - tjr;
             k += 1;
         }
     }
@@ -283,57 +268,45 @@ impl Fft2d {
             }
             k += 1;
         }
-        self.halfplan.transform(&mut row[..n], true);
+        self.halfplan.transform(&mut row[..n], 2, true);
     }
 
-    /// Forward real 2-D FFT: `src` (`n²` reals, row-major) →
-    /// transposed half-spectrum `spec`. `rowspec` is scratch.
-    pub fn forward(&self, src: &[f64], rowspec: &mut [f64], spec: &mut [f64]) {
-        let (n, h) = (self.n, self.half);
-        debug_assert_eq!(src.len(), self.real_len());
-        debug_assert_eq!(rowspec.len(), self.rowspec_len());
+    /// Forward real 2-D FFT of the zero-padded field `src` (row-major,
+    /// `src.len() / src_d ≤ n` rows of `src_d ≤ n` reals) into the
+    /// half-spectrum `spec`. Only the source rows are row-transformed;
+    /// the rest of `spec` is written `+0.0`.
+    pub fn forward(&self, src: &[f64], src_d: usize, spec: &mut [f64]) {
+        let (n, rw) = (self.n, 2 * (self.half + 1));
+        debug_assert!(src_d <= n && src.len().is_multiple_of(src_d) && src.len() / src_d <= n);
         debug_assert_eq!(spec.len(), self.spectrum_len());
-        let rw = 2 * (h + 1);
-        self.rows(rowspec, rw, |y, dst| self.rfft_row(&src[y * n..(y + 1) * n], dst));
-        let rowspec = &*rowspec;
-        self.rows(spec, 2 * n, |kx, col| {
-            for y in 0..n {
-                col[2 * y] = rowspec[y * rw + 2 * kx];
-                col[2 * y + 1] = rowspec[y * rw + 2 * kx + 1];
-            }
-            self.full.transform(col, false);
-        });
+        let (head, tail) = spec.split_at_mut(src.len() / src_d * rw);
+        for (src_row, row) in src.chunks_exact(src_d).zip(head.chunks_exact_mut(rw)) {
+            row[..src_d].copy_from_slice(src_row);
+            row[src_d..n].fill(0.0);
+            self.rfft_row(row);
+        }
+        tail.fill(0.0);
+        self.full.transform(spec, rw, false);
     }
 
-    /// Inverse of [`Self::forward`]: transposed half-spectrum `spec`
-    /// (destroyed) → `dst` (`n²` reals). `rowspec` is scratch.
-    pub fn inverse(&self, spec: &mut [f64], rowspec: &mut [f64], dst: &mut [f64]) {
-        let (n, h) = (self.n, self.half);
+    /// Inverse of [`Self::forward`], in place: runs the column pass over
+    /// all of `spec`, then inverts and scales only its first `rows` rows
+    /// and returns them, `n` reals each. The other rows are left as
+    /// column-pass intermediates.
+    pub fn inverse<'s>(&self, spec: &'s mut [f64], rows: usize) -> impl Iterator<Item = &'s [f64]> {
+        let (n, rw) = (self.n, 2 * (self.half + 1));
         debug_assert_eq!(spec.len(), self.spectrum_len());
-        debug_assert_eq!(rowspec.len(), self.rowspec_len());
-        debug_assert_eq!(dst.len(), self.real_len());
-        let rw = 2 * (h + 1);
-        self.rows(spec, 2 * n, |_, col| self.full.transform(col, true));
-        let spec_r = &*spec;
-        // Gather each row's half-spectrum back, retangle, and invert the
-        // row transform — all inside one contiguous parallel sweep. The
-        // row inverse is in place, so `rowspec[y][..n]` ends up holding
-        // the (still unscaled) real row.
-        self.rows(rowspec, rw, |y, row| {
-            for kx in 0..=h {
-                row[2 * kx] = spec_r[kx * 2 * n + 2 * y];
-                row[2 * kx + 1] = spec_r[kx * 2 * n + 2 * y + 1];
-            }
-            self.irfft_row_unscaled(row);
-        });
+        self.full.transform(spec, rw, true);
         // Unscaled column + row inverses leave a factor n·(n/2).
         let scale = 2.0 / (n * n) as f64;
-        let rowspec_r = &*rowspec;
-        self.rows(dst, n, |y, out_row| {
-            for (o, &v) in out_row.iter_mut().zip(&rowspec_r[y * rw..y * rw + n]) {
-                *o = v * scale;
+        for row in spec.chunks_exact_mut(rw).take(rows) {
+            self.irfft_row_unscaled(row);
+            for v in &mut row[..n] {
+                *v *= scale;
             }
-        });
+        }
+        let spec: &'s [f64] = spec;
+        spec.chunks_exact(rw).take(rows).map(move |row| &row[..n])
     }
 }
 
@@ -369,11 +342,11 @@ mod tests {
         (0..n * n).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect()
     }
 
-    /// Direct O(n⁴) 2-D DFT for cross-checking, returning the transposed
+    /// Direct O(n⁴) 2-D DFT for cross-checking, returning the row-major
     /// half-spectrum layout.
     fn dft2_reference(src: &[f64], n: usize) -> Vec<f64> {
-        let h = n / 2;
-        let mut spec = vec![0.0; (h + 1) * n * 2];
+        let (h, rw) = (n / 2, n + 2);
+        let mut spec = vec![0.0; n * rw];
         for kx in 0..=h {
             for ky in 0..n {
                 let (mut re, mut im) = (0.0f64, 0.0f64);
@@ -386,18 +359,22 @@ mod tests {
                         im += src[y * n + x] * angle.sin();
                     }
                 }
-                spec[kx * 2 * n + 2 * ky] = re;
-                spec[kx * 2 * n + 2 * ky + 1] = im;
+                spec[ky * rw + 2 * kx] = re;
+                spec[ky * rw + 2 * kx + 1] = im;
             }
         }
         spec
     }
 
     fn run_forward(plan: &Fft2d, src: &[f64]) -> Vec<f64> {
-        let mut rowspec = vec![0.0; plan.rowspec_len()];
         let mut spec = vec![0.0; plan.spectrum_len()];
-        plan.forward(src, &mut rowspec, &mut spec);
+        plan.forward(src, plan.n(), &mut spec);
         spec
+    }
+
+    /// Inverts all `n` rows of `spec` and returns the `n × n` reals.
+    fn run_inverse(plan: &Fft2d, spec: &mut [f64]) -> Vec<f64> {
+        plan.inverse(spec, plan.n()).flatten().copied().collect()
     }
 
     #[test]
@@ -420,12 +397,32 @@ mod tests {
             let plan = Fft2d::new(n);
             let src = random_grid(n, 40 + n as u64);
             let mut spec = run_forward(&plan, &src);
-            let mut rowspec = vec![0.0; plan.rowspec_len()];
-            let mut back = vec![0.0; plan.real_len()];
-            plan.inverse(&mut spec, &mut rowspec, &mut back);
+            let back = run_inverse(&plan, &mut spec);
             for (i, (a, b)) in back.iter().zip(&src).enumerate() {
                 assert!((a - b).abs() < 1e-12, "n {n} cell {i}: {a} vs {b}");
             }
+        }
+    }
+
+    #[test]
+    fn short_source_and_partial_inverse_match_the_padded_grid() {
+        // A 5 × 3 field on an 8 × 8 plan: skipping its zero rows forward
+        // and inverting only the rows read back changes no value.
+        let plan = Fft2d::new(8);
+        let small = &random_grid(4, 9)[..15];
+        let mut pad = vec![0.0; 64];
+        for (y, row) in small.chunks_exact(3).enumerate() {
+            pad[y * 8..y * 8 + 3].copy_from_slice(row);
+        }
+        let mut full = run_forward(&plan, &pad);
+        let mut spec = vec![f64::NAN; plan.spectrum_len()];
+        plan.forward(small, 3, &mut spec);
+        assert_eq!(spec, full);
+        let back = run_inverse(&plan, &mut full);
+        let rows: Vec<&[f64]> = plan.inverse(&mut spec, 5).collect();
+        assert_eq!(rows.len(), 5);
+        for (y, row) in rows.into_iter().enumerate() {
+            assert_eq!(row, &back[y * 8..(y + 1) * 8], "row {y}");
         }
     }
 
@@ -451,9 +448,7 @@ mod tests {
         let mut sa = run_forward(&plan, &a);
         let sb = run_forward(&plan, &b);
         spectrum_mul(&mut sa, &sb);
-        let mut rowspec = vec![0.0; plan.rowspec_len()];
-        let mut got = vec![0.0; plan.real_len()];
-        plan.inverse(&mut sa, &mut rowspec, &mut got);
+        let got = run_inverse(&plan, &mut sa);
         for i in 0..n * n {
             assert!((got[i] - want[i]).abs() < 1e-10, "cell {i}: {} vs {}", got[i], want[i]);
         }
@@ -481,9 +476,7 @@ mod tests {
         let mut sw = run_forward(&plan, &w);
         let sk = run_forward(&plan, &k);
         spectrum_mul_conj(&mut sw, &sk);
-        let mut rowspec = vec![0.0; plan.rowspec_len()];
-        let mut got = vec![0.0; plan.real_len()];
-        plan.inverse(&mut sw, &mut rowspec, &mut got);
+        let got = run_inverse(&plan, &mut sw);
         for i in 0..n * n {
             assert!((got[i] - want[i]).abs() < 1e-10, "cell {i}: {} vs {}", got[i], want[i]);
         }

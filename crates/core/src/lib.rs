@@ -27,8 +27,10 @@
 //!   matrix would not fit — the committed `BENCH_em.json` records the
 //!   exact baselines and the stencil↔FFT crossover;
 //! * [`fft`] — the in-repo iterative real 2-D FFT ([`fft::Fft2d`]):
-//!   precomputed twiddle/bit-reversal plans, row-parallel passes on the
-//!   persistent pool, bit-identical for any thread count;
+//!   precomputed twiddle/bit-reversal plans, one row-major half-spectrum
+//!   whose column pass runs butterflies between whole rows, all-zero rows
+//!   skipped; serial (measured faster than handing its rows to the pool
+//!   at n = 128, the largest transform the benchmark runs);
 //! * [`tuning`] — measured performance constants shared by the stencil,
 //!   FFT and sharding paths, including the cost model behind
 //!   [`em2d::EmBackend::Auto`];

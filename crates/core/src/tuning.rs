@@ -5,6 +5,10 @@
 //! here, next to the experiment that produced it, so the stencil, FFT and
 //! sharding paths stay calibrated against the same numbers instead of
 //! each hiding its own copy.
+//!
+//! The FFT itself runs serially (see [`crate::fft`] for the measurement),
+//! so [`PARALLEL_WORK_THRESHOLD`] gates only the stencil, the sharded
+//! report pipeline and the other row-parallel sweeps.
 
 /// Below this many multiply-adds per parallel primitive call (one E-step
 /// or M-step sweep), handing rows to the persistent worker pool costs
@@ -29,11 +33,11 @@ pub fn stencil_flops(out_d: usize, box_side: usize) -> usize {
 /// ([`crate::conv::FftChannel`]) in stencil-MAC units.
 ///
 /// One EM primitive is a forward + inverse padded real 2-D FFT
-/// (≈ `2·n²·log₂ n` complex butterflies over the five row/column passes)
+/// (≈ `2·n²·log₂ n` complex butterflies over the row and column passes)
 /// plus the spectrum product and the pad/readout sweeps (≈ `3·n²`).
 /// A butterfly costs several times a contiguous stencil multiply-add
-/// (twiddle loads, strided gathers in the transpose passes), which the
-/// calibration factor absorbs.
+/// (twiddle loads, the short blocks of the early row-pass stages), which
+/// the calibration factor absorbs.
 ///
 /// Calibrated against `BENCH_em.json` (PR 3, d = 64 radius sweep,
 /// single-core substrate): measured conv/fft ns-per-EM ratios were
@@ -42,6 +46,11 @@ pub fn stencil_flops(out_d: usize, box_side: usize) -> usize {
 /// `FFT_MAC_FACTOR = 4` the model costs the n = 128 transform at ≈1.11 M
 /// stencil-MACs, landing the predicted switch in the same gap
 /// (0.42 M < 1.11 M < 1.85 M stencil MACs at b̂ = 4 vs 8).
+///
+/// The committed `BENCH_em.json` now measures the FFT ahead already at
+/// d = 64, b̂ = 4, so the model overprices today's transform. The factor
+/// stays put: moving `Auto`'s crossover changes which backend — and so
+/// which estimate bits — some figure shapes get.
 pub fn fft_equivalent_flops(padded_n: usize) -> usize {
     const FFT_MAC_FACTOR: usize = 4;
     let n2 = padded_n * padded_n;

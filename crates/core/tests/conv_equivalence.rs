@@ -287,3 +287,60 @@ fn post_process_backends_agree_end_to_end() {
         }
     }
 }
+
+/// FNV-1a over the spectral operator's output bits; see
+/// [`fft_channel_matches_pinned_bits`].
+const FFT_CHANNEL_BITS: u64 = 0x20ba_95fb_9182_2c49;
+
+/// Pins the spectral operator bit for bit, not just to a tolerance: any
+/// change to the butterfly order, the twiddles or the inverse scaling
+/// moves the hash. Covers both primitives and a bounded cold EM on the
+/// `stream-fft` shape (d = 64, b̂ = 14, n = 128), the `ingest-1m` shape
+/// (d = 20, b̂ = 4, n = 32) and a padded grid strictly wider than the
+/// output grid (d = 13, b̂ = 5: out_d = 23 < n = 32), plus one EMS
+/// PostProcess so the smoother path is folded in too.
+#[test]
+fn fft_channel_matches_pinned_bits() {
+    use dam_core::{EmBackend, EmOperator, PostProcess};
+    use dam_geo::{BoundingBox, Grid2D};
+
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |values: &[f64]| {
+        for byte in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let params = EmParams { max_iters: 20, rel_tol: 0.0, gain_tol: 0.0 };
+    for (d, b_hat, n) in [(64u32, 14u32, 128usize), (20, 4, 32), (13, 5, 32)] {
+        let kernel = DiscreteKernel::dam(3.0, d, b_hat, KernelKind::Shrunken);
+        let fft = FftChannel::new(&kernel);
+        assert_eq!(fft.padded_n(), n);
+        let mut ws = EmWorkspace::new();
+        let f = random_distribution(fft.n_in(), u64::from(d));
+        let w = random_weights(fft.n_out(), u64::from(d + b_hat));
+        let mut out = vec![0.0; fft.n_out()];
+        fft.apply(&f, &mut out, &mut ws);
+        fold(&out);
+        let mut f_new = vec![0.0; fft.n_in()];
+        fft.accumulate_adjoint(&w, &f, &mut f_new, &mut ws);
+        fold(&f_new);
+        let counts: Vec<f64> = w.iter().map(|x| (x * 20.0).round()).collect();
+        let run = expectation_maximization(&fft, &counts, None, None, params, &mut ws);
+        assert_eq!(run.iters, 20);
+        fold(&run.estimate);
+    }
+    let kernel = DiscreteKernel::dam(3.0, 20, 4, KernelKind::Shrunken);
+    let counts: Vec<f64> =
+        random_weights(kernel.n_out(), 7).iter().map(|x| (x * 20.0).round()).collect();
+    let ems = EmOperator::new(&kernel, EmBackend::Fft).post_process(
+        &counts,
+        &Grid2D::new(BoundingBox::unit(), 20),
+        PostProcess::Ems,
+        params,
+        None,
+        &mut EmWorkspace::new(),
+    );
+    fold(ems.histogram.values());
+    assert_eq!(h, FFT_CHANNEL_BITS, "spectral operator bits moved: {h:#018x}");
+}

@@ -372,9 +372,10 @@ const MAX_RESEEDS: usize = 3;
 ///   uniform blend (`sanitized_init`);
 /// * counts summing to zero return the uniform distribution without
 ///   iterating (`degenerate_input`) — there is nothing to fit;
-/// * an iteration diverging to a non-finite estimate or log-likelihood is
-///   re-seeded from `½·(last good estimate) + ½·uniform` (`reseeds`), up
-///   to `MAX_RESEEDS` (three) times; after that the last good estimate is
+/// * an iteration diverging to a non-finite estimate or log-likelihood
+///   (or to finite entries whose sum overflows) is re-seeded from
+///   `½·(last good estimate) + ½·uniform` (`reseeds`), up to
+///   `MAX_RESEEDS` (three) times; after that the last good estimate is
 ///   returned as the best effort.
 pub fn expectation_maximization<C: ChannelOp + ?Sized>(
     channel: &C,
@@ -437,27 +438,27 @@ pub fn expectation_maximization<C: ChannelOp + ?Sized>(
         // E: predicted output distribution under the current estimate.
         channel.apply(&f, &mut out, ws);
         ws.audit_handoff("apply", &out);
-        // Observed-data log-likelihood of the current estimate (also the
-        // divergence sentinel: a corrupted `out` turns it NaN).
+        // One sweep: the observed-data log-likelihood of the current
+        // estimate (also the divergence sentinel: a corrupted `out` turns
+        // it NaN) and the M-step weights.
         let mut ll = 0.0;
-        for (&c, &p) in counts.iter().zip(out.iter()) {
+        for ((w, &c), &p) in weights.iter_mut().zip(counts).zip(out.iter()) {
             if c > 0.0 {
                 ll += c * p.max(1e-300).ln();
             }
-        }
-        // M: multiplicative update through the adjoint.
-        for ((w, &c), &p) in weights.iter_mut().zip(counts).zip(out.iter()) {
             *w = if c == 0.0 || p <= 0.0 { 0.0 } else { c / n_total / p };
         }
+        // M: multiplicative update through the adjoint.
         channel.accumulate_adjoint(&weights, &f, &mut f_new, ws);
         ws.audit_handoff("adjoint", &f_new);
 
-        // Divergence guard — checked *before* normalisation, whose
-        // zero-sum fallback would otherwise flatten a NaN update to
-        // uniform silently. At this point `f` still holds the last good
+        // Divergence guard: a non-finite update — a NaN or ∞ entry, or
+        // finite entries whose sum overflows — has a non-finite sum, which
+        // normalisation reports instead of silently flattening the update
+        // to uniform or zero. At this point `f` still holds the last good
         // (finite, by induction) estimate, so recovery re-seeds from its
         // blend with uniform rather than restarting cold.
-        if !ll.is_finite() || f_new.iter().any(|x| !x.is_finite()) {
+        if !ll.is_finite() || !normalize(&mut f_new) {
             if health.reseeds >= MAX_RESEEDS {
                 // Best effort: return the last finite estimate as-is.
                 break;
@@ -471,7 +472,6 @@ pub fn expectation_maximization<C: ChannelOp + ?Sized>(
             continue;
         }
 
-        normalize(&mut f_new);
         if let Some(s) = smoother {
             s(&mut f_new);
             normalize(&mut f_new);
@@ -517,7 +517,9 @@ pub fn smooth_1d(f: &mut [f64]) {
     }
 }
 
-fn normalize(f: &mut [f64]) {
+/// Scales `f` to sum to 1 (uniform when the sum is not positive) and
+/// returns whether the sum was finite.
+fn normalize(f: &mut [f64]) -> bool {
     let s: f64 = f.iter().sum();
     if s > 0.0 {
         for x in f.iter_mut() {
@@ -527,6 +529,7 @@ fn normalize(f: &mut [f64]) {
         let u = 1.0 / f.len() as f64;
         f.fill(u);
     }
+    s.is_finite()
 }
 
 #[cfg(test)]
@@ -916,6 +919,45 @@ mod tests {
             assert!(ws.tainted_handoffs() >= 1, "canary must record the tainted handoff");
             assert_eq!(ws.first_taint(), Some("adjoint"));
         }
+    }
+
+    #[test]
+    fn overflowing_update_is_counted_as_divergence() {
+        // Every entry of the update is finite, but their sum overflows to
+        // +∞: dividing by it would zero the whole estimate and the next
+        // iteration would fall back to uniform with no reseed on record.
+        struct Overflowing(Channel);
+        impl ChannelOp for Overflowing {
+            fn n_in(&self) -> usize {
+                self.0.n_in
+            }
+            fn n_out(&self) -> usize {
+                self.0.n_out
+            }
+            fn apply(&self, f: &[f64], out: &mut [f64], ws: &mut EmWorkspace) {
+                self.0.apply(f, out, ws);
+            }
+            fn accumulate_adjoint(
+                &self,
+                _: &[f64],
+                _: &[f64],
+                f_new: &mut [f64],
+                _: &mut EmWorkspace,
+            ) {
+                f_new.fill(1e308);
+            }
+        }
+        let run = expectation_maximization(
+            &Overflowing(noisy_channel(4, 0.7)),
+            &[40.0, 30.0, 20.0, 10.0],
+            None,
+            None,
+            EmParams { max_iters: 20, rel_tol: 0.0, gain_tol: 0.0 },
+            &mut EmWorkspace::new(),
+        );
+        assert_eq!(run.health.reseeds, MAX_RESEEDS, "an overflowing sum must reseed");
+        assert!(run.estimate.iter().all(|x| x.is_finite() && *x > 0.0));
+        assert!((run.estimate.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -32,8 +32,15 @@ fn bench_response(c: &mut Criterion) {
         let kernel = DiscreteKernel::dam(3.5, 15, b, KernelKind::Shrunken);
         let resp = GridAreaResponse::new(kernel);
         let mut rng = seeded(1);
+        // Cycle over every input cell: one fixed input would let the
+        // branch predictor learn a single far-field layout.
+        let inputs: Vec<CellIndex> = (0..15 * 15).map(|k| CellIndex::new(k % 15, k / 15)).collect();
+        let mut next = inputs.iter().cycle();
         group.bench_with_input(BenchmarkId::new("report", b), &b, |bench, _| {
-            bench.iter(|| black_box(resp.respond(CellIndex::new(7, 7), &mut rng)));
+            bench.iter(|| {
+                let input = *next.next().expect("cycle over a non-empty list never ends");
+                black_box(resp.respond(input, &mut rng))
+            });
         });
     }
     for &b in &[1u32, 3, 5, 8] {

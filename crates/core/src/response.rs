@@ -5,35 +5,107 @@
 //! within the bucket. Because every output cell's total mass is
 //! `S_p·p̂ + (1 − S_p)·q̂`, that two-stage scheme is equivalent to one
 //! categorical draw over output cells — which is what this implementation
-//! does, using a Walker alias table over the `(2b̂+1)²` offset box plus a
-//! single "far field" outcome resolved by uniform sampling over the
-//! rectangle-decomposed complement of the box. Setup is `O(b̂²)` and each
-//! report is `O(1)`, matching the paper's `O(g)` response complexity.
+//! does: a Walker alias pick over the `(2b̂+1)²` offsets of the box around
+//! the input plus one "far field" outcome, and for the far outcome a
+//! uniform draw over the output cells outside the box. Setup is
+//! `O(b̂² + d)` and each report is `O(1)` with no integer division on the
+//! hot path, matching the paper's `O(g)` response complexity.
+//!
+//! * **Slot table.** The alias table is built once by [`AliasTable`] and
+//!   copied into 16-byte slots holding the coin threshold and both
+//!   outcomes pre-decoded: a box outcome is the packed offset
+//!   `(dy << 16) | dx` from the box's lower-left corner, the far outcome a
+//!   sentinel. A pick is one `u64` draw split exactly as
+//!   [`AliasTable::sample`] splits it (the high word of `r·k` is the slot,
+//!   the top 53 bits of the low word the coin), one slot load and a
+//!   select — no `% side` or `/ side`.
+//! * **Closed-form far field.** The `n_out − side²` cells outside the box
+//!   are enumerated as the rows below the box, the rows above it, then the
+//!   strip left of the box and the strip right of it. The rows form one
+//!   band of `(od − side)` full rows: index `t` is row `r = t / od`,
+//!   column `t % od`, and output row `r`, or `r + side` once `r` reaches
+//!   the box. Past the band, `t` falls in the left strip (width `ix`) or
+//!   the right strip (width `od − side − ix`).
+//! * **Reciprocal division.** The divisions by `od` and by a strip width
+//!   multiply by a precomputed `M = ⌊(2⁶⁴ − 1)/w⌋ + 1` and keep the high
+//!   word (Granlund–Montgomery). With `M·2⁻⁶⁴ = 1/w + e/(w·2⁶⁴)`,
+//!   `0 ≤ e < w`, the quotient overshoots `t/w` by less than `t·2⁻⁶⁴`,
+//!   which stays below the `1/w` gap to the next integer for every
+//!   `t < 2³²` — so [`GridAreaResponse::new`] bounds `n_out` below 2³². A
+//!   width of 1 (where `M` would be 2⁶⁴) is the identity.
+//!
+//! None of this changes a draw relative to the direct sampler — an
+//! [`AliasTable::sample`] pick split by `% side` / `/ side`, and the far
+//! field cut into up to four rectangles visited in the order above — which
+//! `crates/core/tests/sampler_oracle.rs` keeps as its reference: the slots
+//! hold the table's probabilities and outcomes, the coin is the same 53
+//! bits against the same `f64`, and the far field calls `gen_range` over
+//! the same count and enumerates the cells in the same order. The suite
+//! checks that draw for draw at every input cell and pins the report
+//! planes. [`GridAreaResponse::realized_masses`] gives the exact channel
+//! these draws realize, for privacy audits of the code rather than of the
+//! analytic kernel.
 
 use crate::kernel::DiscreteKernel;
 use dam_fo::alias::AliasTable;
 use dam_geo::CellIndex;
 use rand::Rng;
 
+/// The packed outcome of an alias slot that leaves the offset box.
+const FAR: u32 = u32::MAX;
+
+/// One alias slot: the coin threshold, the outcome kept below it and the
+/// alias taken at or above it, each a packed box offset `(dy << 16) | dx`
+/// or [`FAR`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    prob: f64,
+    keep: u32,
+    alias: u32,
+}
+
 /// The randomized reporting function `FO.T` for any discrete SAM kernel.
 #[derive(Debug, Clone)]
 pub struct GridAreaResponse {
     kernel: DiscreteKernel,
-    /// Alias table over box offsets (`box_side²` outcomes) plus one final
+    /// Alias slots over box offsets (`box_side²` outcomes) plus one final
     /// "far field" outcome.
-    alias: AliasTable,
+    slots: Vec<Slot>,
+    /// `recip[w] = ⌊(2⁶⁴ − 1)/w⌋ + 1` for `2 ≤ w ≤ out_d`; entries 0 and
+    /// 1 are unused.
+    recip: Vec<u64>,
+    /// Output cells outside the box: the far draw's range.
+    far_cells: u64,
 }
 
 impl GridAreaResponse {
     /// Builds the responder for a kernel.
+    ///
+    /// # Panics
+    /// Panics if the box side is 2¹⁶ or more, or the output grid has 2³²
+    /// cells or more.
     pub fn new(kernel: DiscreteKernel) -> Self {
-        let box_cells = kernel.box_side() * kernel.box_side();
+        let side = kernel.box_side();
+        assert!(side < 1 << 16, "offset box side {side} does not fit a packed offset");
+        assert!((kernel.n_out() as u64) < 1 << 32, "output grid too large for the far-field draw");
+        let box_cells = side * side;
         let far_cells = kernel.n_out() - box_cells;
         let mut weights = Vec::with_capacity(box_cells + 1);
         weights.extend_from_slice(kernel.offset_masses());
         weights.push(far_cells as f64 * kernel.q_hat());
         let alias = AliasTable::new(&weights);
-        Self { kernel, alias }
+        let outcome =
+            |j: usize| if j == box_cells { FAR } else { (((j / side) << 16) | (j % side)) as u32 };
+        let slots = (0..alias.len())
+            .map(|i| {
+                let (prob, a) = alias.slot(i);
+                Slot { prob, keep: outcome(i), alias: outcome(a) }
+            })
+            .collect();
+        let recip = (0..=u64::from(kernel.out_d()))
+            .map(|w| if w < 2 { 0 } else { u64::MAX / w + 1 })
+            .collect();
+        Self { kernel, slots, recip, far_cells: far_cells as u64 }
     }
 
     /// The kernel this responder reports through.
@@ -47,71 +119,88 @@ impl GridAreaResponse {
     pub fn respond(&self, input: CellIndex, rng: &mut (impl Rng + ?Sized)) -> CellIndex {
         let d = self.kernel.d();
         assert!(input.ix < d && input.iy < d, "input cell out of grid");
-        let b = self.kernel.b_hat();
-        let side = self.kernel.box_side();
-        let box_cells = side * side;
-        let pick = self.alias.sample(rng);
-        if pick < box_cells {
-            let dx = (pick % side) as i64 - b as i64;
-            let dy = (pick / side) as i64 - b as i64;
-            CellIndex::new(
-                (input.ix as i64 + b as i64 + dx) as u32,
-                (input.iy as i64 + b as i64 + dy) as u32,
-            )
-        } else {
-            self.sample_far(input, rng)
+        let wide = rng.next_u64() as u128 * self.slots.len() as u128;
+        let slot = self.slots[(wide >> 64) as usize];
+        // Top 53 bits of the fractional word, mapped to [0, 1); below 2⁵³,
+        // so the signed conversion is exact.
+        let coin = ((wide as u64) >> 11) as i64 as f64 * (1.0 / (1u64 << 53) as f64);
+        let packed = if coin < slot.prob { slot.keep } else { slot.alias };
+        if packed == FAR {
+            return self.sample_far(input, rng);
         }
+        CellIndex::new(input.ix + (packed & 0xFFFF), input.iy + (packed >> 16))
     }
 
     /// Uniform draw over the output grid minus the offset box around
-    /// `input`, via decomposition of the complement into at most four
-    /// rectangles (bottom strip, top strip, left strip, right strip).
+    /// `input`: the band of full rows below and above the box, then the
+    /// strips left and right of it.
     fn sample_far(&self, input: CellIndex, rng: &mut (impl Rng + ?Sized)) -> CellIndex {
-        let out_d = self.kernel.out_d() as u64;
-        // The box in output coordinates: [bx0, bx1] × [by0, by1].
-        let bx0 = input.ix as u64;
-        let bx1 = input.ix as u64 + 2 * self.kernel.b_hat() as u64;
-        let by0 = input.iy as u64;
-        let by1 = input.iy as u64 + 2 * self.kernel.b_hat() as u64;
-        debug_assert!(bx1 < out_d && by1 < out_d);
+        let od = u64::from(self.kernel.out_d());
+        let side = self.kernel.box_side() as u64;
+        let (ix, iy) = (u64::from(input.ix), u64::from(input.iy));
+        let t = rng.gen_range(0..self.far_cells);
+        let band = (od - side) * od;
+        let (x, y) = if t < band {
+            let (r, x) = self.div_rem(t, od);
+            (x, if r < iy { r } else { r + side })
+        } else {
+            let (s, left) = (t - band, ix * side);
+            let (s, w, x0) =
+                if s < left { (s, ix, 0) } else { (s - left, od - side - ix, ix + side) };
+            let (r, x) = self.div_rem(s, w);
+            (x0 + x, iy + r)
+        };
+        CellIndex::new(x as u32, y as u32)
+    }
 
-        // (x0, x1, y0, y1) inclusive rectangles.
-        let mut rects: [(u64, u64, u64, u64); 4] = [(0, 0, 0, 0); 4];
-        let mut areas = [0u64; 4];
-        let mut n = 0;
-        if by0 > 0 {
-            rects[n] = (0, out_d - 1, 0, by0 - 1);
-            n += 1;
-        }
-        if by1 + 1 < out_d {
-            rects[n] = (0, out_d - 1, by1 + 1, out_d - 1);
-            n += 1;
-        }
-        if bx0 > 0 {
-            rects[n] = (0, bx0 - 1, by0, by1);
-            n += 1;
-        }
-        if bx1 + 1 < out_d {
-            rects[n] = (bx1 + 1, out_d - 1, by0, by1);
-            n += 1;
-        }
-        assert!(n > 0, "far-field sampling requires d >= 2 or was mis-weighted");
-        let mut total = 0u64;
-        for k in 0..n {
-            let (x0, x1, y0, y1) = rects[k];
-            areas[k] = (x1 - x0 + 1) * (y1 - y0 + 1);
-            total += areas[k];
-        }
-        let mut t = rng.gen_range(0..total);
-        for k in 0..n {
-            if t < areas[k] {
-                let (x0, x1, y0, _) = rects[k];
-                let w = x1 - x0 + 1;
-                return CellIndex::new((x0 + t % w) as u32, (y0 + t / w) as u32);
+    /// `(t / w, t % w)` through the reciprocal table, exact for
+    /// `t < 2³²` and `1 ≤ w ≤ out_d`.
+    #[inline]
+    fn div_rem(&self, t: u64, w: u64) -> (u64, u64) {
+        let q =
+            if w == 1 { t } else { ((self.recip[w as usize] as u128 * t as u128) >> 64) as u64 };
+        (q, t - q * w)
+    }
+
+    /// The exact output distribution [`GridAreaResponse::respond`]
+    /// realizes, laid out like [`DiscreteKernel::offset_masses`] and
+    /// [`DiscreteKernel::q_hat`]: the probability of each box offset
+    /// (row-major from `(-b̂, -b̂)`), then that of any single far cell.
+    ///
+    /// Slot `i` owns the draws `r` with `⌊r·k / 2⁶⁴⌋ = i`; across them the
+    /// low word of `r·k` is an arithmetic progression with step `k` that
+    /// starts at `low₀ < k` and never wraps. The coin accepts exactly the
+    /// low words below `⌈prob·2⁵³⌉·2¹¹`, so each slot's accept count is a
+    /// ceiling division, and every outcome's count of the 2⁶⁴ draws is
+    /// exact in `u128` before the final rounding to `f64`. Lemire's
+    /// rejection draw is exactly uniform, so every far cell gets the far
+    /// outcome's probability divided by the far cell count.
+    pub fn realized_masses(&self) -> (Vec<f64>, f64) {
+        let side = self.kernel.box_side();
+        let k = self.slots.len() as u128;
+        // The smallest draw that lands in slot `i`.
+        let first = |i: u128| (i << 64).div_ceil(k);
+        let mut box_counts = vec![0u128; side * side];
+        let mut far = 0u128;
+        for (i, slot) in (0u128..).zip(&self.slots) {
+            let lo = first(i);
+            let n = first(i + 1) - lo;
+            let low0 = lo * k - (i << 64);
+            let bound = ((slot.prob * (1u64 << 53) as f64).ceil() as u128) << 11;
+            let kept = if bound <= low0 { 0 } else { n.min((bound - low0).div_ceil(k)) };
+            for (packed, count) in [(slot.keep, kept), (slot.alias, n - kept)] {
+                if packed == FAR {
+                    far += count;
+                } else {
+                    box_counts[(packed >> 16) as usize * side + (packed & 0xFFFF) as usize] +=
+                        count;
+                }
             }
-            t -= areas[k];
         }
-        unreachable!("rectangle areas summed to total");
+        let scale = 1.0 / (1u128 << 64) as f64;
+        let per_far_cell =
+            if self.far_cells == 0 { 0.0 } else { far as f64 * scale / self.far_cells as f64 };
+        (box_counts.iter().map(|&c| c as f64 * scale).collect(), per_far_cell)
     }
 }
 

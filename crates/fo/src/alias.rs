@@ -70,6 +70,19 @@ impl AliasTable {
         self.prob.is_empty()
     }
 
+    /// Slot `i` of the table: its coin threshold `prob` and its alias
+    /// outcome. [`AliasTable::sample`] returns `i` when its coin is below
+    /// `prob` and the alias otherwise, so a sampler that needs its own slot
+    /// layout (one that stores the outcomes pre-decoded, say) can copy the
+    /// table out through this and make exactly the same draws.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    #[inline]
+    pub fn slot(&self, i: usize) -> (f64, usize) {
+        (self.prob[i], self.alias[i])
+    }
+
     /// Draws one outcome index in O(1), spending a single `u64` draw.
     /// With `x = r/2⁶⁴ ∈ [0,1)`, the 128-bit product `r·k` splits into
     /// `⌊x·k⌋` (high word: the slot, bias-free range reduction) and the

@@ -56,6 +56,10 @@ pub struct ConvChannel {
     delta: Vec<f64>,
     /// Far-field mass `q̂`.
     far: f64,
+    /// Threads a sweep above [`PARALLEL_WORK_THRESHOLD`] runs on, resolved
+    /// once here: asking the pool per sweep costs an
+    /// `available_parallelism` call (~22 µs on a 2-vCPU host).
+    threads: usize,
 }
 
 impl ConvChannel {
@@ -69,6 +73,7 @@ impl ConvChannel {
             side: kernel.box_side(),
             delta,
             far,
+            threads: rayon::current_num_threads(),
         }
     }
 
@@ -152,6 +157,7 @@ impl ChannelOp for ConvChannel {
             }
         } else {
             out.par_chunks_mut(self.out_d)
+                .with_threads(Some(self.threads))
                 .enumerate()
                 .for_each(|(oy, row)| self.apply_row(f, far_term, oy, row));
         }
@@ -169,6 +175,7 @@ impl ChannelOp for ConvChannel {
         } else {
             f_new
                 .par_chunks_mut(self.d)
+                .with_threads(Some(self.threads))
                 .enumerate()
                 .for_each(|(iy, row)| self.adjoint_row(w, f, far_term, iy, row));
         }
@@ -189,9 +196,14 @@ impl ChannelOp for ConvChannel {
 ///   because `t + s ≤ d + 2b̂ - 1 < n` on both axes.
 ///
 /// The kernel spectrum is computed **once** here and reused by every EM
-/// iteration. Each primitive transforms, multiplies and inverts in place
-/// in one workspace plane — a single `n × (n + 2)` half-spectrum — so
-/// steady-state iterations allocate nothing.
+/// iteration. Each primitive is one [`Fft2d::convolve`]: it transforms,
+/// multiplies and inverts in place in one workspace plane — a single
+/// `n × (n + 2)` half-spectrum — so steady-state iterations allocate
+/// nothing. On a multi-core host with `n ≥`
+/// [`PARALLEL_FFT_MIN_SIDE`](crate::tuning::PARALLEL_FFT_MIN_SIDE) that
+/// plane is cut into column-block planes and each primitive runs as one
+/// pool batch across the cores counted when the channel was built, with
+/// the same bits as the serial path.
 #[derive(Debug, Clone)]
 pub struct FftChannel {
     /// Input grid side.
@@ -214,10 +226,9 @@ impl FftChannel {
         let out_d = kernel.out_d() as usize;
         let side = kernel.box_side();
         let far = kernel.q_hat();
-        let fft = Fft2d::new(out_d);
+        let fft = Fft2d::new(out_d).with_threads(rayon::current_num_threads());
         let delta: Vec<f64> = kernel.offset_masses().iter().map(|&m| m - far).collect();
-        let mut kspec = vec![0.0f64; fft.spectrum_len()];
-        fft.forward(&delta, side, &mut kspec);
+        let kspec = fft.kernel_spectrum(&delta, side);
         Self { d, out_d, far, fft, kspec }
     }
 
@@ -248,34 +259,46 @@ impl ChannelOp for FftChannel {
     fn apply(&self, f: &[f64], out: &mut [f64], ws: &mut EmWorkspace) {
         debug_assert_eq!(f.len(), self.n_in());
         debug_assert_eq!(out.len(), self.n_out());
-        let far_term = self.far * f.iter().sum::<f64>();
         let [spec] = ws.planes([self.fft.spectrum_len()]);
-        self.fft.forward(f, self.d, spec);
-        spectrum_mul(spec, &self.kspec);
-        let rows = self.fft.inverse(spec, self.out_d);
-        for (out_row, row) in out.chunks_exact_mut(self.out_d).zip(rows) {
-            for (o, &c) in out_row.iter_mut().zip(row) {
-                *o = far_term + c;
-            }
-        }
+        self.fft.convolve(
+            f,
+            self.d,
+            &self.kspec,
+            spectrum_mul,
+            spec,
+            out,
+            self.out_d,
+            |total, _, row, out_row| {
+                let far_term = self.far * total;
+                for (o, &c) in out_row.iter_mut().zip(row) {
+                    *o = far_term + c;
+                }
+            },
+        );
     }
 
     fn accumulate_adjoint(&self, w: &[f64], f: &[f64], f_new: &mut [f64], ws: &mut EmWorkspace) {
         debug_assert_eq!(w.len(), self.n_out());
         debug_assert_eq!(f.len(), self.n_in());
         debug_assert_eq!(f_new.len(), self.n_in());
-        let far_term = self.far * w.iter().sum::<f64>();
+        let d = self.d;
         let [spec] = ws.planes([self.fft.spectrum_len()]);
-        self.fft.forward(w, self.out_d, spec);
-        spectrum_mul_conj(spec, &self.kspec);
-        let rows = self.fft.inverse(spec, self.d);
-        for ((new_row, f_row), row) in
-            f_new.chunks_exact_mut(self.d).zip(f.chunks_exact(self.d)).zip(rows)
-        {
-            for (new, (&fi, &c)) in new_row.iter_mut().zip(f_row.iter().zip(row)) {
-                *new = fi * (far_term + c);
-            }
-        }
+        self.fft.convolve(
+            w,
+            self.out_d,
+            &self.kspec,
+            spectrum_mul_conj,
+            spec,
+            f_new,
+            d,
+            |total, y, row, new_row| {
+                let far_term = self.far * total;
+                let f_row = &f[y * d..(y + 1) * d];
+                for (new, (&fi, &c)) in new_row.iter_mut().zip(f_row.iter().zip(row)) {
+                    *new = fi * (far_term + c);
+                }
+            },
+        );
     }
 }
 

@@ -35,6 +35,8 @@
 //! each butterfly between two *whole rows*: one twiddle, then a
 //! contiguous sweep over the `n/2 + 1` column frequencies. One
 //! `n × (n + 2)` buffer is thus the only scratch a transform pair needs.
+//! (Plans split across threads cut the same floats into column-block
+//! planes; see [below](#two-cores-on-large-grids).)
 //!
 //! Rows that are all zero are never transformed ([`Fft2d::forward`]
 //! writes `+0.0` into them), and rows the caller never reads back are
@@ -55,19 +57,57 @@
 //! contaminates the cells that are read back — equivalence with the
 //! dense operator is exact up to roundoff (tested to ≤ 1e-9).
 //!
-//! # Serial by measurement
+//! # Two cores on large grids
 //!
-//! Transforms run on the calling thread. One EM iteration (`apply` +
-//! `accumulate_adjoint`) at `d = 64, b̂ = 14` (n = 128, the largest
-//! transform the benchmark workloads run) measured a median 431 µs
-//! serial against 603 µs with the same row passes handed to the
-//! persistent pool (nine interleaved rounds, best of five 300-iteration
-//! samples each, 2-vCPU x86-64 host; serial was faster in seven): a
-//! 128-point row is too little work to pay for the handoff. With no
-//! parallel path, transforms are trivially **bit-identical for any
-//! `--threads` value** (asserted by the determinism suite).
+//! A plan built [`Fft2d::with_threads`] on a grid of side at least
+//! [`PARALLEL_FFT_MIN_SIDE`] runs each [`Fft2d::convolve`] as one
+//! [`rayon::pool::run_phases`] batch. Its spectrum is cut by column
+//! frequency into one contiguous **column-block plane** per thread: plane
+//! `p` holds all `n` rows of the frequencies `kx ∈ [c_p, c_{p+1})`, so the
+//! planes together are exactly the floats of the row-major half-spectrum
+//! (no memory is added), and the cached kernel spectrum is laid out the
+//! same way. The batch has three phases:
+//!
+//! 1. forward row transforms over row blocks, each transformed row written
+//!    into every plane — plus, as the first unit, the sum of the source
+//!    that the far-field term needs (a serial add chain that the other
+//!    thread's row transforms overlap);
+//! 2. per plane, the forward column pass, the kernel product and the
+//!    inverse column pass — columns are independent, so these need no
+//!    barrier between them;
+//! 3. inverse row transforms of only the rows read back, each finished
+//!    straight into the caller's output.
+//!
+//! The column pass inside a plane is the whole-row butterfly above, on a
+//! narrower row, so every element still gets the same butterflies,
+//! twiddles, product and operation order: split and serial plans give the
+//! same bits (`split_convolution_matches_serial_bits` below, and the
+//! pinned `conv_equivalence` constants, which CI checks both on two cores
+//! and under `taskset -c 0`). A row unit keeps its row scratch on its own
+//! stack. Two other layouts measured slower: splitting the column pass by
+//! column ranges inside shared rows ran ~3× slower per element on both
+//! threads in a prototype (coherence traffic the prefetchers drive across
+//! the range boundary), and scratch rows packed side by side in one shared buffer
+//! cost the row phases ~1.7× per element.
+//!
+//! The two convolutions of one EM iteration (apply + adjoint) on a
+//! 2-vCPU x86-64 host, serial vs split, medians of 31 interleaved
+//! samples: 40.7 vs 72.3 µs at n = 32 (d = 20, b̂ = 4), 158 vs 155 µs at
+//! n = 64 (d = 40, b̂ = 8), 672 vs 466 µs at n = 128 (d = 64, b̂ = 14;
+//! 1.44×) and 3090 vs 1831 µs at n = 256 (d = 128, b̂ = 20; 1.69×).
+//! Below the crossover the serial path runs as before.
+//!
+//! An earlier measurement had put the row passes on the pool and found
+//! them slower (603 vs 431 µs per iteration at n = 128). It was
+//! confounded: each `pool::run(.., None, ..)` asks
+//! [`rayon::current_num_threads`], and that `available_parallelism` call
+//! reads cgroup files — 21.7 µs per call on that host, about eight calls
+//! per iteration, the whole gap. Split plans resolve their thread count
+//! once, when they are built.
 
-use crate::tuning::next_pow2;
+use crate::tuning::{next_pow2, PARALLEL_FFT_MIN_SIDE};
+use rayon::pool::Tiles;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Precomputed tables for one in-place complex FFT size.
 #[derive(Debug, Clone)]
@@ -149,10 +189,72 @@ impl CfftPlan {
     }
 }
 
+/// Row blocks a split convolution cuts the grid into: the units of its
+/// row phases, and of each plane's tiles. Sixteen measured faster than
+/// eight at n = 128: the helper thread wakes after the caller has started,
+/// and smaller units still leave it half of each row phase.
+const ROW_BLOCKS: usize = 16;
+
+/// Floats of row scratch a split convolution's row units keep on the
+/// stack (rows of grids up to `n = 1024`).
+const STACK_ROW: usize = 1026;
+
+/// Runs `f` on `len` floats of row scratch: on the stack up to
+/// [`STACK_ROW`] floats, so it stays in the running core's cache and
+/// shares no cache line with another thread's row.
+fn with_row_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    if len <= STACK_ROW {
+        f(&mut [0.0; STACK_ROW][..len])
+    } else {
+        f(&mut vec![0.0; len])
+    }
+}
+
+/// The column-block plane layout of a convolution split across threads
+/// (see the [module docs](self)).
+#[derive(Debug, Clone)]
+struct PlaneSplit {
+    /// Threads a convolution runs on, resolved when the plan was built.
+    threads: usize,
+    /// Complex column bounds: plane `p` holds the frequencies
+    /// `cols[p]..cols[p + 1]` of every row.
+    cols: Vec<usize>,
+    /// Spectrum tile bounds: tile `p·ROW_BLOCKS + b` is row block `b` of
+    /// plane `p`.
+    tiles: Vec<usize>,
+}
+
+impl PlaneSplit {
+    fn new(n: usize, threads: usize) -> Self {
+        let (cols_n, block) = (n / 2 + 1, n / ROW_BLOCKS);
+        let planes = threads.min(rayon::pool::MAX_TILES / ROW_BLOCKS).min(cols_n);
+        let cols: Vec<usize> = (0..=planes).map(|p| p * cols_n / planes).collect();
+        let mut tiles = vec![0];
+        for p in 0..planes {
+            let width = 2 * (cols[p + 1] - cols[p]);
+            tiles.extend((1..=ROW_BLOCKS).map(|b| 2 * n * cols[p] + b * block * width));
+        }
+        Self { threads, cols, tiles }
+    }
+
+    fn planes(&self) -> usize {
+        self.cols.len() - 1
+    }
+
+    /// Float range of plane `p`'s rows within a row: its slice of every
+    /// row-major spectrum row.
+    fn row_span(&self, p: usize) -> std::ops::Range<usize> {
+        2 * self.cols[p]..2 * self.cols[p + 1]
+    }
+}
+
 /// A reusable plan for real 2-D FFTs on an `n × n` power-of-two grid.
 ///
 /// Spectra use the row-major half-spectrum layout described in the
 /// [module docs](self): `n` rows of `n/2 + 1` interleaved complex values.
+/// A plan built [`Fft2d::with_threads`] on a large enough grid keeps its
+/// kernel spectra and [`Fft2d::convolve`] scratch in column-block planes
+/// instead.
 #[derive(Debug, Clone)]
 pub struct Fft2d {
     n: usize,
@@ -163,6 +265,9 @@ pub struct Fft2d {
     halfplan: CfftPlan,
     /// Untangle twiddles `e^{-2πik/n}` for `k ∈ [0, n/2]`, interleaved.
     unt: Vec<f64>,
+    /// Plane layout of [`Fft2d::convolve`]; `None` runs it serially in
+    /// the row-major layout.
+    split: Option<PlaneSplit>,
 }
 
 impl Fft2d {
@@ -177,7 +282,27 @@ impl Fft2d {
             unt.push(angle.cos());
             unt.push(angle.sin());
         }
-        Self { n, half, full: CfftPlan::new(n), halfplan: CfftPlan::new(half), unt }
+        Self { n, half, full: CfftPlan::new(n), halfplan: CfftPlan::new(half), unt, split: None }
+    }
+
+    /// The same plan, with [`Self::convolve`] split across `threads`
+    /// cores when the grid is at least [`PARALLEL_FFT_MIN_SIDE`] on a
+    /// side; smaller grids, or one thread, keep the serial path.
+    pub fn with_threads(self, threads: usize) -> Self {
+        if threads > 1 && self.n >= PARALLEL_FFT_MIN_SIDE {
+            self.split_across(threads)
+        } else {
+            self
+        }
+    }
+
+    /// [`Self::with_threads`] without the size gate (at least
+    /// `ROW_BLOCKS` rows, so every row block holds one).
+    fn split_across(mut self, threads: usize) -> Self {
+        if threads > 1 && self.n >= ROW_BLOCKS {
+            self.split = Some(PlaneSplit::new(self.n, threads));
+        }
+        self
     }
 
     /// Padded grid side.
@@ -281,12 +406,28 @@ impl Fft2d {
         debug_assert_eq!(spec.len(), self.spectrum_len());
         let (head, tail) = spec.split_at_mut(src.len() / src_d * rw);
         for (src_row, row) in src.chunks_exact(src_d).zip(head.chunks_exact_mut(rw)) {
-            row[..src_d].copy_from_slice(src_row);
-            row[src_d..n].fill(0.0);
-            self.rfft_row(row);
+            self.forward_row(src_row, row);
         }
         tail.fill(0.0);
         self.full.transform(spec, rw, false);
+    }
+
+    /// Zero-pads one source row into `row` (`n + 2` floats) and transforms
+    /// it in place.
+    fn forward_row(&self, src_row: &[f64], row: &mut [f64]) {
+        row[..src_row.len()].copy_from_slice(src_row);
+        row[src_row.len()..self.n].fill(0.0);
+        self.rfft_row(row);
+    }
+
+    /// Inverts one column-passed row in place and scales its `n` reals.
+    fn inverse_row(&self, row: &mut [f64]) {
+        // Unscaled column + row inverses leave a factor n·(n/2).
+        let scale = 2.0 / (self.n * self.n) as f64;
+        self.irfft_row_unscaled(row);
+        for v in &mut row[..self.n] {
+            *v *= scale;
+        }
     }
 
     /// Inverse of [`Self::forward`], in place: runs the column pass over
@@ -297,16 +438,141 @@ impl Fft2d {
         let (n, rw) = (self.n, 2 * (self.half + 1));
         debug_assert_eq!(spec.len(), self.spectrum_len());
         self.full.transform(spec, rw, true);
-        // Unscaled column + row inverses leave a factor n·(n/2).
-        let scale = 2.0 / (n * n) as f64;
         for row in spec.chunks_exact_mut(rw).take(rows) {
-            self.irfft_row_unscaled(row);
-            for v in &mut row[..n] {
-                *v *= scale;
-            }
+            self.inverse_row(row);
         }
         let spec: &'s [f64] = spec;
         spec.chunks_exact(rw).take(rows).map(move |row| &row[..n])
+    }
+
+    /// The spectrum of the zero-padded field `src` (as for
+    /// [`Self::forward`]) in the layout [`Self::convolve`] multiplies by:
+    /// row-major, or column-block planes when the plan is split.
+    pub fn kernel_spectrum(&self, src: &[f64], src_d: usize) -> Vec<f64> {
+        let mut spec = vec![0.0; self.spectrum_len()];
+        self.forward(src, src_d, &mut spec);
+        let Some(split) = &self.split else { return spec };
+        let rw = 2 * (self.half + 1);
+        (0..split.planes())
+            .flat_map(|p| spec.chunks_exact(rw).flat_map(move |row| &row[split.row_span(p)]))
+            .copied()
+            .collect()
+    }
+
+    /// One circular convolution of the zero-padded field `src` with a
+    /// fixed kernel: `kspec` comes from [`Self::kernel_spectrum`], and
+    /// `product` ([`spectrum_mul`] or [`spectrum_mul_conj`]) multiplies a
+    /// stretch of spectrum by the matching stretch of `kspec`.
+    ///
+    /// The first `dst.len() / dst_d` rows of the result are read back:
+    /// `finish(total, y, row, dst_row)` gets `total = Σ src` (summed in
+    /// order), result row `y` (`n` reals) and row `y` of `dst` (`dst_d`
+    /// values). `spec` is [`Self::spectrum_len`] floats of scratch.
+    ///
+    /// On a split plan this is one [`rayon::pool::run_phases`] batch of
+    /// three phases: forward row transforms of row blocks, written into
+    /// the planes, with the sum of `src` as one more unit; per plane, the
+    /// forward column pass, the product and the inverse column pass;
+    /// inverse row transforms of the row blocks read back, each finished
+    /// into `dst`. Every element gets the butterflies, twiddles and
+    /// operation order of the serial path, so the two give the same bits.
+    #[allow(clippy::too_many_arguments)]
+    pub fn convolve<F>(
+        &self,
+        src: &[f64],
+        src_d: usize,
+        kspec: &[f64],
+        product: fn(&mut [f64], &[f64]),
+        spec: &mut [f64],
+        dst: &mut [f64],
+        dst_d: usize,
+        finish: F,
+    ) where
+        F: Fn(f64, usize, &[f64], &mut [f64]) + Sync,
+    {
+        debug_assert_eq!(spec.len(), self.spectrum_len());
+        debug_assert_eq!(kspec.len(), self.spectrum_len());
+        debug_assert!(dst.len().is_multiple_of(dst_d));
+        let rows = dst.len() / dst_d;
+        let Some(split) = &self.split else {
+            let total = src.iter().sum();
+            self.forward(src, src_d, spec);
+            product(spec, kspec);
+            for (y, (row, dst_row)) in
+                self.inverse(spec, rows).zip(dst.chunks_exact_mut(dst_d)).enumerate()
+            {
+                finish(total, y, row, dst_row);
+            }
+            return;
+        };
+        let (n, block, planes) = (self.n, self.n / ROW_BLOCKS, split.planes());
+        debug_assert!(src.len() / src_d <= n && rows <= n);
+        let spec = Tiles::new(spec, &split.tiles);
+        let mut dst_bounds = [0; ROW_BLOCKS + 1];
+        for (b, bound) in dst_bounds.iter_mut().enumerate() {
+            *bound = (b * block).min(rows) * dst_d;
+        }
+        let dst = Tiles::new(dst, &dst_bounds);
+        // `Σ src` as f64 bits: stored in phase 0, read after its barrier.
+        let total = AtomicU64::new(0);
+        let tile = |p: usize, b: usize| p * ROW_BLOCKS + b;
+        let units = [1 + ROW_BLOCKS, planes, rows.div_ceil(block)];
+        rayon::pool::run_phases(&units, Some(split.threads), |phase, unit| match (phase, unit) {
+            // The source sum, first: a serial add chain that the other
+            // thread's row transforms overlap.
+            (0, 0) => total.store(src.iter().sum::<f64>().to_bits(), Ordering::Relaxed),
+            // Forward row transforms of row block `unit - 1`, each row
+            // written into every plane; rows past the source are zero.
+            (0, _) => with_row_scratch(2 * (self.half + 1), |row| {
+                let b = unit - 1;
+                let mut planes_out = spec.lease((0..planes).map(|p| tile(p, b)));
+                for r in 0..block {
+                    let y = b * block + r;
+                    let src_row = src.get(y * src_d..(y + 1) * src_d);
+                    if let Some(src_row) = src_row {
+                        self.forward_row(src_row, row);
+                    }
+                    for p in 0..planes {
+                        let width = split.row_span(p).len();
+                        let out = &mut planes_out.get(tile(p, b)..tile(p, b) + 1)[r * width..];
+                        match src_row {
+                            Some(_) => out[..width].copy_from_slice(&row[split.row_span(p)]),
+                            None => out[..width].fill(0.0),
+                        }
+                    }
+                }
+            }),
+            // Plane `unit`: column pass, kernel product, inverse column
+            // pass — columns are independent, so no barrier.
+            (1, _) => {
+                let tiles = tile(unit, 0)..tile(unit + 1, 0);
+                let mut lease = spec.lease(tiles.clone());
+                let plane = lease.get(tiles);
+                let span = split.row_span(unit);
+                let width = span.len();
+                self.full.transform(plane, width, false);
+                product(plane, &kspec[n * span.start..n * span.end]);
+                self.full.transform(plane, width, true);
+            }
+            // Inverse row transforms of the rows of block `unit` that are
+            // read back, each finished straight into `dst`.
+            _ => with_row_scratch(2 * (self.half + 1), |row| {
+                let total = f64::from_bits(total.load(Ordering::Relaxed));
+                let mut planes_in = spec.lease((0..planes).map(|p| tile(p, unit)));
+                let mut dst_lease = dst.lease([unit]);
+                let dst_rows = dst_lease.get(unit..unit + 1).chunks_exact_mut(dst_d);
+                for (r, dst_row) in dst_rows.enumerate() {
+                    for p in 0..planes {
+                        let width = split.row_span(p).len();
+                        row[split.row_span(p)].copy_from_slice(
+                            &planes_in.get(tile(p, unit)..tile(p, unit) + 1)[r * width..][..width],
+                        );
+                    }
+                    self.inverse_row(row);
+                    finish(total, unit * block + r, &row[..n], dst_row);
+                }
+            }),
+        });
     }
 }
 
@@ -480,6 +746,74 @@ mod tests {
         for i in 0..n * n {
             assert!((got[i] - want[i]).abs() < 1e-10, "cell {i}: {} vs {}", got[i], want[i]);
         }
+    }
+
+    /// Runs one convolution of `src` (`src_d` wide) with the kernel `k`
+    /// (`k_d` wide) through `plan`, reading back `rows` rows of `dst_d`,
+    /// each finished as `row + y·Σ src`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_convolve(
+        plan: &Fft2d,
+        src: &[f64],
+        src_d: usize,
+        k: &[f64],
+        k_d: usize,
+        product: fn(&mut [f64], &[f64]),
+        rows: usize,
+        dst_d: usize,
+    ) -> Vec<f64> {
+        let kspec = plan.kernel_spectrum(k, k_d);
+        let mut spec = vec![f64::NAN; plan.spectrum_len()];
+        let mut dst = vec![f64::NAN; rows * dst_d];
+        plan.convolve(
+            src,
+            src_d,
+            &kspec,
+            product,
+            &mut spec,
+            &mut dst,
+            dst_d,
+            |total, y, row, out| {
+                for (o, &c) in out.iter_mut().zip(row) {
+                    *o = c + y as f64 * total;
+                }
+            },
+        );
+        dst
+    }
+
+    #[test]
+    fn split_convolution_matches_serial_bits() {
+        // Two to four planes, one-row blocks at n = 16, and the short
+        // sources and partial read-backs of the EM primitives (the last
+        // shape is `stream-fft`'s E-step).
+        for (n, src_d, src_rows, rows, dst_d) in [
+            (16, 16, 16, 16, 16),
+            (32, 13, 13, 23, 23),
+            (32, 23, 23, 13, 13),
+            (128, 64, 64, 92, 92),
+        ] {
+            let serial = Fft2d::new(n);
+            let src = &random_grid(n, 3 * n as u64)[..src_rows * src_d];
+            let k = &random_grid(n, 5 * n as u64)[..7 * 7];
+            for product in [spectrum_mul as fn(&mut [f64], &[f64]), spectrum_mul_conj] {
+                let want = run_convolve(&serial, src, src_d, k, 7, product, rows, dst_d);
+                for threads in [2, 3, 4, 8] {
+                    let split = Fft2d::new(n).split_across(threads);
+                    assert!(split.split.is_some());
+                    let got = run_convolve(&split, src, src_d, k, 7, product, rows, dst_d);
+                    let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "n {n} threads {threads}: split bits differ from serial");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_large_grids_on_several_threads_split() {
+        assert!(Fft2d::new(PARALLEL_FFT_MIN_SIDE).with_threads(2).split.is_some());
+        assert!(Fft2d::new(PARALLEL_FFT_MIN_SIDE).with_threads(1).split.is_none());
+        assert!(Fft2d::new(PARALLEL_FFT_MIN_SIDE / 2).with_threads(2).split.is_none());
     }
 
     #[test]

@@ -6,9 +6,17 @@
 //! sharding paths stay calibrated against the same numbers instead of
 //! each hiding its own copy.
 //!
-//! The FFT itself runs serially (see [`crate::fft`] for the measurement),
-//! so [`PARALLEL_WORK_THRESHOLD`] gates only the stencil, the sharded
-//! report pipeline and the other row-parallel sweeps.
+//! Two thresholds gate the pool: [`PARALLEL_WORK_THRESHOLD`] for the
+//! stencil, the sharded report pipeline and the other row-parallel
+//! sweeps, and [`PARALLEL_FFT_MIN_SIDE`] for the spectral convolutions.
+//! Both callers in `dam_core::conv` resolve their thread count once, when
+//! the channel is built. Asking the pool per call means one
+//! `available_parallelism` call per batch, which reads cgroup files:
+//! 21.7 µs per call on a 2-vCPU x86-64 host. That cost once made a
+//! two-core FFT measure slower than serial (603 vs 431 µs per EM
+//! iteration at n = 128, about eight calls per iteration); with the count
+//! resolved up front the same transforms run 1.44× faster on two cores
+//! (see [`crate::fft`]).
 
 /// Below this many multiply-adds per parallel primitive call (one E-step
 /// or M-step sweep), handing rows to the persistent worker pool costs
@@ -20,7 +28,24 @@
 /// by ~15% due to per-batch pool wakeups, while at `d = 64, b̂ = 8`
 /// (≈26 M MACs/sweep) it scaled with the recorded thread count. The
 /// break-even sits near 10⁶ MACs; 2²⁰ is the nearest power of two.
+///
+/// Those per-batch costs included an `available_parallelism` call per
+/// sweep (~22 µs on a 2-vCPU host; see the module docs), which
+/// [`ConvChannel`](crate::conv::ConvChannel) no longer pays: it resolves
+/// its thread count once. The threshold has not been re-measured since.
 pub const PARALLEL_WORK_THRESHOLD: usize = 1 << 20;
+
+/// Smallest padded side `n` at which a spectral convolution
+/// ([`crate::fft::Fft2d::convolve`]) splits across threads.
+///
+/// Measured on a 2-vCPU x86-64 host, one EM iteration (apply + adjoint),
+/// serial vs split over two column-block planes, medians of 31
+/// interleaved samples: 0.56× at n = 32, 1.02× at n = 64 (break-even
+/// within noise; 0.87–1.02× across runs), 1.44× at n = 128 and 1.69× at
+/// n = 256. The `ingest-1m` and `durable-cluster` benchmark shapes
+/// (d = 20, n = 32) therefore stay serial, and `stream-fft` (n = 128)
+/// splits.
+pub const PARALLEL_FFT_MIN_SIDE: usize = 128;
 
 /// Per-iteration flop count of the O(n_out·b̂²) stencil operator
 /// ([`crate::conv::ConvChannel`]): one multiply-add per (output cell,

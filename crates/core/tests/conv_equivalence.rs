@@ -344,3 +344,26 @@ fn fft_channel_matches_pinned_bits() {
     fold(ems.histogram.values());
     assert_eq!(h, FFT_CHANNEL_BITS, "spectral operator bits moved: {h:#018x}");
 }
+
+/// The pinned bits above cover the two-core spectral path: the n = 128
+/// `stream-fft` shape splits every convolution across the pool whenever
+/// the host has more than one core, so at least two threads must have
+/// drained a pool batch at once. (CI runs this suite again under
+/// `taskset -c 0`, where the same constants pin the serial path.)
+#[test]
+fn padded_128_channel_runs_on_several_threads() {
+    let kernel = DiscreteKernel::dam(3.0, 64, 14, KernelKind::Shrunken);
+    let fft = FftChannel::new(&kernel);
+    assert_eq!(fft.padded_n(), 128);
+    let counts: Vec<f64> =
+        random_weights(fft.n_out(), 128).iter().map(|x| (x * 20.0).round()).collect();
+    let params = EmParams { max_iters: 50, rel_tol: 0.0, gain_tol: 0.0 };
+    let run = expectation_maximization(&fft, &counts, None, None, params, &mut EmWorkspace::new());
+    assert_eq!(run.iters, 50);
+    if std::thread::available_parallelism().map_or(1, |p| p.get()) > 1 {
+        assert!(
+            rayon::pool::max_observed_concurrency() >= 2,
+            "the n = 128 spectral channel never ran on two threads"
+        );
+    }
+}

@@ -1,15 +1,12 @@
-//! Continual-observation benchmarks: the three costs a streaming
+//! Continual-observation benchmarks: the two costs a streaming
 //! deployment pays every epoch.
 //!
 //! * **Ingest** — randomize + shard-aggregate one epoch of reports and
-//!   slide the window/tree forward (criterion, ns/report);
+//!   slide the window forward (criterion, ns/report);
 //! * **Window estimate** — warm-started EM under the streaming budget vs
 //!   the cold 150-iteration protocol on identical window counts (manual
 //!   timing over a moving-foci stream: per-window iterations and wall
-//!   time, the warm-vs-cold ratio);
-//! * **Window query** — a prefix sum over T epochs through the
-//!   continual-counting tree (O(log T) dyadic nodes) vs the naive O(T)
-//!   rescan, at T ∈ {63, …, 4095} (all-ones epoch counts: the popcount-worst-case decompositions).
+//!   time, the warm-vs-cold ratio).
 //!
 //! Emits `BENCH_stream.json` at the repo root so later PRs can regress
 //! against the recorded trajectory.
@@ -20,7 +17,7 @@ use dam_core::DamConfig;
 use dam_fo::em::EmParams;
 use dam_geo::rng::derived;
 use dam_geo::Point;
-use dam_stream::{CountTree, StreamConfig, StreamingEstimator};
+use dam_stream::{StreamConfig, StreamingEstimator};
 use rand::Rng;
 use std::hint::black_box;
 
@@ -30,7 +27,6 @@ const WINDOW: usize = 6;
 const INGEST_POINTS: usize = 100_000;
 const EM_EPOCHS: usize = 16;
 const EM_POINTS_PER_EPOCH: usize = 20_000;
-const QUERY_T: [usize; 4] = [63, 255, 1023, 4095];
 
 /// Moving two-foci epoch (the fig_stream scenario at bench scale).
 fn epoch_points(n: usize, epoch: usize) -> Vec<Point> {
@@ -84,7 +80,7 @@ fn measure_em_per_window() -> (f64, f64, f64, f64) {
 
 fn bench_streaming(c: &mut Criterion) {
     // Ingest: one epoch per iteration (report randomization, sharded
-    // aggregation, ring slide, tree append — the full epoch hot path).
+    // aggregation, window slide, ring store — the full epoch hot path).
     {
         let mut group = c.benchmark_group("stream_ingest");
         group.sample_size(10);
@@ -103,47 +99,6 @@ fn bench_streaming(c: &mut Criterion) {
         group.finish();
     }
 
-    // Window query: dyadic tree vs naive rescan at growing T.
-    {
-        let n_cells = {
-            let grid = bench_grid(D);
-            let cfg = DamConfig::dam(EPS);
-            let client = dam_core::DamClient::new(grid, &cfg);
-            client.kernel().n_out()
-        };
-        let max_t = *QUERY_T.last().unwrap();
-        let mut tree = CountTree::exact(n_cells);
-        let mut planes: Vec<Vec<f64>> = Vec::with_capacity(max_t);
-        for e in 0..max_t {
-            let plane: Vec<f64> = (0..n_cells).map(|i| ((e * 31 + i * 7) % 23) as f64).collect();
-            tree.append(&plane);
-            planes.push(plane);
-        }
-        let mut out = vec![0.0f64; n_cells];
-        let mut group = c.benchmark_group("window_query");
-        group.sample_size(10);
-        for &t in &QUERY_T {
-            group.bench_with_input(BenchmarkId::new("tree", t), &t, |bench, &t| {
-                bench.iter(|| {
-                    tree.try_prefix_into(t, &mut out).unwrap();
-                    black_box(out[0])
-                });
-            });
-            group.bench_with_input(BenchmarkId::new("naive", t), &t, |bench, &t| {
-                bench.iter(|| {
-                    out.fill(0.0);
-                    for plane in &planes[..t] {
-                        for (acc, &v) in out.iter_mut().zip(plane) {
-                            *acc += v;
-                        }
-                    }
-                    black_box(out[0])
-                });
-            });
-        }
-        group.finish();
-    }
-
     emit_bench_json(c);
 }
 
@@ -156,21 +111,6 @@ fn emit_bench_json(c: &Criterion) {
         return;
     };
     let (warm_iters, warm_ns, cold_iters, cold_ns) = measure_em_per_window();
-    let mut query_rows = String::new();
-    for (i, &t) in QUERY_T.iter().enumerate() {
-        let (Some(tree_ns), Some(naive_ns)) =
-            (median(format!("window_query/tree/{t}")), median(format!("window_query/naive/{t}")))
-        else {
-            continue;
-        };
-        query_rows += &format!(
-            "    {{\"epochs\": {t}, \"tree_nodes\": {}, \"tree_ns\": {tree_ns:.0}, \
-             \"naive_ns\": {naive_ns:.0}, \"speedup\": {:.2}}}{}\n",
-            CountTree::prefix_nodes(t),
-            naive_ns / tree_ns,
-            if i + 1 < QUERY_T.len() { "," } else { "" },
-        );
-    }
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let json = format!(
         "{{\n  \"bench\": \"streaming\",\n  \"d\": {D},\n  \"eps\": {EPS},\n  \
@@ -180,18 +120,16 @@ fn emit_bench_json(c: &Criterion) {
          \"em_per_window\": {{\"points_per_epoch\": {EM_POINTS_PER_EPOCH}, \
          \"warm_iters\": {warm_iters:.1}, \"cold_iters\": {cold_iters:.1}, \
          \"iter_ratio\": {:.3}, \"warm_ns\": {warm_ns:.0}, \"cold_ns\": {cold_ns:.0}, \
-         \"warm_speedup\": {:.2}}},\n  \
-         \"window_query\": [\n{query_rows}  ]\n}}\n",
+         \"warm_speedup\": {:.2}}}\n}}\n",
         ingest / INGEST_POINTS as f64,
         warm_iters / cold_iters,
         cold_ns / warm_ns,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
     match std::fs::write(path, &json) {
-        Ok(()) => println!(
-            "wrote {path} (warm/cold EM iteration ratio {:.3}, tree-over-naive query speedups per row)",
-            warm_iters / cold_iters
-        ),
+        Ok(()) => {
+            println!("wrote {path} (warm/cold EM iteration ratio {:.3})", warm_iters / cold_iters)
+        }
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }

@@ -6,18 +6,19 @@
 //! Lifecycle: the coordinator appends one [`WalEntry`] per closed epoch
 //! and periodically writes a full [`CheckpointState`] (which truncates
 //! the WAL). Recovery reads the checkpoint, rebuilds the estimator's
-//! retained planes, then replays the WAL entries — re-running the
-//! window estimate for each so the EM warm chain, health counters, and
-//! published snapshots advance exactly as the uncrashed run's did.
-//! Because every rebuilt structure (epoch ring, count tree, merged
-//! planes) is whole-number `f64` arithmetic in a replay-identical order,
-//! the recovered coordinator's subsequent estimates are **bit-identical**
-//! to an uncrashed run — swept over every kill point by the recovery
-//! tests.
+//! retained planes — only the live window's, so a checkpoint stops
+//! growing once the window fills — then replays the WAL entries,
+//! re-running the window estimate for each so the EM warm chain, health
+//! counters, and published snapshots advance exactly as the uncrashed
+//! run's did. Every plane is a whole number below 2⁵³, so the rebuilt
+//! window sum is exact and the recovered coordinator's estimates are
+//! **bit-identical** to an uncrashed run — swept over every kill point by
+//! the recovery tests.
 //!
 //! Failure behaviour is structured, never a panic: wrong magic, a
-//! version this build does not speak, truncated files, and checksum
-//! mismatches each map to their own [`CheckpointError`] variant.
+//! version this build does not speak, truncated files (or lengths the
+//! file cannot hold), and checksum mismatches — the WAL header has its
+//! own — each map to their own [`CheckpointError`] variant.
 
 use std::fs;
 use std::io::Write as _;
@@ -31,8 +32,9 @@ use dam_stream::PipelineHealth;
 const CKPT_MAGIC: &[u8; 8] = b"DAMCKPT\0";
 /// WAL file magic (8 bytes).
 const WAL_MAGIC: &[u8; 8] = b"DAMWAL\0\0";
-/// Format version both files carry. Bump on any layout change.
-pub const FORMAT_VERSION: u32 = 1;
+/// Format version both files carry. Bump on any layout change (2: the
+/// checkpoint holds only the window's planes, the WAL header a checksum).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a checkpoint or WAL could not be read or written.
 #[derive(Debug)]
@@ -95,14 +97,16 @@ impl From<std::io::Error> for CheckpointError {
 }
 
 /// Everything the coordinator needs persisted to resume bit-identically:
-/// the full retained epoch-plane history (ring and tree rebuild from
-/// it), counters, health, per-epoch node coverage of the live window,
+/// the merged planes of the live window (the epoch ring rebuilds from
+/// them), counters, health, per-epoch node coverage of the live window,
 /// and the EM warm-start seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointState {
     /// Cells per plane.
     pub n_cells: usize,
-    /// Every closed epoch's merged plane, epoch order.
+    /// The merged planes of the last `min(epochs closed, window)` epochs,
+    /// oldest first. The stream head they end at is
+    /// `health.epochs_ingested + health.epochs_missed`.
     pub planes: Vec<Vec<f64>>,
     /// Total reports ingested.
     pub reports: u64,
@@ -189,8 +193,10 @@ impl<'a> Reader<'a> {
         Self { buf, pos: 0 }
     }
 
+    /// The next `n` bytes, checked against the bytes left, so no length
+    /// read from a file sizes an allocation the file cannot back.
     fn bytes(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(CheckpointError::Truncated { context });
         }
         let out = &self.buf[self.pos..self.pos + n];
@@ -212,12 +218,19 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.bytes(8, context)?.try_into().unwrap()))
     }
 
-    fn f64(&mut self, context: &'static str) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64(context)?))
-    }
-
     fn usize(&mut self, context: &'static str) -> Result<usize, CheckpointError> {
         Ok(self.u64(context)? as usize)
+    }
+
+    /// `n` little-endian words, bounds-checked as one run of bytes.
+    fn words(
+        &mut self,
+        n: usize,
+        context: &'static str,
+    ) -> Result<impl Iterator<Item = u64> + 'a, CheckpointError> {
+        let bytes = self.bytes(n.saturating_mul(8), context)?;
+        // lint: allow(no-panic-in-lib, chunks_exact(8) yields 8-byte slices only)
+        Ok(bytes.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap())))
     }
 }
 
@@ -327,29 +340,22 @@ impl CheckpointState {
             retries: r.u64("stats.retries")?,
         };
         let n_cov = r.usize("coverage.len")?;
-        let mut coverage = Vec::with_capacity(n_cov.min(1 << 16));
-        for _ in 0..n_cov {
-            coverage.push(r.usize("coverage entry")?);
-        }
+        let coverage = r.words(n_cov, "coverage")?.map(|c| c as usize).collect();
         let snapshot_em_iters = r.u64("snapshot_em_iters")?;
         let snapshot_warm = r.u8("snapshot_warm")? != 0;
         let warm = if r.u8("warm flag")? != 0 {
             let n_warm = r.usize("warm.len")?;
-            let mut w = Vec::with_capacity(n_warm.min(1 << 24));
-            for _ in 0..n_warm {
-                w.push(r.f64("warm cell")?);
-            }
-            Some(w)
+            Some(r.words(n_warm, "warm cells")?.map(f64::from_bits).collect())
         } else {
             None
         };
-        let mut planes = Vec::with_capacity(n_planes.min(1 << 20));
-        for _ in 0..n_planes {
-            let mut plane = Vec::with_capacity(n_cells);
-            for _ in 0..n_cells {
-                plane.push(r.f64("plane cell")?);
-            }
-            planes.push(plane);
+        let planes = (0..n_planes)
+            .map(|_| Ok(r.words(n_cells, "plane cells")?.map(f64::from_bits).collect()))
+            .collect::<Result<_, CheckpointError>>()?;
+        if r.pos != payload.len() {
+            return Err(CheckpointError::Corrupt {
+                detail: format!("{} bytes past the last plane", payload.len() - r.pos),
+            });
         }
         Ok(Self {
             n_cells,
@@ -402,10 +408,7 @@ impl WalEntry {
             quarantined: r.u64("wal.quarantined")?,
             clamped: r.u64("wal.clamped")?,
         };
-        let mut plane = Vec::with_capacity(n_cells);
-        for _ in 0..n_cells {
-            plane.push(r.f64("wal plane cell")?);
-        }
+        let plane = r.words(n_cells, "wal plane cells")?.map(f64::from_bits).collect();
         let end = r.pos;
         let recorded = r.u64("wal entry checksum")?;
         if fnv1a(&r.buf[start..end]) != recorded {
@@ -503,10 +506,12 @@ impl CheckpointStore {
             fs::OpenOptions::new().append(true).open(&path)?
         } else {
             let mut f = fs::File::create(&path)?;
-            let mut header = Vec::with_capacity(20);
+            let mut header = Vec::with_capacity(28);
             header.extend_from_slice(WAL_MAGIC);
             header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
             push_u64(&mut header, entry.plane.len() as u64);
+            let checksum = fnv1a(&header);
+            push_u64(&mut header, checksum);
             f.write_all(&header)?;
             written += header.len() as u64;
             f
@@ -537,6 +542,10 @@ impl CheckpointStore {
             });
         }
         let n_cells = r.usize("wal n_cells")?;
+        // The header checksum covers magic, version and n_cells.
+        if fnv1a(&bytes[..20]) != r.u64("wal header checksum")? {
+            return Err(CheckpointError::ChecksumMismatch { kind: "wal header" });
+        }
         if n_cells == 0 {
             return Err(CheckpointError::Corrupt { detail: "wal n_cells = 0".into() });
         }

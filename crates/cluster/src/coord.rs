@@ -19,9 +19,9 @@
 //! inverse coverage so the epoch's expected mass matches a full-coverage
 //! epoch — and the rescale is **quantized** (`(v·K/arrived).round()`):
 //! counts stay whole numbers, which keeps every downstream structure
-//! (epoch ring increments, tree node merges, checkpoint replay) in
-//! exact integer `f64` arithmetic — the property all the bit-identity
-//! guarantees in this crate rest on. The thinner evidence is recorded
+//! (window-sum increments, restores from a checkpoint's planes, WAL
+//! replay) in exact integer `f64` arithmetic — the property all the
+//! bit-identity guarantees in this crate rest on. The thinner evidence is recorded
 //! as [`dam_stream::PipelineHealth::nodes_missed`] and flagged via
 //! `partial_window` while any under-covered epoch remains in the
 //! window.
@@ -30,8 +30,10 @@
 //!
 //! With a [`CheckpointStore`] attached, every close appends a
 //! [`WalEntry`] and every `checkpoint_every` epochs a full
-//! [`CheckpointState`] is written (truncating the WAL). Recovery
-//! restores the checkpoint, republishes the last snapshot (the
+//! [`CheckpointState`] of the live window's planes is written
+//! (truncating the WAL). Recovery checks the checkpoint against what the
+//! restore relies on (plane count, stream head, whole-number planes),
+//! restores it, republishes the last snapshot (the
 //! estimator's warm state *is* the last published estimate — no EM
 //! re-run, which would advance the warm chain), then replays WAL
 //! entries re-running the window estimate for each, reproducing the
@@ -250,29 +252,40 @@ impl Coordinator {
     }
 
     fn restore_checkpoint(&mut self, state: CheckpointState) -> Result<(), CheckpointError> {
+        let corrupt = |detail: String| Err(CheckpointError::Corrupt { detail });
         let n = self.est.client().kernel().n_out();
         if state.n_cells != n {
-            return Err(CheckpointError::Corrupt {
-                detail: format!("checkpoint plane width {} != pipeline {n}", state.n_cells),
-            });
+            return corrupt(format!("checkpoint plane width {} != pipeline {n}", state.n_cells));
         }
         if let Some(bad) = state.planes.iter().position(|p| p.len() != n) {
-            return Err(CheckpointError::Corrupt {
-                detail: format!(
-                    "checkpoint plane {bad} has {} cells, want {n}",
-                    state.planes[bad].len()
-                ),
-            });
+            let len = state.planes[bad].len();
+            return corrupt(format!("checkpoint plane {bad} has {len} cells, want {n}"));
+        }
+        // The estimator restores the planes as the last epochs before the
+        // head its health counters name; the window sum it rebuilds from
+        // them is exact only for whole counts below 2⁵³ (NaN fails too).
+        let h = &state.health;
+        let Some(head) = h.epochs_ingested.checked_add(h.epochs_missed) else {
+            return corrupt("epoch counters overflow".into());
+        };
+        let head = head.max(state.planes.len());
+        if head as u64 != state.stats.epochs_closed {
+            let closed = state.stats.epochs_closed;
+            return corrupt(format!("stream head {head} != {closed} epochs closed"));
+        }
+        let want = head.min(self.est.config().window);
+        if state.planes.len() != want {
+            let got = state.planes.len();
+            return corrupt(format!("{got} planes for a head of {head}, want {want}"));
+        }
+        let whole = |v: f64| (0.0..9_007_199_254_740_992.0).contains(&v) && v.fract() == 0.0;
+        if let Some(&v) = state.planes.iter().flatten().find(|&&v| !whole(v)) {
+            return corrupt(format!("a plane holds {v}, not a whole count below 2^53"));
         }
         if let Some(w) = &state.warm {
             if w.len() != self.grid.n_cells() {
-                return Err(CheckpointError::Corrupt {
-                    detail: format!(
-                        "warm state has {} cells, grid has {}",
-                        w.len(),
-                        self.grid.n_cells()
-                    ),
-                });
+                let cells = self.grid.n_cells();
+                return corrupt(format!("warm state has {} cells, grid has {cells}", w.len()));
             }
         }
         self.est.restore(&state.planes, state.reports, state.health, state.warm);
@@ -364,7 +377,8 @@ impl Coordinator {
         &self.stats
     }
 
-    /// The underlying streaming estimator (window counts, health, tree).
+    /// The underlying streaming estimator (window counts, health, the
+    /// retained epoch planes).
     #[inline]
     pub fn estimator(&self) -> &StreamingEstimator {
         &self.est
@@ -545,14 +559,9 @@ impl Coordinator {
     }
 
     fn state_snapshot(&self, last: &WindowEstimate) -> CheckpointState {
-        let epochs = self.est.epochs();
-        let planes = (0..epochs)
-            // lint: allow(no-panic-in-lib, t ranges over epochs() which the tree retains by construction)
-            .map(|t| self.est.tree().epoch_plane(t).expect("retained epoch").to_vec())
-            .collect();
         CheckpointState {
             n_cells: self.est.client().kernel().n_out(),
-            planes,
+            planes: self.est.tree().held_planes().map(<[f64]>::to_vec).collect(),
             reports: self.est.reports(),
             clock: self.clock,
             health: self.est.health(),

@@ -31,8 +31,9 @@
 //!   the merged plane into the warm-started EM + snapshot swap of
 //!   `dam-stream`;
 //! * [`checkpoint`] — coordinator crash recovery: a plain versioned
-//!   binary [`checkpoint::CheckpointState`] (epoch planes, health, EM
-//!   warm state, clock) plus an epoch-plane WAL, such that a coordinator
+//!   binary [`checkpoint::CheckpointState`] (the live window's epoch
+//!   planes, health, EM warm state, clock — bounded in size however long
+//!   the stream runs) plus an epoch-plane WAL, such that a coordinator
 //!   killed at **any** epoch boundary restores and produces
 //!   bit-identical subsequent window estimates, pyramids and health
 //!   records (the recovery tests sweep every kill point at 1 and 4

@@ -1,13 +1,17 @@
 //! Cluster behavior under faults — dedup, delay/backoff, quorum
-//! degradation — plus the checkpoint/WAL format contract (satellite:
-//! round-trips for empty/partial/full windows, structured errors for
-//! version mismatches and truncated files, never a panic).
+//! degradation — plus the checkpoint/WAL format contract: round-trips
+//! for empty/partial/full windows, structured errors (never a panic) for
+//! version mismatches, truncated files and byte-level mutations of real
+//! files, a restore that rejects what it cannot rebuild exactly, and
+//! checkpoints that stop growing once the window fills.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use dam_cluster::{
-    CheckpointError, CheckpointState, CheckpointStore, Cluster, ClusterConfig, CoordStats, WalEntry,
+    CheckpointError, CheckpointState, CheckpointStore, Cluster, ClusterConfig, CoordStats,
+    Coordinator, WalEntry,
 };
 use dam_core::validate::IngestSummary;
 use dam_core::DamConfig;
@@ -15,6 +19,7 @@ use dam_fault::NodeFaultPlan;
 use dam_geo::rng::splitmix64;
 use dam_geo::{BoundingBox, Grid2D, Point};
 use dam_stream::{PipelineHealth, StreamConfig, StreamingEstimator};
+use proptest::prelude::*;
 
 fn epoch_points(epoch: usize) -> Vec<Point> {
     let cx = 0.3 + 0.4 * (epoch as f64 / 5.0).fract();
@@ -244,18 +249,21 @@ fn checkpoint_version_mismatch_is_a_structured_error() {
     let store = CheckpointStore::new(&dir).unwrap();
     store.write_checkpoint(&state(vec![vec![1.0; 4]], Some(vec![0.25; 4]))).unwrap();
     // Rewrite the version field (bytes 8..12) and re-seal the checksum so
-    // the version check — not the integrity check — is what trips.
-    let mut bytes = fs::read(store.checkpoint_path()).unwrap();
-    bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-    let payload_len = bytes.len() - 8;
-    let sum = fnv1a(&bytes[..payload_len]);
-    bytes[payload_len..].copy_from_slice(&sum.to_le_bytes());
-    fs::write(store.checkpoint_path(), &bytes).unwrap();
-    match store.read_checkpoint() {
-        Err(CheckpointError::VersionMismatch { found: 99, expected }) => {
-            assert_eq!(expected, dam_cluster::checkpoint::FORMAT_VERSION);
+    // the version check — not the integrity check — is what trips, for a
+    // future version and for version 1 (same layout, every epoch's plane).
+    let original = fs::read(store.checkpoint_path()).unwrap();
+    for version in [99u32, 1] {
+        let mut bytes = original.clone();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let payload_len = bytes.len() - 8;
+        reseal(&mut bytes, payload_len);
+        fs::write(store.checkpoint_path(), &bytes).unwrap();
+        match store.read_checkpoint() {
+            Err(CheckpointError::VersionMismatch { found, expected }) if found == version => {
+                assert_eq!(expected, dam_cluster::checkpoint::FORMAT_VERSION);
+            }
+            other => panic!("expected VersionMismatch, got {other:?}"),
         }
-        other => panic!("expected VersionMismatch, got {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -356,11 +364,207 @@ fn wal_version_mismatch_is_a_structured_error() {
     let store = CheckpointStore::new(&dir).unwrap();
     store.append_wal(&wal_entry(0)).unwrap();
     let mut bytes = fs::read(store.wal_path()).unwrap();
-    bytes[8..12].copy_from_slice(&7u32.to_le_bytes());
-    fs::write(store.wal_path(), &bytes).unwrap();
-    assert!(matches!(
-        store.read_wal(),
-        Err(CheckpointError::VersionMismatch { found: 7, expected: _ })
-    ));
+    // Version 1 headers had no checksum; the version is read first.
+    for version in [7u32, 1] {
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        fs::write(store.wal_path(), &bytes).unwrap();
+        let read = store.read_wal();
+        assert!(
+            matches!(read, Err(CheckpointError::VersionMismatch { found, .. }) if found == version)
+        );
+    }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Writes the FNV-1a checksum of `bytes[..end]` at `end`.
+fn reseal(bytes: &mut [u8], end: usize) {
+    let sum = fnv1a(&bytes[..end]);
+    bytes[end..end + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+#[test]
+fn corrupt_wal_header_is_an_error_not_a_panic() {
+    // Byte 19 is the top byte of the header's `n_cells`: unchecked, it
+    // sized a `Vec::with_capacity` and recovery aborted on overflow.
+    let dir = scratch("wal-header");
+    let _ = fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new(&dir).unwrap();
+    store.append_wal(&wal_entry(0)).unwrap();
+    let mut bytes = fs::read(store.wal_path()).unwrap();
+    bytes[19] ^= 1 << 4;
+    fs::write(store.wal_path(), &bytes).unwrap();
+    let read = store.read_wal();
+    assert!(matches!(read, Err(CheckpointError::ChecksumMismatch { kind: "wal header" })));
+    // Re-sealed, the length fails the bytes-left check instead.
+    reseal(&mut bytes, 20);
+    fs::write(store.wal_path(), &bytes).unwrap();
+    assert!(matches!(store.read_wal(), Err(CheckpointError::Truncated { .. })));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A persistent 3-node cluster under every fault family.
+fn persistent(dir: &Path, every: usize) -> Result<Cluster, CheckpointError> {
+    let grid = Grid2D::new(BoundingBox::unit(), 6);
+    let plan = NodeFaultPlan::parse("seed=5,crash=0.1,delay=0.3,delaymax=2,dup=0.2,corrupt=0.1");
+    let (store, cluster) = (CheckpointStore::new(dir)?, ClusterConfig::with_quorum(3, 2));
+    Cluster::with_store(grid, stream_config(), cluster, plan.unwrap(), store, every)
+}
+
+/// Epochs closed, published estimate, window counts and health, as bits.
+type Bits = (usize, Vec<u64>, Vec<u64>, PipelineHealth);
+
+fn bits(c: &Coordinator) -> Bits {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    let snap = c.snapshot();
+    (c.next_epoch(), bits(snap.estimate.values()), bits(c.estimator().window_counts()), snap.health)
+}
+
+/// Runs epochs `0..epochs` into a fresh store at `dir`; the state after
+/// each, and the checkpoint file's size then.
+fn run_into(dir: &Path, epochs: usize, every: usize) -> Vec<(Bits, u64)> {
+    let _ = fs::remove_dir_all(dir);
+    let mut cluster = persistent(dir, every).unwrap();
+    let size = || fs::metadata(dir.join("checkpoint.bin")).map_or(0, |m| m.len());
+    (0..epochs)
+        .map(|e| {
+            cluster.ingest_epoch(&epoch_points(e)).unwrap();
+            (bits(cluster.coordinator()), size())
+        })
+        .collect()
+}
+
+/// What recovery makes of a real epoch-4 checkpoint that `edit` broke.
+fn recover_edited(tag: &str, edit: impl FnOnce(&mut CheckpointState)) -> String {
+    let dir = scratch(tag);
+    run_into(&dir, 4, 4);
+    let store = CheckpointStore::new(&dir).unwrap();
+    let mut state = store.read_checkpoint().unwrap().unwrap();
+    edit(&mut state);
+    store.write_checkpoint(&state).unwrap();
+    let recovered = persistent(&dir, 4).map(drop);
+    let _ = fs::remove_dir_all(&dir);
+    match recovered {
+        Err(CheckpointError::Corrupt { detail }) => detail,
+        other => panic!("{tag}: expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn restore_rejects_a_plane_count_other_than_the_window() {
+    let detail = recover_edited("count", |s| drop(s.planes.remove(0)));
+    assert!(detail.contains("2 planes for a head of 4, want 3"), "{detail}");
+}
+
+#[test]
+fn restore_rejects_a_head_other_than_the_epochs_closed() {
+    let detail = recover_edited("head", |s| s.stats.epochs_closed += 1);
+    assert!(detail.contains("stream head 4 != 5 epochs closed"), "{detail}");
+}
+
+#[test]
+fn restore_rejects_planes_that_are_not_whole_counts() {
+    for bad in [0.5, -1.0, f64::NAN, f64::INFINITY, 2f64.powi(53)] {
+        let detail = recover_edited("cells", |s| s.planes[1][2] = bad);
+        assert!(detail.contains("not a whole count"), "{bad}: {detail}");
+    }
+}
+
+/// A real store (checkpoint at epoch 4, WAL entries for epochs 4 and 5),
+/// its decoded checkpoint, and the run's state after every epoch.
+type Fixture = (Vec<u8>, Vec<u8>, CheckpointState, Vec<Bits>);
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let dir = scratch("fixture");
+        let history = run_into(&dir, 6, 4).into_iter().map(|(b, _)| b).collect();
+        let store = CheckpointStore::new(&dir).unwrap();
+        let (ckpt, wal) = (fs::read(store.checkpoint_path()), fs::read(store.wal_path()));
+        let state = store.read_checkpoint().unwrap().unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        (ckpt.unwrap(), wal.unwrap(), state, history)
+    })
+}
+
+/// Recovers from the fixture with `mutate` applied to the checkpoint or
+/// (`wal`) the WAL. Passing means an error, or the state the run ended
+/// in — or, for a WAL cut at an entry boundary (a crash mid-append), an
+/// earlier state of the run.
+fn recovers_or_errs(wal: bool, mutate: impl FnOnce(&mut Vec<u8>)) -> Result<(), String> {
+    let (ckpt, log, original, history) = fixture();
+    let (mut ckpt, mut log) = (ckpt.clone(), log.clone());
+    mutate(if wal { &mut log } else { &mut ckpt });
+    let dir = scratch(&format!("mutant-{:x}", fnv1a(&ckpt) ^ fnv1a(&log)));
+    let store = CheckpointStore::new(&dir).unwrap();
+    fs::write(store.checkpoint_path(), &ckpt).unwrap();
+    fs::write(store.wal_path(), &log).unwrap();
+    let decoded = store.read_checkpoint();
+    let recovered = persistent(&dir, 4).map(|c| bits(c.coordinator()));
+    let _ = fs::remove_dir_all(&dir);
+    match recovered {
+        _ if matches!(&decoded, Ok(Some(s)) if s != original) => Err("decoded a new state".into()),
+        Ok(got) if got.0 == 0 || history[got.0 - 1] != got => Err(format!("epoch {}", got.0)),
+        Ok(got) if got.0 != history.len() && log.len() == fixture().1.len() => {
+            Err(format!("recovered to epoch {}", got.0))
+        }
+        _ => Ok(()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn flipped_bits_never_panic_recovery(wal in 0u32..2, at in 0usize..1 << 30, bit in 0u32..8) {
+        let verdict = recovers_or_errs(wal == 1, |f| {
+            let at = at % f.len();
+            f[at] ^= 1 << bit;
+        });
+        prop_assert_eq!(verdict, Ok(()), "byte {} bit {}", at, bit);
+    }
+
+    #[test]
+    fn truncated_files_never_panic_recovery(wal in 0u32..2, keep in 0usize..1 << 30) {
+        let verdict = recovers_or_errs(wal == 1, |f| f.truncate(keep % f.len()));
+        prop_assert_eq!(verdict, Ok(()), "kept {}", keep);
+    }
+
+    #[test]
+    fn overwritten_lengths_never_panic_recovery(field in 0usize..5, raw in 0u64..u64::MAX) {
+        // The checkpoint's n_cells, n_planes, coverage.len and warm.len,
+        // or the WAL header's n_cells, each re-sealed.
+        let value = [raw % 64, raw, u64::MAX - raw % 64][(raw % 3) as usize];
+        let state = &fixture().2;
+        let coverage = 12 + 4 * 8 + 81 + 3 * 8;
+        let warm = coverage + 8 + 8 * state.coverage.len() + 10;
+        let at = [12, 20, coverage, warm, 12][field];
+        let was = [state.n_cells, 3, state.coverage.len(), 36, state.n_cells][field];
+        let verdict = recovers_or_errs(field == 4, |f| {
+            assert_eq!(f[at..at + 8], (was as u64).to_le_bytes(), "field {field} offset");
+            f[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let end = if field == 4 { 20 } else { f.len() - 8 };
+            reseal(f, end);
+        });
+        prop_assert_eq!(verdict, Ok(()), "field {} = {}", field, value);
+    }
+}
+
+#[test]
+fn checkpoints_stop_growing_once_the_window_fills() {
+    // Hundreds of epochs with a checkpoint every 7: each holds the
+    // window's 3 planes and all have one size, and recovering from the
+    // last one (plus the WAL past it) tracks the uncrashed run bit for bit.
+    let (dir, reference_dir) = (scratch("soak"), scratch("soak-reference"));
+    let reference = run_into(&reference_dir, 305, 7);
+    let doomed = run_into(&dir, 300, 7);
+    assert!(doomed[6..].iter().all(|(_, size)| *size == doomed[6].1), "checkpoints grew");
+    let mut revived = persistent(&dir, 7).unwrap();
+    let held = revived.coordinator().estimator().tree().held_planes().count();
+    assert_eq!((held, bits(revived.coordinator())), (3, doomed[299].0.clone()));
+    for e in 300..305 {
+        revived.ingest_epoch(&epoch_points(e)).unwrap();
+        assert_eq!(bits(revived.coordinator()), reference[e].0, "epoch {e}");
+    }
+    assert!(reference[304].0 .3.nodes_missed > 0 && reference[304].0 .3.sanitized_cells > 0);
+    let _ = (fs::remove_dir_all(&dir), fs::remove_dir_all(&reference_dir));
 }

@@ -43,11 +43,9 @@ pub fn shard_rng(master: u64, shard: u64) -> StdRng {
 /// This is the one keyed-stream constructor every crate outside `dam-geo`
 /// must go through (the `no-entropy-rng` lint enforces it): a domain
 /// picks a unique salt constant, and `(master, salt, id)` then names a
-/// replayable stream. [`shard_rng`] is `keyed(master, SHARD_SALT, shard)`;
-/// `dam-stream`'s per-node noise streams are
-/// `keyed(noise_seed, NODE_NOISE_SALT, node_id)`. The seed derivation is
-/// the same double-SplitMix64 pattern as [`derived`], so the bit pattern
-/// of existing streams is unchanged.
+/// replayable stream. [`shard_rng`] is `keyed(master, SHARD_SALT, shard)`.
+/// The seed derivation is the same double-SplitMix64 pattern as
+/// [`derived`], so the bit pattern of existing streams is unchanged.
 pub fn keyed(master: u64, salt: u64, id: u64) -> StdRng {
     StdRng::seed_from_u64(splitmix64(master ^ splitmix64(id ^ salt)))
 }

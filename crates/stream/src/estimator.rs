@@ -6,10 +6,11 @@
 //! * the [`DamClient`] (kernel + response tables, built once);
 //! * the resolved [`EmOperator`] (stencil offsets or FFT plan + kernel
 //!   spectrum, built once — every window's PostProcess reuses it);
-//! * a [`CountTree`] over the full epoch history for O(log T) prefix and
-//!   arbitrary-window queries — its leaves are the retained epoch planes;
-//! * the exact sliding-window counts, slid incrementally off those leaves
-//!   (one plane update per epoch: add the new plane, subtract the leaf
+//! * an [`EpochRing`] holding the last `window` epoch planes — the only
+//!   history the estimator reads, so retention is bounded however long
+//!   the stream runs;
+//! * the exact sliding-window counts, slid incrementally off that ring
+//!   (one plane update per epoch: add the new plane, subtract the one
 //!   `window` epochs back);
 //! * a long-lived [`EmWorkspace`] plus the previous window's estimate, so
 //!   each window's EM **warm-starts** from the last solution under the
@@ -40,7 +41,7 @@
 //! `threads` value (the crate's determinism suite pins it end to end).
 
 use crate::health::{names, PipelineHealth};
-use crate::tree::CountTree;
+use crate::ring::EpochRing;
 use dam_core::em2d::smooth_2d;
 use dam_core::validate::{sanitize_counts, IngestPolicy};
 use dam_core::{DamClient, DamConfig, EmOperator};
@@ -72,10 +73,6 @@ pub struct StreamConfig {
     pub window: usize,
     /// Master seed; epoch `e` reports through stream `(seed, e)`.
     pub seed: u64,
-    /// Laplace scale for the continual-counting tree's per-node noise
-    /// (`0.0`, the LDP default: reports are already private, the tree is
-    /// a query-cost structure only).
-    pub noise_scale: f64,
     /// EM knobs for **warm-started** windows ([`EmParams::streaming`] by
     /// default): a small iteration budget — which doubles as the
     /// early-stopping regularizer against noise overfitting — plus the
@@ -95,14 +92,7 @@ impl StreamConfig {
     /// A streaming pipeline over `dam` with the given window length and
     /// the measured warm-window defaults.
     pub fn new(dam: DamConfig, window: usize, seed: u64) -> Self {
-        Self {
-            dam,
-            window,
-            seed,
-            noise_scale: 0.0,
-            warm_em: EmParams::streaming(),
-            policy: IngestPolicy::Clamp,
-        }
+        Self { dam, window, seed, warm_em: EmParams::streaming(), policy: IngestPolicy::Clamp }
     }
 }
 
@@ -178,11 +168,9 @@ pub struct StreamingEstimator {
     grid: Grid2D,
     /// Exact sum of the last `min(epochs, window)` retained planes.
     window_counts: Vec<f64>,
-    tree: CountTree,
-    scratch: Vec<f64>,
+    ring: EpochRing,
     ws: EmWorkspace,
     prev: Option<Vec<f64>>,
-    epochs: usize,
     reports: u64,
     obs: Registry,
     hh: ObsHandles,
@@ -203,7 +191,6 @@ impl StreamingEstimator {
         let client = DamClient::new(grid.clone(), &config.dam);
         let operator = EmOperator::new(client.kernel(), config.dam.backend);
         let n_out = client.kernel().n_out();
-        let tree_seed = splitmix64(config.seed ^ EPOCH_SALT);
         let hh = ObsHandles::register(&obs);
         // Which EM backend the operator actually resolved to (auto picks
         // stencil vs FFT from the measured crossover).
@@ -220,11 +207,9 @@ impl StreamingEstimator {
             operator,
             grid,
             window_counts: vec![0.0; n_out],
-            tree: CountTree::new(n_out, config.noise_scale, tree_seed, config.dam.threads),
-            scratch: Vec::new(),
+            ring: EpochRing::new(n_out, config.window, 0),
             ws,
             prev: None,
-            epochs: 0,
             reports: 0,
             obs,
             hh,
@@ -235,7 +220,7 @@ impl StreamingEstimator {
     /// Epochs ingested so far.
     #[inline]
     pub fn epochs(&self) -> usize {
-        self.epochs
+        self.ring.len()
     }
 
     /// Total reports ingested so far.
@@ -256,10 +241,11 @@ impl StreamingEstimator {
         &self.client
     }
 
-    /// The continual-counting tree over the full epoch history.
+    /// The retained epoch planes: the last `min(epochs, window)` of them
+    /// (named for the count tree the ring replaced; `perfbench` reads it).
     #[inline]
-    pub fn tree(&self) -> &CountTree {
-        &self.tree
+    pub fn tree(&self) -> &EpochRing {
+        &self.ring
     }
 
     /// The exact noisy-report counts of the current sliding window.
@@ -291,18 +277,17 @@ impl StreamingEstimator {
     /// [`IngestPolicy`], accounted in [`StreamingEstimator::health`]),
     /// randomizes the accepted remainder through the sharded report
     /// pipeline (bit-identical for any thread count), slides the window
-    /// forward and appends the epoch plane to the continual-counting
-    /// tree. Returns the epoch index just ingested.
+    /// forward and retains the epoch plane in the ring. Returns the epoch
+    /// index just ingested.
     ///
     /// Quarantined reports consume no randomness, so validation is
     /// invisible to the valid remainder of a batch.
     ///
-    /// The randomize/aggregate/window hot path reuses its buffers (shard
-    /// scratch and the window sum); the tree, by contrast, *retains* each
-    /// epoch — one O(n_cells) plane copy per epoch plus the amortized
-    /// dyadic parents, O(T·n_cells) total over the stream's life. That
-    /// history is what the O(log T) queries read; see the ROADMAP open
-    /// item on a retention policy for bounding it.
+    /// Between epochs the estimator holds only the window: the shard
+    /// planes of the report pipeline (one per 16Ki reports — more than the
+    /// whole window at a million reports) live for the call, and
+    /// retaining the epoch is one O(n_cells) copy into the ring slot the
+    /// evicted epoch held.
     pub fn ingest_epoch(&mut self, points: &[Point]) -> usize {
         self.ingest_epoch_with(points, |_, _| {})
     }
@@ -310,7 +295,7 @@ impl StreamingEstimator {
     /// [`StreamingEstimator::ingest_epoch`] with a post-aggregation
     /// tamper hook: after the epoch's validated reports are randomized
     /// and aggregated, `tamper(epoch, plane)` may mutate the count plane
-    /// before it enters the window and the tree. This is the
+    /// before it enters the window and the ring. This is the
     /// fault-injection seam (`fig_stream --inject` wires
     /// `dam_fault::FaultPlan` plane poisoning through it) — production
     /// callers use [`StreamingEstimator::ingest_epoch`].
@@ -323,22 +308,23 @@ impl StreamingEstimator {
     where
         F: FnOnce(usize, &mut [f64]),
     {
-        let _span = self.obs.span_at("ingest", LogicalStamp::epoch(self.epochs as u64));
+        let _span = self.obs.span_at("ingest", LogicalStamp::epoch(self.ring.len() as u64));
         let t0 = self.obs.now_ns();
-        let seed = Self::epoch_seed(self.config.seed, self.epochs);
+        let seed = Self::epoch_seed(self.config.seed, self.ring.len());
+        let mut plane = Vec::new();
         let summary = self.client.report_batch_validated_in(
             points,
             seed,
             self.config.dam.threads,
             self.config.policy,
-            &mut self.scratch,
+            &mut plane,
         );
         self.hh.seen.add(summary.seen);
         self.hh.quarantined.add(summary.quarantined);
         self.hh.clamped.add(summary.clamped);
-        tamper(self.epochs, &mut self.scratch);
-        self.hh.sanitized_cells.add(sanitize_counts(&mut self.scratch) as u64);
-        let epoch = self.retain();
+        tamper(self.ring.len(), &mut plane);
+        self.hh.sanitized_cells.add(sanitize_counts(&mut plane) as u64);
+        let epoch = self.retain(&plane);
         self.reports += points.len() as u64;
         self.hh.epochs_ingested.incr();
         let dt = self.obs.now_ns().saturating_sub(t0);
@@ -354,7 +340,7 @@ impl StreamingEstimator {
     /// report partitions and a coordinator merged (and possibly rescaled)
     /// the planes. The plane runs the same retention path as
     /// [`StreamingEstimator::ingest_epoch`]'s locally-aggregated counts:
-    /// sanitize, slide the window, append to the tree. `summary` is the
+    /// sanitize, slide the window, retain the plane. `summary` is the
     /// merged validated-ingest accounting of the nodes that contributed
     /// (disjoint node covers sum to the single-node summary), and its
     /// `seen` advances the report counter. Returns the epoch index just
@@ -365,16 +351,15 @@ impl StreamingEstimator {
         summary: &dam_core::validate::IngestSummary,
     ) -> usize {
         assert_eq!(plane.len(), self.client.kernel().n_out(), "plane does not match pipeline");
-        let _span = self.obs.span_at("ingest_plane", LogicalStamp::epoch(self.epochs as u64));
-        self.scratch.clear();
-        self.scratch.extend_from_slice(plane);
+        let _span = self.obs.span_at("ingest_plane", LogicalStamp::epoch(self.ring.len() as u64));
+        let mut plane = plane.to_vec();
         self.hh.seen.add(summary.seen);
         self.hh.quarantined.add(summary.quarantined);
         self.hh.clamped.add(summary.clamped);
-        self.hh.sanitized_cells.add(sanitize_counts(&mut self.scratch) as u64);
+        self.hh.sanitized_cells.add(sanitize_counts(&mut plane) as u64);
         self.reports += summary.seen;
         self.hh.epochs_ingested.incr();
-        self.retain()
+        self.retain(&plane)
     }
 
     /// Records an epoch the collector never delivered (outage, dropped
@@ -383,11 +368,8 @@ impl StreamingEstimator {
     /// [`PipelineHealth::epochs_missed`] counts it. Returns the epoch
     /// index just recorded.
     pub fn ingest_missed_epoch(&mut self) -> usize {
-        let n = self.client.kernel().n_out();
-        self.scratch.clear();
-        self.scratch.resize(n, 0.0);
         self.hh.epochs_missed.incr();
-        self.retain()
+        self.retain(&vec![0.0; self.client.kernel().n_out()])
     }
 
     /// The current sliding-window estimate, **warm-started** from the
@@ -466,13 +448,15 @@ impl StreamingEstimator {
     }
 
     /// Rebuilds a **fresh** estimator's retained state from a
-    /// checkpoint: re-ingests `planes` (epoch order, raw — no health
-    /// accounting, those counters arrive wholesale in `health`), then
-    /// installs the persisted health record, report counter, and
-    /// warm-start seed. Window and tree rebuild through the same
-    /// retention step that built them originally, so every
-    /// subsequent window estimate is bit-identical to the uncrashed
-    /// run's.
+    /// checkpoint: `planes` are the stream's *last* `planes.len()`
+    /// epochs, oldest first, ending at the head
+    /// `max(planes.len(), health.epochs_ingested + health.epochs_missed)`
+    /// (every ingest path advances exactly one of those counters). They
+    /// re-enter raw through the retention step that built them, then the
+    /// persisted health record, report counter and warm seed are
+    /// installed. The rebuilt window sum is bit-identical to the live one
+    /// for whole-number planes below 2⁵³ (every sum is exact), or when
+    /// `planes` start at the stream's first epoch.
     ///
     /// Panics if this estimator has already ingested epochs — restore
     /// targets a newly-constructed pipeline with the same config.
@@ -483,11 +467,11 @@ impl StreamingEstimator {
         health: PipelineHealth,
         warm: Option<Vec<f64>>,
     ) {
-        assert_eq!(self.epochs, 0, "restore targets a fresh estimator");
+        let head = planes.len().max(health.epochs_ingested.saturating_add(health.epochs_missed));
+        assert!(self.ring.is_empty(), "restore targets a fresh estimator");
+        self.ring = EpochRing::new(self.ring.n_cells(), self.config.window, head - planes.len());
         for plane in planes {
-            self.scratch.clear();
-            self.scratch.extend_from_slice(plane);
-            self.retain();
+            self.retain(plane);
         }
         self.reports = reports;
         health.store_into(&self.obs);
@@ -495,19 +479,17 @@ impl StreamingEstimator {
     }
 
     /// The one retention step every ingest and restore path ends in:
-    /// slides the window sum onto the epoch plane staged in `scratch`,
-    /// appends that plane to the tree as the next leaf and advances the
-    /// epoch counter. Returns the epoch index retained.
+    /// slides the window sum onto `plane` and stores it in the ring as the
+    /// next epoch. Returns the epoch index retained.
     ///
     /// Once the window is full the update is `acc += new - old`, with
-    /// `old` read back from the tree's leaf `window` epochs behind — the
-    /// same expression, in the same order, that rebuilding or restoring
-    /// the stream evaluates, so the sum is bit-reproducible even for
-    /// fractional (tampered) planes, and exact for whole-number ones.
-    fn retain(&mut self) -> usize {
-        let plane = &self.scratch;
-        let window = self.config.window;
-        match self.epochs.checked_sub(window).and_then(|t| self.tree.epoch_plane(t)) {
+    /// `old` read from the ring slot the new plane then overwrites — the
+    /// same expression, in the same order, that rebuilding the stream
+    /// evaluates, so the sum is bit-reproducible even for fractional
+    /// (tampered) planes, and exact for whole-number ones.
+    fn retain(&mut self, plane: &[f64]) -> usize {
+        let epoch = self.ring.len();
+        match epoch.checked_sub(self.config.window).and_then(|t| self.ring.epoch_plane(t)) {
             Some(old) => {
                 for ((acc, &new), &old) in self.window_counts.iter_mut().zip(plane).zip(old) {
                     *acc += new - old;
@@ -519,17 +501,16 @@ impl StreamingEstimator {
                 }
             }
         }
-        self.tree.append(plane);
-        let epoch = self.epochs;
-        self.epochs += 1;
+        self.ring.push(plane);
         epoch
     }
 
     fn run_em(&mut self, init: Option<&[f64]>) -> WindowEstimate {
-        let held = self.epochs.min(self.config.window);
+        let epochs = self.ring.len();
+        let held = epochs.min(self.config.window);
         let _span = self.obs.span_at(
             "em_window",
-            LogicalStamp { epoch: self.epochs as u64, window: held as u64, iteration: 0 },
+            LogicalStamp { epoch: epochs as u64, window: held as u64, iteration: 0 },
         );
         // A stream younger than the window covers fewer epochs than
         // configured: still a well-defined estimate (the window sums what
@@ -663,20 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_and_ring_agree_on_the_current_window() {
-        let grid = Grid2D::new(BoundingBox::unit(), 6);
-        let mut s = StreamingEstimator::new(grid, stream_config(3));
-        for e in 0..7 {
-            s.ingest_epoch(&focus_points((0.5, 0.5), 2_000, e));
-        }
-        // The incremental window equals the tree's dyadic query for the
-        // same epoch range (both exact integer sums).
-        let mut from_tree = vec![0.0; s.window_counts().len()];
-        s.tree().try_window_into(4, 7, &mut from_tree).unwrap();
-        assert_eq!(s.window_counts(), &from_tree[..]);
-    }
-
-    #[test]
     fn partial_window_is_flagged_until_the_window_fills() {
         let grid = Grid2D::new(BoundingBox::unit(), 6);
         let mut s = StreamingEstimator::new(grid, stream_config(3));
@@ -746,9 +713,9 @@ mod tests {
             plane[2] = -5.0;
         });
         assert_eq!(s.health().sanitized_cells, 3);
-        // The retained plane (window and tree alike) is finite.
+        // The retained plane (window and ring alike) is finite.
         assert!(s.window_counts().iter().all(|v| v.is_finite() && *v >= 0.0));
-        let (leaf, _) = s.tree().window_clamped(0, 1).unwrap();
+        let leaf = s.tree().epoch_plane(0).unwrap();
         assert!(leaf.iter().all(|v| v.is_finite() && *v >= 0.0));
         let est = s.estimate_window();
         assert!(est.histogram.values().iter().all(|v| v.is_finite()));

@@ -1,5 +1,5 @@
-//! Pipeline health: structured errors for window queries and the running
-//! fault/degradation telemetry of a streaming deployment.
+//! Pipeline health: the running fault/degradation telemetry of a
+//! streaming deployment.
 //!
 //! A long-running estimator cannot treat malformed input as fatal — the
 //! stream keeps coming — but it also must not degrade *silently*: an
@@ -10,10 +10,6 @@
 //! (everything since construction) and stamps a snapshot onto every
 //! [`crate::WindowEstimate`], so each published estimate carries the
 //! state of the pipeline that produced it.
-//!
-//! [`StreamError`] is the non-panicking face of the [`crate::CountTree`]
-//! query-bounds checks, for callers (replay tools, remote query servers)
-//! whose `t` comes from outside the process.
 
 use dam_core::validate::IngestSummary;
 use dam_obs::{Plane, Registry};
@@ -46,40 +42,6 @@ pub mod names {
     /// 1.0 while the most recent estimate was partial, else 0.0.
     pub const PARTIAL_WINDOW: &str = "window_partial";
 }
-
-/// A window/prefix query that cannot be answered as posed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamError {
-    /// The query asks for epochs beyond what has been ingested.
-    PastStreamHead {
-        /// Requested (exclusive) end epoch.
-        t: usize,
-        /// Epochs actually ingested.
-        len: usize,
-    },
-    /// The window's bounds are reversed (`t0 > t1`).
-    ReversedWindow {
-        /// Requested start epoch.
-        t0: usize,
-        /// Requested (exclusive) end epoch.
-        t1: usize,
-    },
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            StreamError::PastStreamHead { t, len } => {
-                write!(f, "prefix past the stream head: {t} > {len}")
-            }
-            StreamError::ReversedWindow { t0, t1 } => {
-                write!(f, "window bounds reversed: [{t0}, {t1})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
 
 /// Running fault/degradation telemetry of one streaming pipeline.
 ///
@@ -286,17 +248,5 @@ mod tests {
         assert_eq!(PipelineHealth::from_registry(&reg), h);
         // A registry that never registered the names reads as default.
         assert_eq!(PipelineHealth::from_registry(&Registry::new()), PipelineHealth::default());
-    }
-
-    #[test]
-    fn stream_errors_render() {
-        assert_eq!(
-            StreamError::PastStreamHead { t: 9, len: 4 }.to_string(),
-            "prefix past the stream head: 9 > 4"
-        );
-        assert_eq!(
-            StreamError::ReversedWindow { t0: 3, t1: 1 }.to_string(),
-            "window bounds reversed: [3, 1)"
-        );
     }
 }

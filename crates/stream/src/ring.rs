@@ -1,10 +1,71 @@
-//! The sliding window as a ring over the count tree's last `window`
-//! epoch leaves. [`StreamingEstimator`](crate::StreamingEstimator) keeps no planes of its own: its
-//! `window_counts` plane adds each new epoch and subtracts the leaf
-//! `window` epochs back. These tests pin the ring contract on that plane
-//! — the incremental sum equals a rescan of the held leaves bit for bit,
-//! a full window drops exactly its oldest epoch, and a window the stream
-//! has not yet filled sums every epoch it holds.
+//! The retained epochs. Sliding the window sum needs only the new plane
+//! and the one `window` epochs back, so [`EpochRing`] holds nothing older:
+//! retention memory and checkpoints stop growing once the window fills.
+
+/// The last `min(len, window)` epoch planes of a stream in one buffer of
+/// `window` planes, allocated once; epoch `t` overwrites slot `t % window`.
+#[derive(Debug, Clone)]
+pub struct EpochRing {
+    n_cells: usize,
+    window: usize,
+    /// Epochs ingested: the stream head.
+    len: usize,
+    /// Planes held, `≤ window`: epochs `[len − held, len)`.
+    held: usize,
+    planes: Vec<f64>,
+}
+
+impl EpochRing {
+    /// A ring of `window` planes of `n_cells` cells whose next epoch is
+    /// `head`, holding no plane yet (`head > 0` resumes a restored stream).
+    pub(crate) fn new(n_cells: usize, window: usize, head: usize) -> Self {
+        assert!(n_cells > 0 && window > 0, "a ring holds at least one plane of one cell");
+        Self { n_cells, window, len: head, held: 0, planes: vec![0.0; window * n_cells] }
+    }
+
+    /// Epochs ingested so far (held or not).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True before the first epoch.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Cells per plane.
+    #[inline]
+    pub fn n_cells(&self) -> usize {
+        self.n_cells
+    }
+
+    /// Epoch `t`'s count plane while the ring still holds it — one of
+    /// the last `min(len, window)` epochs — else `None`.
+    #[inline]
+    pub fn epoch_plane(&self, t: usize) -> Option<&[f64]> {
+        if t >= self.len || self.len - t > self.held {
+            return None;
+        }
+        let at = t % self.window * self.n_cells;
+        Some(&self.planes[at..at + self.n_cells])
+    }
+
+    /// The held planes, oldest first.
+    pub fn held_planes(&self) -> impl Iterator<Item = &[f64]> + '_ {
+        (self.len - self.held..self.len).filter_map(move |t| self.epoch_plane(t))
+    }
+
+    /// Stores `plane` as epoch `len()`, in the slot of epoch `len − window`.
+    pub(crate) fn push(&mut self, plane: &[f64]) {
+        assert_eq!(plane.len(), self.n_cells, "plane does not match ring width");
+        let at = self.len % self.window * self.n_cells;
+        self.planes[at..at + self.n_cells].copy_from_slice(plane);
+        self.len += 1;
+        self.held = (self.held + 1).min(self.window);
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -32,13 +93,11 @@ mod tests {
         p
     }
 
-    /// Rescan of the tree leaves the window holds.
+    /// Rescan of the planes the ring holds.
     fn recompute(s: &StreamingEstimator) -> Vec<f64> {
-        let t1 = s.epochs();
-        let t0 = t1.saturating_sub(s.config().window);
         let mut out = vec![0.0; s.window_counts().len()];
-        for t in t0..t1 {
-            for (acc, &v) in out.iter_mut().zip(s.tree().epoch_plane(t).unwrap()) {
+        for plane in s.tree().held_planes() {
+            for (acc, &v) in out.iter_mut().zip(plane) {
                 *acc += v;
             }
         }
@@ -67,6 +126,7 @@ mod tests {
         assert_eq!(&s.window_counts()[..3], &[0.0, 2.0, 4.0]);
         assert!(s.window_counts()[3..].iter().all(|&v| v == 0.0));
         assert!(!s.estimate_window().health.partial_window);
+        assert!(s.tree().epoch_plane(0).is_none() && s.tree().epoch_plane(3).is_none());
     }
 
     #[test]

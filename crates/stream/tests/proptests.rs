@@ -1,27 +1,13 @@
-//! Property tests for the continual-counting tree and the estimator's
-//! sliding window: noise-free dyadic queries must match a naive
-//! accumulator **exactly** (whole-number counts make every sum exact f64
-//! integer arithmetic), and the window sum slid off the tree's leaves
-//! must match both the tree's window query and a from-scratch rescan bit
-//! for bit.
+//! Property tests for the estimator's sliding window: the window sum
+//! slid over the epoch ring must match a from-scratch rescan bit for bit
+//! (whole-number counts make every sum exact f64 integer arithmetic),
+//! and a restore from only the planes the ring holds must rebuild it.
 
 use dam_core::{DamConfig, IngestSummary};
 use dam_geo::rng::splitmix64;
 use dam_geo::{BoundingBox, Grid2D};
-use dam_stream::{CountTree, PipelineHealth, StreamConfig, StreamingEstimator};
+use dam_stream::{PipelineHealth, StreamConfig, StreamingEstimator};
 use proptest::prelude::*;
-
-fn prefix(tree: &CountTree, t: usize) -> Vec<f64> {
-    let mut out = vec![0.0; tree.n_cells()];
-    tree.try_prefix_into(t, &mut out).unwrap();
-    out
-}
-
-fn window(tree: &CountTree, t0: usize, t1: usize) -> Vec<f64> {
-    let mut out = vec![0.0; tree.n_cells()];
-    tree.try_window_into(t0, t1, &mut out).unwrap();
-    out
-}
 
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -57,50 +43,7 @@ fn naive_window(planes: &[Vec<f64>], t0: usize, t1: usize, n_cells: usize) -> Ve
     acc
 }
 
-/// Strategy: a stream of small whole-number count planes.
-fn plane_stream() -> impl Strategy<Value = (usize, Vec<Vec<f64>>)> {
-    (1usize..12, 1usize..24).prop_flat_map(|(n_cells, epochs)| {
-        let plane = prop::collection::vec(0u32..50, n_cells..n_cells + 1)
-            .prop_map(|v| v.into_iter().map(f64::from).collect::<Vec<f64>>());
-        (Just(n_cells), prop::collection::vec(plane, epochs..epochs + 1))
-    })
-}
-
 proptest! {
-    #[test]
-    fn exact_prefix_matches_naive_accumulator(stream in plane_stream()) {
-        let (n_cells, planes) = stream;
-        let mut tree = CountTree::exact(n_cells);
-        for plane in &planes {
-            tree.append(plane);
-        }
-        for t in 0..=planes.len() {
-            prop_assert_eq!(prefix(&tree, t), naive_window(&planes, 0, t, n_cells));
-        }
-    }
-
-    #[test]
-    fn exact_window_matches_naive_accumulator(
-        stream in plane_stream(),
-        bounds in (0usize..=24, 0usize..=24),
-    ) {
-        let (n_cells, planes) = stream;
-        let mut tree = CountTree::exact(n_cells);
-        for plane in &planes {
-            tree.append(plane);
-        }
-        let t0 = bounds.0.min(planes.len());
-        let t1 = bounds.1.min(planes.len());
-        let (t0, t1) = (t0.min(t1), t0.max(t1));
-        prop_assert_eq!(window(&tree, t0, t1), naive_window(&planes, t0, t1, n_cells));
-    }
-
-    #[test]
-    fn prefix_reads_at_most_log_t_nodes(t in 0usize..100_000) {
-        let bound = if t == 0 { 0 } else { t.ilog2() as usize + 1 };
-        prop_assert!(CountTree::prefix_nodes(t) <= bound);
-    }
-
     #[test]
     fn ring_incremental_sum_is_bit_identical_to_rescan(
         window_len in 1usize..8,
@@ -126,25 +69,24 @@ proptest! {
     }
 
     #[test]
-    fn ring_window_equals_tree_window(
+    fn restore_from_held_planes_rebuilds_the_window(
         window_len in 1usize..6,
-        epochs in prop::collection::vec((0u64..u64::MAX, 0u32..4), 1..24),
+        epochs in prop::collection::vec((0u64..u64::MAX, 0u32..4), 2..24),
     ) {
-        // Two independent routes to the same sliding window — the
-        // incremental sum and the tree's dyadic decomposition — must
-        // agree exactly on whole-number planes after every epoch.
-        let mut s = estimator(window_len);
-        for (e, (salt, fate)) in epochs.into_iter().enumerate() {
-            ingest(&mut s, salt, fate);
-            let t = e + 1;
-            let t0 = t.saturating_sub(window_len);
-            prop_assert_eq!(
-                bits(s.window_counts()),
-                bits(&window(s.tree(), t0, t)),
-                "epoch {}",
-                t
-            );
+        // A checkpoint holds only the ring's planes and the health record
+        // naming the head: restored from them and fed the same next epoch,
+        // a stream must hold the live one's window bit for bit.
+        let (history, next) = epochs.split_at(epochs.len() - 1);
+        let mut live = estimator(window_len);
+        history.iter().for_each(|&(salt, fate)| drop(ingest(&mut live, salt, fate)));
+        let held: Vec<Vec<f64>> = live.tree().held_planes().map(<[f64]>::to_vec).collect();
+        let mut restored = estimator(window_len);
+        restored.restore(&held, live.reports(), live.health(), None);
+        for s in [&mut live, &mut restored] {
+            ingest(s, next[0].0, next[0].1);
         }
+        prop_assert_eq!(restored.epochs(), live.epochs());
+        prop_assert_eq!(bits(restored.window_counts()), bits(live.window_counts()));
     }
 }
 
@@ -167,9 +109,10 @@ fn fractional_tampered_planes_slide_as_add_new_minus_old() {
     // The chosen values tell the two orders apart in every cell.
     assert!(incremental.iter().zip(&split).all(|(a, b)| a.to_bits() != b.to_bits()));
 
-    // Restoring from the tree's leaves replays the same arithmetic.
-    let leaves: Vec<Vec<f64>> = (0..3).map(|t| s.tree().epoch_plane(t).unwrap().to_vec()).collect();
+    // Restoring from all three planes replays the same arithmetic.
+    let zeros = vec![0.0; s.window_counts().len() - 3];
+    let planes: Vec<Vec<f64>> = cells.iter().map(|c| [&c[..], &zeros].concat()).collect();
     let mut restored = estimator(2);
-    restored.restore(&leaves, 0, PipelineHealth::default(), None);
+    restored.restore(&planes, 0, PipelineHealth::default(), None);
     assert_eq!(bits(restored.window_counts()), bits(s.window_counts()));
 }

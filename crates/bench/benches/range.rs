@@ -9,7 +9,9 @@
 //! * **Answering** — the minimal-node-cover walk vs naive O(cells)
 //!   summation for a large (d/2 × d/2) centered range; the committed
 //!   `BENCH_range.json` pins the cover path ≥ 10× over naive at d = 256
-//!   along with the node counts that explain it.
+//!   along with the node counts that explain it;
+//! * **Point** — one [`Pyramid::cell`] read, the cells visited in a
+//!   scattered order so the row is not a cached-line best case.
 //!
 //! Emits `BENCH_range.json` at the repo root so later PRs can regress
 //! against the recorded trajectory.
@@ -64,6 +66,13 @@ fn large_range(d: u32) -> (u32, u32, u32, u32) {
     (d / 4 + 1, d / 4 + 1, 3 * d / 4, 3 * d / 4)
 }
 
+/// The `k`-th cell of the point bench's scattered visiting order
+/// (a Weyl sequence over the cells, so successive reads land far apart).
+fn point_cell(d: u32, k: u32) -> (u32, u32) {
+    let i = k.wrapping_mul(0x9E37_79B9) % (d * d);
+    (i % d, i / d)
+}
+
 fn naive_range_sum(plane: &[f64], d: u32, q: (u32, u32, u32, u32)) -> f64 {
     let mut acc = 0.0;
     for y in q.1..=q.3 {
@@ -107,6 +116,14 @@ fn bench_range(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", d), &d, |bench, _| {
             bench.iter(|| black_box(naive_range_sum(&plane, d, q)));
         });
+        group.bench_with_input(BenchmarkId::new("point", d), &d, |bench, _| {
+            let mut k = 0u32;
+            bench.iter(|| {
+                k = k.wrapping_add(1);
+                let (x, y) = point_cell(d, k);
+                black_box(exact.cell(x, y))
+            });
+        });
         group.finish();
     }
 
@@ -119,11 +136,12 @@ fn emit_bench_json(c: &Criterion) {
     };
     let mut rows = String::new();
     for (i, &d) in SIDES.iter().enumerate() {
-        let (Some(build), Some(infer), Some(cover), Some(naive)) = (
+        let (Some(build), Some(infer), Some(cover), Some(naive), Some(point)) = (
             median(format!("pyramid_build/from_plane/{d}")),
             median(format!("constrained/infer/{d}")),
             median(format!("range_answer/cover/{d}")),
             median(format!("range_answer/naive/{d}")),
+            median(format!("range_answer/point/{d}")),
         ) else {
             eprintln!("range results missing for d={d}; not writing BENCH_range.json");
             return;
@@ -136,7 +154,7 @@ fn emit_bench_json(c: &Criterion) {
         rows += &format!(
             "    {{\"d\": {d}, \"build_ns\": {build:.0}, \"constrained_ns\": {infer:.0}, \
              \"range_cells\": {cells}, \"cover_nodes\": {nodes}, \"cover_ns\": {cover:.0}, \
-             \"naive_ns\": {naive:.0}, \"speedup\": {:.2}}}{}\n",
+             \"naive_ns\": {naive:.0}, \"speedup\": {:.2}, \"point_ns\": {point:.1}}}{}\n",
             naive / cover,
             if i + 1 < SIDES.len() { "," } else { "" },
         );

@@ -354,10 +354,13 @@ impl Pyramid {
         self.levels.get(li).filter(|l| l.side == side)
     }
 
-    /// Leaf value at cell `(ix, iy)`.
+    /// Leaf value at cell `(ix, iy)`: exactly the 1×1 cover's answer
+    /// (`0.0 + leaf`, so a `−0.0` leaf reads `+0.0` as a summing
+    /// accumulator would), read straight off the leaf level.
     pub fn cell(&self, ix: u32, iy: u32) -> f64 {
         assert!(ix < self.d && iy < self.d, "cell exceeds the grid");
-        self.range_sum(ix, iy, ix, iy)
+        let leaf = &self.levels[self.levels.len() - 1];
+        0.0 + leaf.values[(iy * leaf.side + ix) as usize]
     }
 
     /// Sum over the inclusive cell rectangle `x0..=x1 × y0..=y1` read
@@ -384,15 +387,17 @@ impl Pyramid {
         // hi exclusive), in that level's node coordinates.
         let mut prev: Option<(u32, u32, u32, u32)> = None;
         for lv in &self.levels {
-            let per = lv.per;
             // Nodes wholly inside the query, by the *unclamped* dyadic
             // geometry (an edge-clamped node is never "contained", so
             // its real cells are emitted at finer levels instead —
-            // exact, since its out-of-grid children hold zero).
-            let nx_lo = x0.div_ceil(per);
-            let nx_hi = (x1 + 1) / per;
-            let ny_lo = y0.div_ceil(per);
-            let ny_hi = (y1 + 1) / per;
+            // exact, since its out-of-grid children hold zero). `per` is
+            // a power of two, so the ceiling and floor divisions by it
+            // are shifts.
+            let (round, shift) = (lv.per - 1, lv.per.trailing_zeros());
+            let nx_lo = (x0 + round) >> shift;
+            let nx_hi = (x1 + 1) >> shift;
+            let ny_lo = (y0 + round) >> shift;
+            let ny_hi = (y1 + 1) >> shift;
             if nx_lo >= nx_hi || ny_lo >= ny_hi {
                 continue;
             }

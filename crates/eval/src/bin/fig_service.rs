@@ -156,6 +156,9 @@ fn main() {
     assert!(hio < raw, "constrained hierarchy ({hio:.4}) must beat independent levels ({raw:.4})");
     println!("{}", dam_eval::obs::health_footer("service", &service.health()));
     if let Some(path) = &args.metrics_out {
+        // Snapshot age is computed at scrape time, so refresh it just
+        // before the registry is exported.
+        service.snapshot_age_ns();
         dam_eval::obs::write_metrics(path, &[("service", service.obs())]).expect("write metrics");
         println!("metrics: {}", path.display());
     }

@@ -57,7 +57,7 @@ pub enum PlanParseError {
     RateOutOfRange {
         /// The key whose rate is out of range.
         key: String,
-        /// The parsed (finite) rate.
+        /// The parsed rate (`inf` and `NaN` parse, and land here).
         value: f64,
     },
     /// Individually-valid knobs that contradict each other.
@@ -447,6 +447,10 @@ mod tests {
             FaultPlan::parse("corrupt=1.5"),
             Err(PlanParseError::RateOutOfRange { key: "corrupt".into(), value: 1.5 })
         );
+        assert!(matches!(
+            FaultPlan::parse("corrupt=NaN"),
+            Err(PlanParseError::RateOutOfRange { value, .. }) if value.is_nan()
+        ));
         assert!(matches!(
             FaultPlan::parse("drop=0.6,delay=0.6"),
             Err(PlanParseError::Inconsistent { .. })

@@ -96,6 +96,14 @@ impl Counter {
         self.add(1);
     }
 
+    /// Adds one and returns this worker's cell as it was before: a
+    /// per-worker sequence number (workers beyond [`STRIPES`] share
+    /// cells, so theirs interleave), for deterministic 1-in-k sampling
+    /// without a second thread-local.
+    pub fn incr_seq(&self) -> u64 {
+        self.0.cells[home_cell()].fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Merges the cells in fixed order: the deterministic total.
     pub fn value(&self) -> u64 {
         let mut total = 0u64;
@@ -504,6 +512,21 @@ mod tests {
         // Same name returns the same underlying counter.
         let c2 = r.counter("reports_seen", Plane::Deterministic);
         c2.add(1);
+        assert_eq!(c.value(), 5);
+    }
+
+    #[test]
+    fn incr_seq_numbers_this_workers_increments() {
+        let r = Registry::new();
+        let c = r.counter("q", Plane::Deterministic);
+        let seq: Vec<u64> = (0..4).map(|_| c.incr_seq()).collect();
+        assert_eq!(seq, vec![0, 1, 2, 3]);
+        // Another worker starts from zero on its own cell, or continues
+        // this one's if the test binary's workers have wrapped round
+        // STRIPES onto it; the merged value counts both either way.
+        let other = r.counter("q", Plane::Deterministic);
+        let first = std::thread::spawn(move || other.incr_seq()).join().unwrap();
+        assert!(first == 0 || first == 4, "foreign sequence {first}");
         assert_eq!(c.value(), 5);
     }
 

@@ -13,9 +13,13 @@
 //!   `Mutex<StreamingEstimator>`; the epoch is ingested and the window
 //!   re-estimated *outside* any reader-visible state, then the finished
 //!   snapshot is swapped in under a brief `RwLock<Arc<Snapshot>>` write;
-//! * queries (`point` / `range` / `heatmap` / `snapshot`) clone the
-//!   `Arc` under a read lock and compute entirely on that immutable
-//!   snapshot.
+//! * `point` and `range` answer under the read guard itself, which
+//!   saves the two shared reference-count updates of an `Arc` clone and
+//!   drop; a cover walk takes at most a few hundred nanoseconds, so the
+//!   writer's swap waits for at most the point and range queries in
+//!   flight when it asks;
+//! * `heatmap` (an O(side²) copy) and `snapshot` clone the `Arc` under
+//!   the read guard and work on that immutable snapshot unlocked.
 //!
 //! Readers therefore never observe a half-built estimate: every answer
 //! is computed against exactly one published epoch boundary. Because the
@@ -26,6 +30,16 @@
 //! epoch; only *which* epoch a racing query observes can vary, never
 //! the value answered for a given epoch. `crates/stream/tests/service.rs`
 //! pins both properties.
+//!
+//! What a query records: one increment of its kind's striped counter
+//! (`service_queries_{point,range,heatmap}`, the worker's own cell) and,
+//! for a range, its cover size on the striped `range_cover_nodes_total`
+//! (mean cover = that counter over `service_queries_range`). Latency is
+//! sampled: the query whose count on its worker's cell is a multiple of
+//! 64 (a private `const`) reads the registry clock around its answer and
+//! records into the timing-plane `service_query_*_ns` histogram; the
+//! rest read no clock. Snapshot age is computed only when asked, by
+//! [`QueryService::snapshot_age_ns`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,6 +50,10 @@ use dam_core::Pyramid;
 use dam_geo::{Grid2D, Histogram2D, Point};
 use dam_obs::{Counter, Gauge, Histogram as ObsHistogram, LogicalStamp, Plane, Registry};
 use parking_lot::{Mutex, RwLock};
+
+/// One query in this many, per worker and query kind, is timed into
+/// the latency histograms.
+const LATENCY_STRIDE: u64 = 64;
 
 /// One immutable epoch-versioned view of the stream: everything a query
 /// needs, frozen at a window close.
@@ -57,8 +75,9 @@ pub struct Snapshot {
     pub health: PipelineHealth,
 }
 
-/// The service's registered obs handles: per-query counters and latency
-/// histograms, snapshot freshness, pyramid/range-cover accounting.
+/// The service's registered obs handles: per-query counters and sampled
+/// latency histograms, snapshot freshness, pyramid/range-cover
+/// accounting.
 struct ServiceObs {
     queries_point: Counter,
     queries_range: Counter,
@@ -70,7 +89,7 @@ struct ServiceObs {
     snapshot_epoch: Gauge,
     publish_ns: ObsHistogram,
     pyramid_nodes: Gauge,
-    range_cover_nodes: ObsHistogram,
+    range_cover_nodes_total: Counter,
 }
 
 impl ServiceObs {
@@ -88,7 +107,7 @@ impl ServiceObs {
             snapshot_epoch: reg.gauge("service_snapshot_epoch", det),
             publish_ns: reg.histogram("service_publish_ns", timing),
             pyramid_nodes: reg.gauge("pyramid_nodes", det),
-            range_cover_nodes: reg.histogram("range_cover_nodes", det),
+            range_cover_nodes_total: reg.counter("range_cover_nodes_total", det),
         }
     }
 }
@@ -199,7 +218,10 @@ impl QueryService {
             warm: window.warm,
             health: window.health,
         });
-        *self.latest.write() = snapshot;
+        // The replaced snapshot is released after the write guard, so
+        // readers never wait on its deallocation.
+        let replaced = std::mem::replace(&mut *self.latest.write(), snapshot);
+        drop(replaced);
         let now = self.obs.now_ns();
         self.so.publish_ns.record(now.saturating_sub(t0));
         self.so.snapshot_epoch.set(est.epochs() as f64);
@@ -207,8 +229,9 @@ impl QueryService {
     }
 
     /// Timing-plane freshness: how long ago (on the registry's clock)
-    /// the current snapshot was published. Also recorded into the
-    /// `service_snapshot_age_ns` gauge.
+    /// the current snapshot was published. Computed here, at scrape
+    /// time, and recorded into the `service_snapshot_age_ns` gauge —
+    /// queries never touch it.
     pub fn snapshot_age_ns(&self) -> u64 {
         let age = self.obs.now_ns().saturating_sub(self.last_publish_ns.load(Ordering::Relaxed));
         self.so.snapshot_age_ns.set(age as f64);
@@ -216,58 +239,62 @@ impl QueryService {
     }
 
     /// The latest published snapshot (cheap: clones an `Arc` under a
-    /// read lock). All queries below are shorthands over this.
+    /// read lock).
     pub fn snapshot(&self) -> Arc<Snapshot> {
         Arc::clone(&self.latest.read())
     }
 
     /// Epoch of the latest published snapshot.
     pub fn epoch(&self) -> usize {
-        self.snapshot().epoch
+        self.latest.read().epoch
     }
 
-    /// Point query: the estimated mass of cell `(ix, iy)`.
-    pub fn point(&self, ix: u32, iy: u32) -> f64 {
+    /// Counts one query on `count` and runs it, timing it into `latency`
+    /// if it is its worker's [`LATENCY_STRIDE`]-th.
+    #[inline]
+    fn query<T>(&self, count: &Counter, latency: &ObsHistogram, answer: impl FnOnce() -> T) -> T {
+        if !count.incr_seq().is_multiple_of(LATENCY_STRIDE) {
+            return answer();
+        }
         let t0 = self.obs.now_ns();
-        let snap = self.snapshot();
-        let v = snap.pyramid.cell(ix, iy);
-        self.so.queries_point.incr();
-        self.so.query_point_ns.record(self.obs.now_ns().saturating_sub(t0));
-        self.snapshot_age_ns();
-        v
+        let out = answer();
+        latency.record(self.obs.now_ns().saturating_sub(t0));
+        out
+    }
+
+    /// Point query: the estimated mass of cell `(ix, iy)`, read under
+    /// the snapshot read guard.
+    pub fn point(&self, ix: u32, iy: u32) -> f64 {
+        self.query(&self.so.queries_point, &self.so.query_point_ns, || {
+            self.latest.read().pyramid.cell(ix, iy)
+        })
     }
 
     /// Range query: estimated mass of the inclusive cell rectangle,
-    /// answered by the snapshot pyramid's minimal node cover (the cover
-    /// size is recorded in the `range_cover_nodes` histogram).
+    /// answered under the read guard by the snapshot pyramid's minimal
+    /// node cover (the cover size is added to `range_cover_nodes_total`).
     pub fn range(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> f64 {
-        let t0 = self.obs.now_ns();
-        let snap = self.snapshot();
-        let (v, nodes) = snap.pyramid.range_sum_counted(x0, y0, x1, y1);
-        self.so.queries_range.incr();
-        self.so.range_cover_nodes.record(nodes as u64);
-        self.so.query_range_ns.record(self.obs.now_ns().saturating_sub(t0));
-        self.snapshot_age_ns();
+        let (v, nodes) = self.query(&self.so.queries_range, &self.so.query_range_ns, || {
+            self.latest.read().pyramid.range_sum_counted(x0, y0, x1, y1)
+        });
+        self.so.range_cover_nodes_total.add(nodes as u64);
         v
     }
 
     /// Heatmap query: the `side × side` aggregate plane (row-major) from
     /// the snapshot pyramid, or `None` if `side` is not one of its
     /// dyadic levels. Edge-clamped nodes of a non-power-of-two grid hold
-    /// their clamped mass (zero past the edge).
+    /// their clamped mass (zero past the edge). The copy runs on a
+    /// cloned snapshot, outside the read guard.
     pub fn heatmap(&self, side: u32) -> Option<Vec<f64>> {
-        let t0 = self.obs.now_ns();
-        let snap = self.snapshot();
-        let hm = snap.pyramid.level_for_side(side).map(|lv| lv.values().to_vec());
-        self.so.queries_heatmap.incr();
-        self.so.query_heatmap_ns.record(self.obs.now_ns().saturating_sub(t0));
-        self.snapshot_age_ns();
-        hm
+        self.query(&self.so.queries_heatmap, &self.so.query_heatmap_ns, || {
+            self.snapshot().pyramid.level_for_side(side).map(|lv| lv.values().to_vec())
+        })
     }
 
     /// Pipeline health of the latest snapshot.
     pub fn health(&self) -> PipelineHealth {
-        self.snapshot().health
+        self.latest.read().health
     }
 }
 

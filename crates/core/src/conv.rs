@@ -23,7 +23,8 @@
 //!
 //! [`FftChannel`] is the *spectral* sibling for the large-radius regime:
 //! the same `δ + far-field` split, but the δ-convolutions are evaluated as
-//! circular convolutions on a zero-padded `next_pow2(d + 2b̂)` grid via
+//! circular convolutions on a zero-padded `next_fft_side(d + 2b̂)` grid
+//! (the smallest even `2^a·3^b` side that holds the output) via
 //! [`crate::fft::Fft2d`], with the kernel spectrum computed **once** at
 //! construction and reused by every EM iteration. That turns the
 //! per-iteration cost from O(n_out·b̂²) into O(n² log n), which wins once
@@ -187,8 +188,9 @@ impl ChannelOp for ConvChannel {
 /// domain.
 ///
 /// * **E-step** `M·f`: `f` is zero-padded onto the `n × n` grid
-///   (`n = next_pow2(d + 2b̂)`), transformed, multiplied by the cached
-///   kernel spectrum, and inverted; the linear-convolution support
+///   (`n = next_fft_side(d + 2b̂)`, an even `2^a·3^b`), transformed,
+///   multiplied by the cached kernel spectrum, and inverted; the
+///   linear-convolution support
 ///   `[0, d + 2b̂)²` fits inside the circular period, so the read-back is
 ///   exact. The rank-one far-field term `q̂·Σf` stays closed-form.
 /// * **M-step** `Mᵀw`: the adjoint is a *correlation*, evaluated through
@@ -232,7 +234,8 @@ impl FftChannel {
         Self { d, out_d, far, fft, kspec }
     }
 
-    /// Padded transform side `n = next_pow2(d + 2b̂)`.
+    /// Padded transform side `n = next_fft_side(d + 2b̂)`: 96 at d = 64,
+    /// b̂ = 14; 32 at d = 20, b̂ = 4.
     #[inline]
     pub fn padded_n(&self) -> usize {
         self.fft.n()
@@ -371,12 +374,13 @@ mod tests {
 
     #[test]
     fn fft_channel_matches_stencil_on_all_primitives() {
-        // Non-power-of-two d, so the padded grid (32) strictly contains
-        // the output grid (23) and the wrap-free regions are exercised.
+        // Non-power-of-two d, so the padded grid (24 = 8·3) strictly
+        // contains the output grid (23) and the wrap-free regions are
+        // exercised.
         let kernel = DiscreteKernel::dam(2.5, 13, 5, KernelKind::Shrunken);
         let conv = ConvChannel::new(&kernel);
         let fftc = FftChannel::new(&kernel);
-        assert_eq!(fftc.padded_n(), 32);
+        assert_eq!(fftc.padded_n(), 24);
         assert_eq!((conv.n_in(), conv.n_out()), (fftc.n_in(), fftc.n_out()));
         let mut ws = EmWorkspace::new();
         let f = random_f(conv.n_in(), 11);

@@ -34,7 +34,7 @@ pub enum EmBackend {
     /// for equivalence tests and backend benchmarks.
     Dense,
     /// The spectral operator ([`crate::conv::FftChannel`]): O(n² log n)
-    /// per iteration on the zero-padded power-of-two grid — wins the
+    /// per iteration on the zero-padded `2^a·3^b` grid — wins the
     /// large-radius regime (b̂ ≳ 8 at paper-scale grids).
     Fft,
 }

@@ -3,14 +3,29 @@
 //!
 //! # Algorithm
 //!
-//! [`Fft2d`] is a fixed-size plan for power-of-two side `n`: twiddle and
-//! bit-reversal tables are computed once at construction and shared by
-//! every transform, so per-call work is pure butterflies. The complex 1-D
-//! kernel is an in-place iterative radix-2 Cooley–Tukey
-//! (decimation-in-time: bit-reverse permute, then `log₂ n` butterfly
-//! stages); complex values are stored interleaved (`re, im`) in plain
-//! `&[f64]` buffers so callers can park scratch in an
-//! [`dam_fo::em::EmWorkspace`] without a dedicated complex type.
+//! [`Fft2d`] is a fixed-size plan for an even side `n = 2^a·3^b`: twiddle
+//! and digit-reversal tables are computed once at construction and shared
+//! by every transform, so per-call work is pure butterflies. The complex
+//! 1-D kernel is an in-place iterative mixed-radix Cooley–Tukey
+//! (decimation-in-time: digit-reverse permute, then the `a` radix-2
+//! stages, then `b` radix-3 stages); complex values are stored interleaved
+//! (`re, im`) in plain `&[f64]` buffers so callers can park scratch in an
+//! [`dam_fo::em::EmWorkspace`] without a dedicated complex type. On a
+//! power-of-two side there is no radix-3 stage, and every element gets
+//! exactly the radix-2 butterflies, twiddles and order it always had.
+//!
+//! # Why 2·3 sides
+//!
+//! The padded side only has to hold the linear convolution (see
+//! [below](#padding-scheme)), so the smallest even `2^a·3^b` that does is
+//! enough: the `stream-fft` shape (d = 64, b̂ = 14) has a 92-cell output
+//! and runs on 96² instead of 128², and d = 256's 374 cells run on 384²
+//! instead of 512² — 44% less area per transform. One radix-3 butterfly
+//! costs about two radix-2 ones, so the saving is nearly all kept: on a
+//! 2-vCPU x86-64 host a 48-point row transform measured 0.67× the 64-point
+//! one, and the column pass over the half-spectrum 0.47× (49 columns of
+//! 96 against 65 of 128). Sides that are already powers of two, such as
+//! d = 20, b̂ = 4's 32, keep their plan.
 //!
 //! # Why a *real* FFT halves the work
 //!
@@ -49,7 +64,9 @@
 //!
 //! # Padding scheme
 //!
-//! Convolutions are evaluated circularly on a `next_pow2(d + 2b̂)` grid.
+//! Convolutions are evaluated circularly on a
+//! [`next_fft_side`]`(d + 2b̂)` grid: the smallest even `2^a·3^b` side
+//! that holds the output grid.
 //! The EM primitives need *linear* convolution values on `[0, d + 2b̂)`
 //! per axis (E-step) or `[0, d)` shifted by the kernel anchor (M-step,
 //! evaluated through the conjugate spectrum); in both cases the linear
@@ -91,10 +108,12 @@
 //! cost the row phases ~1.7× per element.
 //!
 //! The two convolutions of one EM iteration (apply + adjoint) on a
-//! 2-vCPU x86-64 host, serial vs split, medians of 31 interleaved
-//! samples: 40.7 vs 72.3 µs at n = 32 (d = 20, b̂ = 4), 158 vs 155 µs at
-//! n = 64 (d = 40, b̂ = 8), 672 vs 466 µs at n = 128 (d = 64, b̂ = 14;
-//! 1.44×) and 3090 vs 1831 µs at n = 256 (d = 128, b̂ = 20; 1.69×).
+//! 2-vCPU x86-64 host, serial vs split, medians of finely interleaved
+//! samples: 66.7 vs 98.8 µs at n = 48 (d = 32, b̂ = 8), 162.8 vs 178.0 µs
+//! at n = 72 (d = 48, b̂ = 12), 295.6 vs 257.9 µs at n = 96 (d = 64,
+//! b̂ = 14) and 570.9 vs 491.8 µs at n = 128 (d = 100, b̂ = 14); the
+//! threshold's docs list the spread across runs. Row blocks hold
+//! `n / ROW_BLOCKS` rows, rounded per block when 16 does not divide `n`.
 //! Below the crossover the serial path runs as before.
 //!
 //! An earlier measurement had put the row passes on the pool and found
@@ -105,35 +124,75 @@
 //! per iteration, the whole gap. Split plans resolve their thread count
 //! once, when they are built.
 
-use crate::tuning::{next_pow2, PARALLEL_FFT_MIN_SIDE};
+use crate::tuning::{next_fft_side, PARALLEL_FFT_MIN_SIDE};
 use rayon::pool::Tiles;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// `√3/2`, the imaginary part of the radix-3 butterfly's root of unity.
+const SIN_60: f64 = 0.866_025_403_784_438_6;
 
 /// Precomputed tables for one in-place complex FFT size.
 #[derive(Debug, Clone)]
 struct CfftPlan {
-    /// Transform length (number of complex samples); power of two.
+    /// Transform length (number of complex samples): `2^a·3^b`.
     n: usize,
-    /// Bit-reversal permutation, `rev[i] < n`.
-    rev: Vec<u32>,
-    /// Forward twiddles `e^{-2πik/n}` for `k ∈ [0, n/2)`, interleaved.
+    /// `2^a`: the length the radix-2 stages build up to before the
+    /// radix-3 stages take over.
+    pow2: usize,
+    /// The digit-reversal permutation as swaps `(i, j)`, `i < j`, applied
+    /// in order: `k − 1` swaps per `k`-cycle, so one per bit-reversal pair
+    /// on a power-of-two plan (digit reversal is not an involution once a
+    /// 3 enters, hence the cycles).
+    swaps: Vec<(u32, u32)>,
+    /// Forward twiddles `e^{-2πik/n}` for `k ∈ [0, n)`, interleaved.
     tw: Vec<f64>,
 }
 
 impl CfftPlan {
     fn new(n: usize) -> Self {
-        debug_assert!(n.is_power_of_two());
-        let bits = n.trailing_zeros();
-        let rev = (0..n as u32)
-            .map(|i| if bits == 0 { 0 } else { i.reverse_bits() >> (32 - bits) })
-            .collect();
-        let mut tw = Vec::with_capacity(n.max(2));
-        for k in 0..(n / 2).max(1) {
+        let pow2 = n & n.wrapping_neg();
+        debug_assert!({
+            let mut odd = n / pow2;
+            while odd.is_multiple_of(3) {
+                odd /= 3;
+            }
+            odd == 1
+        });
+        // Input `i` lands at `pos(i)`: the outermost (last) stages are the
+        // radix-3 ones, so the leading digits peeled off are base 3.
+        let mut src = vec![0u32; n];
+        for i in 0..n {
+            let (mut pos, mut rest, mut m) = (0, i, n);
+            while m > 1 {
+                let r = if m.is_multiple_of(3) { 3 } else { 2 };
+                m /= r;
+                pos += rest % r * m;
+                rest /= r;
+            }
+            src[pos] = i as u32;
+        }
+        // Follow each cycle `p → src[p]`: swapping along it leaves every
+        // position holding the element it wants.
+        let mut swaps = Vec::new();
+        let mut seen = vec![false; n];
+        for start in 0..n {
+            let mut cur = start;
+            while !seen[cur] {
+                seen[cur] = true;
+                let next = src[cur] as usize;
+                if next != start {
+                    swaps.push((cur.min(next) as u32, cur.max(next) as u32));
+                }
+                cur = next;
+            }
+        }
+        let mut tw = Vec::with_capacity(2 * n);
+        for k in 0..n {
             let angle = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
             tw.push(angle.cos());
             tw.push(angle.sin());
         }
-        Self { n, rev, tw }
+        Self { n, pow2, swaps, tw }
     }
 
     /// In-place complex FFT over `n` elements of `width` floats each
@@ -145,6 +204,10 @@ impl CfftPlan {
     /// **not** scale — callers fold the `1/n` factors into their final
     /// pass exactly once.
     ///
+    /// Decimation in time: digit-reverse permute, then the radix-2 stages
+    /// up to length `2^a` (on a power-of-two plan these are all of them),
+    /// then one radix-3 stage per factor 3.
+    ///
     /// Always inlined so the 1-D call sites compile with `width = 2`
     /// known (an out-of-line call measured ~20% slower per EM iteration).
     /// Indexing inside each block measured ~2× faster on a 64-point row
@@ -155,15 +218,13 @@ impl CfftPlan {
     fn transform(&self, data: &mut [f64], width: usize, inverse: bool) {
         let n = self.n;
         debug_assert_eq!(data.len(), n * width);
-        for (i, &j) in self.rev.iter().enumerate() {
-            let j = j as usize;
-            if i < j {
-                let (lo, hi) = data.split_at_mut(j * width);
-                lo[i * width..(i + 1) * width].swap_with_slice(&mut hi[..width]);
-            }
+        for &(i, j) in &self.swaps {
+            let (i, j) = (i as usize, j as usize);
+            let (lo, hi) = data.split_at_mut(j * width);
+            lo[i * width..(i + 1) * width].swap_with_slice(&mut hi[..width]);
         }
         let mut len = 2;
-        while len <= n {
+        while len <= self.pow2 {
             let (half, step) = (len / 2, n / len);
             for block in data.chunks_exact_mut(len * width) {
                 let (lo, hi) = block.split_at_mut(half * width);
@@ -185,6 +246,42 @@ impl CfftPlan {
                 }
             }
             len <<= 1;
+        }
+        // Radix-3: X[j] = a + b' + c', X[j + m] = a + ω·b' + ω²·c',
+        // X[j + 2m] = a + ω²·b' + ω·c' with b', c' the twiddled inputs and
+        // ω = e^{∓2πi/3}, so both share a − (b' + c')/2 ∓ i·(√3/2)(b' − c').
+        let (sign, sin60) = if inverse { (-1.0, -SIN_60) } else { (1.0, SIN_60) };
+        let mut len = 3 * self.pow2;
+        while len <= n {
+            let (third, step) = (len / 3, n / len);
+            for block in data.chunks_exact_mut(len * width) {
+                let (s0, rest) = block.split_at_mut(third * width);
+                let (s1, s2) = rest.split_at_mut(third * width);
+                for j in 0..third {
+                    let (k1, k2) = (2 * j * step, 4 * j * step);
+                    let (w1r, w1i) = (self.tw[k1], sign * self.tw[k1 + 1]);
+                    let (w2r, w2i) = (self.tw[k2], sign * self.tw[k2 + 1]);
+                    let a = &mut s0[j * width..(j + 1) * width];
+                    let b = &mut s1[j * width..(j + 1) * width];
+                    let c = &mut s2[j * width..(j + 1) * width];
+                    for e in (0..width).step_by(2) {
+                        let (br, bi) = (b[e], b[e + 1]);
+                        let (cr, ci) = (c[e], c[e + 1]);
+                        let (tbr, tbi) = (w1r * br - w1i * bi, w1r * bi + w1i * br);
+                        let (tcr, tci) = (w2r * cr - w2i * ci, w2r * ci + w2i * cr);
+                        let (sr, si) = (tbr + tcr, tbi + tci);
+                        let (dr, di) = (sin60 * (tbr - tcr), sin60 * (tbi - tci));
+                        let (mr, mi) = (a[e] - 0.5 * sr, a[e + 1] - 0.5 * si);
+                        a[e] += sr;
+                        a[e + 1] += si;
+                        b[e] = mr + di;
+                        b[e + 1] = mi - dr;
+                        c[e] = mr - di;
+                        c[e + 1] = mi + dr;
+                    }
+                }
+            }
+            len *= 3;
         }
     }
 }
@@ -219,6 +316,9 @@ struct PlaneSplit {
     /// Complex column bounds: plane `p` holds the frequencies
     /// `cols[p]..cols[p + 1]` of every row.
     cols: Vec<usize>,
+    /// Row bounds: row block `b` is rows `rows[b]..rows[b + 1]`
+    /// (`b·n / ROW_BLOCKS`, so blocks differ by at most one row).
+    rows: [usize; ROW_BLOCKS + 1],
     /// Spectrum tile bounds: tile `p·ROW_BLOCKS + b` is row block `b` of
     /// plane `p`.
     tiles: Vec<usize>,
@@ -226,15 +326,16 @@ struct PlaneSplit {
 
 impl PlaneSplit {
     fn new(n: usize, threads: usize) -> Self {
-        let (cols_n, block) = (n / 2 + 1, n / ROW_BLOCKS);
+        let cols_n = n / 2 + 1;
         let planes = threads.min(rayon::pool::MAX_TILES / ROW_BLOCKS).min(cols_n);
         let cols: Vec<usize> = (0..=planes).map(|p| p * cols_n / planes).collect();
+        let rows = std::array::from_fn(|b| b * n / ROW_BLOCKS);
         let mut tiles = vec![0];
         for p in 0..planes {
             let width = 2 * (cols[p + 1] - cols[p]);
-            tiles.extend((1..=ROW_BLOCKS).map(|b| 2 * n * cols[p] + b * block * width));
+            tiles.extend(rows[1..].iter().map(|&y| 2 * n * cols[p] + y * width));
         }
-        Self { threads, cols, tiles }
+        Self { threads, cols, rows, tiles }
     }
 
     fn planes(&self) -> usize {
@@ -248,7 +349,8 @@ impl PlaneSplit {
     }
 }
 
-/// A reusable plan for real 2-D FFTs on an `n × n` power-of-two grid.
+/// A reusable plan for real 2-D FFTs on an `n × n` grid, `n` an even
+/// `2^a·3^b`.
 ///
 /// Spectra use the row-major half-spectrum layout described in the
 /// [module docs](self): `n` rows of `n/2 + 1` interleaved complex values.
@@ -271,10 +373,10 @@ pub struct Fft2d {
 }
 
 impl Fft2d {
-    /// Plans transforms for the smallest power-of-two grid with side
-    /// ≥ `min_side` (at least 2).
+    /// Plans transforms for the smallest grid with an even `2^a·3^b` side
+    /// ≥ `min_side` ([`next_fft_side`]).
     pub fn new(min_side: usize) -> Self {
-        let n = next_pow2(min_side);
+        let n = next_fft_side(min_side);
         let half = n / 2;
         let mut unt = Vec::with_capacity(2 * (half + 1));
         for k in 0..=half {
@@ -505,18 +607,16 @@ impl Fft2d {
             }
             return;
         };
-        let (n, block, planes) = (self.n, self.n / ROW_BLOCKS, split.planes());
+        let (n, planes) = (self.n, split.planes());
         debug_assert!(src.len() / src_d <= n && rows <= n);
         let spec = Tiles::new(spec, &split.tiles);
-        let mut dst_bounds = [0; ROW_BLOCKS + 1];
-        for (b, bound) in dst_bounds.iter_mut().enumerate() {
-            *bound = (b * block).min(rows) * dst_d;
-        }
+        let dst_bounds = split.rows.map(|y| y.min(rows) * dst_d);
         let dst = Tiles::new(dst, &dst_bounds);
         // `Σ src` as f64 bits: stored in phase 0, read after its barrier.
         let total = AtomicU64::new(0);
         let tile = |p: usize, b: usize| p * ROW_BLOCKS + b;
-        let units = [1 + ROW_BLOCKS, planes, rows.div_ceil(block)];
+        let read_blocks = split.rows[..ROW_BLOCKS].iter().filter(|&&y| y < rows).count();
+        let units = [1 + ROW_BLOCKS, planes, read_blocks];
         rayon::pool::run_phases(&units, Some(split.threads), |phase, unit| match (phase, unit) {
             // The source sum, first: a serial add chain that the other
             // thread's row transforms overlap.
@@ -526,8 +626,7 @@ impl Fft2d {
             (0, _) => with_row_scratch(2 * (self.half + 1), |row| {
                 let b = unit - 1;
                 let mut planes_out = spec.lease((0..planes).map(|p| tile(p, b)));
-                for r in 0..block {
-                    let y = b * block + r;
+                for (r, y) in (split.rows[b]..split.rows[b + 1]).enumerate() {
                     let src_row = src.get(y * src_d..(y + 1) * src_d);
                     if let Some(src_row) = src_row {
                         self.forward_row(src_row, row);
@@ -569,7 +668,7 @@ impl Fft2d {
                         );
                     }
                     self.inverse_row(row);
-                    finish(total, unit * block + r, &row[..n], dst_row);
+                    finish(total, split.rows[unit] + r, &row[..n], dst_row);
                 }
             }),
         });
@@ -644,8 +743,44 @@ mod tests {
     }
 
     #[test]
+    fn cfft_matches_naive_dft() {
+        // Radix-3 only, mixed 2·3, and 384 = 128·3, each column of a
+        // `width / 2`-column element transformed as its own sequence.
+        for n in [3usize, 6, 9, 12, 18, 24, 48, 72, 96, 144, 384] {
+            let plan = CfftPlan::new(n);
+            for width in [2, 10] {
+                let mut rng = rand::rngs::StdRng::seed_from_u64((n * width) as u64);
+                let x: Vec<f64> = (0..n * width).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
+                for inverse in [false, true] {
+                    let mut got = x.to_vec();
+                    plan.transform(&mut got, width, inverse);
+                    let sign = if inverse { 2.0 } else { -2.0 };
+                    for k in 0..n {
+                        for c in (0..width).step_by(2) {
+                            let (mut re, mut im) = (0.0f64, 0.0f64);
+                            for j in 0..n {
+                                let angle =
+                                    sign * std::f64::consts::PI * ((j * k) % n) as f64 / n as f64;
+                                let (xr, xi) = (x[j * width + c], x[j * width + c + 1]);
+                                re += xr * angle.cos() - xi * angle.sin();
+                                im += xr * angle.sin() + xi * angle.cos();
+                            }
+                            let (gr, gi) = (got[k * width + c], got[k * width + c + 1]);
+                            assert!(
+                                (gr - re).abs() < 1e-9 && (gi - im).abs() < 1e-9,
+                                "n {n} width {width} inverse {inverse} k {k} column {c}: \
+                                 ({gr}, {gi}) vs ({re}, {im})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn forward_matches_direct_dft() {
-        for n in [2usize, 4, 8, 16] {
+        for n in [2usize, 4, 6, 8, 12, 16, 24] {
             let plan = Fft2d::new(n);
             assert_eq!(plan.n(), n);
             let src = random_grid(n, 7 + n as u64);
@@ -659,8 +794,9 @@ mod tests {
 
     #[test]
     fn roundtrip_is_identity() {
-        for n in [2usize, 4, 8, 32, 64] {
+        for n in [2usize, 4, 6, 8, 24, 32, 48, 64, 72, 96] {
             let plan = Fft2d::new(n);
+            assert_eq!(plan.n(), n);
             let src = random_grid(n, 40 + n as u64);
             let mut spec = run_forward(&plan, &src);
             let back = run_inverse(&plan, &mut spec);
@@ -784,13 +920,19 @@ mod tests {
 
     #[test]
     fn split_convolution_matches_serial_bits() {
-        // Two to four planes, one-row blocks at n = 16, and the short
-        // sources and partial read-backs of the EM primitives (the last
-        // shape is `stream-fft`'s E-step).
+        // Two to four planes, one-row blocks at n = 16, uneven row
+        // blocks at n = 24 and 72, and the short sources and partial
+        // read-backs of the EM primitives (the n = 96 shapes are
+        // `stream-fft`'s E- and M-step).
         for (n, src_d, src_rows, rows, dst_d) in [
             (16, 16, 16, 16, 16),
+            (24, 13, 13, 23, 23),
             (32, 13, 13, 23, 23),
             (32, 23, 23, 13, 13),
+            (48, 30, 30, 40, 40),
+            (72, 50, 50, 60, 60),
+            (96, 64, 64, 92, 92),
+            (96, 92, 92, 64, 64),
             (128, 64, 64, 92, 92),
         ] {
             let serial = Fft2d::new(n);
@@ -819,6 +961,8 @@ mod tests {
     #[test]
     fn non_pow2_request_rounds_up() {
         let plan = Fft2d::new(23);
+        assert_eq!(plan.n(), 24);
+        let plan = Fft2d::new(28);
         assert_eq!(plan.n(), 32);
         let plan = Fft2d::new(1);
         assert_eq!(plan.n(), 2, "real split needs an even length");

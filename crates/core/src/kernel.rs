@@ -259,7 +259,8 @@ impl DiscreteKernel {
 
     /// The spectral EM operator: the same translation-invariant structure
     /// evaluated as circular convolutions on a zero-padded
-    /// `next_pow2(d + 2b̂)` grid, O(n² log n) per EM iteration with the
+    /// `next_fft_side(d + 2b̂)` grid (the smallest even `2^a·3^b` side),
+    /// O(n² log n) per EM iteration with the
     /// kernel spectrum computed once. Wins the large-radius regime
     /// (`EmBackend::Auto` switches over at the measured crossover).
     pub fn fft_channel(&self) -> FftChannel {

@@ -22,15 +22,15 @@
 //!   ([`conv::ConvChannel`], O(n_out·b̂²) per EM iteration; measured
 //!   12–14× over dense at `d = 32, b̂ = 4`) and the spectral
 //!   [`conv::FftChannel`] (circular convolutions on a zero-padded
-//!   power-of-two grid, O(n² log n) per iteration with the kernel
+//!   `2^a·3^b` grid, O(n² log n) per iteration with the kernel
 //!   spectrum cached), both opening grids (d ≥ 64) whose dense channel
 //!   matrix would not fit — the committed `BENCH_em.json` records the
 //!   exact baselines and the stencil↔FFT crossover;
-//! * [`fft`] — the in-repo iterative real 2-D FFT ([`fft::Fft2d`]):
-//!   precomputed twiddle/bit-reversal plans, one row-major half-spectrum
-//!   whose column pass runs butterflies between whole rows, all-zero rows
-//!   skipped; serial (measured faster than handing its rows to the pool
-//!   at n = 128, the largest transform the benchmark runs);
+//! * [`fft`] — the in-repo iterative mixed-radix (2·3) real 2-D FFT
+//!   ([`fft::Fft2d`]): precomputed twiddle/digit-reversal plans, one
+//!   row-major half-spectrum whose column pass runs butterflies between
+//!   whole rows, all-zero rows skipped; each convolution split across two
+//!   cores from side 96 up (`stream-fft`'s grid), serial below;
 //! * [`tuning`] — measured performance constants shared by the stencil,
 //!   FFT and sharding paths, including the cost model behind
 //!   [`em2d::EmBackend::Auto`];

@@ -38,14 +38,18 @@ pub const PARALLEL_WORK_THRESHOLD: usize = 1 << 20;
 /// Smallest padded side `n` at which a spectral convolution
 /// ([`crate::fft::Fft2d::convolve`]) splits across threads.
 ///
-/// Measured on a 2-vCPU x86-64 host, one EM iteration (apply + adjoint),
-/// serial vs split over two column-block planes, medians of 31
-/// interleaved samples: 0.56× at n = 32, 1.02× at n = 64 (break-even
-/// within noise; 0.87–1.02× across runs), 1.44× at n = 128 and 1.69× at
-/// n = 256. The `ingest-1m` and `durable-cluster` benchmark shapes
-/// (d = 20, n = 32) therefore stay serial, and `stream-fft` (n = 128)
-/// splits.
-pub const PARALLEL_FFT_MIN_SIDE: usize = 128;
+/// Measured on a 2-vCPU x86-64 host, the two convolutions of one EM
+/// iteration (apply + adjoint), serial time over split time (two
+/// column-block planes), medians of 310 finely interleaved samples in
+/// three runs each: 0.68–0.74× at n = 48 (d = 32, b̂ = 8), 0.86–1.05× at
+/// n = 72 (d = 48, b̂ = 12), 1.06–1.15× at n = 96 (d = 64, b̂ = 14) and
+/// 1.16–1.38× at n = 128 (d = 100, b̂ = 14). In the `stream-fft`
+/// benchmark (n = 96) the split path cut traced `em.us_per_iter` from
+/// 365–430 µs to 329–334 µs in three alternating pairs. Earlier, on the
+/// radix-2 grids: 0.56× at n = 32, ~1.0× at n = 64, 1.44× at n = 128.
+/// The `ingest-1m` and `durable-cluster` shapes (d = 20, n = 32)
+/// therefore stay serial, and `stream-fft` splits.
+pub const PARALLEL_FFT_MIN_SIDE: usize = 96;
 
 /// Per-iteration flop count of the O(n_out·b̂²) stencil operator
 /// ([`crate::conv::ConvChannel`]): one multiply-add per (output cell,
@@ -76,6 +80,12 @@ pub fn stencil_flops(out_d: usize, box_side: usize) -> usize {
 /// d = 64, b̂ = 4, so the model overprices today's transform. The factor
 /// stays put: moving `Auto`'s crossover changes which backend — and so
 /// which estimate bits — some figure shapes get.
+///
+/// [`fft_beats_stencil`] keeps pricing the power-of-two side
+/// `next_pow2(out_d)`, not the `2^a·3^b` side ([`next_fft_side`]) the
+/// transform now runs on. Pricing the true side would make the FFT win
+/// d = 64, b̂ = 4 (72² instead of 128²) and move `Auto`'s decisions; a
+/// refit of the model with a size term has to come with its own A/B.
 pub fn fft_equivalent_flops(padded_n: usize) -> usize {
     const FFT_MAC_FACTOR: usize = 4;
     let n2 = padded_n * padded_n;
@@ -87,6 +97,23 @@ pub fn fft_equivalent_flops(padded_n: usize) -> usize {
 /// split needs an even length).
 pub fn next_pow2(n: usize) -> usize {
     n.next_power_of_two().max(2)
+}
+
+/// Smallest even `2^a·3^b` ≥ `n`, clamped to at least 2: the side a
+/// spectral grid is planned on ([`crate::fft::Fft2d::new`]). Powers of two
+/// map to themselves.
+pub fn next_fft_side(n: usize) -> usize {
+    let mut side = n.max(2);
+    loop {
+        let mut odd = side >> side.trailing_zeros();
+        while odd.is_multiple_of(3) {
+            odd /= 3;
+        }
+        if side.is_multiple_of(2) && odd == 1 {
+            return side;
+        }
+        side += 1;
+    }
 }
 
 /// `true` when the cost model predicts the spectral backend beats the
@@ -109,6 +136,17 @@ mod tests {
         assert_eq!(next_pow2(3), 4);
         assert_eq!(next_pow2(96), 128);
         assert_eq!(next_pow2(128), 128);
+    }
+
+    #[test]
+    fn next_fft_side_is_the_next_even_2x3_side() {
+        for (n, side) in [(1, 2), (2, 2), (3, 4), (5, 6), (23, 24), (28, 32), (92, 96), (97, 108)] {
+            assert_eq!(next_fft_side(n), side, "n {n}");
+        }
+        for p in 1..12 {
+            assert_eq!(next_fft_side(1 << p), 1 << p);
+        }
+        assert_eq!(next_fft_side(374), 384);
     }
 
     #[test]

@@ -205,16 +205,28 @@ proptest! {
     }
 }
 
-/// Deliberately non-power-of-two sides with radii pushing the padded grid
-/// to the next power of two — the regime where padding bugs would hide
-/// from the small proptest ranges above.
+/// Deliberately awkward sides with radii pushing the padded grid past
+/// the output grid — onto the next power of two, or onto a mixed-radix
+/// `2^a·3^b` side (24, 36, 72, 96) — the regime where padding bugs would
+/// hide from the small proptest ranges above.
 #[test]
 fn fft_matches_dense_on_awkward_shapes() {
     let mut ws = EmWorkspace::new();
-    for &(d, b_hat) in &[(3u32, 7u32), (5, 6), (12, 11), (17, 8), (31, 1)] {
+    for &(d, b_hat, n) in &[
+        (3u32, 7u32, 18usize),
+        (5, 6, 18),
+        (12, 11, 36),
+        (17, 8, 36),
+        (31, 1, 36),
+        (10, 7, 24),
+        (4, 16, 36),
+        (8, 32, 72),
+        (12, 40, 96),
+    ] {
         let kernel = DiscreteKernel::dam(2.0, d, b_hat, KernelKind::Shrunken);
         let dense = kernel.channel();
         let fft = FftChannel::new(&kernel);
+        assert_eq!(fft.padded_n(), n, "d {d} b {b_hat}");
         let f = random_distribution(fft.n_in(), u64::from(d * 100 + b_hat));
         let w = random_weights(fft.n_out(), u64::from(d * 7 + b_hat));
         let mut out_dense = vec![0.0; fft.n_out()];
@@ -288,19 +300,20 @@ fn post_process_backends_agree_end_to_end() {
     }
 }
 
-/// FNV-1a over the spectral operator's output bits; see
-/// [`fft_channel_matches_pinned_bits`].
-const FFT_CHANNEL_BITS: u64 = 0x20ba_95fb_9182_2c49;
+/// FNV-1a over the spectral operator's output bits on power-of-two
+/// grids; see [`fft_channel_matches_pinned_bits`]. Computed before the
+/// transform gained radix-3 stages, and unchanged by them.
+const FFT_POW2_BITS: u64 = 0x3811_7af0_a790_3a2c;
 
-/// Pins the spectral operator bit for bit, not just to a tolerance: any
-/// change to the butterfly order, the twiddles or the inverse scaling
-/// moves the hash. Covers both primitives and a bounded cold EM on the
-/// `stream-fft` shape (d = 64, b̂ = 14, n = 128), the `ingest-1m` shape
-/// (d = 20, b̂ = 4, n = 32) and a padded grid strictly wider than the
-/// output grid (d = 13, b̂ = 5: out_d = 23 < n = 32), plus one EMS
-/// PostProcess so the smoother path is folded in too.
-#[test]
-fn fft_channel_matches_pinned_bits() {
+/// The same fold on `2^a·3^b` grids; see
+/// [`fft_channel_2x3_matches_pinned_bits`].
+const FFT_2X3_BITS: u64 = 0x0083_c94b_6520_ba2d;
+
+/// FNV-1a fold of every bit the spectral operator produces on the shapes
+/// `(d, b̂, n)`: both primitives and a bounded 20-iteration cold EM per
+/// shape, then, with `ems`, one EMS PostProcess at d = 20, b̂ = 4 so the
+/// smoother path is folded in too.
+fn spectral_bits(shapes: &[(u32, u32, usize)], ems: bool) -> u64 {
     use dam_core::{EmBackend, EmOperator, PostProcess};
     use dam_geo::{BoundingBox, Grid2D};
 
@@ -312,7 +325,7 @@ fn fft_channel_matches_pinned_bits() {
         }
     };
     let params = EmParams { max_iters: 20, rel_tol: 0.0, gain_tol: 0.0 };
-    for (d, b_hat, n) in [(64u32, 14u32, 128usize), (20, 4, 32), (13, 5, 32)] {
+    for &(d, b_hat, n) in shapes {
         let kernel = DiscreteKernel::dam(3.0, d, b_hat, KernelKind::Shrunken);
         let fft = FftChannel::new(&kernel);
         assert_eq!(fft.padded_n(), n);
@@ -330,31 +343,56 @@ fn fft_channel_matches_pinned_bits() {
         assert_eq!(run.iters, 20);
         fold(&run.estimate);
     }
-    let kernel = DiscreteKernel::dam(3.0, 20, 4, KernelKind::Shrunken);
-    let counts: Vec<f64> =
-        random_weights(kernel.n_out(), 7).iter().map(|x| (x * 20.0).round()).collect();
-    let ems = EmOperator::new(&kernel, EmBackend::Fft).post_process(
-        &counts,
-        &Grid2D::new(BoundingBox::unit(), 20),
-        PostProcess::Ems,
-        params,
-        None,
-        &mut EmWorkspace::new(),
-    );
-    fold(ems.histogram.values());
-    assert_eq!(h, FFT_CHANNEL_BITS, "spectral operator bits moved: {h:#018x}");
+    if ems {
+        let kernel = DiscreteKernel::dam(3.0, 20, 4, KernelKind::Shrunken);
+        let counts: Vec<f64> =
+            random_weights(kernel.n_out(), 7).iter().map(|x| (x * 20.0).round()).collect();
+        let ems = EmOperator::new(&kernel, EmBackend::Fft).post_process(
+            &counts,
+            &Grid2D::new(BoundingBox::unit(), 20),
+            PostProcess::Ems,
+            params,
+            None,
+            &mut EmWorkspace::new(),
+        );
+        fold(ems.histogram.values());
+    }
+    h
 }
 
-/// The pinned bits above cover the two-core spectral path: the n = 128
-/// `stream-fft` shape splits every convolution across the pool whenever
-/// the host has more than one core, so at least two threads must have
-/// drained a pool batch at once. (CI runs this suite again under
-/// `taskset -c 0`, where the same constants pin the serial path.)
+/// Pins the spectral operator bit for bit on power-of-two grids, not
+/// just to a tolerance: any change to the radix-2 butterfly order, the
+/// twiddles or the inverse scaling moves the hash. Covers the
+/// `ingest-1m` / `durable-cluster` shape (d = 20, b̂ = 4, n = 32) and one
+/// EMS PostProcess.
+#[test]
+fn fft_channel_matches_pinned_bits() {
+    let h = spectral_bits(&[(20, 4, 32)], true);
+    assert_eq!(h, FFT_POW2_BITS, "power-of-two spectral bits moved: {h:#018x}");
+}
+
+/// Pins the mixed-radix path the same way: the `stream-fft` shape
+/// (d = 64, b̂ = 14: out_d = 92 on n = 96) and a padded grid wider than
+/// the output grid (d = 13, b̂ = 5: out_d = 23 on n = 24).
+#[test]
+fn fft_channel_2x3_matches_pinned_bits() {
+    let h = spectral_bits(&[(64, 14, 96), (13, 5, 24)], false);
+    assert_eq!(h, FFT_2X3_BITS, "2·3 spectral bits moved: {h:#018x}");
+}
+
+/// The pinned 2·3 bits above cover the two-core spectral path: grids of
+/// side ≥ `PARALLEL_FFT_MIN_SIDE` (the n = 96 `stream-fft` shape among
+/// them) split every convolution across the pool whenever the host has
+/// more than one core. On a shape above that threshold (d = 100, b̂ = 14:
+/// n = 128) at least two threads must have drained a pool batch at once.
+/// (CI runs this suite again under `taskset -c 0`, where the same
+/// constants pin the serial path.)
 #[test]
 fn padded_128_channel_runs_on_several_threads() {
-    let kernel = DiscreteKernel::dam(3.0, 64, 14, KernelKind::Shrunken);
+    let kernel = DiscreteKernel::dam(3.0, 100, 14, KernelKind::Shrunken);
     let fft = FftChannel::new(&kernel);
     assert_eq!(fft.padded_n(), 128);
+    assert!(fft.padded_n() > dam_core::tuning::PARALLEL_FFT_MIN_SIDE);
     let counts: Vec<f64> =
         random_weights(fft.n_out(), 128).iter().map(|x| (x * 20.0).round()).collect();
     let params = EmParams { max_iters: 50, rel_tol: 0.0, gain_tol: 0.0 };

@@ -33,7 +33,8 @@
 //! re-approaching the overfitting regime. That is how the warm path
 //! matches — and in low-data regimes beats — the cold protocol's
 //! accuracy at a fraction of its iterations, measured per window in
-//! `fig_stream` and `BENCH_stream.json`.
+//! `fig_stream` (and, as `em.iters_per_window`, by the end-to-end
+//! benchmark's `--trace 1` ledger).
 //!
 //! Determinism: epoch `e`'s reports are keyed by a SplitMix64 stream over
 //! `(seed, e)` and fan out through the sharded pipeline, so ingestion —

@@ -25,9 +25,10 @@
 //!   for any thread count and any ingest/query interleaving.
 //!
 //! `cargo run --release -p dam-eval --bin fig_stream` drives the
-//! moving-foci evaluation; `cargo bench -p dam-bench --bench streaming`
-//! regenerates `BENCH_stream.json` (ingest throughput and the
-//! warm-vs-cold EM iteration ratio).
+//! moving-foci evaluation. The end-to-end benchmark (`perfbench/`, run
+//! with `--trace 1`) reports this crate's per-layer costs: ingest
+//! ns/report (`core.ingest.ns_per_report`), warm EM iterations per window
+//! (`em.iters_per_window`) and retention (`stream.retain.*`).
 
 #![forbid(unsafe_code)]
 

@@ -1,16 +1,20 @@
 //! # dam-bench — benchmark support
 //!
-//! The benchmarks live in `benches/`:
+//! The benchmarks live in `benches/`, each regenerating one committed
+//! `BENCH_*.json` baseline at the repository root:
 //!
 //! * `complexity` — the §VI-B complexity claims: O(1) reports after O(b̂²)
-//!   setup, EM post-processing cost, OT solver scaling;
-//! * `figures` — scaled-down end-to-end regenerators, one per
-//!   table/figure (`fig8`, `fig9_*`, `fig13`, `fig14`): same code paths as
-//!   the `dam-eval` binaries with reduced user counts, so `cargo bench`
-//!   exercises every experiment;
-//! * `ablations` — the design-choice ablations of DESIGN.md §5 (shrunken
-//!   vs non-shrunken vs exact kernels, EM vs EMS, MDSW budget split,
-//!   exact LP vs Sinkhorn).
+//!   setup, EM post-processing cost per backend (`BENCH_em.json`);
+//! * `reports` — the sharded report pipeline (`BENCH_reports.json`);
+//! * `w2` — exact vs dense vs grid-separable W₂ solvers (`BENCH_w2.json`);
+//! * `range` — pyramid range answering (`BENCH_range.json`);
+//! * `cluster` — multi-node ingest, close and recovery
+//!   (`BENCH_cluster.json`);
+//! * `obs` — per-instrument cost of the metrics registry
+//!   (`BENCH_obs.json`).
+//!
+//! The end-to-end epoch benchmark is `perfbench/`, and the `dam-eval`
+//! `fig_*` binaries regenerate the paper's tables and figures.
 //!
 //! This library exposes the small fixtures the benches share.
 

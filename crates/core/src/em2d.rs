@@ -120,6 +120,9 @@ pub struct PostProcessOutcome {
     pub histogram: Histogram2D,
     /// EM iterations executed (summed across a backend-fallback rerun).
     pub em_iters: usize,
+    /// The (final) run hit `EmParams::max_iters` without a tolerance
+    /// firing ([`EmRun::capped`]).
+    pub em_capped: bool,
     /// What the solver repaired ([`EmHealth::is_clean`] on healthy runs).
     pub em_health: EmHealth,
     /// The FFT backend diverged and the run was redone on the exact
@@ -220,19 +223,21 @@ impl EmOperator {
             return PostProcessOutcome {
                 histogram: Histogram2D::from_values(input_grid.clone(), run.estimate),
                 em_iters: run.iters,
+                em_capped: run.capped,
                 em_health: run.health,
                 backend_fallback: false,
             };
         }
         let stencil =
             self.stencil_fallback.get_or_insert_with(|| Box::new(self.kernel.conv_channel()));
-        let EmRun { estimate, iters, health } =
+        let EmRun { estimate, iters, capped, health } =
             expectation_maximization(stencil.as_ref(), noisy_counts, init, smoother, params, ws);
         let mut em_health = run.health;
         em_health.merge(&health);
         PostProcessOutcome {
             histogram: Histogram2D::from_values(input_grid.clone(), estimate),
             em_iters: run.iters + iters,
+            em_capped: capped,
             em_health,
             backend_fallback: true,
         }

@@ -1,7 +1,8 @@
 //! Street-grid city simulator.
 //!
-//! Stands in for the Chicago Crimes and NYC Green Taxi datasets (see
-//! DESIGN.md §3). Points are drawn from a mixture of:
+//! Stands in for the Chicago Crimes and NYC Green Taxi datasets, whose
+//! portals are not reachable offline (see the crate docs). Points are
+//! drawn from a mixture of:
 //!
 //! * **streets** — axis-aligned road segments (a Manhattan grid) with
 //!   small perpendicular jitter, weighted towards a downtown center, and

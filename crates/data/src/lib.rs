@@ -7,8 +7,10 @@
 //! grid *city simulator* that reproduces the structural property the paper
 //! leans on (points concentrated on axis-aligned road segments plus
 //! hotspots — the reason shrinkage beats non-shrinkage on "road network
-//! data sets"), with Part A/B/C region sizes matching Table III. See
-//! DESIGN.md §3 for the substitution rationale.
+//! data sets"), with Part A/B/C region sizes matching Table III. The
+//! substitution keeps every experiment runnable offline and seeded; the
+//! figures compare mechanisms against each other on identical points, so
+//! what matters is that structure, not the real coordinates.
 //!
 //! * [`synthetic`] — Normal(µ, σ, ρ), SZipf and MNormal generators;
 //! * [`city`] — the street-grid simulator;

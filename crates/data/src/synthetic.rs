@@ -62,7 +62,8 @@ pub fn szipf_dataset(n: usize, rng: &mut (impl Rng + ?Sized)) -> Vec<Point> {
 /// The paper's MNormal dataset: three equal Normal components with
 /// `ρ ∈ {0.5, 0, −0.2}`. The component centers are unspecified in the
 /// paper (its reported range `[−4.25, 6.18] × [−4.32, 6.44]` implies
-/// offsets); we use `(0,0)`, `(2,2)` and `(1,1.2)` per DESIGN.md §3.
+/// offsets); we use `(0,0)`, `(2,2)` and `(1,1.2)`, unit-variance
+/// components whose union spans a range of that shape.
 pub fn mnormal_dataset(n: usize, rng: &mut (impl Rng + ?Sized)) -> Vec<Point> {
     let per = n / 3;
     let mut out = Vec::with_capacity(n);

@@ -1,7 +1,7 @@
 //! # dam-eval — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index). Every binary accepts:
+//! One binary per table/figure of the paper (`src/bin/`, each named after
+//! the table or figure it regenerates). Every binary accepts:
 //!
 //! ```text
 //! --repeats N   averaging repetitions            (default 3)
@@ -24,8 +24,7 @@
 //! ```
 //!
 //! Results are printed as aligned tables and written as CSV under the
-//! output directory; `EXPERIMENTS.md` records the paper-vs-measured
-//! comparison for every row.
+//! output directory.
 
 #![forbid(unsafe_code)]
 

@@ -13,28 +13,32 @@
 //!   (one plane update per epoch: add the new plane, subtract the one
 //!   `window` epochs back);
 //! * a long-lived [`EmWorkspace`] plus the previous window's estimate, so
-//!   each window's EM **warm-starts** from the last solution under the
-//!   small `warm_em` budget ([`WindowEstimate::em_iters`] records the
-//!   count; [`StreamingEstimator::estimate_window_cold`] is the
+//!   each window's EM **warm-starts** from the last solution and stops
+//!   on evidence under `warm_em` ([`WindowEstimate::em_iters`] records
+//!   the count; [`StreamingEstimator::estimate_window_cold`] is the
 //!   uniform-start reference for the ratio).
 //!
-//! # Why a small warm budget beats running EM to convergence
+//! # Why warm windows stop on evidence instead of converging
 //!
 //! PostProcess is a deconvolution: EM driven to its ML optimum **fits
 //! the privacy noise**, so estimation error against the true
-//! distribution is U-shaped in the iteration count and early stopping is
+//! distribution is U-shaped in the iteration count and stopping early is
 //! the regularizer (the one-shot figures' 150-iteration protocol sits on
 //! that curve too). The streaming advantage is that the previous
 //! window's estimate is already a *regularized* solution fitted to
 //! mostly-shared counts: diffused one smoothing pass (the
 //! motion-agnostic forecast of a slightly-moved distribution) and
-//! blended with a sliver of uniform, it only needs a few warm
-//! iterations to absorb the one new epoch's evidence without
-//! re-approaching the overfitting regime. That is how the warm path
-//! matches — and in low-data regimes beats — the cold protocol's
-//! accuracy at a fraction of its iterations, measured per window in
-//! `fig_stream` (and, as `em.iters_per_window`, by the end-to-end
-//! benchmark's `--trace 1` ledger).
+//! blended with a sliver of uniform, it only needs to absorb the one new
+//! epoch's evidence. [`EmParams::streaming`] stops it once an iteration
+//! gains less than one nat of log-likelihood (the AIC price of one
+//! parameter), so a window runs as long as its evidence pays for, with
+//! 50 iterations as a ceiling only data-rich windows reach. That is how
+//! the warm path matches — and in low-data regimes beats — the cold
+//! protocol's accuracy at a fraction of its iterations, measured per
+//! window in `fig_stream` (and, as `em.iters_per_window`, by the
+//! end-to-end benchmark's `--trace 1` ledger). The registry counts the
+//! windows the ceiling ended (`em_cap_hits`, against `em_runs`) and
+//! traces every iteration's gain in nats (`em_ll_gain`).
 //!
 //! Determinism: epoch `e`'s reports are keyed by a SplitMix64 stream over
 //! `(seed, e)` and fan out through the sharded pipeline, so ingestion —
@@ -75,12 +79,12 @@ pub struct StreamConfig {
     /// Master seed; epoch `e` reports through stream `(seed, e)`.
     pub seed: u64,
     /// EM knobs for **warm-started** windows ([`EmParams::streaming`] by
-    /// default): a small iteration budget — which doubles as the
-    /// early-stopping regularizer against noise overfitting — plus the
-    /// per-report-gain tolerance that exits after a couple of iterations
-    /// when the window barely changed. The warm seed itself (diffusion
-    /// forecast plus uniform floor) is fixed; see
-    /// [`StreamingEstimator::estimate_window`].
+    /// default): a one-nat log-likelihood-gain stop — the
+    /// early-stopping regularizer against noise overfitting, which ends
+    /// a window once an iteration no longer buys more fit than AIC
+    /// charges for one parameter — under a ceiling of 50 iterations. The
+    /// warm seed itself (diffusion forecast plus uniform floor) is fixed;
+    /// see [`StreamingEstimator::estimate_window`].
     pub warm_em: EmParams,
     /// What happens to finite out-of-domain report coordinates
     /// ([`IngestPolicy::Clamp`] by default; non-finite coordinates are
@@ -128,6 +132,7 @@ struct ObsHandles {
     nodes_missed: Counter,
     partial_window: Gauge,
     em_runs: Counter,
+    em_cap_hits: Counter,
     em_iters_total: Counter,
     em_iters: Histogram,
     ingest_batch_ns: Histogram,
@@ -151,6 +156,7 @@ impl ObsHandles {
             nodes_missed: reg.counter(names::NODES_MISSED, det),
             partial_window: reg.gauge(names::PARTIAL_WINDOW, det),
             em_runs: reg.counter("em_runs", det),
+            em_cap_hits: reg.counter("em_cap_hits", det),
             em_iters_total: reg.counter("em_iterations_total", det),
             em_iters: reg.histogram("em_iterations", det),
             ingest_batch_ns: reg.histogram("ingest_batch_ns", timing),
@@ -201,7 +207,8 @@ impl StreamingEstimator {
         )
         .incr();
         let mut ws = EmWorkspace::new();
-        // Per-iteration ll-gain residuals (discrepancy-stop raw material).
+        // Per-iteration log-likelihood gain in nats: what the
+        // `gain_tol` stop compares.
         ws.set_ll_trace(obs.trace("em_ll_gain", 512));
         Self {
             client,
@@ -375,9 +382,9 @@ impl StreamingEstimator {
 
     /// The current sliding-window estimate, **warm-started** from the
     /// previous window's solution when one exists (half-diffused by one
-    /// binomial pass, blended with `WARM_MIX` uniform, run under the
-    /// `warm_em` budget; the first window runs the cold `dam.em`
-    /// protocol). Stores the raw result as the next window's warm start.
+    /// binomial pass, blended with `WARM_MIX` uniform, run under
+    /// `warm_em`; the first window runs the cold `dam.em` protocol).
+    /// Stores the raw result as the next window's warm start.
     pub fn estimate_window(&mut self) -> WindowEstimate {
         let init = match self.prev.take() {
             Some(prev) => {
@@ -542,6 +549,9 @@ impl StreamingEstimator {
             &mut self.ws,
         );
         self.hh.em_runs.incr();
+        if outcome.em_capped {
+            self.hh.em_cap_hits.incr();
+        }
         self.hh.em_iters_total.add(outcome.em_iters as u64);
         self.hh.em_iters.record(outcome.em_iters as u64);
         self.hh.em_reseeds.add(outcome.em_health.reseeds as u64);
@@ -581,9 +591,9 @@ mod tests {
 
     fn stream_config(window: usize) -> StreamConfig {
         // `dam.em` is the cold one-shot protocol; warm windows run the
-        // `EmParams::streaming()` budget set by `StreamConfig::new`.
+        // `EmParams::streaming()` evidence stop set by `StreamConfig::new`.
         let dam = DamConfig {
-            em: EmParams { max_iters: 150, rel_tol: 1e-9, gain_tol: 1e-7 },
+            em: EmParams { max_iters: 150, rel_tol: 1e-9, gain_tol: 0.0 },
             ..DamConfig::dam(4.0)
         };
         StreamConfig::new(dam, window, 7)
@@ -632,6 +642,49 @@ mod tests {
         // Both converge to the same optimum (same counts, same channel).
         let tv = warm.histogram.tv_distance(&cold.histogram);
         assert!(tv < 0.02, "warm/cold estimates diverged: tv {tv}");
+    }
+
+    #[test]
+    fn cap_hits_count_the_windows_that_ran_out_of_iterations() {
+        // One-epoch windows of a moving focus under a low warm ceiling:
+        // the 40k-report windows still gain more than a nat per iteration
+        // when they reach it, the 500-report ones stop on evidence first.
+        // The cold first window has no tolerance at all, so it is a hit.
+        let grid = Grid2D::new(BoundingBox::unit(), 8);
+        let mut config = stream_config(1);
+        config.dam.em = EmParams { max_iters: 30, rel_tol: 0.0, gain_tol: 0.0 };
+        config.warm_em = EmParams { max_iters: 12, ..EmParams::streaming() };
+        let mut s = StreamingEstimator::new(grid, config);
+        let gains = s.obs().trace("em_ll_gain", 512);
+        let (mut runs, mut hits, mut stopped_at_cap) = (0, 0, 0);
+        for e in 0..8 {
+            let n = if e % 2 == 0 { 40_000 } else { 500 };
+            s.ingest_epoch(&focus_points((0.2 + 0.08 * e as f64, 0.5), n, e as u64));
+            let seen = gains.samples().len();
+            let est = s.estimate_window();
+            runs += 1;
+            // The trace holds each iteration's gain in nats after the
+            // first; the warm stop fired iff the last one is under a nat.
+            let window = &gains.samples()[seen..];
+            assert_eq!(window.len(), est.em_iters - 1, "epoch {e}");
+            if !est.warm {
+                assert_eq!(est.em_iters, config.dam.em.max_iters);
+                hits += 1;
+                continue;
+            }
+            let (&last, earlier) = window.split_last().expect("a warm window iterates");
+            assert!(earlier.iter().all(|&g| g >= 1.0), "epoch {e}: {window:?}");
+            let at_cap = est.em_iters == config.warm_em.max_iters;
+            assert!(at_cap || last < 1.0, "epoch {e} ended early without the stop");
+            hits += usize::from(at_cap && last >= 1.0);
+            stopped_at_cap += usize::from(at_cap && last < 1.0);
+        }
+        assert_eq!(s.obs().counter_value("em_runs"), runs);
+        assert_eq!(s.obs().counter_value("em_cap_hits"), hits as u64);
+        assert!(hits > 1 && hits < runs as usize, "{hits} of {runs} windows capped");
+        // A stop firing on the last allowed iteration is not a cap hit,
+        // which an `em_iters == max_iters` rule would miscount.
+        assert!(stopped_at_cap > 0, "no window stopped exactly at the cap");
     }
 
     #[test]

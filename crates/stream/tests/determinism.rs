@@ -58,16 +58,16 @@ fn streaming_run_is_bit_identical_for_any_thread_count() {
 
 /// FNV-1a fold of the window chain below. Moving it is a behaviour
 /// change of the warm streaming path, not a refactor.
-const WARM_WINDOW_CHAIN_BITS: u64 = 0x12e8_ca27_49f7_b903;
+const WARM_WINDOW_CHAIN_BITS: u64 = 0xfd4e_eac3_ed1c_bd1a;
 
 #[test]
 fn warm_window_chain_matches_pinned_bits() {
     // A cold first window, then five warm ones (diffusion forecast +
-    // uniform floor + streaming budget), on the stencil backend so no FFT
-    // twiddle roundoff enters the pin. Every window's estimate bits, its
-    // iteration count and two unaligned pyramid range answers fold into
-    // one hash: any drift in the warm seed, the EM driver or the pyramid
-    // leaf level moves it.
+    // uniform floor + the one-nat evidence stop), on the stencil backend
+    // so no FFT twiddle roundoff enters the pin. Every window's estimate
+    // bits, its iteration count and two unaligned pyramid range answers
+    // fold into one hash: any drift in the warm seed, the EM driver, the
+    // stopping rule or the pyramid leaf level moves it.
     let dam = DamConfig { backend: EmBackend::Convolution, ..DamConfig::dam(3.0) };
     let d = 8;
     let grid = Grid2D::new(BoundingBox::unit(), d);
@@ -79,9 +79,12 @@ fn warm_window_chain_matches_pinned_bits() {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
+    let cap = s.config().warm_em.max_iters;
+    let mut stopped_on_evidence = 0;
     for e in 0..6 {
         s.ingest_epoch(&epoch_points(e, 5_000));
         let est = s.estimate_window();
+        stopped_on_evidence += usize::from(est.warm && est.em_iters < cap);
         let values = est.histogram.values();
         bits(values).into_iter().for_each(&mut fold);
         fold(est.em_iters as u64);
@@ -89,5 +92,7 @@ fn warm_window_chain_matches_pinned_bits() {
         fold(p.range_sum(1, 2, 6, 5).to_bits());
         fold(p.range_sum(3, 0, 4, 6).to_bits());
     }
+    // The pin must cover the stop path, not only the cap.
+    assert!(stopped_on_evidence > 0, "no warm window stopped below the {cap}-iteration cap");
     assert_eq!(h, WARM_WINDOW_CHAIN_BITS, "warm window chain moved: {h:#018x}");
 }

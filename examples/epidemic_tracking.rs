@@ -121,7 +121,7 @@ fn moving_outbreak() {
     }
     println!(
         "\nThe estimated hotspot follows the true focus one day's drift\n\
-         behind at most, while warm-started EM keeps steady-state days at\n\
-         a third of the cold iteration budget (first day runs cold)."
+         behind at most, while warm-started EM stops each later day on\n\
+         evidence within a few dozen iterations (first day runs cold)."
     );
 }

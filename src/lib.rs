@@ -16,8 +16,9 @@
 //! assert!((estimate.total() - 1.0).abs() < 1e-9);
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every table and figure.
+//! The workspace map and the committed benchmark baselines are in the
+//! README; `ROADMAP.md` holds the per-change architecture notes and the
+//! open items.
 
 #![forbid(unsafe_code)]
 

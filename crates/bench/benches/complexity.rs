@@ -1,7 +1,7 @@
 //! §VI-B complexity benches: GridAreaResponse is O(1) per report after an
 //! O(b̂²) setup; EM post-processing through the convolution operator is
 //! O(n_out·b̂²) per iteration vs the dense channel's O(n_out·n_in) and
-//! the spectral operator's O(n² log n); the OT solvers scale as expected.
+//! the spectral operator's O(n² log n); the exact OT solver scales as expected.
 //!
 //! The EM groups (`em_dense_vs_conv` d-sweep at b̂ = 4, `em_conv_vs_fft`
 //! radius sweep at d = 64 plus the d = 20, b̂ = 4 pair the `ingest-1m` and
@@ -23,7 +23,6 @@ use dam_geo::rng::seeded;
 use dam_geo::{CellIndex, Histogram2D};
 use dam_transport::cost::CostMatrix;
 use dam_transport::exact::solve_exact;
-use dam_transport::sinkhorn::{sinkhorn_cost, SinkhornParams};
 use std::hint::black_box;
 
 fn bench_response(c: &mut Criterion) {
@@ -267,11 +266,6 @@ fn bench_transport(c: &mut Criterion) {
         let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
         group.bench_with_input(BenchmarkId::new("exact_lp", n), &n, |bench, _| {
             bench.iter(|| black_box(solve_exact(&a, &b, &cost).unwrap().cost));
-        });
-        group.bench_with_input(BenchmarkId::new("sinkhorn", n), &n, |bench, _| {
-            bench.iter(|| {
-                black_box(sinkhorn_cost(&a, &b, &cost, SinkhornParams::default()).unwrap())
-            });
         });
     }
     group.finish();

@@ -1,41 +1,31 @@
-//! W₂ solver scaling: exact LP vs dense Sinkhorn vs the grid-separable
-//! Sinkhorn solver on full-support `d × d` histograms at
-//! `d ∈ {10, 20, 32, 64}` — the measurement behind the three-way
-//! [`dam_transport::metrics::resolve_auto`] dispatch. This bench
-//! subsumes the old `w2_probe` scratch binary (exact vs Sinkhorn at
-//! d = 20/30; see git history).
-//!
-//! All solvers run the *same* Sinkhorn tuning so the timings isolate the
-//! algorithmic structure: the dense solver materializes the m×n cost
-//! matrix (134 MB at d = 64 — the bench pays that once to measure the
-//! gap) and sweeps O(m·n) per iteration, while the grid solver does
-//! O(d³) axis passes on O(d²) state. A second group measures the
-//! ε-scaling warm-start cap (`SinkhornParams::warm_start_iters`) against
-//! the legacy run-every-stage-to-convergence schedule.
+//! W₂ solver scaling: the exact LP against the grid-separable Sinkhorn
+//! solver on full-support `d × d` histograms at `d ∈ {10, 20, 32, 64}` —
+//! the measurement behind [`dam_transport::metrics::W2Solver::Auto`]'s
+//! switch from the LP to the grid solver. The exact LP runs up to
+//! d = 20; the grid solver does O(d³) axis passes on O(d²) state at
+//! every d. A second group measures the ε-scaling warm-start cap
+//! (`SinkhornParams::warm_start_iters`) against the legacy
+//! run-every-stage-to-convergence schedule.
 //!
 //! Emits `BENCH_w2.json` at the repo root: per-row median ns and W₂
-//! values, grid-over-dense speedups per d, solver agreement at d ≤ 32,
-//! and the warm-start speedups.
+//! values, the worst exact-vs-grid gap at d ≤ 32, and the warm-start
+//! speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dam_geo::Point;
 use dam_transport::cost::CostMatrix;
 use dam_transport::exact::solve_exact;
-use dam_transport::grid::grid_sinkhorn_cost;
-use dam_transport::sinkhorn::{sinkhorn_cost, SinkhornParams};
+use dam_transport::grid::{grid_sinkhorn_cost, SinkhornParams};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
-/// Grid sides of the sweep (`d = 64` is the headline regime: the dense
-/// solver is borderline-infeasible there, the grid solver takes seconds).
+/// Grid sides of the sweep (`d = 64`, 4096-cell supports, is the
+/// headline regime the grid solver exists for).
 const DS: [usize; 4] = [10, 20, 32, 64];
 /// Largest d still solved with the exact LP (the transportation simplex
 /// on a 1024-atom support would dominate the whole bench).
 const EXACT_MAX_D: usize = 20;
-/// d for the dense warm-start ablation (d = 64 uncapped would run for
-/// many minutes without changing the conclusion).
-const DENSE_WARM_D: usize = 32;
 /// d for the grid warm-start ablation.
 const GRID_WARM_D: usize = 64;
 
@@ -63,8 +53,8 @@ fn bump_hist(d: usize, cx: f64, cy: f64) -> Vec<f64> {
     v
 }
 
-/// Cell-center support points (the `metrics` convention) for the solvers
-/// that need an explicit cost matrix.
+/// Cell-center support points (the `metrics` convention) for the exact
+/// LP's explicit cost matrix.
 fn grid_points(d: usize) -> Vec<Point> {
     (0..d * d).map(|i| Point::new((i % d) as f64 + 0.5, (i / d) as f64 + 0.5)).collect()
 }
@@ -79,9 +69,9 @@ fn bench_w2_solvers(c: &mut Criterion) {
         for &d in &DS {
             let a = bump_hist(d, 0.3, 0.35);
             let b = bump_hist(d, 0.65, 0.6);
-            let pts = grid_points(d);
-            let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
             if d <= EXACT_MAX_D {
+                let pts = grid_points(d);
+                let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
                 group.bench_with_input(BenchmarkId::new("exact", d), &d, |be, _| {
                     be.iter(|| {
                         let v = solve_exact(&a, &b, &cost).unwrap().cost;
@@ -90,13 +80,6 @@ fn bench_w2_solvers(c: &mut Criterion) {
                     });
                 });
             }
-            group.bench_with_input(BenchmarkId::new("dense", d), &d, |be, _| {
-                be.iter(|| {
-                    let v = sinkhorn_cost(&a, &b, &cost, params()).unwrap();
-                    costs.borrow_mut().insert(format!("dense/{d}"), v);
-                    black_box(v)
-                });
-            });
             group.bench_with_input(BenchmarkId::new("grid", d), &d, |be, _| {
                 be.iter(|| {
                     let v = grid_sinkhorn_cost(&a, &b, d, params()).unwrap();
@@ -114,40 +97,24 @@ fn bench_w2_solvers(c: &mut Criterion) {
         let mut group = c.benchmark_group("w2_warm_start");
         group.sample_size(3);
         let full = SinkhornParams { warm_start_iters: usize::MAX, ..params() };
-        {
-            let d = DENSE_WARM_D;
-            let a = bump_hist(d, 0.3, 0.35);
-            let b = bump_hist(d, 0.65, 0.6);
-            let pts = grid_points(d);
-            let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
-            group.bench_with_input(BenchmarkId::new("dense_fullwarm", d), &d, |be, _| {
-                be.iter(|| {
-                    let v = sinkhorn_cost(&a, &b, &cost, full).unwrap();
-                    costs.borrow_mut().insert(format!("dense_fullwarm/{d}"), v);
-                    black_box(v)
-                });
+        let d = GRID_WARM_D;
+        let a = bump_hist(d, 0.3, 0.35);
+        let b = bump_hist(d, 0.65, 0.6);
+        group.bench_with_input(BenchmarkId::new("grid_fullwarm", d), &d, |be, _| {
+            be.iter(|| {
+                let v = grid_sinkhorn_cost(&a, &b, d, full).unwrap();
+                costs.borrow_mut().insert(format!("grid_fullwarm/{d}"), v);
+                black_box(v)
             });
-        }
-        {
-            let d = GRID_WARM_D;
-            let a = bump_hist(d, 0.3, 0.35);
-            let b = bump_hist(d, 0.65, 0.6);
-            group.bench_with_input(BenchmarkId::new("grid_fullwarm", d), &d, |be, _| {
-                be.iter(|| {
-                    let v = grid_sinkhorn_cost(&a, &b, d, full).unwrap();
-                    costs.borrow_mut().insert(format!("grid_fullwarm/{d}"), v);
-                    black_box(v)
-                });
-            });
-        }
+        });
         group.finish();
     }
     emit_bench_json(c, &costs.borrow());
 }
 
 /// Writes `BENCH_w2.json` at the repo root: per-row medians and W₂
-/// values, the per-d grid/dense speedups, max solver disagreement at
-/// d ≤ 32, and the warm-start speedups.
+/// values, max solver disagreement at d ≤ 32, and the warm-start
+/// speedup.
 fn emit_bench_json(c: &Criterion, costs: &BTreeMap<String, f64>) {
     let ns = |group: &str, row: &str| -> Option<f64> {
         c.results().iter().find(|(name, _)| name == &format!("{group}/{row}")).map(|&(_, v)| v)
@@ -157,7 +124,7 @@ fn emit_bench_json(c: &Criterion, costs: &BTreeMap<String, f64>) {
 
     let mut rows = Vec::new();
     for &d in &DS {
-        for solver in ["exact", "dense", "grid"] {
+        for solver in ["exact", "grid"] {
             if let Some(t) = ns("w2_solvers", &format!("{solver}/{d}")) {
                 rows.push(format!(
                     "    {{\"d\": {d}, \"solver\": \"{solver}\", \"median_ns\": {t:.1}, \
@@ -167,21 +134,13 @@ fn emit_bench_json(c: &Criterion, costs: &BTreeMap<String, f64>) {
             }
         }
     }
-    let speedups: Vec<String> = DS
-        .iter()
-        .filter_map(|&d| {
-            let dense = ns("w2_solvers", &format!("dense/{d}"))?;
-            let grid = ns("w2_solvers", &format!("grid/{d}"))?;
-            Some(format!("    {{\"d\": {d}, \"grid_over_dense\": {:.2}}}", dense / grid))
-        })
-        .collect();
-    // Worst relative gap between any two solvers at d ≤ 32 (the regime
-    // where all of them are comfortably runnable — the entropic
-    // agreement the dispatch change relies on).
+    // Worst relative gap between the two solvers at d ≤ 32 (the entropic
+    // bias the size-based switch accepts; the exact LP only has rows up
+    // to `EXACT_MAX_D`).
     let mut max_gap = 0.0f64;
     for &d in DS.iter().filter(|&&d| d <= 32) {
         let vals: Vec<f64> =
-            ["exact", "dense", "grid"].iter().filter_map(|s| w2(&format!("{s}/{d}"))).collect();
+            ["exact", "grid"].iter().filter_map(|s| w2(&format!("{s}/{d}"))).collect();
         for x in &vals {
             for y in &vals {
                 max_gap = max_gap.max((x - y).abs() / y.max(1e-12));
@@ -192,10 +151,6 @@ fn emit_bench_json(c: &Criterion, costs: &BTreeMap<String, f64>) {
         (Some(f), Some(s)) if f > 0.0 => format!("{:.2}", s / f),
         _ => "null".into(),
     };
-    let dense_warm = warm(
-        ns("w2_solvers", &format!("dense/{DENSE_WARM_D}")),
-        ns("w2_warm_start", &format!("dense_fullwarm/{DENSE_WARM_D}")),
-    );
     let grid_warm = warm(
         ns("w2_solvers", &format!("grid/{GRID_WARM_D}")),
         ns("w2_warm_start", &format!("grid_fullwarm/{GRID_WARM_D}")),
@@ -208,16 +163,13 @@ fn emit_bench_json(c: &Criterion, costs: &BTreeMap<String, f64>) {
          \"params\": {{\"reg_rel\": {}, \"max_iters\": {}, \"tol\": {}, \
          \"warm_start_iters\": {}}},\n  \
          \"configs\": [\n{}\n  ],\n  \
-         \"speedup_grid_over_dense\": [\n{}\n  ],\n  \
          \"max_solver_rel_gap_d_le_32\": {max_gap:.4},\n  \
-         \"warm_start_speedup\": {{\"dense_d{DENSE_WARM_D}\": {dense_warm}, \
-         \"grid_d{GRID_WARM_D}\": {grid_warm}}}\n}}\n",
+         \"warm_start_speedup\": {{\"grid_d{GRID_WARM_D}\": {grid_warm}}}\n}}\n",
         p.reg_rel,
         p.max_iters,
         p.tol,
         p.warm_start_iters,
         rows.join(",\n"),
-        speedups.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_w2.json");
     match std::fs::write(path, &json) {

@@ -6,10 +6,8 @@
 //! * `complexity` — the §VI-B complexity claims: O(1) reports after O(b̂²)
 //!   setup, EM post-processing cost per backend (`BENCH_em.json`);
 //! * `reports` — the sharded report pipeline (`BENCH_reports.json`);
-//! * `w2` — exact vs dense vs grid-separable W₂ solvers (`BENCH_w2.json`);
+//! * `w2` — exact LP vs grid-separable Sinkhorn W₂ (`BENCH_w2.json`);
 //! * `range` — pyramid range answering (`BENCH_range.json`);
-//! * `cluster` — multi-node ingest, close and recovery
-//!   (`BENCH_cluster.json`);
 //! * `obs` — per-instrument cost of the metrics registry
 //!   (`BENCH_obs.json`).
 //!

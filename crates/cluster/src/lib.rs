@@ -41,9 +41,10 @@
 //!
 //! `cargo run --release -p dam-eval --bin fig_cluster` drives the
 //! K ∈ {1, 4, 8} evaluation under injected node faults;
-//! `cargo bench -p dam-bench --bench cluster` regenerates
-//! `BENCH_cluster.json` (merge throughput vs K, checkpoint write/restore
-//! cost).
+//! `python3 perfbench/run.py --workload durable-cluster --trace 1`
+//! measures node ingest, window close, checkpoint write/read and
+//! recovery (`cluster.node.ns_per_report`, `cluster.close_ms`,
+//! `cluster.checkpoint_*`, `cluster.recover.*`).
 
 #![forbid(unsafe_code)]
 

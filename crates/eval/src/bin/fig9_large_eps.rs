@@ -1,6 +1,8 @@
-//! Figure 9(p–t): W₂ vs ε ∈ {5..9} at d = 15 for SEM-Geo-I vs DAM, with
-//! Sinkhorn-approximated W₂. Expected shape: both fall towards zero as ε
-//! grows; DAM ahead of SEM-Geo-I at large ε.
+//! Figure 9(p–t): W₂ vs ε ∈ {5..9} at d = 15 for SEM-Geo-I vs DAM (the
+//! paper approximates W₂ with Sinkhorn here; every 225-cell support fits
+//! `W2Solver::Auto`'s exact-LP limit, so it is solved exactly). Expected
+//! shape: both fall towards zero as ε grows; DAM ahead of SEM-Geo-I at
+//! large ε.
 
 use dam_data::DatasetKind;
 use dam_eval::params::Table4;

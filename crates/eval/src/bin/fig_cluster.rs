@@ -40,7 +40,6 @@ use dam_fault::NodeFaultPlan;
 use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Histogram2D, Point};
 use dam_stream::{StreamConfig, StreamingEstimator};
-use dam_transport::metrics::w2;
 use dam_transport::W2Solver;
 use rand::Rng;
 
@@ -95,7 +94,6 @@ fn main() {
     } else {
         ctx.clone()
     };
-    let w2_method = w2_ctx.w2_method();
 
     // Shared stream: every cluster size sees identical epochs.
     let epoch_data: Vec<Vec<Point>> = (0..epochs)
@@ -143,7 +141,7 @@ fn main() {
             let out = cluster.ingest_epoch(&epoch_data[e]).expect("no store attached");
             let est = &out.snapshot.estimate;
             let tv_ref = est.tv_distance(&reference[e]);
-            let w2_ref = w2(est, &reference[e], w2_method).expect("w2");
+            let w2_ref = w2_ctx.w2(est, &reference[e]).expect("w2");
             let tv_truth = est.tv_distance(&truths[e]);
             if plan.is_clean() {
                 // No faults: the K partitions must merge bit-identically
@@ -174,7 +172,7 @@ fn main() {
     // The grid-separable W₂ solver is entropically regularized: identical
     // histograms score its self-cost, not 0. Print the floor so w2_ref
     // reads as distance *above* it (tv_ref has no such floor).
-    let w2_floor = w2(&reference[epochs - 1], &reference[epochs - 1], w2_method).expect("w2");
+    let w2_floor = w2_ctx.w2(&reference[epochs - 1], &reference[epochs - 1]).expect("w2");
     println!("w2_ref floor: {w2_floor:.4} (grid-Sinkhorn self-cost of identical histograms)");
     for footer in &footers {
         println!("{footer}");

@@ -12,7 +12,7 @@
 //! two), and `auto` tracks the faster of the two at every radius.
 //!
 //! Error is reported as TV *and* W₂ per backend row: at d = 64 the
-//! full-support histograms route `WassersteinMethod::Auto` to the
+//! full-support histograms route `W2Solver::Auto` to the
 //! grid-separable Sinkhorn solver (`--w2-solver` overrides), so the
 //! paper's headline metric is finally feasible in this regime — and
 //! bit-identical for any `--threads` value, like everything else here.
@@ -24,7 +24,6 @@ use dam_eval::{CliArgs, EvalContext, Report};
 use dam_fo::em::EmParams;
 use dam_geo::rng::derived;
 use dam_geo::{Grid2D, Histogram2D};
-use dam_transport::metrics::w2;
 
 const D: u32 = 64;
 const EPS: f64 = 5.0;
@@ -49,7 +48,6 @@ fn main() {
         ),
         &["b_hat", "backend", "resolved", "secs", "tv_error", "tv_vs_auto", "w2", "w2_secs"],
     );
-    let w2_method = ctx.w2_method();
     for &b_hat in radii {
         // The stencil at b̂ ≥ 16 is exactly the regime the FFT replaces;
         // keep the smoke fast by skipping what would dominate its wall
@@ -75,7 +73,7 @@ fn main() {
                 .map(|a| fmt4(est.tv_distance(a)))
                 .unwrap_or_else(|| "-".to_string());
             let w2_watch = dam_obs::Stopwatch::start(dam_eval::obs::wall());
-            let w = w2(&est, &truth, w2_method).expect("W2 computation failed");
+            let w = ctx.w2(&est, &truth).expect("W2 computation failed");
             let w2_secs = w2_watch.elapsed_secs();
             if backend == EmBackend::Auto {
                 auto_est = Some(est);

@@ -41,7 +41,6 @@ use dam_fo::em::EmParams;
 use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Histogram2D, Point};
 use dam_stream::{StreamConfig, StreamingEstimator};
-use dam_transport::metrics::w2;
 use dam_transport::W2Solver;
 use rand::Rng;
 
@@ -126,7 +125,6 @@ fn main() {
     } else {
         ctx.clone()
     };
-    let w2_method = w2_ctx.w2_method();
 
     // Shared data stream: every mechanism sees identical epochs.
     let epoch_data: Vec<Vec<Point>> = (0..epochs)
@@ -211,8 +209,8 @@ fn main() {
                 ratio_acc[m].0 += ratio;
                 ratio_acc[m].1 += 1;
             }
-            let w2_warm = w2(&warm.histogram, &truth, w2_method).expect("w2");
-            let w2_cold = w2(&cold.histogram, &truth, w2_method).expect("w2");
+            let w2_warm = w2_ctx.w2(&warm.histogram, &truth).expect("w2");
+            let w2_cold = w2_ctx.w2(&cold.histogram, &truth).expect("w2");
             let tv_warm = warm.histogram.tv_distance(&truth);
             let tv_cold = cold.histogram.tv_distance(&truth);
             if e + 1 >= window {

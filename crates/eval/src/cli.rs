@@ -29,10 +29,9 @@ pub struct CliArgs {
     /// measured crossover.
     pub em_backend: EmBackend,
     /// W₂ solver for every figure's error metric (`--w2-solver
-    /// {auto,exact,sinkhorn,grid}`). `Auto` (the default) is the
-    /// library's three-way size-based dispatch: exact LP for small
-    /// supports, the grid-separable solver for large same-grid
-    /// histograms, dense Sinkhorn for sparse supports on fine grids.
+    /// {auto,exact,grid}`). `Auto` (the default) is the library's
+    /// size-based switch: the exact LP when both supports have at most
+    /// 400 cells, the grid-separable Sinkhorn solver otherwise.
     pub w2_solver: W2Solver,
     /// Worker threads for the job runner and the sharded report pipeline
     /// (default: available parallelism). Results are bit-identical for
@@ -189,7 +188,6 @@ mod tests {
         assert_eq!(parse("").w2_solver, W2Solver::Auto);
         assert_eq!(parse("--w2-solver auto").w2_solver, W2Solver::Auto);
         assert_eq!(parse("--w2-solver exact").w2_solver, W2Solver::Exact);
-        assert_eq!(parse("--w2-solver sinkhorn").w2_solver, W2Solver::Dense);
         assert_eq!(parse("--w2-solver grid").w2_solver, W2Solver::Grid);
     }
 

@@ -6,7 +6,8 @@ use dam_core::{EmBackend, SpatialEstimator};
 use dam_data::{load, DatasetKind, DatasetPart, SpatialDataset};
 use dam_geo::rng::derived;
 use dam_geo::{Grid2D, Histogram2D};
-use dam_transport::metrics::{w2, W2Solver, WassersteinMethod};
+use dam_transport::exact::TransportError;
+use dam_transport::metrics::{w2, W2Solver};
 use dam_transport::SinkhornParams;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -21,13 +22,11 @@ pub struct EvalContext {
     pub repeats: usize,
     /// Optional cap on users per dataset part.
     pub user_cap: Option<usize>,
-    /// Largest support solved with the exact LP; larger runs an
-    /// entropic solver — the paper's own size-based switch.
-    pub exact_limit: usize,
-    /// Sinkhorn settings for the large-grid regime (shared by the dense
-    /// and grid-separable solvers).
+    /// Settings for the grid-separable Sinkhorn solver (the large-grid
+    /// regime; the exact LP ignores them).
     pub sinkhorn: SinkhornParams,
-    /// W₂ solver selection (`--w2-solver`; `Auto` dispatches by size).
+    /// W₂ solver selection (`--w2-solver`; `Auto` runs the exact LP on
+    /// supports of at most 400 cells and the grid solver above that).
     pub w2_solver: W2Solver,
     /// Monte-Carlo samples for Local-Privacy calibration.
     pub lp_samples: usize,
@@ -50,11 +49,6 @@ impl EvalContext {
             seed: args.seed,
             repeats: args.repeats,
             user_cap: args.users,
-            // Measured on this substrate: the transportation simplex solves
-            // 400-support (d = 20) instances in ~0.5 s — faster *and*
-            // unbiased vs Sinkhorn — so every paper-scale figure runs the
-            // exact LP. Sinkhorn remains available for larger grids.
-            exact_limit: 400,
             sinkhorn: SinkhornParams {
                 reg_rel: 1e-3,
                 max_iters: 400,
@@ -82,15 +76,13 @@ impl EvalContext {
         cache.entry(kind).or_insert_with(|| Arc::new(load(kind, self.seed))).clone()
     }
 
-    /// The configured W₂ solver as a [`WassersteinMethod`], carrying
-    /// this context's Sinkhorn tuning and thread budget. This is the
-    /// **only** dispatch point: figure binaries pass it straight to
-    /// [`w2`], which owns the size-based `Auto` resolution — harnesses
-    /// must not re-derive the switch from `d²` (a predicted support),
-    /// because the library switches on the *actual* nonzero support.
-    pub fn w2_method(&self) -> WassersteinMethod {
-        let sinkhorn = SinkhornParams { threads: self.threads, ..self.sinkhorn };
-        self.w2_solver.method(self.exact_limit, sinkhorn)
+    /// `W₂(a, b)` in cell units under this context's solver, Sinkhorn
+    /// tuning and thread budget. Figure binaries measure W₂ only through
+    /// this: [`w2`] owns the size-based `Auto` resolution, which switches
+    /// on the *actual* nonzero supports, so harnesses must not re-derive
+    /// it from `d²` (a predicted support).
+    pub fn w2(&self, a: &Histogram2D, b: &Histogram2D) -> Result<f64, TransportError> {
+        w2(a, b, self.w2_solver, SinkhornParams { threads: self.threads, ..self.sinkhorn })
     }
 
     /// A dataset part's points under this context's `--users` cap
@@ -116,12 +108,11 @@ impl EvalContext {
         let grid = Grid2D::new(part.bbox, d);
         let points = self.capped_points(part);
         let truth = Histogram2D::from_points(grid.clone(), points).normalized();
-        let method = self.w2_method();
         let mut acc = 0.0;
         for rep in 0..self.repeats {
             let mut rng = derived(self.seed, stream ^ (0x5151_0000 + rep as u64));
             let est = mech.estimate(points, &grid, &mut rng).normalized();
-            acc += w2(&est, &truth, method).expect("W2 computation failed");
+            acc += self.w2(&est, &truth).expect("W2 computation failed");
         }
         acc / self.repeats as f64
     }

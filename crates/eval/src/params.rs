@@ -8,7 +8,8 @@ impl Table4 {
     pub const B_FACTORS: [f64; 5] = [0.33, 0.67, 1.0, 1.33, 1.67];
     /// Small grid resolutions (exact-LP regime, Figures 9a–e).
     pub const D_SMALL: [u32; 5] = [1, 2, 3, 4, 5];
-    /// Large grid resolutions (Sinkhorn regime, Figures 9f–j).
+    /// Large grid resolutions (the paper's Sinkhorn regime, Figures 9f–j;
+    /// at d ≤ 20 the exact LP still solves every support).
     pub const D_LARGE: [u32; 5] = [1, 5, 10, 15, 20];
     /// Small privacy budgets (Figures 9k–o).
     pub const EPS_SMALL: [f64; 5] = [0.7, 1.4, 2.1, 2.8, 3.5];

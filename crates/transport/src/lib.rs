@@ -8,19 +8,16 @@
 //!
 //! * [`exact`] — the transportation simplex (MODI / u-v method), an exact LP
 //!   solver specialised to the OT polytope;
-//! * [`sinkhorn`] — entropic-regularised OT in the log domain with
-//!   ε-scaling, matching the paper's large-`d` fallback (dense: it
-//!   materializes the support-pair cost matrix);
-//! * [`grid`] — the grid-separable Sinkhorn solver for same-grid
-//!   histograms: the squared-Euclidean Gibbs kernel factorizes per axis,
-//!   so iterations cost `O(d³)` on `O(d²)` state instead of `O(n²)` on a
-//!   dense matrix — `W₂` at `d = 64` (4096-cell supports) in seconds;
+//! * [`grid`] — the paper's Sinkhorn for same-grid histograms: the
+//!   squared-Euclidean Gibbs kernel factorizes per axis, so entropic
+//!   iterations cost `O(d³)` on `O(d²)` state with no cost matrix —
+//!   `W₂` at `d = 64` (4096-cell supports) in seconds;
 //! * [`w1d`] — closed-form 1-D Wasserstein distances via quantile coupling;
 //! * [`sliced`] — Radon projections of grid histograms and the sliced
 //!   Wasserstein distance built on [`w1d`];
 //! * [`metrics`] — the high-level `W₂` API used by the experiment harness,
-//!   with a three-way size-based solver dispatch (exact LP / grid
-//!   solver / dense Sinkhorn, [`metrics::resolve_auto`]).
+//!   with one solver enum ([`W2Solver`]) whose `Auto` picks the exact LP
+//!   for small supports and the grid solver otherwise.
 
 #![forbid(unsafe_code)]
 
@@ -28,12 +25,10 @@ pub mod cost;
 pub mod exact;
 pub mod grid;
 pub mod metrics;
-pub mod sinkhorn;
 pub mod sliced;
 pub mod w1d;
 
 pub use cost::CostMatrix;
 pub use exact::{solve_exact, TransportPlan};
-pub use grid::{grid_passes_parallel, grid_sinkhorn_cost};
-pub use metrics::{w2_auto, w2_exact, w2_grid_sinkhorn, w2_sinkhorn, W2Solver, WassersteinMethod};
-pub use sinkhorn::{sinkhorn_cost, SinkhornParams};
+pub use grid::{grid_passes_parallel, grid_sinkhorn_cost, SinkhornParams};
+pub use metrics::{w2_auto, w2_exact, w2_grid_sinkhorn, W2Solver};

@@ -5,74 +5,45 @@
 //! computed with exact LP for small grids and Sinkhorn for large grids, with
 //! cell-index coordinates (which is why the reported values can exceed the
 //! diameter of the geographic domain — distances are measured in cell
-//! units). This module reproduces that measurement convention.
+//! units). This module reproduces that measurement convention; its
+//! "Sinkhorn" is the grid-separable solver ([`crate::grid`]), and
+//! [`W2Solver::Auto`] switches between the two by support size.
 
 use crate::cost::CostMatrix;
-use crate::exact::{solve_exact, TransportError};
-use crate::grid::grid_sinkhorn_cost;
-use crate::sinkhorn::{sinkhorn_cost, SinkhornParams};
+use crate::exact::{check_finite, solve_exact, TransportError};
+use crate::grid::{grid_sinkhorn_cost, SinkhornParams};
 use dam_geo::{Histogram2D, Point};
 
-/// How to solve the underlying optimal-transport problem.
-#[derive(Debug, Clone, Copy)]
-pub enum WassersteinMethod {
-    /// Exact transportation simplex (the paper's "Linear Programming").
-    Exact,
-    /// Dense entropic approximation on the extracted supports (the
-    /// paper's choice for `d ≥ 10`); materializes an `m × n` cost matrix.
-    Sinkhorn(SinkhornParams),
-    /// Grid-separable entropic approximation on the full `d × d` grid
-    /// ([`crate::grid`]): `O(d³)` per iteration, `O(d²)` memory, no cost
-    /// matrix — the feasible choice for large same-grid histograms.
-    GridSinkhorn(SinkhornParams),
-    /// Three-way size-based dispatch (see [`resolve_auto`]): exact LP for
-    /// small supports, the grid-separable solver for large supports on a
-    /// shared grid, dense Sinkhorn for sparse/irregular supports where a
-    /// small cost matrix beats full-grid axis passes.
-    Auto {
-        /// Largest support size still solved exactly.
-        max_exact_support: usize,
-        /// Sinkhorn settings shared by both entropic fallbacks.
-        sinkhorn: SinkhornParams,
-    },
-}
+/// Largest support (positive cells) [`W2Solver::Auto`] still solves with
+/// the exact LP. The transportation simplex handles 400-support (d = 20)
+/// instances in well under a second, so the paper's whole evaluation
+/// range runs exact; the grid solver takes over for larger grids.
+const MAX_EXACT_SUPPORT: usize = 400;
 
-impl Default for WassersteinMethod {
-    fn default() -> Self {
-        // The transportation simplex comfortably handles 400-support
-        // (d = 20) instances in well under a second, so the paper's whole
-        // evaluation range runs exact by default; the entropic solvers
-        // take over for genuinely large grids.
-        WassersteinMethod::Auto { max_exact_support: 400, sinkhorn: SinkhornParams::default() }
-    }
-}
-
-/// Named W₂ solver choices, the CLI-facing mirror of
-/// [`WassersteinMethod`] (`--w2-solver {auto,exact,sinkhorn,grid}`).
+/// The W₂ solver (`--w2-solver {auto,exact,grid}`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum W2Solver {
-    /// Size-based three-way dispatch ([`resolve_auto`]).
+    /// Exact LP when both supports have at most 400 cells, the grid
+    /// solver otherwise — the paper's size-based switch.
     #[default]
     Auto,
-    /// Exact transportation simplex.
+    /// Exact transportation simplex (the paper's "Linear Programming").
     Exact,
-    /// Dense Sinkhorn on the extracted supports.
-    Dense,
-    /// Grid-separable Sinkhorn on the full grid.
+    /// Grid-separable Sinkhorn on the full `d × d` grid ([`crate::grid`]):
+    /// `O(d³)` per iteration, `O(d²)` memory, no cost matrix (the paper's
+    /// "Sinkhorn's algorithm").
     Grid,
 }
 
 impl W2Solver {
     /// Every solver, in CLI listing order.
-    pub const ALL: [W2Solver; 4] =
-        [W2Solver::Auto, W2Solver::Exact, W2Solver::Dense, W2Solver::Grid];
+    pub const ALL: [W2Solver; 3] = [W2Solver::Auto, W2Solver::Exact, W2Solver::Grid];
 
     /// The CLI label.
     pub fn label(self) -> &'static str {
         match self {
             W2Solver::Auto => "auto",
             W2Solver::Exact => "exact",
-            W2Solver::Dense => "sinkhorn",
             W2Solver::Grid => "grid",
         }
     }
@@ -81,47 +52,18 @@ impl W2Solver {
     pub fn from_label(s: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|v| v.label() == s)
     }
-
-    /// The [`WassersteinMethod`] this choice stands for, under a given
-    /// exact-LP support limit and Sinkhorn tuning.
-    pub fn method(self, max_exact_support: usize, sinkhorn: SinkhornParams) -> WassersteinMethod {
-        match self {
-            W2Solver::Auto => WassersteinMethod::Auto { max_exact_support, sinkhorn },
-            W2Solver::Exact => WassersteinMethod::Exact,
-            W2Solver::Dense => WassersteinMethod::Sinkhorn(sinkhorn),
-            W2Solver::Grid => WassersteinMethod::GridSinkhorn(sinkhorn),
-        }
-    }
 }
 
-/// The solver [`WassersteinMethod::Auto`] dispatches to for support
-/// sizes `m`, `n` on a `d × d` grid (never [`W2Solver::Auto`] itself):
-///
-/// * both supports within `max_exact_support` → exact LP (unbiased, and
-///   measured faster than Sinkhorn at paper scale);
-/// * otherwise the per-iteration cost model picks the entropic solver:
-///   the grid solver does `O(d³)` axis work per iteration against dense
-///   Sinkhorn's `O(m·n)` sweep, so dense wins only for *sparse* supports
-///   on a fine grid (`m·n < d³`) — and only while its `m × n` cost
-///   matrix stays genuinely small ([`MAX_DENSE_COST_ENTRIES`]): past
-///   that, the whole point of the separable solver is to never
-///   materialize such a matrix, whatever the per-iteration model says.
-pub fn resolve_auto(d: u32, m: usize, n: usize, max_exact_support: usize) -> W2Solver {
-    if m <= max_exact_support && n <= max_exact_support {
+/// The solver [`W2Solver::Auto`] runs for support sizes `m`, `n`: the
+/// exact LP (unbiased, and measured faster than Sinkhorn at paper scale)
+/// when both fit under [`MAX_EXACT_SUPPORT`], the grid solver otherwise.
+fn resolve_auto(m: usize, n: usize) -> W2Solver {
+    if m <= MAX_EXACT_SUPPORT && n <= MAX_EXACT_SUPPORT {
         W2Solver::Exact
-    } else if m * n < (d as usize).pow(3) && m * n <= MAX_DENSE_COST_ENTRIES {
-        W2Solver::Dense
     } else {
         W2Solver::Grid
     }
 }
-
-/// Hard cap on the cost-matrix entries `Auto` will let dense Sinkhorn
-/// materialize (2²² f64 = 32 MB; the solver transiently holds a second
-/// filtered copy plus the coupling). Above this, memory — not the
-/// per-iteration flop model — decides, and the grid solver's `O(d²)`
-/// state wins outright.
-pub const MAX_DENSE_COST_ENTRIES: usize = 1 << 22;
 
 /// Extracts the cell-unit support of a histogram: positions are cell index
 /// centers `(ix + ½, iy + ½)` so distances are in multiples of the cell
@@ -151,72 +93,49 @@ fn note_solver(solver: W2Solver) {
 }
 
 /// `W₂` between two histograms on same-shape grids, in cell units, using
-/// the requested solver.
+/// `solver` (`params` tunes the grid solver; the exact LP ignores it).
 pub fn w2(
     a: &Histogram2D,
     b: &Histogram2D,
-    method: WassersteinMethod,
+    solver: W2Solver,
+    params: SinkhornParams,
 ) -> Result<f64, TransportError> {
     let d = a.grid().d();
     assert_eq!(d, b.grid().d(), "cell-unit W2 requires grids of the same resolution");
-    // The grid-separable solver works on the full row-major value
-    // vectors (its cell-index cost equals the cell-center cost below:
-    // the +½ offsets cancel in differences), so it needs no support
-    // extraction and no cost matrix.
-    let solve_grid = |p: SinkhornParams| grid_sinkhorn_cost(a.values(), b.values(), d as usize, p);
-    let sq = match method {
-        WassersteinMethod::GridSinkhorn(p) => {
-            note_solver(W2Solver::Grid);
-            solve_grid(p)?
+    // Before any solver is chosen: support extraction keeps only `v > 0`,
+    // so a NaN or −∞ cell would otherwise vanish from the exact path.
+    check_finite(a.values())?;
+    check_finite(b.values())?;
+    let solver = match solver {
+        W2Solver::Auto => {
+            let support = |h: &Histogram2D| h.values().iter().filter(|&&v| v > 0.0).count();
+            resolve_auto(support(a), support(b))
         }
-        WassersteinMethod::Exact | WassersteinMethod::Sinkhorn(_) => {
-            let (pa, wa) = cell_unit_support(a);
-            let (pb, wb) = cell_unit_support(b);
-            if pa.is_empty() || pb.is_empty() {
-                return Err(TransportError::EmptyDistribution);
-            }
-            let cost = CostMatrix::euclidean_pow(&pa, &pb, 2);
-            match method {
-                WassersteinMethod::Exact => {
-                    note_solver(W2Solver::Exact);
-                    solve_exact(&wa, &wb, &cost)?.cost
-                }
-                WassersteinMethod::Sinkhorn(p) => {
-                    note_solver(W2Solver::Dense);
-                    sinkhorn_cost(&wa, &wb, &cost, p)?
-                }
-                _ => unreachable!(),
-            }
+        concrete => concrete,
+    };
+    let sq = if solver == W2Solver::Grid {
+        // The grid solver works on the full row-major value vectors (its
+        // cell-index cost equals the cell-center cost below: the +½
+        // offsets cancel in differences), so it needs no support
+        // extraction and no cost matrix.
+        note_solver(solver);
+        grid_sinkhorn_cost(a.values(), b.values(), d as usize, params)?
+    } else {
+        let (pa, wa) = cell_unit_support(a);
+        let (pb, wb) = cell_unit_support(b);
+        if pa.is_empty() || pb.is_empty() {
+            return Err(TransportError::EmptyDistribution);
         }
-        WassersteinMethod::Auto { max_exact_support, sinkhorn } => {
-            let m = a.values().iter().filter(|&&v| v > 0.0).count();
-            let n = b.values().iter().filter(|&&v| v > 0.0).count();
-            match resolve_auto(d, m, n, max_exact_support) {
-                W2Solver::Grid => {
-                    note_solver(W2Solver::Grid);
-                    solve_grid(sinkhorn)?
-                }
-                resolved => {
-                    return w2(a, b, resolved.method(max_exact_support, sinkhorn));
-                }
-            }
-        }
+        let cost = CostMatrix::euclidean_pow(&pa, &pb, 2);
+        note_solver(solver);
+        solve_exact(&wa, &wb, &cost)?.cost
     };
     Ok(sq.max(0.0).sqrt())
 }
 
 /// `W₂` with the exact solver.
 pub fn w2_exact(a: &Histogram2D, b: &Histogram2D) -> Result<f64, TransportError> {
-    w2(a, b, WassersteinMethod::Exact)
-}
-
-/// `W₂` with dense Sinkhorn under `params`.
-pub fn w2_sinkhorn(
-    a: &Histogram2D,
-    b: &Histogram2D,
-    params: SinkhornParams,
-) -> Result<f64, TransportError> {
-    w2(a, b, WassersteinMethod::Sinkhorn(params))
+    w2(a, b, W2Solver::Exact, SinkhornParams::default())
 }
 
 /// `W₂` with the grid-separable Sinkhorn solver under `params`.
@@ -225,12 +144,12 @@ pub fn w2_grid_sinkhorn(
     b: &Histogram2D,
     params: SinkhornParams,
 ) -> Result<f64, TransportError> {
-    w2(a, b, WassersteinMethod::GridSinkhorn(params))
+    w2(a, b, W2Solver::Grid, params)
 }
 
 /// `W₂` with the default size-based solver selection.
 pub fn w2_auto(a: &Histogram2D, b: &Histogram2D) -> Result<f64, TransportError> {
-    w2(a, b, WassersteinMethod::default())
+    w2(a, b, W2Solver::Auto, SinkhornParams::default())
 }
 
 #[cfg(test)]
@@ -274,8 +193,6 @@ mod tests {
         let exact = w2_exact(&a, &b).unwrap();
         let auto = w2_auto(&a, &b).unwrap();
         assert!((exact - auto).abs() < 1e-9, "auto must pick exact at d=5");
-        let sink = w2_sinkhorn(&a, &b, SinkhornParams::default()).unwrap();
-        assert!((sink - exact).abs() < 0.05 * exact.max(0.1), "sink {sink} exact {exact}");
         let gridv = w2_grid_sinkhorn(&a, &b, SinkhornParams::default()).unwrap();
         assert!((gridv - exact).abs() < 0.05 * exact.max(0.1), "grid {gridv} exact {exact}");
     }
@@ -283,22 +200,14 @@ mod tests {
     #[test]
     fn auto_resolves_by_support_and_grid_structure() {
         // Small supports → exact, whatever the grid resolution.
-        assert_eq!(resolve_auto(20, 400, 400, 400), W2Solver::Exact);
-        assert_eq!(resolve_auto(512, 100, 50, 400), W2Solver::Exact);
-        // Large supports on a moderate grid → the separable solver
-        // (d = 64 full support is the headline regime).
-        assert_eq!(resolve_auto(64, 4096, 4096, 400), W2Solver::Grid);
-        assert_eq!(resolve_auto(32, 1024, 900, 400), W2Solver::Grid);
-        // Sparse supports on a very fine grid → dense Sinkhorn: a
-        // 500×500 cost matrix beats 512³ axis passes.
-        assert_eq!(resolve_auto(512, 500, 500, 400), W2Solver::Dense);
-        // …but never past the memory cap: 11,500² entries sit below the
-        // 512³ flop crossover yet would be a ~1 GB cost matrix — grid.
-        assert_eq!(resolve_auto(512, 11_500, 11_500, 400), W2Solver::Grid);
-        // The library and any harness re-derivation must agree by
-        // construction: there is exactly one dispatch implementation.
-        let m = WassersteinMethod::default();
-        assert!(matches!(m, WassersteinMethod::Auto { max_exact_support: 400, .. }));
+        assert_eq!(resolve_auto(400, 400), W2Solver::Exact);
+        assert_eq!(resolve_auto(100, 50), W2Solver::Exact);
+        // Either support past the limit → the separable solver (d = 64
+        // full support is the headline regime).
+        assert_eq!(resolve_auto(4096, 4096), W2Solver::Grid);
+        assert_eq!(resolve_auto(1024, 900), W2Solver::Grid);
+        assert_eq!(resolve_auto(401, 10), W2Solver::Grid);
+        assert_eq!(resolve_auto(10, 401), W2Solver::Grid);
     }
 
     #[test]
@@ -307,17 +216,14 @@ mod tests {
             assert_eq!(W2Solver::from_label(s.label()), Some(s));
         }
         assert_eq!(W2Solver::from_label("lp"), None);
-        assert!(matches!(
-            W2Solver::Grid.method(400, SinkhornParams::default()),
-            WassersteinMethod::GridSinkhorn(_)
-        ));
+        assert_eq!(W2Solver::from_label("sinkhorn"), None);
     }
 
     #[test]
     fn grid_solver_handles_a_large_grid_auto_dispatch() {
-        // d = 24 with full supports: 576 atoms > the exact limit, and
-        // m·n = 331k ≥ 24³ = 13.8k, so Auto must route to the grid
-        // solver — and agree with the dense path it replaced.
+        // d = 24 with full supports: 576 atoms > the exact limit, so Auto
+        // must route to the grid solver — and, full supports giving both
+        // the same regularisation scale, reproduce the dense reference.
         let d = 24;
         let mut a = Histogram2D::zeros(grid(d));
         let mut b = Histogram2D::zeros(grid(d));
@@ -329,8 +235,45 @@ mod tests {
         let auto = w2_auto(&a, &b).unwrap();
         let gridv = w2_grid_sinkhorn(&a, &b, SinkhornParams::default()).unwrap();
         assert_eq!(auto, gridv, "auto at d=24 full support must be the grid solver");
-        let dense = w2_sinkhorn(&a, &b, SinkhornParams::default()).unwrap();
-        assert!((gridv - dense).abs() < 0.05 * dense.max(0.1), "grid {gridv} dense {dense}");
+        let (pa, _) = cell_unit_support(&a);
+        let cost = CostMatrix::euclidean_pow(&pa, &pa, 2);
+        let dense = crate::grid::tests::dense_sinkhorn_cost(
+            a.values(),
+            b.values(),
+            &cost,
+            SinkhornParams::default(),
+        )
+        .sqrt();
+        assert!((gridv - dense).abs() <= 1e-9 * dense, "grid {gridv} dense {dense}");
+    }
+
+    #[test]
+    fn non_finite_cells_are_rejected_on_every_path() {
+        // Support extraction keeps only positive cells, so without the
+        // up-front check the exact path silently dropped NaN / −∞ (and
+        // misreported a one-sided NaN as unbalanced mass).
+        let base = |bad: f64| {
+            let mut h = Histogram2D::zeros(grid(4));
+            for (i, v) in h.values_mut().iter_mut().enumerate() {
+                *v = 1.0 + (i % 3) as f64;
+            }
+            h.values_mut()[5] = bad;
+            h
+        };
+        let clean = base(1.0);
+        let want = Err(TransportError::NonFinite { index: 5 });
+        for bad in [f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
+            let h = base(bad);
+            for (a, b) in [(&h, &h), (&h, &clean), (&clean, &h)] {
+                assert_eq!(w2_exact(a, b), want, "exact, cell 5 = {bad}");
+                assert_eq!(w2_auto(a, b), want, "auto, cell 5 = {bad}");
+                assert_eq!(
+                    w2_grid_sinkhorn(a, b, SinkhornParams::default()),
+                    want,
+                    "grid, cell 5 = {bad}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use spatial_ldp::geo::{BoundingBox, Grid2D, Histogram2D};
-use spatial_ldp::transport::metrics::{w2_exact, w2_sinkhorn};
+use spatial_ldp::transport::metrics::{w2_exact, w2_grid_sinkhorn};
 use spatial_ldp::transport::sliced::sliced_wasserstein;
 use spatial_ldp::transport::w1d::wasserstein_1d_pow;
 use spatial_ldp::transport::SinkhornParams;
@@ -51,7 +51,7 @@ proptest! {
     #[test]
     fn sinkhorn_upper_bounds_exact(a in hist_strategy(4), b in hist_strategy(4)) {
         let exact = w2_exact(&a, &b).unwrap();
-        let approx = w2_sinkhorn(&a, &b, SinkhornParams::default()).unwrap();
+        let approx = w2_grid_sinkhorn(&a, &b, SinkhornParams::default()).unwrap();
         // Rounded Sinkhorn coupling is feasible => cost at least optimal.
         prop_assert!(approx >= exact - 1e-6, "sinkhorn {approx} below exact {exact}");
         // And with default regularisation it is close.

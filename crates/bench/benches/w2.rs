@@ -65,7 +65,7 @@ fn bench_w2_solvers(c: &mut Criterion) {
     let costs: RefCell<BTreeMap<String, f64>> = RefCell::new(BTreeMap::new());
     {
         let mut group = c.benchmark_group("w2_solvers");
-        group.sample_size(3);
+        group.sample_size(11);
         for &d in &DS {
             let a = bump_hist(d, 0.3, 0.35);
             let b = bump_hist(d, 0.65, 0.6);
@@ -95,7 +95,7 @@ fn bench_w2_solvers(c: &mut Criterion) {
         // default) against running every intermediate stage to the full
         // `max_iters`/`tol` budget (the pre-fix behaviour).
         let mut group = c.benchmark_group("w2_warm_start");
-        group.sample_size(3);
+        group.sample_size(11);
         let full = SinkhornParams { warm_start_iters: usize::MAX, ..params() };
         let d = GRID_WARM_D;
         let a = bump_hist(d, 0.3, 0.35);

@@ -351,4 +351,50 @@ mod tests {
         assert!(m00 > 0.125 && m33 > 0.125, "clusters lost: {m00}, {m33}");
         assert!((m00 - m33).abs() < 0.05, "asymmetric recovery: {m00} vs {m33}");
     }
+
+    #[test]
+    fn accelerated_em_reaches_the_plain_stop_in_half_the_maps() {
+        // d = 20, ε = 3.5 DAM (the `fig_stream` default regime), 20k
+        // reports from two foci. The plain loop would stop on the first
+        // step gaining under the LR-test price; the accelerated driver
+        // must reach that iterate's log-likelihood in at most half the
+        // map evaluations.
+        use crate::{DamClient, DamConfig};
+        use dam_geo::Point;
+        let grid = Grid2D::new(BoundingBox::unit(), 20);
+        let client = DamClient::new(grid, &DamConfig::dam(3.5));
+        let points: Vec<Point> = (0..20_000u64)
+            .map(|i| {
+                let u = |salt| dam_geo::rng::splitmix64(i ^ salt) as f64 / u64::MAX as f64;
+                let (cx, cy) = if i % 3 == 0 { (0.25, 0.7) } else { (0.65, 0.35) };
+                Point::new(cx + 0.2 * (u(0x51) - 0.5), cy + 0.2 * (u(0xA7) - 0.5))
+            })
+            .collect();
+        let counts = client.report_batch(&points, 11, Some(1));
+        let channel = client.kernel().conv_channel();
+        let tol = EmParams::streaming().gain_tol;
+        let run = |max_iters, gain_tol, ws: &mut EmWorkspace| {
+            let params = EmParams { max_iters, rel_tol: 0.0, gain_tol };
+            expectation_maximization(&channel, &counts, None, None, params, ws).estimate
+        };
+        let ll = |f: &[f64]| {
+            let mut out = vec![0.0; counts.len()];
+            channel.apply(f, &mut out, &mut EmWorkspace::new());
+            counts.iter().zip(&out).filter(|(c, _)| **c > 0.0).map(|(c, p)| c * p.ln()).sum::<f64>()
+        };
+        // The plain loop's gains: step i + 2 gains `gains[i]`.
+        let mut ws = EmWorkspace::new();
+        let registry = dam_obs::Registry::new();
+        ws.set_ll_trace(registry.trace("gain", 1024));
+        let _ = run(400, 0.0, &mut ws);
+        let gains = registry.trace("gain", 1024).samples();
+        let plain_maps = 2 + gains.iter().position(|&g| g < tol).expect("plain EM stops");
+        let target = ll(&run(plain_maps, 0.0, &mut EmWorkspace::new()));
+        let fast = ll(&run(plain_maps / 2, 1e-9, &mut EmWorkspace::new()));
+        assert!(
+            fast >= target,
+            "{} accelerated maps reach {fast}, plain EM {target} in {plain_maps}",
+            plain_maps / 2
+        );
+    }
 }

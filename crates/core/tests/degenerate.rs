@@ -6,11 +6,15 @@
 //! The three shapes pinned here: an **empty report set** (no observations
 //! at all), **all mass in one cell** (a spike the deconvolution has to
 //! spread), and a **zero-count window** reached through the user-facing
-//! aggregator rather than the raw EM entry point.
+//! aggregator rather than the raw EM entry point. A **hostile channel**
+//! pins the divergence guard of the accelerated (evidence-stopped) EM
+//! loop on every backend's operator.
 
+use dam_core::em2d::smooth_2d;
 use dam_core::{DamAggregator, DamClient, DamConfig, EmBackend, EmOperator, PostProcess};
-use dam_fo::em::{EmParams, EmWorkspace};
-use dam_geo::{BoundingBox, CellIndex, Grid2D};
+use dam_fo::em::{expectation_maximization, ChannelOp, EmParams, EmWorkspace};
+use dam_geo::{BoundingBox, CellIndex, Grid2D, Point};
+use std::cell::Cell;
 
 const D: u32 = 12;
 const BACKENDS: [EmBackend; 4] =
@@ -93,5 +97,70 @@ fn all_mass_in_one_cell_agrees_across_backends() {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(max_diff <= tol, "{backend:?} drifts from dense by {max_diff}");
+    }
+}
+
+/// A backend's operator whose M-step turns one cell NaN on its 2nd and
+/// 5th calls: the first trips the first cycle's second map; after the
+/// reseed, the second trips the next cycle's stabilizing map.
+struct Hostile {
+    inner: Box<dyn ChannelOp>,
+    calls: Cell<usize>,
+}
+
+impl ChannelOp for Hostile {
+    fn n_in(&self) -> usize {
+        self.inner.n_in()
+    }
+    fn n_out(&self) -> usize {
+        self.inner.n_out()
+    }
+    fn apply(&self, f: &[f64], out: &mut [f64], ws: &mut EmWorkspace) {
+        self.inner.apply(f, out, ws);
+    }
+    fn accumulate_adjoint(&self, w: &[f64], f: &[f64], f_new: &mut [f64], ws: &mut EmWorkspace) {
+        self.inner.accumulate_adjoint(w, f, f_new, ws);
+        let k = self.calls.get() + 1;
+        self.calls.set(k);
+        if k == 2 || k == 5 {
+            f_new[0] = f64::NAN;
+        }
+    }
+}
+
+#[test]
+fn hostile_channel_reseeds_the_accelerated_loop_on_every_backend() {
+    let client = client();
+    let kernel = client.kernel();
+    let points: Vec<Point> =
+        (0..4_000).map(|i| Point::new(0.3 + 0.0001 * i as f64, 0.6 - 0.0001 * i as f64)).collect();
+    let counts = client.report_batch(&points, 5, Some(1));
+    let d = D as usize;
+    let smoother = move |f: &mut [f64]| smooth_2d(d, f);
+    for backend in BACKENDS {
+        for post in [PostProcess::Em, PostProcess::Ems] {
+            let inner: Box<dyn ChannelOp> = match backend.resolve(kernel.d(), kernel.b_hat()) {
+                EmBackend::Convolution => Box::new(kernel.conv_channel()),
+                EmBackend::Dense => Box::new(kernel.channel()),
+                _ => Box::new(kernel.fft_channel()),
+            };
+            let hostile = Hostile { inner, calls: Cell::new(0) };
+            let smoother: Option<&dyn Fn(&mut [f64])> = match post {
+                PostProcess::Em => None,
+                PostProcess::Ems => Some(&smoother),
+            };
+            let run = expectation_maximization(
+                &hostile,
+                &counts,
+                None,
+                smoother,
+                EmParams::streaming(),
+                &mut EmWorkspace::new(),
+            );
+            let label = format!("{backend:?}/{post:?}");
+            assert_eq!(run.health.reseeds, 2, "{label}: both NaN maps must reseed");
+            assert!(run.iters > 6, "{label}: the run must go on after a reseed");
+            assert_valid_distribution(&run.estimate, &label);
+        }
     }
 }

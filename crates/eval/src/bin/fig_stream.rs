@@ -6,8 +6,9 @@
 //! maintains a [`dam_stream::StreamingEstimator`] whose window estimate
 //! is read after every epoch. Per epoch and mechanism the table compares
 //! the **warm-started** EM (the diffusion-forecast seed, stopped by
-//! `EmParams::streaming` once an iteration gains less than one nat of
-//! log-likelihood, at most 50 iterations) against a **cold** uniform
+//! `EmParams::streaming` once a plain EM step gains less than 1.92 nats
+//! of log-likelihood, reached by SQUAREM extrapolation in at most 50 map
+//! evaluations) against a **cold** uniform
 //! start under the one-shot 150-iteration protocol on the *same* window
 //! counts: iterations, PostProcess seconds, and window TV/W₂ against the
 //! true sliding-window histogram. The two runs stop at deliberately
@@ -15,8 +16,8 @@
 //! privacy noise, so the evidence-stopped warm path is expected to match
 //! or beat the cold protocol's accuracy (the full-window summary lines
 //! are the check) while the iteration ratio is the headline saving. The
-//! fewer reports a window holds, the earlier its gain drops under one
-//! nat, so low-data streams (`--users`) stop well before the ceiling.
+//! fewer reports a window holds, the earlier its gain drops under the
+//! price, so low-data streams (`--users`) stop well before the ceiling.
 //!
 //! `--epochs`/`--window` override the stream shape; ingestion and
 //! estimates are bit-identical for any `--threads` value.

@@ -45,9 +45,14 @@ pub struct EmWorkspace {
     tainted_handoffs: usize,
     /// Stage label of the first tainted handoff.
     first_taint: Option<&'static str>,
-    /// Per-iteration log-likelihood gain sink, in nats (the quantity
-    /// `EmParams::gain_tol` compares); wired by the streaming estimator.
+    /// Log-likelihood gain sink, in nats: one sample per stop test (the
+    /// quantity `EmParams::gain_tol` compares); wired by the streaming
+    /// estimator.
     ll_trace: Option<dam_obs::Trace>,
+    /// The two `n_in` planes an evidence run's SQUAREM cycle adds to the
+    /// plain loop (`θ₂` and the extrapolated `θ′`), kept across runs so
+    /// a warm run allocates exactly what a budget run does.
+    extrapolation: [Vec<f64>; 2],
 }
 
 impl EmWorkspace {
@@ -103,11 +108,12 @@ impl EmWorkspace {
     }
 
     /// Wires a [`dam_obs::Trace`] to receive the log-likelihood gain, in
-    /// nats, of every EM iteration run through this workspace — exactly
-    /// the value the [`EmParams::gain_tol`] stop compares, so the trace
-    /// shows how close each run came to stopping. Recording is
-    /// sequential (the EM loop is single-threaded), so the trace is
-    /// deterministic.
+    /// nats, of every stop test run through this workspace — exactly the
+    /// value the [`EmParams::gain_tol`] stop compares, so the trace shows
+    /// how close each run came to stopping. A budget run tests every map
+    /// after its first; an evidence run tests once per three-map SQUAREM
+    /// cycle (see [`expectation_maximization`]). Recording is sequential
+    /// (the EM loop is single-threaded), so the trace is deterministic.
     pub fn set_ll_trace(&mut self, trace: dam_obs::Trace) {
         self.ll_trace = Some(trace);
     }
@@ -229,12 +235,16 @@ impl ChannelOp for Channel {
 /// Convergence knobs for [`expectation_maximization`].
 #[derive(Debug, Clone, Copy)]
 pub struct EmParams {
-    /// Hard iteration cap.
+    /// Hard cap on EM map evaluations (E-step + M-step, smoother
+    /// included). Every map counts, SQUAREM's stabilizing map too, so an
+    /// evidence run that reaches the cap has done no more work than a
+    /// budget run of the same cap.
     pub max_iters: usize,
     /// Stop when the relative log-likelihood improvement falls below this.
     pub rel_tol: f64,
-    /// Stop when one iteration gains less than this much log-likelihood,
-    /// **in nats** (absolute, not per report; `0.0` disables). The
+    /// Stop when one plain EM step gains less than this much
+    /// log-likelihood, **in nats** (absolute, not per report; `0.0`
+    /// disables the stop and, with it, the SQUAREM acceleration). The
     /// log-likelihood is `Σ_o c_o·ln (M·f)_o` over the raw counts, so the
     /// same relative improvement is worth more nats when there is more
     /// evidence: scaling the counts by `s` scales every gain by `s`, and
@@ -259,34 +269,39 @@ impl EmParams {
     /// the true distribution is U-shaped in the iteration count), so when
     /// to stop is the regularizer. A warm start from the previous window's
     /// already-regularized estimate only has one epoch's evidence to
-    /// absorb, and `gain_tol: 1.0` stops it once an iteration buys less
-    /// than **one nat**: the AIC price of one parameter. An iteration is
-    /// kept only if it improves the fit by more than AIC would charge for
-    /// the one extra degree of freedom it spends.
+    /// absorb, and `gain_tol: 1.92` stops it once one plain EM step buys
+    /// less than **1.92 nats**: the likelihood-ratio test at 5% for one
+    /// parameter (χ²₁,₀.₉₅ / 2). A positive `gain_tol` also switches the
+    /// driver to SQUAREM, which reaches the stop in far fewer maps (see
+    /// [`expectation_maximization`]).
     ///
     /// Measured on the end-to-end benchmark's `stream-fft` workload (d =
-    /// 64, 20k reports per epoch, window 6, seed 1, 100 scored epochs),
-    /// where the per-iteration `2ΔLL` has median 22 at iteration 10, 1.9
-    /// at 30 and 0.9 at 50, against other warm stops under the same cap
-    /// of 50 (accuracy relative to the cap alone):
+    /// 64, 20k reports per epoch, window 6, 100 scored epochs), seeds
+    /// 1 / 2 / 7, accuracy relative to plain EM under the one-nat AIC stop
+    /// (`window_tv` 0.11142 / 0.10828 / 0.10862, `window_w2` 3.7823 /
+    /// 3.7728 / 3.7763 in 38.5 maps per window):
     ///
-    /// | warm stop | mean iterations | `window_tv` | `window_w2` |
+    /// | warm stop under SQUAREM | maps per window | `window_tv` | `window_w2` |
     /// |---|---|---|---|
-    /// | cap only | 50 | 0.11730 | 3.7732 |
-    /// | BIC, ½·ln N nats | 19.9 | +0.15% | +2.1% |
-    /// | LR test at 5%, 1.92 nats | 29.5 | −6.4% | +0.75% |
-    /// | **AIC, 1 nat** | **38.5** | **−5.0%** | **+0.24%** |
+    /// | AIC, 1 nat | 12.4 | +5.2 / +5.0 / +4.3% | −0.12 / −0.31 / −0.24% |
+    /// | **LR test at 5%, 1.92 nats** | **11.0** | **−0.9 / +0.4 / 0.0%** | **+0.11 / −0.02 / −0.05%** |
+    /// | BIC, ½·ln N = 5.85 nats (N = 120k) | 10.8 | −1.0 / +0.4 / 0.0% | +0.15 / +0.02 / −0.03% |
     ///
-    /// The LR-test stop also costs HUEM +15% TV in `fig_stream`. A χ²
-    /// discrepancy stop cannot work here: χ²/n_out crosses 1 by iteration
-    /// 5 and then stays flat at 0.985–0.987 from iteration 10 to 50, so it
-    /// does not see the TV minimum near iteration 30.
+    /// An accelerated iterate stands farther along than the plain one whose
+    /// gain the stop prices, so the same price stops later in the fit: AIC
+    /// now runs past the TV minimum. BIC saves 2% of the maps at the LR
+    /// test's accuracy, but its price grows with the window's report count
+    /// (7.8 nats at a million reports per epoch), which one constant cannot
+    /// carry. A χ² discrepancy stop cannot work here: χ²/n_out crosses 1
+    /// by iteration 5 and then stays flat at 0.985–0.987 from iteration 10
+    /// to 50, so it does not see the TV minimum near iteration 30.
     ///
-    /// `max_iters: 50` stays as a ceiling, which only data-rich windows
-    /// reach: at a million reports per epoch the fit still gains ~8 nats
-    /// an iteration at 50. `rel_tol` is a numerical backstop.
+    /// `max_iters: 50` stays as a ceiling no benchmark workload reaches:
+    /// the million-report windows of `ingest-1m` and `durable-cluster`,
+    /// which ran to it under plain EM, stop after ~21 maps. `rel_tol` is a
+    /// numerical backstop.
     pub fn streaming() -> Self {
-        Self { max_iters: 50, rel_tol: 1e-9, gain_tol: 1.0 }
+        Self { max_iters: 50, rel_tol: 1e-9, gain_tol: 1.92 }
     }
 }
 
@@ -342,10 +357,12 @@ impl EmHealth {
 pub struct EmRun {
     /// Estimated input distribution (sums to 1).
     pub estimate: Vec<f64>,
-    /// Iterations actually executed (≤ `EmParams::max_iters`).
+    /// EM map evaluations actually executed (≤ `EmParams::max_iters`),
+    /// SQUAREM's stabilizing maps and diverged maps included.
     pub iters: usize,
-    /// The run spent all `EmParams::max_iters` iterations without
-    /// `rel_tol` or `gain_tol` firing: the cap, not the evidence, ended it.
+    /// The run spent all `EmParams::max_iters` map evaluations without
+    /// `rel_tol` or `gain_tol` firing: the cap, not the evidence, ended
+    /// it. A stop that fires on the last allowed map is not a cap hit.
     pub capped: bool,
     /// What the solver repaired along the way ([`EmHealth::is_clean`] on
     /// every healthy run).
@@ -369,6 +386,12 @@ const WARM_UNIFORM_MIX: f64 = 1e-6;
 /// will not either.
 const MAX_RESEEDS: usize = 3;
 
+/// How many times one SQUAREM cycle halves its step's distance to the
+/// plain two-step iterate (`α ← (α − 1)/2`) before taking that iterate
+/// itself. Each try costs one O(n_in) pass, nothing against a map
+/// evaluation.
+const MAX_BACKOFFS: usize = 10;
+
 /// Runs EM (optionally with a smoothing step — "EMS") and returns the
 /// estimated input distribution (sums to 1) together with the iteration
 /// count and the numerical-health record.
@@ -389,6 +412,35 @@ const MAX_RESEEDS: usize = 3;
 /// relies on — and the returned [`EmRun::iters`] records exactly how many
 /// it took, so callers can measure the warm-vs-cold ratio.
 ///
+/// # Two loops, chosen by the stop
+///
+/// Write `F` for one EM map: E-step, weights, adjoint, normalize, then
+/// the optional smoother.
+///
+/// * **Budget runs** (`gain_tol == 0`) iterate `θ ← F(θ)`. For them the
+///   iteration count is the regularizer (EM overfits the privacy noise as
+///   it nears the ML optimum), so this loop must not move.
+/// * **Evidence runs** (`gain_tol > 0`) let the statistic decide where
+///   the fit ends, so reaching it sooner changes only the cost. They run
+///   squared extrapolation, SQUAREM's S3 scheme (Varadhan & Roland,
+///   *Scand. J. Stat.* 2008): from `θ₀`, take `θ₁ = F(θ₀)` and
+///   `θ₂ = F(θ₁)`; with `r = θ₁ − θ₀` and `v = θ₂ − θ₁ − r`, step
+///   `α = −‖r‖/‖v‖` (at most −1) to `θ′ = θ₀ − 2αr + α²v`, and finish
+///   with one stabilizing map `F(θ′)`. Multiplicative EM can never regrow
+///   a zero cell, so `θ′` is never clipped: `α` backs off towards −1
+///   (where `θ′ = θ₂`) until every cell positive in `θ₂` is positive in
+///   `θ′` and none is negative. The stabilizing step's E-step yields
+///   `ll(θ′)` for free; `F(θ′)` is kept only if `ll(θ′) ≥ ll(θ₁)`,
+///   otherwise the next cycle starts from `θ₂`. The cycle's two extra
+///   planes (`θ₂`, `θ′`) live in `ws`, so a warm run allocates exactly
+///   what a budget run does.
+///
+/// Both loops stop on the gain of one plain EM step — `ll(θ_k) −
+/// ll(θ_{k−1})`, which a cycle measures as `ll(θ₁) − ll(θ₀)` — compared
+/// to `rel_tol` and `gain_tol`, and both count every map evaluation
+/// against `max_iters` and in [`EmRun::iters`], so a capped evidence run
+/// does no more work than a plain one.
+///
 /// The run never panics on degenerate numerics and never returns a
 /// non-finite estimate; it repairs and records in [`EmRun::health`]:
 ///
@@ -398,11 +450,11 @@ const MAX_RESEEDS: usize = 3;
 ///   uniform blend (`sanitized_init`);
 /// * counts summing to zero return the uniform distribution without
 ///   iterating (`degenerate_input`) — there is nothing to fit;
-/// * an iteration diverging to a non-finite estimate or log-likelihood
-///   (or to finite entries whose sum overflows) is re-seeded from
-///   `½·(last good estimate) + ½·uniform` (`reseeds`), up to
-///   `MAX_RESEEDS` (three) times; after that the last good estimate is
-///   returned as the best effort.
+/// * a map diverging to a non-finite estimate or log-likelihood (or to
+///   finite entries whose sum overflows) re-seeds from
+///   `½·(last good estimate) + ½·uniform` (`reseeds`) — the plain loop's
+///   current iterate, a cycle's `θ₀` — up to `MAX_RESEEDS` (three) times;
+///   after that the last good estimate is returned as the best effort.
 pub fn expectation_maximization<C: ChannelOp + ?Sized>(
     channel: &C,
     counts: &[f64],
@@ -454,73 +506,226 @@ pub fn expectation_maximization<C: ChannelOp + ?Sized>(
         None => vec![uniform; n_in],
     };
     let mut f_new = vec![0.0f64; n_in];
-    let mut out = vec![0.0f64; n_out];
-    let mut weights = vec![0.0f64; n_out];
-    let mut prev_ll = f64::NEG_INFINITY;
-    let mut iters = 0usize;
-    let mut converged = false;
+    let mut map = EmMap {
+        channel,
+        counts,
+        n_total,
+        smoother,
+        out: vec![0.0; n_out],
+        weights: vec![0.0; n_out],
+    };
+    let (iters, converged) = if params.gain_tol > 0.0 {
+        map.squarem(&mut f, &mut f_new, params, &mut health, ws)
+    } else {
+        map.plain(&mut f, &mut f_new, params, &mut health, ws)
+    };
+    let capped = !converged && iters == params.max_iters;
+    EmRun { estimate: f, iters, capped, health }
+}
 
-    for _ in 0..params.max_iters {
-        iters += 1;
+/// One EM map `F` over fixed observations, with its E-step scratch.
+struct EmMap<'a, C: ?Sized> {
+    channel: &'a C,
+    counts: &'a [f64],
+    n_total: f64,
+    smoother: Option<&'a dyn Fn(&mut [f64])>,
+    out: Vec<f64>,
+    weights: Vec<f64>,
+}
+
+impl<C: ChannelOp + ?Sized> EmMap<'_, C> {
+    /// `f_new = F(f)`, returning `ll(f)`, the observed-data
+    /// log-likelihood of the *input*; `None` when the map diverged
+    /// (`f_new` is then garbage and `f` untouched).
+    fn eval(&mut self, f: &[f64], f_new: &mut [f64], ws: &mut EmWorkspace) -> Option<f64> {
         // E: predicted output distribution under the current estimate.
-        channel.apply(&f, &mut out, ws);
-        ws.audit_handoff("apply", &out);
+        self.channel.apply(f, &mut self.out, ws);
+        ws.audit_handoff("apply", &self.out);
         // One sweep: the observed-data log-likelihood of the current
         // estimate (also the divergence sentinel: a corrupted `out` turns
         // it NaN) and the M-step weights.
         let mut ll = 0.0;
-        for ((w, &c), &p) in weights.iter_mut().zip(counts).zip(out.iter()) {
+        for ((w, &c), &p) in self.weights.iter_mut().zip(self.counts).zip(self.out.iter()) {
             if c > 0.0 {
                 ll += c * p.max(1e-300).ln();
             }
-            *w = if c == 0.0 || p <= 0.0 { 0.0 } else { c / n_total / p };
+            *w = if c == 0.0 || p <= 0.0 { 0.0 } else { c / self.n_total / p };
         }
         // M: multiplicative update through the adjoint.
-        channel.accumulate_adjoint(&weights, &f, &mut f_new, ws);
-        ws.audit_handoff("adjoint", &f_new);
-
+        self.channel.accumulate_adjoint(&self.weights, f, f_new, ws);
+        ws.audit_handoff("adjoint", f_new);
         // Divergence guard: a non-finite update — a NaN or ∞ entry, or
         // finite entries whose sum overflows — has a non-finite sum, which
         // normalisation reports instead of silently flattening the update
-        // to uniform or zero. At this point `f` still holds the last good
-        // (finite, by induction) estimate, so recovery re-seeds from its
-        // blend with uniform rather than restarting cold.
-        if !ll.is_finite() || !normalize(&mut f_new) {
-            if health.reseeds >= MAX_RESEEDS {
-                // Best effort: return the last finite estimate as-is.
-                break;
-            }
-            health.reseeds += 1;
-            for x in f.iter_mut() {
-                *x = 0.5 * *x + 0.5 * uniform;
-            }
-            normalize(&mut f);
-            prev_ll = f64::NEG_INFINITY;
-            continue;
+        // to uniform or zero.
+        if !ll.is_finite() || !normalize(f_new) {
+            return None;
         }
-
-        if let Some(s) = smoother {
-            s(&mut f_new);
-            normalize(&mut f_new);
+        if let Some(s) = self.smoother {
+            s(f_new);
+            normalize(f_new);
         }
-        std::mem::swap(&mut f, &mut f_new);
-
-        if prev_ll.is_finite() {
-            let gain = (ll - prev_ll).abs();
-            if let Some(trace) = ws.ll_trace.as_ref() {
-                trace.push(gain);
-            }
-            if gain / prev_ll.abs().max(1e-12) < params.rel_tol
-                || (params.gain_tol > 0.0 && gain < params.gain_tol)
-            {
-                converged = true;
-                break;
-            }
-        }
-        prev_ll = ll;
+        Some(ll)
     }
-    let capped = !converged && iters == params.max_iters;
-    EmRun { estimate: f, iters, capped, health }
+
+    /// The budget loop `θ ← F(θ)`, with `f_new` as the second plane.
+    /// Returns the evaluations spent and whether a tolerance (rather than
+    /// the cap) ended the run.
+    fn plain(
+        &mut self,
+        f: &mut Vec<f64>,
+        f_new: &mut Vec<f64>,
+        params: EmParams,
+        health: &mut EmHealth,
+        ws: &mut EmWorkspace,
+    ) -> (usize, bool) {
+        let mut prev_ll = f64::NEG_INFINITY;
+        let mut iters = 0usize;
+        while iters < params.max_iters {
+            iters += 1;
+            let Some(ll) = self.eval(f, f_new, ws) else {
+                // `f` still holds the last good (finite, by induction)
+                // estimate, so recovery re-seeds from it.
+                if !reseed(f, health) {
+                    break;
+                }
+                prev_ll = f64::NEG_INFINITY;
+                continue;
+            };
+            std::mem::swap(f, f_new);
+            if prev_ll.is_finite() && gain_stops(ll, prev_ll, params, ws) {
+                return (iters, true);
+            }
+            prev_ll = ll;
+        }
+        (iters, false)
+    }
+
+    /// The SQUAREM loop of [`expectation_maximization`]'s evidence runs:
+    /// cycles of `θ₁ = F(θ₀)`, `θ₂ = F(θ₁)`, the stop test, the S3
+    /// extrapolation and one stabilizing map, each map counted. `f` holds
+    /// `θ₀`, `f1` holds `θ₁` and then `F(θ′)`; `θ₂` and `θ′` live in the
+    /// workspace.
+    fn squarem(
+        &mut self,
+        f: &mut Vec<f64>,
+        f1: &mut Vec<f64>,
+        params: EmParams,
+        health: &mut EmHealth,
+        ws: &mut EmWorkspace,
+    ) -> (usize, bool) {
+        let [mut f2, mut fx] = std::mem::take(&mut ws.extrapolation);
+        f2.resize(f.len(), 0.0);
+        fx.resize(f.len(), 0.0);
+        let mut iters = 0usize;
+        let converged = loop {
+            if iters == params.max_iters {
+                break false;
+            }
+            iters += 1;
+            let Some(ll0) = self.eval(f, f1, ws) else {
+                if reseed(f, health) {
+                    continue;
+                }
+                break false;
+            };
+            if iters == params.max_iters {
+                std::mem::swap(f, f1);
+                break false;
+            }
+            iters += 1;
+            let Some(ll1) = self.eval(f1, &mut f2, ws) else {
+                if reseed(f, health) {
+                    continue;
+                }
+                break false;
+            };
+            if gain_stops(ll1, ll0, params, ws) {
+                f.copy_from_slice(&f2);
+                break true;
+            }
+            if iters == params.max_iters {
+                f.copy_from_slice(&f2);
+                break false;
+            }
+            extrapolate(f, f1, &f2, &mut fx);
+            iters += 1;
+            let Some(ll_x) = self.eval(&fx, f1, ws) else {
+                if reseed(f, health) {
+                    continue;
+                }
+                break false;
+            };
+            if ll_x >= ll1 {
+                std::mem::swap(f, f1);
+            } else {
+                f.copy_from_slice(&f2);
+            }
+        };
+        ws.extrapolation = [f2, fx];
+        (iters, converged)
+    }
+}
+
+/// The stop test on one plain EM step's gain `ll − prev_ll`, which it
+/// first records in the workspace's gain trace.
+fn gain_stops(ll: f64, prev_ll: f64, params: EmParams, ws: &EmWorkspace) -> bool {
+    let gain = (ll - prev_ll).abs();
+    if let Some(trace) = ws.ll_trace.as_ref() {
+        trace.push(gain);
+    }
+    gain / prev_ll.abs().max(1e-12) < params.rel_tol
+        || (params.gain_tol > 0.0 && gain < params.gain_tol)
+}
+
+/// Divergence recovery: blends `f` (the last good estimate) half-way
+/// back to uniform. `false`, leaving `f` as it is, once the run has
+/// spent its `MAX_RESEEDS`.
+fn reseed(f: &mut [f64], health: &mut EmHealth) -> bool {
+    if health.reseeds >= MAX_RESEEDS {
+        return false;
+    }
+    health.reseeds += 1;
+    let uniform = 1.0 / f.len() as f64;
+    for x in f.iter_mut() {
+        *x = 0.5 * *x + 0.5 * uniform;
+    }
+    normalize(f);
+    true
+}
+
+/// Writes SQUAREM's S3 point `θ′ = θ₀ − 2αr + α²v` into `out`, with
+/// `r = θ₁ − θ₀`, `v = θ₂ − θ₁ − r` and `α = min(−‖r‖/‖v‖, −1)` backed
+/// off by `α ← (α − 1)/2` until `θ′` keeps every cell of `θ₂` alive
+/// (positive where `θ₂` is, never negative); after `MAX_BACKOFFS` tries
+/// it writes `θ₂`, the `α = −1` point, exactly.
+fn extrapolate(t0: &[f64], t1: &[f64], t2: &[f64], out: &mut [f64]) {
+    let cycle = || t0.iter().zip(t1).zip(t2).map(|((&a, &b), &c)| (a, b - a, c - b - (b - a), c));
+    let (rr, vv) = cycle().fold((0.0, 0.0), |(rr, vv), (_, r, v, _)| (rr + r * r, vv + v * v));
+    let mut alpha = -(rr / vv).sqrt();
+    if !(alpha.is_finite() && alpha < -1.0) {
+        out.copy_from_slice(t2);
+        return;
+    }
+    for _ in 0..MAX_BACKOFFS {
+        let at = |(a, r, v, _): (f64, f64, f64, f64)| a - 2.0 * alpha * r + alpha * alpha * v;
+        let alive = cycle().all(|cell| {
+            let x = at(cell);
+            if cell.3 > 0.0 {
+                x > 0.0
+            } else {
+                x >= 0.0
+            }
+        });
+        if alive {
+            for (o, cell) in out.iter_mut().zip(cycle()) {
+                *o = at(cell);
+            }
+            return;
+        }
+        alpha = 0.5 * (alpha - 1.0);
+    }
+    out.copy_from_slice(t2);
 }
 
 /// The 1-D binomial smoother of SW-EMS: weighted average with kernel
@@ -738,18 +943,22 @@ mod tests {
     }
 
     #[test]
-    fn gain_stop_is_the_same_run_cut_short() {
-        // A run the one-nat stop ends at iteration k returns exactly the
-        // iterate a run with a budget of k and no gain stop returns: the
-        // stop chooses *when* to return, never *what*.
+    fn evidence_stop_is_scale_invariant() {
+        // The same counts scaled by 2^j with `gain_tol` scaled alike: the
+        // weights divide by the total and every log-likelihood scales by
+        // 2^j, both exactly for powers of two, so the accelerated run's
+        // iterates, extrapolation steps, backoffs and stop are the same
+        // run bit for bit. The stop depends on the evidence only through
+        // nats gained against nats charged.
         let stop = EmParams { max_iters: 500, rel_tol: 0.0, gain_tol: 1.0 };
-        let stopped = skewed_run(1.0, stop);
-        assert!(!stopped.capped, "the stop must fire before the cap");
-        assert!(stopped.iters > 2 && stopped.iters < stop.max_iters, "{}", stopped.iters);
-        let budget = skewed_run(1.0, EmParams { max_iters: stopped.iters, gain_tol: 0.0, ..stop });
-        assert!(budget.capped, "a budget-only run ends on its cap");
-        assert_eq!(budget.iters, stopped.iters);
-        assert_eq!(bits(&stopped.estimate), bits(&budget.estimate));
+        let base = skewed_run(1.0, stop);
+        assert!(!base.capped, "the stop must fire before the cap");
+        assert!(base.iters > 2 && base.iters < stop.max_iters, "{}", base.iters);
+        for scale in [2.0, 4.0, 16.0] {
+            let scaled = skewed_run(scale, EmParams { gain_tol: stop.gain_tol * scale, ..stop });
+            assert_eq!(scaled.iters, base.iters, "x{scale}");
+            assert_eq!(bits(&scaled.estimate), bits(&base.estimate), "x{scale}");
+        }
     }
 
     #[test]
@@ -769,9 +978,75 @@ mod tests {
             prev = scaled.iters;
         }
         assert!(prev > base.iters, "16x the evidence must buy more iterations");
-        // Cut to the base run's length, the x16 run is the base run.
-        let cut = skewed_run(16.0, EmParams { max_iters: base.iters, gain_tol: 0.0, ..stop });
-        assert_eq!(bits(&cut.estimate), bits(&base.estimate));
+    }
+
+    #[test]
+    fn extrapolation_never_kills_a_live_cell() {
+        // Five of six outputs nearly or wholly unobserved under a channel
+        // that keeps half its mass: from uniform, the raw S3 step of the
+        // first cycle overshoots far below zero. The backoff must keep
+        // every cell that started positive positive at every budget, or
+        // multiplicative EM could never regrow it.
+        let ch = noisy_channel(6, 0.5);
+        let counts = [1000.0, 0.0, 3.0, 0.0, 0.0, 1.0];
+        let run = |max_iters, gain_tol| {
+            let params = EmParams { max_iters, rel_tol: 0.0, gain_tol };
+            expectation_maximization(&ch, &counts, None, None, params, &mut EmWorkspace::new())
+        };
+        // The raw step, from two plain maps of the uniform start.
+        let t0 = vec![1.0 / 6.0; 6];
+        let (t1, t2) = (run(1, 0.0).estimate, run(2, 0.0).estimate);
+        let r: Vec<f64> = t1.iter().zip(&t0).map(|(b, a)| b - a).collect();
+        let v: Vec<f64> = t2.iter().zip(&t1).zip(&r).map(|((c, b), r)| c - b - r).collect();
+        let norm = |x: &[f64]| x.iter().map(|y| y * y).sum::<f64>().sqrt();
+        let alpha = (-norm(&r) / norm(&v)).min(-1.0);
+        let raw_min = (0..6)
+            .map(|i| t0[i] - 2.0 * alpha * r[i] + alpha * alpha * v[i])
+            .fold(f64::INFINITY, f64::min);
+        assert!(raw_min < 0.0, "the instance must overshoot: raw minimum {raw_min}");
+        for budget in 1..=60 {
+            let est = run(budget, 1e-12).estimate;
+            assert!(est.iter().all(|&x| x > 0.0), "budget {budget}: {est:?}");
+        }
+    }
+
+    #[test]
+    fn accelerated_cycles_never_lose_likelihood() {
+        // Plain EM never lowers the likelihood. A cycle keeps its
+        // stabilized extrapolation only when `ll(θ′) ≥ ll(θ₁)`, so the
+        // iterate each full three-map cycle ends on is never worse than
+        // the one it started from, however far the raw step overshoots.
+        let cases = [
+            (0.5, vec![1000.0, 0.0, 3.0, 0.0, 0.0, 1.0]),
+            (0.3, vec![500.0, 480.0, 0.0, 0.0, 0.0, 0.0]),
+        ];
+        for (keep, counts) in cases {
+            let ch = noisy_channel(6, keep);
+            let ll = |maps| {
+                let params = EmParams { max_iters: maps, rel_tol: 0.0, gain_tol: 1e-12 };
+                let f = expectation_maximization(
+                    &ch,
+                    &counts,
+                    None,
+                    None,
+                    params,
+                    &mut EmWorkspace::new(),
+                )
+                .estimate;
+                let mut out = vec![0.0; 6];
+                ch.apply(&f, &mut out, &mut EmWorkspace::new());
+                counts
+                    .iter()
+                    .zip(&out)
+                    .filter(|(c, _)| **c > 0.0)
+                    .map(|(c, p)| c * p.ln())
+                    .sum::<f64>()
+            };
+            for cycle in 1..20 {
+                let (before, after) = (ll(3 * cycle), ll(3 * cycle + 3));
+                assert!(after >= before, "keep {keep}, cycle {cycle}: {before} -> {after}");
+            }
+        }
     }
 
     #[test]
@@ -854,25 +1129,26 @@ mod tests {
         }
         // A cold run through a workspace a warm run already used must be
         // bit-identical to one through a fresh workspace: nothing a run
-        // leaves behind may leak into the next.
+        // leaves behind may leak into the next — budget runs, and
+        // evidence runs with their workspace-held extrapolation planes.
         let ch = Staged(noisy_channel(4, 0.6));
         let counts = [40.0, 30.0, 20.0, 10.0];
-        let params = EmParams::default();
-        let fresh =
-            expectation_maximization(&ch, &counts, None, None, params, &mut EmWorkspace::new());
-        let mut ws = EmWorkspace::new();
-        let stale = [0.7, 0.1, 0.1, 0.1];
-        let _ = expectation_maximization(&ch, &counts, Some(&stale), None, params, &mut ws);
-        let reused = expectation_maximization(&ch, &counts, None, None, params, &mut ws);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&fresh.estimate),
-            bits(&reused.estimate),
-            "workspace reuse moved the estimate"
-        );
-        assert_eq!(fresh.iters, reused.iters);
-        assert_eq!(fresh.health, reused.health);
-        assert!(fresh.iters >= 1 && fresh.iters <= params.max_iters);
+        for params in [EmParams::default(), EmParams { gain_tol: 1e-6, ..EmParams::default() }] {
+            let fresh =
+                expectation_maximization(&ch, &counts, None, None, params, &mut EmWorkspace::new());
+            let mut ws = EmWorkspace::new();
+            let stale = [0.7, 0.1, 0.1, 0.1];
+            let _ = expectation_maximization(&ch, &counts, Some(&stale), None, params, &mut ws);
+            let reused = expectation_maximization(&ch, &counts, None, None, params, &mut ws);
+            assert_eq!(
+                bits(&fresh.estimate),
+                bits(&reused.estimate),
+                "workspace reuse moved the estimate"
+            );
+            assert_eq!(fresh.iters, reused.iters);
+            assert_eq!(fresh.health, reused.health);
+            assert!(fresh.iters >= 1 && fresh.iters <= params.max_iters);
+        }
     }
 
     #[test]

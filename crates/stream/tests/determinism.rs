@@ -58,12 +58,12 @@ fn streaming_run_is_bit_identical_for_any_thread_count() {
 
 /// FNV-1a fold of the window chain below. Moving it is a behaviour
 /// change of the warm streaming path, not a refactor.
-const WARM_WINDOW_CHAIN_BITS: u64 = 0xfd4e_eac3_ed1c_bd1a;
+const WARM_WINDOW_CHAIN_BITS: u64 = 0x2ab9_c70c_c637_0516;
 
 #[test]
 fn warm_window_chain_matches_pinned_bits() {
     // A cold first window, then five warm ones (diffusion forecast +
-    // uniform floor + the one-nat evidence stop), on the stencil backend
+    // uniform floor + the accelerated evidence stop), on the stencil backend
     // so no FFT twiddle roundoff enters the pin. Every window's estimate
     // bits, its iteration count and two unaligned pyramid range answers
     // fold into one hash: any drift in the warm seed, the EM driver, the

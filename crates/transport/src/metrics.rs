@@ -221,10 +221,11 @@ mod tests {
 
     #[test]
     fn grid_solver_handles_a_large_grid_auto_dispatch() {
-        // d = 24 with full supports: 576 atoms > the exact limit, so Auto
-        // must route to the grid solver — and, full supports giving both
-        // the same regularisation scale, reproduce the dense reference.
-        let d = 24;
+        // d = 21 with full supports: 441 atoms > the exact limit of 400,
+        // so Auto must route to the grid solver — and, full supports
+        // giving both the same regularisation scale, reproduce the dense
+        // reference.
+        let d = 21;
         let mut a = Histogram2D::zeros(grid(d));
         let mut b = Histogram2D::zeros(grid(d));
         for i in 0..(d * d) as usize {
@@ -234,7 +235,7 @@ mod tests {
         let (a, b) = (a.normalized(), b.normalized());
         let auto = w2_auto(&a, &b).unwrap();
         let gridv = w2_grid_sinkhorn(&a, &b, SinkhornParams::default()).unwrap();
-        assert_eq!(auto, gridv, "auto at d=24 full support must be the grid solver");
+        assert_eq!(auto, gridv, "auto at d=21 full support must be the grid solver");
         let (pa, _) = cell_unit_support(&a);
         let cost = CostMatrix::euclidean_pow(&pa, &pa, 2);
         let dense = crate::grid::tests::dense_sinkhorn_cost(

@@ -4,7 +4,7 @@
 //! `BENCH_*.json` baseline at the repository root:
 //!
 //! * `complexity` — the §VI-B complexity claims: O(1) reports after O(b̂²)
-//!   setup, EM post-processing cost per backend (`BENCH_em.json`);
+//!   setup, spectral EM post-processing cost (`BENCH_em.json`);
 //! * `reports` — the sharded report pipeline (`BENCH_reports.json`);
 //! * `w2` — exact LP vs grid-separable Sinkhorn W₂ (`BENCH_w2.json`);
 //! * `range` — pyramid range answering (`BENCH_range.json`);

@@ -33,8 +33,9 @@ const CKPT_MAGIC: &[u8; 8] = b"DAMCKPT\0";
 /// WAL file magic (8 bytes).
 const WAL_MAGIC: &[u8; 8] = b"DAMWAL\0\0";
 /// Format version both files carry. Bump on any layout change (2: the
-/// checkpoint holds only the window's planes, the WAL header a checksum).
-pub const FORMAT_VERSION: u32 = 2;
+/// checkpoint holds only the window's planes, the WAL header a checksum;
+/// 3: the health block lost its backend-fallback counter).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a checkpoint or WAL could not be read or written.
 #[derive(Debug)]
@@ -243,7 +244,6 @@ fn encode_health(buf: &mut Vec<u8>, h: &PipelineHealth) {
     push_u64(buf, h.sanitized_cells as u64);
     push_u64(buf, h.em_reseeds as u64);
     push_u64(buf, h.degenerate_windows as u64);
-    push_u64(buf, h.backend_fallbacks as u64);
     push_u64(buf, h.nodes_missed as u64);
     buf.push(u8::from(h.partial_window));
 }
@@ -260,7 +260,6 @@ fn decode_health(r: &mut Reader<'_>) -> Result<PipelineHealth, CheckpointError> 
         sanitized_cells: r.usize("health.sanitized_cells")?,
         em_reseeds: r.usize("health.em_reseeds")?,
         degenerate_windows: r.usize("health.degenerate_windows")?,
-        backend_fallbacks: r.usize("health.backend_fallbacks")?,
         nodes_missed: r.usize("health.nodes_missed")?,
         partial_window: r.u8("health.partial_window")? != 0,
     })

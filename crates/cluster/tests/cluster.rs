@@ -202,7 +202,6 @@ fn state(planes: Vec<Vec<f64>>, warm: Option<Vec<f64>>) -> CheckpointState {
             sanitized_cells: 2,
             em_reseeds: 0,
             degenerate_windows: 0,
-            backend_fallbacks: 1,
             nodes_missed: 4,
             partial_window: epochs > 0,
         },
@@ -250,9 +249,10 @@ fn checkpoint_version_mismatch_is_a_structured_error() {
     store.write_checkpoint(&state(vec![vec![1.0; 4]], Some(vec![0.25; 4]))).unwrap();
     // Rewrite the version field (bytes 8..12) and re-seal the checksum so
     // the version check — not the integrity check — is what trips, for a
-    // future version and for version 1 (same layout, every epoch's plane).
+    // future version, for version 1 (every epoch's plane) and for version
+    // 2 (a health block with the backend-fallback counter).
     let original = fs::read(store.checkpoint_path()).unwrap();
-    for version in [99u32, 1] {
+    for version in [99u32, 1, 2] {
         let mut bytes = original.clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let payload_len = bytes.len() - 8;
@@ -535,7 +535,9 @@ proptest! {
         // or the WAL header's n_cells, each re-sealed.
         let value = [raw % 64, raw, u64::MAX - raw % 64][(raw % 3) as usize];
         let state = &fixture().2;
-        let coverage = 12 + 4 * 8 + 81 + 3 * 8;
+        // Magic + version, four u64 header fields, the health block (nine
+        // u64 counters and a flag byte), then three u64 coordinator stats.
+        let coverage = 12 + 4 * 8 + 73 + 3 * 8;
         let warm = coverage + 8 + 8 * state.coverage.len() + 10;
         let at = [12, 20, coverage, warm, 12][field];
         let was = [state.n_cells, 3, state.coverage.len(), 36, state.n_cells][field];

@@ -6,6 +6,7 @@
 //! ("EMS") convolves the estimate with a 3×3 binomial kernel between
 //! iterations — the 2-D analogue of SW-EMS's `[1,2,1]/4`.
 
+use crate::conv::FftChannel;
 use crate::kernel::DiscreteKernel;
 use dam_fo::em::{expectation_maximization, ChannelOp, EmHealth, EmParams, EmRun, EmWorkspace};
 use dam_geo::{Grid2D, Histogram2D};
@@ -17,64 +18,6 @@ pub enum PostProcess {
     Em,
     /// EM with 3×3 binomial smoothing between iterations.
     Ems,
-}
-
-/// Which [`ChannelOp`] implementation EM runs against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EmBackend {
-    /// Pick [`EmBackend::Convolution`] or [`EmBackend::Fft`] from the
-    /// measured `(d, b̂)` cost model in [`crate::tuning`] — the default
-    /// for every SAM-family estimate.
-    #[default]
-    Auto,
-    /// The O(n_out·b̂²) stencil operator ([`crate::conv::ConvChannel`]) —
-    /// the small-radius workhorse.
-    Convolution,
-    /// The O(n_out·n_in) dense matrix — reference implementation, used
-    /// for equivalence tests and backend benchmarks.
-    Dense,
-    /// The spectral operator ([`crate::conv::FftChannel`]): O(n² log n)
-    /// per iteration on the zero-padded `2^a·3^b` grid — wins the
-    /// large-radius regime (b̂ ≳ 8 at paper-scale grids).
-    Fft,
-}
-
-impl EmBackend {
-    /// Resolves [`EmBackend::Auto`] against the tuning cost model for a
-    /// kernel shape; explicit choices pass through unchanged. Never
-    /// returns `Auto`.
-    pub fn resolve(self, d: u32, b_hat: u32) -> EmBackend {
-        match self {
-            EmBackend::Auto => {
-                if crate::tuning::fft_beats_stencil(d, b_hat) {
-                    EmBackend::Fft
-                } else {
-                    EmBackend::Convolution
-                }
-            }
-            explicit => explicit,
-        }
-    }
-
-    /// Every backend, in CLI-listing order.
-    pub const ALL: [EmBackend; 4] =
-        [EmBackend::Auto, EmBackend::Convolution, EmBackend::Dense, EmBackend::Fft];
-
-    /// CLI label (`--em-backend` value).
-    pub fn label(self) -> &'static str {
-        match self {
-            EmBackend::Auto => "auto",
-            EmBackend::Convolution => "conv",
-            EmBackend::Dense => "dense",
-            EmBackend::Fft => "fft",
-        }
-    }
-
-    /// Inverse of [`EmBackend::label`]; `None` for unknown names. The CLI
-    /// parses through this so the flag can never drift from the enum.
-    pub fn from_label(name: &str) -> Option<EmBackend> {
-        EmBackend::ALL.into_iter().find(|b| b.label() == name)
-    }
 }
 
 /// 3×3 binomial smoothing `[[1,2,1],[2,4,2],[1,2,1]]/16` over a `d × d`
@@ -112,34 +55,29 @@ pub fn smooth_2d(d: usize, f: &mut [f64]) {
 }
 
 /// Everything one PostProcess run produced: the estimate, the iteration
-/// accounting and the numerical-health record — including whether the
-/// spectral backend had to be abandoned for the exact stencil.
+/// accounting and the numerical-health record.
 #[derive(Debug, Clone)]
 pub struct PostProcessOutcome {
     /// The estimated input distribution (sums to 1, always finite).
     pub histogram: Histogram2D,
-    /// EM iterations executed (summed across a backend-fallback rerun).
+    /// EM iterations executed.
     pub em_iters: usize,
-    /// The (final) run hit `EmParams::max_iters` without a tolerance
-    /// firing ([`EmRun::capped`]).
+    /// The run hit `EmParams::max_iters` without a tolerance firing
+    /// ([`EmRun::capped`]).
     pub em_capped: bool,
     /// What the solver repaired ([`EmHealth::is_clean`] on healthy runs).
     pub em_health: EmHealth,
-    /// The FFT backend diverged and the run was redone on the exact
-    /// stencil operator (see [`EmOperator::post_process`]).
-    pub backend_fallback: bool,
 }
 
-/// A resolved EM operator: the one 2-D PostProcess entry.
+/// The one 2-D PostProcess entry: EM over the kernel's spectral operator
+/// ([`FftChannel`]).
 ///
-/// Construct it per kernel/backend (resolving [`EmBackend::Auto`] and
-/// building the channel — stencil offsets or the FFT plan + kernel
-/// spectrum, the expensive setup), then call [`EmOperator::post_process`].
-/// A one-shot caller builds one, runs it once without a warm start and
-/// drops it:
+/// Construct it per kernel (the FFT plan and the kernel spectrum are the
+/// expensive setup), then call [`EmOperator::post_process`]. A one-shot
+/// caller builds one, runs it once without a warm start and drops it:
 ///
 /// ```text
-/// EmOperator::new(&kernel, backend)
+/// EmOperator::new(&kernel)
 ///     .post_process(counts, grid, post, params, None, &mut EmWorkspace::new())
 /// ```
 ///
@@ -148,34 +86,13 @@ pub struct PostProcessOutcome {
 /// [`EmOperator::post_process`] per window with a shared [`EmWorkspace`]
 /// and the previous window's estimate as the warm start.
 pub struct EmOperator {
-    channel: Box<dyn ChannelOp + Send + Sync>,
-    /// Resolved backend actually in use (never [`EmBackend::Auto`]).
-    resolved: EmBackend,
-    /// The kernel, kept so a diverging FFT run can rebuild the exact
-    /// stencil operator on demand (see [`EmOperator::post_process`]).
-    kernel: DiscreteKernel,
-    /// Lazily-built stencil fallback (only materialised after the first
-    /// FFT divergence; reused for every later fallback).
-    stencil_fallback: Option<Box<dyn ChannelOp + Send + Sync>>,
+    channel: FftChannel,
 }
 
 impl EmOperator {
-    /// Resolves `backend` for the kernel shape and builds the channel once.
-    pub fn new(kernel: &DiscreteKernel, backend: EmBackend) -> Self {
-        let resolved = backend.resolve(kernel.d(), kernel.b_hat());
-        let channel: Box<dyn ChannelOp + Send + Sync> = match resolved {
-            EmBackend::Convolution => Box::new(kernel.conv_channel()),
-            EmBackend::Dense => Box::new(kernel.channel()),
-            EmBackend::Fft => Box::new(kernel.fft_channel()),
-            EmBackend::Auto => unreachable!("resolve never returns Auto"),
-        };
-        Self { channel, resolved, kernel: kernel.clone(), stencil_fallback: None }
-    }
-
-    /// The backend the cost model resolved to.
-    #[inline]
-    pub fn resolved(&self) -> EmBackend {
-        self.resolved
+    /// Builds the spectral channel for `kernel` once.
+    pub fn new(kernel: &DiscreteKernel) -> Self {
+        Self { channel: kernel.fft_channel() }
     }
 
     /// Runs PostProcess with an optional warm start, returning the
@@ -184,18 +101,8 @@ impl EmOperator {
     /// when given, must be a distribution over the input grid (`d²`
     /// values); `ws` carries the operator scratch across windows so
     /// steady-state EM allocates nothing.
-    ///
-    /// **Graceful degradation.** The spectral operator is the one backend
-    /// with a numerical failure mode of its own: its circular convolutions
-    /// round through a full FFT/iFFT pass, so a pathological plane can
-    /// drive the iteration non-finite where the exact stencil would not.
-    /// When an FFT-backed run reports divergence re-seeds, the run is
-    /// redone on a lazily-built [`crate::conv::ConvChannel`] (kept for
-    /// subsequent windows) and the outcome records `backend_fallback` so
-    /// the pipeline's health surface can expose the degraded-but-serving
-    /// state. Iteration counts sum across the rerun.
     pub fn post_process(
-        &mut self,
+        &self,
         noisy_counts: &[f64],
         input_grid: &Grid2D,
         post: PostProcess,
@@ -203,43 +110,21 @@ impl EmOperator {
         init: Option<&[f64]>,
         ws: &mut EmWorkspace,
     ) -> PostProcessOutcome {
-        assert_eq!(noisy_counts.len(), self.kernel.n_out(), "counts do not match output grid");
-        assert_eq!(input_grid.d(), self.kernel.d(), "kernel built for a different grid resolution");
-        let d = self.kernel.d() as usize;
+        let d = input_grid.d() as usize;
+        assert_eq!(noisy_counts.len(), self.channel.n_out(), "counts do not match output grid");
+        assert_eq!(d * d, self.channel.n_in(), "kernel built for a different grid resolution");
         let smoother = move |f: &mut [f64]| smooth_2d(d, f);
         let smoother: Option<&dyn Fn(&mut [f64])> = match post {
             PostProcess::Em => None,
             PostProcess::Ems => Some(&smoother),
         };
-        let run = expectation_maximization(
-            self.channel.as_ref(),
-            noisy_counts,
-            init,
-            smoother,
-            params,
-            ws,
-        );
-        if run.health.reseeds == 0 || self.resolved != EmBackend::Fft {
-            return PostProcessOutcome {
-                histogram: Histogram2D::from_values(input_grid.clone(), run.estimate),
-                em_iters: run.iters,
-                em_capped: run.capped,
-                em_health: run.health,
-                backend_fallback: false,
-            };
-        }
-        let stencil =
-            self.stencil_fallback.get_or_insert_with(|| Box::new(self.kernel.conv_channel()));
         let EmRun { estimate, iters, capped, health } =
-            expectation_maximization(stencil.as_ref(), noisy_counts, init, smoother, params, ws);
-        let mut em_health = run.health;
-        em_health.merge(&health);
+            expectation_maximization(&self.channel, noisy_counts, init, smoother, params, ws);
         PostProcessOutcome {
             histogram: Histogram2D::from_values(input_grid.clone(), estimate),
-            em_iters: run.iters + iters,
+            em_iters: iters,
             em_capped: capped,
-            em_health,
-            backend_fallback: true,
+            em_health: health,
         }
     }
 }
@@ -258,28 +143,9 @@ mod tests {
         grid: &Grid2D,
         post: PostProcess,
     ) -> Histogram2D {
-        EmOperator::new(k, EmBackend::Auto)
+        EmOperator::new(k)
             .post_process(counts, grid, post, EmParams::default(), None, &mut EmWorkspace::new())
             .histogram
-    }
-
-    #[test]
-    fn auto_resolves_to_stencil_small_radius_and_fft_large_radius() {
-        // The acceptance anchors: stencil at b̂ = 4, FFT at b̂ = 32.
-        assert_eq!(EmBackend::Auto.resolve(64, 4), EmBackend::Convolution);
-        assert_eq!(EmBackend::Auto.resolve(64, 32), EmBackend::Fft);
-        // Explicit backends pass through untouched.
-        for explicit in [EmBackend::Convolution, EmBackend::Dense, EmBackend::Fft] {
-            assert_eq!(explicit.resolve(64, 32), explicit);
-        }
-    }
-
-    #[test]
-    fn backend_labels_are_cli_values() {
-        assert_eq!(EmBackend::Auto.label(), "auto");
-        assert_eq!(EmBackend::Convolution.label(), "conv");
-        assert_eq!(EmBackend::Dense.label(), "dense");
-        assert_eq!(EmBackend::Fft.label(), "fft");
     }
 
     #[test]
@@ -371,7 +237,7 @@ mod tests {
             })
             .collect();
         let counts = client.report_batch(&points, 11, Some(1));
-        let channel = client.kernel().conv_channel();
+        let channel = client.kernel().fft_channel();
         let tol = EmParams::streaming().gain_tol;
         let run = |max_iters, gain_tol, ws: &mut EmWorkspace| {
             let params = EmParams { max_iters, rel_tol: 0.0, gain_tol };

@@ -8,7 +8,7 @@
 //! interface the experiment harness drives for DAM, DAM-NS, HUEM and all
 //! the baselines in `dam-baselines`.
 
-use crate::em2d::{EmBackend, EmOperator, PostProcess};
+use crate::em2d::{EmOperator, PostProcess};
 use crate::grid::KernelKind;
 use crate::kernel::DiscreteKernel;
 use crate::radius::optimal_b_cells;
@@ -84,10 +84,6 @@ pub struct DamConfig {
     pub post: PostProcess,
     /// EM convergence knobs.
     pub em: EmParams,
-    /// Which EM operator to run PostProcess against ([`EmBackend::Auto`]
-    /// by default: stencil or FFT from the measured `(d, b̂)` crossover;
-    /// dense is the reference path for A/B comparison).
-    pub backend: EmBackend,
     /// Worker threads for the sharded report pipeline (`None` = all
     /// cores). Any value yields bit-identical output — shard layout and
     /// RNG streams are thread-count independent.
@@ -103,7 +99,6 @@ impl DamConfig {
             b_hat: None,
             post: PostProcess::Em,
             em: EmParams::default(),
-            backend: EmBackend::Auto,
             threads: None,
         }
     }
@@ -385,11 +380,10 @@ impl DamAggregator {
         self.n_reports
     }
 
-    /// Runs PostProcess on the [`EmBackend`] (`Auto` picks the structured
-    /// operator for the kernel shape) and returns the estimated
-    /// distribution.
-    pub fn estimate(&self, post: PostProcess, em: EmParams, backend: EmBackend) -> Histogram2D {
-        EmOperator::new(&self.kernel, backend)
+    /// Runs PostProcess on the spectral [`EmOperator`] and returns the
+    /// estimated distribution.
+    pub fn estimate(&self, post: PostProcess, em: EmParams) -> Histogram2D {
+        EmOperator::new(&self.kernel)
             .post_process(&self.counts, &self.input_grid, post, em, None, &mut EmWorkspace::new())
             .histogram
     }
@@ -428,7 +422,7 @@ impl SpatialEstimator for DamEstimator {
         // identically no matter how many threads execute the batch.
         let master_seed = rng.next_u64();
         agg.ingest_counts(&client.report_batch(points, master_seed, self.config.threads));
-        agg.estimate(self.config.post, self.config.em, self.config.backend)
+        agg.estimate(self.config.post, self.config.em)
     }
 }
 
@@ -503,7 +497,7 @@ mod tests {
             agg.ingest(client.report(p, &mut rng));
         }
         assert_eq!(agg.n_reports(), 500);
-        let est = agg.estimate(PostProcess::Em, EmParams::default(), EmBackend::Auto);
+        let est = agg.estimate(PostProcess::Em, EmParams::default());
         assert!((est.total() - 1.0).abs() < 1e-9);
     }
 

@@ -1,5 +1,5 @@
 //! In-repo iterative real 2-D FFT — the engine behind the spectral EM
-//! backend ([`crate::conv::FftChannel`]).
+//! operator ([`crate::conv::FftChannel`]).
 //!
 //! # Algorithm
 //!
@@ -124,9 +124,41 @@
 //! per iteration, the whole gap. Split plans resolve their thread count
 //! once, when they are built.
 
-use crate::tuning::{next_fft_side, PARALLEL_FFT_MIN_SIDE};
 use rayon::pool::Tiles;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Smallest padded side `n` at which a spectral convolution
+/// ([`Fft2d::convolve`]) splits across threads.
+///
+/// Measured on a 2-vCPU x86-64 host, the two convolutions of one EM
+/// iteration (apply + adjoint), serial time over split time (two
+/// column-block planes), medians of 310 finely interleaved samples in
+/// three runs each: 0.68–0.74× at n = 48 (d = 32, b̂ = 8), 0.86–1.05× at
+/// n = 72 (d = 48, b̂ = 12), 1.06–1.15× at n = 96 (d = 64, b̂ = 14) and
+/// 1.16–1.38× at n = 128 (d = 100, b̂ = 14). In the `stream-fft`
+/// benchmark (n = 96) the split path cut traced `em.us_per_iter` from
+/// 365–430 µs to 329–334 µs in three alternating pairs. Earlier, on the
+/// radix-2 grids: 0.56× at n = 32, ~1.0× at n = 64, 1.44× at n = 128.
+/// The `ingest-1m` and `durable-cluster` shapes (d = 20, n = 32)
+/// therefore stay serial, and `stream-fft` splits.
+pub const PARALLEL_FFT_MIN_SIDE: usize = 96;
+
+/// Smallest even `2^a·3^b` ≥ `n`, clamped to at least 2 (the real-FFT
+/// split needs an even length): the side a spectral grid is planned on
+/// ([`Fft2d::new`]). Powers of two map to themselves.
+pub fn next_fft_side(n: usize) -> usize {
+    let mut side = n.max(2);
+    loop {
+        let mut odd = side >> side.trailing_zeros();
+        while odd.is_multiple_of(3) {
+            odd /= 3;
+        }
+        if side.is_multiple_of(2) && odd == 1 {
+            return side;
+        }
+        side += 1;
+    }
+}
 
 /// `√3/2`, the imaginary part of the radix-3 butterfly's root of unity.
 const SIN_60: f64 = 0.866_025_403_784_438_6;
@@ -956,6 +988,17 @@ mod tests {
         assert!(Fft2d::new(PARALLEL_FFT_MIN_SIDE).with_threads(2).split.is_some());
         assert!(Fft2d::new(PARALLEL_FFT_MIN_SIDE).with_threads(1).split.is_none());
         assert!(Fft2d::new(PARALLEL_FFT_MIN_SIDE / 2).with_threads(2).split.is_none());
+    }
+
+    #[test]
+    fn next_fft_side_is_the_next_even_2x3_side() {
+        for (n, side) in [(1, 2), (2, 2), (3, 4), (5, 6), (23, 24), (28, 32), (92, 96), (97, 108)] {
+            assert_eq!(next_fft_side(n), side, "n {n}");
+        }
+        for p in 1..12 {
+            assert_eq!(next_fft_side(1 << p), 1 << p);
+        }
+        assert_eq!(next_fft_side(374), 384);
     }
 
     #[test]

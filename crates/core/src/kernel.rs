@@ -18,7 +18,7 @@
 //! Every kernel is a valid probability distribution over output cells and
 //! satisfies the ε-LDP mass-ratio bound for all input pairs (tested).
 
-use crate::conv::{ConvChannel, FftChannel};
+use crate::conv::FftChannel;
 use crate::grid::{DiskGeometry, KernelKind};
 use dam_fo::em::Channel;
 use dam_geo::{CellIndex, Grid2D};
@@ -249,20 +249,12 @@ impl DiscreteKernel {
         self.mass_at_offset(dx, dy)
     }
 
-    /// The convolution-structured EM operator: O(b̂²) storage and
-    /// O(n_out·b̂²) work per EM iteration — the small-radius PostProcess
-    /// path; [`DiscreteKernel::channel`] is the dense reference it is
-    /// tested against.
-    pub fn conv_channel(&self) -> ConvChannel {
-        ConvChannel::new(self)
-    }
-
-    /// The spectral EM operator: the same translation-invariant structure
-    /// evaluated as circular convolutions on a zero-padded
-    /// `next_fft_side(d + 2b̂)` grid (the smallest even `2^a·3^b` side),
-    /// O(n² log n) per EM iteration with the
-    /// kernel spectrum computed once. Wins the large-radius regime
-    /// (`EmBackend::Auto` switches over at the measured crossover).
+    /// The EM operator PostProcess runs on: the kernel's
+    /// translation-invariant structure evaluated as circular convolutions
+    /// on a zero-padded `next_fft_side(d + 2b̂)` grid (the smallest even
+    /// `2^a·3^b` side), O(n² log n) per EM iteration with the kernel
+    /// spectrum computed once. [`DiscreteKernel::channel`] is the dense
+    /// reference it is tested against.
     pub fn fft_channel(&self) -> FftChannel {
         FftChannel::new(self)
     }
@@ -270,7 +262,7 @@ impl DiscreteKernel {
     /// The full `n_out × n_in` dense channel matrix — O(n_out·n_in)
     /// memory and per-EM-iteration work. Kept as the reference
     /// implementation for equivalence tests and benchmarks; production
-    /// post-processing goes through [`DiscreteKernel::conv_channel`].
+    /// post-processing goes through [`DiscreteKernel::fft_channel`].
     pub fn channel(&self) -> Channel {
         let n_in = (self.d as usize) * (self.d as usize);
         let n_out = self.n_out();

@@ -17,26 +17,19 @@
 //!   ablation kernel, and the ring-discretised HUEM of Appendix A;
 //! * [`response`] — `GridAreaResponse` (Algorithm 2): O(1) per-user
 //!   sampling of a noisy output cell;
-//! * [`conv`] — the structured EM operators built on the kernel's
-//!   translation invariance: the O(b̂²)-storage stencil
-//!   ([`conv::ConvChannel`], O(n_out·b̂²) per EM iteration; measured
-//!   12–14× over dense at `d = 32, b̂ = 4`) and the spectral
-//!   [`conv::FftChannel`] (circular convolutions on a zero-padded
-//!   `2^a·3^b` grid, O(n² log n) per iteration with the kernel
-//!   spectrum cached), both opening grids (d ≥ 64) whose dense channel
-//!   matrix would not fit — the committed `BENCH_em.json` records the
-//!   exact baselines and the stencil↔FFT crossover;
+//! * [`conv`] — the spectral EM operator [`conv::FftChannel`], built on
+//!   the kernel's translation invariance: circular convolutions on a
+//!   zero-padded `2^a·3^b` grid, O(n² log n) per iteration with the
+//!   kernel spectrum cached, which opens grids (d ≥ 64) whose dense
+//!   channel matrix would not fit — the committed `BENCH_em.json` records
+//!   its cost across the d = 64 radius sweep;
 //! * [`fft`] — the in-repo iterative mixed-radix (2·3) real 2-D FFT
 //!   ([`fft::Fft2d`]): precomputed twiddle/digit-reversal plans, one
 //!   row-major half-spectrum whose column pass runs butterflies between
 //!   whole rows, all-zero rows skipped; each convolution split across two
 //!   cores from side 96 up (`stream-fft`'s grid), serial below;
-//! * [`tuning`] — measured performance constants shared by the stencil,
-//!   FFT and sharding paths, including the cost model behind
-//!   [`em2d::EmBackend::Auto`];
-//! * [`em2d`] — the EM/EMS "PostProcess" step on the 2-D grid, running on
-//!   the auto-selected structured operator by default
-//!   ([`em2d::EmBackend`] pins the stencil/FFT/dense paths explicitly);
+//! * [`em2d`] — the EM/EMS "PostProcess" step on the 2-D grid
+//!   ([`em2d::EmOperator`], always on the spectral operator);
 //! * [`pyramid`] — hierarchical estimate pyramids: dyadic aggregate
 //!   levels over any count/estimate plane with Hay-style constrained
 //!   inference (every node equals the sum of its children) and
@@ -61,11 +54,10 @@ pub mod radius;
 pub mod response;
 pub mod sam;
 pub mod shard;
-pub mod tuning;
 pub mod validate;
 
-pub use conv::{ConvChannel, FftChannel};
-pub use em2d::{EmBackend, EmOperator, PostProcess, PostProcessOutcome};
+pub use conv::FftChannel;
+pub use em2d::{EmOperator, PostProcess, PostProcessOutcome};
 pub use estimator::{
     DamAggregator, DamClient, DamConfig, DamEstimator, SamVariant, SpatialEstimator,
 };

@@ -1,19 +1,17 @@
-//! Property tests: the structured channel operators are interchangeable
-//! with the dense reference [`Channel`] on every kernel family — DAM,
-//! DAM-NS, DAM-X and HUEM — including the `b̂ = 0` degenerate
-//! randomized-response kernel and non-power-of-two grid sides, both for
-//! the raw EM primitives and for whole EM fixpoints.
+//! Property tests: the spectral channel operator is interchangeable with
+//! the dense reference [`Channel`](dam_fo::em::Channel) on every kernel
+//! family — DAM, DAM-NS, DAM-X and HUEM — including the `b̂ = 0`
+//! degenerate randomized-response kernel and non-power-of-two grid
+//! sides, both for the raw EM primitives and for whole EM fixpoints.
 //!
-//! Tolerances: the stencil ([`ConvChannel`]) walks the same floating-point
-//! order as the dense operator up to re-association, so it is held to
-//! ≤ 1e-12 per cell; the spectral operator ([`FftChannel`]) goes through
-//! a forward/inverse transform pair whose roundoff scales with the padded
-//! grid, so the three-way suite is held to ≤ 1e-9 (the bound the
-//! large-radius regime is certified to).
+//! Tolerance: the spectral operator ([`FftChannel`]) goes through a
+//! forward/inverse transform pair whose roundoff scales with the padded
+//! grid, so it is held to ≤ 1e-9 per cell (the bound the large-radius
+//! regime is certified to).
 
 use dam_core::grid::KernelKind;
 use dam_core::kernel::DiscreteKernel;
-use dam_core::{ConvChannel, FftChannel};
+use dam_core::FftChannel;
 use dam_fo::em::{expectation_maximization, ChannelOp, EmParams, EmWorkspace};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -47,8 +45,7 @@ fn random_weights(n: usize, seed: u64) -> Vec<f64> {
     (0..n).map(|_| if rng.gen::<f64>() < 0.2 { 0.0 } else { rng.gen::<f64>() * 3.0 }).collect()
 }
 
-/// Per-cell tolerance for each structured backend against dense.
-const CONV_TOL: f64 = 1e-12;
+/// Per-cell tolerance of the spectral operator against dense.
 const FFT_TOL: f64 = 1e-9;
 
 proptest! {
@@ -64,26 +61,16 @@ proptest! {
     ) {
         let kernel = build_kernel(family, eps, d, b_hat);
         let dense = kernel.channel();
-        let conv = ConvChannel::new(&kernel);
         let fft = FftChannel::new(&kernel);
-        prop_assert_eq!(dense.n_in(), conv.n_in());
-        prop_assert_eq!(dense.n_out(), conv.n_out());
         prop_assert_eq!(dense.n_in(), fft.n_in());
         prop_assert_eq!(dense.n_out(), fft.n_out());
         let mut ws = EmWorkspace::new();
-        let f = random_distribution(conv.n_in(), seed);
-        let mut out_dense = vec![0.0; conv.n_out()];
-        let mut out_conv = vec![0.0; conv.n_out()];
-        let mut out_fft = vec![0.0; conv.n_out()];
+        let f = random_distribution(fft.n_in(), seed);
+        let mut out_dense = vec![0.0; fft.n_out()];
+        let mut out_fft = vec![0.0; fft.n_out()];
         dense.apply(&f, &mut out_dense, &mut ws);
-        conv.apply(&f, &mut out_conv, &mut ws);
         fft.apply(&f, &mut out_fft, &mut ws);
-        for o in 0..conv.n_out() {
-            prop_assert!(
-                (out_dense[o] - out_conv[o]).abs() <= CONV_TOL,
-                "{} eps {eps} d {d} b {b_hat} output {o}: dense {} vs conv {}",
-                family_name(family), out_dense[o], out_conv[o]
-            );
+        for o in 0..fft.n_out() {
             prop_assert!(
                 (out_dense[o] - out_fft[o]).abs() <= FFT_TOL,
                 "{} eps {eps} d {d} b {b_hat} output {o}: dense {} vs fft {}",
@@ -102,23 +89,15 @@ proptest! {
     ) {
         let kernel = build_kernel(family, eps, d, b_hat);
         let dense = kernel.channel();
-        let conv = ConvChannel::new(&kernel);
         let fft = FftChannel::new(&kernel);
         let mut ws = EmWorkspace::new();
-        let f = random_distribution(conv.n_in(), seed);
-        let w = random_weights(conv.n_out(), seed ^ 0xADD0);
-        let mut new_dense = vec![0.0; conv.n_in()];
-        let mut new_conv = vec![0.0; conv.n_in()];
-        let mut new_fft = vec![0.0; conv.n_in()];
+        let f = random_distribution(fft.n_in(), seed);
+        let w = random_weights(fft.n_out(), seed ^ 0xADD0);
+        let mut new_dense = vec![0.0; fft.n_in()];
+        let mut new_fft = vec![0.0; fft.n_in()];
         dense.accumulate_adjoint(&w, &f, &mut new_dense, &mut ws);
-        conv.accumulate_adjoint(&w, &f, &mut new_conv, &mut ws);
         fft.accumulate_adjoint(&w, &f, &mut new_fft, &mut ws);
-        for i in 0..conv.n_in() {
-            prop_assert!(
-                (new_dense[i] - new_conv[i]).abs() <= CONV_TOL,
-                "{} eps {eps} d {d} b {b_hat} input {i}: dense {} vs conv {}",
-                family_name(family), new_dense[i], new_conv[i]
-            );
+        for i in 0..fft.n_in() {
             prop_assert!(
                 (new_dense[i] - new_fft[i]).abs() <= FFT_TOL,
                 "{} eps {eps} d {d} b {b_hat} input {i}: dense {} vs fft {}",
@@ -137,25 +116,18 @@ proptest! {
     ) {
         let kernel = build_kernel(family, eps, d, b_hat);
         let dense = kernel.channel();
-        let conv = ConvChannel::new(&kernel);
         let fft = FftChannel::new(&kernel);
         // Integer counts with zeros, as a real aggregator would hold.
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let counts: Vec<f64> =
-            (0..conv.n_out()).map(|_| rng.gen_range(0u32..40) as f64).collect();
+            (0..fft.n_out()).map(|_| rng.gen_range(0u32..40) as f64).collect();
         prop_assume!(counts.iter().sum::<f64>() > 0.0);
         // Fixed iteration count: every operator must walk the same
         // trajectory, not merely stop near the same optimum.
         let params = EmParams { max_iters: 60, rel_tol: 0.0, gain_tol: 0.0 };
         let fd = expectation_maximization(&dense, &counts, None, None, params, &mut EmWorkspace::new()).estimate;
-        let fc = expectation_maximization(&conv, &counts, None, None, params, &mut EmWorkspace::new()).estimate;
         let ff = expectation_maximization(&fft, &counts, None, None, params, &mut EmWorkspace::new()).estimate;
-        for i in 0..conv.n_in() {
-            prop_assert!(
-                (fd[i] - fc[i]).abs() <= CONV_TOL,
-                "{} eps {eps} d {d} b {b_hat} bin {i}: dense {} vs conv {}",
-                family_name(family), fd[i], fc[i]
-            );
+        for i in 0..fft.n_in() {
             prop_assert!(
                 (fd[i] - ff[i]).abs() <= FFT_TOL,
                 "{} eps {eps} d {d} b {b_hat} bin {i}: dense {} vs fft {}",
@@ -174,33 +146,27 @@ proptest! {
         // Applying the operator to a point mass yields that input's full
         // output distribution; it must sum to 1 for every input cell.
         let kernel = build_kernel(family, eps, d, b_hat);
-        let conv = ConvChannel::new(&kernel);
         let fft = FftChannel::new(&kernel);
         let mut ws = EmWorkspace::new();
-        let n_in = conv.n_in();
-        let mut out = vec![0.0; conv.n_out()];
+        let n_in = fft.n_in();
+        let mut out = vec![0.0; fft.n_out()];
         for i in [0, n_in / 2, n_in - 1] {
             let mut f = vec![0.0; n_in];
             f[i] = 1.0;
-            // The stencil adds nonnegative masses, so it owes *exact*
-            // nonnegativity; the spectral path only owes it up to
-            // transform roundoff.
-            for (op, floor) in
-                [(&conv as &dyn ChannelOp, 0.0), (&fft as &dyn ChannelOp, -1e-12)]
-            {
-                op.apply(&f, &mut out, &mut ws);
-                let total: f64 = out.iter().sum();
-                prop_assert!(
-                    (total - 1.0).abs() < 1e-9,
-                    "{} eps {eps} d {d} b {b_hat} input {i}: column sums to {total}",
-                    family_name(family)
-                );
-                prop_assert!(
-                    out.iter().all(|&x| x >= floor),
-                    "{} eps {eps} d {d} b {b_hat} input {i}: negative mass below {floor}",
-                    family_name(family)
-                );
-            }
+            // The kernel's masses are nonnegative; the spectral path owes
+            // that only up to transform roundoff.
+            fft.apply(&f, &mut out, &mut ws);
+            let total: f64 = out.iter().sum();
+            prop_assert!(
+                (total - 1.0).abs() < 1e-9,
+                "{} eps {eps} d {d} b {b_hat} input {i}: column sums to {total}",
+                family_name(family)
+            );
+            prop_assert!(
+                out.iter().all(|&x| x >= -1e-12),
+                "{} eps {eps} d {d} b {b_hat} input {i}: negative mass below -1e-12",
+                family_name(family)
+            );
         }
     }
 }
@@ -256,11 +222,13 @@ fn fft_matches_dense_on_awkward_shapes() {
     }
 }
 
-/// End-to-end: `EmOperator::post_process` on the auto backend and every
-/// explicit backend agree on a full pipeline histogram.
+/// End-to-end: `EmOperator::post_process` (the spectral operator) and
+/// the same EM loop on the dense reference channel agree on a full
+/// pipeline histogram, for both the EM and the EMS flavour.
 #[test]
 fn post_process_backends_agree_end_to_end() {
-    use dam_core::{EmBackend, EmOperator, PostProcess};
+    use dam_core::em2d::smooth_2d;
+    use dam_core::{EmOperator, PostProcess};
     use dam_geo::{BoundingBox, Grid2D};
 
     for (family, eps, d, b) in
@@ -273,29 +241,31 @@ fn post_process_backends_agree_end_to_end() {
             .map(|x| (x * 50.0).round())
             .collect::<Vec<_>>();
         let params = EmParams { max_iters: 40, rel_tol: 0.0, gain_tol: 0.0 };
-        let post_process = |post, backend| {
-            EmOperator::new(&kernel, backend)
+        let operator = EmOperator::new(&kernel);
+        let dense = kernel.channel();
+        let smoother = |f: &mut [f64]| smooth_2d(d as usize, f);
+        for (post, smooth) in
+            [(PostProcess::Em, None), (PostProcess::Ems, Some(&smoother as &dyn Fn(&mut [f64])))]
+        {
+            let fft = operator
                 .post_process(&counts, &grid, post, params, None, &mut EmWorkspace::new())
-                .histogram
-        };
-        let auto = post_process(PostProcess::Em, EmBackend::Auto);
-        for backend in [EmBackend::Convolution, EmBackend::Dense, EmBackend::Fft] {
-            let explicit = post_process(PostProcess::Em, backend);
-            for (a, b_val) in auto.values().iter().zip(explicit.values()) {
+                .histogram;
+            let reference = expectation_maximization(
+                &dense,
+                &counts,
+                None,
+                smooth,
+                params,
+                &mut EmWorkspace::new(),
+            )
+            .estimate;
+            for (a, b_val) in fft.values().iter().zip(&reference) {
                 assert!(
                     (a - b_val).abs() <= FFT_TOL,
-                    "{} {:?}: {a} vs {b_val}",
-                    family_name(family),
-                    backend
+                    "{} {post:?}: fft {a} vs dense {b_val}",
+                    family_name(family)
                 );
             }
-        }
-        // The EMS flavour must agree too (smoothing happens outside the
-        // operator, but exercises the swap/normalise plumbing).
-        let auto_ems = post_process(PostProcess::Ems, EmBackend::Auto);
-        let fft_ems = post_process(PostProcess::Ems, EmBackend::Fft);
-        for (a, b_val) in auto_ems.values().iter().zip(fft_ems.values()) {
-            assert!((a - b_val).abs() <= FFT_TOL, "{} EMS: {a} vs {b_val}", family_name(family));
         }
     }
 }
@@ -314,7 +284,7 @@ const FFT_2X3_BITS: u64 = 0x0083_c94b_6520_ba2d;
 /// shape, then, with `ems`, one EMS PostProcess at d = 20, b̂ = 4 so the
 /// smoother path is folded in too.
 fn spectral_bits(shapes: &[(u32, u32, usize)], ems: bool) -> u64 {
-    use dam_core::{EmBackend, EmOperator, PostProcess};
+    use dam_core::{EmOperator, PostProcess};
     use dam_geo::{BoundingBox, Grid2D};
 
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -347,7 +317,7 @@ fn spectral_bits(shapes: &[(u32, u32, usize)], ems: bool) -> u64 {
         let kernel = DiscreteKernel::dam(3.0, 20, 4, KernelKind::Shrunken);
         let counts: Vec<f64> =
             random_weights(kernel.n_out(), 7).iter().map(|x| (x * 20.0).round()).collect();
-        let ems = EmOperator::new(&kernel, EmBackend::Fft).post_process(
+        let ems = EmOperator::new(&kernel).post_process(
             &counts,
             &Grid2D::new(BoundingBox::unit(), 20),
             PostProcess::Ems,
@@ -392,7 +362,7 @@ fn padded_128_channel_runs_on_several_threads() {
     let kernel = DiscreteKernel::dam(3.0, 100, 14, KernelKind::Shrunken);
     let fft = FftChannel::new(&kernel);
     assert_eq!(fft.padded_n(), 128);
-    assert!(fft.padded_n() > dam_core::tuning::PARALLEL_FFT_MIN_SIDE);
+    assert!(fft.padded_n() > dam_core::fft::PARALLEL_FFT_MIN_SIDE);
     let counts: Vec<f64> =
         random_weights(fft.n_out(), 128).iter().map(|x| (x * 20.0).round()).collect();
     let params = EmParams { max_iters: 50, rel_tol: 0.0, gain_tol: 0.0 };

@@ -1,27 +1,69 @@
 //! Degenerate-input robustness: PostProcess must return a finite,
 //! normalized estimate — never panic — on the pathological inputs a
-//! faulty or empty stream can produce, and every backend (dense, stencil,
-//! spectral, auto) must handle them the same way.
+//! faulty or empty stream can produce, and the production spectral
+//! operator must handle them the way the dense reference channel does.
 //!
 //! The three shapes pinned here: an **empty report set** (no observations
 //! at all), **all mass in one cell** (a spike the deconvolution has to
 //! spread), and a **zero-count window** reached through the user-facing
 //! aggregator rather than the raw EM entry point. A **hostile channel**
 //! pins the divergence guard of the accelerated (evidence-stopped) EM
-//! loop on every backend's operator.
+//! loop on both operators, and an **adversarial sweep** pins that no
+//! finite plane drives the spectral operator into that guard.
 
 use dam_core::em2d::smooth_2d;
-use dam_core::{DamAggregator, DamClient, DamConfig, EmBackend, EmOperator, PostProcess};
+use dam_core::grid::KernelKind;
+use dam_core::{DamAggregator, DamClient, DamConfig, DiscreteKernel, EmOperator, PostProcess};
 use dam_fo::em::{expectation_maximization, ChannelOp, EmParams, EmWorkspace};
 use dam_geo::{BoundingBox, CellIndex, Grid2D, Point};
 use std::cell::Cell;
 
 const D: u32 = 12;
-const BACKENDS: [EmBackend; 4] =
-    [EmBackend::Auto, EmBackend::Convolution, EmBackend::Dense, EmBackend::Fft];
+
+/// The production spectral operator and the dense reference channel.
+const OPERATORS: [&str; 2] = ["fft", "dense"];
 
 fn client() -> DamClient {
     DamClient::new(Grid2D::new(BoundingBox::unit(), D), &DamConfig::dam(2.0))
+}
+
+/// The channel behind `op` (one of [`OPERATORS`]).
+fn channel(op: &str, kernel: &DiscreteKernel) -> Box<dyn ChannelOp> {
+    match op {
+        "fft" => Box::new(kernel.fft_channel()),
+        _ => Box::new(kernel.channel()),
+    }
+}
+
+/// PostProcess on `op`: the spectral path through [`EmOperator`], the
+/// dense path through the raw EM loop with the same smoother.
+fn post_process(
+    op: &str,
+    client: &DamClient,
+    counts: &[f64],
+    post: PostProcess,
+    params: EmParams,
+) -> Vec<f64> {
+    let mut ws = EmWorkspace::new();
+    if op == "fft" {
+        let out = EmOperator::new(client.kernel()).post_process(
+            counts,
+            client.grid(),
+            post,
+            params,
+            None,
+            &mut ws,
+        );
+        return out.histogram.values().to_vec();
+    }
+    let d = client.grid().d() as usize;
+    let smoother = move |f: &mut [f64]| smooth_2d(d, f);
+    let smoother: Option<&dyn Fn(&mut [f64])> = match post {
+        PostProcess::Em => None,
+        PostProcess::Ems => Some(&smoother),
+    };
+    let dense = client.kernel().channel();
+    expectation_maximization(&dense, counts, None, smoother, params, &mut ws).estimate
 }
 
 fn assert_valid_distribution(values: &[f64], label: &str) {
@@ -35,22 +77,13 @@ fn empty_report_set_yields_uniform_on_every_backend() {
     let client = client();
     let counts = vec![0.0; client.kernel().n_out()];
     let uniform = 1.0 / (D * D) as f64;
-    for backend in BACKENDS {
+    for op in OPERATORS {
         for post in [PostProcess::Em, PostProcess::Ems] {
-            let hist = EmOperator::new(client.kernel(), backend)
-                .post_process(
-                    &counts,
-                    client.grid(),
-                    post,
-                    EmParams::default(),
-                    None,
-                    &mut EmWorkspace::new(),
-                )
-                .histogram;
-            let label = format!("{backend:?}/{post:?}");
-            assert_valid_distribution(hist.values(), &label);
+            let values = post_process(op, &client, &counts, post, EmParams::default());
+            let label = format!("{op}/{post:?}");
+            assert_valid_distribution(&values, &label);
             assert!(
-                hist.values().iter().all(|v| (v - uniform).abs() < 1e-12),
+                values.iter().all(|v| (v - uniform).abs() < 1e-12),
                 "{label}: empty input must fall back to uniform"
             );
         }
@@ -61,46 +94,39 @@ fn empty_report_set_yields_uniform_on_every_backend() {
 fn zero_count_window_through_the_aggregator_does_not_panic() {
     let client = client();
     let agg = DamAggregator::new(&client);
-    for backend in BACKENDS {
-        let hist = agg.estimate(PostProcess::Em, EmParams::default(), backend);
-        assert_valid_distribution(hist.values(), &format!("aggregator/{backend:?}"));
-    }
+    let hist = agg.estimate(PostProcess::Em, EmParams::default());
+    assert_valid_distribution(hist.values(), "aggregator");
 }
 
 #[test]
 fn all_mass_in_one_cell_agrees_across_backends() {
     let client = client();
     let mut agg = DamAggregator::new(&client);
-    let center = client.kernel().out_d() / 2;
+    let out_d = client.kernel().out_d();
+    let center = out_d / 2;
     for _ in 0..50_000 {
         agg.ingest(CellIndex::new(center, center));
     }
+    let mut counts = vec![0.0; client.kernel().n_out()];
+    counts[(center * out_d + center) as usize] = 50_000.0;
     let em = EmParams::default();
-    let reference = agg.estimate(PostProcess::Em, em, EmBackend::Dense);
-    assert_valid_distribution(reference.values(), "Dense");
+    let reference = post_process("dense", &client, &counts, PostProcess::Em, em);
+    assert_valid_distribution(&reference, "dense");
     // The spike must actually concentrate mass (the wide ε = 2 disk
     // spreads it, but the estimate must not be the uniform fallback).
-    let peak = reference.values().iter().cloned().fold(0.0f64, f64::max);
+    let peak = reference.iter().cloned().fold(0.0f64, f64::max);
     assert!(peak > 1.5 / (D * D) as f64, "spike washed out: peak {peak}");
-    // Stencil walks the dense operator's arithmetic up to re-association;
-    // the spectral path rounds through an FFT/iFFT pair per iteration, so
-    // it gets the looser certified bound (cf. `conv_equivalence.rs`).
-    for (backend, tol) in
-        [(EmBackend::Auto, 1e-6), (EmBackend::Convolution, 1e-9), (EmBackend::Fft, 1e-6)]
-    {
-        let hist = agg.estimate(PostProcess::Em, em, backend);
-        assert_valid_distribution(hist.values(), &format!("{backend:?}"));
-        let max_diff = hist
-            .values()
-            .iter()
-            .zip(reference.values())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_diff <= tol, "{backend:?} drifts from dense by {max_diff}");
-    }
+    // The spectral path rounds through an FFT/iFFT pair per iteration;
+    // over a full EM run it gets the looser certified bound (cf.
+    // `conv_equivalence.rs`).
+    let hist = agg.estimate(PostProcess::Em, em);
+    assert_valid_distribution(hist.values(), "fft");
+    let max_diff =
+        hist.values().iter().zip(&reference).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+    assert!(max_diff <= 1e-6, "fft drifts from dense by {max_diff}");
 }
 
-/// A backend's operator whose M-step turns one cell NaN on its 2nd and
+/// An operator whose M-step turns one cell NaN on its 2nd and
 /// 5th calls: the first trips the first cycle's second map; after the
 /// reseed, the second trips the next cycle's stabilizing map.
 struct Hostile {
@@ -137,13 +163,9 @@ fn hostile_channel_reseeds_the_accelerated_loop_on_every_backend() {
     let counts = client.report_batch(&points, 5, Some(1));
     let d = D as usize;
     let smoother = move |f: &mut [f64]| smooth_2d(d, f);
-    for backend in BACKENDS {
+    for op in OPERATORS {
         for post in [PostProcess::Em, PostProcess::Ems] {
-            let inner: Box<dyn ChannelOp> = match backend.resolve(kernel.d(), kernel.b_hat()) {
-                EmBackend::Convolution => Box::new(kernel.conv_channel()),
-                EmBackend::Dense => Box::new(kernel.channel()),
-                _ => Box::new(kernel.fft_channel()),
-            };
+            let inner = channel(op, kernel);
             let hostile = Hostile { inner, calls: Cell::new(0) };
             let smoother: Option<&dyn Fn(&mut [f64])> = match post {
                 PostProcess::Em => None,
@@ -157,10 +179,73 @@ fn hostile_channel_reseeds_the_accelerated_loop_on_every_backend() {
                 EmParams::streaming(),
                 &mut EmWorkspace::new(),
             );
-            let label = format!("{backend:?}/{post:?}");
+            let label = format!("{op}/{post:?}");
             assert_eq!(run.health.reseeds, 2, "{label}: both NaN maps must reseed");
             assert!(run.iters > 6, "{label}: the run must go on after a reseed");
             assert_valid_distribution(&run.estimate, &label);
+        }
+    }
+}
+
+/// No finite plane drives the spectral operator into the divergence
+/// guard: the E-step is `q̂·Σf + conv` with `q̂ > 0`, and the weights are
+/// guarded by `p.max(1e-300)` and `p ≤ 0 → w = 0`, so a finite input
+/// cannot make the transform pair produce a non-finite map. The sweep
+/// crosses extreme budgets (`q̂` down to ~1e-13 at ε = 30), the `b̂ = 0`
+/// and `d = 1` corners, every kernel family, four adversarial planes
+/// (a 1e15 one-cell spike among them), EM and EMS, and both the
+/// fixed-budget and the evidence stop.
+#[test]
+fn adversarial_planes_never_reseed_the_spectral_operator() {
+    let shapes: [(f64, u32, u32, Option<KernelKind>); 6] = [
+        (0.1, 20, 14, Some(KernelKind::Shrunken)),
+        (30.0, 13, 0, Some(KernelKind::Shrunken)),
+        (30.0, 20, 1, None),
+        (9.0, 5, 4, Some(KernelKind::NonShrunken)),
+        (3.5, 1, 4, None),
+        (20.0, 2, 14, Some(KernelKind::Shrunken)),
+    ];
+    let budget = EmParams { max_iters: 100, rel_tol: 0.0, gain_tol: 0.0 };
+    for (eps, d, b_hat, kind) in shapes {
+        let kernel = match kind {
+            Some(kind) => DiscreteKernel::dam(eps, d, b_hat, kind),
+            None => DiscreteKernel::huem(eps, d, b_hat),
+        };
+        let grid = Grid2D::new(BoundingBox::unit(), d);
+        let operator = EmOperator::new(&kernel);
+        let n_out = kernel.n_out();
+        let mut spike = vec![0.0; n_out];
+        spike[n_out / 2] = 1e15;
+        let mut corner = vec![0.0; n_out];
+        corner[0] = 1.0;
+        let checker: Vec<f64> = (0..n_out)
+            .map(|o| if (o / kernel.out_d() as usize + o).is_multiple_of(2) { 1e6 } else { 0.0 })
+            .collect();
+        let planes = [
+            ("spike", spike),
+            ("zero", vec![0.0; n_out]),
+            ("corner", corner),
+            ("checker", checker),
+        ];
+        for (plane, counts) in &planes {
+            for post in [PostProcess::Em, PostProcess::Ems] {
+                for params in [budget, EmParams::streaming()] {
+                    let out = operator.post_process(
+                        counts,
+                        &grid,
+                        post,
+                        params,
+                        None,
+                        &mut EmWorkspace::new(),
+                    );
+                    let label = format!(
+                        "eps {eps} d {d} b {b_hat} {kind:?} {plane} {post:?} max_iters {}",
+                        params.max_iters
+                    );
+                    assert_eq!(out.em_health.reseeds, 0, "{label}: the spectral map diverged");
+                    assert_valid_distribution(out.histogram.values(), &label);
+                }
+            }
         }
     }
 }

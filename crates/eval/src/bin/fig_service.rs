@@ -73,8 +73,7 @@ fn main() {
         .collect();
 
     let dam =
-        DamConfig { variant: SamVariant::Dam, backend: ctx.em_backend, ..DamConfig::dam(EPS) }
-            .with_threads(ctx.threads);
+        DamConfig { variant: SamVariant::Dam, ..DamConfig::dam(EPS) }.with_threads(ctx.threads);
     let service = QueryService::new(
         grid.clone(),
         StreamConfig::new(dam, window, label_stream(ctx.seed, "SVC")),

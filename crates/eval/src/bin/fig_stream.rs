@@ -143,8 +143,7 @@ fn main() {
     let mut streams: Vec<StreamingEstimator> = variants
         .iter()
         .map(|&(variant, label)| {
-            let dam = DamConfig { variant, em, backend: ctx.em_backend, ..DamConfig::dam(EPS) }
-                .with_threads(ctx.threads);
+            let dam = DamConfig { variant, em, ..DamConfig::dam(EPS) }.with_threads(ctx.threads);
             let stream = StreamingEstimator::new(
                 grid.clone(),
                 StreamConfig::new(dam, window, label_stream(ctx.seed, label)),

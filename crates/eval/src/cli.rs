@@ -1,7 +1,6 @@
 //! Minimal command-line parsing shared by every figure binary (no external
 //! dependency; flags documented in the crate docs).
 
-use dam_core::EmBackend;
 use dam_transport::W2Solver;
 use std::path::PathBuf;
 
@@ -24,10 +23,6 @@ pub struct CliArgs {
     pub fast: bool,
     /// Skip the Local-Privacy calibration for SEM-Geo-I.
     pub no_calib: bool,
-    /// EM operator for SAM-family PostProcess (`--em-backend
-    /// {auto,conv,dense,fft}`). `Auto` picks stencil vs FFT from the
-    /// measured crossover.
-    pub em_backend: EmBackend,
     /// W₂ solver for every figure's error metric (`--w2-solver
     /// {auto,exact,grid}`). `Auto` (the default) is the library's
     /// size-based switch: the exact LP when both supports have at most
@@ -64,7 +59,6 @@ impl Default for CliArgs {
             out: PathBuf::from("results"),
             fast: false,
             no_calib: false,
-            em_backend: EmBackend::Auto,
             w2_solver: W2Solver::Auto,
             threads: None,
             epochs: None,
@@ -96,13 +90,6 @@ impl CliArgs {
                 "--out" => out.out = PathBuf::from(value("--out")),
                 "--fast" => out.fast = true,
                 "--no-calib" => out.no_calib = true,
-                "--em-backend" => {
-                    let name = value("--em-backend");
-                    out.em_backend = EmBackend::from_label(&name).unwrap_or_else(|| {
-                        let known: Vec<_> = EmBackend::ALL.iter().map(|b| b.label()).collect();
-                        panic!("bad --em-backend {name}; known: {}", known.join(" "))
-                    });
-                }
                 "--w2-solver" => {
                     let name = value("--w2-solver");
                     out.w2_solver = W2Solver::from_label(&name).unwrap_or_else(|| {
@@ -129,7 +116,7 @@ impl CliArgs {
                 "--metrics-out" => out.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
                 other => panic!(
                     "unknown flag {other}; known: --repeats --users --seed --out --fast \
-                     --no-calib --em-backend --w2-solver --threads --epochs --window \
+                     --no-calib --w2-solver --threads --epochs --window \
                      --inject --metrics-out"
                 ),
             }
@@ -171,16 +158,7 @@ mod tests {
         assert_eq!(a.seed, 42);
         assert!(a.users.is_none());
         assert!(!a.fast);
-        assert_eq!(a.em_backend, EmBackend::Auto);
         assert!(a.threads.is_none());
-    }
-
-    #[test]
-    fn em_backend_parses_every_value() {
-        assert_eq!(parse("--em-backend auto").em_backend, EmBackend::Auto);
-        assert_eq!(parse("--em-backend conv").em_backend, EmBackend::Convolution);
-        assert_eq!(parse("--em-backend dense").em_backend, EmBackend::Dense);
-        assert_eq!(parse("--em-backend fft").em_backend, EmBackend::Fft);
     }
 
     #[test]
@@ -198,12 +176,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bad --em-backend")]
-    fn rejects_unknown_backend() {
-        parse("--em-backend spectral");
-    }
-
-    #[test]
     fn fast_mode_caps_work() {
         let a = parse("--fast");
         assert_eq!(a.repeats, 1);
@@ -213,15 +185,12 @@ mod tests {
 
     #[test]
     fn explicit_values() {
-        let a = parse(
-            "--repeats 7 --users 1000 --seed 9 --out /tmp/x --no-calib --em-backend dense --threads 2",
-        );
+        let a = parse("--repeats 7 --users 1000 --seed 9 --out /tmp/x --no-calib --threads 2");
         assert_eq!(a.repeats, 7);
         assert_eq!(a.users, Some(1000));
         assert_eq!(a.seed, 9);
         assert_eq!(a.out, PathBuf::from("/tmp/x"));
         assert!(a.no_calib);
-        assert_eq!(a.em_backend, EmBackend::Dense);
         assert_eq!(a.threads, Some(2));
     }
 

@@ -2,7 +2,7 @@
 //! measurement protocol of §VII-B.
 
 use crate::cli::CliArgs;
-use dam_core::{EmBackend, SpatialEstimator};
+use dam_core::SpatialEstimator;
 use dam_data::{load, DatasetKind, DatasetPart, SpatialDataset};
 use dam_geo::rng::derived;
 use dam_geo::{Grid2D, Histogram2D};
@@ -32,9 +32,6 @@ pub struct EvalContext {
     pub lp_samples: usize,
     /// Skip LP calibration (use ε as ε′ directly).
     pub no_calib: bool,
-    /// EM operator used by SAM-family mechanisms (`--em-backend`; `Auto`
-    /// unless a path is pinned explicitly).
-    pub em_backend: EmBackend,
     /// Worker threads for the job runner and every mechanism's sharded
     /// report pipeline (`None` = available parallelism). Estimates are
     /// bit-identical for any value.
@@ -58,7 +55,6 @@ impl EvalContext {
             w2_solver: args.w2_solver,
             lp_samples: if args.fast { 400 } else { 1200 },
             no_calib: args.no_calib,
-            em_backend: args.em_backend,
             threads: args.threads,
             datasets: Arc::new(Mutex::new(HashMap::new())),
         }

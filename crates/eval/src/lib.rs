@@ -12,9 +12,6 @@
 //!               (the fig9 large-d binaries keep full user counts — the
 //!               sharded report pipeline makes them affordable)
 //! --no-calib    use ε directly for SEM-Geo-I instead of LP calibration
-//! --em-backend B  EM operator for SAM PostProcess: auto (default; picks
-//!               the stencil or the FFT from the measured (d, b̂)
-//!               crossover), conv, dense, or fft
 //! --threads N   worker threads for the job runner and the sharded report
 //!               pipeline (default: available parallelism; results are
 //!               bit-identical for any value)

@@ -59,15 +59,10 @@ impl MechSpec {
         d: u32,
         ctx: &EvalContext,
     ) -> Box<dyn SpatialEstimator + Send + Sync> {
-        // Every SAM-family estimator inherits the context's EM backend
-        // (`Auto` by default, dense only under `--em-backend dense`) and the
+        // Every SAM-family estimator inherits the context's
         // report-pipeline thread count.
         let sam = |config: DamConfig| {
-            Box::new(DamEstimator::new(DamConfig {
-                backend: ctx.em_backend,
-                threads: ctx.threads,
-                ..config
-            }))
+            Box::new(DamEstimator::new(DamConfig { threads: ctx.threads, ..config }))
         };
         match self {
             MechSpec::Dam => sam(DamConfig::dam(eps)),

@@ -18,8 +18,8 @@
 //!   vector `w` derived from the observed counts.
 //!
 //! The dense [`Channel`] is the reference implementation (O(n_out·n_in)
-//! per iteration). Structured channels — notably the translation-invariant
-//! `ConvChannel` and the spectral `FftChannel` in `dam-core` — implement
+//! per iteration). Structured channels — notably the spectral
+//! `FftChannel` in `dam-core` — implement
 //! the same trait and drop straight into every EM call site, so the
 //! estimator pipeline never materialises an `n_out × n_in` matrix.
 //!
@@ -150,7 +150,7 @@ pub trait ChannelOp {
 /// (`Σ_o at(o, i) = 1` for every input `i`).
 ///
 /// This is the *reference* [`ChannelOp`]: exact but quadratic. Prefer a
-/// structured operator (e.g. `dam-core`'s `ConvChannel`) whenever the
+/// structured operator (e.g. `dam-core`'s `FftChannel`) whenever the
 /// channel has exploitable structure.
 #[derive(Debug, Clone)]
 pub struct Channel {
@@ -336,15 +336,6 @@ impl EmHealth {
     #[inline]
     pub fn is_clean(&self) -> bool {
         *self == EmHealth::default()
-    }
-
-    /// Folds another run's accounting into this one (`degenerate_input`
-    /// is sticky).
-    pub fn merge(&mut self, other: &EmHealth) {
-        self.sanitized_counts += other.sanitized_counts;
-        self.sanitized_init += other.sanitized_init;
-        self.reseeds += other.reseeds;
-        self.degenerate_input |= other.degenerate_input;
     }
 }
 
@@ -1338,12 +1329,7 @@ mod tests {
             &mut EmWorkspace::new(),
         );
         assert!(run.health.is_clean());
-        let mut merged = EmHealth::default();
-        merged.merge(&run.health);
-        merged.merge(&EmHealth { reseeds: 2, degenerate_input: true, ..EmHealth::default() });
-        assert_eq!(merged.reseeds, 2);
-        assert!(merged.degenerate_input);
-        assert!(!merged.is_clean());
+        assert!(!EmHealth { reseeds: 2, ..EmHealth::default() }.is_clean());
     }
 
     #[test]

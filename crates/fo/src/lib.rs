@@ -16,8 +16,8 @@
 //!   step): EM is generic over the [`em::ChannelOp`] trait (`apply` +
 //!   `accumulate_adjoint`, both threading an [`em::EmWorkspace`] of
 //!   reusable scratch planes), with the dense [`em::Channel`] as reference
-//!   implementation and structured operators (`dam-core`'s stencil
-//!   `ConvChannel` and spectral `FftChannel`) as the fast paths;
+//!   implementation and a structured operator (`dam-core`'s spectral
+//!   `FftChannel`) as the fast path;
 //! * [`sr`] — Stochastic Rounding (Duchi et al. \[4\], mean estimation);
 //! * [`pm`] — the Piecewise Mechanism (Wang et al. \[5\], mean estimation).
 

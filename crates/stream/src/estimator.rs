@@ -4,8 +4,8 @@
 //! alive between epochs:
 //!
 //! * the [`DamClient`] (kernel + response tables, built once);
-//! * the resolved [`EmOperator`] (stencil offsets or FFT plan + kernel
-//!   spectrum, built once — every window's PostProcess reuses it);
+//! * the [`EmOperator`] (FFT plan + kernel spectrum, built once — every
+//!   window's PostProcess reuses it);
 //! * an [`EpochRing`] holding the last `window` epoch planes — the only
 //!   history the estimator reads, so retention is bounded however long
 //!   the stream runs;
@@ -74,7 +74,7 @@ const WARM_MIX: f64 = 0.05;
 /// Configuration of the continual-observation pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
-    /// The wrapped one-shot pipeline: SAM variant, ε, radius, backend and
+    /// The wrapped one-shot pipeline: SAM variant, ε, radius and
     /// thread budget all apply per window unchanged. `dam.em` is the
     /// **cold** protocol — it runs the first window and the
     /// [`StreamingEstimator::estimate_window_cold`] reference.
@@ -134,7 +134,6 @@ struct ObsHandles {
     sanitized_cells: Counter,
     em_reseeds: Counter,
     degenerate_windows: Counter,
-    backend_fallbacks: Counter,
     nodes_missed: Counter,
     partial_window: Gauge,
     em_runs: Counter,
@@ -158,7 +157,6 @@ impl ObsHandles {
             sanitized_cells: reg.counter(names::SANITIZED_CELLS, det),
             em_reseeds: reg.counter(names::EM_RESEEDS, det),
             degenerate_windows: reg.counter(names::DEGENERATE_WINDOWS, det),
-            backend_fallbacks: reg.counter(names::BACKEND_FALLBACKS, det),
             nodes_missed: reg.counter(names::NODES_MISSED, det),
             partial_window: reg.gauge(names::PARTIAL_WINDOW, det),
             em_runs: reg.counter("em_runs", det),
@@ -202,16 +200,11 @@ impl StreamingEstimator {
     pub fn with_registry(grid: Grid2D, config: StreamConfig, obs: Registry) -> Self {
         assert!(config.window > 0, "window must hold at least one epoch");
         let client = DamClient::new(grid.clone(), &config.dam);
-        let operator = EmOperator::new(client.kernel(), config.dam.backend);
+        let operator = EmOperator::new(client.kernel());
         let n_out = client.kernel().n_out();
         let hh = ObsHandles::register(&obs);
-        // Which EM backend the operator actually resolved to (auto picks
-        // stencil vs FFT from the measured crossover).
-        obs.counter(
-            &format!("em_backend_selected_{}", operator.resolved().label()),
-            Plane::Deterministic,
-        )
-        .incr();
+        // Read by the end-to-end benchmark (`perfbench`) for its run note.
+        obs.counter("em_backend_selected_fft", Plane::Deterministic).incr();
         let mut ws = EmWorkspace::new();
         // Per-iteration log-likelihood gain in nats: what the
         // `gain_tol` stop compares.
@@ -563,9 +556,6 @@ impl StreamingEstimator {
         self.hh.em_reseeds.add(outcome.em_health.reseeds as u64);
         if outcome.em_health.degenerate_input {
             self.hh.degenerate_windows.incr();
-        }
-        if outcome.backend_fallback {
-            self.hh.backend_fallbacks.incr();
         }
         WindowEstimate {
             histogram: outcome.histogram,

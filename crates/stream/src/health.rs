@@ -35,8 +35,6 @@ pub mod names {
     pub const EM_RESEEDS: &str = "em_reseeds";
     /// Windows degraded to uniform.
     pub const DEGENERATE_WINDOWS: &str = "em_degenerate_windows";
-    /// FFT→stencil PostProcess redos.
-    pub const BACKEND_FALLBACKS: &str = "em_backend_fallbacks";
     /// Node planes missing at quorum close, summed over epochs.
     pub const NODES_MISSED: &str = "cluster_nodes_missed";
     /// 1.0 while the most recent estimate was partial, else 0.0.
@@ -69,9 +67,6 @@ pub struct PipelineHealth {
     /// Window estimates degraded to uniform because the (sanitized)
     /// window held no observations.
     pub degenerate_windows: usize,
-    /// Times the FFT backend diverged and PostProcess was redone on the
-    /// exact stencil operator.
-    pub backend_fallbacks: usize,
     /// Multi-node deployments: per-epoch node planes that never arrived
     /// before the coordinator's quorum close (summed over epochs — two
     /// nodes missing the same epoch count twice). The closed epoch's mass
@@ -101,7 +96,6 @@ impl PipelineHealth {
             sanitized_cells: reg.counter_value(names::SANITIZED_CELLS) as usize,
             em_reseeds: reg.counter_value(names::EM_RESEEDS) as usize,
             degenerate_windows: reg.counter_value(names::DEGENERATE_WINDOWS) as usize,
-            backend_fallbacks: reg.counter_value(names::BACKEND_FALLBACKS) as usize,
             nodes_missed: reg.counter_value(names::NODES_MISSED) as usize,
             partial_window: reg.gauge_value(names::PARTIAL_WINDOW) != 0.0,
         }
@@ -120,7 +114,6 @@ impl PipelineHealth {
         reg.counter(names::SANITIZED_CELLS, det).store(self.sanitized_cells as u64);
         reg.counter(names::EM_RESEEDS, det).store(self.em_reseeds as u64);
         reg.counter(names::DEGENERATE_WINDOWS, det).store(self.degenerate_windows as u64);
-        reg.counter(names::BACKEND_FALLBACKS, det).store(self.backend_fallbacks as u64);
         reg.counter(names::NODES_MISSED, det).store(self.nodes_missed as u64);
         reg.gauge(names::PARTIAL_WINDOW, det).set(if self.partial_window { 1.0 } else { 0.0 });
     }
@@ -134,20 +127,19 @@ impl PipelineHealth {
             && self.sanitized_cells == 0
             && self.em_reseeds == 0
             && self.degenerate_windows == 0
-            && self.backend_fallbacks == 0
             && self.nodes_missed == 0
             && !self.partial_window
     }
 
     /// One-line operator summary (the `fig_stream --inject` /
     /// `fig_cluster` footer). Every counter appears, zero or not —
-    /// including `backend_fallbacks` and `nodes_missed` — so the line's
+    /// including `nodes_missed` — so the line's
     /// shape is stable for log scrapers; the exact format is pinned by a
     /// unit test.
     pub fn summary(&self) -> String {
         format!(
             "seen {} quarantined {} clamped {} | epochs {}+{} missed | sanitized {} | \
-             em reseeds {} degenerate {} fallbacks {} | nodes missed {}{}",
+             em reseeds {} degenerate {} | nodes missed {}{}",
             self.ingest.seen,
             self.ingest.quarantined,
             self.ingest.clamped,
@@ -156,7 +148,6 @@ impl PipelineHealth {
             self.sanitized_cells,
             self.em_reseeds,
             self.degenerate_windows,
-            self.backend_fallbacks,
             self.nodes_missed,
             if self.partial_window { " | partial window" } else { "" },
         )
@@ -185,7 +176,6 @@ mod tests {
             PipelineHealth { sanitized_cells: 2, ..PipelineHealth::default() },
             PipelineHealth { em_reseeds: 1, ..PipelineHealth::default() },
             PipelineHealth { degenerate_windows: 1, ..PipelineHealth::default() },
-            PipelineHealth { backend_fallbacks: 1, ..PipelineHealth::default() },
             PipelineHealth { nodes_missed: 1, ..PipelineHealth::default() },
             PipelineHealth { partial_window: true, ..PipelineHealth::default() },
         ] {
@@ -204,8 +194,9 @@ mod tests {
     fn summary_format_is_pinned() {
         // The full operator line, every counter populated — log scrapers
         // parse this shape, so changing it is a breaking change and must
-        // show up here. `fallbacks` in particular is nonzero: it used to
-        // be easy to drop without any test noticing.
+        // show up here. `nodes missed` in particular is nonzero: a
+        // counter at the end of the line is easy to drop without any test
+        // noticing.
         let h = PipelineHealth {
             ingest: IngestSummary { seen: 120, quarantined: 4, clamped: 2 },
             epochs_ingested: 9,
@@ -213,20 +204,19 @@ mod tests {
             sanitized_cells: 3,
             em_reseeds: 2,
             degenerate_windows: 1,
-            backend_fallbacks: 5,
             nodes_missed: 6,
             partial_window: true,
         };
         assert_eq!(
             h.summary(),
             "seen 120 quarantined 4 clamped 2 | epochs 9+1 missed | sanitized 3 | \
-             em reseeds 2 degenerate 1 fallbacks 5 | nodes missed 6 | partial window"
+             em reseeds 2 degenerate 1 | nodes missed 6 | partial window"
         );
         // And the healthy line, for contrast (no trailing flag).
         assert_eq!(
             PipelineHealth::default().summary(),
             "seen 0 quarantined 0 clamped 0 | epochs 0+0 missed | sanitized 0 | \
-             em reseeds 0 degenerate 0 fallbacks 0 | nodes missed 0"
+             em reseeds 0 degenerate 0 | nodes missed 0"
         );
     }
 
@@ -239,7 +229,6 @@ mod tests {
             sanitized_cells: 3,
             em_reseeds: 2,
             degenerate_windows: 1,
-            backend_fallbacks: 5,
             nodes_missed: 6,
             partial_window: true,
         };

@@ -16,8 +16,8 @@
 //!   EM **warm-starts** from the previous window's estimate via a
 //!   long-lived operator + workspace and stops on evidence, reached by
 //!   SQUAREM-accelerated EM in ~11 map evaluations in steady state at
-//!   d = 64 instead of a cold run's 150. All SAM variants and EM backends
-//!   ride it unchanged;
+//!   d = 64 instead of a cold run's 150. All SAM variants ride it
+//!   unchanged;
 //! * [`service`] — the serve-while-ingesting [`service::QueryService`]:
 //!   one writer ingests epochs while any number of query threads answer
 //!   point/range/heatmap queries from an immutable epoch-versioned

@@ -96,7 +96,7 @@ fn post_processing_cannot_degrade_privacy() {
     // the noisy counts only; rerunning it with different EM parameters
     // touches no raw data. Structurally verified by the aggregator API —
     // here we check the estimate changes while inputs stay fixed.
-    use spatial_ldp::core::em2d::{EmBackend, PostProcess};
+    use spatial_ldp::core::em2d::PostProcess;
     use spatial_ldp::core::{DamAggregator, DamClient, DamConfig};
     use spatial_ldp::fo::em::EmParams;
     use spatial_ldp::geo::{BoundingBox, Grid2D, Point};
@@ -109,8 +109,8 @@ fn post_processing_cannot_degrade_privacy() {
         let p = Point::new((i % 17) as f64 / 17.0, (i % 23) as f64 / 23.0);
         agg.ingest(client.report(p, &mut rng));
     }
-    let em = agg.estimate(PostProcess::Em, EmParams::default(), EmBackend::Auto);
-    let ems = agg.estimate(PostProcess::Ems, EmParams::default(), EmBackend::Auto);
+    let em = agg.estimate(PostProcess::Em, EmParams::default());
+    let ems = agg.estimate(PostProcess::Ems, EmParams::default());
     // Same reports, two estimates — both valid distributions.
     assert!((em.total() - 1.0).abs() < 1e-9);
     assert!((ems.total() - 1.0).abs() < 1e-9);

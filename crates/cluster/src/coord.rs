@@ -1,6 +1,7 @@
 //! The coordinator: retry/backoff plane collection, quorum window
 //! close, and the crash-recoverable glue onto `dam-stream`'s
-//! warm-started EM + snapshot swap.
+//! warm-started EM, publishing through the same [`dam_stream::Publisher`]
+//! (and so recording the same publish instruments) as the query service.
 //!
 //! # Determinism
 //!
@@ -33,9 +34,9 @@
 //! [`CheckpointState`] of the live window's planes is written
 //! (truncating the WAL). Recovery checks the checkpoint against what the
 //! restore relies on (plane count, stream head, whole-number planes),
-//! restores it, republishes the last snapshot (the
-//! estimator's warm state *is* the last published estimate — no EM
-//! re-run, which would advance the warm chain), then replays WAL
+//! restores it, republishes the last snapshot through the publisher
+//! (the estimator's warm state *is* the last published estimate — no
+//! EM re-run, which would advance the warm chain), then replays WAL
 //! entries re-running the window estimate for each, reproducing the
 //! uncrashed run's state bit-for-bit. The recovery tests sweep a kill
 //! at **every** epoch boundary at 1 and 4 threads.
@@ -47,12 +48,10 @@ use crate::checkpoint::{CheckpointError, CheckpointState, CheckpointStore, WalEn
 use crate::node::{AggregatorNode, NodePlane};
 use crate::transport::{PlaneTransport, SimTransport};
 use dam_core::validate::{sanitize_counts, IngestSummary};
-use dam_core::Pyramid;
 use dam_fault::NodeFaultPlan;
 use dam_geo::{Grid2D, Histogram2D, Point};
 use dam_obs::{Counter, Histogram, LogicalStamp, Plane, Registry, SimClock};
-use dam_stream::{Snapshot, StreamConfig, StreamingEstimator, WindowEstimate};
-use parking_lot::RwLock;
+use dam_stream::{Publisher, Snapshot, StreamConfig, StreamingEstimator, WindowEstimate};
 
 /// Cluster topology and collection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +169,7 @@ pub struct Coordinator {
     cluster: ClusterConfig,
     grid: Grid2D,
     est: StreamingEstimator,
-    latest: RwLock<Arc<Snapshot>>,
+    publisher: Publisher,
     clock: u64,
     /// Arrived-node counts of the epochs in the live window (oldest
     /// first) — decides the multi-node reading of `partial_window`.
@@ -194,25 +193,15 @@ impl Coordinator {
             cluster.nodes
         );
         assert!(cluster.max_attempts > 0, "at least one poll attempt");
-        let n = grid.n_cells() as f64;
-        let uniform = Histogram2D::from_values(grid.clone(), vec![1.0 / n; grid.n_cells()]);
-        let initial = Snapshot {
-            epoch: 0,
-            pyramid: Pyramid::from_plane(uniform.values(), grid.d()),
-            estimate: uniform,
-            em_iters: 0,
-            warm: false,
-            health: Default::default(),
-        };
         let est = StreamingEstimator::new(grid.clone(), stream);
         let sim = Arc::new(SimClock::new());
         est.obs().set_clock(sim.clone());
         let obs = CoordObs::register(est.obs());
         Self {
             cluster,
+            publisher: Publisher::new(&grid, est.obs().clone()),
             est,
             grid,
-            latest: RwLock::new(Arc::new(initial)),
             clock: 0,
             coverage: VecDeque::new(),
             stats: CoordStats::default(),
@@ -311,16 +300,12 @@ impl Coordinator {
                     detail: "closed epochs but no stored estimate".into(),
                 })?
                 .to_vec();
-            let estimate = Histogram2D::from_values(self.grid.clone(), values);
-            let snapshot = Arc::new(Snapshot {
-                epoch: self.est.epochs(),
-                pyramid: Pyramid::from_plane(estimate.values(), self.grid.d()),
-                estimate,
+            self.publisher.publish(self.est.epochs(), || WindowEstimate {
+                histogram: Histogram2D::from_values(self.grid.clone(), values),
                 em_iters: state.snapshot_em_iters as usize,
                 warm: state.snapshot_warm,
                 health: self.est.health(),
             });
-            *self.latest.write() = snapshot;
         }
         Ok(())
     }
@@ -365,12 +350,6 @@ impl Coordinator {
         self.est.epochs()
     }
 
-    /// Simulated-clock tick count.
-    #[inline]
-    pub fn clock(&self) -> u64 {
-        self.clock
-    }
-
     /// Collection statistics so far.
     #[inline]
     pub fn stats(&self) -> &CoordStats {
@@ -385,10 +364,10 @@ impl Coordinator {
     }
 
     /// The latest published snapshot (cheap `Arc` clone under a read
-    /// lock — same serve-while-ingesting contract as
-    /// `dam_stream::QueryService`).
+    /// lock — same publisher, and so the same serve-while-ingesting
+    /// contract, as `dam_stream::QueryService`).
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.latest.read())
+        self.publisher.snapshot()
     }
 
     /// Collects epoch planes from `transport` under the retry/backoff
@@ -476,7 +455,7 @@ impl Coordinator {
         self.stats.retries += retries_delta;
         self.obs.dup_dropped.add(dup_delta);
         self.obs.retries.add(retries_delta);
-        let win = self.apply_close(
+        let snapshot = self.apply_close(
             missed,
             arrived,
             nodes_missed_delta,
@@ -501,18 +480,18 @@ impl Coordinator {
             self.obs.wal_bytes.add(appended);
             if self.checkpoint_every > 0 && self.est.epochs().is_multiple_of(self.checkpoint_every)
             {
-                let state = self.state_snapshot(&win);
+                let state = self.state_snapshot(&snapshot);
                 let written = store.write_checkpoint(&state)?;
                 self.obs.checkpoint_bytes.add(written);
             }
         }
         drop(span);
-        Ok(EpochOutcome { epoch, arrived, missed, snapshot: self.snapshot() })
+        Ok(EpochOutcome { epoch, arrived, missed, snapshot })
     }
 
     /// The state transition of one close — shared verbatim between the
     /// live path and WAL replay, which is what makes replay reproduce
-    /// the uncrashed run exactly.
+    /// the uncrashed run exactly. Returns the published snapshot.
     fn apply_close(
         &mut self,
         missed: bool,
@@ -521,7 +500,7 @@ impl Coordinator {
         sanitized_delta: usize,
         plane: &[f64],
         summary: &IngestSummary,
-    ) -> WindowEstimate {
+    ) -> Arc<Snapshot> {
         self.est.note_nodes_missed(nodes_missed_delta);
         self.est.note_sanitized_cells(sanitized_delta);
         if missed {
@@ -546,19 +525,10 @@ impl Coordinator {
             self.obs.epochs_missed.incr();
         }
         self.obs.quorum_coverage.record(arrived as u64);
-        let snapshot = Arc::new(Snapshot {
-            epoch: self.est.epochs(),
-            pyramid: Pyramid::from_plane(win.histogram.values(), self.grid.d()),
-            estimate: win.histogram.clone(),
-            em_iters: win.em_iters,
-            warm: win.warm,
-            health: win.health,
-        });
-        *self.latest.write() = snapshot;
-        win
+        self.publisher.publish(self.est.epochs(), || win)
     }
 
-    fn state_snapshot(&self, last: &WindowEstimate) -> CheckpointState {
+    fn state_snapshot(&self, last: &Snapshot) -> CheckpointState {
         CheckpointState {
             n_cells: self.est.client().kernel().n_out(),
             planes: self.est.tree().held_planes().map(<[f64]>::to_vec).collect(),

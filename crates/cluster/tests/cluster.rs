@@ -18,7 +18,7 @@ use dam_core::DamConfig;
 use dam_fault::NodeFaultPlan;
 use dam_geo::rng::splitmix64;
 use dam_geo::{BoundingBox, Grid2D, Point};
-use dam_stream::{PipelineHealth, StreamConfig, StreamingEstimator};
+use dam_stream::{PipelineHealth, QueryService, Snapshot, StreamConfig, StreamingEstimator};
 use proptest::prelude::*;
 
 fn epoch_points(epoch: usize) -> Vec<Point> {
@@ -42,23 +42,38 @@ fn est_bits(cluster_out: &dam_cluster::EpochOutcome) -> Vec<u64> {
 
 // ---- behavior under faults ----------------------------------------------
 
+/// A published snapshot as comparable values: epoch, EM iterations,
+/// warm flag, health, estimate bits and every pyramid level's bits.
+type Published = (usize, usize, bool, PipelineHealth, Vec<u64>, Vec<Vec<u64>>);
+
+fn published(s: &Snapshot) -> Published {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let levels = s.pyramid.levels().iter().map(|lv| bits(lv.values())).collect();
+    (s.epoch, s.em_iters, s.warm, s.health, bits(s.estimate.values()), levels)
+}
+
 #[test]
 fn clean_cluster_is_bit_identical_to_the_single_node_stream() {
     // K=3 with no faults must publish exactly what a single-node
     // streaming estimator publishes for the same epochs — the end-to-end
-    // face of the mergeability property.
+    // face of the mergeability property — and exactly the snapshot a
+    // `QueryService` publishes for them.
     let grid = Grid2D::new(BoundingBox::unit(), 6);
     let mut cluster =
         Cluster::new(grid.clone(), stream_config(), ClusterConfig::new(3), NodeFaultPlan::clean(1));
-    let mut single = StreamingEstimator::new(grid, stream_config());
+    let mut single = StreamingEstimator::new(grid.clone(), stream_config());
+    let service = QueryService::new(grid, stream_config());
+    assert_eq!(published(&cluster.coordinator().snapshot()), published(&service.snapshot()));
     for e in 0..4 {
         let pts = epoch_points(e);
         let out = cluster.ingest_epoch(&pts).unwrap();
         single.ingest_epoch(&pts);
+        service.ingest_epoch(&pts);
         let win = single.estimate_window();
         let single_bits: Vec<u64> = win.histogram.values().iter().map(|v| v.to_bits()).collect();
         assert_eq!(est_bits(&out), single_bits, "epoch {e}: cluster != single-node");
         assert_eq!(out.snapshot.health, win.health, "epoch {e}: health diverged");
+        assert_eq!(published(&out.snapshot), published(&service.snapshot()), "epoch {e}");
         assert_eq!(out.arrived, 3);
         assert!(!out.missed);
     }
@@ -410,13 +425,15 @@ fn persistent(dir: &Path, every: usize) -> Result<Cluster, CheckpointError> {
     Cluster::with_store(grid, stream_config(), cluster, plan.unwrap(), store, every)
 }
 
-/// Epochs closed, published estimate, window counts and health, as bits.
-type Bits = (usize, Vec<u64>, Vec<u64>, PipelineHealth);
+/// Epochs closed, published estimate, window counts, health, and the
+/// published snapshot's EM iterations and warm flag, as bits.
+type Bits = (usize, Vec<u64>, Vec<u64>, PipelineHealth, usize, bool);
 
 fn bits(c: &Coordinator) -> Bits {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
     let snap = c.snapshot();
-    (c.next_epoch(), bits(snap.estimate.values()), bits(c.estimator().window_counts()), snap.health)
+    let counts = bits(c.estimator().window_counts());
+    (c.next_epoch(), bits(snap.estimate.values()), counts, snap.health, snap.em_iters, snap.warm)
 }
 
 /// Runs epochs `0..epochs` into a fresh store at `dir`; the state after

@@ -12,7 +12,8 @@
 //! figures compare mechanisms against each other on identical points, so
 //! what matters is that structure, not the real coordinates.
 //!
-//! * [`synthetic`] — Normal(µ, σ, ρ), SZipf and MNormal generators;
+//! * [`synthetic`] — Normal(µ, σ, ρ), SZipf and MNormal generators, and
+//!   the streaming figures' drifting two-foci epochs;
 //! * [`city`] — the street-grid simulator;
 //! * [`catalog`] — the five named datasets with the paper's exact point
 //!   counts and Part A/B/C extents (Table III).

@@ -75,6 +75,37 @@ pub fn mnormal_dataset(n: usize, rng: &mut (impl Rng + ?Sized)) -> Vec<Point> {
     out
 }
 
+/// Share of each [`drifting_foci`] epoch drawn from the uniform
+/// background.
+const DRIFT_BACKGROUND: f64 = 0.1;
+/// Focus drift per epoch as a fraction of the full trajectory — a fixed
+/// *rate*, so a longer stream covers more of the path instead of moving
+/// faster (≈0.6 cells/epoch at d = 20).
+const DRIFT_PER_EPOCH: f64 = 0.03;
+
+/// One epoch of the streaming figures' moving scenario on the unit
+/// square: two Gaussian foci (σ = 0.05, clamped to the square) sliding
+/// in opposite directions, at progress `u = min(0.03 · epoch, 1)` along
+/// their paths, plus a 10% uniform background. `fig_stream`,
+/// `fig_service` and `fig_cluster` all draw from it, so their figures
+/// are comparable.
+pub fn drifting_foci(n: usize, epoch: usize, rng: &mut (impl Rng + ?Sized)) -> Vec<Point> {
+    let u = (epoch as f64 * DRIFT_PER_EPOCH).min(1.0);
+    let foci = [(0.15 + 0.70 * u, 0.25 + 0.30 * u), (0.85 - 0.70 * u, 0.75 - 0.30 * u)];
+    (0..n)
+        .map(|_| {
+            if rng.gen::<f64>() < DRIFT_BACKGROUND {
+                return Point::new(rng.gen(), rng.gen());
+            }
+            let (cx, cy) = foci[usize::from(rng.gen::<f64>() < 0.45)];
+            Point::new(
+                (cx + 0.05 * standard_normal(rng)).clamp(0.0, 1.0),
+                (cy + 0.05 * standard_normal(rng)).clamp(0.0, 1.0),
+            )
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,7 +33,7 @@
 
 use dam_cluster::{CheckpointStore, Cluster, ClusterConfig};
 use dam_core::DamConfig;
-use dam_data::synthetic::standard_normal;
+use dam_data::synthetic::drifting_foci;
 use dam_eval::report::fmt4;
 use dam_eval::{CliArgs, EvalContext, Report};
 use dam_fault::NodeFaultPlan;
@@ -41,30 +41,10 @@ use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Histogram2D, Point};
 use dam_stream::{StreamConfig, StreamingEstimator};
 use dam_transport::W2Solver;
-use rand::Rng;
 
 const D: u32 = 20;
 const EPS: f64 = 3.5;
-const BACKGROUND: f64 = 0.1;
-const DRIFT_PER_EPOCH: f64 = 0.03;
 const NODE_COUNTS: [usize; 3] = [1, 4, 8];
-
-/// The fig_stream scenario: two foci sliding in opposite directions.
-fn epoch_points(n: usize, u: f64, rng: &mut impl Rng) -> Vec<Point> {
-    let foci = [(0.15 + 0.70 * u, 0.25 + 0.30 * u), (0.85 - 0.70 * u, 0.75 - 0.30 * u)];
-    (0..n)
-        .map(|_| {
-            if rng.gen::<f64>() < BACKGROUND {
-                return Point::new(rng.gen(), rng.gen());
-            }
-            let (cx, cy) = foci[usize::from(rng.gen::<f64>() < 0.45)];
-            Point::new(
-                (cx + 0.05 * standard_normal(rng)).clamp(0.0, 1.0),
-                (cy + 0.05 * standard_normal(rng)).clamp(0.0, 1.0),
-            )
-        })
-        .collect()
-}
 
 fn stream_config(ctx: &EvalContext, window: usize) -> StreamConfig {
     let dam = DamConfig::dam(EPS).with_threads(ctx.threads);
@@ -97,10 +77,7 @@ fn main() {
 
     // Shared stream: every cluster size sees identical epochs.
     let epoch_data: Vec<Vec<Point>> = (0..epochs)
-        .map(|e| {
-            let u = (e as f64 * DRIFT_PER_EPOCH).min(1.0);
-            epoch_points(per_epoch, u, &mut derived(ctx.seed, 0xC105_7E00 + e as u64))
-        })
+        .map(|e| drifting_foci(per_epoch, e, &mut derived(ctx.seed, 0xC105_7E00 + e as u64)))
         .collect();
     let truths: Vec<Histogram2D> = (0..epochs)
         .map(|e| {

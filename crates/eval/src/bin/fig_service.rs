@@ -18,7 +18,7 @@
 //! deterministic in `--seed` and bit-identical for any `--threads`.
 
 use dam_core::{DamConfig, SamVariant};
-use dam_data::synthetic::standard_normal;
+use dam_data::synthetic::drifting_foci;
 use dam_eval::report::fmt4;
 use dam_eval::runner::label_stream;
 use dam_eval::{CliArgs, EvalContext, Report};
@@ -26,35 +26,14 @@ use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Point};
 use dam_range::{random_queries, HierarchicalOracle};
 use dam_stream::{QueryService, StreamConfig};
-use rand::Rng;
 
 const D: u32 = 32;
 const EPS: f64 = 3.5;
-const BACKGROUND: f64 = 0.1;
-const DRIFT_PER_EPOCH: f64 = 0.03;
 const SELECTIVITIES: [f64; 3] = [0.125, 0.25, 0.5];
 const QUERIES_PER_SEL: usize = 60;
 /// Relative-error floor: a range whose truth is below this contributes
 /// |err|/floor instead of exploding the mean.
 const TRUTH_FLOOR: f64 = 1e-3;
-
-/// The fig_stream two-foci drifting scenario (identical generator, so
-/// figures are comparable across binaries).
-fn epoch_points(n: usize, u: f64, rng: &mut impl Rng) -> Vec<Point> {
-    let foci = [(0.15 + 0.70 * u, 0.25 + 0.30 * u), (0.85 - 0.70 * u, 0.75 - 0.30 * u)];
-    (0..n)
-        .map(|_| {
-            if rng.gen::<f64>() < BACKGROUND {
-                return Point::new(rng.gen(), rng.gen());
-            }
-            let (cx, cy) = foci[usize::from(rng.gen::<f64>() < 0.45)];
-            Point::new(
-                (cx + 0.05 * standard_normal(rng)).clamp(0.0, 1.0),
-                (cy + 0.05 * standard_normal(rng)).clamp(0.0, 1.0),
-            )
-        })
-        .collect()
-}
 
 fn main() {
     let args = CliArgs::parse();
@@ -66,10 +45,7 @@ fn main() {
     let grid = Grid2D::new(BoundingBox::unit(), D);
 
     let epoch_data: Vec<Vec<Point>> = (0..epochs)
-        .map(|e| {
-            let u = (e as f64 * DRIFT_PER_EPOCH).min(1.0);
-            epoch_points(per_epoch, u, &mut derived(ctx.seed, 0x0F5E_4C00 + e as u64))
-        })
+        .map(|e| drifting_foci(per_epoch, e, &mut derived(ctx.seed, 0x0F5E_4C00 + e as u64)))
         .collect();
 
     let dam =

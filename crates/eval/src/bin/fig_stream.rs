@@ -33,7 +33,7 @@
 //! pipeline quarantined, sanitized, and recovered from.
 
 use dam_core::{DamConfig, SamVariant};
-use dam_data::synthetic::standard_normal;
+use dam_data::synthetic::drifting_foci;
 use dam_eval::report::fmt4;
 use dam_eval::runner::label_stream;
 use dam_eval::{CliArgs, EvalContext, Report};
@@ -43,35 +43,9 @@ use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Histogram2D, Point};
 use dam_stream::{StreamConfig, StreamingEstimator};
 use dam_transport::W2Solver;
-use rand::Rng;
 
 const D: u32 = 20;
 const EPS: f64 = 3.5;
-/// Fraction of each epoch's reports drawn from the uniform background.
-const BACKGROUND: f64 = 0.1;
-/// Focus drift per epoch as a fraction of the full trajectory — a fixed
-/// *rate*, so `--epochs` changes how much of the path the stream covers,
-/// not how fast the world moves (≈0.6 cells/epoch at d = 20).
-const DRIFT_PER_EPOCH: f64 = 0.03;
-
-/// One epoch of case locations: two foci sliding in opposite directions
-/// across the square (progress `u ∈ [0, 1]` over the stream) plus a
-/// uniform background.
-fn epoch_points(n: usize, u: f64, rng: &mut impl Rng) -> Vec<Point> {
-    let foci = [(0.15 + 0.70 * u, 0.25 + 0.30 * u), (0.85 - 0.70 * u, 0.75 - 0.30 * u)];
-    (0..n)
-        .map(|_| {
-            if rng.gen::<f64>() < BACKGROUND {
-                return Point::new(rng.gen(), rng.gen());
-            }
-            let (cx, cy) = foci[usize::from(rng.gen::<f64>() < 0.45)];
-            Point::new(
-                (cx + 0.05 * standard_normal(rng)).clamp(0.0, 1.0),
-                (cy + 0.05 * standard_normal(rng)).clamp(0.0, 1.0),
-            )
-        })
-        .collect()
-}
 
 /// Feeds one epoch into one stream under a fault plan: merges any batch
 /// delayed from the previous epoch, applies the epoch fate and report
@@ -129,10 +103,7 @@ fn main() {
 
     // Shared data stream: every mechanism sees identical epochs.
     let epoch_data: Vec<Vec<Point>> = (0..epochs)
-        .map(|e| {
-            let u = (e as f64 * DRIFT_PER_EPOCH).min(1.0);
-            epoch_points(per_epoch, u, &mut derived(ctx.seed, 0x0F16_5700 + e as u64))
-        })
+        .map(|e| drifting_foci(per_epoch, e, &mut derived(ctx.seed, 0x0F16_5700 + e as u64)))
         .collect();
 
     let variants = [

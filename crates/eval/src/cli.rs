@@ -4,6 +4,23 @@
 use dam_transport::W2Solver;
 use std::path::PathBuf;
 
+/// Every flag [`CliArgs::parse_from`] accepts, as its unknown-flag
+/// message lists them.
+const FLAGS: [&str; 12] = [
+    "--repeats",
+    "--users",
+    "--seed",
+    "--out",
+    "--fast",
+    "--no-calib",
+    "--w2-solver",
+    "--threads",
+    "--epochs",
+    "--window",
+    "--inject",
+    "--metrics-out",
+];
+
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct CliArgs {
@@ -114,11 +131,7 @@ impl CliArgs {
                 }
                 "--inject" => out.inject = Some(value("--inject")),
                 "--metrics-out" => out.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
-                other => panic!(
-                    "unknown flag {other}; known: --repeats --users --seed --out --fast \
-                     --no-calib --w2-solver --threads --epochs --window \
-                     --inject --metrics-out"
-                ),
+                other => panic!("unknown flag {other}; known: {}", FLAGS.join(" ")),
             }
         }
         if out.fast {
@@ -232,6 +245,19 @@ mod tests {
         assert!(parse("").inject.is_none());
         let a = parse("--inject seed=7,corrupt=0.01,drop=0.1");
         assert_eq!(a.inject.as_deref(), Some("seed=7,corrupt=0.01,drop=0.1"));
+    }
+
+    #[test]
+    fn every_flag_is_documented_in_the_crate_docs() {
+        // The unknown-flag message and the flag table in `lib.rs` name
+        // the same flags, so neither list can drift from the other.
+        let docs: Vec<&str> = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! --"))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        let known: Vec<&str> = FLAGS.iter().map(|f| &f[2..]).collect();
+        assert_eq!(docs, known, "crate docs vs the unknown-flag message");
     }
 
     #[test]

@@ -12,9 +12,17 @@
 //!               (the fig9 large-d binaries keep full user counts — the
 //!               sharded report pipeline makes them affordable)
 //! --no-calib    use ε directly for SEM-Geo-I instead of LP calibration
+//! --w2-solver S W₂ solver for the error metric: auto, exact or grid
+//!               (default auto: the exact LP up to 400 cells, the
+//!               grid-separable Sinkhorn solver above)
 //! --threads N   worker threads for the job runner and the sharded report
 //!               pipeline (default: available parallelism; results are
 //!               bit-identical for any value)
+//! --epochs N    stream length in epochs (fig_stream, fig_service,
+//!               fig_cluster; each picks its own default)
+//! --window W    sliding-window length in epochs (same binaries)
+//! --inject SPEC fault plan for a chaos run: a `FaultPlan` spec for
+//!               fig_stream, a `NodeFaultPlan` spec for fig_cluster
 //! --metrics-out PATH  write the run's dam-obs metrics registries as one
 //!               JSON document (sections keyed by pipeline label; see
 //!               README "Observability")

@@ -18,20 +18,19 @@
 //!   coordinates, `NaN`/`∞` coordinates, or duplicated reports (replay);
 //! * **epoch faults** ([`FaultPlan::epoch_fate`]) — whole epochs dropped
 //!   (collector outage) or delayed one epoch (late batch delivery);
-//! * **response poisoning** ([`FaultPlan::poison_symbol`],
-//!   [`FaultPlan::poison_unary`], [`FaultPlan::poison_counts`]) — GRR
-//!   symbols resampled and OUE unary bits flipped at a configured rate,
-//!   plus the aggregated-plane form that migrates whole-number counts
-//!   between cells (each originally-reported cell flips with the same
-//!   rate);
+//! * **response poisoning** ([`FaultPlan::poison_counts`]) — applied to
+//!   the aggregated count plane every pipeline ingests: whole-number
+//!   counts migrate between cells, each originally-reported cell
+//!   flipping to a uniformly drawn other cell at a configured rate;
 //! * **non-finite injection** ([`FaultPlan::inject_nonfinite`]) —
 //!   `NaN`/`∞` values written into count planes, modelling a corrupted
 //!   aggregation substrate;
 //! * **node faults** ([`NodeFaultPlan`]) — the cluster-level family for
 //!   multi-node deployments (`dam-cluster`): aggregator crashes lasting
-//!   a configured number of epochs, delayed / duplicated / corrupted
-//!   plane deliveries, and coordinator kill points, every decision keyed
-//!   `(seed, family, node, epoch)`.
+//!   a configured number of epochs and delayed / duplicated / corrupted
+//!   plane deliveries, every decision keyed `(seed, family, node,
+//!   epoch)`. Coordinator crashes are not a plan key: the recovery tests
+//!   and `fig_cluster` kill the coordinator where they choose.
 //!
 //! Plans round-trip through a compact text spec
 //! ([`FaultPlan::parse`] / [`FaultPlan::spec`]) so a chaos run is fully

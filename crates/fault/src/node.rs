@@ -1,6 +1,6 @@
 //! Node-level fault family for multi-node deployments: which aggregator
-//! crashes when, which plane deliveries are late, duplicated or
-//! corrupted, and where the coordinator itself is killed.
+//! crashes when, and which plane deliveries are late, duplicated or
+//! corrupted.
 //!
 //! Same discipline as [`crate::FaultPlan`]: every decision is a pure
 //! SplitMix64 draw keyed `(seed, family, node, epoch)`, so a cluster
@@ -28,8 +28,7 @@ const DEFAULT_DELAY_MAX: usize = 3;
 const CORRUPT_CELLS: usize = 3;
 
 /// A cluster chaos scenario: per-`(node, epoch)` fault rates plus the
-/// master seed keying every decision stream, and an optional coordinator
-/// kill point.
+/// master seed keying every decision stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeFaultPlan {
     /// Master seed of the node-fault decision streams.
@@ -50,9 +49,6 @@ pub struct NodeFaultPlan {
     /// Per-`(node, epoch)` probability the delivered plane is corrupted
     /// (non-finite / negative cells the sanitizer must repair).
     pub corrupt: f64,
-    /// Coordinator kill point: crash the coordinator right after closing
-    /// this epoch (recovery must then resume bit-identically).
-    pub kill: Option<usize>,
 }
 
 impl NodeFaultPlan {
@@ -66,28 +62,22 @@ impl NodeFaultPlan {
             delay_max: DEFAULT_DELAY_MAX,
             dup: 0.0,
             corrupt: 0.0,
-            kill: None,
         }
     }
 
-    /// True when every fault rate is zero and no kill point is set.
+    /// True when every fault rate is zero.
     pub fn is_clean(&self) -> bool {
-        self.crash == 0.0
-            && self.delay == 0.0
-            && self.dup == 0.0
-            && self.corrupt == 0.0
-            && self.kill.is_none()
+        self.crash == 0.0 && self.delay == 0.0 && self.dup == 0.0 && self.corrupt == 0.0
     }
 
     /// Every key [`NodeFaultPlan::parse`] accepts.
     pub const KEYS: &'static [&'static str] =
-        &["seed", "crash", "crashlen", "delay", "delaymax", "dup", "corrupt", "kill"];
+        &["seed", "crash", "crashlen", "delay", "delaymax", "dup", "corrupt"];
 
     /// Parses a comma-separated `key=value` spec, e.g.
-    /// `seed=7,crash=0.05,crashlen=2,delay=0.1,delaymax=4,dup=0.05,corrupt=0.02,kill=11`.
+    /// `seed=7,crash=0.05,crashlen=2,delay=0.1,delaymax=4,dup=0.05,corrupt=0.02`.
     /// Same structural errors as [`crate::FaultPlan::parse`]; omitted
-    /// keys default to `seed=0`, rate `0`, `crashlen=1`, `delaymax=3`,
-    /// no kill point.
+    /// keys default to `seed=0`, rate `0`, `crashlen=1`, `delaymax=3`.
     pub fn parse(spec: &str) -> Result<Self, PlanParseError> {
         let mut plan = Self::clean(0);
         for part in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -103,7 +93,6 @@ impl NodeFaultPlan {
                 "delaymax" => plan.delay_max = parse_count(key, value)?,
                 "dup" => plan.dup = parse_rate(key, value)?,
                 "corrupt" => plan.corrupt = parse_rate(key, value)?,
-                "kill" => plan.kill = Some(parse_count(key, value)?),
                 other => {
                     return Err(PlanParseError::UnknownKey {
                         key: other.to_string(),
@@ -144,9 +133,6 @@ impl NodeFaultPlan {
         }
         if self.delay_max != DEFAULT_DELAY_MAX {
             parts.push(format!("delaymax={}", self.delay_max));
-        }
-        if let Some(kill) = self.kill {
-            parts.push(format!("kill={kill}"));
         }
         parts.join(",")
     }
@@ -211,11 +197,6 @@ impl NodeFaultPlan {
         }
         hits
     }
-
-    /// Whether the coordinator dies right after closing epoch `epoch`.
-    pub fn kills_after(&self, epoch: usize) -> bool {
-        self.kill == Some(epoch)
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +206,7 @@ mod tests {
     #[test]
     fn parse_round_trips_through_spec() {
         let plan = NodeFaultPlan::parse(
-            "seed=7,crash=0.05,crashlen=2,delay=0.1,delaymax=4,dup=0.05,corrupt=0.02,kill=11",
+            "seed=7,crash=0.05,crashlen=2,delay=0.1,delaymax=4,dup=0.05,corrupt=0.02",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
@@ -235,7 +216,6 @@ mod tests {
         assert_eq!(plan.delay_max, 4);
         assert_eq!(plan.dup, 0.05);
         assert_eq!(plan.corrupt, 0.02);
-        assert_eq!(plan.kill, Some(11));
         assert_eq!(NodeFaultPlan::parse(&plan.spec()).unwrap(), plan);
         // Defaults and the clean plan round-trip too.
         assert_eq!(NodeFaultPlan::parse("").unwrap(), NodeFaultPlan::clean(0));
@@ -255,12 +235,16 @@ mod tests {
             Err(PlanParseError::RateOutOfRange { key: "crash".into(), value: 2.0 })
         );
         assert_eq!(
-            NodeFaultPlan::parse("kill=soon"),
+            NodeFaultPlan::parse("crashlen=soon"),
             Err(PlanParseError::BadValue {
-                key: "kill".into(),
+                key: "crashlen".into(),
                 value: "soon".into(),
                 expected: "a count"
             })
+        );
+        assert_eq!(
+            NodeFaultPlan::parse("kill=11"),
+            Err(PlanParseError::UnknownKey { key: "kill".into(), known: NodeFaultPlan::KEYS })
         );
         assert!(matches!(
             NodeFaultPlan::parse("crashlen=0"),
@@ -344,14 +328,5 @@ mod tests {
         let mut c = vec![5.0; 64];
         assert_eq!(NodeFaultPlan::clean(2).corrupt_plane(1, 7, &mut c), 0);
         assert!(c.iter().all(|&v| v == 5.0));
-    }
-
-    #[test]
-    fn kill_points_fire_exactly_once() {
-        let plan = NodeFaultPlan::parse("seed=1,kill=5").unwrap();
-        assert!(!plan.is_clean());
-        let fired: Vec<usize> = (0..20).filter(|&e| plan.kills_after(e)).collect();
-        assert_eq!(fired, vec![5]);
-        assert!((0..20).all(|e| !NodeFaultPlan::clean(1).kills_after(e)));
     }
 }

@@ -147,9 +147,10 @@ pub struct FaultPlan {
     pub drop: f64,
     /// Per-epoch probability the batch is delayed one epoch.
     pub delay: f64,
-    /// Per-response flip probability for randomized-response poisoning
-    /// (GRR symbol resampling, OUE bit flips, aggregated-count
-    /// migration).
+    /// Per-report flip rate of count poisoning
+    /// ([`FaultPlan::poison_counts`]): a cell holding `c` reports moves
+    /// `c · flip` of them (rounded by a keyed coin) to uniformly drawn
+    /// other cells.
     pub flip: f64,
     /// Per-cell probability of writing a non-finite value into a count
     /// plane.
@@ -291,47 +292,9 @@ impl FaultPlan {
         hits
     }
 
-    /// GRR-style poisoning of one categorical response out of `k`
-    /// symbols: with probability `flip` the reported symbol is replaced
-    /// by a uniformly drawn *different* symbol. Keyed by
-    /// `(epoch, response index)`.
-    pub fn poison_symbol(&self, epoch: usize, index: usize, k: usize, symbol: usize) -> usize {
-        debug_assert!(symbol < k);
-        if k < 2
-            || self.flip <= 0.0
-            || self.unit(SALT_FLIP, epoch as u64, index as u64) >= self.flip
-        {
-            return symbol;
-        }
-        let r = (self.unit(SALT_DEST, epoch as u64, index as u64) * (k - 1) as f64) as usize;
-        let r = r.min(k - 2);
-        if r >= symbol {
-            r + 1
-        } else {
-            r
-        }
-    }
-
-    /// OUE-style poisoning of one unary (bit-vector) response: each bit
-    /// flips independently with probability `flip`. Returns the number of
-    /// flipped bits. Keyed by `(epoch, response index, bit)`.
-    pub fn poison_unary(&self, epoch: usize, index: usize, bits: &mut [bool]) -> usize {
-        if self.flip <= 0.0 {
-            return 0;
-        }
-        let key = splitmix64(epoch as u64 ^ splitmix64(index as u64));
-        let mut flipped = 0;
-        for (j, bit) in bits.iter_mut().enumerate() {
-            if self.unit(SALT_FLIP, key, j as u64) < self.flip {
-                *bit = !*bit;
-                flipped += 1;
-            }
-        }
-        flipped
-    }
-
-    /// The aggregated-plane form of response poisoning: each
-    /// originally-reported cell flips to a uniformly drawn other cell
+    /// Response poisoning, applied to the aggregated count plane every
+    /// pipeline ingests: each originally-reported cell flips to a
+    /// uniformly drawn other cell
     /// with probability `flip`, applied directly to a whole-number count
     /// plane (per-cell flip counts are the deterministic rounding of
     /// `count · flip`; destinations come from per-move streams). Counts
@@ -513,37 +476,6 @@ mod tests {
         assert!(seen.iter().all(|&s| s > 40), "fates {seen:?}");
         let clean = FaultPlan::clean(5);
         assert!((0..100).all(|e| clean.epoch_fate(e) == EpochFate::Deliver));
-    }
-
-    #[test]
-    fn symbol_poisoning_flips_at_the_configured_rate() {
-        let plan = FaultPlan::parse("seed=2,flip=0.1").unwrap();
-        let k = 16;
-        let mut flips = 0;
-        for i in 0..50_000 {
-            let out = plan.poison_symbol(0, i, k, i % k);
-            if out != i % k {
-                flips += 1;
-            }
-            assert!(out < k);
-        }
-        let rate = flips as f64 / 50_000.0;
-        assert!((rate - 0.1).abs() < 0.01, "flip rate {rate}");
-        // k = 1 has no other symbol to flip to.
-        assert_eq!(plan.poison_symbol(0, 0, 1, 0), 0);
-    }
-
-    #[test]
-    fn unary_poisoning_flips_bits_at_rate() {
-        let plan = FaultPlan::parse("seed=3,flip=0.05").unwrap();
-        let mut flipped = 0;
-        for user in 0..2_000 {
-            let mut bits = vec![false; 64];
-            bits[user % 64] = true;
-            flipped += plan.poison_unary(0, user, &mut bits);
-        }
-        let rate = flipped as f64 / (2_000.0 * 64.0);
-        assert!((rate - 0.05).abs() < 0.01, "bit flip rate {rate}");
     }
 
     #[test]

@@ -27,9 +27,9 @@ const REPORT_SPECS: [&str; 4] = [
 
 const NODE_SPECS: [&str; 4] = [
     "seed=7,crash=0.05,delay=0.2,delaymax=2,dup=0.1,corrupt=0.02",
-    "seed=7,crash=0.05,crashlen=2,delay=0.1,delaymax=4,dup=0.05,corrupt=0.02,kill=11",
+    "seed=7,crash=0.05,crashlen=2,delay=0.1,delaymax=4,dup=0.05,corrupt=0.02",
     "seed=11,crash=0.15,delay=0.4,delaymax=2,dup=0.3,corrupt=0.25",
-    "kill=0,crashlen=1",
+    "delaymax=0,crashlen=1",
 ];
 
 /// Bytes the grammar reacts to, drawn more often than arbitrary ones.

@@ -17,9 +17,7 @@
 //!   `accumulate_adjoint`, both threading an [`em::EmWorkspace`] of
 //!   reusable scratch planes), with the dense [`em::Channel`] as reference
 //!   implementation and a structured operator (`dam-core`'s spectral
-//!   `FftChannel`) as the fast path;
-//! * [`sr`] — Stochastic Rounding (Duchi et al. \[4\], mean estimation);
-//! * [`pm`] — the Piecewise Mechanism (Wang et al. \[5\], mean estimation).
+//!   `FftChannel`) as the fast path.
 
 #![forbid(unsafe_code)]
 
@@ -27,8 +25,6 @@ pub mod alias;
 pub mod em;
 pub mod grr;
 pub mod oue;
-pub mod pm;
-pub mod sr;
 pub mod sw;
 
 pub use em::{expectation_maximization, Channel, ChannelOp, EmHealth, EmParams, EmWorkspace};

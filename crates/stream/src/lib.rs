@@ -22,8 +22,10 @@
 //!   one writer ingests epochs while any number of query threads answer
 //!   point/range/heatmap queries from an immutable epoch-versioned
 //!   snapshot (window estimate + its `dam_core::Pyramid` + health),
-//!   swapped atomically at each window close — answers are bit-identical
-//!   for any thread count and any ingest/query interleaving.
+//!   swapped atomically at each window close by the
+//!   [`service::Publisher`] the cluster coordinator publishes through
+//!   too — answers are bit-identical for any thread count and any
+//!   ingest/query interleaving.
 //!
 //! `cargo run --release -p dam-eval --bin fig_stream` drives the
 //! moving-foci evaluation. The end-to-end benchmark (`perfbench/`, run
@@ -41,4 +43,4 @@ pub mod service;
 pub use estimator::{StreamConfig, StreamingEstimator, WindowEstimate};
 pub use health::PipelineHealth;
 pub use ring::EpochRing;
-pub use service::{QueryService, Snapshot};
+pub use service::{Publisher, QueryService, Snapshot};

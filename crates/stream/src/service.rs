@@ -1,19 +1,20 @@
-//! Serve-while-ingesting query service over the streaming estimator.
+//! Serve-while-ingesting query service over the streaming estimator,
+//! and the snapshot publisher it shares with `dam_cluster::Coordinator`.
 //!
-//! [`QueryService`] is the long-lived struct the ROADMAP's production
-//! story (dashboards querying *while* millions of users report) needs:
-//! it owns a [`StreamingEstimator`] and, at each window close, publishes
-//! an immutable epoch-versioned [`Snapshot`] — the window estimate, its
-//! [`Pyramid`] (so large ranges read a boundary-proportional node cover
-//! instead of O(cells)), and the [`PipelineHealth`] at that instant.
+//! [`Publisher`] owns the one snapshot cell. It serves the uniform
+//! epoch-0 [`Snapshot`] until the first publish; each publish freezes a
+//! window estimate, its [`Pyramid`] (so large ranges read a
+//! boundary-proportional node cover instead of O(cells)) and the
+//! [`PipelineHealth`] into an immutable epoch-versioned snapshot, swaps
+//! it in under a brief write lock (the replaced one is released after
+//! the guard) and records the publish telemetry.
 //!
-//! Concurrency model — **single writer, wait-free-in-practice readers**:
+//! [`QueryService`] runs **one writer and wait-free-in-practice readers**:
 //!
 //! * ingest (`ingest_epoch` / `ingest_missed_epoch`) serializes on a
 //!   `Mutex<StreamingEstimator>`; the epoch is ingested and the window
-//!   re-estimated *outside* any reader-visible state, then the finished
-//!   snapshot is swapped in under a brief `RwLock<Arc<Snapshot>>` write;
-//! * `point` and `range` answer under the read guard itself, which
+//!   re-estimated *outside* any reader-visible state, then published;
+//! * `point` and `range` answer under the publisher's read guard, which
 //!   saves the two shared reference-count updates of an `Arc` clone and
 //!   drop; a cover walk takes at most a few hundred nanoseconds, so the
 //!   writer's swap waits for at most the point and range queries in
@@ -44,7 +45,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::estimator::{StreamConfig, StreamingEstimator};
+use crate::estimator::{StreamConfig, StreamingEstimator, WindowEstimate};
 use crate::health::PipelineHealth;
 use dam_core::Pyramid;
 use dam_geo::{Grid2D, Histogram2D, Point};
@@ -75,9 +76,93 @@ pub struct Snapshot {
     pub health: PipelineHealth,
 }
 
+impl Snapshot {
+    /// The snapshot of `epoch`: the window estimate and its pyramid.
+    fn of(epoch: usize, window: WindowEstimate) -> Self {
+        let d = window.histogram.grid().d();
+        Self {
+            epoch,
+            pyramid: Pyramid::from_plane(window.histogram.values(), d),
+            estimate: window.histogram,
+            em_iters: window.em_iters,
+            warm: window.warm,
+            health: window.health,
+        }
+    }
+}
+
+/// Owner of the published-snapshot cell: builds, swaps and instruments
+/// every snapshot readers see (see the [module docs](self)).
+pub struct Publisher {
+    cell: RwLock<Arc<Snapshot>>,
+    obs: Registry,
+    snapshot_epoch: Gauge,
+    publish_ns: ObsHistogram,
+    last_publish_ns: AtomicU64,
+}
+
+impl Publisher {
+    /// A publisher serving the uniform (non-informative) snapshot at
+    /// epoch 0 over `grid`, recording into `obs`.
+    pub fn new(grid: &Grid2D, obs: Registry) -> Self {
+        let n = grid.n_cells();
+        let uniform = WindowEstimate {
+            histogram: Histogram2D::from_values(grid.clone(), vec![1.0 / n as f64; n]),
+            em_iters: 0,
+            warm: false,
+            health: PipelineHealth::default(),
+        };
+        let initial = Snapshot::of(0, uniform);
+        // Every snapshot of one grid has the same pyramid shape.
+        let nodes: usize = initial.pyramid.levels().iter().map(|lv| lv.values().len()).sum();
+        obs.gauge("pyramid_nodes", Plane::Deterministic).set(nodes as f64);
+        Self {
+            cell: RwLock::new(Arc::new(initial)),
+            snapshot_epoch: obs.gauge("service_snapshot_epoch", Plane::Deterministic),
+            publish_ns: obs.histogram("service_publish_ns", Plane::Timing),
+            obs,
+            last_publish_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// Publishes what `window` returns as the snapshot of `epoch`. The
+    /// `publish` span and `service_publish_ns` cover the `window` call
+    /// too, so a caller that re-estimates inside it times its EM run.
+    pub fn publish(&self, epoch: usize, window: impl FnOnce() -> WindowEstimate) -> Arc<Snapshot> {
+        let _span = self.obs.span_at("publish", LogicalStamp::epoch(epoch as u64));
+        let t0 = self.obs.now_ns();
+        let snapshot = Arc::new(Snapshot::of(epoch, window()));
+        // The replaced snapshot is released after the write guard, so
+        // readers never wait on its deallocation.
+        let replaced = std::mem::replace(&mut *self.cell.write(), Arc::clone(&snapshot));
+        drop(replaced);
+        let now = self.obs.now_ns();
+        self.publish_ns.record(now.saturating_sub(t0));
+        self.snapshot_epoch.set(epoch as f64);
+        self.last_publish_ns.store(now, Ordering::Relaxed);
+        snapshot
+    }
+
+    /// The current snapshot, by `Arc` clone under the read guard.
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.cell.read())
+    }
+
+    /// Runs `f` on the current snapshot under the read guard; the
+    /// writer's next swap waits for it, so keep `f` short.
+    #[inline]
+    pub fn read<T>(&self, f: impl FnOnce(&Snapshot) -> T) -> T {
+        f(&self.cell.read())
+    }
+
+    /// Registry-clock time since the current snapshot was published.
+    pub fn age_ns(&self) -> u64 {
+        self.obs.now_ns().saturating_sub(self.last_publish_ns.load(Ordering::Relaxed))
+    }
+}
+
 /// The service's registered obs handles: per-query counters and sampled
-/// latency histograms, snapshot freshness, pyramid/range-cover
-/// accounting.
+/// latency histograms, snapshot age, range-cover accounting.
 struct ServiceObs {
     queries_point: Counter,
     queries_range: Counter,
@@ -86,9 +171,6 @@ struct ServiceObs {
     query_range_ns: ObsHistogram,
     query_heatmap_ns: ObsHistogram,
     snapshot_age_ns: Gauge,
-    snapshot_epoch: Gauge,
-    publish_ns: ObsHistogram,
-    pyramid_nodes: Gauge,
     range_cover_nodes_total: Counter,
 }
 
@@ -104,9 +186,6 @@ impl ServiceObs {
             query_range_ns: reg.histogram("service_query_range_ns", timing),
             query_heatmap_ns: reg.histogram("service_query_heatmap_ns", timing),
             snapshot_age_ns: reg.gauge("service_snapshot_age_ns", timing),
-            snapshot_epoch: reg.gauge("service_snapshot_epoch", det),
-            publish_ns: reg.histogram("service_publish_ns", timing),
-            pyramid_nodes: reg.gauge("pyramid_nodes", det),
             range_cover_nodes_total: reg.counter("range_cover_nodes_total", det),
         }
     }
@@ -117,10 +196,9 @@ impl ServiceObs {
 /// number of query threads read the latest published snapshot.
 pub struct QueryService {
     estimator: Mutex<StreamingEstimator>,
-    latest: RwLock<Arc<Snapshot>>,
+    publisher: Publisher,
     obs: Registry,
     so: ServiceObs,
-    last_publish_ns: AtomicU64,
 }
 
 impl QueryService {
@@ -135,27 +213,11 @@ impl QueryService {
     /// shared with the inner estimator — the harness's seam for
     /// wall-clocked latency histograms.
     pub fn with_registry(grid: Grid2D, config: StreamConfig, obs: Registry) -> Self {
-        let d = grid.d();
-        let n = grid.n_cells() as f64;
-        let uniform = Histogram2D::from_values(grid.clone(), vec![1.0 / n; grid.n_cells()]);
-        let pyramid = Pyramid::from_plane(uniform.values(), d);
-        let so = ServiceObs::register(&obs);
-        so.pyramid_nodes
-            .set(pyramid.levels().iter().map(|lv| lv.values().len()).sum::<usize>() as f64);
-        let initial = Snapshot {
-            epoch: 0,
-            pyramid,
-            estimate: uniform,
-            em_iters: 0,
-            warm: false,
-            health: PipelineHealth::default(),
-        };
         Self {
+            publisher: Publisher::new(&grid, obs.clone()),
+            so: ServiceObs::register(&obs),
             estimator: Mutex::new(StreamingEstimator::with_registry(grid, config, obs.clone())),
-            latest: RwLock::new(Arc::new(initial)),
             obs,
-            so,
-            last_publish_ns: AtomicU64::new(0),
         }
     }
 
@@ -172,22 +234,7 @@ impl QueryService {
     pub fn ingest_epoch(&self, points: &[Point]) -> usize {
         let mut est = self.estimator.lock();
         let epoch = est.ingest_epoch(points);
-        self.publish(&mut est);
-        epoch
-    }
-
-    /// Ingests one epoch's already-merged count plane (the multi-node
-    /// coordinator's feed — see
-    /// [`StreamingEstimator::ingest_epoch_plane`]), re-estimates, and
-    /// publishes the snapshot. Returns the epoch index just ingested.
-    pub fn ingest_epoch_plane(
-        &self,
-        plane: &[f64],
-        summary: &dam_core::validate::IngestSummary,
-    ) -> usize {
-        let mut est = self.estimator.lock();
-        let epoch = est.ingest_epoch_plane(plane, summary);
-        self.publish(&mut est);
+        self.publisher.publish(est.epochs(), || est.estimate_window());
         epoch
     }
 
@@ -197,35 +244,8 @@ impl QueryService {
     pub fn ingest_missed_epoch(&self) -> usize {
         let mut est = self.estimator.lock();
         let epoch = est.ingest_missed_epoch();
-        self.publish(&mut est);
+        self.publisher.publish(est.epochs(), || est.estimate_window());
         epoch
-    }
-
-    fn publish(&self, est: &mut StreamingEstimator) {
-        let _span = self.obs.span_at("publish", LogicalStamp::epoch(est.epochs() as u64));
-        let t0 = self.obs.now_ns();
-        let window = est.estimate_window();
-        let d = window.histogram.grid().d();
-        let pyramid = Pyramid::from_plane(window.histogram.values(), d);
-        self.so
-            .pyramid_nodes
-            .set(pyramid.levels().iter().map(|lv| lv.values().len()).sum::<usize>() as f64);
-        let snapshot = Arc::new(Snapshot {
-            epoch: est.epochs(),
-            pyramid,
-            estimate: window.histogram,
-            em_iters: window.em_iters,
-            warm: window.warm,
-            health: window.health,
-        });
-        // The replaced snapshot is released after the write guard, so
-        // readers never wait on its deallocation.
-        let replaced = std::mem::replace(&mut *self.latest.write(), snapshot);
-        drop(replaced);
-        let now = self.obs.now_ns();
-        self.so.publish_ns.record(now.saturating_sub(t0));
-        self.so.snapshot_epoch.set(est.epochs() as f64);
-        self.last_publish_ns.store(now, Ordering::Relaxed);
     }
 
     /// Timing-plane freshness: how long ago (on the registry's clock)
@@ -233,7 +253,7 @@ impl QueryService {
     /// time, and recorded into the `service_snapshot_age_ns` gauge —
     /// queries never touch it.
     pub fn snapshot_age_ns(&self) -> u64 {
-        let age = self.obs.now_ns().saturating_sub(self.last_publish_ns.load(Ordering::Relaxed));
+        let age = self.publisher.age_ns();
         self.so.snapshot_age_ns.set(age as f64);
         age
     }
@@ -241,12 +261,12 @@ impl QueryService {
     /// The latest published snapshot (cheap: clones an `Arc` under a
     /// read lock).
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.latest.read())
+        self.publisher.snapshot()
     }
 
     /// Epoch of the latest published snapshot.
     pub fn epoch(&self) -> usize {
-        self.latest.read().epoch
+        self.publisher.read(|s| s.epoch)
     }
 
     /// Counts one query on `count` and runs it, timing it into `latency`
@@ -266,7 +286,7 @@ impl QueryService {
     /// the snapshot read guard.
     pub fn point(&self, ix: u32, iy: u32) -> f64 {
         self.query(&self.so.queries_point, &self.so.query_point_ns, || {
-            self.latest.read().pyramid.cell(ix, iy)
+            self.publisher.read(|s| s.pyramid.cell(ix, iy))
         })
     }
 
@@ -275,7 +295,7 @@ impl QueryService {
     /// node cover (the cover size is added to `range_cover_nodes_total`).
     pub fn range(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> f64 {
         let (v, nodes) = self.query(&self.so.queries_range, &self.so.query_range_ns, || {
-            self.latest.read().pyramid.range_sum_counted(x0, y0, x1, y1)
+            self.publisher.read(|s| s.pyramid.range_sum_counted(x0, y0, x1, y1))
         });
         self.so.range_cover_nodes_total.add(nodes as u64);
         v
@@ -294,7 +314,7 @@ impl QueryService {
 
     /// Pipeline health of the latest snapshot.
     pub fn health(&self) -> PipelineHealth {
-        self.latest.read().health
+        self.publisher.read(|s| s.health)
     }
 }
 

@@ -7,10 +7,14 @@
 //!
 //! The collect loop runs on a **simulated clock**: ticks advance only by
 //! the deterministic backoff schedule (`base_backoff << attempt`), the
-//! transport gates deliveries on ticks, and no wall time exists
-//! anywhere. Two runs of the same cluster configuration and fault plan
+//! transport gates deliveries on ticks, and no wall time decides
+//! anything. Two runs of the same cluster configuration and fault plan
 //! are therefore bit-identical — including every published estimate,
-//! pyramid, and health record — for any thread count.
+//! pyramid, and health record — for any thread count. The simulated
+//! clock drives the transport only: the registry's timing instruments
+//! (spans, `service_publish_ns`) read whatever [`dam_obs::Clock`] the
+//! harness installs on it — frozen at zero by default, wall time in
+//! `fig_cluster`.
 //!
 //! # Quorum close and inverse-coverage rescale
 //!
@@ -50,7 +54,7 @@ use crate::transport::{PlaneTransport, SimTransport};
 use dam_core::validate::{sanitize_counts, IngestSummary};
 use dam_fault::NodeFaultPlan;
 use dam_geo::{Grid2D, Histogram2D, Point};
-use dam_obs::{Counter, Histogram, LogicalStamp, Plane, Registry, SimClock};
+use dam_obs::{Counter, Histogram, LogicalStamp, Plane, Registry};
 use dam_stream::{Publisher, Snapshot, StreamConfig, StreamingEstimator, WindowEstimate};
 
 /// Cluster topology and collection policy.
@@ -170,6 +174,7 @@ pub struct Coordinator {
     grid: Grid2D,
     est: StreamingEstimator,
     publisher: Publisher,
+    /// Simulated tick the transport gates deliveries on.
     clock: u64,
     /// Arrived-node counts of the epochs in the live window (oldest
     /// first) — decides the multi-node reading of `partial_window`.
@@ -178,9 +183,6 @@ pub struct Coordinator {
     store: Option<CheckpointStore>,
     checkpoint_every: usize,
     obs: CoordObs,
-    /// Mirrors `clock` into the shared registry so coordinator spans
-    /// carry the *simulated* timeline, not wall or frozen time.
-    sim: Arc<SimClock>,
 }
 
 impl Coordinator {
@@ -194,8 +196,6 @@ impl Coordinator {
         );
         assert!(cluster.max_attempts > 0, "at least one poll attempt");
         let est = StreamingEstimator::new(grid.clone(), stream);
-        let sim = Arc::new(SimClock::new());
-        est.obs().set_clock(sim.clone());
         let obs = CoordObs::register(est.obs());
         Self {
             cluster,
@@ -208,7 +208,6 @@ impl Coordinator {
             store: None,
             checkpoint_every: 0,
             obs,
-            sim,
         }
     }
 
@@ -279,7 +278,6 @@ impl Coordinator {
         }
         self.est.restore(&state.planes, state.reports, state.health, state.warm);
         self.clock = state.clock;
-        self.sim.set(self.clock);
         self.coverage = state.coverage.into_iter().collect();
         self.stats = state.stats;
         // Re-seat the stats-backed counters so the registry agrees with
@@ -340,7 +338,6 @@ impl Coordinator {
             &entry.summary,
         );
         self.clock = entry.clock_after;
-        self.sim.set(self.clock);
         Ok(())
     }
 
@@ -379,7 +376,6 @@ impl Coordinator {
         transport: &mut T,
     ) -> Result<EpochOutcome, CheckpointError> {
         let epoch = self.est.epochs();
-        self.sim.set(self.clock);
         let span = self.est.obs().span_at("close_epoch", LogicalStamp::epoch(epoch as u64));
         let k = self.cluster.nodes;
         let mut slots: Vec<Option<NodePlane>> = (0..k).map(|_| None).collect();
@@ -420,7 +416,6 @@ impl Coordinator {
         // The close itself takes a tick, so consecutive epochs occupy
         // distinct clock ranges even when every plane arrives instantly.
         self.clock += 1;
-        self.sim.set(self.clock);
 
         let missed = arrived < self.cluster.quorum;
         let nodes_missed_delta = k - arrived;

@@ -21,7 +21,7 @@
 use crate::conv::FftChannel;
 use crate::grid::{DiskGeometry, KernelKind};
 use dam_fo::em::Channel;
-use dam_geo::{CellIndex, Grid2D};
+use dam_geo::CellIndex;
 
 /// Which mechanism family the kernel encodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,12 +280,6 @@ impl DiscreteKernel {
             }
         }
         Channel::new(n_out, n_in, data)
-    }
-
-    /// Builds the output [`Grid2D`] aligned with a given input grid.
-    pub fn output_grid(&self, input_grid: &Grid2D) -> Grid2D {
-        assert_eq!(input_grid.d(), self.d, "kernel built for a different grid resolution");
-        input_grid.dilated(self.b_hat)
     }
 
     /// Largest mass ratio over all (output, input-pair) combinations; must

@@ -113,11 +113,6 @@ impl ContinuousDam {
         Self { eps, b, p: e / denom, q: 1.0 / denom }
     }
 
-    /// Creates the mechanism with the optimal radius of §V-C.
-    pub fn with_optimal_b(eps: f64) -> Self {
-        Self::new(eps, crate::radius::optimal_b(eps, 1.0))
-    }
-
     /// High (in-disk) density `p`.
     #[inline]
     pub fn p(&self) -> f64 {
@@ -165,11 +160,6 @@ impl ContinuousHuem {
                 + 4.0 * eps * eps * b
                 + eps * eps);
         Self { eps, b, q }
-    }
-
-    /// Creates the mechanism with the optimal radius of §V-C.
-    pub fn with_optimal_b(eps: f64) -> Self {
-        Self::new(eps, crate::radius::optimal_b(eps, 1.0))
     }
 }
 

@@ -23,7 +23,7 @@ fn sweep(
             jobs.push(Job { dataset: DatasetKind::CrimeFull, mech, d: *d, eps: *eps });
         }
     }
-    let results = run_jobs(ctx, &jobs, args.threads);
+    let results = run_jobs(ctx, &jobs);
     let mut header = vec!["x".to_string()];
     header.extend(mechs.iter().map(|m| m.label()));
     let mut report = Report::new(title, &header.iter().map(|s| s.as_str()).collect::<Vec<_>>());

@@ -24,7 +24,7 @@ fn main() {
             });
         }
     }
-    let results = run_jobs(&ctx, &jobs, args.threads);
+    let results = run_jobs(&ctx, &jobs);
 
     let mut header = vec!["b/b̌".to_string()];
     header.extend(datasets.iter().map(|d| d.label().to_string()));

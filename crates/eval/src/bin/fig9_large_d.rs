@@ -26,7 +26,7 @@ fn main() {
             }
         }
     }
-    let results = run_jobs(&ctx, &jobs, args.threads);
+    let results = run_jobs(&ctx, &jobs);
 
     let mut idx = 0;
     for &ds in &DatasetKind::FIGURE_ORDER {

@@ -114,6 +114,11 @@ fn main() {
     for &k in &NODE_COUNTS {
         let mut cluster =
             Cluster::new(grid.clone(), stream_config(&ctx, window), ClusterConfig::new(k), plan);
+        // Harness boundary: timing-plane instruments (close spans,
+        // `service_publish_ns`) get real nanoseconds (the deterministic
+        // plane is clock-free).
+        let obs = cluster.coordinator().estimator().obs().clone();
+        obs.set_clock(std::sync::Arc::new(dam_obs::WallClock::new()));
         for e in 0..epochs {
             let out = cluster.ingest_epoch(&epoch_data[e]).expect("no store attached");
             let est = &out.snapshot.estimate;
@@ -143,7 +148,7 @@ fn main() {
             &format!("K={k}"),
             &cluster.coordinator().snapshot().health,
         ));
-        registries.push((format!("K={k}"), cluster.coordinator().estimator().obs().clone()));
+        registries.push((format!("K={k}"), obs));
     }
     println!("{}", report.render());
     // The grid-separable W₂ solver is entropically regularized: identical

@@ -32,9 +32,10 @@ pub struct EvalContext {
     pub lp_samples: usize,
     /// Skip LP calibration (use ε as ε′ directly).
     pub no_calib: bool,
-    /// Worker threads for the job runner and every mechanism's sharded
-    /// report pipeline (`None` = available parallelism). Estimates are
-    /// bit-identical for any value.
+    /// Worker threads (`--threads`; `None` = available parallelism) for
+    /// the job runner and every mechanism's sharded report pipeline, all
+    /// on the one persistent pool. Estimates are bit-identical for any
+    /// value.
     pub threads: Option<usize>,
     datasets: Arc<Mutex<HashMap<DatasetKind, Arc<SpatialDataset>>>>,
 }
@@ -60,25 +61,19 @@ impl EvalContext {
         }
     }
 
-    /// A copy of this context with a different report-pipeline thread
-    /// count (the dataset cache is shared with the original).
-    pub fn with_threads(&self, threads: Option<usize>) -> Self {
-        Self { threads, ..self.clone() }
-    }
-
     /// Loads (and caches) a dataset for this context's seed.
     pub fn dataset(&self, kind: DatasetKind) -> Arc<SpatialDataset> {
         let mut cache = self.datasets.lock();
         cache.entry(kind).or_insert_with(|| Arc::new(load(kind, self.seed))).clone()
     }
 
-    /// `W₂(a, b)` in cell units under this context's solver, Sinkhorn
-    /// tuning and thread budget. Figure binaries measure W₂ only through
-    /// this: [`w2`] owns the size-based `Auto` resolution, which switches
-    /// on the *actual* nonzero supports, so harnesses must not re-derive
-    /// it from `d²` (a predicted support).
+    /// `W₂(a, b)` in cell units under this context's solver and Sinkhorn
+    /// tuning. Figure binaries measure W₂ only through this: [`w2`] owns
+    /// the size-based `Auto` resolution, which switches on the *actual*
+    /// nonzero supports, so harnesses must not re-derive it from `d²` (a
+    /// predicted support).
     pub fn w2(&self, a: &Histogram2D, b: &Histogram2D) -> Result<f64, TransportError> {
-        w2(a, b, self.w2_solver, SinkhornParams { threads: self.threads, ..self.sinkhorn })
+        w2(a, b, self.w2_solver, self.sinkhorn)
     }
 
     /// A dataset part's points under this context's `--users` cap

@@ -1,16 +1,21 @@
 //! Parallel experiment execution.
 //!
 //! Every figure is a grid of independent `(dataset, mechanism, d, ε)`
-//! points; the runner spreads them over worker threads (crossbeam scoped
-//! threads pulling indices from an atomic counter) and collects mean-W₂
-//! results in input order. Each job's RNG stream is keyed on the job's
-//! *content*, never its position, so editing a figure's grid cannot
-//! silently change any other point's randomness.
+//! points; the runner hands each one to the persistent worker pool
+//! (`rayon::pool::run`, one job per task) on the context's one thread
+//! count and collects mean-W₂ results in input order. A mechanism's
+//! sharded report pipeline and the split FFT run nested pool batches,
+//! which drain on their job's thread or take a worker that has run out
+//! of jobs, so the thread count caps the whole run. Each job's RNG stream
+//! is keyed on the job's *content*, never its position or thread, so
+//! editing a figure's grid cannot silently change any other point's
+//! randomness, and every W₂ is bit-identical at any thread count.
 
 use crate::context::EvalContext;
 use crate::mechspec::MechSpec;
 use dam_data::DatasetKind;
 use dam_geo::rng::splitmix64;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One evaluation point.
@@ -74,64 +79,39 @@ pub struct JobResult {
     pub secs: f64,
 }
 
-/// Runs all jobs, using up to `threads` workers (defaults to the available
-/// parallelism). Results come back in job order and are bit-identical for
-/// any thread count.
-pub fn run_jobs(ctx: &EvalContext, jobs: &[Job], threads: Option<usize>) -> Vec<JobResult> {
-    let budget = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4))
-        .max(1);
-    let n_threads = budget.clamp(1, jobs.len().max(1));
-    // Split the thread budget across the two parallel layers: with N job
-    // workers, each mechanism's sharded report pipeline gets N/budget
-    // threads, so the effective concurrency stays ≈ the requested cap
-    // instead of multiplying to N². A single-job list therefore spends
-    // the whole budget inside the report pipeline.
-    let ctx = ctx.with_threads(Some((budget / n_threads).max(1)));
-    let ctx = &ctx;
+/// Runs all jobs on the persistent worker pool, on up to `ctx.threads`
+/// threads (default: the available parallelism). Results come back in job
+/// order and are bit-identical for any thread count.
+pub fn run_jobs(ctx: &EvalContext, jobs: &[Job]) -> Vec<JobResult> {
     // Pre-warm the dataset cache serially to avoid duplicated generation.
     for job in jobs {
         ctx.dataset(job.dataset);
     }
-    let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    let results: Vec<parking_lot::Mutex<Option<JobResult>>> =
-        jobs.iter().map(|_| parking_lot::Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<JobResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     // One lock serializes the multi-field progress lines so they cannot
-    // interleave when several workers finish at once.
-    let progress = parking_lot::Mutex::new(());
-
-    crossbeam::scope(|scope| {
-        for _ in 0..n_threads {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let job = &jobs[i];
-                let watch = dam_obs::Stopwatch::start(crate::obs::wall());
-                let mech = job.mech.build(job.eps, job.d, ctx);
-                let w2 = ctx.dataset_w2(job.dataset, mech.as_ref(), job.d, job_stream(job));
-                *results[i].lock() =
-                    Some(JobResult { job: job.clone(), w2, secs: watch.elapsed_secs() });
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                let _guard = progress.lock();
-                eprintln!(
-                    "  [{}/{}] {:<12} {:<10} d={:<3} eps={:<4} -> W2 = {:.4}  ({:.1}s)",
-                    finished,
-                    jobs.len(),
-                    job.dataset.label(),
-                    job.mech.label(),
-                    job.d,
-                    job.eps,
-                    w2,
-                    watch.elapsed_secs()
-                );
-            });
-        }
-    })
-    .expect("worker thread panicked");
-
+    // interleave when several jobs finish at once.
+    let progress = Mutex::new(());
+    rayon::pool::run(jobs.len(), ctx.threads, |i| {
+        let job = &jobs[i];
+        let watch = dam_obs::Stopwatch::start(crate::obs::wall());
+        let mech = job.mech.build(job.eps, job.d, ctx);
+        let w2 = ctx.dataset_w2(job.dataset, mech.as_ref(), job.d, job_stream(job));
+        *results[i].lock() = Some(JobResult { job: job.clone(), w2, secs: watch.elapsed_secs() });
+        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+        let _guard = progress.lock();
+        eprintln!(
+            "  [{}/{}] {:<12} {:<10} d={:<3} eps={:<4} -> W2 = {:.4}  ({:.1}s)",
+            finished,
+            jobs.len(),
+            job.dataset.label(),
+            job.mech.label(),
+            job.d,
+            job.eps,
+            w2,
+            watch.elapsed_secs()
+        );
+    });
     results.into_iter().map(|m| m.into_inner().expect("job not completed")).collect()
 }
 
@@ -140,27 +120,48 @@ mod tests {
     use super::*;
     use crate::cli::CliArgs;
 
-    fn tiny_ctx() -> EvalContext {
+    fn tiny_ctx(threads: usize) -> EvalContext {
         EvalContext::from_args(&CliArgs {
             repeats: 1,
             users: Some(2000),
             no_calib: true,
+            threads: Some(threads),
             ..CliArgs::default()
         })
     }
 
     #[test]
     fn runs_small_grid_in_order() {
-        let ctx = tiny_ctx();
-        let jobs = vec![
-            Job { dataset: DatasetKind::SZipf, mech: MechSpec::Dam, d: 3, eps: 2.0 },
-            Job { dataset: DatasetKind::SZipf, mech: MechSpec::Mdsw, d: 3, eps: 2.0 },
-        ];
-        let results = run_jobs(&ctx, &jobs, Some(2));
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].job.mech, MechSpec::Dam);
-        assert_eq!(results[1].job.mech, MechSpec::Mdsw);
-        assert!(results.iter().all(|r| r.w2.is_finite() && r.w2 >= 0.0));
+        let mechs = [MechSpec::Dam, MechSpec::Mdsw, MechSpec::CfoGrr];
+        let jobs: Vec<Job> = [(3, 2.0), (4, 1.0)]
+            .into_iter()
+            .flat_map(|(d, eps)| {
+                mechs.iter().map(move |&mech| Job { dataset: DatasetKind::SZipf, mech, d, eps })
+            })
+            .collect();
+        let serial = run_jobs(&tiny_ctx(1), &jobs);
+        let pooled = run_jobs(&tiny_ctx(4), &jobs);
+        assert_eq!(serial.len(), jobs.len());
+        for ((job, a), b) in jobs.iter().zip(&serial).zip(&pooled) {
+            assert_eq!((a.job.mech, a.job.d), (job.mech, job.d), "results come back in job order");
+            assert_eq!((b.job.mech, b.job.d), (job.mech, job.d), "results come back in job order");
+            assert!(a.w2.is_finite() && a.w2 >= 0.0);
+            assert_eq!(
+                a.w2.to_bits(),
+                b.w2.to_bits(),
+                "{} d={}: W2 must not depend on the thread count",
+                job.mech.label(),
+                job.d
+            );
+        }
+        // The bit-identity above is vacuous unless the jobs really ran
+        // side by side on the pool.
+        if rayon::current_num_threads() > 1 {
+            assert!(
+                rayon::pool::max_observed_concurrency() >= 2,
+                "jobs never ran concurrently on the pool"
+            );
+        }
     }
 
     #[test]
@@ -178,11 +179,10 @@ mod tests {
     fn inserting_an_unrelated_job_leaves_other_results_bit_identical() {
         // Regression: streams used to be keyed on the job's *index*, so
         // editing a figure's grid changed every other point's randomness.
-        let ctx = tiny_ctx();
         let probe = Job { dataset: DatasetKind::SZipf, mech: MechSpec::Dam, d: 3, eps: 2.0 };
-        let alone = run_jobs(&ctx, std::slice::from_ref(&probe), Some(1));
+        let alone = run_jobs(&tiny_ctx(1), std::slice::from_ref(&probe));
         let unrelated = Job { dataset: DatasetKind::SZipf, mech: MechSpec::CfoGrr, d: 2, eps: 1.0 };
-        let shifted = run_jobs(&ctx, &[unrelated, probe], Some(2));
+        let shifted = run_jobs(&tiny_ctx(2), &[unrelated, probe]);
         assert_eq!(
             alone[0].w2.to_bits(),
             shifted[1].w2.to_bits(),

@@ -70,13 +70,6 @@ impl Histogram2D {
         self.values[self.grid.flat(c)]
     }
 
-    /// Adds `w` to the cell containing `p`.
-    pub fn add_point(&mut self, p: Point, w: f64) {
-        let c = self.grid.cell_of(p);
-        let i = self.grid.flat(c);
-        self.values[i] += w;
-    }
-
     /// Increments the count of cell `c` by one (Algorithm 1, line 7).
     pub fn add_cell(&mut self, c: CellIndex) {
         let i = self.grid.flat(c);

@@ -4,7 +4,7 @@
 //! enemy: any code path whose *output* depends on elapsed time is
 //! irreproducible by construction. The compromise is a trait boundary —
 //! everything that wants a timestamp asks a [`Clock`], and only the
-//! harness decides whether that clock is real. Three implementations:
+//! harness decides whether that clock is real. Two implementations:
 //!
 //! * [`WallClock`] — real monotonic nanoseconds. Constructed only at
 //!   the harness boundary (fig binaries, bench drivers); its readings
@@ -13,9 +13,6 @@
 //! * [`LogicalClock`] — a manually-advanced tick counter. The default
 //!   everywhere: a pipeline that never advances it reports all-zero
 //!   durations, bit-identically, forever.
-//! * [`SimClock`] — an absolutely-settable tick, for components that
-//!   already simulate time (the cluster coordinator mirrors its
-//!   simulated tick into one so spans carry the *simulated* timeline).
 //!
 //! The `no-wall-clock` lint rule forbids `std::time` everywhere outside
 //! the harness; the `obs-clock-only` rule forbids it *inside* the
@@ -28,7 +25,7 @@ use std::time::Instant as WallInstant;
 /// A source of nanosecond timestamps on some timeline.
 ///
 /// Implementations must be cheap and monotone non-decreasing. The
-/// *meaning* of the timeline (wall, logical, simulated) is the
+/// *meaning* of the timeline (wall or logical) is the
 /// implementor's; consumers only ever subtract readings.
 pub trait Clock: Send + Sync {
     /// Nanoseconds since this clock's origin.
@@ -89,35 +86,6 @@ impl Clock for LogicalClock {
     }
 }
 
-/// An absolutely-settable simulated clock.
-///
-/// For components that already run on a simulated timeline (the cluster
-/// coordinator's u64 tick): mirror the simulation into the clock with
-/// [`SimClock::set`] and spans report simulated durations.
-#[derive(Debug, Default)]
-pub struct SimClock {
-    now: AtomicU64,
-}
-
-impl SimClock {
-    /// A simulated clock at tick zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Jumps the timeline to absolute tick `t` (monotone: earlier
-    /// values are ignored).
-    pub fn set(&self, t: u64) {
-        self.now.fetch_max(t, Ordering::Relaxed);
-    }
-}
-
-impl Clock for SimClock {
-    fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-}
-
 /// An elapsed-time measurement over any [`Clock`].
 ///
 /// The harness's replacement for raw `Instant::now()` / `elapsed()`
@@ -167,16 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_clock_is_monotone() {
-        let c = SimClock::new();
-        c.set(100);
-        c.set(50); // ignored: time does not run backwards
-        assert_eq!(c.now_ns(), 100);
-        c.set(250);
-        assert_eq!(c.now_ns(), 250);
-    }
-
-    #[test]
     fn wall_clock_is_monotone_nondecreasing() {
         let c = WallClock::new();
         let a = c.now_ns();
@@ -186,9 +144,9 @@ mod tests {
 
     #[test]
     fn stopwatch_converts_to_seconds() {
-        let c = SimClock::new();
+        let c = LogicalClock::new();
         let sw = Stopwatch::start(&c);
-        c.set(1_500_000_000);
+        c.advance(1_500_000_000);
         assert_eq!(sw.elapsed_secs(), 1.5);
     }
 }

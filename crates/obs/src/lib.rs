@@ -36,7 +36,7 @@ pub mod export;
 pub mod metrics;
 pub mod span;
 
-pub use clock::{Clock, LogicalClock, SimClock, Stopwatch, WallClock};
+pub use clock::{Clock, LogicalClock, Stopwatch, WallClock};
 pub use export::MetricsSnapshot;
 pub use metrics::{Counter, Gauge, Histogram, Plane, Registry, Trace};
 pub use span::{LogicalStamp, SpanGuard};

@@ -103,22 +103,22 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
+    use crate::clock::LogicalClock;
     use std::sync::Arc;
 
     #[test]
     fn nested_spans_aggregate_by_path_with_self_time() {
         let r = Registry::new();
-        let clock = Arc::new(SimClock::new());
+        let clock = Arc::new(LogicalClock::new());
         r.set_clock(Arc::clone(&clock) as Arc<dyn crate::Clock>);
         {
             let _outer = r.span_at("publish", LogicalStamp::epoch(3));
-            clock.set(10);
+            clock.advance(10);
             {
                 let _inner = r.span("em");
-                clock.set(70);
+                clock.advance(60);
             }
-            clock.set(100);
+            clock.advance(30);
         }
         let snap = r.snapshot();
         let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();

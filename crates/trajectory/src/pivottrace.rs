@@ -35,13 +35,6 @@ impl PivotTrace {
         Self { eps, max_pivots: 5 }
     }
 
-    /// Overrides the pivot budget.
-    pub fn with_max_pivots(mut self, m: usize) -> Self {
-        assert!(m >= 2, "need at least the two endpoint pivots");
-        self.max_pivots = m;
-        self
-    }
-
     /// Evenly spaced pivot indices including both endpoints.
     fn pivot_indices(len: usize, max_pivots: usize) -> Vec<usize> {
         if len <= max_pivots {

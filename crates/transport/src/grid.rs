@@ -29,13 +29,14 @@
 //!   deficit correction reduces to axis marginals — the coupling is never
 //!   materialized, and the returned value is the cost of a *feasible*
 //!   coupling, i.e. an upper bound on the optimum that converges to it as
-//!   the regularisation shrinks;
-//! * **deterministic parallelism** — the axis passes hand whole rows to
-//!   the persistent worker pool ([`rayon`] shim) once a pass is worth
-//!   parallelising ([`grid_passes_parallel`]); each output row is
-//!   computed start-to-finish by exactly one worker in a fixed
-//!   arithmetic order and written to its own disjoint chunk, so results
-//!   are **bit-identical for any thread count**.
+//!   the regularisation shrinks.
+//!
+//! The solver is serial: one call runs on its caller's thread in one fixed
+//! arithmetic order. At the largest grid any figure measures (`d = 64`)
+//! an axis pass is `d³ ≈ 2.6·10⁵` multiply-adds, below the ~10⁶ at which
+//! handing rows to a worker pool pays for its handoff; parallelism lives
+//! one level up, where the figure runner runs independent W₂ jobs as
+//! units of the persistent pool.
 //!
 //! The ε-scaling schedule, warm-start iteration cap and stopping rule are
 //! those of the textbook dense log-domain solver, which the test module
@@ -43,7 +44,6 @@
 //! derive the same regularisation scale) the two costs agree to roundoff.
 
 use crate::exact::{check_finite, TransportError};
-use rayon::prelude::*;
 
 /// Tuning knobs for [`grid_sinkhorn_cost`].
 #[derive(Debug, Clone, Copy)]
@@ -63,24 +63,13 @@ pub struct SinkhornParams {
     /// speedup is recorded in `BENCH_w2.json`). Use `usize::MAX` for the
     /// legacy run-every-stage-to-convergence behaviour.
     pub warm_start_iters: usize,
-    /// Worker threads for the row-parallel axis passes (`None` =
-    /// available parallelism). Results are bit-identical for any value.
-    pub threads: Option<usize>,
 }
 
 impl Default for SinkhornParams {
     fn default() -> Self {
-        Self { reg_rel: 2e-3, max_iters: 2000, tol: 1e-9, warm_start_iters: 10, threads: None }
+        Self { reg_rel: 2e-3, max_iters: 2000, tol: 1e-9, warm_start_iters: 10 }
     }
 }
-
-/// Below this many multiply-adds per axis pass (`d³` for a `d × d`
-/// grid), handing rows to the persistent pool costs more in task handoff
-/// than the parallelism saves; run serially. The break-even was measured
-/// on row-parallel multiply-add sweeps at ≈10⁶ MACs per call (a 2-vCPU
-/// host: ~15% slower than serial at 1.3 M MACs, scaling with the thread
-/// count at 26 M) and rounded to a power of two.
-const PARALLEL_WORK_THRESHOLD: usize = 1 << 20;
 
 /// Floor for log-sum-exp results feeding a potential update, slightly
 /// inside `ln(f64::MIN_POSITIVE)`. The axis passes stabilise with the
@@ -91,13 +80,6 @@ const PARALLEL_WORK_THRESHOLD: usize = 1 << 20;
 /// away"); the rounding step then routes that cell's mass through the
 /// rank-one correction, so the returned cost stays feasible.
 const LSE_FLOOR: f64 = -745.0;
-
-/// Whether the solver's axis passes hand rows to the worker pool at grid
-/// side `d` (results are bit-identical either way; exposed so tests can
-/// pin which path they exercise).
-pub fn grid_passes_parallel(d: usize) -> bool {
-    d * d * d >= PARALLEL_WORK_THRESHOLD
-}
 
 /// Computes an entropically-regularised transport cost between two
 /// histograms on the same `d × d` grid (row-major, `d·iy + ix` indexing)
@@ -153,7 +135,7 @@ pub fn grid_sinkhorn_cost(
     let mut f = vec![0.0f64; n];
     let mut g = vec![0.0f64; n];
     let mut lse = vec![0.0f64; n];
-    let mut pass = AxisPass::new(d, params.threads);
+    let mut pass = AxisPass::new(d);
 
     // ε-scaling: the regularisation decays geometrically from half the
     // cost scale. Intermediate stages only warm-start the potentials, so
@@ -327,13 +309,11 @@ fn axis_marginals(v: &[f64], d: usize) -> (Vec<f64>, Vec<f64>) {
 /// out[iy·d + ix] = LSE_{jy,jx}( ln ky[|iy-jy|] + ln kx[|ix-jx|] + φ[jy·d + jx]/reg )
 /// ```
 ///
-/// as four row-parallel sweeps: stabilised x-axis weights, the x-axis
+/// as four row sweeps: stabilised x-axis weights, the x-axis
 /// kernel contraction, stabilised y-axis weights, the y-axis kernel
 /// contraction — `2·d³` multiply-adds and `2·d²` exponentials total.
 struct AxisPass {
     d: usize,
-    parallel: bool,
-    threads: Option<usize>,
     /// Row-stabilised weights `exp((φ - rowmax)/reg)` for the x pass.
     w: Vec<f64>,
     /// Log x-axis contractions `rowmax/reg + ln Σ_jx kx·w`.
@@ -345,11 +325,9 @@ struct AxisPass {
 }
 
 impl AxisPass {
-    fn new(d: usize, threads: Option<usize>) -> Self {
+    fn new(d: usize) -> Self {
         Self {
             d,
-            parallel: grid_passes_parallel(d),
-            threads,
             w: vec![0.0; d * d],
             t: vec![0.0; d * d],
             colmax: vec![0.0; d],
@@ -358,13 +336,13 @@ impl AxisPass {
     }
 
     fn apply(&mut self, phi: &[f64], reg: f64, kx: &[f64], ky: &[f64], out: &mut [f64]) {
-        let Self { d, parallel, threads, w, t, colmax, u } = self;
-        let (d, parallel, threads) = (*d, *parallel, *threads);
+        let Self { d, w, t, colmax, u } = self;
+        let d = *d;
         // Pass 1 — x-axis weights, stabilised by the shared row maximum
         // (shared so the weights can be reused by every output column):
         // all-empty rows (whole grid rows of zero mass, `max = -∞`) get
         // zero weight rather than `exp(-∞ + ∞) = NaN`.
-        for_rows(d, parallel, threads, w, |jy, row| {
+        for (jy, row) in w.chunks_mut(d).enumerate() {
             let m = row_max(&phi[jy * d..(jy + 1) * d]);
             if m == f64::NEG_INFINITY {
                 row.fill(0.0);
@@ -373,16 +351,15 @@ impl AxisPass {
                     *wv = ((phi[jy * d + jx] - m) / reg).exp();
                 }
             }
-        });
+        }
         // Pass 2 — x-axis kernel contraction per source row; the row
         // maximum is recomputed (d ops against d² multiply-adds) so the
         // sweep needs no cross-row scratch.
-        let w: &[f64] = w;
-        for_rows(d, parallel, threads, t, |jy, row| {
+        for (jy, row) in t.chunks_mut(d).enumerate() {
             let m = row_max(&phi[jy * d..(jy + 1) * d]);
             if m == f64::NEG_INFINITY {
                 row.fill(f64::NEG_INFINITY);
-                return;
+                continue;
             }
             let wrow = &w[jy * d..(jy + 1) * d];
             for (ix, tv) in row.iter_mut().enumerate() {
@@ -392,7 +369,7 @@ impl AxisPass {
                 }
                 *tv = m / reg + s.ln();
             }
-        });
+        }
         // Column maxima (serial O(d²): strided reads, negligible work).
         colmax.fill(f64::NEG_INFINITY);
         for jy in 0..d {
@@ -402,17 +379,15 @@ impl AxisPass {
         }
         // Pass 3 — y-axis weights, stabilised by the shared column
         // maximum (same all-empty guard as pass 1, per element).
-        let (t, colmax): (&[f64], &[f64]) = (t, colmax);
-        for_rows(d, parallel, threads, u, |jy, row| {
+        for (jy, row) in u.chunks_mut(d).enumerate() {
             for (ix, uv) in row.iter_mut().enumerate() {
                 let tv = t[jy * d + ix];
                 *uv = if tv == f64::NEG_INFINITY { 0.0 } else { (tv - colmax[ix]).exp() };
             }
-        });
+        }
         // Pass 4 — y-axis kernel contraction into the output rows; the
         // inner loop runs over contiguous `u` rows so it vectorises.
-        let u: &[f64] = u;
-        for_rows(d, parallel, threads, out, |iy, row| {
+        for (iy, row) in out.chunks_mut(d).enumerate() {
             row.fill(0.0);
             for jy in 0..d {
                 let kv = ky[iy.abs_diff(jy)];
@@ -424,27 +399,6 @@ impl AxisPass {
             for (ix, acc) in row.iter_mut().enumerate() {
                 *acc = colmax[ix] + acc.ln();
             }
-        });
-    }
-}
-
-/// Applies `f(row_index, row)` to every `d`-chunk of `buf`, handing rows
-/// to the persistent pool when the pass is large enough to pay for it.
-/// Each row is produced wholly by one worker in a fixed arithmetic order
-/// and written to its own disjoint chunk, so serial and parallel runs
-/// are bit-identical for any thread count.
-fn for_rows(
-    d: usize,
-    parallel: bool,
-    threads: Option<usize>,
-    buf: &mut [f64],
-    f: impl Fn(usize, &mut [f64]) + Sync,
-) {
-    if parallel {
-        buf.par_chunks_mut(d).with_threads(threads).enumerate().for_each(|(i, row)| f(i, row));
-    } else {
-        for (i, row) in buf.chunks_mut(d).enumerate() {
-            f(i, row);
         }
     }
 }
@@ -795,12 +749,5 @@ pub(crate) mod tests {
             crate::exact::solve_exact(&a, &b, &cost).unwrap_err(),
             TransportError::NonFinite { index: 4 }
         );
-    }
-
-    #[test]
-    fn parallel_gate_engages_only_above_the_measured_break_even() {
-        assert!(!grid_passes_parallel(64), "d=64 passes are below the pool break-even");
-        assert!(grid_passes_parallel(102));
-        assert!(grid_passes_parallel(128));
     }
 }

@@ -11,7 +11,9 @@
 //! * [`grid`] — the paper's Sinkhorn for same-grid histograms: the
 //!   squared-Euclidean Gibbs kernel factorizes per axis, so entropic
 //!   iterations cost `O(d³)` on `O(d²)` state with no cost matrix —
-//!   `W₂` at `d = 64` (4096-cell supports) in seconds;
+//!   `W₂` at `d = 64` (4096-cell supports) in seconds, serially on the
+//!   caller's thread (the crate spawns no work of its own: the figure
+//!   runner parallelises across W₂ jobs on the persistent pool instead);
 //! * [`w1d`] — closed-form 1-D Wasserstein distances via quantile coupling;
 //! * [`sliced`] — Radon projections of grid histograms and the sliced
 //!   Wasserstein distance built on [`w1d`];
@@ -30,5 +32,5 @@ pub mod w1d;
 
 pub use cost::CostMatrix;
 pub use exact::{solve_exact, TransportPlan};
-pub use grid::{grid_passes_parallel, grid_sinkhorn_cost, SinkhornParams};
+pub use grid::{grid_sinkhorn_cost, SinkhornParams};
 pub use metrics::{w2_auto, w2_exact, w2_grid_sinkhorn, W2Solver};

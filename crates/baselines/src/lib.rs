@@ -17,7 +17,13 @@
 //! * [`cfo`] — the classical categorical frequency oracle on grid cells
 //!   (Bucket+CFO of Table I), in GRR and OUE flavours.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "unit tests seed ad-hoc RNG streams; the library target is still checked without cfg(test)"
+    )
+)]
 
 pub mod cfo;
 pub mod mdsw;

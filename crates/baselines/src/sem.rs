@@ -135,7 +135,10 @@ impl SpatialEstimator for SemGeoI {
                     if users == 0 {
                         continue;
                     }
-                    // lint: allow(no-panic-in-lib, tables[v] is built above for every cell with users > 0)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "tables[v] is built above for every cell with users > 0"
+                    )]
                     let (lw, esp) = tables[v].as_ref().expect("occupied cell must have a table");
                     for _ in 0..users {
                         for u in esp.sample(lw, rng) {

@@ -2,6 +2,7 @@
 
 use dam_baselines::subset::{inclusion_probabilities, LogEsp};
 use dam_baselines::SemGeoI;
+use dam_geo::rng::seeded;
 use proptest::prelude::*;
 
 proptest! {
@@ -37,11 +38,10 @@ proptest! {
         k_frac in 0.1f64..0.9,
         seed in 0u64..200,
     ) {
-        use rand::SeedableRng;
         let n = lw.len();
         let k = ((n as f64 * k_frac) as usize).clamp(1, n);
         let esp = LogEsp::backward(&lw, k);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = seeded(seed);
         for _ in 0..8 {
             let s = esp.sample(&lw, &mut rng);
             prop_assert_eq!(s.len(), k);

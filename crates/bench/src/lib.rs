@@ -16,8 +16,6 @@
 //!
 //! This library exposes the small fixtures the benches share.
 
-#![forbid(unsafe_code)]
-
 use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Point};
 use rand::Rng;

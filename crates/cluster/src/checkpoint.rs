@@ -209,13 +209,13 @@ impl<'a> Reader<'a> {
         Ok(self.bytes(1, context)?[0])
     }
 
+    #[expect(clippy::unwrap_used, reason = "bytes(4) returned exactly 4 bytes or errored above")]
     fn u32(&mut self, context: &'static str) -> Result<u32, CheckpointError> {
-        // lint: allow(no-panic-in-lib, bytes(4) returned exactly 4 bytes or errored above)
         Ok(u32::from_le_bytes(self.bytes(4, context)?.try_into().unwrap()))
     }
 
+    #[expect(clippy::unwrap_used, reason = "bytes(8) returned exactly 8 bytes or errored above")]
     fn u64(&mut self, context: &'static str) -> Result<u64, CheckpointError> {
-        // lint: allow(no-panic-in-lib, bytes(8) returned exactly 8 bytes or errored above)
         Ok(u64::from_le_bytes(self.bytes(8, context)?.try_into().unwrap()))
     }
 
@@ -224,13 +224,13 @@ impl<'a> Reader<'a> {
     }
 
     /// `n` little-endian words, bounds-checked as one run of bytes.
+    #[expect(clippy::unwrap_used, reason = "chunks_exact(8) yields 8-byte slices only")]
     fn words(
         &mut self,
         n: usize,
         context: &'static str,
     ) -> Result<impl Iterator<Item = u64> + 'a, CheckpointError> {
         let bytes = self.bytes(n.saturating_mul(8), context)?;
-        // lint: allow(no-panic-in-lib, chunks_exact(8) yields 8-byte slices only)
         Ok(bytes.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap())))
     }
 }
@@ -311,7 +311,10 @@ impl CheckpointState {
             return Err(CheckpointError::BadMagic { kind: "checkpoint" });
         }
         let payload = &bytes[..bytes.len() - 8];
-        // lint: allow(no-panic-in-lib, the length guard above ensures at least 20 bytes, so the 8-byte tail exists)
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the length guard above ensures at least 20 bytes, so the 8-byte tail exists"
+        )]
         let recorded = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
         if fnv1a(payload) != recorded {
             return Err(CheckpointError::ChecksumMismatch { kind: "checkpoint" });

@@ -46,8 +46,6 @@
 //! recovery (`cluster.node.ns_per_report`, `cluster.close_ms`,
 //! `cluster.checkpoint_*`, `cluster.recover.*`).
 
-#![forbid(unsafe_code)]
-
 pub mod checkpoint;
 pub mod coord;
 pub mod node;

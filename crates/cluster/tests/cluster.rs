@@ -5,6 +5,12 @@
 //! files, a restore that rejects what it cannot rebuild exactly, and
 //! checkpoints that stop growing once the window fills.
 
+#![allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    reason = "test helpers outside #[test] fns fail by unwrapping or panicking"
+)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;

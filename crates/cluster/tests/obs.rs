@@ -3,6 +3,8 @@
 //! counts on the simulated timeline) is bit-identical for any thread
 //! count, and the coordinator's counters agree with its `CoordStats`.
 
+#![allow(clippy::expect_used, reason = "test helpers outside #[test] fns fail by unwrapping")]
+
 use dam_cluster::{Cluster, ClusterConfig};
 use dam_core::DamConfig;
 use dam_fault::NodeFaultPlan;

@@ -14,6 +14,12 @@
 //! recovered run may drop one fewer duplicate. Estimates, pyramids, and
 //! health are transport-independent and must match exactly.)
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test helpers outside #[test] fns fail by unwrapping"
+)]
+
 use std::fs;
 use std::path::PathBuf;
 

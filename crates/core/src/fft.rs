@@ -610,7 +610,10 @@ impl Fft2d {
     /// inverse row transforms of the row blocks read back, each finished
     /// into `dst`. Every element gets the butterflies, twiddles and
     /// operation order of the serial path, so the two give the same bits.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "source, kernel spectrum, scratch and destination are caller-owned buffers the EM step reuses; a struct would only rename them"
+    )]
     pub fn convolve<F>(
         &self,
         src: &[f64],
@@ -919,7 +922,10 @@ mod tests {
     /// Runs one convolution of `src` (`src_d` wide) with the kernel `k`
     /// (`k_d` wide) through `plan`, reading back `rows` rows of `dst_d`,
     /// each finished as `row + y·Σ src`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a test driver over `convolve`, taking the same inputs"
+    )]
     fn run_convolve(
         plan: &Fft2d,
         src: &[f64],

@@ -158,14 +158,10 @@ pub fn covered_square(grid: &Grid2D) -> BoundingBox {
     BoundingBox::new(bbox.min_x, bbox.min_y, bbox.min_x + side, bbox.min_y + side)
 }
 
-/// Validates one point of a batch against the grid's covered square under
-/// `policy`. `index` only labels the structured error.
-pub fn check_point(grid: &Grid2D, policy: IngestPolicy, index: usize, p: Point) -> PointCheck {
-    check_point_in(&covered_square(grid), policy, index, p)
-}
-
-/// [`check_point`] against a precomputed domain — the batch hot path
-/// hoists [`covered_square`] out of its per-point loop through this form.
+/// Validates one point of a batch against `domain` — the grid's
+/// [`covered_square`], which the batch hot path hoists out of its
+/// per-point loop — under `policy`. `index` only labels the structured
+/// error.
 #[inline]
 pub fn check_point_in(
     domain: &BoundingBox,
@@ -239,7 +235,7 @@ mod tests {
         let g = unit_grid(4);
         for policy in [IngestPolicy::Clamp, IngestPolicy::Reject] {
             let p = Point::new(0.3, 0.7);
-            assert_eq!(check_point(&g, policy, 0, p), PointCheck::Accept(p));
+            assert_eq!(check_point_in(&covered_square(&g), policy, 0, p), PointCheck::Accept(p));
         }
     }
 
@@ -253,7 +249,7 @@ mod tests {
                 Point::new(f64::NEG_INFINITY, f64::NAN),
             ] {
                 assert_eq!(
-                    check_point(&g, policy, 7, p),
+                    check_point_in(&covered_square(&g), policy, 7, p),
                     PointCheck::Quarantine(IngestError::NonFiniteCoordinate { index: 7 })
                 );
             }
@@ -265,11 +261,11 @@ mod tests {
         let g = unit_grid(4);
         let p = Point::new(3.0, -1.0);
         assert_eq!(
-            check_point(&g, IngestPolicy::Clamp, 1, p),
+            check_point_in(&covered_square(&g), IngestPolicy::Clamp, 1, p),
             PointCheck::Clamped(Point::new(1.0, 0.0))
         );
         assert_eq!(
-            check_point(&g, IngestPolicy::Reject, 1, p),
+            check_point_in(&covered_square(&g), IngestPolicy::Reject, 1, p),
             PointCheck::Quarantine(IngestError::OutOfDomain { index: 1 })
         );
     }
@@ -284,7 +280,7 @@ mod tests {
         // A point inside the covered square but outside the data bbox is
         // accepted, matching what cell_of buckets.
         assert_eq!(
-            check_point(&g, IngestPolicy::Reject, 0, Point::new(1.9, 1.9)),
+            check_point_in(&covered_square(&g), IngestPolicy::Reject, 0, Point::new(1.9, 1.9)),
             PointCheck::Accept(Point::new(1.9, 1.9))
         );
     }

@@ -13,8 +13,9 @@ use dam_core::grid::KernelKind;
 use dam_core::kernel::DiscreteKernel;
 use dam_core::FftChannel;
 use dam_fo::em::{expectation_maximization, ChannelOp, EmParams, EmWorkspace};
+use dam_geo::rng::seeded;
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// All four SAM kernel families, indexed for strategy generation.
 fn build_kernel(family: usize, eps: f64, d: u32, b_hat: u32) -> DiscreteKernel {
@@ -32,7 +33,7 @@ fn family_name(family: usize) -> &'static str {
 
 /// A strictly positive random distribution over `n` cells.
 fn random_distribution(n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = seeded(seed);
     let v: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() + 1e-4).collect();
     let total: f64 = v.iter().sum();
     v.into_iter().map(|x| x / total).collect()
@@ -41,7 +42,7 @@ fn random_distribution(n: usize, seed: u64) -> Vec<f64> {
 /// Random nonnegative weights with a sprinkling of exact zeros (EM zeroes
 /// the weight of unobserved outputs, so the adjoint must handle them).
 fn random_weights(n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = seeded(seed);
     (0..n).map(|_| if rng.gen::<f64>() < 0.2 { 0.0 } else { rng.gen::<f64>() * 3.0 }).collect()
 }
 
@@ -118,7 +119,7 @@ proptest! {
         let dense = kernel.channel();
         let fft = FftChannel::new(&kernel);
         // Integer counts with zeros, as a real aggregator would hold.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = seeded(seed);
         let counts: Vec<f64> =
             (0..fft.n_out()).map(|_| rng.gen_range(0u32..40) as f64).collect();
         prop_assume!(counts.iter().sum::<f64>() > 0.0);

@@ -6,10 +6,10 @@
 
 use dam_core::shard::{n_shards, shard_range, sharded_accumulate, SHARD_SIZE};
 use dam_core::{DamClient, DamConfig, DamEstimator, SamVariant, SpatialEstimator};
+use dam_geo::rng::seeded;
 use dam_geo::rng::shard_rng;
 use dam_geo::{BoundingBox, Grid2D, Point};
 use proptest::prelude::*;
-use rand::SeedableRng;
 
 /// Deterministic point cloud spanning several shards (no RNG involved, so
 /// the suite's only randomness is the pipeline under test).
@@ -30,7 +30,7 @@ fn estimate_is_bit_identical_for_any_thread_count_all_sam_variants() {
     {
         let estimate_with = |threads: Option<usize>| {
             let config = DamConfig { variant, ..DamConfig::dam(2.0) }.with_threads(threads);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
+            let mut rng = seeded(1234);
             DamEstimator::new(config).estimate(&points, &grid, &mut rng)
         };
         let sequential = estimate_with(Some(1));
@@ -58,7 +58,7 @@ fn fft_backend_estimate_is_bit_identical_for_any_thread_count() {
     let em = dam_fo::em::EmParams { max_iters: 25, rel_tol: 0.0, gain_tol: 0.0 };
     let estimate_with = |threads: Option<usize>| {
         let config = DamConfig { b_hat: Some(16), em, ..DamConfig::dam(2.0) }.with_threads(threads);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4321);
+        let mut rng = seeded(4321);
         DamEstimator::new(config).estimate(&points, &grid, &mut rng)
     };
     let sequential = estimate_with(Some(1));
@@ -117,10 +117,10 @@ fn master_seed_comes_from_one_rng_draw() {
     use rand::RngCore;
     let grid = Grid2D::new(BoundingBox::unit(), 4);
     let est = DamEstimator::new(DamConfig::dam(1.0));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut rng = seeded(7);
     est.estimate(&span_points(500), &grid, &mut rng);
     let after_small: u64 = rng.next_u64();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut rng = seeded(7);
     est.estimate(&span_points(SHARD_SIZE + 999), &grid, &mut rng);
     let after_large: u64 = rng.next_u64();
     assert_eq!(after_small, after_large);

@@ -11,6 +11,8 @@
 //! sides except d = 64, and carry a `−0.0` leaf that the pyramid is
 //! built around verbatim.
 
+#![allow(clippy::expect_used, reason = "test helpers outside #[test] fns fail by unwrapping")]
+
 use dam_core::Pyramid;
 use dam_geo::rng::splitmix64;
 

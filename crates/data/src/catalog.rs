@@ -39,7 +39,7 @@ impl SpatialDataset {
 }
 
 /// Which dataset to load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DatasetKind {
     /// Chicago-Crimes-like city simulation, Parts A/B/C (Table III).
     Crime,
@@ -150,7 +150,7 @@ pub fn load(kind: DatasetKind, seed: u64) -> SpatialDataset {
 
 /// Builds a single-part dataset whose bbox is the points' square extent.
 fn single_part(name: &'static str, points: Vec<Point>) -> SpatialDataset {
-    // lint: allow(no-panic-in-lib, every caller passes generated points with n >= 1)
+    #[expect(clippy::expect_used, reason = "every caller passes generated points with n >= 1")]
     let bbox = BoundingBox::of_points(&points).expect("non-empty dataset");
     SpatialDataset { name, parts: vec![DatasetPart { name: "full".to_string(), bbox, points }] }
 }

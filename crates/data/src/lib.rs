@@ -18,7 +18,13 @@
 //! * [`catalog`] — the five named datasets with the paper's exact point
 //!   counts and Part A/B/C extents (Table III).
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "unit tests seed ad-hoc RNG streams; the library target is still checked without cfg(test)"
+    )
+)]
 
 pub mod catalog;
 pub mod city;

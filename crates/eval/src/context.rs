@@ -10,7 +10,7 @@ use dam_transport::exact::TransportError;
 use dam_transport::metrics::{w2, W2Solver};
 use dam_transport::SinkhornParams;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Evaluation configuration plus dataset cache.
@@ -37,7 +37,7 @@ pub struct EvalContext {
     /// on the one persistent pool. Estimates are bit-identical for any
     /// value.
     pub threads: Option<usize>,
-    datasets: Arc<Mutex<HashMap<DatasetKind, Arc<SpatialDataset>>>>,
+    datasets: Arc<Mutex<BTreeMap<DatasetKind, Arc<SpatialDataset>>>>,
 }
 
 impl EvalContext {
@@ -57,7 +57,7 @@ impl EvalContext {
             lp_samples: if args.fast { 400 } else { 1200 },
             no_calib: args.no_calib,
             threads: args.threads,
-            datasets: Arc::new(Mutex::new(HashMap::new())),
+            datasets: Arc::new(Mutex::new(BTreeMap::new())),
         }
     }
 

@@ -31,8 +31,6 @@
 //! Results are printed as aligned tables and written as CSV under the
 //! output directory.
 
-#![forbid(unsafe_code)]
-
 pub mod cli;
 pub mod context;
 pub mod mechspec;

@@ -6,7 +6,7 @@ use dam_core::{DamConfig, DamEstimator, SamVariant, SpatialEstimator};
 use dam_geo::rng::derived;
 use dam_privacy::lp::{calibrate_sem_epsilon, lp_dam};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// A mechanism selector, resolved to a concrete estimator per `(ε, d)`.
@@ -88,9 +88,9 @@ impl MechSpec {
 }
 
 /// Cache of calibrated SEM budgets keyed by `(eps·1000, d, samples)`.
-fn calib_cache() -> &'static Mutex<HashMap<(u64, u32, usize), f64>> {
-    static CACHE: OnceLock<Mutex<HashMap<(u64, u32, usize), f64>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+fn calib_cache() -> &'static Mutex<BTreeMap<(u64, u32, usize), f64>> {
+    static CACHE: OnceLock<Mutex<BTreeMap<(u64, u32, usize), f64>>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 /// Resolves the SEM-Geo-I budget ε′ for an LDP budget ε on a `d × d`

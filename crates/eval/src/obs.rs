@@ -3,7 +3,7 @@
 //! JSON writer.
 //!
 //! The harness is the **only** place wall time may enter the pipeline
-//! (the `obs-clock-only` rule forbids raw `std::time` even here), and it
+//! (`clippy.toml` bans raw `Instant` and `SystemTime` even here), and it
 //! enters exactly once: [`wall`] hands out one process-wide
 //! [`WallClock`]. Fig binaries install it on their pipelines' registries
 //! so timing-plane instruments carry real nanoseconds, and time code

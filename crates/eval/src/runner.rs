@@ -4,9 +4,14 @@
 //! points; the runner hands each one to the persistent worker pool
 //! (`rayon::pool::run`, one job per task) on the context's one thread
 //! count and collects mean-W₂ results in input order. A mechanism's
-//! sharded report pipeline and the split FFT run nested pool batches,
-//! which drain on their job's thread or take a worker that has run out
-//! of jobs, so the thread count caps the whole run. Each job's RNG stream
+//! sharded report pipeline runs nested pool batches on the same thread
+//! count, which drain on their job's thread or take a worker that has
+//! run out of jobs. The thread count does not cap the whole run: an
+//! `FftChannel` at a padded side of at least 96 plans its split over
+//! `rayon::current_num_threads()` (the available parallelism) when it is
+//! built, and `rayon::pool::run_phases` takes pool helpers past the job
+//! cap for it. So `fig_large_radius` from b̂ = 8 runs two threads under
+//! `--threads 1` on a two-core host. Each job's RNG stream
 //! is keyed on the job's *content*, never its position or thread, so
 //! editing a figure's grid cannot silently change any other point's
 //! randomness, and every W₂ is bit-identical at any thread count.
@@ -80,8 +85,9 @@ pub struct JobResult {
 }
 
 /// Runs all jobs on the persistent worker pool, on up to `ctx.threads`
-/// threads (default: the available parallelism). Results come back in job
-/// order and are bit-identical for any thread count.
+/// threads (default: the available parallelism); a split FFT inside a job
+/// may add pool helpers past that (see the module docs). Results come
+/// back in job order and are bit-identical for any thread count.
 pub fn run_jobs(ctx: &EvalContext, jobs: &[Job]) -> Vec<JobResult> {
     // Pre-warm the dataset cache serially to avoid duplicated generation.
     for job in jobs {

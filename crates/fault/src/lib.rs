@@ -42,8 +42,6 @@
 //! thread-count determinism, finiteness, and the bounded accuracy gap at
 //! low corruption rates.
 
-#![forbid(unsafe_code)]
-
 pub mod node;
 pub mod plan;
 

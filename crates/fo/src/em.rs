@@ -66,6 +66,10 @@ impl EmWorkspace {
     /// Growing a plane past its capacity allocates (zero-filling the new
     /// tail); shrinking or matching the previous size is allocation-free,
     /// so a fixed-size caller pays for its buffers exactly once.
+    #[expect(
+        clippy::expect_used,
+        reason = "head has exactly N elements, so N next() calls all succeed"
+    )]
     pub fn planes<const N: usize>(&mut self, sizes: [usize; N]) -> [&mut Vec<f64>; N] {
         if self.planes.len() < N {
             self.planes.resize_with(N, Vec::new);
@@ -75,7 +79,6 @@ impl EmWorkspace {
             plane.resize(len, 0.0);
         }
         let mut it = head.iter_mut();
-        // lint: allow(no-panic-in-lib, head has exactly N elements, so N next() calls all succeed)
         std::array::from_fn(|_| it.next().expect("plane count matches N"))
     }
 

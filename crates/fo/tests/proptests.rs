@@ -1,5 +1,10 @@
 //! Property-based tests of the 1-D frequency oracles.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "property tests seed ad-hoc RNG streams from the generated seed"
+)]
+
 use dam_fo::alias::AliasTable;
 use dam_fo::em::{expectation_maximization, Channel, EmParams, EmWorkspace};
 use dam_fo::{Grr, Oue, SquareWave};

@@ -31,8 +31,8 @@ impl CellIndex {
 /// A `d × d` grid over a square bounding box.
 ///
 /// This is the *input* grid domain `G` of §VI-A; the dilated *output* grid
-/// domain `G̃` (side `d + 2b̂`) is represented by another `Grid2D` built with
-/// [`Grid2D::dilated`].
+/// domain `G̃` (side `d + 2b̂`) is this grid padded by `b̂` cells on every
+/// side, indexed by the mechanism kernels in `dam-core`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid2D {
     bbox: BoundingBox,
@@ -129,23 +129,6 @@ impl Grid2D {
     pub fn cells(&self) -> impl Iterator<Item = CellIndex> + '_ {
         (0..self.n_cells()).map(|i| self.unflat(i))
     }
-
-    /// The dilated *output* grid: the same cell size, expanded by `margin`
-    /// cells on every side. This is the discrete output domain `G̃` of §VI
-    /// (side `d + 2b̂`); its cell `(margin, margin)` coincides with the input
-    /// grid's cell `(0, 0)`.
-    pub fn dilated(&self, margin: u32) -> Grid2D {
-        let m = margin as f64 * self.cell_side;
-        // Dilate the *square* region covered by the grid, not the raw bbox,
-        // so cell boundaries stay aligned.
-        let covered = BoundingBox::new(
-            self.bbox.min_x,
-            self.bbox.min_y,
-            self.bbox.min_x + self.d as f64 * self.cell_side,
-            self.bbox.min_y + self.d as f64 * self.cell_side,
-        );
-        Grid2D::new(covered.dilate(m), self.d + 2 * margin)
-    }
 }
 
 #[cfg(test)]
@@ -189,18 +172,6 @@ mod tests {
         let g = unit_grid(3);
         let total: f64 = g.cells().map(|c| g.cell_bbox(c).area()).sum();
         assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dilated_grid_aligns_with_input() {
-        let g = unit_grid(4);
-        let out = g.dilated(2);
-        assert_eq!(out.d(), 8);
-        assert!((out.cell_side() - g.cell_side()).abs() < 1e-12);
-        // Input cell (0,0) center equals output cell (2,2) center.
-        let c_in = g.cell_center(CellIndex::new(0, 0));
-        let c_out = out.cell_center(CellIndex::new(2, 2));
-        assert!(c_in.dist(c_out) < 1e-12);
     }
 
     #[test]

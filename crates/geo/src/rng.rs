@@ -8,6 +8,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Creates the root RNG for an experiment from a user-supplied seed.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the keyed-stream factory: every other RNG in the workspace is derived through these constructors"
+)]
 pub fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
@@ -17,6 +21,10 @@ pub fn seeded(seed: u64) -> StdRng {
 /// Uses SplitMix64 over `(seed, index)` so streams do not overlap even when
 /// indices are sequential — handing `seed + i` straight to `seed_from_u64`
 /// would correlate neighbouring tasks' low bits.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the keyed-stream factory: every other RNG in the workspace is derived through these constructors"
+)]
 pub fn derived(seed: u64, index: u64) -> StdRng {
     StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(index)))
 }
@@ -41,11 +49,16 @@ pub fn shard_rng(master: u64, shard: u64) -> StdRng {
 /// `salt`, under the run's `master` seed.
 ///
 /// This is the one keyed-stream constructor every crate outside `dam-geo`
-/// must go through (the `no-entropy-rng` lint enforces it): a domain
-/// picks a unique salt constant, and `(master, salt, id)` then names a
-/// replayable stream. [`shard_rng`] is `keyed(master, SHARD_SALT, shard)`.
+/// must go through (`clippy.toml` bans `seed_from_u64` and `from_seed`
+/// everywhere but here, [`seeded`] and [`derived`]): a domain picks a
+/// unique salt constant, and `(master, salt, id)` then names a replayable
+/// stream. [`shard_rng`] is `keyed(master, SHARD_SALT, shard)`.
 /// The seed derivation is the same double-SplitMix64 pattern as
 /// [`derived`], so the bit pattern of existing streams is unchanged.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the keyed-stream factory: every other RNG in the workspace is derived through these constructors"
+)]
 pub fn keyed(master: u64, salt: u64, id: u64) -> StdRng {
     StdRng::seed_from_u64(splitmix64(master ^ splitmix64(id ^ salt)))
 }
@@ -95,7 +108,7 @@ mod tests {
     #[test]
     fn splitmix_is_a_bijection_sample() {
         // Distinct inputs map to distinct outputs on a small sample.
-        let outs: std::collections::HashSet<u64> = (0..1000u64).map(splitmix64).collect();
+        let outs: std::collections::BTreeSet<u64> = (0..1000u64).map(splitmix64).collect();
         assert_eq!(outs.len(), 1000);
     }
 }

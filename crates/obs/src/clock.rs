@@ -14,13 +14,11 @@
 //!   everywhere: a pipeline that never advances it reports all-zero
 //!   durations, bit-identically, forever.
 //!
-//! The `no-wall-clock` lint rule forbids `std::time` everywhere outside
-//! the harness; the `obs-clock-only` rule forbids it *inside* the
-//! harness too. The single allow below is the one sanctioned crossing.
+//! `clippy.toml` bans `Instant` and `SystemTime` in every crate, the
+//! harness included. [`WallClock`]'s two `#[expect]`s are the one
+//! sanctioned crossing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-// lint: allow(no-wall-clock, the Clock trait is the workspace's single sanctioned wall-time surface; every consumer goes through it)
-use std::time::Instant as WallInstant;
 
 /// A source of nanosecond timestamps on some timeline.
 ///
@@ -34,14 +32,23 @@ pub trait Clock: Send + Sync {
 
 /// Real monotonic wall time. Harness boundary only.
 #[derive(Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the Clock trait is the workspace's single sanctioned wall-time surface; every consumer goes through it"
+)]
 pub struct WallClock {
-    origin: WallInstant,
+    origin: std::time::Instant,
 }
 
 impl WallClock {
     /// A wall clock whose origin is the moment of construction.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the Clock trait is the workspace's single sanctioned wall-time surface; every consumer goes through it"
+    )]
     pub fn new() -> Self {
-        Self { origin: WallInstant::now() }
+        Self { origin: std::time::Instant::now() }
     }
 }
 
@@ -89,7 +96,7 @@ impl Clock for LogicalClock {
 /// An elapsed-time measurement over any [`Clock`].
 ///
 /// The harness's replacement for raw `Instant::now()` / `elapsed()`
-/// pairs (which the `obs-clock-only` rule forbids).
+/// pairs (which `clippy.toml` bans).
 #[derive(Clone, Copy)]
 pub struct Stopwatch<'a> {
     clock: &'a dyn Clock,

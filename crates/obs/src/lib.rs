@@ -18,9 +18,9 @@
 //!   timing metrics.
 //!
 //! Wall time enters the workspace **only** through the [`clock::Clock`]
-//! trait: `dam-obs::clock` holds the single reasoned `no-wall-clock`
-//! lint allow, the harness installs [`clock::WallClock`] at its
-//! boundary, and the `obs-clock-only` lint rule forbids raw `Instant`
+//! trait: [`clock::WallClock`] holds the single reasoned
+//! `#[expect(clippy::disallowed_types)]`, the harness installs it at its
+//! boundary, and `clippy.toml` bans raw `Instant` and `SystemTime`
 //! everywhere else — including the harness crates themselves.
 //!
 //! [`Registry`] hands out cheap cloneable [`Counter`] / [`Gauge`] /
@@ -29,7 +29,13 @@
 //! exports JSON, Prometheus-style text exposition, and an aggregated
 //! span tree (self/total time per phase).
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "a unit test increments a counter from a raw thread to reach a second stripe; the library target is still checked without cfg(test)"
+    )
+)]
 
 pub mod clock;
 pub mod export;

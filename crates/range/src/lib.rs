@@ -23,7 +23,13 @@
 //! The `range_queries` binary in `dam-eval` compares DAM-backed answering
 //! against the hierarchical baseline across selectivities.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "unit tests seed ad-hoc RNG streams; the library target is still checked without cfg(test)"
+    )
+)]
 
 pub mod answer;
 pub mod hierarchy;

@@ -33,8 +33,6 @@
 //! ns/report (`core.ingest.ns_per_report`), warm EM map evaluations per
 //! window (`em.iters_per_window`) and retention (`stream.retain.*`).
 
-#![forbid(unsafe_code)]
-
 pub mod estimator;
 pub mod health;
 mod ring;

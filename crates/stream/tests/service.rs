@@ -8,6 +8,13 @@
 //!    epoch-boundary snapshots, never a torn or intermediate state, for
 //!    any ingest/query interleaving.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    reason = "queries the service from a raw thread while it ingests, collects answers into a hash set and unwraps in helpers"
+)]
+
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

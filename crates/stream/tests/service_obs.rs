@@ -11,6 +11,12 @@
 //!    each latency histogram holds between ⌊n/64⌋ and ⌈n/64⌉ + threads
 //!    samples for n queries of its kind.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    reason = "scrapes the registry from scoped threads and unwraps in helpers"
+)]
+
 use std::sync::Arc;
 
 use dam_core::DamConfig;

@@ -1,13 +1,13 @@
 //! Property-based tests of the trajectory substrate.
 
+use dam_geo::rng::seeded;
 use dam_geo::{BoundingBox, Grid2D, Point};
 use dam_trajectory::traj::{flatten, sample_workload, Trajectory};
 use proptest::prelude::*;
-use rand::SeedableRng;
 
 fn base_points(n: usize, seed: u64) -> Vec<Point> {
     use rand::Rng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = seeded(seed);
     (0..n).map(|_| Point::new(rng.gen(), rng.gen())).collect()
 }
 
@@ -24,7 +24,7 @@ proptest! {
     ) {
         let pts = base_points(500, seed);
         let grid = Grid2D::new(BoundingBox::unit(), d);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xABCD);
+        let mut rng = seeded(seed ^ 0xABCD);
         let trajs = sample_workload(&pts, &grid, n_trajs, (lo, lo + extra), &mut rng);
         prop_assert_eq!(trajs.len(), n_trajs);
         for t in &trajs {
@@ -60,7 +60,7 @@ proptest! {
         let pts = base_points(300, 9);
         let grid = Grid2D::new(BoundingBox::unit(), 12);
         let run = |s: u64| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(s);
+            let mut rng = seeded(s);
             sample_workload(&pts, &grid, 5, (2, 10), &mut rng)
         };
         prop_assert_eq!(run(seed), run(seed));

@@ -223,7 +223,10 @@ pub fn solve_exact(
 
         // Find the unique cycle: path from row `ei` to col `ej` through the
         // basis tree, then close it with the entering cell.
-        // lint: allow(no-panic-in-lib, the simplex basis stays a spanning tree across pivots, so a path always exists)
+        #[expect(
+            clippy::expect_used,
+            reason = "the simplex basis stays a spanning tree across pivots, so a path always exists"
+        )]
         let path = tree_path(&basis, &row_adj, &col_adj, m, n, ei, ej)
             .expect("basis must be a spanning tree");
 

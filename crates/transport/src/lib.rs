@@ -21,7 +21,13 @@
 //!   with one solver enum ([`W2Solver`]) whose `Auto` picks the exact LP
 //!   for small supports and the grid solver otherwise.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "unit tests seed ad-hoc RNG streams; the library target is still checked without cfg(test)"
+    )
+)]
 
 pub mod cost;
 pub mod exact;

@@ -11,6 +11,9 @@
 //! (b) hotspot precision@k — how many of the true top-k crime cells each
 //! mechanism's estimate identifies.
 
+#![allow(clippy::expect_used, reason = "an example reports a failure by panicking")]
+
+use dam_obs::{Stopwatch, WallClock};
 use spatial_ldp::baselines::Mdsw;
 use spatial_ldp::core::{DamConfig, DamEstimator, SpatialEstimator};
 use spatial_ldp::data::{load, DatasetKind};
@@ -31,6 +34,7 @@ fn main() {
     let d = 12;
     let k = 10;
     let crime = load(DatasetKind::Crime, 7);
+    let clock = WallClock::new();
 
     println!("Chicago-like crime data, eps = {eps}, grid {d}x{d}, top-{k} hotspots\n");
     println!(
@@ -49,9 +53,9 @@ fn main() {
             let grid = Grid2D::new(part.bbox, d);
             let truth = Histogram2D::from_points(grid.clone(), &part.points).normalized();
             let mut rng = derived(11, pi as u64);
-            let start = std::time::Instant::now();
+            let start = Stopwatch::start(&clock);
             let est = mech.estimate(&part.points, &grid, &mut rng);
-            let secs = start.elapsed().as_secs_f64();
+            let secs = start.elapsed_secs();
             let err = w2_auto(&est, &truth).expect("w2");
             let true_hot = top_k(&truth, k);
             let est_hot = top_k(&est, k);

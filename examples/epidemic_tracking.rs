@@ -11,6 +11,12 @@
 //! collect case locations under LDP at several privacy budgets and watch
 //! each mechanism's ability to localise the foci.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "an example reports a failure by panicking"
+)]
+
 use rand::Rng;
 use spatial_ldp::baselines::{CfoEstimator, CfoFlavor};
 use spatial_ldp::core::{DamConfig, DamEstimator, SpatialEstimator};

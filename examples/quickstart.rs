@@ -10,6 +10,8 @@
 //! reports the Wasserstein error against both the true distribution and a
 //! non-private baseline.
 
+#![allow(clippy::expect_used, reason = "an example reports a failure by panicking")]
+
 use spatial_ldp::core::{DamConfig, DamEstimator, SpatialEstimator};
 use spatial_ldp::data::synthetic::normal_dataset;
 use spatial_ldp::geo::rng::seeded;

@@ -11,6 +11,12 @@
 //! noisy cell, and one analyst aggregating — and renders before/after
 //! heatmaps.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "an example reports a failure by panicking"
+)]
+
 use spatial_ldp::core::em2d::PostProcess;
 use spatial_ldp::core::{DamAggregator, DamClient, DamConfig};
 use spatial_ldp::data::{load, DatasetKind};

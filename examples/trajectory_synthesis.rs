@@ -8,6 +8,9 @@
 //! the NYC-like density, run the three mechanisms and compare how well
 //! each recovers the *point* distribution of the fleet.
 
+#![allow(clippy::expect_used, reason = "an example reports a failure by panicking")]
+
+use dam_obs::{Stopwatch, WallClock};
 use spatial_ldp::data::{load, DatasetKind};
 use spatial_ldp::geo::rng::{derived, seeded};
 use spatial_ldp::geo::Grid2D;
@@ -41,12 +44,13 @@ fn main() {
         Box::new(DamOnPoints::new(eps)),
     ];
     println!("{:<12} {:>10} {:>10}", "mechanism", "W2", "seconds");
+    let clock = WallClock::new();
     for (i, mech) in mechanisms.iter().enumerate() {
         let mut rng = derived(62, i as u64);
-        let start = std::time::Instant::now();
+        let start = Stopwatch::start(&clock);
         let est = mech.estimate_distribution(&trips, &grid, &mut rng);
         let err = w2_auto(&est, &truth).expect("w2");
-        println!("{:<12} {:>10.4} {:>10.2}", mech.name(), err, start.elapsed().as_secs_f64());
+        println!("{:<12} {:>10.4} {:>10.2}", mech.name(), err, start.elapsed_secs());
     }
 
     println!(

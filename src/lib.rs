@@ -20,8 +20,6 @@
 //! README; `ROADMAP.md` holds the per-change architecture notes and the
 //! open items.
 
-#![forbid(unsafe_code)]
-
 /// Baseline mechanisms (MDSW, SEM-Geo-I, CFO).
 pub use dam_baselines as baselines;
 /// Fault-tolerant multi-node aggregation (quorum close, checkpoints).

@@ -31,5 +31,5 @@ pub mod sem;
 pub mod subset;
 
 pub use cfo::{CfoEstimator, CfoFlavor};
-pub use mdsw::{Mdsw, MdswBudget};
+pub use mdsw::Mdsw;
 pub use sem::SemGeoI;

@@ -7,38 +7,20 @@
 //! is designed to avoid (§VII-C2: "MDSW only retains ordinal relationship
 //! of x-coordinate and y-coordinate").
 //!
-//! Two budget strategies are provided: the default splits `ε` in half per
-//! dimension (every user reports both coordinates); the alternative
-//! samples one dimension per user and spends the full `ε` on it (an
-//! ablation of the standard split-vs-sample trade-off).
+//! Every user reports both coordinates, each under `ε/2` (the paper's
+//! budget split).
 
 use dam_core::shard::sharded_accumulate;
 use dam_core::SpatialEstimator;
 use dam_fo::em::{expectation_maximization, smooth_1d, Channel, EmParams, EmWorkspace};
 use dam_fo::sw::SquareWave;
 use dam_geo::{Grid2D, Histogram2D, Point};
-use rand::{Rng, RngCore};
-
-/// Budget allocation across the two dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MdswBudget {
-    /// Report both dimensions, each under `ε/2` (the paper's MDSW).
-    SplitHalf,
-    /// Report one uniformly chosen dimension under the full `ε`.
-    SampleOne,
-    /// Report both dimensions under `ε/2` each, but estimate the *joint*
-    /// distribution with EM over the product channel `M_x ⊗ M_y` instead
-    /// of multiplying marginals. Recovers cross-dimension correlation the
-    /// product form destroys, at quadratic channel cost — the natural
-    /// "fixed MDSW" ablation the paper's critique implies.
-    JointEm,
-}
+use rand::RngCore;
 
 /// The MDSW estimator.
 #[derive(Debug, Clone, Copy)]
 pub struct Mdsw {
     eps: f64,
-    budget: MdswBudget,
     em: EmParams,
     threads: Option<usize>,
 }
@@ -47,13 +29,7 @@ impl Mdsw {
     /// Creates MDSW with the paper's half-split budget.
     pub fn new(eps: f64) -> Self {
         assert!(eps > 0.0 && eps.is_finite(), "privacy budget must be positive");
-        Self { eps, budget: MdswBudget::SplitHalf, em: EmParams::default(), threads: None }
-    }
-
-    /// Selects a budget strategy.
-    pub fn with_budget(mut self, budget: MdswBudget) -> Self {
-        self.budget = budget;
-        self
+        Self { eps, em: EmParams::default(), threads: None }
     }
 
     /// Sets the report-pipeline thread count (`None` = all cores; the
@@ -83,94 +59,18 @@ impl Mdsw {
         let ems: Option<&dyn Fn(&mut [f64])> = Some(&smooth_1d);
         expectation_maximization(&channel, counts, None, ems, em, &mut EmWorkspace::new()).estimate
     }
-
-    /// Joint-EM estimation: both coordinates are perturbed independently,
-    /// so the joint channel factorises as `P((ox,oy) | (ix,iy)) =
-    /// M[ox][ix]·M[oy][iy]`; EM over that product channel estimates the
-    /// full 2-D distribution, preserving cross-dimension correlation.
-    fn estimate_joint(
-        &self,
-        sw: &SquareWave,
-        points: &[Point],
-        grid: &Grid2D,
-        rng: &mut dyn RngCore,
-    ) -> Histogram2D {
-        let d = grid.d() as usize;
-        let bbox = grid.bbox();
-        let m = sw.transition_matrix(d);
-        let n_out_dim = m.n_out;
-        let n_out = n_out_dim * n_out_dim;
-        let n_in = d * d;
-        // Joint output counts, sampled shard-parallel with deterministic
-        // per-shard streams.
-        let master_seed = rng.next_u64();
-        let counts = sharded_accumulate(
-            points.len(),
-            n_out,
-            master_seed,
-            self.threads,
-            |range, rng, buf| {
-                for &p in &points[range] {
-                    let x = Self::norm_coord(grid, p.x, bbox.min_x);
-                    let y = Self::norm_coord(grid, p.y, bbox.min_y);
-                    let ox = m.output_bin(sw.perturb(x, rng));
-                    let oy = m.output_bin(sw.perturb(y, rng));
-                    buf[oy * n_out_dim + ox] += 1.0;
-                }
-            },
-        );
-        // Product channel, row-major (o, i) with o = oy*n_out_dim + ox and
-        // i = iy*d + ix.
-        let mut data = vec![0.0f64; n_out * n_in];
-        for oy in 0..n_out_dim {
-            for ox in 0..n_out_dim {
-                let o = oy * n_out_dim + ox;
-                for iy in 0..d {
-                    for ix in 0..d {
-                        data[o * n_in + iy * d + ix] = m.at(ox, ix) * m.at(oy, iy);
-                    }
-                }
-            }
-        }
-        let channel = Channel::new(n_out, n_in, data);
-        // Plain EM (no smoothing): on coarse grids the 3×3 smoother couples
-        // every pair of cells and washes out exactly the correlation this
-        // variant exists to preserve; the maximum-likelihood estimate is
-        // the honest choice here.
-        let est = expectation_maximization(
-            &channel,
-            &counts,
-            None,
-            None,
-            self.em,
-            &mut EmWorkspace::new(),
-        )
-        .estimate;
-        Histogram2D::from_values(grid.clone(), est).normalized()
-    }
 }
 
 impl SpatialEstimator for Mdsw {
     fn name(&self) -> String {
-        match self.budget {
-            MdswBudget::SplitHalf => "MDSW".to_string(),
-            MdswBudget::SampleOne => "MDSW-S1".to_string(),
-            MdswBudget::JointEm => "MDSW-J".to_string(),
-        }
+        "MDSW".to_string()
     }
 
     fn estimate(&self, points: &[Point], grid: &Grid2D, rng: &mut dyn RngCore) -> Histogram2D {
         assert!(!points.is_empty(), "cannot estimate from zero points");
         let d = grid.d() as usize;
         let bbox = grid.bbox();
-        let (eps_dim, both) = match self.budget {
-            MdswBudget::SplitHalf | MdswBudget::JointEm => (self.eps / 2.0, true),
-            MdswBudget::SampleOne => (self.eps, false),
-        };
-        let sw = SquareWave::new(eps_dim);
-        if self.budget == MdswBudget::JointEm {
-            return self.estimate_joint(&sw, points, grid, rng);
-        }
+        let sw = SquareWave::new(self.eps / 2.0);
         // Per-dimension binned output counts, sampled shard-parallel with
         // deterministic per-shard streams: the buffer holds the x counts
         // followed by the y counts.
@@ -187,28 +87,14 @@ impl SpatialEstimator for Mdsw {
                 for &p in &points[range] {
                     let x = Self::norm_coord(grid, p.x, bbox.min_x);
                     let y = Self::norm_coord(grid, p.y, bbox.min_y);
-                    if both {
-                        bx[m.output_bin(sw.perturb(x, rng))] += 1.0;
-                        by[m.output_bin(sw.perturb(y, rng))] += 1.0;
-                    } else if rng.gen::<bool>() {
-                        bx[m.output_bin(sw.perturb(x, rng))] += 1.0;
-                    } else {
-                        by[m.output_bin(sw.perturb(y, rng))] += 1.0;
-                    }
+                    bx[m.output_bin(sw.perturb(x, rng))] += 1.0;
+                    by[m.output_bin(sw.perturb(y, rng))] += 1.0;
                 }
             },
         );
         let (x_counts, y_counts) = counts.split_at(n_out);
-        let fx = if x_counts.iter().sum::<f64>() == 0.0 {
-            vec![1.0 / d as f64; d]
-        } else {
-            Self::estimate_marginal(&sw, d, x_counts, self.em)
-        };
-        let fy = if y_counts.iter().sum::<f64>() == 0.0 {
-            vec![1.0 / d as f64; d]
-        } else {
-            Self::estimate_marginal(&sw, d, y_counts, self.em)
-        };
+        let fx = Self::estimate_marginal(&sw, d, x_counts, self.em);
+        let fy = Self::estimate_marginal(&sw, d, y_counts, self.em);
         // Joint = outer product of the marginals.
         let mut values = vec![0.0f64; d * d];
         for iy in 0..d {
@@ -275,38 +161,35 @@ mod tests {
         let pts: Vec<Point> = (0..5_000)
             .map(|i| Point::new((i % 100) as f64 / 100.0, (i % 37) as f64 / 37.0))
             .collect();
-        for budget in [MdswBudget::SplitHalf, MdswBudget::SampleOne, MdswBudget::JointEm] {
-            let est = Mdsw::new(1.0).with_budget(budget).estimate(&pts, &grid(4), &mut rng);
-            assert!((est.total() - 1.0).abs() < 1e-9, "{budget:?}");
-            assert!(est.values().iter().all(|&v| v >= 0.0));
-        }
+        let est = Mdsw::new(1.0).estimate(&pts, &grid(4), &mut rng);
+        assert!((est.total() - 1.0).abs() < 1e-9);
+        assert!(est.values().iter().all(|&v| v >= 0.0));
     }
 
+    /// FNV-1a fold of `Mdsw::estimate`'s bits on the two shapes below
+    /// (split-half reports, per-axis EMS, product of marginals). Moving it
+    /// is a behaviour change of the baseline, not a refactor.
+    const MDSW_ESTIMATE_BITS: u64 = 0x102d_9889_4dd6_111b;
+
     #[test]
-    fn joint_em_recovers_correlation_the_product_loses() {
-        // Anti-diagonal data: the product form must leak ~half the mass
-        // off-diagonal; joint EM keeps most of it on the diagonal.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(113);
-        let pts: Vec<Point> = (0..60_000)
-            .map(|i| if i % 2 == 0 { Point::new(0.1, 0.1) } else { Point::new(0.9, 0.9) })
+    fn estimate_matches_pinned_bits() {
+        let pts: Vec<Point> = (0..6_000)
+            .map(|i| Point::new((i % 97) as f64 / 97.0, ((i * 13) % 61) as f64 / 61.0))
             .collect();
-        let on_diag = |h: &Histogram2D| h.get(CellIndex::new(0, 0)) + h.get(CellIndex::new(1, 1));
-        let product = Mdsw::new(6.0).estimate(&pts, &grid(2), &mut rng);
-        let joint =
-            Mdsw::new(6.0).with_budget(MdswBudget::JointEm).estimate(&pts, &grid(2), &mut rng);
-        assert!(
-            on_diag(&joint) > on_diag(&product) + 0.2,
-            "joint {:.3} should hold far more diagonal mass than product {:.3}",
-            on_diag(&joint),
-            on_diag(&product)
-        );
-        assert!(on_diag(&joint) > 0.8, "joint diagonal mass {:.3}", on_diag(&joint));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (eps, d) in [(1.0, 5), (3.5, 16)] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(114 + u64::from(d));
+            let est = Mdsw::new(eps).estimate(&pts, &grid(d), &mut rng);
+            for byte in est.values().iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, MDSW_ESTIMATE_BITS, "MDSW estimate bits moved: {h:#018x}");
     }
 
     #[test]
     fn names_match_labels() {
         assert_eq!(Mdsw::new(1.0).name(), "MDSW");
-        assert_eq!(Mdsw::new(1.0).with_budget(MdswBudget::SampleOne).name(), "MDSW-S1");
-        assert_eq!(Mdsw::new(1.0).with_budget(MdswBudget::JointEm).name(), "MDSW-J");
     }
 }

@@ -12,7 +12,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dam_bench::{bench_grid, bench_points};
-use dam_core::em2d::{EmOperator, PostProcess};
 use dam_core::fft::next_fft_side;
 use dam_core::grid::KernelKind;
 use dam_core::kernel::DiscreteKernel;
@@ -68,12 +67,12 @@ fn bench_postprocess(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("em", d), &d, |bench, _| {
             bench.iter(|| {
-                black_box(EmOperator::new(&kernel).post_process(
+                black_box(expectation_maximization(
+                    &kernel.fft_channel(),
                     &counts,
-                    &grid,
-                    PostProcess::Em,
-                    EmParams { max_iters: 100, rel_tol: 1e-6, gain_tol: 0.0 },
                     None,
+                    None,
+                    EmParams { max_iters: 100, rel_tol: 1e-6, gain_tol: 0.0 },
                     &mut EmWorkspace::new(),
                 ))
             });

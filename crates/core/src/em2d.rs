@@ -1,24 +1,13 @@
-//! The PostProcess step of Algorithm 1: 2-D EM / EMS estimation.
+//! The 2-D smoother of the PostProcess step of Algorithm 1.
 //!
-//! The analyst observes a histogram of noisy output cells and inverts the
-//! known reporting channel with Expectation-Maximisation (reference \[6\]'s
-//! estimator, which the paper adopts). The optional smoothing variant
-//! ("EMS") convolves the estimate with a 3×3 binomial kernel between
-//! iterations — the 2-D analogue of SW-EMS's `[1,2,1]/4`.
-
-use crate::conv::FftChannel;
-use crate::kernel::DiscreteKernel;
-use dam_fo::em::{expectation_maximization, ChannelOp, EmHealth, EmParams, EmRun, EmWorkspace};
-use dam_geo::{Grid2D, Histogram2D};
-
-/// Post-processing flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PostProcess {
-    /// Plain EM (the paper's default for DAM).
-    Em,
-    /// EM with 3×3 binomial smoothing between iterations.
-    Ems,
-}
+//! PostProcess itself is plain EM (reference \[6\]'s estimator, which the
+//! paper adopts): [`dam_fo::em::expectation_maximization`] over the
+//! kernel's spectral operator ([`crate::conv::FftChannel`]), run one-shot
+//! by [`crate::DamAggregator::estimate`] and per window by `dam-stream`.
+//! [`smooth_2d`] is the 2-D analogue of SW-EMS's `[1,2,1]/4`: the
+//! streaming warm seed diffuses the previous window's estimate with it,
+//! and passed as `expectation_maximization`'s `smoother` it turns EM into
+//! EMS.
 
 /// 3×3 binomial smoothing `[[1,2,1],[2,4,2],[1,2,1]]/16` over a `d × d`
 /// row-major field, renormalising the kernel at the boundary.
@@ -54,98 +43,33 @@ pub fn smooth_2d(d: usize, f: &mut [f64]) {
     }
 }
 
-/// Everything one PostProcess run produced: the estimate, the iteration
-/// accounting and the numerical-health record.
-#[derive(Debug, Clone)]
-pub struct PostProcessOutcome {
-    /// The estimated input distribution (sums to 1, always finite).
-    pub histogram: Histogram2D,
-    /// EM iterations executed.
-    pub em_iters: usize,
-    /// The run hit `EmParams::max_iters` without a tolerance firing
-    /// ([`EmRun::capped`]).
-    pub em_capped: bool,
-    /// What the solver repaired ([`EmHealth::is_clean`] on healthy runs).
-    pub em_health: EmHealth,
-}
-
-/// The one 2-D PostProcess entry: EM over the kernel's spectral operator
-/// ([`FftChannel`]).
-///
-/// Construct it per kernel (the FFT plan and the kernel spectrum are the
-/// expensive setup), then call [`EmOperator::post_process`]. A one-shot
-/// caller builds one, runs it once without a warm start and drops it:
-///
-/// ```text
-/// EmOperator::new(&kernel)
-///     .post_process(counts, grid, post, params, None, &mut EmWorkspace::new())
-/// ```
-///
-/// A *streaming* caller re-runs EM against the **same kernel** every
-/// window, so it keeps the operator alive and calls
-/// [`EmOperator::post_process`] per window with a shared [`EmWorkspace`]
-/// and the previous window's estimate as the warm start.
-pub struct EmOperator {
-    channel: FftChannel,
-}
-
-impl EmOperator {
-    /// Builds the spectral channel for `kernel` once.
-    pub fn new(kernel: &DiscreteKernel) -> Self {
-        Self { channel: kernel.fft_channel() }
-    }
-
-    /// Runs PostProcess with an optional warm start, returning the
-    /// estimate, the EM iteration count (the warm-vs-cold accounting the
-    /// streaming layer reports) and the numerical-health record. `init`,
-    /// when given, must be a distribution over the input grid (`d²`
-    /// values); `ws` carries the operator scratch across windows so
-    /// steady-state EM allocates nothing.
-    pub fn post_process(
-        &self,
-        noisy_counts: &[f64],
-        input_grid: &Grid2D,
-        post: PostProcess,
-        params: EmParams,
-        init: Option<&[f64]>,
-        ws: &mut EmWorkspace,
-    ) -> PostProcessOutcome {
-        let d = input_grid.d() as usize;
-        assert_eq!(noisy_counts.len(), self.channel.n_out(), "counts do not match output grid");
-        assert_eq!(d * d, self.channel.n_in(), "kernel built for a different grid resolution");
-        let smoother = move |f: &mut [f64]| smooth_2d(d, f);
-        let smoother: Option<&dyn Fn(&mut [f64])> = match post {
-            PostProcess::Em => None,
-            PostProcess::Ems => Some(&smoother),
-        };
-        let EmRun { estimate, iters, capped, health } =
-            expectation_maximization(&self.channel, noisy_counts, init, smoother, params, ws);
-        PostProcessOutcome {
-            histogram: Histogram2D::from_values(input_grid.clone(), estimate),
-            em_iters: iters,
-            em_capped: capped,
-            em_health: health,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::KernelKind;
+    use crate::kernel::DiscreteKernel;
     use crate::response::GridAreaResponse;
-    use dam_geo::{BoundingBox, CellIndex};
+    use dam_fo::em::{expectation_maximization, ChannelOp, EmParams, EmWorkspace};
+    use dam_geo::{BoundingBox, CellIndex, Grid2D, Histogram2D};
     use rand::SeedableRng;
 
+    /// One cold EM run on the kernel's spectral operator; `smoother`
+    /// `None` is plain EM, `Some(smooth_2d)` is EMS.
     fn one_shot(
         k: &DiscreteKernel,
         counts: &[f64],
         grid: &Grid2D,
-        post: PostProcess,
+        smoother: Option<&dyn Fn(&mut [f64])>,
     ) -> Histogram2D {
-        EmOperator::new(k)
-            .post_process(counts, grid, post, EmParams::default(), None, &mut EmWorkspace::new())
-            .histogram
+        let run = expectation_maximization(
+            &k.fft_channel(),
+            counts,
+            None,
+            smoother,
+            EmParams::default(),
+            &mut EmWorkspace::new(),
+        );
+        Histogram2D::from_values(grid.clone(), run.estimate)
     }
 
     #[test]
@@ -188,7 +112,7 @@ mod tests {
             let o = resp.respond(truth, &mut rng);
             counts[o.iy as usize * kernel.out_d() as usize + o.ix as usize] += 1.0;
         }
-        let est = one_shot(&kernel, &counts, &grid, PostProcess::Em);
+        let est = one_shot(&kernel, &counts, &grid, None);
         let peak = est.get(truth);
         assert!(peak > 0.5, "estimated mass at the true cell is only {peak}");
         assert!((est.total() - 1.0).abs() < 1e-9);
@@ -208,7 +132,7 @@ mod tests {
             let o = resp.respond(c, &mut rng);
             counts[o.iy as usize * kernel.out_d() as usize + o.ix as usize] += 1.0;
         }
-        let est = one_shot(&kernel, &counts, &grid, PostProcess::Ems);
+        let est = one_shot(&kernel, &counts, &grid, Some(&|f: &mut [f64]| smooth_2d(4, f)));
         let m00 = est.get(CellIndex::new(0, 0));
         let m33 = est.get(CellIndex::new(3, 3));
         // The smoothing fixpoint diffuses the corners substantially, but

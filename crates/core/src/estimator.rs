@@ -8,7 +8,6 @@
 //! interface the experiment harness drives for DAM, DAM-NS, HUEM and all
 //! the baselines in `dam-baselines`.
 
-use crate::em2d::{EmOperator, PostProcess};
 use crate::grid::KernelKind;
 use crate::kernel::DiscreteKernel;
 use crate::radius::optimal_b_cells;
@@ -18,7 +17,7 @@ use crate::validate::{
     check_counts, check_point_in, covered_square, IngestError, IngestPolicy, IngestSummary,
     PointCheck,
 };
-use dam_fo::em::{EmParams, EmWorkspace};
+use dam_fo::em::{expectation_maximization, EmParams, EmWorkspace};
 use dam_geo::{CellIndex, Grid2D, Histogram2D, Point};
 use rand::RngCore;
 
@@ -41,8 +40,6 @@ pub enum SamVariant {
     Dam,
     /// DAM without shrinkage (the DAM-NS baseline).
     DamNonShrunken,
-    /// DAM with exact circle–cell intersection areas (extension/ablation).
-    DamExact,
     /// The Hybrid Uniform-Exponential Mechanism.
     Huem,
 }
@@ -54,9 +51,6 @@ impl SamVariant {
             SamVariant::DamNonShrunken => {
                 DiscreteKernel::dam(eps, d, b_hat, KernelKind::NonShrunken)
             }
-            SamVariant::DamExact => {
-                DiscreteKernel::dam(eps, d, b_hat, KernelKind::ExactIntersection)
-            }
             SamVariant::Huem => DiscreteKernel::huem(eps, d, b_hat),
         }
     }
@@ -65,7 +59,6 @@ impl SamVariant {
         match self {
             SamVariant::Dam => "DAM",
             SamVariant::DamNonShrunken => "DAM-NS",
-            SamVariant::DamExact => "DAM-X",
             SamVariant::Huem => "HUEM",
         }
     }
@@ -80,8 +73,6 @@ pub struct DamConfig {
     pub variant: SamVariant,
     /// Explicit disk radius in cells; `None` uses the optimal `b̌` of §V-C.
     pub b_hat: Option<u32>,
-    /// Post-processing flavour (the paper uses plain EM).
-    pub post: PostProcess,
     /// EM convergence knobs.
     pub em: EmParams,
     /// Worker threads for the sharded report pipeline (`None` = all
@@ -93,14 +84,7 @@ pub struct DamConfig {
 impl DamConfig {
     /// The paper's default DAM configuration at budget `eps`.
     pub fn dam(eps: f64) -> Self {
-        Self {
-            eps,
-            variant: SamVariant::Dam,
-            b_hat: None,
-            post: PostProcess::Em,
-            em: EmParams::default(),
-            threads: None,
-        }
+        Self { eps, variant: SamVariant::Dam, b_hat: None, em: EmParams::default(), threads: None }
     }
 
     /// Sets the report-pipeline thread count (`None` = all cores).
@@ -380,12 +364,20 @@ impl DamAggregator {
         self.n_reports
     }
 
-    /// Runs PostProcess on the spectral [`EmOperator`] and returns the
-    /// estimated distribution.
-    pub fn estimate(&self, post: PostProcess, em: EmParams) -> Histogram2D {
-        EmOperator::new(&self.kernel)
-            .post_process(&self.counts, &self.input_grid, post, em, None, &mut EmWorkspace::new())
-            .histogram
+    /// Runs PostProcess (plain EM on the kernel's spectral operator,
+    /// [`DiscreteKernel::fft_channel`]) and returns the estimated
+    /// distribution.
+    pub fn estimate(&self, em: EmParams) -> Histogram2D {
+        let channel = self.kernel.fft_channel();
+        let run = expectation_maximization(
+            &channel,
+            &self.counts,
+            None,
+            None,
+            em,
+            &mut EmWorkspace::new(),
+        );
+        Histogram2D::from_values(self.input_grid.clone(), run.estimate)
     }
 }
 
@@ -422,7 +414,7 @@ impl SpatialEstimator for DamEstimator {
         // identically no matter how many threads execute the batch.
         let master_seed = rng.next_u64();
         agg.ingest_counts(&client.report_batch(points, master_seed, self.config.threads));
-        agg.estimate(self.config.post, self.config.em)
+        agg.estimate(self.config.em)
     }
 }
 
@@ -462,14 +454,8 @@ mod tests {
     fn all_variants_produce_valid_distributions() {
         let grid = Grid2D::new(BoundingBox::unit(), 4);
         let points = cluster_points(Point::new(0.5, 0.5), 3_000, 0.3, 8);
-        for (i, cfg) in [
-            DamConfig::dam(2.0),
-            DamConfig::dam_ns(2.0),
-            DamConfig::huem(2.0),
-            DamConfig { variant: SamVariant::DamExact, ..DamConfig::dam(2.0) },
-        ]
-        .iter()
-        .enumerate()
+        for (i, cfg) in
+            [DamConfig::dam(2.0), DamConfig::dam_ns(2.0), DamConfig::huem(2.0)].iter().enumerate()
         {
             let mut rng = rand::rngs::StdRng::seed_from_u64(91 + i as u64);
             let est = DamEstimator::new(*cfg).estimate(&points, &grid, &mut rng);
@@ -497,7 +483,7 @@ mod tests {
             agg.ingest(client.report(p, &mut rng));
         }
         assert_eq!(agg.n_reports(), 500);
-        let est = agg.estimate(PostProcess::Em, EmParams::default());
+        let est = agg.estimate(EmParams::default());
         assert!((est.total() - 1.0).abs() < 1e-9);
     }
 

@@ -12,7 +12,7 @@
 //! VI.1 into a high part (a rectangle of area `4(δx + ½)(δy + ½)`,
 //! `δ = b̂/√(x² + y²) − 1`) and a low remainder. [`DiskGeometry`]
 //! precomputes the per-offset high-area fraction for the shrunken kernel,
-//! the non-shrunken ablation (DAM-NS) and an exact-intersection ablation.
+//! the non-shrunken ablation (DAM-NS) and the exact-intersection reference.
 //!
 //! The closed-form counting results of Theorems VI.2–VI.4 and Equation 14
 //! are implemented alongside and unit-tested against brute-force
@@ -44,8 +44,10 @@ pub enum KernelKind {
     /// DAM-NS: no mixed handling; a cell is high iff its center is within
     /// the circle.
     NonShrunken,
-    /// Ablation: mixed cells carry their *exact* circle–cell intersection
-    /// area (the quantity the shrunken rectangle approximates).
+    /// Reference: mixed cells carry their *exact* circle–cell
+    /// intersection area (the quantity the shrunken rectangle
+    /// approximates); the shrinkage tests and kernel audits compare
+    /// against it.
     ExactIntersection,
 }
 

@@ -14,7 +14,7 @@
 //!   Theorem VI.1 and the closed-form area counts of Theorems VI.2–VI.4;
 //! * [`kernel`] — the discrete reporting kernels (`p̂`/`q̂` masses per
 //!   output cell) for DAM, DAM-NS (no shrinkage), the exact-intersection
-//!   ablation kernel, and the ring-discretised HUEM of Appendix A;
+//!   reference kernel, and the ring-discretised HUEM of Appendix A;
 //! * [`response`] — `GridAreaResponse` (Algorithm 2): O(1) per-user
 //!   sampling of a noisy output cell;
 //! * [`conv`] — the spectral EM operator [`conv::FftChannel`], built on
@@ -28,8 +28,8 @@
 //!   row-major half-spectrum whose column pass runs butterflies between
 //!   whole rows, all-zero rows skipped; each convolution split across two
 //!   cores from side 96 up (`stream-fft`'s grid), serial below;
-//! * [`em2d`] — the EM/EMS "PostProcess" step on the 2-D grid
-//!   ([`em2d::EmOperator`], always on the spectral operator);
+//! * [`em2d`] — the 2-D smoother ([`em2d::smooth_2d`]) of the
+//!   "PostProcess" step, which is plain EM on the spectral operator;
 //! * [`pyramid`] — hierarchical estimate pyramids: dyadic aggregate
 //!   levels over any count/estimate plane with Hay-style constrained
 //!   inference (every node equals the sum of its children) and
@@ -63,7 +63,6 @@ pub mod shard;
 pub mod validate;
 
 pub use conv::FftChannel;
-pub use em2d::{EmOperator, PostProcess, PostProcessOutcome};
 pub use estimator::{
     DamAggregator, DamClient, DamConfig, DamEstimator, SamVariant, SpatialEstimator,
 };

@@ -1,8 +1,9 @@
 //! Property tests: the spectral channel operator is interchangeable with
 //! the dense reference [`Channel`](dam_fo::em::Channel) on every kernel
-//! family — DAM, DAM-NS, DAM-X and HUEM — including the `b̂ = 0`
-//! degenerate randomized-response kernel and non-power-of-two grid
-//! sides, both for the raw EM primitives and for whole EM fixpoints.
+//! family — DAM, DAM-NS, the exact-area reference kernel and HUEM —
+//! including the `b̂ = 0` degenerate randomized-response kernel and
+//! non-power-of-two grid sides, both for the raw EM primitives and for
+//! whole EM fixpoints.
 //!
 //! Tolerance: the spectral operator ([`FftChannel`]) goes through a
 //! forward/inverse transform pair whose roundoff scales with the padded
@@ -17,7 +18,8 @@ use dam_geo::rng::seeded;
 use proptest::prelude::*;
 use rand::Rng;
 
-/// All four SAM kernel families, indexed for strategy generation.
+/// The three SAM kernel families plus the exact-area reference kernel,
+/// indexed for strategy generation.
 fn build_kernel(family: usize, eps: f64, d: u32, b_hat: u32) -> DiscreteKernel {
     match family {
         0 => DiscreteKernel::dam(eps, d, b_hat, KernelKind::Shrunken),
@@ -28,7 +30,7 @@ fn build_kernel(family: usize, eps: f64, d: u32, b_hat: u32) -> DiscreteKernel {
 }
 
 fn family_name(family: usize) -> &'static str {
-    ["DAM", "DAM-NS", "DAM-X", "HUEM"][family.min(3)]
+    ["DAM", "DAM-NS", "exact-area", "HUEM"][family.min(3)]
 }
 
 /// A strictly positive random distribution over `n` cells.
@@ -223,34 +225,35 @@ fn fft_matches_dense_on_awkward_shapes() {
     }
 }
 
-/// End-to-end: `EmOperator::post_process` (the spectral operator) and
-/// the same EM loop on the dense reference channel agree on a full
-/// pipeline histogram, for both the EM and the EMS flavour.
+/// End-to-end: `expectation_maximization` on the spectral operator and
+/// on the dense reference channel agree on a full pipeline histogram, for
+/// both plain EM and EMS (`smooth_2d` as the smoother).
 #[test]
 fn post_process_backends_agree_end_to_end() {
     use dam_core::em2d::smooth_2d;
-    use dam_core::{EmOperator, PostProcess};
-    use dam_geo::{BoundingBox, Grid2D};
 
     for (family, eps, d, b) in
         [(0usize, 2.0, 6u32, 2u32), (1, 1.0, 5, 3), (2, 3.0, 4, 1), (3, 1.5, 6, 2), (0, 4.0, 5, 0)]
     {
         let kernel = build_kernel(family, eps, d, b);
-        let grid = Grid2D::new(BoundingBox::unit(), d);
         let counts = random_weights(kernel.n_out(), 99)
             .iter()
             .map(|x| (x * 50.0).round())
             .collect::<Vec<_>>();
         let params = EmParams { max_iters: 40, rel_tol: 0.0, gain_tol: 0.0 };
-        let operator = EmOperator::new(&kernel);
+        let fft = kernel.fft_channel();
         let dense = kernel.channel();
         let smoother = |f: &mut [f64]| smooth_2d(d as usize, f);
-        for (post, smooth) in
-            [(PostProcess::Em, None), (PostProcess::Ems, Some(&smoother as &dyn Fn(&mut [f64])))]
-        {
-            let fft = operator
-                .post_process(&counts, &grid, post, params, None, &mut EmWorkspace::new())
-                .histogram;
+        for (post, smooth) in [("EM", None), ("EMS", Some(&smoother as &dyn Fn(&mut [f64])))] {
+            let spectral = expectation_maximization(
+                &fft,
+                &counts,
+                None,
+                smooth,
+                params,
+                &mut EmWorkspace::new(),
+            )
+            .estimate;
             let reference = expectation_maximization(
                 &dense,
                 &counts,
@@ -260,10 +263,10 @@ fn post_process_backends_agree_end_to_end() {
                 &mut EmWorkspace::new(),
             )
             .estimate;
-            for (a, b_val) in fft.values().iter().zip(&reference) {
+            for (a, b_val) in spectral.iter().zip(&reference) {
                 assert!(
                     (a - b_val).abs() <= FFT_TOL,
-                    "{} {post:?}: fft {a} vs dense {b_val}",
+                    "{} {post}: fft {a} vs dense {b_val}",
                     family_name(family)
                 );
             }
@@ -282,11 +285,10 @@ const FFT_2X3_BITS: u64 = 0x0083_c94b_6520_ba2d;
 
 /// FNV-1a fold of every bit the spectral operator produces on the shapes
 /// `(d, b̂, n)`: both primitives and a bounded 20-iteration cold EM per
-/// shape, then, with `ems`, one EMS PostProcess at d = 20, b̂ = 4 so the
-/// smoother path is folded in too.
+/// shape, then, with `ems`, one EMS run (`smooth_2d` as the EM loop's
+/// smoother) at d = 20, b̂ = 4 so the smoother path is folded in too.
 fn spectral_bits(shapes: &[(u32, u32, usize)], ems: bool) -> u64 {
-    use dam_core::{EmOperator, PostProcess};
-    use dam_geo::{BoundingBox, Grid2D};
+    use dam_core::em2d::smooth_2d;
 
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut fold = |values: &[f64]| {
@@ -318,15 +320,16 @@ fn spectral_bits(shapes: &[(u32, u32, usize)], ems: bool) -> u64 {
         let kernel = DiscreteKernel::dam(3.0, 20, 4, KernelKind::Shrunken);
         let counts: Vec<f64> =
             random_weights(kernel.n_out(), 7).iter().map(|x| (x * 20.0).round()).collect();
-        let ems = EmOperator::new(&kernel).post_process(
+        let smoother = |f: &mut [f64]| smooth_2d(20, f);
+        let ems = expectation_maximization(
+            &kernel.fft_channel(),
             &counts,
-            &Grid2D::new(BoundingBox::unit(), 20),
-            PostProcess::Ems,
-            params,
             None,
+            Some(&smoother),
+            params,
             &mut EmWorkspace::new(),
         );
-        fold(ems.histogram.values());
+        fold(&ems.estimate);
     }
     h
 }

@@ -13,7 +13,7 @@
 
 use dam_core::em2d::smooth_2d;
 use dam_core::grid::KernelKind;
-use dam_core::{DamAggregator, DamClient, DamConfig, DiscreteKernel, EmOperator, PostProcess};
+use dam_core::{DamAggregator, DamClient, DamConfig, DiscreteKernel};
 use dam_fo::em::{expectation_maximization, ChannelOp, EmParams, EmWorkspace};
 use dam_geo::{BoundingBox, CellIndex, Grid2D, Point};
 use std::cell::Cell;
@@ -35,35 +35,35 @@ fn channel(op: &str, kernel: &DiscreteKernel) -> Box<dyn ChannelOp> {
     }
 }
 
-/// PostProcess on `op`: the spectral path through [`EmOperator`], the
-/// dense path through the raw EM loop with the same smoother.
+/// The two PostProcess flavours: plain EM, and EMS (the EM loop with
+/// `smooth_2d` as its smoother).
+const FLAVOURS: [&str; 2] = ["EM", "EMS"];
+
+/// The EM loop's smoother for `flavour` on a `d × d` grid.
+fn smoother(flavour: &str, d: usize) -> Option<Box<dyn Fn(&mut [f64])>> {
+    let smooth = move |f: &mut [f64]| smooth_2d(d, f);
+    (flavour == "EMS").then(|| Box::new(smooth) as Box<dyn Fn(&mut [f64])>)
+}
+
+/// PostProcess on `op`: one cold EM run in `flavour`.
 fn post_process(
     op: &str,
     client: &DamClient,
     counts: &[f64],
-    post: PostProcess,
+    flavour: &str,
     params: EmParams,
 ) -> Vec<f64> {
-    let mut ws = EmWorkspace::new();
-    if op == "fft" {
-        let out = EmOperator::new(client.kernel()).post_process(
-            counts,
-            client.grid(),
-            post,
-            params,
-            None,
-            &mut ws,
-        );
-        return out.histogram.values().to_vec();
-    }
-    let d = client.grid().d() as usize;
-    let smoother = move |f: &mut [f64]| smooth_2d(d, f);
-    let smoother: Option<&dyn Fn(&mut [f64])> = match post {
-        PostProcess::Em => None,
-        PostProcess::Ems => Some(&smoother),
-    };
-    let dense = client.kernel().channel();
-    expectation_maximization(&dense, counts, None, smoother, params, &mut ws).estimate
+    let smooth = smoother(flavour, client.grid().d() as usize);
+    let channel = channel(op, client.kernel());
+    expectation_maximization(
+        &*channel,
+        counts,
+        None,
+        smooth.as_deref(),
+        params,
+        &mut EmWorkspace::new(),
+    )
+    .estimate
 }
 
 fn assert_valid_distribution(values: &[f64], label: &str) {
@@ -78,9 +78,9 @@ fn empty_report_set_yields_uniform_on_every_backend() {
     let counts = vec![0.0; client.kernel().n_out()];
     let uniform = 1.0 / (D * D) as f64;
     for op in OPERATORS {
-        for post in [PostProcess::Em, PostProcess::Ems] {
-            let values = post_process(op, &client, &counts, post, EmParams::default());
-            let label = format!("{op}/{post:?}");
+        for flavour in FLAVOURS {
+            let values = post_process(op, &client, &counts, flavour, EmParams::default());
+            let label = format!("{op}/{flavour}");
             assert_valid_distribution(&values, &label);
             assert!(
                 values.iter().all(|v| (v - uniform).abs() < 1e-12),
@@ -94,7 +94,7 @@ fn empty_report_set_yields_uniform_on_every_backend() {
 fn zero_count_window_through_the_aggregator_does_not_panic() {
     let client = client();
     let agg = DamAggregator::new(&client);
-    let hist = agg.estimate(PostProcess::Em, EmParams::default());
+    let hist = agg.estimate(EmParams::default());
     assert_valid_distribution(hist.values(), "aggregator");
 }
 
@@ -110,7 +110,7 @@ fn all_mass_in_one_cell_agrees_across_backends() {
     let mut counts = vec![0.0; client.kernel().n_out()];
     counts[(center * out_d + center) as usize] = 50_000.0;
     let em = EmParams::default();
-    let reference = post_process("dense", &client, &counts, PostProcess::Em, em);
+    let reference = post_process("dense", &client, &counts, "EM", em);
     assert_valid_distribution(&reference, "dense");
     // The spike must actually concentrate mass (the wide ε = 2 disk
     // spreads it, but the estimate must not be the uniform fallback).
@@ -119,7 +119,7 @@ fn all_mass_in_one_cell_agrees_across_backends() {
     // The spectral path rounds through an FFT/iFFT pair per iteration;
     // over a full EM run it gets the looser certified bound (cf.
     // `conv_equivalence.rs`).
-    let hist = agg.estimate(PostProcess::Em, em);
+    let hist = agg.estimate(em);
     assert_valid_distribution(hist.values(), "fft");
     let max_diff =
         hist.values().iter().zip(&reference).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
@@ -161,25 +161,20 @@ fn hostile_channel_reseeds_the_accelerated_loop_on_every_backend() {
     let points: Vec<Point> =
         (0..4_000).map(|i| Point::new(0.3 + 0.0001 * i as f64, 0.6 - 0.0001 * i as f64)).collect();
     let counts = client.report_batch(&points, 5, Some(1));
-    let d = D as usize;
-    let smoother = move |f: &mut [f64]| smooth_2d(d, f);
     for op in OPERATORS {
-        for post in [PostProcess::Em, PostProcess::Ems] {
+        for flavour in FLAVOURS {
             let inner = channel(op, kernel);
             let hostile = Hostile { inner, calls: Cell::new(0) };
-            let smoother: Option<&dyn Fn(&mut [f64])> = match post {
-                PostProcess::Em => None,
-                PostProcess::Ems => Some(&smoother),
-            };
+            let smooth = smoother(flavour, D as usize);
             let run = expectation_maximization(
                 &hostile,
                 &counts,
                 None,
-                smoother,
+                smooth.as_deref(),
                 EmParams::streaming(),
                 &mut EmWorkspace::new(),
             );
-            let label = format!("{op}/{post:?}");
+            let label = format!("{op}/{flavour}");
             assert_eq!(run.health.reseeds, 2, "{label}: both NaN maps must reseed");
             assert!(run.iters > 6, "{label}: the run must go on after a reseed");
             assert_valid_distribution(&run.estimate, &label);
@@ -211,8 +206,7 @@ fn adversarial_planes_never_reseed_the_spectral_operator() {
             Some(kind) => DiscreteKernel::dam(eps, d, b_hat, kind),
             None => DiscreteKernel::huem(eps, d, b_hat),
         };
-        let grid = Grid2D::new(BoundingBox::unit(), d);
-        let operator = EmOperator::new(&kernel);
+        let fft = kernel.fft_channel();
         let n_out = kernel.n_out();
         let mut spike = vec![0.0; n_out];
         spike[n_out / 2] = 1e15;
@@ -228,22 +222,23 @@ fn adversarial_planes_never_reseed_the_spectral_operator() {
             ("checker", checker),
         ];
         for (plane, counts) in &planes {
-            for post in [PostProcess::Em, PostProcess::Ems] {
+            for flavour in FLAVOURS {
+                let smooth = smoother(flavour, d as usize);
                 for params in [budget, EmParams::streaming()] {
-                    let out = operator.post_process(
+                    let run = expectation_maximization(
+                        &fft,
                         counts,
-                        &grid,
-                        post,
-                        params,
                         None,
+                        smooth.as_deref(),
+                        params,
                         &mut EmWorkspace::new(),
                     );
                     let label = format!(
-                        "eps {eps} d {d} b {b_hat} {kind:?} {plane} {post:?} max_iters {}",
+                        "eps {eps} d {d} b {b_hat} {kind:?} {plane} {flavour} max_iters {}",
                         params.max_iters
                     );
-                    assert_eq!(out.em_health.reseeds, 0, "{label}: the spectral map diverged");
-                    assert_valid_distribution(out.histogram.values(), &label);
+                    assert_eq!(run.health.reseeds, 0, "{label}: the spectral map diverged");
+                    assert_valid_distribution(&run.estimate, &label);
                 }
             }
         }

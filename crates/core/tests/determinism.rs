@@ -25,9 +25,7 @@ fn bits(values: &[f64]) -> Vec<u64> {
 fn estimate_is_bit_identical_for_any_thread_count_all_sam_variants() {
     let grid = Grid2D::new(BoundingBox::unit(), 6);
     let points = span_points(2 * SHARD_SIZE + 345);
-    for variant in
-        [SamVariant::Dam, SamVariant::DamNonShrunken, SamVariant::DamExact, SamVariant::Huem]
-    {
+    for variant in [SamVariant::Dam, SamVariant::DamNonShrunken, SamVariant::Huem] {
         let estimate_with = |threads: Option<usize>| {
             let config = DamConfig { variant, ..DamConfig::dam(2.0) }.with_threads(threads);
             let mut rng = seeded(1234);
@@ -43,6 +41,31 @@ fn estimate_is_bit_identical_for_any_thread_count_all_sam_variants() {
             );
         }
     }
+}
+
+/// FNV-1a fold of the one-shot `DamEstimator::estimate` bits below: the
+/// sharded report pipeline, then EM on the spectral operator through
+/// `DamAggregator::estimate`. Moving it is a behaviour change of the
+/// one-shot path, not a refactor.
+const DAM_ESTIMATE_BITS: u64 = 0x9700_1124_bdb9_d553;
+
+#[test]
+fn dam_estimate_matches_pinned_bits() {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (eps, d) in [(2.0, 6), (3.5, 20)] {
+        let grid = Grid2D::new(BoundingBox::unit(), d);
+        let mut rng = seeded(0xD0A1 + u64::from(d));
+        let est = DamEstimator::new(DamConfig::dam(eps)).estimate(
+            &span_points(SHARD_SIZE + 321),
+            &grid,
+            &mut rng,
+        );
+        for byte in bits(est.values()).iter().flat_map(|b| b.to_le_bytes()) {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(h, DAM_ESTIMATE_BITS, "one-shot DAM estimate bits moved: {h:#018x}");
 }
 
 #[test]

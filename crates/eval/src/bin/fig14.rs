@@ -32,8 +32,8 @@ fn point_w2(
 ) -> f64 {
     let grid = Grid2D::new(bbox, d);
     let truth = true_distribution(trajs, &grid);
-    // One dispatch implementation: the context hands its solver straight
-    // to `w2`, which resolves `Auto` on the *actual* support sizes; a
+    // One dispatch implementation: the context hands `Auto` straight to
+    // `w2`, which resolves it on the *actual* support sizes; a
     // d²-based re-derivation here could disagree with the library for
     // sparse estimates near the exact-LP threshold.
     let mut acc = 0.0;

@@ -40,7 +40,7 @@ use dam_fault::NodeFaultPlan;
 use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Histogram2D, Point};
 use dam_stream::{StreamConfig, StreamingEstimator};
-use dam_transport::W2Solver;
+use dam_transport::w2_grid_sinkhorn;
 
 const D: u32 = 20;
 const EPS: f64 = 3.5;
@@ -67,13 +67,7 @@ fn main() {
     let window = args.window.unwrap_or(if args.fast { 4 } else { 6 }).min(epochs);
     let per_epoch = (args.users.unwrap_or(20_000 * epochs) / epochs).max(1);
     let grid = Grid2D::new(BoundingBox::unit(), D);
-    let w2_ctx = if args.w2_solver == W2Solver::Auto {
-        let mut grid_ctx = ctx.clone();
-        grid_ctx.w2_solver = W2Solver::Grid;
-        grid_ctx
-    } else {
-        ctx.clone()
-    };
+    let w2 = |a: &Histogram2D, b: &Histogram2D| w2_grid_sinkhorn(a, b, ctx.sinkhorn).expect("w2");
 
     // Shared stream: every cluster size sees identical epochs.
     let epoch_data: Vec<Vec<Point>> = (0..epochs)
@@ -123,7 +117,7 @@ fn main() {
             let out = cluster.ingest_epoch(&epoch_data[e]).expect("no store attached");
             let est = &out.snapshot.estimate;
             let tv_ref = est.tv_distance(&reference[e]);
-            let w2_ref = w2_ctx.w2(est, &reference[e]).expect("w2");
+            let w2_ref = w2(est, &reference[e]);
             let tv_truth = est.tv_distance(&truths[e]);
             if plan.is_clean() {
                 // No faults: the K partitions must merge bit-identically
@@ -154,7 +148,7 @@ fn main() {
     // The grid-separable W₂ solver is entropically regularized: identical
     // histograms score its self-cost, not 0. Print the floor so w2_ref
     // reads as distance *above* it (tv_ref has no such floor).
-    let w2_floor = w2_ctx.w2(&reference[epochs - 1], &reference[epochs - 1]).expect("w2");
+    let w2_floor = w2(&reference[epochs - 1], &reference[epochs - 1]);
     println!("w2_ref floor: {w2_floor:.4} (grid-Sinkhorn self-cost of identical histograms)");
     for footer in &footers {
         println!("{footer}");

@@ -9,7 +9,7 @@
 //!
 //! Error is reported as TV *and* W₂ per row: at d = 64 the full-support
 //! histograms route `W2Solver::Auto` to the grid-separable Sinkhorn
-//! solver (`--w2-solver` overrides), so the paper's headline metric is
+//! solver, so the paper's headline metric is
 //! feasible in this regime — and bit-identical for any `--threads`
 //! value, like everything else here.
 

@@ -42,7 +42,7 @@ use dam_fo::em::EmParams;
 use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Histogram2D, Point};
 use dam_stream::{StreamConfig, StreamingEstimator};
-use dam_transport::W2Solver;
+use dam_transport::w2_grid_sinkhorn;
 
 const D: u32 = 20;
 const EPS: f64 = 3.5;
@@ -89,17 +89,10 @@ fn main() {
     // `EmParams::streaming()` via `StreamConfig::new`.
     let em = EmParams { max_iters: 150, rel_tol: 1e-9, gain_tol: 0.0 };
     let grid = Grid2D::new(BoundingBox::unit(), D);
-    // W₂ through the grid-separable solver by default: the figure solves
+    // W₂ through the grid-separable solver: the figure solves
     // O(epochs × mechanisms) transport problems, where the exact LP's
-    // wall clock would dwarf the streaming pipeline under measurement
-    // (`--w2-solver` still overrides; `auto` restores the size dispatch).
-    let w2_ctx = if args.w2_solver == W2Solver::Auto {
-        let mut grid_ctx = ctx.clone();
-        grid_ctx.w2_solver = W2Solver::Grid;
-        grid_ctx
-    } else {
-        ctx.clone()
-    };
+    // wall clock would dwarf the streaming pipeline under measurement.
+    let w2 = |a: &Histogram2D, b: &Histogram2D| w2_grid_sinkhorn(a, b, ctx.sinkhorn).expect("w2");
 
     // Shared data stream: every mechanism sees identical epochs.
     let epoch_data: Vec<Vec<Point>> = (0..epochs)
@@ -180,8 +173,8 @@ fn main() {
                 ratio_acc[m].0 += ratio;
                 ratio_acc[m].1 += 1;
             }
-            let w2_warm = w2_ctx.w2(&warm.histogram, &truth).expect("w2");
-            let w2_cold = w2_ctx.w2(&cold.histogram, &truth).expect("w2");
+            let w2_warm = w2(&warm.histogram, &truth);
+            let w2_cold = w2(&cold.histogram, &truth);
             let tv_warm = warm.histogram.tv_distance(&truth);
             let tv_cold = cold.histogram.tv_distance(&truth);
             if e + 1 >= window {

@@ -1,19 +1,17 @@
 //! Minimal command-line parsing shared by every figure binary (no external
 //! dependency; flags documented in the crate docs).
 
-use dam_transport::W2Solver;
 use std::path::PathBuf;
 
 /// Every flag [`CliArgs::parse_from`] accepts, as its unknown-flag
 /// message lists them.
-const FLAGS: [&str; 12] = [
+const FLAGS: [&str; 11] = [
     "--repeats",
     "--users",
     "--seed",
     "--out",
     "--fast",
     "--no-calib",
-    "--w2-solver",
     "--threads",
     "--epochs",
     "--window",
@@ -40,11 +38,6 @@ pub struct CliArgs {
     pub fast: bool,
     /// Skip the Local-Privacy calibration for SEM-Geo-I.
     pub no_calib: bool,
-    /// W₂ solver for every figure's error metric (`--w2-solver
-    /// {auto,exact,grid}`). `Auto` (the default) is the library's
-    /// size-based switch: the exact LP when both supports have at most
-    /// 400 cells, the grid-separable Sinkhorn solver otherwise.
-    pub w2_solver: W2Solver,
     /// Worker threads for the job runner and the sharded report pipeline
     /// (default: available parallelism). Results are bit-identical for
     /// any value — this is a wall-clock knob, not a semantics knob.
@@ -76,7 +69,6 @@ impl Default for CliArgs {
             out: PathBuf::from("results"),
             fast: false,
             no_calib: false,
-            w2_solver: W2Solver::Auto,
             threads: None,
             epochs: None,
             window: None,
@@ -107,13 +99,6 @@ impl CliArgs {
                 "--out" => out.out = PathBuf::from(value("--out")),
                 "--fast" => out.fast = true,
                 "--no-calib" => out.no_calib = true,
-                "--w2-solver" => {
-                    let name = value("--w2-solver");
-                    out.w2_solver = W2Solver::from_label(&name).unwrap_or_else(|| {
-                        let known: Vec<_> = W2Solver::ALL.iter().map(|s| s.label()).collect();
-                        panic!("bad --w2-solver {name}; known: {}", known.join(" "))
-                    });
-                }
                 "--threads" => {
                     let n: usize = value("--threads").parse().expect("bad --threads");
                     assert!(n >= 1, "--threads must be at least 1");
@@ -172,20 +157,6 @@ mod tests {
         assert!(a.users.is_none());
         assert!(!a.fast);
         assert!(a.threads.is_none());
-    }
-
-    #[test]
-    fn w2_solver_parses_every_value() {
-        assert_eq!(parse("").w2_solver, W2Solver::Auto);
-        assert_eq!(parse("--w2-solver auto").w2_solver, W2Solver::Auto);
-        assert_eq!(parse("--w2-solver exact").w2_solver, W2Solver::Exact);
-        assert_eq!(parse("--w2-solver grid").w2_solver, W2Solver::Grid);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad --w2-solver")]
-    fn rejects_unknown_w2_solver() {
-        parse("--w2-solver lp");
     }
 
     #[test]

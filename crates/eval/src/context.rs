@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Evaluation configuration plus dataset cache.
-#[derive(Clone)]
 pub struct EvalContext {
     /// Experiment seed (datasets and mechanism randomness derive from it).
     pub seed: u64,
@@ -25,9 +24,6 @@ pub struct EvalContext {
     /// Settings for the grid-separable Sinkhorn solver (the large-grid
     /// regime; the exact LP ignores them).
     pub sinkhorn: SinkhornParams,
-    /// W₂ solver selection (`--w2-solver`; `Auto` runs the exact LP on
-    /// supports of at most 400 cells and the grid solver above that).
-    pub w2_solver: W2Solver,
     /// Monte-Carlo samples for Local-Privacy calibration.
     pub lp_samples: usize,
     /// Skip LP calibration (use ε as ε′ directly).
@@ -53,7 +49,6 @@ impl EvalContext {
                 tol: 1e-8,
                 ..SinkhornParams::default()
             },
-            w2_solver: args.w2_solver,
             lp_samples: if args.fast { 400 } else { 1200 },
             no_calib: args.no_calib,
             threads: args.threads,
@@ -67,13 +62,13 @@ impl EvalContext {
         cache.entry(kind).or_insert_with(|| Arc::new(load(kind, self.seed))).clone()
     }
 
-    /// `W₂(a, b)` in cell units under this context's solver and Sinkhorn
-    /// tuning. Figure binaries measure W₂ only through this: [`w2`] owns
-    /// the size-based `Auto` resolution, which switches on the *actual*
-    /// nonzero supports, so harnesses must not re-derive it from `d²` (a
-    /// predicted support).
+    /// `W₂(a, b)` in cell units under [`W2Solver::Auto`] and this
+    /// context's Sinkhorn tuning. The one-shot figure binaries measure W₂
+    /// only through this: [`w2`] owns the size-based `Auto` resolution,
+    /// which switches on the *actual* nonzero supports, so harnesses must
+    /// not re-derive it from `d²` (a predicted support).
     pub fn w2(&self, a: &Histogram2D, b: &Histogram2D) -> Result<f64, TransportError> {
-        w2(a, b, self.w2_solver, self.sinkhorn)
+        w2(a, b, W2Solver::Auto, self.sinkhorn)
     }
 
     /// A dataset part's points under this context's `--users` cap

@@ -12,9 +12,6 @@
 //!               (the fig9 large-d binaries keep full user counts — the
 //!               sharded report pipeline makes them affordable)
 //! --no-calib    use ε directly for SEM-Geo-I instead of LP calibration
-//! --w2-solver S W₂ solver for the error metric: auto, exact or grid
-//!               (default auto: the exact LP up to 400 cells, the
-//!               grid-separable Sinkhorn solver above)
 //! --threads N   worker threads for the job runner and the sharded report
 //!               pipeline (default: available parallelism; results are
 //!               bit-identical for any value)

@@ -2,7 +2,7 @@
 
 use crate::context::EvalContext;
 use dam_baselines::{CfoEstimator, CfoFlavor, Mdsw, SemGeoI};
-use dam_core::{DamConfig, DamEstimator, SamVariant, SpatialEstimator};
+use dam_core::{DamConfig, DamEstimator, SpatialEstimator};
 use dam_geo::rng::derived;
 use dam_privacy::lp::{calibrate_sem_epsilon, lp_dam};
 use parking_lot::Mutex;
@@ -18,8 +18,6 @@ pub enum MechSpec {
     DamWithBFactor(f64),
     /// DAM without shrinkage.
     DamNs,
-    /// DAM with exact intersection areas (ablation).
-    DamExact,
     /// HUEM.
     Huem,
     /// Multi-dimensional Square Wave.
@@ -44,7 +42,6 @@ impl MechSpec {
             MechSpec::Dam => "DAM".into(),
             MechSpec::DamWithBFactor(f) => format!("DAM(b={f:.2}b̌)"),
             MechSpec::DamNs => "DAM-NS".into(),
-            MechSpec::DamExact => "DAM-X".into(),
             MechSpec::Huem => "HUEM".into(),
             MechSpec::Mdsw => "MDSW".into(),
             MechSpec::Sem => "SEM-Geo-I".into(),
@@ -72,9 +69,6 @@ impl MechSpec {
                 sam(DamConfig { b_hat: Some(b), ..DamConfig::dam(eps) })
             }
             MechSpec::DamNs => sam(DamConfig::dam_ns(eps)),
-            MechSpec::DamExact => {
-                sam(DamConfig { variant: SamVariant::DamExact, ..DamConfig::dam(eps) })
-            }
             MechSpec::Huem => sam(DamConfig::huem(eps)),
             MechSpec::Mdsw => Box::new(Mdsw::new(eps).with_threads(ctx.threads)),
             MechSpec::Sem => {

@@ -4,8 +4,8 @@
 //! histogram of observed outputs, EM finds a maximum-likelihood input
 //! distribution. Li et al. \[6\] add a smoothing step between iterations
 //! ("EMS") that regularises the estimate towards ordinal smoothness; the
-//! paper's PostProcess uses the same machinery on the 2-D grid (the 2-D
-//! smoother lives in `dam-core`).
+//! paper's PostProcess runs the same loop as plain EM on the 2-D grid
+//! (the 2-D smoother, `dam-core`'s `smooth_2d`, seeds warm windows).
 //!
 //! # Operator-based EM
 //!

@@ -12,8 +12,8 @@
 //!   of the paper's Disk Area Mechanism, with an exactly-integrated
 //!   discrete transition matrix;
 //! * [`em`] — operator-based Expectation-Maximisation with optional
-//!   smoothing (the "EMS" of SW-EMS, also used by the paper's PostProcess
-//!   step): EM is generic over the [`em::ChannelOp`] trait (`apply` +
+//!   smoothing (the "EMS" of SW-EMS; the paper's 2-D PostProcess runs it
+//!   without a smoother): EM is generic over the [`em::ChannelOp`] trait (`apply` +
 //!   `accumulate_adjoint`, both threading an [`em::EmWorkspace`] of
 //!   reusable scratch planes), with the dense [`em::Channel`] as reference
 //!   implementation and a structured operator (`dam-core`'s spectral

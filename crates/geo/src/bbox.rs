@@ -96,13 +96,6 @@ impl BoundingBox {
     pub fn center(&self) -> Point {
         Point::new((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
     }
-
-    /// Grows the box by `m` on every side (Minkowski dilation with a square),
-    /// the discrete analogue of forming the output domain `D̃` from `D`.
-    pub fn dilate(&self, m: f64) -> Self {
-        assert!(m >= 0.0, "dilation margin must be non-negative");
-        Self::new(self.min_x - m, self.min_y - m, self.max_x + m, self.max_y + m)
-    }
 }
 
 #[cfg(test)]
@@ -128,13 +121,6 @@ mod tests {
             assert!(b.contains(p));
         }
         assert!(BoundingBox::of_points(&[]).is_none());
-    }
-
-    #[test]
-    fn dilate_grows_every_side() {
-        let b = BoundingBox::unit().dilate(0.5);
-        assert_eq!(b, BoundingBox::new(-0.5, -0.5, 1.5, 1.5));
-        assert_eq!(b.side(), 2.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! exactly, and [`circle_rect_intersection_area`] computes the *exact*
 //! intersection area — the quantity the paper's shrunken rectangle
 //! (Theorem VI.1) approximates. The exact area powers the "exact
-//! intersection" ablation kernel in `dam-core`.
+//! intersection" reference kernel in `dam-core`.
 
 use crate::bbox::BoundingBox;
 use crate::point::Point;

@@ -4,8 +4,8 @@
 //! alive between epochs:
 //!
 //! * the [`DamClient`] (kernel + response tables, built once);
-//! * the [`EmOperator`] (FFT plan + kernel spectrum, built once — every
-//!   window's PostProcess reuses it);
+//! * the kernel's [`FftChannel`] (FFT plan + kernel spectrum, built once
+//!   — every window's PostProcess reuses it);
 //! * an [`EpochRing`] holding the last `window` epoch planes — the only
 //!   history the estimator reads, so retention is bounded however long
 //!   the stream runs;
@@ -54,8 +54,8 @@ use crate::health::{names, PipelineHealth};
 use crate::ring::EpochRing;
 use dam_core::em2d::smooth_2d;
 use dam_core::validate::{sanitize_counts, IngestPolicy};
-use dam_core::{DamClient, DamConfig, EmOperator};
-use dam_fo::em::{EmParams, EmWorkspace};
+use dam_core::{DamClient, DamConfig, FftChannel};
+use dam_fo::em::{expectation_maximization, EmParams, EmRun, EmWorkspace};
 use dam_geo::rng::splitmix64;
 use dam_geo::{Grid2D, Histogram2D, Point};
 use dam_obs::{Counter, Gauge, Histogram, LogicalStamp, Plane, Registry};
@@ -175,7 +175,7 @@ impl ObsHandles {
 pub struct StreamingEstimator {
     config: StreamConfig,
     client: DamClient,
-    operator: EmOperator,
+    channel: FftChannel,
     grid: Grid2D,
     /// Exact sum of the last `min(epochs, window)` retained planes.
     window_counts: Vec<f64>,
@@ -200,7 +200,7 @@ impl StreamingEstimator {
     pub fn with_registry(grid: Grid2D, config: StreamConfig, obs: Registry) -> Self {
         assert!(config.window > 0, "window must hold at least one epoch");
         let client = DamClient::new(grid.clone(), &config.dam);
-        let operator = EmOperator::new(client.kernel());
+        let channel = client.kernel().fft_channel();
         let n_out = client.kernel().n_out();
         let hh = ObsHandles::register(&obs);
         // Read by the end-to-end benchmark (`perfbench`) for its run note.
@@ -211,7 +211,7 @@ impl StreamingEstimator {
         ws.set_ll_trace(obs.trace("em_ll_gain", 512));
         Self {
             client,
-            operator,
+            channel,
             grid,
             window_counts: vec![0.0; n_out],
             ring: EpochRing::new(n_out, config.window, 0),
@@ -539,27 +539,21 @@ impl StreamingEstimator {
         }
         let warm = init.is_some();
         let params = if warm { self.config.warm_em } else { self.config.dam.em };
-        let outcome = self.operator.post_process(
-            counts,
-            &self.grid,
-            self.config.dam.post,
-            params,
-            init,
-            &mut self.ws,
-        );
+        let EmRun { estimate, iters, capped, health: em_health } =
+            expectation_maximization(&self.channel, counts, init, None, params, &mut self.ws);
         self.hh.em_runs.incr();
-        if outcome.em_capped {
+        if capped {
             self.hh.em_cap_hits.incr();
         }
-        self.hh.em_iters_total.add(outcome.em_iters as u64);
-        self.hh.em_iters.record(outcome.em_iters as u64);
-        self.hh.em_reseeds.add(outcome.em_health.reseeds as u64);
-        if outcome.em_health.degenerate_input {
+        self.hh.em_iters_total.add(iters as u64);
+        self.hh.em_iters.record(iters as u64);
+        self.hh.em_reseeds.add(em_health.reseeds as u64);
+        if em_health.degenerate_input {
             self.hh.degenerate_windows.incr();
         }
         WindowEstimate {
-            histogram: outcome.histogram,
-            em_iters: outcome.em_iters,
+            histogram: Histogram2D::from_values(self.grid.clone(), estimate),
+            em_iters: iters,
             warm,
             health: self.health(),
         }

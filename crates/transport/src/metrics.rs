@@ -20,7 +20,8 @@ use dam_geo::{Histogram2D, Point};
 /// range runs exact; the grid solver takes over for larger grids.
 const MAX_EXACT_SUPPORT: usize = 400;
 
-/// The W₂ solver (`--w2-solver {auto,exact,grid}`).
+/// The W₂ solver behind [`w2`]; [`w2_exact`], [`w2_grid_sinkhorn`] and
+/// [`w2_auto`] each fix one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum W2Solver {
     /// Exact LP when both supports have at most 400 cells, the grid
@@ -36,21 +37,13 @@ pub enum W2Solver {
 }
 
 impl W2Solver {
-    /// Every solver, in CLI listing order.
-    pub const ALL: [W2Solver; 3] = [W2Solver::Auto, W2Solver::Exact, W2Solver::Grid];
-
-    /// The CLI label.
-    pub fn label(self) -> &'static str {
+    /// The label of the `w2_solver_selected_<label>` counter.
+    fn label(self) -> &'static str {
         match self {
             W2Solver::Auto => "auto",
             W2Solver::Exact => "exact",
             W2Solver::Grid => "grid",
         }
-    }
-
-    /// Parses a CLI label.
-    pub fn from_label(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|v| v.label() == s)
     }
 }
 
@@ -208,15 +201,6 @@ mod tests {
         assert_eq!(resolve_auto(1024, 900), W2Solver::Grid);
         assert_eq!(resolve_auto(401, 10), W2Solver::Grid);
         assert_eq!(resolve_auto(10, 401), W2Solver::Grid);
-    }
-
-    #[test]
-    fn w2_solver_labels_round_trip() {
-        for s in W2Solver::ALL {
-            assert_eq!(W2Solver::from_label(s.label()), Some(s));
-        }
-        assert_eq!(W2Solver::from_label("lp"), None);
-        assert_eq!(W2Solver::from_label("sinkhorn"), None);
     }
 
     #[test]

@@ -17,7 +17,6 @@
     reason = "an example reports a failure by panicking"
 )]
 
-use spatial_ldp::core::em2d::PostProcess;
 use spatial_ldp::core::{DamAggregator, DamClient, DamConfig};
 use spatial_ldp::data::{load, DatasetKind};
 use spatial_ldp::fo::em::EmParams;
@@ -71,7 +70,7 @@ fn main() {
         aggregator.ingest(noisy_cell);
     }
 
-    let estimate = aggregator.estimate(PostProcess::Em, EmParams::default());
+    let estimate = aggregator.estimate(EmParams::default());
     let truth = Histogram2D::from_points(grid.clone(), &part.points).normalized();
     let err = w2_auto(&estimate, &truth).expect("w2");
 

@@ -50,14 +50,12 @@ impl Mdsw {
         ((value - min) / grid.bbox().side()).clamp(0.0, 1.0)
     }
 
-    /// Runs EMS on one dimension's binned output counts, returning a
-    /// `d`-bin marginal estimate.
-    fn estimate_marginal(sw: &SquareWave, d: usize, counts: &[f64], em: EmParams) -> Vec<f64> {
-        let matrix = sw.transition_matrix(d);
-        debug_assert_eq!(counts.len(), matrix.n_out);
-        let channel = Channel::new(matrix.n_out, matrix.n_in, matrix.data.clone());
+    /// Runs EMS on one dimension's binned output counts through the
+    /// Square Wave `channel`, returning a `d`-bin marginal estimate.
+    fn estimate_marginal(channel: &Channel, counts: &[f64], em: EmParams) -> Vec<f64> {
+        debug_assert_eq!(counts.len(), channel.n_out);
         let ems: Option<&dyn Fn(&mut [f64])> = Some(&smooth_1d);
-        expectation_maximization(&channel, counts, None, ems, em, &mut EmWorkspace::new()).estimate
+        expectation_maximization(channel, counts, None, ems, em, &mut EmWorkspace::new()).estimate
     }
 }
 
@@ -73,7 +71,8 @@ impl SpatialEstimator for Mdsw {
         let sw = SquareWave::new(self.eps / 2.0);
         // Per-dimension binned output counts, sampled shard-parallel with
         // deterministic per-shard streams: the buffer holds the x counts
-        // followed by the y counts.
+        // followed by the y counts. Both axes share one transition matrix,
+        // which bins the reports and then becomes the EMS channel.
         let m = sw.transition_matrix(d);
         let n_out = m.n_out;
         let master_seed = rng.next_u64();
@@ -92,9 +91,10 @@ impl SpatialEstimator for Mdsw {
                 }
             },
         );
+        let channel = Channel::new(n_out, m.n_in, m.data);
         let (x_counts, y_counts) = counts.split_at(n_out);
-        let fx = Self::estimate_marginal(&sw, d, x_counts, self.em);
-        let fy = Self::estimate_marginal(&sw, d, y_counts, self.em);
+        let fx = Self::estimate_marginal(&channel, x_counts, self.em);
+        let fy = Self::estimate_marginal(&channel, y_counts, self.em);
         // Joint = outer product of the marginals.
         let mut values = vec![0.0f64; d * d];
         for iy in 0..d {

@@ -23,14 +23,15 @@ use dam_core::SpatialEstimator;
 use dam_geo::{Grid2D, Histogram2D, Point};
 use rand::RngCore;
 
+/// Richardson–Lucy iterations of the estimate's inversion step.
+const RL_ITERS: usize = 200;
+
 /// The SEM-Geo-I estimator.
 #[derive(Debug, Clone, Copy)]
 pub struct SemGeoI {
     eps_geo: f64,
     /// Explicit subset size; `None` derives `k = ⌈n/e^ε⌉`.
     k: Option<usize>,
-    /// Richardson–Lucy iterations.
-    rl_iters: usize,
     threads: Option<usize>,
 }
 
@@ -39,7 +40,7 @@ impl SemGeoI {
     /// `eps_geo · dis(v, ṽ)`, distances in cell units).
     pub fn new(eps_geo: f64) -> Self {
         assert!(eps_geo > 0.0 && eps_geo.is_finite(), "privacy budget must be positive");
-        Self { eps_geo, k: None, rl_iters: 200, threads: None }
+        Self { eps_geo, k: None, threads: None }
     }
 
     /// Overrides the subset size.
@@ -168,7 +169,7 @@ impl SpatialEstimator for SemGeoI {
                 denom[v] += pi[u * n + v];
             }
         }
-        for _ in 0..self.rl_iters {
+        for _ in 0..RL_ITERS {
             // Predicted inclusion rates.
             let mut pred = vec![0.0f64; n];
             for u in 0..n {

@@ -68,7 +68,7 @@ fn bench_postprocess(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("em", d), &d, |bench, _| {
             bench.iter(|| {
                 black_box(expectation_maximization(
-                    &kernel.fft_channel(),
+                    &kernel.fft_channel(None),
                     &counts,
                     None,
                     None,
@@ -118,7 +118,7 @@ fn bench_em_fft(c: &mut Criterion) {
     for (d, b) in em_shapes() {
         let kernel = DiscreteKernel::dam(3.5, d, b, KernelKind::Shrunken);
         let counts = em_counts(&kernel, 6);
-        let fft = FftChannel::new(&kernel);
+        let fft = FftChannel::new(&kernel, None);
         group.bench_with_input(BenchmarkId::new("fft", format!("d{d}_b{b}")), &b, |bench, _| {
             bench.iter(|| {
                 let mut ws = EmWorkspace::new();

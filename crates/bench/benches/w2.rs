@@ -1,7 +1,7 @@
 //! W₂ solver scaling: the exact LP against the grid-separable Sinkhorn
 //! solver on full-support `d × d` histograms at `d ∈ {10, 20, 32, 64}` —
-//! the measurement behind [`dam_transport::metrics::W2Solver::Auto`]'s
-//! switch from the LP to the grid solver. The exact LP runs up to
+//! the measurement behind [`dam_transport::metrics::w2`]'s switch from
+//! the LP to the grid solver. The exact LP runs up to
 //! d = 20; the grid solver does O(d³) axis passes on O(d²) state at
 //! every d. A second group measures the ε-scaling warm-start cap
 //! (`SinkhornParams::warm_start_iters`) against the legacy

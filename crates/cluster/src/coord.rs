@@ -50,7 +50,7 @@ use std::sync::Arc;
 
 use crate::checkpoint::{CheckpointError, CheckpointState, CheckpointStore, WalEntry};
 use crate::node::{AggregatorNode, NodePlane};
-use crate::transport::{PlaneTransport, SimTransport};
+use crate::transport::SimTransport;
 use dam_core::validate::{sanitize_counts, IngestSummary};
 use dam_fault::NodeFaultPlan;
 use dam_geo::{Grid2D, Histogram2D, Point};
@@ -371,9 +371,9 @@ impl Coordinator {
     /// schedule, closes the epoch (quorum permitting), publishes the new
     /// snapshot, and persists the WAL entry / checkpoint when a store is
     /// attached. Returns what happened.
-    pub fn close_epoch<T: PlaneTransport>(
+    pub fn close_epoch(
         &mut self,
-        transport: &mut T,
+        transport: &mut SimTransport,
     ) -> Result<EpochOutcome, CheckpointError> {
         let epoch = self.est.epochs();
         let span = self.est.obs().span_at("close_epoch", LogicalStamp::epoch(epoch as u64));

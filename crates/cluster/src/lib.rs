@@ -17,10 +17,9 @@
 //!   ingest over the partition (`dam_core`'s
 //!   `report_batch_validated_partition_in`), emitting a
 //!   [`node::NodePlane`] with a `(node, epoch)` sequence id;
-//! * [`transport`] — the [`transport::PlaneTransport`] delivery seam and
-//!   its deterministic in-process simulation
-//!   ([`transport::SimTransport`]): node crashes, delayed / duplicated /
-//!   corrupted deliveries, all drawn from `dam_fault::NodeFaultPlan`'s
+//! * [`transport`] — plane delivery as a deterministic in-process
+//!   simulation ([`transport::SimTransport`]): node crashes, delayed /
+//!   duplicated / corrupted deliveries, all drawn from `dam_fault::NodeFaultPlan`'s
 //!   pure `(seed, family, node, epoch)` streams;
 //! * [`coord`] — the [`coord::Coordinator`]: collects per-epoch planes
 //!   with a simulated-clock retry/backoff loop (bit-identical runs — no
@@ -56,4 +55,4 @@ pub use checkpoint::{CheckpointError, CheckpointState, CheckpointStore, WalEntry
 pub use coord::{Cluster, ClusterConfig, CoordStats, Coordinator, EpochOutcome};
 pub use node::{AggregatorNode, NodePlane};
 pub use partition::shard_owner;
-pub use transport::{PlaneTransport, SimTransport};
+pub use transport::SimTransport;

@@ -1,10 +1,9 @@
-//! The plane-delivery seam between aggregator nodes and the
-//! coordinator, and its deterministic in-process simulation.
+//! Plane delivery between aggregator nodes and the coordinator, as a
+//! deterministic in-process simulation.
 //!
-//! The coordinator never talks to nodes directly: it polls a
-//! [`PlaneTransport`] on its simulated clock. [`SimTransport`] is the
-//! in-process implementation the tests, `fig_cluster`, and the CI chaos
-//! smoke run against — every failure it injects (node down, delivery
+//! The coordinator never talks to nodes directly: it polls the
+//! [`SimTransport`] on its simulated clock. The tests, `fig_cluster`, and
+//! the CI chaos smoke all run against it — every failure it injects (node down, delivery
 //! delayed by a key-dependent number of ticks, duplicated, corrupted) is
 //! a pure function of `dam_fault::NodeFaultPlan`'s
 //! `(seed, family, node, epoch)` streams, so a cluster run is
@@ -13,17 +12,6 @@
 
 use crate::node::NodePlane;
 use dam_fault::NodeFaultPlan;
-
-/// How the coordinator receives node planes: polled once per node per
-/// retry attempt, on the coordinator's simulated clock.
-pub trait PlaneTransport {
-    /// Polls node `node` for the epoch in flight at simulated tick
-    /// `tick`. Returns every delivery surfacing at this poll — possibly
-    /// none (down / not yet ready), possibly several (duplicates), and
-    /// possibly *stale* replays of earlier epochs the coordinator must
-    /// recognise by sequence id and drop.
-    fn poll(&mut self, node: usize, tick: u64) -> Vec<NodePlane>;
-}
 
 /// One node's in-flight delivery.
 #[derive(Debug)]
@@ -108,10 +96,14 @@ impl SimTransport {
     pub fn undelivered(&self) -> usize {
         self.pending.iter().flatten().filter(|p| !p.delivered).count()
     }
-}
 
-impl PlaneTransport for SimTransport {
-    fn poll(&mut self, node: usize, tick: u64) -> Vec<NodePlane> {
+    /// Polls node `node` for the epoch in flight at simulated tick
+    /// `tick`, once per node per retry attempt. Returns every delivery
+    /// surfacing at this poll — possibly none (down / not yet ready),
+    /// possibly several (duplicates), and possibly *stale* replays of
+    /// earlier epochs the coordinator must recognise by sequence id and
+    /// drop.
+    pub fn poll(&mut self, node: usize, tick: u64) -> Vec<NodePlane> {
         let mut out = Vec::new();
         // Stale replays surface before the epoch's own delivery, exactly
         // once each.

@@ -55,8 +55,8 @@ use dam_fo::em::{ChannelOp, EmWorkspace};
 /// nothing. On a multi-core host with `n ≥`
 /// [`PARALLEL_FFT_MIN_SIDE`](crate::fft::PARALLEL_FFT_MIN_SIDE) that
 /// plane is cut into column-block planes and each primitive runs as one
-/// pool batch across the cores counted when the channel was built, with
-/// the same bits as the serial path.
+/// pool batch across the threads it was built for, with the same bits as
+/// the serial path.
 #[derive(Debug, Clone)]
 pub struct FftChannel {
     /// Input grid side.
@@ -73,13 +73,16 @@ pub struct FftChannel {
 
 impl FftChannel {
     /// Builds the spectral operator for a kernel: extracts the δ stencil
-    /// and transforms it once. O(n² log n) setup.
-    pub fn new(kernel: &DiscreteKernel) -> Self {
+    /// and transforms it once. O(n² log n) setup. `threads` caps the
+    /// threads a split transform runs on (`None` = available
+    /// parallelism); `Some(1)` keeps every EM primitive serial.
+    pub fn new(kernel: &DiscreteKernel, threads: Option<usize>) -> Self {
         let d = kernel.d() as usize;
         let out_d = kernel.out_d() as usize;
         let side = kernel.box_side();
         let far = kernel.q_hat();
-        let fft = Fft2d::new(out_d).with_threads(rayon::current_num_threads());
+        let fft =
+            Fft2d::new(out_d).with_threads(threads.unwrap_or_else(rayon::current_num_threads));
         let delta: Vec<f64> = kernel.offset_masses().iter().map(|&m| m - far).collect();
         let kspec = fft.kernel_spectrum(&delta, side);
         Self { d, out_d, far, fft, kspec }
@@ -170,7 +173,7 @@ mod tests {
 
     fn assert_apply_matches_dense(kernel: &DiscreteKernel, seed: u64) {
         let dense = kernel.channel();
-        let fftc = FftChannel::new(kernel);
+        let fftc = FftChannel::new(kernel, None);
         assert_eq!((dense.n_in(), dense.n_out()), (fftc.n_in(), fftc.n_out()));
         let f = random_f(fftc.n_in(), seed);
         let mut ws = EmWorkspace::new();
@@ -187,7 +190,7 @@ mod tests {
 
     fn assert_adjoint_matches_dense(kernel: &DiscreteKernel, seed: u64) {
         let dense = kernel.channel();
-        let fftc = FftChannel::new(kernel);
+        let fftc = FftChannel::new(kernel, None);
         let f = random_f(fftc.n_in(), seed);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 1);
         let w: Vec<f64> = (0..fftc.n_out()).map(|_| rng.gen::<f64>()).collect();
@@ -207,7 +210,7 @@ mod tests {
         // contains the output grid (23) and the wrap-free regions are
         // exercised.
         let kernel = DiscreteKernel::dam(2.5, 13, 5, KernelKind::Shrunken);
-        assert_eq!(FftChannel::new(&kernel).padded_n(), 24);
+        assert_eq!(FftChannel::new(&kernel, None).padded_n(), 24);
         assert_apply_matches_dense(&kernel, 11);
         assert_adjoint_matches_dense(&kernel, 12);
     }
@@ -220,7 +223,7 @@ mod tests {
     #[test]
     fn degenerate_b_zero_matches_dense() {
         let kernel = DiscreteKernel::dam(5.0, 7, 0, KernelKind::Shrunken);
-        let fftc = FftChannel::new(&kernel);
+        let fftc = FftChannel::new(&kernel, None);
         assert_eq!(fftc.n_out(), fftc.n_in(), "no dilation at b̂ = 0");
         assert_apply_matches_dense(&kernel, 4);
     }
@@ -241,7 +244,7 @@ mod tests {
             (DiscreteKernel::huem(1.5, 10, 4), 60, 1e-9),
         ] {
             let dense = kernel.channel();
-            let fftc = FftChannel::new(&kernel);
+            let fftc = FftChannel::new(&kernel, None);
             let counts: Vec<f64> = (0..fftc.n_out()).map(|o| ((o * 7) % 13) as f64).collect();
             let params = EmParams { max_iters, rel_tol: 0.0, gain_tol: 0.0 };
             let mut ws = EmWorkspace::new();
@@ -260,7 +263,7 @@ mod tests {
         // (≈ 210 MB); the spectral operator stores one half-spectrum of
         // the 17×17 stencil on the 96² padded grid and still runs EM.
         let kernel = DiscreteKernel::dam(3.5, 64, 8, KernelKind::Shrunken);
-        let fftc = FftChannel::new(&kernel);
+        let fftc = FftChannel::new(&kernel, None);
         assert_eq!(fftc.padded_n(), 96);
         assert_eq!(fftc.kspec.len(), 96 * (96 + 2));
         let mut counts = vec![1.0; fftc.n_out()];

@@ -62,7 +62,7 @@ mod tests {
         smoother: Option<&dyn Fn(&mut [f64])>,
     ) -> Histogram2D {
         let run = expectation_maximization(
-            &k.fft_channel(),
+            &k.fft_channel(None),
             counts,
             None,
             smoother,
@@ -161,7 +161,7 @@ mod tests {
             })
             .collect();
         let counts = client.report_batch(&points, 11, Some(1));
-        let channel = client.kernel().fft_channel();
+        let channel = client.kernel().fft_channel(None);
         let tol = EmParams::streaming().gain_tol;
         let run = |max_iters, gain_tol, ws: &mut EmWorkspace| {
             let params = EmParams { max_iters, rel_tol: 0.0, gain_tol };

@@ -75,9 +75,10 @@ pub struct DamConfig {
     pub b_hat: Option<u32>,
     /// EM convergence knobs.
     pub em: EmParams,
-    /// Worker threads for the sharded report pipeline (`None` = all
-    /// cores). Any value yields bit-identical output — shard layout and
-    /// RNG streams are thread-count independent.
+    /// Worker threads for the sharded report pipeline and the split
+    /// spectral EM (`None` = all cores). Any value yields bit-identical
+    /// output — shard layout, RNG streams and the split transform's
+    /// arithmetic are thread-count independent.
     pub threads: Option<usize>,
 }
 
@@ -87,7 +88,7 @@ impl DamConfig {
         Self { eps, variant: SamVariant::Dam, b_hat: None, em: EmParams::default(), threads: None }
     }
 
-    /// Sets the report-pipeline thread count (`None` = all cores).
+    /// Sets the report-pipeline and EM thread count (`None` = all cores).
     pub fn with_threads(mut self, threads: Option<usize>) -> Self {
         self.threads = threads;
         self
@@ -365,10 +366,11 @@ impl DamAggregator {
     }
 
     /// Runs PostProcess (plain EM on the kernel's spectral operator,
-    /// [`DiscreteKernel::fft_channel`]) and returns the estimated
-    /// distribution.
-    pub fn estimate(&self, em: EmParams) -> Histogram2D {
-        let channel = self.kernel.fft_channel();
+    /// [`DiscreteKernel::fft_channel`], split across up to `threads`
+    /// threads; `None` = available parallelism) and returns the
+    /// estimated distribution, bit-identical for any `threads`.
+    pub fn estimate(&self, em: EmParams, threads: Option<usize>) -> Histogram2D {
+        let channel = self.kernel.fft_channel(threads);
         let run = expectation_maximization(
             &channel,
             &self.counts,
@@ -414,7 +416,7 @@ impl SpatialEstimator for DamEstimator {
         // identically no matter how many threads execute the batch.
         let master_seed = rng.next_u64();
         agg.ingest_counts(&client.report_batch(points, master_seed, self.config.threads));
-        agg.estimate(self.config.em)
+        agg.estimate(self.config.em, self.config.threads)
     }
 }
 
@@ -483,7 +485,7 @@ mod tests {
             agg.ingest(client.report(p, &mut rng));
         }
         assert_eq!(agg.n_reports(), 500);
-        let est = agg.estimate(EmParams::default());
+        let est = agg.estimate(EmParams::default(), None);
         assert!((est.total() - 1.0).abs() < 1e-9);
     }
 

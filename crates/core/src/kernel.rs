@@ -253,10 +253,11 @@ impl DiscreteKernel {
     /// translation-invariant structure evaluated as circular convolutions
     /// on a zero-padded `next_fft_side(d + 2b̂)` grid (the smallest even
     /// `2^a·3^b` side), O(n² log n) per EM iteration with the kernel
-    /// spectrum computed once. [`DiscreteKernel::channel`] is the dense
-    /// reference it is tested against.
-    pub fn fft_channel(&self) -> FftChannel {
-        FftChannel::new(self)
+    /// spectrum computed once, split across up to `threads` threads
+    /// (`None` = available parallelism). [`DiscreteKernel::channel`] is
+    /// the dense reference it is tested against.
+    pub fn fft_channel(&self, threads: Option<usize>) -> FftChannel {
+        FftChannel::new(self, threads)
     }
 
     /// The full `n_out × n_in` dense channel matrix — O(n_out·n_in)

@@ -64,7 +64,7 @@ proptest! {
     ) {
         let kernel = build_kernel(family, eps, d, b_hat);
         let dense = kernel.channel();
-        let fft = FftChannel::new(&kernel);
+        let fft = FftChannel::new(&kernel, None);
         prop_assert_eq!(dense.n_in(), fft.n_in());
         prop_assert_eq!(dense.n_out(), fft.n_out());
         let mut ws = EmWorkspace::new();
@@ -92,7 +92,7 @@ proptest! {
     ) {
         let kernel = build_kernel(family, eps, d, b_hat);
         let dense = kernel.channel();
-        let fft = FftChannel::new(&kernel);
+        let fft = FftChannel::new(&kernel, None);
         let mut ws = EmWorkspace::new();
         let f = random_distribution(fft.n_in(), seed);
         let w = random_weights(fft.n_out(), seed ^ 0xADD0);
@@ -119,7 +119,7 @@ proptest! {
     ) {
         let kernel = build_kernel(family, eps, d, b_hat);
         let dense = kernel.channel();
-        let fft = FftChannel::new(&kernel);
+        let fft = FftChannel::new(&kernel, None);
         // Integer counts with zeros, as a real aggregator would hold.
         let mut rng = seeded(seed);
         let counts: Vec<f64> =
@@ -149,7 +149,7 @@ proptest! {
         // Applying the operator to a point mass yields that input's full
         // output distribution; it must sum to 1 for every input cell.
         let kernel = build_kernel(family, eps, d, b_hat);
-        let fft = FftChannel::new(&kernel);
+        let fft = FftChannel::new(&kernel, None);
         let mut ws = EmWorkspace::new();
         let n_in = fft.n_in();
         let mut out = vec![0.0; fft.n_out()];
@@ -194,7 +194,7 @@ fn fft_matches_dense_on_awkward_shapes() {
     ] {
         let kernel = DiscreteKernel::dam(2.0, d, b_hat, KernelKind::Shrunken);
         let dense = kernel.channel();
-        let fft = FftChannel::new(&kernel);
+        let fft = FftChannel::new(&kernel, None);
         assert_eq!(fft.padded_n(), n, "d {d} b {b_hat}");
         let f = random_distribution(fft.n_in(), u64::from(d * 100 + b_hat));
         let w = random_weights(fft.n_out(), u64::from(d * 7 + b_hat));
@@ -241,7 +241,7 @@ fn post_process_backends_agree_end_to_end() {
             .map(|x| (x * 50.0).round())
             .collect::<Vec<_>>();
         let params = EmParams { max_iters: 40, rel_tol: 0.0, gain_tol: 0.0 };
-        let fft = kernel.fft_channel();
+        let fft = kernel.fft_channel(None);
         let dense = kernel.channel();
         let smoother = |f: &mut [f64]| smooth_2d(d as usize, f);
         for (post, smooth) in [("EM", None), ("EMS", Some(&smoother as &dyn Fn(&mut [f64])))] {
@@ -300,7 +300,7 @@ fn spectral_bits(shapes: &[(u32, u32, usize)], ems: bool) -> u64 {
     let params = EmParams { max_iters: 20, rel_tol: 0.0, gain_tol: 0.0 };
     for &(d, b_hat, n) in shapes {
         let kernel = DiscreteKernel::dam(3.0, d, b_hat, KernelKind::Shrunken);
-        let fft = FftChannel::new(&kernel);
+        let fft = FftChannel::new(&kernel, None);
         assert_eq!(fft.padded_n(), n);
         let mut ws = EmWorkspace::new();
         let f = random_distribution(fft.n_in(), u64::from(d));
@@ -322,7 +322,7 @@ fn spectral_bits(shapes: &[(u32, u32, usize)], ems: bool) -> u64 {
             random_weights(kernel.n_out(), 7).iter().map(|x| (x * 20.0).round()).collect();
         let smoother = |f: &mut [f64]| smooth_2d(20, f);
         let ems = expectation_maximization(
-            &kernel.fft_channel(),
+            &kernel.fft_channel(None),
             &counts,
             None,
             Some(&smoother),
@@ -364,7 +364,7 @@ fn fft_channel_2x3_matches_pinned_bits() {
 #[test]
 fn padded_128_channel_runs_on_several_threads() {
     let kernel = DiscreteKernel::dam(3.0, 100, 14, KernelKind::Shrunken);
-    let fft = FftChannel::new(&kernel);
+    let fft = FftChannel::new(&kernel, None);
     assert_eq!(fft.padded_n(), 128);
     assert!(fft.padded_n() > dam_core::fft::PARALLEL_FFT_MIN_SIDE);
     let counts: Vec<f64> =

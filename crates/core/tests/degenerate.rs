@@ -30,7 +30,7 @@ fn client() -> DamClient {
 /// The channel behind `op` (one of [`OPERATORS`]).
 fn channel(op: &str, kernel: &DiscreteKernel) -> Box<dyn ChannelOp> {
     match op {
-        "fft" => Box::new(kernel.fft_channel()),
+        "fft" => Box::new(kernel.fft_channel(None)),
         _ => Box::new(kernel.channel()),
     }
 }
@@ -94,7 +94,7 @@ fn empty_report_set_yields_uniform_on_every_backend() {
 fn zero_count_window_through_the_aggregator_does_not_panic() {
     let client = client();
     let agg = DamAggregator::new(&client);
-    let hist = agg.estimate(EmParams::default());
+    let hist = agg.estimate(EmParams::default(), None);
     assert_valid_distribution(hist.values(), "aggregator");
 }
 
@@ -119,7 +119,7 @@ fn all_mass_in_one_cell_agrees_across_backends() {
     // The spectral path rounds through an FFT/iFFT pair per iteration;
     // over a full EM run it gets the looser certified bound (cf.
     // `conv_equivalence.rs`).
-    let hist = agg.estimate(em);
+    let hist = agg.estimate(em, None);
     assert_valid_distribution(hist.values(), "fft");
     let max_diff =
         hist.values().iter().zip(&reference).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
@@ -206,7 +206,7 @@ fn adversarial_planes_never_reseed_the_spectral_operator() {
             Some(kind) => DiscreteKernel::dam(eps, d, b_hat, kind),
             None => DiscreteKernel::huem(eps, d, b_hat),
         };
-        let fft = kernel.fft_channel();
+        let fft = kernel.fft_channel(None);
         let n_out = kernel.n_out();
         let mut spike = vec![0.0; n_out];
         spike[n_out / 2] = 1e15;

@@ -8,8 +8,8 @@
 //! radius the budget is spread over.
 //!
 //! Error is reported as TV *and* W₂ per row: at d = 64 the full-support
-//! histograms route `W2Solver::Auto` to the grid-separable Sinkhorn
-//! solver, so the paper's headline metric is
+//! histograms pass `w2`'s 400-cell exact-LP limit, so it runs the
+//! grid-separable Sinkhorn solver and the paper's headline metric is
 //! feasible in this regime — and bit-identical for any `--threads`
 //! value, like everything else here.
 

@@ -38,8 +38,8 @@ pub struct CliArgs {
     pub fast: bool,
     /// Skip the Local-Privacy calibration for SEM-Geo-I.
     pub no_calib: bool,
-    /// Worker threads for the job runner and the sharded report pipeline
-    /// (default: available parallelism). Results are bit-identical for
+    /// Worker threads for the job runner, the sharded report pipeline and
+    /// the split spectral EM (default: available parallelism). Results are bit-identical for
     /// any value — this is a wall-clock knob, not a semantics knob.
     pub threads: Option<usize>,
     /// Stream length in epochs for the continual-observation binaries

@@ -7,7 +7,7 @@ use dam_data::{load, DatasetKind, DatasetPart, SpatialDataset};
 use dam_geo::rng::derived;
 use dam_geo::{Grid2D, Histogram2D};
 use dam_transport::exact::TransportError;
-use dam_transport::metrics::{w2, W2Solver};
+use dam_transport::metrics::w2;
 use dam_transport::SinkhornParams;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -29,8 +29,8 @@ pub struct EvalContext {
     /// Skip LP calibration (use ε as ε′ directly).
     pub no_calib: bool,
     /// Worker threads (`--threads`; `None` = available parallelism) for
-    /// the job runner and every mechanism's sharded report pipeline, all
-    /// on the one persistent pool. Estimates are bit-identical for any
+    /// the job runner and every mechanism's sharded report pipeline and
+    /// split spectral EM, all on the one persistent pool. Estimates are bit-identical for any
     /// value.
     pub threads: Option<usize>,
     datasets: Arc<Mutex<BTreeMap<DatasetKind, Arc<SpatialDataset>>>>,
@@ -62,13 +62,13 @@ impl EvalContext {
         cache.entry(kind).or_insert_with(|| Arc::new(load(kind, self.seed))).clone()
     }
 
-    /// `W₂(a, b)` in cell units under [`W2Solver::Auto`] and this
-    /// context's Sinkhorn tuning. The one-shot figure binaries measure W₂
-    /// only through this: [`w2`] owns the size-based `Auto` resolution,
-    /// which switches on the *actual* nonzero supports, so harnesses must
+    /// `W₂(a, b)` in cell units under this context's Sinkhorn tuning.
+    /// The one-shot figure binaries measure W₂ only through this: [`w2`]
+    /// owns the size switch between the exact LP and the grid solver,
+    /// which looks at the *actual* nonzero supports, so harnesses must
     /// not re-derive it from `d²` (a predicted support).
     pub fn w2(&self, a: &Histogram2D, b: &Histogram2D) -> Result<f64, TransportError> {
-        w2(a, b, W2Solver::Auto, self.sinkhorn)
+        w2(a, b, self.sinkhorn)
     }
 
     /// A dataset part's points under this context's `--users` cap

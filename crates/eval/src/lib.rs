@@ -12,9 +12,9 @@
 //!               (the fig9 large-d binaries keep full user counts — the
 //!               sharded report pipeline makes them affordable)
 //! --no-calib    use ε directly for SEM-Geo-I instead of LP calibration
-//! --threads N   worker threads for the job runner and the sharded report
-//!               pipeline (default: available parallelism; results are
-//!               bit-identical for any value)
+//! --threads N   worker threads for the job runner, the sharded report
+//!               pipeline and the split spectral EM (default: available
+//!               parallelism; results are bit-identical for any value)
 //! --epochs N    stream length in epochs (fig_stream, fig_service,
 //!               fig_cluster; each picks its own default)
 //! --window W    sliding-window length in epochs (same binaries)
@@ -40,4 +40,4 @@ pub use cli::CliArgs;
 pub use context::EvalContext;
 pub use mechspec::MechSpec;
 pub use report::Report;
-pub use runner::{run_jobs, Job, JobResult};
+pub use runner::{run_jobs, sweep, Job, JobResult};

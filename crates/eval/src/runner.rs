@@ -4,23 +4,20 @@
 //! points; the runner hands each one to the persistent worker pool
 //! (`rayon::pool::run`, one job per task) on the context's one thread
 //! count and collects mean-W₂ results in input order. A mechanism's
-//! sharded report pipeline runs nested pool batches on the same thread
-//! count, which drain on their job's thread or take a worker that has
-//! run out of jobs. The thread count does not cap the whole run: an
-//! `FftChannel` at a padded side of at least 96 plans its split over
-//! `rayon::current_num_threads()` (the available parallelism) when it is
-//! built, and `rayon::pool::run_phases` takes pool helpers past the job
-//! cap for it. So `fig_large_radius` from b̂ = 8 runs two threads under
-//! `--threads 1` on a two-core host. Each job's RNG stream
+//! sharded report pipeline and its split spectral EM run nested pool
+//! batches on the same thread count, which drain on their job's thread
+//! or take a worker that has run out of jobs. Each job's RNG stream
 //! is keyed on the job's *content*, never its position or thread, so
 //! editing a figure's grid cannot silently change any other point's
 //! randomness, and every W₂ is bit-identical at any thread count.
 
 use crate::context::EvalContext;
 use crate::mechspec::MechSpec;
+use crate::report::{fmt4, Report};
 use dam_data::DatasetKind;
 use dam_geo::rng::splitmix64;
 use parking_lot::Mutex;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One evaluation point.
@@ -85,9 +82,8 @@ pub struct JobResult {
 }
 
 /// Runs all jobs on the persistent worker pool, on up to `ctx.threads`
-/// threads (default: the available parallelism); a split FFT inside a job
-/// may add pool helpers past that (see the module docs). Results come
-/// back in job order and are bit-identical for any thread count.
+/// threads (default: the available parallelism). Results come back in
+/// job order and are bit-identical for any thread count.
 pub fn run_jobs(ctx: &EvalContext, jobs: &[Job]) -> Vec<JobResult> {
     // Pre-warm the dataset cache serially to avoid duplicated generation.
     for job in jobs {
@@ -119,6 +115,50 @@ pub fn run_jobs(ctx: &EvalContext, jobs: &[Job]) -> Vec<JobResult> {
         );
     });
     results.into_iter().map(|m| m.into_inner().expect("job not completed")).collect()
+}
+
+/// One W₂ figure panel: runs the whole `datasets × xs × mechs` grid as
+/// one [`run_jobs`] call, then prints and writes one table per dataset —
+/// a row per x point (`(row label, d, ε)`, under the `x_header` column),
+/// a mean-W₂ column per mechanism. `names` gives each dataset's table
+/// title and CSV file name (written under `out`). Returns the tables in
+/// dataset order.
+pub fn sweep(
+    ctx: &EvalContext,
+    out: &Path,
+    datasets: &[DatasetKind],
+    x_header: &str,
+    xs: &[(String, u32, f64)],
+    mechs: &[MechSpec],
+    names: impl Fn(DatasetKind) -> (String, String),
+) -> Vec<Report> {
+    let mut jobs = Vec::new();
+    for &dataset in datasets {
+        for &(_, d, eps) in xs {
+            for &mech in mechs {
+                jobs.push(Job { dataset, mech, d, eps });
+            }
+        }
+    }
+    let mut results = run_jobs(ctx, &jobs).into_iter();
+    let mut header = vec![x_header.to_string()];
+    header.extend(mechs.iter().map(|m| m.label()));
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    let mut reports = Vec::new();
+    for &dataset in datasets {
+        let (title, csv) = names(dataset);
+        let mut report = Report::new(&title, &header);
+        for (label, _, _) in xs {
+            let mut row = vec![label.clone()];
+            row.extend(results.by_ref().take(mechs.len()).map(|r| fmt4(r.w2)));
+            report.push_row(row);
+        }
+        println!("{}", report.render());
+        let path = report.write_csv(out, &csv).expect("write csv");
+        println!("csv: {}", path.display());
+        reports.push(report);
+    }
+    reports
 }
 
 #[cfg(test)]
@@ -194,5 +234,46 @@ mod tests {
             shifted[1].w2.to_bits(),
             "inserting a job before the probe must not change the probe's W2"
         );
+    }
+
+    #[test]
+    fn sweep_pins_table_layout() {
+        let args = CliArgs::parse_from(
+            ["--fast", "--users", "2000", "--no-calib", "--threads", "1"]
+                .map(String::from)
+                .into_iter(),
+        );
+        let ctx = EvalContext::from_args(&args);
+        let dir = std::env::temp_dir().join("dam_eval_sweep_test");
+        let xs = [("d=2".to_string(), 2, 2.0), ("d=3".to_string(), 3, 2.0)];
+        let mechs = [MechSpec::Dam, MechSpec::Mdsw];
+        let reports = sweep(&ctx, &dir, &[DatasetKind::SZipf], "x", &xs, &mechs, |ds| {
+            (format!("Sweep: {}", ds.label()), format!("sweep_{}", ds.label().to_lowercase()))
+        });
+        // The same grid, job by job: x points outer, mechanisms inner.
+        let jobs: Vec<Job> = xs
+            .iter()
+            .flat_map(|&(_, d, eps)| {
+                mechs.iter().map(move |&mech| Job { dataset: DatasetKind::SZipf, mech, d, eps })
+            })
+            .collect();
+        let w2: Vec<String> = run_jobs(&ctx, &jobs).iter().map(|r| fmt4(r.w2)).collect();
+        let want = [
+            vec!["x", "DAM", "MDSW"],
+            vec!["d=2", w2[0].as_str(), w2[1].as_str()],
+            vec!["d=3", w2[2].as_str(), w2[3].as_str()],
+        ];
+
+        let csv = std::fs::read_to_string(dir.join("sweep_szipf.csv")).unwrap();
+        let csv_rows: Vec<Vec<&str>> = csv.lines().map(|l| l.split(',').collect()).collect();
+        assert_eq!(csv_rows, want, "CSV header, row labels and cell order");
+
+        assert_eq!(reports.len(), 1, "one table per dataset");
+        let text = reports[0].render();
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some("== Sweep: SZipf =="));
+        let table: Vec<Vec<&str>> =
+            lines.filter(|l| !l.starts_with('-')).map(|l| l.split_whitespace().collect()).collect();
+        assert_eq!(table, want, "table header, row labels and cell order");
     }
 }

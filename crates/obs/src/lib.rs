@@ -28,6 +28,9 @@
 //! logical timestamps ([`span::LogicalStamp`]); [`MetricsSnapshot`]
 //! exports JSON, Prometheus-style text exposition, and an aggregated
 //! span tree (self/total time per phase).
+//!
+//! There is no process-wide registry: each pipeline owns its [`Registry`]
+//! and hands clones to the layers it instruments.
 
 #![cfg_attr(
     test,
@@ -46,20 +49,3 @@ pub use clock::{Clock, LogicalClock, Stopwatch, WallClock};
 pub use export::MetricsSnapshot;
 pub use metrics::{Counter, Gauge, Histogram, Plane, Registry, Trace};
 pub use span::{LogicalStamp, SpanGuard};
-
-use std::sync::OnceLock;
-
-/// The process-wide default registry, for leaf crates (e.g.
-/// `dam-transport`) whose call sites have no pipeline registry to hand.
-///
-/// Starts with a [`LogicalClock`] and spans disabled; the harness
-/// upgrades it (`set_clock(WallClock)`, `set_enabled(true)`) at its
-/// boundary when real timing is wanted.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let r = Registry::new();
-        r.set_enabled(false);
-        r
-    })
-}

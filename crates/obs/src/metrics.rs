@@ -334,14 +334,6 @@ impl Registry {
         }
     }
 
-    /// A registry on a real [`crate::clock::WallClock`] — harness
-    /// boundary only (fig binaries, bench drivers).
-    pub fn wall() -> Self {
-        let r = Self::new();
-        r.set_clock(Arc::new(crate::clock::WallClock::new()));
-        r
-    }
-
     /// Installs a clock; subsequent [`Registry::now_ns`] readings and
     /// span durations use it.
     pub fn set_clock(&self, clock: Arc<dyn Clock>) {

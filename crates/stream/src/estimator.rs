@@ -200,7 +200,7 @@ impl StreamingEstimator {
     pub fn with_registry(grid: Grid2D, config: StreamConfig, obs: Registry) -> Self {
         assert!(config.window > 0, "window must hold at least one epoch");
         let client = DamClient::new(grid.clone(), &config.dam);
-        let channel = client.kernel().fft_channel();
+        let channel = client.kernel().fft_channel(config.dam.threads);
         let n_out = client.kernel().n_out();
         let hh = ObsHandles::register(&obs);
         // Read by the end-to-end benchmark (`perfbench`) for its run note.

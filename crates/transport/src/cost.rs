@@ -29,19 +29,6 @@ impl CostMatrix {
         Self { m: a.len(), n: b.len(), costs }
     }
 
-    /// Builds a matrix from raw row-major values.
-    ///
-    /// # Panics
-    /// Panics if `costs.len() != m * n` or any cost is negative/non-finite.
-    pub fn from_values(m: usize, n: usize, costs: Vec<f64>) -> Self {
-        assert_eq!(costs.len(), m * n, "cost vector does not match dimensions");
-        assert!(
-            costs.iter().all(|c| c.is_finite() && *c >= 0.0),
-            "costs must be finite and non-negative"
-        );
-        Self { m, n, costs }
-    }
-
     /// Number of rows (source support size).
     #[inline]
     pub fn rows(&self) -> usize {
@@ -60,17 +47,6 @@ impl CostMatrix {
         debug_assert!(i < self.m && j < self.n);
         self.costs[i * self.n + j]
     }
-
-    /// Largest entry; used to scale Sinkhorn's regularisation.
-    pub fn max(&self) -> f64 {
-        self.costs.iter().fold(0.0f64, |a, &b| a.max(b))
-    }
-
-    /// Raw row-major values.
-    #[inline]
-    pub fn values(&self) -> &[f64] {
-        &self.costs
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +64,6 @@ mod tests {
         assert!((c.at(0, 1) - 4.0).abs() < 1e-12);
         assert!((c.at(1, 0) - 1.0).abs() < 1e-12);
         assert!((c.at(1, 1) - 5.0).abs() < 1e-12);
-        assert!((c.max() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -97,11 +72,5 @@ mod tests {
         let b = [Point::new(3.0, 4.0)];
         let c = CostMatrix::euclidean_pow(&a, &b, 1);
         assert_eq!(c.at(0, 0), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match dimensions")]
-    fn from_values_checks_shape() {
-        CostMatrix::from_values(2, 2, vec![0.0; 3]);
     }
 }

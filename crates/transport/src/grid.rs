@@ -143,7 +143,6 @@ pub fn grid_sinkhorn_cost(
     // gets the whole `max_iters`/`tol` budget. Potentials in cost units
     // carry across stages unchanged.
     let mut reg = (0.5 * cmax).max(reg_final);
-    let mut total_iters = 0u64;
     loop {
         let iters = if reg <= reg_final {
             params.max_iters
@@ -152,7 +151,6 @@ pub fn grid_sinkhorn_cost(
         };
         let k = plain_kernel(d, reg);
         for _ in 0..iters {
-            total_iters += 1;
             // f update: f_i = reg * (log a_i - LSE_j((g_j - C_ij)/reg));
             // zero-mass cells keep their potential pinned at -∞.
             pass.apply(&g, reg, &k, &k, &mut lse);
@@ -187,10 +185,6 @@ pub fn grid_sinkhorn_cost(
         }
         reg = (reg * 0.5).max(reg_final);
     }
-    dam_obs::global()
-        .counter("sinkhorn_iterations_total", dam_obs::Plane::Deterministic)
-        .add(total_iters);
-
     // --- Rounding onto the transport polytope, in factorized form. ---
     // Diagonal scalings absorb into the dual potentials: scaling row i by
     // s ≤ 1 is f_i += reg·ln s, so the "almost coupling" stays implicit.

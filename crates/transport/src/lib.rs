@@ -17,9 +17,9 @@
 //! * [`w1d`] — closed-form 1-D Wasserstein distances via quantile coupling;
 //! * [`sliced`] — Radon projections of grid histograms and the sliced
 //!   Wasserstein distance built on [`w1d`];
-//! * [`metrics`] — the high-level `W₂` API used by the experiment harness,
-//!   with one solver enum ([`W2Solver`]) whose `Auto` picks the exact LP
-//!   for small supports and the grid solver otherwise.
+//! * [`metrics`] — the high-level `W₂` API used by the experiment harness:
+//!   [`metrics::w2`] runs the exact LP for small supports and the grid
+//!   solver otherwise.
 
 #![cfg_attr(
     test,
@@ -39,4 +39,4 @@ pub mod w1d;
 pub use cost::CostMatrix;
 pub use exact::{solve_exact, TransportPlan};
 pub use grid::{grid_sinkhorn_cost, SinkhornParams};
-pub use metrics::{w2_auto, w2_exact, w2_grid_sinkhorn, W2Solver};
+pub use metrics::{w2, w2_exact, w2_grid_sinkhorn};

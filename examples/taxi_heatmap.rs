@@ -22,7 +22,8 @@ use spatial_ldp::data::{load, DatasetKind};
 use spatial_ldp::fo::em::EmParams;
 use spatial_ldp::geo::rng::{derived, seeded};
 use spatial_ldp::geo::{CellIndex, Grid2D, Histogram2D};
-use spatial_ldp::transport::metrics::w2_auto;
+use spatial_ldp::transport::metrics::w2;
+use spatial_ldp::transport::SinkhornParams;
 
 const SHADES: [char; 7] = [' ', '.', ':', '-', '=', '%', '@'];
 
@@ -70,9 +71,9 @@ fn main() {
         aggregator.ingest(noisy_cell);
     }
 
-    let estimate = aggregator.estimate(EmParams::default());
+    let estimate = aggregator.estimate(EmParams::default(), None);
     let truth = Histogram2D::from_points(grid.clone(), &part.points).normalized();
-    let err = w2_auto(&estimate, &truth).expect("w2");
+    let err = w2(&estimate, &truth, SinkhornParams::default()).expect("w2");
 
     println!("\ntrue pickup density:");
     heat(&truth);

@@ -7,7 +7,8 @@ use spatial_ldp::data::synthetic::{mnormal_dataset, normal_dataset};
 use spatial_ldp::data::{load, DatasetKind};
 use spatial_ldp::geo::rng::{derived, seeded};
 use spatial_ldp::geo::{BoundingBox, Grid2D, Histogram2D, Point};
-use spatial_ldp::transport::metrics::{w2_auto, w2_exact};
+use spatial_ldp::transport::metrics::{w2, w2_exact};
+use spatial_ldp::transport::SinkhornParams;
 
 fn truth_of(points: &[Point], grid: &Grid2D) -> Histogram2D {
     Histogram2D::from_points(grid.clone(), points).normalized()
@@ -119,7 +120,7 @@ fn all_mechanisms_agree_on_interface_contract() {
         assert_eq!(est.grid().d(), 4, "{}", mech.name());
         assert!((est.total() - 1.0).abs() < 1e-9, "{}", mech.name());
         assert!(est.values().iter().all(|&v| v >= 0.0), "{}", mech.name());
-        let w = w2_auto(&est, &truth_of(&points, &grid)).unwrap();
+        let w = w2(&est, &truth_of(&points, &grid), SinkhornParams::default()).unwrap();
         assert!(w.is_finite() && w < 8.0, "{}: unreasonable W2 {w}", mech.name());
     }
 }
@@ -138,7 +139,10 @@ fn city_datasets_expose_shrinkage_advantage_signal() {
     let mut r2 = derived(1050, 1);
     let dam = DamEstimator::new(DamConfig::dam(3.5)).estimate(&part.points, &grid, &mut r1);
     let ns = DamEstimator::new(DamConfig::dam_ns(3.5)).estimate(&part.points, &grid, &mut r2);
-    let (w_dam, w_ns) = (w2_auto(&dam, &truth).unwrap(), w2_auto(&ns, &truth).unwrap());
+    let (w_dam, w_ns) = (
+        w2(&dam, &truth, SinkhornParams::default()).unwrap(),
+        w2(&ns, &truth, SinkhornParams::default()).unwrap(),
+    );
     assert!(w_dam.is_finite() && w_ns.is_finite());
     assert!(dam.values() != ns.values(), "shrinkage must change the estimate");
 }

@@ -114,10 +114,10 @@ fn post_processing_cannot_degrade_privacy() {
     }
     let mut agg = DamAggregator::new(&client);
     agg.ingest_counts(&counts);
-    let em = agg.estimate(EmParams::default());
+    let em = agg.estimate(EmParams::default(), None);
     let smoother = |f: &mut [f64]| smooth_2d(4, f);
     let ems = expectation_maximization(
-        &client.kernel().fft_channel(),
+        &client.kernel().fft_channel(None),
         &counts,
         None,
         Some(&smoother),

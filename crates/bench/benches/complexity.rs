@@ -1,8 +1,8 @@
 //! §VI-B complexity benches: GridAreaResponse is O(1) per report after an
 //! O(b̂²) setup; EM post-processing through the spectral operator is
 //! O(n² log n) per iteration on the padded `2^a·3^b` grid (the dense
-//! channel's O(n_out·n_in) is what it replaces); the exact OT solver
-//! scales as expected.
+//! channel's O(n_out·n_in) is what it replaces). The exact OT solver's
+//! scaling is measured by the `w2` bench.
 //!
 //! The `em_fft` group (the d = 64 radius sweep plus the d = 20, b̂ = 4
 //! shape the `ingest-1m` and `durable-cluster` benchmark workloads run
@@ -20,8 +20,6 @@ use dam_core::FftChannel;
 use dam_fo::em::{expectation_maximization, EmParams, EmWorkspace};
 use dam_geo::rng::seeded;
 use dam_geo::{CellIndex, Histogram2D};
-use dam_transport::cost::CostMatrix;
-use dam_transport::exact::solve_exact;
 use std::hint::black_box;
 
 fn bench_response(c: &mut Criterion) {
@@ -157,27 +155,6 @@ fn emit_bench_json(c: &mut Criterion) {
     }
 }
 
-fn bench_transport(c: &mut Criterion) {
-    let mut group = c.benchmark_group("optimal_transport");
-    group.sample_size(10);
-    let mut rng = seeded(4);
-    for &n in &[16usize, 64, 144] {
-        use rand::Rng;
-        let pts: Vec<dam_geo::Point> =
-            (0..n).map(|i| dam_geo::Point::new((i % 12) as f64, (i / 12) as f64)).collect();
-        let a: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() + 0.01).collect();
-        let b: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() + 0.01).collect();
-        let (sa, sb): (f64, f64) = (a.iter().sum(), b.iter().sum());
-        let a: Vec<f64> = a.iter().map(|x| x / sa).collect();
-        let b: Vec<f64> = b.iter().map(|x| x / sb).collect();
-        let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
-        group.bench_with_input(BenchmarkId::new("exact_lp", n), &n, |bench, _| {
-            bench.iter(|| black_box(solve_exact(&a, &b, &cost).unwrap().cost));
-        });
-    }
-    group.finish();
-}
-
 fn bench_histogram(c: &mut Criterion) {
     let pts = bench_points(100_000, 5);
     let grid = bench_grid(15);
@@ -192,7 +169,6 @@ criterion_group!(
     bench_postprocess,
     bench_em_fft,
     emit_bench_json,
-    bench_transport,
     bench_histogram
 );
 criterion_main!(benches);

@@ -1,19 +1,14 @@
-//! W₂ solver scaling: the exact LP against the grid-separable Sinkhorn
-//! solver on full-support `d × d` histograms at `d ∈ {10, 20, 32, 64}` —
-//! the measurement behind [`dam_transport::metrics::w2`]'s switch from
-//! the LP to the grid solver. The exact LP runs up to
-//! d = 20; the grid solver does O(d³) axis passes on O(d²) state at
-//! every d. A second group measures the ε-scaling warm-start cap
-//! (`SinkhornParams::warm_start_iters`) against the legacy
-//! run-every-stage-to-convergence schedule.
+//! W₂ solver scaling: the exact LP (the network simplex) against the
+//! grid-separable Sinkhorn solver on full-support `d × d` histograms at
+//! `d ∈ {10, 20, 32, 64}` — the measurement behind
+//! [`dam_transport::metrics::w2`]'s switch from the LP to the grid solver.
+//! The exact LP runs up to d = 32; the grid solver does O(d³) axis passes
+//! on O(d²) state at every d.
 //!
 //! Emits `BENCH_w2.json` at the repo root: per-row median ns and W₂
-//! values, the worst exact-vs-grid gap at d ≤ 32, and the warm-start
-//! speedup.
+//! values, and the worst exact-vs-grid gap at d ≤ 32.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dam_geo::Point;
-use dam_transport::cost::CostMatrix;
 use dam_transport::exact::solve_exact;
 use dam_transport::grid::{grid_sinkhorn_cost, SinkhornParams};
 use std::cell::RefCell;
@@ -23,16 +18,14 @@ use std::hint::black_box;
 /// Grid sides of the sweep (`d = 64`, 4096-cell supports, is the
 /// headline regime the grid solver exists for).
 const DS: [usize; 4] = [10, 20, 32, 64];
-/// Largest d still solved with the exact LP (the transportation simplex
-/// on a 1024-atom support would dominate the whole bench).
-const EXACT_MAX_D: usize = 20;
-/// d for the grid warm-start ablation.
-const GRID_WARM_D: usize = 64;
+/// Largest d still solved with the exact LP (~1 s a solve at d = 32; a
+/// 4096-atom support at d = 64 would dominate the whole bench).
+const EXACT_MAX_D: usize = 32;
 
 /// One shared Sinkhorn tuning for every entropic row (matches the eval
 /// harness's large-grid settings in spirit: mid accuracy, bounded iters).
 fn params() -> SinkhornParams {
-    SinkhornParams { reg_rel: 2e-3, max_iters: 300, tol: 1e-6, ..SinkhornParams::default() }
+    SinkhornParams { reg_rel: 2e-3, max_iters: 300, tol: 1e-6 }
 }
 
 /// A smooth non-uniform full-support histogram on a `d × d` grid: a
@@ -53,68 +46,49 @@ fn bump_hist(d: usize, cx: f64, cy: f64) -> Vec<f64> {
     v
 }
 
-/// Cell-center support points (the `metrics` convention) for the exact
-/// LP's explicit cost matrix.
-fn grid_points(d: usize) -> Vec<Point> {
-    (0..d * d).map(|i| Point::new((i % d) as f64 + 0.5, (i / d) as f64 + 0.5)).collect()
+/// Squared distance between the cells at flat indices `i` and `j` of a
+/// `d × d` grid, in cell units (the `metrics` convention).
+fn cell_cost(d: usize) -> impl Fn(usize, usize) -> f64 + Copy {
+    move |i, j| {
+        let dx = (i % d) as f64 - (j % d) as f64;
+        let dy = (i / d) as f64 - (j / d) as f64;
+        dx * dx + dy * dy
+    }
 }
 
 fn bench_w2_solvers(c: &mut Criterion) {
     // Squared transport cost per `group/solver/d` row, captured while
     // the benches run so the JSON can report solver agreement for free.
     let costs: RefCell<BTreeMap<String, f64>> = RefCell::new(BTreeMap::new());
-    {
-        let mut group = c.benchmark_group("w2_solvers");
-        group.sample_size(11);
-        for &d in &DS {
-            let a = bump_hist(d, 0.3, 0.35);
-            let b = bump_hist(d, 0.65, 0.6);
-            if d <= EXACT_MAX_D {
-                let pts = grid_points(d);
-                let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
-                group.bench_with_input(BenchmarkId::new("exact", d), &d, |be, _| {
-                    be.iter(|| {
-                        let v = solve_exact(&a, &b, &cost).unwrap().cost;
-                        costs.borrow_mut().insert(format!("exact/{d}"), v);
-                        black_box(v)
-                    });
-                });
-            }
-            group.bench_with_input(BenchmarkId::new("grid", d), &d, |be, _| {
+    let mut group = c.benchmark_group("w2_solvers");
+    group.sample_size(11);
+    for &d in &DS {
+        let a = bump_hist(d, 0.3, 0.35);
+        let b = bump_hist(d, 0.65, 0.6);
+        if d <= EXACT_MAX_D {
+            let cost = cell_cost(d);
+            group.bench_with_input(BenchmarkId::new("exact", d), &d, |be, _| {
                 be.iter(|| {
-                    let v = grid_sinkhorn_cost(&a, &b, d, params()).unwrap();
-                    costs.borrow_mut().insert(format!("grid/{d}"), v);
+                    let v = solve_exact(&a, &b, cost).unwrap().cost;
+                    costs.borrow_mut().insert(format!("exact/{d}"), v);
                     black_box(v)
                 });
             });
         }
-        group.finish();
-    }
-    {
-        // Warm-start ablation: the capped ε-scaling schedule (the
-        // default) against running every intermediate stage to the full
-        // `max_iters`/`tol` budget (the pre-fix behaviour).
-        let mut group = c.benchmark_group("w2_warm_start");
-        group.sample_size(11);
-        let full = SinkhornParams { warm_start_iters: usize::MAX, ..params() };
-        let d = GRID_WARM_D;
-        let a = bump_hist(d, 0.3, 0.35);
-        let b = bump_hist(d, 0.65, 0.6);
-        group.bench_with_input(BenchmarkId::new("grid_fullwarm", d), &d, |be, _| {
+        group.bench_with_input(BenchmarkId::new("grid", d), &d, |be, _| {
             be.iter(|| {
-                let v = grid_sinkhorn_cost(&a, &b, d, full).unwrap();
-                costs.borrow_mut().insert(format!("grid_fullwarm/{d}"), v);
+                let v = grid_sinkhorn_cost(&a, &b, d, params()).unwrap();
+                costs.borrow_mut().insert(format!("grid/{d}"), v);
                 black_box(v)
             });
         });
-        group.finish();
     }
+    group.finish();
     emit_bench_json(c, &costs.borrow());
 }
 
 /// Writes `BENCH_w2.json` at the repo root: per-row medians and W₂
-/// values, max solver disagreement at d ≤ 32, and the warm-start
-/// speedup.
+/// values, and the max solver disagreement at d ≤ 32.
 fn emit_bench_json(c: &Criterion, costs: &BTreeMap<String, f64>) {
     let ns = |group: &str, row: &str| -> Option<f64> {
         c.results().iter().find(|(name, _)| name == &format!("{group}/{row}")).map(|&(_, v)| v)
@@ -147,28 +121,17 @@ fn emit_bench_json(c: &Criterion, costs: &BTreeMap<String, f64>) {
             }
         }
     }
-    let warm = |fast: Option<f64>, slow: Option<f64>| match (fast, slow) {
-        (Some(f), Some(s)) if f > 0.0 => format!("{:.2}", s / f),
-        _ => "null".into(),
-    };
-    let grid_warm = warm(
-        ns("w2_solvers", &format!("grid/{GRID_WARM_D}")),
-        ns("w2_warm_start", &format!("grid_fullwarm/{GRID_WARM_D}")),
-    );
     // Derived from `params()` so the recorded tuning can't drift from
     // the tuning the rows were actually measured under.
     let p = params();
     let json = format!(
         "{{\n  \"bench\": \"w2_solvers\",\n  \
-         \"params\": {{\"reg_rel\": {}, \"max_iters\": {}, \"tol\": {}, \
-         \"warm_start_iters\": {}}},\n  \
+         \"params\": {{\"reg_rel\": {}, \"max_iters\": {}, \"tol\": {}}},\n  \
          \"configs\": [\n{}\n  ],\n  \
-         \"max_solver_rel_gap_d_le_32\": {max_gap:.4},\n  \
-         \"warm_start_speedup\": {{\"grid_d{GRID_WARM_D}\": {grid_warm}}}\n}}\n",
+         \"max_solver_rel_gap_d_le_32\": {max_gap:.4}\n}}\n",
         p.reg_rel,
         p.max_iters,
         p.tol,
-        p.warm_start_iters,
         rows.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_w2.json");

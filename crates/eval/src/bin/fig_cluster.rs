@@ -6,13 +6,11 @@
 //! collects their epoch planes under the deterministic retry/backoff
 //! schedule, closes windows on quorum, and publishes warm-started window
 //! estimates. Per epoch and K the table reports arrived-node coverage
-//! and TV/W₂ against a **single-node reference** pipeline fed the exact
-//! same epochs (plus TV against the true sliding-window histogram) —
-//! with no faults injected, every row's `tv_ref` is 0.0000: K merged
-//! partitions are bit-identical to the single node. (`w2_ref` never
-//! reaches 0: the grid-separable solver is entropically regularized and
-//! scores a self-cost floor even on identical inputs — the printed
-//! `w2_ref floor` line is its zero point.) `--inject
+//! and TV/W₂ (W₂ through [`EvalContext::w2`], the exact LP at d = 20)
+//! against a **single-node reference** pipeline fed the exact same epochs
+//! (plus TV against the true sliding-window histogram) —
+//! with no faults injected, every row's `tv_ref` and `w2_ref` is 0.0000:
+//! K merged partitions are bit-identical to the single node. `--inject
 //! "seed=7,crash=0.05,delay=0.2,delaymax=2,dup=0.1,corrupt=0.02"` turns
 //! the run into a cluster chaos experiment driven by a
 //! [`dam_fault::NodeFaultPlan`]; a [`dam_stream::PipelineHealth`] footer
@@ -40,7 +38,6 @@ use dam_fault::NodeFaultPlan;
 use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Histogram2D, Point};
 use dam_stream::{StreamConfig, StreamingEstimator};
-use dam_transport::w2_grid_sinkhorn;
 
 const D: u32 = 20;
 const EPS: f64 = 3.5;
@@ -67,7 +64,7 @@ fn main() {
     let window = args.window.unwrap_or(if args.fast { 4 } else { 6 }).min(epochs);
     let per_epoch = (args.users.unwrap_or(20_000 * epochs) / epochs).max(1);
     let grid = Grid2D::new(BoundingBox::unit(), D);
-    let w2 = |a: &Histogram2D, b: &Histogram2D| w2_grid_sinkhorn(a, b, ctx.sinkhorn).expect("w2");
+    let w2 = |a: &Histogram2D, b: &Histogram2D| ctx.w2(a, b).expect("w2");
 
     // Shared stream: every cluster size sees identical epochs.
     let epoch_data: Vec<Vec<Point>> = (0..epochs)
@@ -145,11 +142,6 @@ fn main() {
         registries.push((format!("K={k}"), obs));
     }
     println!("{}", report.render());
-    // The grid-separable W₂ solver is entropically regularized: identical
-    // histograms score its self-cost, not 0. Print the floor so w2_ref
-    // reads as distance *above* it (tv_ref has no such floor).
-    let w2_floor = w2(&reference[epochs - 1], &reference[epochs - 1]);
-    println!("w2_ref floor: {w2_floor:.4} (grid-Sinkhorn self-cost of identical histograms)");
     for footer in &footers {
         println!("{footer}");
     }

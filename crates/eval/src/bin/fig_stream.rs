@@ -11,13 +11,15 @@
 //! evaluations) against a **cold** uniform
 //! start under the one-shot 150-iteration protocol on the *same* window
 //! counts: iterations, PostProcess seconds, and window TV/W₂ against the
-//! true sliding-window histogram. The two runs stop at deliberately
-//! *different* points of the likelihood — the ML optimum overfits the
-//! privacy noise, so the evidence-stopped warm path is expected to match
-//! or beat the cold protocol's accuracy (the full-window summary lines
-//! are the check) while the iteration ratio is the headline saving. The
-//! fewer reports a window holds, the earlier its gain drops under the
-//! price, so low-data streams (`--users`) stop well before the ceiling.
+//! true sliding-window histogram (W₂ through [`EvalContext::w2`], the
+//! exact LP at d = 20, like every one-shot figure). The two runs stop at
+//! deliberately *different* points of the likelihood — the ML optimum
+//! overfits the privacy noise, so the evidence-stopped warm path is
+//! expected to match or beat the cold protocol's accuracy (the
+//! full-window summary lines are the check) while the iteration ratio is
+//! the headline saving. The fewer reports a window holds, the earlier its
+//! gain drops under the price, so low-data streams (`--users`) stop well
+//! before the ceiling.
 //!
 //! `--epochs`/`--window` override the stream shape; ingestion and
 //! estimates are bit-identical for any `--threads` value.
@@ -42,7 +44,6 @@ use dam_fo::em::EmParams;
 use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Histogram2D, Point};
 use dam_stream::{StreamConfig, StreamingEstimator};
-use dam_transport::w2_grid_sinkhorn;
 
 const D: u32 = 20;
 const EPS: f64 = 3.5;
@@ -89,10 +90,7 @@ fn main() {
     // `EmParams::streaming()` via `StreamConfig::new`.
     let em = EmParams { max_iters: 150, rel_tol: 1e-9, gain_tol: 0.0 };
     let grid = Grid2D::new(BoundingBox::unit(), D);
-    // W₂ through the grid-separable solver: the figure solves
-    // O(epochs × mechanisms) transport problems, where the exact LP's
-    // wall clock would dwarf the streaming pipeline under measurement.
-    let w2 = |a: &Histogram2D, b: &Histogram2D| w2_grid_sinkhorn(a, b, ctx.sinkhorn).expect("w2");
+    let w2 = |a: &Histogram2D, b: &Histogram2D| ctx.w2(a, b).expect("w2");
 
     // Shared data stream: every mechanism sees identical epochs.
     let epoch_data: Vec<Vec<Point>> = (0..epochs)

@@ -43,12 +43,7 @@ impl EvalContext {
             seed: args.seed,
             repeats: args.repeats,
             user_cap: args.users,
-            sinkhorn: SinkhornParams {
-                reg_rel: 1e-3,
-                max_iters: 400,
-                tol: 1e-8,
-                ..SinkhornParams::default()
-            },
+            sinkhorn: SinkhornParams { reg_rel: 1e-3, max_iters: 400, tol: 1e-8 },
             lp_samples: if args.fast { 400 } else { 1200 },
             no_calib: args.no_calib,
             threads: args.threads,

@@ -1,18 +1,38 @@
-//! Exact optimal transport via the transportation simplex.
+//! Exact optimal transport via the network simplex.
 //!
 //! This is the "Linear Programming" solver of Equation 17 in the paper: it
-//! finds the coupling `R` minimising `Σ_{ij} M_{ij} R_{ij}` subject to the
-//! row/column-marginal constraints, using the classical transportation
-//! simplex (northwest-corner initial basis + MODI/u-v pivoting).
+//! finds the coupling `R` minimising `Σ_{ij} c(i, j) R_{ij}` subject to the
+//! row/column-marginal constraints. That LP is an uncapacitated min-cost
+//! flow from the sources to the sinks of a complete bipartite graph, and
+//! this module solves it with the primal network simplex (Bonneel et al.,
+//! SIGGRAPH Asia 2011; the design of LEMON and POT's `emd`):
 //!
-//! Degeneracy is avoided with the standard perturbation trick: supplies are
-//! perturbed by strictly increasing multiples of a tiny `δ` (and the last
-//! demand absorbs the total perturbation), which makes every basic feasible
-//! solution non-degenerate, so the simplex cannot cycle. The perturbation
-//! changes the optimal cost by at most `δ · m² · max_cost`, far below any
-//! tolerance used in this workspace.
-
-use crate::cost::CostMatrix;
+//! * **tree** — the basis is a spanning tree of `m + n − 1` arcs, started
+//!   by the northwest-corner rule. Every node keeps its parent, parent arc,
+//!   depth and potential (`u_i + v_j = c(i, j)` on every tree arc) and the
+//!   list of its tree arcs;
+//! * **pricing** — block search over the `m·n` arcs: blocks of about
+//!   `√(m·n)` arcs are scanned from a cyclic cursor, and the most negative
+//!   reduced cost of the first block that has one enters. A full sweep
+//!   that finds none proves the tree optimal;
+//! * **pivot** — the deeper endpoint of the entering arc walks upward
+//!   until the two endpoints meet, which traces the cycle the arc closes.
+//!   The leaving arc is the "minus" arc (crossed from sink to source) of
+//!   least flow θ;
+//! * **tree update** — the subtree the leaving arc cuts off is re-hung
+//!   from the entering arc, and one DFS over it resets its parents, depths
+//!   and potentials.
+//!
+//! Arc costs come from the caller's closure when a step needs them, so no
+//! `m × n` cost matrix is ever stored.
+//!
+//! Degeneracy is avoided by perturbation: every supply gets the same tiny
+//! `δ = 1e-11 / m` and the last demand gets `m·δ`. Then no proper subset of
+//! the sources holds exactly the mass of a subset of the sinks, so every
+//! basic flow is positive, every pivot moves a positive θ, and the simplex
+//! needs no anti-cycling rule. The perturbation moves the optimal cost by
+//! about `m·δ·max c = 1e-11 · max c`, far below any tolerance used in this
+//! workspace.
 
 /// An optimal coupling between two discrete distributions.
 #[derive(Debug, Clone)]
@@ -56,7 +76,7 @@ impl std::fmt::Display for TransportError {
             TransportError::UnbalancedMass { source, target } => {
                 write!(f, "unbalanced masses: source {source} vs target {target}")
             }
-            TransportError::IterationLimit => write!(f, "transportation simplex iteration limit"),
+            TransportError::IterationLimit => write!(f, "network simplex pivot limit"),
             TransportError::NonFinite { index } => {
                 write!(f, "non-finite mass at index {index}")
             }
@@ -77,7 +97,8 @@ pub(crate) fn check_finite(masses: &[f64]) -> Result<(), TransportError> {
     }
 }
 
-/// Basic cell of the transportation tableau.
+/// Arc of the spanning-tree basis: compact source `i` to compact sink
+/// `j`, carrying `flow`.
 #[derive(Debug, Clone, Copy)]
 struct Basic {
     i: usize,
@@ -85,227 +106,211 @@ struct Basic {
     flow: f64,
 }
 
+/// Marks the root's missing parent and an empty pricing result.
+const NONE: usize = usize::MAX;
+
+/// The basis spanning tree. Node `k < m` is source `k`, node `m + j` is
+/// sink `j`; the root is source 0.
+struct Tree {
+    m: usize,
+    parent: Vec<usize>,
+    parent_arc: Vec<usize>,
+    depth: Vec<usize>,
+    potential: Vec<f64>,
+    /// Tree arcs (indices into the basis) at each node.
+    arcs: Vec<Vec<usize>>,
+    stack: Vec<usize>,
+}
+
+impl Tree {
+    /// Resets the parents, depths and potentials below `root`, whose own
+    /// are already set, by one DFS over its subtree.
+    fn relabel_below(&mut self, basis: &[Basic], cost: &impl Fn(usize, usize) -> f64, root: usize) {
+        self.stack.push(root);
+        while let Some(x) = self.stack.pop() {
+            for &k in &self.arcs[x] {
+                if k == self.parent_arc[x] {
+                    continue;
+                }
+                let Basic { i, j, .. } = basis[k];
+                let y = if x < self.m { self.m + j } else { i };
+                self.parent[y] = x;
+                self.parent_arc[y] = k;
+                self.depth[y] = self.depth[x] + 1;
+                self.potential[y] = cost(i, j) - self.potential[x];
+                self.stack.push(y);
+            }
+        }
+    }
+}
+
 /// Solves the balanced transportation problem exactly.
 ///
-/// `a` are source masses (length `cost.rows()`), `b` target masses (length
-/// `cost.cols()`). Masses must be non-negative and have (approximately)
-/// equal totals; both sides are rescaled to sum to 1 internally and the
-/// reported cost is for the rescaled problem — i.e. for probability
-/// distributions, which is what every caller in this workspace passes.
+/// `a` are source masses, `b` target masses, and `cost(i, j)` is the cost
+/// of moving one unit of mass from `a[i]` to `b[j]` (original indices).
+/// Non-positive masses are dropped as empty atoms, and the positive ones
+/// must have (approximately) equal totals; both sides are rescaled to sum
+/// to 1 internally and the reported cost is for the rescaled problem —
+/// i.e. for probability distributions, which is what every caller in this
+/// workspace passes.
 pub fn solve_exact(
     a: &[f64],
     b: &[f64],
-    cost: &CostMatrix,
+    cost: impl Fn(usize, usize) -> f64,
 ) -> Result<TransportPlan, TransportError> {
-    assert_eq!(a.len(), cost.rows(), "source mass length mismatch");
-    assert_eq!(b.len(), cost.cols(), "target mass length mismatch");
     check_finite(a)?;
     check_finite(b)?;
-    let sa: f64 = a.iter().sum();
-    let sb: f64 = b.iter().sum();
+    // Zero-mass atoms can never carry flow: the solve runs on the
+    // positive atoms only, in compact indices.
+    let rows: Vec<usize> = (0..a.len()).filter(|&i| a[i] > 0.0).collect();
+    let cols: Vec<usize> = (0..b.len()).filter(|&j| b[j] > 0.0).collect();
+    let sa: f64 = rows.iter().map(|&i| a[i]).sum();
+    let sb: f64 = cols.iter().map(|&j| b[j]).sum();
     if sa <= 0.0 || sb <= 0.0 {
         return Err(TransportError::EmptyDistribution);
     }
     if ((sa - sb) / sa.max(sb)).abs() > 1e-6 {
         return Err(TransportError::UnbalancedMass { source: sa, target: sb });
     }
-
-    // Drop zero-mass atoms; they can never carry flow.
-    let rows: Vec<usize> = (0..a.len()).filter(|&i| a[i] > 0.0).collect();
-    let cols: Vec<usize> = (0..b.len()).filter(|&j| b[j] > 0.0).collect();
-    let m = rows.len();
-    let n = cols.len();
-    if m == 0 || n == 0 {
-        return Err(TransportError::EmptyDistribution);
-    }
+    let (m, n) = (rows.len(), cols.len());
 
     // Normalised, perturbed supplies/demands (anti-degeneracy).
     let delta = 1e-11 / m as f64;
-    let supply: Vec<f64> = rows.iter().map(|&i| a[i] / sa + delta).collect();
+    let mut supply: Vec<f64> = rows.iter().map(|&i| a[i] / sa + delta).collect();
     let mut demand: Vec<f64> = cols.iter().map(|&j| b[j] / sb).collect();
-    let total_pert = delta * m as f64;
-    demand[n - 1] += total_pert;
+    demand[n - 1] += delta * m as f64;
 
-    let cost_at = |bi: usize, bj: usize| cost.at(rows[bi], cols[bj]);
+    let c = |i: usize, j: usize| cost(rows[i], cols[j]);
 
-    // --- Northwest-corner initial basic feasible solution. ---
+    // --- Northwest-corner initial tree. ---
     let mut basis: Vec<Basic> = Vec::with_capacity(m + n - 1);
-    {
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut srem = supply.clone();
-        let mut drem = demand.clone();
-        loop {
-            let f = srem[i].min(drem[j]);
-            basis.push(Basic { i, j, flow: f });
-            srem[i] -= f;
-            drem[j] -= f;
-            if i == m - 1 && j == n - 1 {
-                break;
-            }
-            // With the perturbation only one side can be (numerically)
-            // exhausted; prefer advancing the exhausted side.
-            if srem[i] <= drem[j] && i < m - 1 {
-                i += 1;
-            } else if j < n - 1 {
-                j += 1;
-            } else {
-                i += 1;
-            }
+    let (mut i, mut j) = (0usize, 0usize);
+    loop {
+        let f = supply[i].min(demand[j]);
+        basis.push(Basic { i, j, flow: f });
+        supply[i] -= f;
+        demand[j] -= f;
+        if i == m - 1 && j == n - 1 {
+            break;
+        }
+        // With the perturbation only one side can be (numerically)
+        // exhausted; prefer advancing the exhausted side.
+        if supply[i] <= demand[j] && i < m - 1 {
+            i += 1;
+        } else if j < n - 1 {
+            j += 1;
+        } else {
+            i += 1;
         }
     }
     debug_assert_eq!(basis.len(), m + n - 1);
+    let mut tree = Tree {
+        m,
+        parent: vec![NONE; m + n],
+        parent_arc: vec![NONE; m + n],
+        depth: vec![0; m + n],
+        potential: vec![0.0; m + n],
+        arcs: vec![Vec::new(); m + n],
+        stack: Vec::new(),
+    };
+    for (k, arc) in basis.iter().enumerate() {
+        tree.arcs[arc.i].push(k);
+        tree.arcs[m + arc.j].push(k);
+    }
+    tree.relabel_below(&basis, &c, 0);
 
-    // --- MODI iterations. ---
-    let max_iters = 64 * (m + n) * (m + n) + 1024;
-    let mut u = vec![0.0f64; m];
-    let mut v = vec![0.0f64; n];
-    let mut row_adj: Vec<Vec<usize>> = vec![Vec::new(); m]; // basic indices per row
-    let mut col_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-
-    for _iter in 0..max_iters {
-        // Potentials via traversal of the basis spanning tree.
-        for adj in &mut row_adj {
-            adj.clear();
-        }
-        for adj in &mut col_adj {
-            adj.clear();
-        }
-        for (k, bc) in basis.iter().enumerate() {
-            row_adj[bc.i].push(k);
-            col_adj[bc.j].push(k);
-        }
-        let mut row_done = vec![false; m];
-        let mut col_done = vec![false; n];
-        u[0] = 0.0;
-        row_done[0] = true;
-        // Queue of (is_row, index) nodes whose potential is known.
-        let mut queue: Vec<(bool, usize)> = vec![(true, 0)];
-        while let Some((is_row, idx)) = queue.pop() {
-            let adj = if is_row { &row_adj[idx] } else { &col_adj[idx] };
-            for &k in adj {
-                let bc = basis[k];
-                if is_row && !col_done[bc.j] {
-                    v[bc.j] = cost_at(bc.i, bc.j) - u[bc.i];
-                    col_done[bc.j] = true;
-                    queue.push((false, bc.j));
-                } else if !is_row && !row_done[bc.i] {
-                    u[bc.i] = cost_at(bc.i, bc.j) - v[bc.j];
-                    row_done[bc.i] = true;
-                    queue.push((true, bc.i));
+    // --- Network simplex pivots. ---
+    let arcs = m * n;
+    let block = ((arcs as f64).sqrt().ceil() as usize).max(1);
+    // The pricing cursor, and the cycle's nodes below its apex, each with
+    // whether its parent arc is a minus arc.
+    let (mut ci, mut cj) = (0usize, 0usize);
+    let mut cycle: Vec<(usize, bool)> = Vec::new();
+    let max_pivots = 64 * (m + n) * (m + n) + 1024;
+    for _ in 0..max_pivots {
+        // Entering arc: block search from the cursor.
+        let mut best = (-1e-12, NONE, NONE);
+        let mut in_block = 0;
+        for _ in 0..arcs {
+            let rc = c(ci, cj) - tree.potential[ci] - tree.potential[m + cj];
+            if rc < best.0 {
+                best = (rc, ci, cj);
+            }
+            cj += 1;
+            if cj == n {
+                cj = 0;
+                ci = if ci + 1 == m { 0 } else { ci + 1 };
+            }
+            in_block += 1;
+            if in_block == block {
+                if best.1 != NONE {
+                    break;
                 }
+                in_block = 0;
             }
         }
-        debug_assert!(row_done.iter().all(|&x| x) && col_done.iter().all(|&x| x));
-
-        // Entering cell: most negative reduced cost.
-        let mut best = (-1e-12, usize::MAX, usize::MAX);
-        for i in 0..m {
-            for j in 0..n {
-                let rc = cost_at(i, j) - u[i] - v[j];
-                if rc < best.0 {
-                    best = (rc, i, j);
-                }
-            }
-        }
-        if best.1 == usize::MAX {
+        if best.1 == NONE {
             // Optimal: assemble the plan in original index space.
             let mut flows = Vec::with_capacity(basis.len());
             let mut total_cost = 0.0;
-            for bc in &basis {
-                if bc.flow > 1e-15 {
-                    flows.push((rows[bc.i], cols[bc.j], bc.flow));
-                    total_cost += bc.flow * cost_at(bc.i, bc.j);
+            for arc in &basis {
+                if arc.flow > 1e-15 {
+                    flows.push((rows[arc.i], cols[arc.j], arc.flow));
+                    total_cost += arc.flow * c(arc.i, arc.j);
                 }
             }
             return Ok(TransportPlan { flows, cost: total_cost });
         }
-        let (ei, ej) = (best.1, best.2);
+        let (p, q) = (best.1, m + best.2);
 
-        // Find the unique cycle: path from row `ei` to col `ej` through the
-        // basis tree, then close it with the entering cell.
-        #[expect(
-            clippy::expect_used,
-            reason = "the simplex basis stays a spanning tree across pivots, so a path always exists"
-        )]
-        let path = tree_path(&basis, &row_adj, &col_adj, m, n, ei, ej)
-            .expect("basis must be a spanning tree");
-
-        // Edges along the path alternate -,+,-,+,... starting at the edge
-        // incident to row `ei`; the entering cell takes +θ.
-        let mut theta = f64::INFINITY;
-        let mut leave = usize::MAX;
-        for (pos, &k) in path.iter().enumerate() {
-            if pos % 2 == 0 {
-                // minus edge
-                if basis[k].flow < theta {
-                    theta = basis[k].flow;
-                    leave = k;
-                }
-            }
-        }
-        debug_assert!(leave != usize::MAX);
-        for (pos, &k) in path.iter().enumerate() {
-            if pos % 2 == 0 {
-                basis[k].flow -= theta;
+        // The cycle runs p → q on the entering arc, then back through the
+        // tree. On p's side it crosses each arc downward, from parent to
+        // child, so a child source marks a minus arc; on q's side it
+        // crosses upward, so a child sink does.
+        cycle.clear();
+        let (mut x, mut y) = (p, q);
+        while x != y {
+            if tree.depth[x] >= tree.depth[y] {
+                cycle.push((x, x < m));
+                x = tree.parent[x];
             } else {
-                basis[k].flow += theta;
+                cycle.push((y, y >= m));
+                y = tree.parent[y];
             }
         }
-        basis[leave] = Basic { i: ei, j: ej, flow: theta };
+        let mut theta = f64::INFINITY;
+        let mut out = NONE;
+        for &(x, minus) in &cycle {
+            let flow = basis[tree.parent_arc[x]].flow;
+            if minus && flow < theta {
+                theta = flow;
+                out = x;
+            }
+        }
+        debug_assert!(out != NONE);
+        for &(x, minus) in &cycle {
+            let arc = &mut basis[tree.parent_arc[x]];
+            arc.flow += if minus { -theta } else { theta };
+        }
+
+        // The entering arc takes the leaving arc's slot; the subtree below
+        // the leaving arc (holding p when `out` is on p's side, i.e. a
+        // source) re-hangs from the entering arc.
+        let leave = tree.parent_arc[out];
+        let Basic { i, j, .. } = basis[leave];
+        tree.arcs[i].retain(|&k| k != leave);
+        tree.arcs[m + j].retain(|&k| k != leave);
+        basis[leave] = Basic { i: p, j: q - m, flow: theta };
+        tree.arcs[p].push(leave);
+        tree.arcs[q].push(leave);
+        let (root, parent) = if out < m { (p, q) } else { (q, p) };
+        tree.parent[root] = parent;
+        tree.parent_arc[root] = leave;
+        tree.depth[root] = tree.depth[parent] + 1;
+        tree.potential[root] = c(p, q - m) - tree.potential[parent];
+        tree.relabel_below(&basis, &c, root);
     }
     Err(TransportError::IterationLimit)
-}
-
-/// Finds the sequence of basic-cell indices forming the tree path from row
-/// `start_row` to column `end_col`. Returned edges are ordered from the row
-/// end to the column end, so they alternate (row→col), (col→row), … which
-/// means even positions are the "minus" edges of the pivot cycle.
-fn tree_path(
-    basis: &[Basic],
-    row_adj: &[Vec<usize>],
-    col_adj: &[Vec<usize>],
-    m: usize,
-    n: usize,
-    start_row: usize,
-    end_col: usize,
-) -> Option<Vec<usize>> {
-    // BFS over nodes: rows are 0..m, cols are m..m+n.
-    let total = m + n;
-    let target = m + end_col;
-    let mut prev_edge = vec![usize::MAX; total];
-    let mut prev_node = vec![usize::MAX; total];
-    let mut visited = vec![false; total];
-    let mut queue = std::collections::VecDeque::new();
-    visited[start_row] = true;
-    queue.push_back(start_row);
-    while let Some(node) = queue.pop_front() {
-        if node == target {
-            break;
-        }
-        let (is_row, idx) = if node < m { (true, node) } else { (false, node - m) };
-        let adj = if is_row { &row_adj[idx] } else { &col_adj[idx] };
-        for &k in adj {
-            let bc = basis[k];
-            let next = if is_row { m + bc.j } else { bc.i };
-            if !visited[next] {
-                visited[next] = true;
-                prev_edge[next] = k;
-                prev_node[next] = node;
-                queue.push_back(next);
-            }
-        }
-    }
-    if !visited[target] {
-        return None;
-    }
-    let mut path = Vec::new();
-    let mut node = target;
-    while node != start_row {
-        path.push(prev_edge[node]);
-        node = prev_node[node];
-    }
-    path.reverse();
-    Some(path)
 }
 
 #[cfg(test)]
@@ -327,8 +332,7 @@ mod tests {
     fn identical_distributions_cost_zero() {
         let pts = grid_points(3);
         let w = vec![1.0 / 9.0; 9];
-        let c = CostMatrix::euclidean_pow(&pts, &pts, 2);
-        let plan = solve_exact(&w, &w, &c).unwrap();
+        let plan = solve_exact(&w, &w, |i, j| pts[i].dist_sq(pts[j])).unwrap();
         assert!(plan.cost.abs() < 1e-9, "cost {}", plan.cost);
     }
 
@@ -336,8 +340,7 @@ mod tests {
     fn single_atom_translation() {
         let a = [Point::new(0.0, 0.0)];
         let b = [Point::new(3.0, 4.0)];
-        let c = CostMatrix::euclidean_pow(&a, &b, 2);
-        let plan = solve_exact(&[1.0], &[1.0], &c).unwrap();
+        let plan = solve_exact(&[1.0], &[1.0], |i, j| a[i].dist_sq(b[j])).unwrap();
         assert!((plan.cost - 25.0).abs() < 1e-9);
     }
 
@@ -353,15 +356,15 @@ mod tests {
                 (0..n).map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>())).collect();
             let b: Vec<Point> =
                 (0..n).map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>())).collect();
-            let c = CostMatrix::euclidean_pow(&a, &b, 2);
+            let c = |i: usize, j: usize| a[i].dist_sq(b[j]);
             let w = vec![1.0 / n as f64; n];
-            let plan = solve_exact(&w, &w, &c).unwrap();
+            let plan = solve_exact(&w, &w, c).unwrap();
 
             // Brute force over permutations.
             let mut perm: Vec<usize> = (0..n).collect();
             let mut best = f64::INFINITY;
             permute(&mut perm, 0, &mut |p| {
-                let cst: f64 = p.iter().enumerate().map(|(i, &j)| c.at(i, j) / n as f64).sum();
+                let cst: f64 = p.iter().enumerate().map(|(i, &j)| c(i, j) / n as f64).sum();
                 if cst < best {
                     best = cst;
                 }
@@ -402,8 +405,7 @@ mod tests {
         for x in &mut b {
             *x /= sb;
         }
-        let c = CostMatrix::euclidean_pow(&pts_a, &pts_b, 2);
-        let plan = solve_exact(&a, &b, &c).unwrap();
+        let plan = solve_exact(&a, &b, |i, j| pts_a[i].dist_sq(pts_b[j])).unwrap();
         let mut row_sum = [0.0; 16];
         let mut col_sum = [0.0; 16];
         for &(i, j, f) in &plan.flows {
@@ -420,10 +422,10 @@ mod tests {
     #[test]
     fn mismatched_masses_rejected() {
         let pts = [Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
-        let c = CostMatrix::euclidean_pow(&pts, &pts, 2);
-        let err = solve_exact(&[1.0, 0.0], &[3.0, 0.0], &c).unwrap_err();
+        let c = |i: usize, j: usize| pts[i].dist_sq(pts[j]);
+        let err = solve_exact(&[1.0, 0.0], &[3.0, 0.0], c).unwrap_err();
         assert!(matches!(err, TransportError::UnbalancedMass { .. }));
-        let err = solve_exact(&[0.0, 0.0], &[0.0, 0.0], &c).unwrap_err();
+        let err = solve_exact(&[0.0, 0.0], &[0.0, 0.0], c).unwrap_err();
         assert_eq!(err, TransportError::EmptyDistribution);
     }
 
@@ -433,8 +435,7 @@ mod tests {
         let a_pts: Vec<Point> = (0..6).map(|i| Point::new(i as f64, 0.0)).collect();
         let a = [0.3, 0.1, 0.1, 0.1, 0.2, 0.2];
         let b = [0.1, 0.2, 0.3, 0.2, 0.1, 0.1];
-        let c = CostMatrix::euclidean_pow(&a_pts, &a_pts, 1);
-        let plan = solve_exact(&a, &b, &c).unwrap();
+        let plan = solve_exact(&a, &b, |i, j| a_pts[i].dist(a_pts[j])).unwrap();
         // Closed form: sum over i of |CDF_a(i) - CDF_b(i)| * spacing.
         let mut cdf_a = 0.0;
         let mut cdf_b = 0.0;

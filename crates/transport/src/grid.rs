@@ -55,21 +55,19 @@ pub struct SinkhornParams {
     pub max_iters: usize,
     /// Stop a stage when the L1 marginal violation drops below this.
     pub tol: f64,
-    /// Iteration cap for every *intermediate* ε-scaling stage. Warm-start
-    /// stages only need to move the dual potentials into the right
-    /// neighbourhood before the regularisation halves again, so running
-    /// them to `max_iters`/`tol` wastes almost their entire budget; a
-    /// small cap reserves the budget for the final stage (the measured
-    /// speedup is recorded in `BENCH_w2.json`). Use `usize::MAX` for the
-    /// legacy run-every-stage-to-convergence behaviour.
-    pub warm_start_iters: usize,
 }
 
 impl Default for SinkhornParams {
     fn default() -> Self {
-        Self { reg_rel: 2e-3, max_iters: 2000, tol: 1e-9, warm_start_iters: 10 }
+        Self { reg_rel: 2e-3, max_iters: 2000, tol: 1e-9 }
     }
 }
+
+/// Iteration cap for every *intermediate* ε-scaling stage. Warm-start
+/// stages only need to move the dual potentials into the right
+/// neighbourhood before the regularisation halves again, so a small cap
+/// reserves the iteration budget for the final stage.
+const WARM_START_ITERS: usize = 10;
 
 /// Floor for log-sum-exp results feeding a potential update, slightly
 /// inside `ln(f64::MIN_POSITIVE)`. The axis passes stabilise with the
@@ -139,7 +137,7 @@ pub fn grid_sinkhorn_cost(
 
     // ε-scaling: the regularisation decays geometrically from half the
     // cost scale. Intermediate stages only warm-start the potentials, so
-    // they run under the (small) `warm_start_iters` cap; the final stage
+    // they run under the (small) `WARM_START_ITERS` cap; the final stage
     // gets the whole `max_iters`/`tol` budget. Potentials in cost units
     // carry across stages unchanged.
     let mut reg = (0.5 * cmax).max(reg_final);
@@ -147,7 +145,7 @@ pub fn grid_sinkhorn_cost(
         let iters = if reg <= reg_final {
             params.max_iters
         } else {
-            params.warm_start_iters.min(params.max_iters)
+            WARM_START_ITERS.min(params.max_iters)
         };
         let k = plain_kernel(d, reg);
         for _ in 0..iters {
@@ -405,7 +403,6 @@ fn row_max(xs: &[f64]) -> f64 {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::cost::CostMatrix;
     use crate::exact::solve_exact;
     use dam_geo::Point;
     use proptest::prelude::*;
@@ -419,7 +416,7 @@ pub(crate) mod tests {
     pub(crate) fn dense_sinkhorn_cost(
         a: &[f64],
         b: &[f64],
-        cost: &CostMatrix,
+        cost: impl Fn(usize, usize) -> f64,
         params: SinkhornParams,
     ) -> f64 {
         let (sa, sb): (f64, f64) = (a.iter().sum(), b.iter().sum());
@@ -431,7 +428,7 @@ pub(crate) mod tests {
         let mut c = vec![0.0f64; m * n];
         for (ii, &i) in rows.iter().enumerate() {
             for (jj, &j) in cols.iter().enumerate() {
-                c[ii * n + jj] = cost.at(i, j);
+                c[ii * n + jj] = cost(i, j);
             }
         }
         let cmax = c.iter().fold(0.0f64, |x, &y| x.max(y));
@@ -448,7 +445,7 @@ pub(crate) mod tests {
             let iters = if reg <= reg_final {
                 params.max_iters
             } else {
-                params.warm_start_iters.min(params.max_iters)
+                WARM_START_ITERS.min(params.max_iters)
             };
             for _ in 0..iters {
                 for i in 0..m {
@@ -529,8 +526,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// Cell-center support points of a full `d × d` grid, matching the
-    /// convention of `metrics::cell_unit_support`.
+    /// Cell-center support points of a full `d × d` grid, in cell units.
     fn grid_points(d: usize) -> Vec<Point> {
         (0..d * d).map(|i| Point::new((i % d) as f64 + 0.5, (i / d) as f64 + 0.5)).collect()
     }
@@ -581,9 +577,9 @@ pub(crate) mod tests {
             let a = random_grid_dist(d, &mut rng);
             let b = random_grid_dist(d, &mut rng);
             let pts = grid_points(d);
-            let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
-            let exact = solve_exact(&a, &b, &cost).unwrap().cost;
-            let dense = dense_sinkhorn_cost(&a, &b, &cost, SinkhornParams::default());
+            let cost = |i: usize, j: usize| pts[i].dist_sq(pts[j]);
+            let exact = solve_exact(&a, &b, cost).unwrap().cost;
+            let dense = dense_sinkhorn_cost(&a, &b, cost, SinkhornParams::default());
             let grid = grid_sinkhorn_cost(&a, &b, d, SinkhornParams::default()).unwrap();
             // Rounded coupling => feasible => cost >= optimum.
             assert!(grid >= exact - 1e-9, "d={d}: grid {grid} below exact {exact}");
@@ -614,9 +610,9 @@ pub(crate) mod tests {
         ) {
             let d = 5usize;
             let pts = grid_points(d);
-            let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
-            let exact = solve_exact(&a, &b, &cost).unwrap().cost;
-            let dense = dense_sinkhorn_cost(&a, &b, &cost, SinkhornParams::default());
+            let cost = |i: usize, j: usize| pts[i].dist_sq(pts[j]);
+            let exact = solve_exact(&a, &b, cost).unwrap().cost;
+            let dense = dense_sinkhorn_cost(&a, &b, cost, SinkhornParams::default());
             let grid = grid_sinkhorn_cost(&a, &b, d, SinkhornParams::default()).unwrap();
             prop_assert!(grid >= exact - 1e-9, "grid {grid} below optimum {exact}");
             let tol = 0.05 * exact.max(0.05);
@@ -630,8 +626,8 @@ pub(crate) mod tests {
         fn grid_sinkhorn_equals_dense_on_full_support(case in full_support_pair()) {
             let (d, a, b) = case;
             let pts = grid_points(d);
-            let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
-            let dense = dense_sinkhorn_cost(&a, &b, &cost, SinkhornParams::default());
+            let cost = |i: usize, j: usize| pts[i].dist_sq(pts[j]);
+            let dense = dense_sinkhorn_cost(&a, &b, cost, SinkhornParams::default());
             let grid = grid_sinkhorn_cost(&a, &b, d, SinkhornParams::default()).unwrap();
             prop_assert!(rel_gap(grid, dense) <= 1e-9, "d={d}: grid {grid} vs dense {dense}");
         }
@@ -674,9 +670,8 @@ pub(crate) mod tests {
             b[(d - 1) * d + ix] = 1.0; // top row only
         }
         let pts = grid_points(d);
-        let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
-        let exact =
-            solve_exact(&normalized(a.clone()), &normalized(b.clone()), &cost).unwrap().cost;
+        let cost = |i: usize, j: usize| pts[i].dist_sq(pts[j]);
+        let exact = solve_exact(&normalized(a.clone()), &normalized(b.clone()), cost).unwrap().cost;
         let grid = grid_sinkhorn_cost(&a, &b, d, SinkhornParams::default()).unwrap();
         assert!(grid >= exact - 1e-9);
         assert!((grid - exact).abs() <= 0.05 * exact, "grid {grid} exact {exact}");
@@ -737,10 +732,10 @@ pub(crate) mod tests {
             Err(TransportError::NonFinite { index: 4 })
         );
         let pts = grid_points(3);
-        let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
+        let cost = |i: usize, j: usize| pts[i].dist_sq(pts[j]);
         a[4] = f64::NAN;
         assert_eq!(
-            crate::exact::solve_exact(&a, &b, &cost).unwrap_err(),
+            crate::exact::solve_exact(&a, &b, cost).unwrap_err(),
             TransportError::NonFinite { index: 4 }
         );
     }

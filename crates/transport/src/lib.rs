@@ -6,8 +6,9 @@
 //! ones, and analyses mechanisms through the *sliced* Wasserstein distance
 //! (Definitions 6–7). This crate provides all of those from scratch:
 //!
-//! * [`exact`] — the transportation simplex (MODI / u-v method), an exact LP
-//!   solver specialised to the OT polytope;
+//! * [`exact`] — the network simplex, an exact LP solver specialised to the
+//!   OT polytope that prices arc costs from a closure, so no cost matrix is
+//!   stored;
 //! * [`grid`] — the paper's Sinkhorn for same-grid histograms: the
 //!   squared-Euclidean Gibbs kernel factorizes per axis, so entropic
 //!   iterations cost `O(d³)` on `O(d²)` state with no cost matrix —
@@ -29,14 +30,12 @@
     )
 )]
 
-pub mod cost;
 pub mod exact;
 pub mod grid;
 pub mod metrics;
 pub mod sliced;
 pub mod w1d;
 
-pub use cost::CostMatrix;
 pub use exact::{solve_exact, TransportPlan};
 pub use grid::{grid_sinkhorn_cost, SinkhornParams};
 pub use metrics::{w2, w2_exact, w2_grid_sinkhorn};

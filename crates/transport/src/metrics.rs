@@ -9,33 +9,15 @@
 //! "Sinkhorn" is the grid-separable solver ([`crate::grid`]), and [`w2`]
 //! switches between the two by support size.
 
-use crate::cost::CostMatrix;
-use crate::exact::{check_finite, solve_exact, TransportError};
+use crate::exact::{solve_exact, TransportError};
 use crate::grid::{grid_sinkhorn_cost, SinkhornParams};
-use dam_geo::{Histogram2D, Point};
+use dam_geo::Histogram2D;
 
 /// Largest support (positive cells) [`w2`] still solves with the exact
-/// LP. The transportation simplex handles 400-support (d = 20) instances
-/// in well under a second, so the paper's whole evaluation range runs
-/// exact; the grid solver takes over for larger grids.
+/// LP. The network simplex solves a full 400-cell (d = 20) pair in 81 ms
+/// (`BENCH_w2.json`), so the paper's whole evaluation range runs exact;
+/// the grid solver takes over for larger grids.
 const MAX_EXACT_SUPPORT: usize = 400;
-
-/// Extracts the cell-unit support of a histogram: positions are cell index
-/// centers `(ix + ½, iy + ½)` so distances are in multiples of the cell
-/// side, matching the paper's reported scale.
-fn cell_unit_support(h: &Histogram2D) -> (Vec<Point>, Vec<f64>) {
-    let mut pts = Vec::new();
-    let mut ws = Vec::new();
-    let g = h.grid();
-    for (i, &v) in h.values().iter().enumerate() {
-        if v > 0.0 {
-            let c = g.unflat(i);
-            pts.push(Point::new(c.ix as f64 + 0.5, c.iy as f64 + 0.5));
-            ws.push(v);
-        }
-    }
-    (pts, ws)
-}
 
 /// The shared side length `d` of two histograms.
 ///
@@ -48,7 +30,7 @@ fn assert_same_resolution(a: &Histogram2D, b: &Histogram2D) -> usize {
 }
 
 /// `W₂` between two histograms on same-shape grids, in cell units: the
-/// exact LP (unbiased, and measured faster than Sinkhorn at paper scale)
+/// exact LP (unbiased; the grid solver's entropic cost never reads 0)
 /// when both supports have at most 400 cells (`MAX_EXACT_SUPPORT`), the
 /// grid solver under `params` otherwise.
 pub fn w2(a: &Histogram2D, b: &Histogram2D, params: SinkhornParams) -> Result<f64, TransportError> {
@@ -60,21 +42,22 @@ pub fn w2(a: &Histogram2D, b: &Histogram2D, params: SinkhornParams) -> Result<f6
     }
 }
 
-/// `W₂` with the exact transportation simplex (the paper's "Linear
-/// Programming").
-pub fn w2_exact(a: &Histogram2D, b: &Histogram2D) -> Result<f64, TransportError> {
-    assert_same_resolution(a, b);
-    // Support extraction keeps only `v > 0`, so a NaN or −∞ cell would
-    // otherwise vanish.
-    check_finite(a.values())?;
-    check_finite(b.values())?;
-    let (pa, wa) = cell_unit_support(a);
-    let (pb, wb) = cell_unit_support(b);
-    if pa.is_empty() || pb.is_empty() {
-        return Err(TransportError::EmptyDistribution);
+/// Squared distance, in cell units, between the centres of the cells at
+/// flat indices `i` and `j` of a `d × d` grid. The centres' +½ offsets
+/// cancel in differences, so the cost reads straight off the indices.
+fn cell_cost(d: usize) -> impl Fn(usize, usize) -> f64 + Copy {
+    move |i, j| {
+        let dx = (i % d) as f64 - (j % d) as f64;
+        let dy = (i / d) as f64 - (j / d) as f64;
+        dx * dx + dy * dy
     }
-    let cost = CostMatrix::euclidean_pow(&pa, &pb, 2);
-    Ok(solve_exact(&wa, &wb, &cost)?.cost.max(0.0).sqrt())
+}
+
+/// `W₂` with the exact network simplex (the paper's "Linear
+/// Programming") under the squared cell-unit cost.
+pub fn w2_exact(a: &Histogram2D, b: &Histogram2D) -> Result<f64, TransportError> {
+    let d = assert_same_resolution(a, b);
+    Ok(solve_exact(a.values(), b.values(), cell_cost(d))?.cost.max(0.0).sqrt())
 }
 
 /// `W₂` with the grid-separable Sinkhorn solver under `params` (the
@@ -104,9 +87,49 @@ mod tests {
         let mut h = Histogram2D::zeros(grid(4));
         h.add_cell(CellIndex::new(1, 1));
         h.add_cell(CellIndex::new(3, 2));
-        // The exact solver's anti-degeneracy perturbation leaves O(1e-11)
-        // squared cost, i.e. O(1e-5) on the W2 scale.
-        assert!(w2_exact(&h, &h).unwrap() < 1e-4);
+        // A uniform d = 20 histogram ties every reduced cost, so the
+        // second input pins termination under full degeneracy.
+        let mut uniform = Histogram2D::zeros(grid(20));
+        uniform.values_mut().fill(1.0 / 400.0);
+        for h in [h, uniform] {
+            // The exact solver's anti-degeneracy perturbation leaves
+            // O(1e-11) squared cost, i.e. O(1e-5) on the W2 scale.
+            let w = w2_exact(&h, &h).unwrap();
+            assert!(w < 1e-4, "d = {}: w2 {w}", h.grid().d());
+        }
+    }
+
+    /// `BENCH_w2.json`'s histogram: a Gaussian bump at `(cx, cy)`
+    /// (grid-relative) over a flat background.
+    fn bump(d: u32, cx: f64, cy: f64) -> Histogram2D {
+        let mut h = Histogram2D::zeros(grid(d));
+        let (s, du) = (f64::from(d), d as usize);
+        for (i, v) in h.values_mut().iter_mut().enumerate() {
+            let (x, y) = ((i % du) as f64 / s, (i / du) as f64 / s);
+            *v = (-(((x - cx).powi(2) + (y - cy).powi(2)) / 0.02)).exp() + 0.05;
+        }
+        h.normalized()
+    }
+
+    #[test]
+    fn w2_exact_matches_pinned_values() {
+        // Pinned from the MODI transportation simplex that preceded the
+        // network simplex (release build); any exact LP solver must
+        // reproduce the optimum to roundoff.
+        let mut sparse = Histogram2D::zeros(grid(10));
+        for i in (0..100).step_by(7) {
+            sparse.values_mut()[i] = 1.0 + (i % 5) as f64;
+        }
+        let cases = [
+            ("bump pair d=10", bump(10, 0.3, 0.35), bump(10, 0.65, 0.6), 2.8322251127687625),
+            ("bump pair d=20", bump(20, 0.3, 0.35), bump(20, 0.65, 0.6), 5.583847666170642),
+            ("near pair d=20", bump(20, 0.3, 0.35), bump(20, 0.33, 0.35), 0.5769623929315989),
+            ("sparse vs full", sparse.normalized(), bump(10, 0.5, 0.5), 2.066595288360256),
+        ];
+        for (name, a, b, want) in &cases {
+            let got = w2_exact(a, b).unwrap();
+            assert!((got - want).abs() <= 1e-9 * want, "{name}: got {got} want {want}");
+        }
     }
 
     #[test]
@@ -186,12 +209,10 @@ mod tests {
             gridv.to_bits(),
             "w2 at d=21 full support must be the grid solver"
         );
-        let (pa, _) = cell_unit_support(&a);
-        let cost = CostMatrix::euclidean_pow(&pa, &pa, 2);
         let dense = crate::grid::tests::dense_sinkhorn_cost(
             a.values(),
             b.values(),
-            &cost,
+            cell_cost(d as usize),
             SinkhornParams::default(),
         )
         .sqrt();

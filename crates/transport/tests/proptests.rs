@@ -1,7 +1,6 @@
 //! Property-based tests of the optimal-transport solvers.
 
 use dam_geo::Point;
-use dam_transport::cost::CostMatrix;
 use dam_transport::exact::solve_exact;
 use dam_transport::grid::{grid_sinkhorn_cost, SinkhornParams};
 use dam_transport::w1d::{wasserstein_1d, wasserstein_1d_pow};
@@ -29,8 +28,7 @@ proptest! {
         pa in points(7),
         pb in points(7),
     ) {
-        let cost = CostMatrix::euclidean_pow(&pa, &pb, 2);
-        let plan = solve_exact(&a, &b, &cost).unwrap();
+        let plan = solve_exact(&a, &b, |i, j| pa[i].dist_sq(pb[j])).unwrap();
         prop_assert!(plan.cost >= -1e-12);
         let mut rows = [0.0; 7];
         let mut cols = [0.0; 7];
@@ -54,12 +52,12 @@ proptest! {
     ) {
         // The independent coupling a⊗b is feasible, so its cost upper
         // bounds the optimum.
-        let cost = CostMatrix::euclidean_pow(&pa, &pb, 2);
-        let opt = solve_exact(&a, &b, &cost).unwrap().cost;
+        let cost = |i: usize, j: usize| pa[i].dist_sq(pb[j]);
+        let opt = solve_exact(&a, &b, cost).unwrap().cost;
         let mut product = 0.0;
         for i in 0..6 {
             for j in 0..6 {
-                product += a[i] * b[j] * cost.at(i, j);
+                product += a[i] * b[j] * cost(i, j);
             }
         }
         prop_assert!(opt <= product + 1e-9, "optimum {opt} above product {product}");
@@ -72,8 +70,7 @@ proptest! {
         xs in prop::collection::vec(-5.0f64..5.0, 8),
     ) {
         let pts: Vec<Point> = xs.iter().map(|&x| Point::new(x, 0.0)).collect();
-        let cost = CostMatrix::euclidean_pow(&pts, &pts, 2);
-        let plan = solve_exact(&a, &b, &cost).unwrap();
+        let plan = solve_exact(&a, &b, |i, j| pts[i].dist_sq(pts[j])).unwrap();
         let wa: Vec<(f64, f64)> = xs.iter().zip(&a).map(|(&x, &m)| (x, m)).collect();
         let wb: Vec<(f64, f64)> = xs.iter().zip(&b).map(|(&x, &m)| (x, m)).collect();
         let w1d = wasserstein_1d_pow(&wa, &wb, 2);

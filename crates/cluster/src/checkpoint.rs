@@ -117,8 +117,9 @@ pub struct CheckpointState {
     pub health: PipelineHealth,
     /// Coordinator collection stats.
     pub stats: CoordStats,
-    /// Arrived-node counts of the most recent `window` epochs (oldest
-    /// first) — what decides `partial_window` after restore.
+    /// Arrived-node counts of the epochs `planes` holds (oldest first,
+    /// one per plane, each at most K) — what decides `partial_window`
+    /// after restore.
     pub coverage: Vec<usize>,
     /// The EM warm-start seed (previous window's raw estimate). This is
     /// also, by construction, exactly the latest *published* estimate —

@@ -6,7 +6,7 @@
 //! # Determinism
 //!
 //! The collect loop runs on a **simulated clock**: ticks advance only by
-//! the deterministic backoff schedule (`base_backoff << attempt`), the
+//! the deterministic backoff schedule (polls at ticks +0, +1, +3, +7), the
 //! transport gates deliveries on ticks, and no wall time decides
 //! anything. Two runs of the same cluster configuration and fault plan
 //! are therefore bit-identical — including every published estimate,
@@ -37,13 +37,13 @@
 //! [`WalEntry`] and every `checkpoint_every` epochs a full
 //! [`CheckpointState`] of the live window's planes is written
 //! (truncating the WAL). Recovery checks the checkpoint against what the
-//! restore relies on (plane count, stream head, whole-number planes),
-//! restores it, republishes the last snapshot through the publisher
-//! (the estimator's warm state *is* the last published estimate — no
-//! EM re-run, which would advance the warm chain), then replays WAL
-//! entries re-running the window estimate for each, reproducing the
-//! uncrashed run's state bit-for-bit. The recovery tests sweep a kill
-//! at **every** epoch boundary at 1 and 4 threads.
+//! restore relies on (plane count, stream head, whole-number planes,
+//! node coverage), restores it, republishes the last snapshot through
+//! the publisher (the estimator's warm state *is* the last published
+//! estimate — no EM re-run, which would advance the warm chain), then
+//! replays WAL entries re-running the window estimate for each,
+//! reproducing the uncrashed run's state bit-for-bit. The recovery tests
+//! sweep a kill at **every** epoch boundary at 1 and 4 threads.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -57,6 +57,15 @@ use dam_geo::{Grid2D, Histogram2D, Point};
 use dam_obs::{Counter, Histogram, LogicalStamp, Plane, Registry};
 use dam_stream::{Publisher, Snapshot, StreamConfig, StreamingEstimator, WindowEstimate};
 
+/// Poll attempts per epoch before the coordinator gives up on missing
+/// nodes.
+const MAX_ATTEMPTS: u32 = 4;
+
+/// Simulated-clock ticks before the first retry; the wait doubles each
+/// attempt, so the [`MAX_ATTEMPTS`] polls land at ticks +0, +1, +3, +7 —
+/// enough to ride out the default delivery-delay bound.
+const BASE_BACKOFF: u64 = 1;
+
 /// Cluster topology and collection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
@@ -65,23 +74,16 @@ pub struct ClusterConfig {
     /// Minimum node planes required to close an epoch with data; below
     /// this the epoch is recorded missed. `1 ..= nodes`.
     pub quorum: usize,
-    /// Simulated-clock ticks before the first retry; doubles each
-    /// attempt (`base_backoff << attempt`).
-    pub base_backoff: u64,
-    /// Poll attempts per epoch before giving up on missing nodes.
-    pub max_attempts: u32,
     /// Seed of the shard→node ownership draws
     /// ([`crate::partition::shard_owner`]).
     pub partition_seed: u64,
 }
 
 impl ClusterConfig {
-    /// A K-node cluster with majority quorum and the default backoff
-    /// schedule (4 attempts at ticks +0, +1, +3, +7 — enough to ride out
-    /// the default delivery-delay bound).
+    /// A K-node cluster with majority quorum.
     pub fn new(nodes: usize) -> Self {
         assert!(nodes > 0, "a cluster has at least one node");
-        Self { nodes, quorum: nodes / 2 + 1, base_backoff: 1, max_attempts: 4, partition_seed: 17 }
+        Self { nodes, quorum: nodes / 2 + 1, partition_seed: 17 }
     }
 
     /// Same, with an explicit quorum.
@@ -194,7 +196,6 @@ impl Coordinator {
             cluster.quorum,
             cluster.nodes
         );
-        assert!(cluster.max_attempts > 0, "at least one poll attempt");
         let est = StreamingEstimator::new(grid.clone(), stream);
         let obs = CoordObs::register(est.obs());
         Self {
@@ -265,6 +266,17 @@ impl Coordinator {
         if state.planes.len() != want {
             let got = state.planes.len();
             return corrupt(format!("{got} planes for a head of {head}, want {want}"));
+        }
+        // One coverage entry per retained plane, each at most K, or an
+        // under-covered epoch in the window could go unflagged by
+        // `partial_window`.
+        if state.coverage.len() != state.planes.len() {
+            let (got, want) = (state.coverage.len(), state.planes.len());
+            return corrupt(format!("{got} coverage entries for {want} planes"));
+        }
+        let k = self.cluster.nodes;
+        if let Some(&c) = state.coverage.iter().find(|&&c| c > k) {
+            return corrupt(format!("coverage entry {c} exceeds the {k} nodes"));
         }
         let whole = |v: f64| (0.0..9_007_199_254_740_992.0).contains(&v) && v.fract() == 0.0;
         if let Some(&v) = state.planes.iter().flatten().find(|&&v| !whole(v)) {
@@ -405,10 +417,10 @@ impl Coordinator {
                 }
             }
             attempt += 1;
-            if arrived == k || attempt >= self.cluster.max_attempts {
+            if arrived == k || attempt >= MAX_ATTEMPTS {
                 break;
             }
-            let wait = self.cluster.base_backoff << (attempt - 1);
+            let wait = BASE_BACKOFF << (attempt - 1);
             self.clock += wait;
             self.obs.backoff_ticks.add(wait);
             retries_delta += 1;

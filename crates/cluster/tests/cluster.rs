@@ -492,6 +492,16 @@ fn restore_rejects_planes_that_are_not_whole_counts() {
     }
 }
 
+#[test]
+fn restore_rejects_coverage_that_does_not_match_the_planes() {
+    let detail = recover_edited("coverage-len", |s| {
+        s.coverage.pop();
+    });
+    assert!(detail.contains("2 coverage entries for 3 planes"), "{detail}");
+    let detail = recover_edited("coverage-k", |s| s.coverage[0] = 4);
+    assert!(detail.contains("coverage entry 4 exceeds the 3 nodes"), "{detail}");
+}
+
 /// A real store (checkpoint at epoch 4, WAL entries for epochs 4 and 5),
 /// its decoded checkpoint, and the run's state after every epoch.
 type Fixture = (Vec<u8>, Vec<u8>, CheckpointState, Vec<Bits>);

@@ -110,7 +110,7 @@ impl ChannelOp for FftChannel {
     fn apply(&self, f: &[f64], out: &mut [f64], ws: &mut EmWorkspace) {
         debug_assert_eq!(f.len(), self.n_in());
         debug_assert_eq!(out.len(), self.n_out());
-        let [spec] = ws.planes([self.fft.spectrum_len()]);
+        let spec = ws.plane(self.fft.spectrum_len());
         self.fft.convolve(
             f,
             self.d,
@@ -133,7 +133,7 @@ impl ChannelOp for FftChannel {
         debug_assert_eq!(f.len(), self.n_in());
         debug_assert_eq!(f_new.len(), self.n_in());
         let d = self.d;
-        let [spec] = ws.planes([self.fft.spectrum_len()]);
+        let spec = ws.plane(self.fft.spectrum_len());
         self.fft.convolve(
             w,
             self.out_d,

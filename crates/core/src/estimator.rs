@@ -13,10 +13,7 @@ use crate::kernel::DiscreteKernel;
 use crate::radius::optimal_b_cells;
 use crate::response::GridAreaResponse;
 use crate::shard::{sharded_accumulate_in, SHARD_SIZE};
-use crate::validate::{
-    check_counts, check_point_in, covered_square, IngestError, IngestPolicy, IngestSummary,
-    PointCheck,
-};
+use crate::validate::{check_point_in, covered_square, IngestPolicy, IngestSummary, PointCheck};
 use dam_fo::em::{expectation_maximization, EmParams, EmWorkspace};
 use dam_geo::{CellIndex, Grid2D, Histogram2D, Point};
 use rand::RngCore;
@@ -270,14 +267,14 @@ impl DamClient {
                 }
                 let (mut quarantined, mut clamped) = (0u64, 0u64);
                 buf[n] += range.len() as f64;
-                for (i, &p) in points[range.clone()].iter().enumerate() {
-                    let accepted = match check_point_in(&domain, policy, range.start + i, p) {
+                for &p in &points[range] {
+                    let accepted = match check_point_in(&domain, policy, p) {
                         PointCheck::Accept(q) => q,
                         PointCheck::Clamped(q) => {
                             clamped += 1;
                             q
                         }
-                        PointCheck::Quarantine(_) => {
+                        PointCheck::Quarantine => {
                             quarantined += 1;
                             continue;
                         }
@@ -337,26 +334,6 @@ impl DamAggregator {
             total += c;
         }
         self.n_reports += total as u64;
-    }
-
-    /// Validating counterpart of [`DamAggregator::ingest_counts`]: the
-    /// buffer must match the output grid and hold only finite,
-    /// non-negative entries, or the whole buffer is rejected with a
-    /// structured [`IngestError`] and the running histogram is untouched.
-    ///
-    /// Use this on count planes that crossed a trust boundary (network
-    /// transport, persisted spools, fault-injection harnesses); the
-    /// panicking `ingest_counts` remains for buffers produced in-process
-    /// by [`DamClient::report_batch`].
-    pub fn try_ingest_counts(&mut self, counts: &[f64]) -> Result<(), IngestError> {
-        check_counts(self.counts.len(), counts)?;
-        let mut total = 0.0f64;
-        for (acc, &c) in self.counts.iter_mut().zip(counts) {
-            *acc += c;
-            total += c;
-        }
-        self.n_reports += total as u64;
-        Ok(())
     }
 
     /// Number of reports ingested so far.
@@ -593,28 +570,5 @@ mod tests {
             assert_eq!(&again, expect);
             assert_eq!(s.seen, points.len() as u64);
         }
-    }
-
-    #[test]
-    fn try_ingest_counts_rejects_bad_planes_without_mutation() {
-        let grid = Grid2D::new(BoundingBox::unit(), 3);
-        let client = DamClient::new(grid, &DamConfig::dam(1.0));
-        let mut agg = DamAggregator::new(&client);
-        let n = client.kernel().n_out();
-
-        assert!(matches!(
-            agg.try_ingest_counts(&vec![0.0; n - 1]),
-            Err(IngestError::ShapeMismatch { .. })
-        ));
-        let mut bad = vec![1.0; n];
-        bad[2] = f64::NAN;
-        assert_eq!(agg.try_ingest_counts(&bad), Err(IngestError::NonFiniteCount { cell: 2 }));
-        bad[2] = -1.0;
-        assert_eq!(agg.try_ingest_counts(&bad), Err(IngestError::NegativeCount { cell: 2 }));
-        assert_eq!(agg.n_reports(), 0, "rejected planes must not count");
-
-        let good = vec![2.0; n];
-        assert_eq!(agg.try_ingest_counts(&good), Ok(()));
-        assert_eq!(agg.n_reports(), 2 * n as u64);
     }
 }

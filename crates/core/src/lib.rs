@@ -72,4 +72,4 @@ pub use kernel::DiscreteKernel;
 pub use pyramid::{NoisyLevel, Pyramid, PyramidLevel};
 pub use radius::{mutual_information_bound, optimal_b};
 pub use response::GridAreaResponse;
-pub use validate::{IngestError, IngestPolicy, IngestSummary};
+pub use validate::{IngestPolicy, IngestSummary};

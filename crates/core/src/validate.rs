@@ -1,5 +1,5 @@
-//! Ingest validation: structured errors, quarantine accounting and the
-//! clamp-vs-reject policy for untrusted report streams.
+//! Ingest validation: quarantine accounting, the clamp-vs-reject policy
+//! for untrusted report streams and the count-plane sanitizer.
 //!
 //! The production deployments the ROADMAP targets ingest reports from
 //! millions of uncontrolled clients: GPS glitches put points kilometres
@@ -36,67 +36,6 @@
 //! suffix exactly as if the garbage had never arrived.
 
 use dam_geo::{BoundingBox, Grid2D, Point};
-
-/// A structured ingest rejection: why a report cannot enter the pipeline.
-///
-/// Carried by [`crate::DamAggregator::try_ingest_counts`] and the
-/// validation helpers; the batch path aggregates rejections into
-/// [`IngestSummary`] counters instead of failing the whole batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IngestError {
-    /// A coordinate is `NaN` or infinite.
-    NonFiniteCoordinate {
-        /// Index of the offending report within its batch.
-        index: usize,
-    },
-    /// A finite point lies outside the input domain (and the policy is
-    /// [`IngestPolicy::Reject`]).
-    OutOfDomain {
-        /// Index of the offending report within its batch.
-        index: usize,
-    },
-    /// A pre-aggregated count buffer does not match the output grid.
-    ShapeMismatch {
-        /// Cells the pipeline expects.
-        expected: usize,
-        /// Cells the buffer carries.
-        got: usize,
-    },
-    /// A pre-aggregated count entry is `NaN` or infinite.
-    NonFiniteCount {
-        /// Flat cell index of the offending entry.
-        cell: usize,
-    },
-    /// A pre-aggregated count entry is negative.
-    NegativeCount {
-        /// Flat cell index of the offending entry.
-        cell: usize,
-    },
-}
-
-impl std::fmt::Display for IngestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            IngestError::NonFiniteCoordinate { index } => {
-                write!(f, "report {index}: non-finite coordinate")
-            }
-            IngestError::OutOfDomain { index } => {
-                write!(f, "report {index}: point outside the input domain")
-            }
-            IngestError::ShapeMismatch { expected, got } => {
-                write!(f, "count buffer has {got} cells, output grid has {expected}")
-            }
-            IngestError::NonFiniteCount { cell } => {
-                write!(f, "count plane cell {cell}: non-finite value")
-            }
-            IngestError::NegativeCount { cell } => {
-                write!(f, "count plane cell {cell}: negative value")
-            }
-        }
-    }
-}
-
-impl std::error::Error for IngestError {}
 
 /// What to do with a finite point outside the input domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -145,8 +84,9 @@ pub enum PointCheck {
     /// Finite but out-of-domain under [`IngestPolicy::Clamp`]: ingest the
     /// projected point.
     Clamped(Point),
-    /// Quarantine, with the structured reason.
-    Quarantine(IngestError),
+    /// Non-finite, or out-of-domain under [`IngestPolicy::Reject`]:
+    /// count it and drop it.
+    Quarantine,
 }
 
 /// The square the grid actually covers (side `d · cell_side` anchored at
@@ -160,15 +100,9 @@ pub fn covered_square(grid: &Grid2D) -> BoundingBox {
 
 /// Validates one point of a batch against `domain` — the grid's
 /// [`covered_square`], which the batch hot path hoists out of its
-/// per-point loop — under `policy`. `index` only labels the structured
-/// error.
+/// per-point loop — under `policy`.
 #[inline]
-pub fn check_point_in(
-    domain: &BoundingBox,
-    policy: IngestPolicy,
-    index: usize,
-    p: Point,
-) -> PointCheck {
+pub fn check_point_in(domain: &BoundingBox, policy: IngestPolicy, p: Point) -> PointCheck {
     // Common case first: a finite in-domain point pays only the contains
     // check. `BoundingBox` coordinates are finite by construction and
     // `NaN`/`∞` fail its comparisons, so containment alone proves the
@@ -177,39 +111,20 @@ pub fn check_point_in(
         return PointCheck::Accept(p);
     }
     if !p.x.is_finite() || !p.y.is_finite() {
-        return PointCheck::Quarantine(IngestError::NonFiniteCoordinate { index });
+        return PointCheck::Quarantine;
     }
     match policy {
         IngestPolicy::Clamp => PointCheck::Clamped(Point::new(
             p.x.clamp(domain.min_x, domain.max_x),
             p.y.clamp(domain.min_y, domain.max_y),
         )),
-        IngestPolicy::Reject => PointCheck::Quarantine(IngestError::OutOfDomain { index }),
+        IngestPolicy::Reject => PointCheck::Quarantine,
     }
-}
-
-/// Validates a pre-aggregated count plane against the output grid shape:
-/// every entry must be finite and non-negative. Returns the first
-/// structured error, if any.
-pub fn check_counts(expected_cells: usize, counts: &[f64]) -> Result<(), IngestError> {
-    if counts.len() != expected_cells {
-        return Err(IngestError::ShapeMismatch { expected: expected_cells, got: counts.len() });
-    }
-    for (cell, &c) in counts.iter().enumerate() {
-        if !c.is_finite() {
-            return Err(IngestError::NonFiniteCount { cell });
-        }
-        if c < 0.0 {
-            return Err(IngestError::NegativeCount { cell });
-        }
-    }
-    Ok(())
 }
 
 /// Zeroes non-finite and negative entries of a count plane in place,
-/// returning how many cells were sanitized. The graceful-degradation
-/// counterpart of [`check_counts`] for pipelines that must keep serving
-/// through a corrupted plane rather than reject the window.
+/// returning how many cells were sanitized, so a pipeline keeps serving
+/// through a corrupted plane rather than rejecting the window.
 pub fn sanitize_counts(counts: &mut [f64]) -> usize {
     let mut hit = 0;
     for c in counts.iter_mut() {
@@ -235,7 +150,7 @@ mod tests {
         let g = unit_grid(4);
         for policy in [IngestPolicy::Clamp, IngestPolicy::Reject] {
             let p = Point::new(0.3, 0.7);
-            assert_eq!(check_point_in(&covered_square(&g), policy, 0, p), PointCheck::Accept(p));
+            assert_eq!(check_point_in(&covered_square(&g), policy, p), PointCheck::Accept(p));
         }
     }
 
@@ -248,10 +163,7 @@ mod tests {
                 Point::new(0.5, f64::INFINITY),
                 Point::new(f64::NEG_INFINITY, f64::NAN),
             ] {
-                assert_eq!(
-                    check_point_in(&covered_square(&g), policy, 7, p),
-                    PointCheck::Quarantine(IngestError::NonFiniteCoordinate { index: 7 })
-                );
+                assert_eq!(check_point_in(&covered_square(&g), policy, p), PointCheck::Quarantine);
             }
         }
     }
@@ -261,12 +173,12 @@ mod tests {
         let g = unit_grid(4);
         let p = Point::new(3.0, -1.0);
         assert_eq!(
-            check_point_in(&covered_square(&g), IngestPolicy::Clamp, 1, p),
+            check_point_in(&covered_square(&g), IngestPolicy::Clamp, p),
             PointCheck::Clamped(Point::new(1.0, 0.0))
         );
         assert_eq!(
-            check_point_in(&covered_square(&g), IngestPolicy::Reject, 1, p),
-            PointCheck::Quarantine(IngestError::OutOfDomain { index: 1 })
+            check_point_in(&covered_square(&g), IngestPolicy::Reject, p),
+            PointCheck::Quarantine
         );
     }
 
@@ -280,23 +192,9 @@ mod tests {
         // A point inside the covered square but outside the data bbox is
         // accepted, matching what cell_of buckets.
         assert_eq!(
-            check_point_in(&covered_square(&g), IngestPolicy::Reject, 0, Point::new(1.9, 1.9)),
+            check_point_in(&covered_square(&g), IngestPolicy::Reject, Point::new(1.9, 1.9)),
             PointCheck::Accept(Point::new(1.9, 1.9))
         );
-    }
-
-    #[test]
-    fn count_checks_catch_shape_and_values() {
-        assert_eq!(
-            check_counts(4, &[0.0; 3]),
-            Err(IngestError::ShapeMismatch { expected: 4, got: 3 })
-        );
-        assert_eq!(
-            check_counts(3, &[1.0, f64::NAN, 0.0]),
-            Err(IngestError::NonFiniteCount { cell: 1 })
-        );
-        assert_eq!(check_counts(3, &[1.0, 0.0, -2.0]), Err(IngestError::NegativeCount { cell: 2 }));
-        assert_eq!(check_counts(2, &[5.0, 0.0]), Ok(()));
     }
 
     #[test]
@@ -313,18 +211,5 @@ mod tests {
         a.merge(&IngestSummary { seen: 5, quarantined: 1, clamped: 0 });
         assert_eq!(a, IngestSummary { seen: 15, quarantined: 3, clamped: 1 });
         assert_eq!(a.accepted(), 12);
-    }
-
-    #[test]
-    fn errors_render_messages() {
-        for e in [
-            IngestError::NonFiniteCoordinate { index: 1 },
-            IngestError::OutOfDomain { index: 2 },
-            IngestError::ShapeMismatch { expected: 4, got: 3 },
-            IngestError::NonFiniteCount { cell: 5 },
-            IngestError::NegativeCount { cell: 6 },
-        ] {
-            assert!(!e.to_string().is_empty());
-        }
     }
 }

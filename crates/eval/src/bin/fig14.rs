@@ -13,6 +13,7 @@ use dam_geo::rng::derived;
 use dam_geo::Grid2D;
 use dam_trajectory::mechanism::{true_distribution, TrajectoryMechanism};
 use dam_trajectory::{sample_workload, DamOnPoints, LdpTrace, PivotTrace, Trajectory};
+use dam_transport::w2;
 
 fn mechanisms(eps: f64) -> Vec<Box<dyn TrajectoryMechanism>> {
     vec![
@@ -32,15 +33,14 @@ fn point_w2(
 ) -> f64 {
     let grid = Grid2D::new(bbox, d);
     let truth = true_distribution(trajs, &grid);
-    // One dispatch implementation: the context hands `Auto` straight to
-    // `w2`, which resolves it on the *actual* support sizes; a
-    // d²-based re-derivation here could disagree with the library for
-    // sparse estimates near the exact-LP threshold.
+    // One dispatch implementation: `w2` picks the solver on the *actual*
+    // support sizes; a d²-based re-derivation here could disagree with
+    // the library for sparse estimates near the exact-LP threshold.
     let mut acc = 0.0;
     for rep in 0..ctx.repeats {
         let mut rng = derived(ctx.seed, stream ^ (0x7A70_0000 + rep as u64));
         let est = mech.estimate_distribution(trajs, &grid, &mut rng);
-        acc += ctx.w2(&est, &truth).expect("W2 computation failed");
+        acc += w2(&est, &truth).expect("W2 computation failed");
     }
     acc / ctx.repeats as f64
 }

@@ -6,7 +6,7 @@
 //! collects their epoch planes under the deterministic retry/backoff
 //! schedule, closes windows on quorum, and publishes warm-started window
 //! estimates. Per epoch and K the table reports arrived-node coverage
-//! and TV/W₂ (W₂ through [`EvalContext::w2`], the exact LP at d = 20)
+//! and TV/W₂ (W₂ through [`dam_transport::w2`], the exact LP at d = 20)
 //! against a **single-node reference** pipeline fed the exact same epochs
 //! (plus TV against the true sliding-window histogram) —
 //! with no faults injected, every row's `tv_ref` and `w2_ref` is 0.0000:
@@ -64,7 +64,7 @@ fn main() {
     let window = args.window.unwrap_or(if args.fast { 4 } else { 6 }).min(epochs);
     let per_epoch = (args.users.unwrap_or(20_000 * epochs) / epochs).max(1);
     let grid = Grid2D::new(BoundingBox::unit(), D);
-    let w2 = |a: &Histogram2D, b: &Histogram2D| ctx.w2(a, b).expect("w2");
+    let w2 = |a: &Histogram2D, b: &Histogram2D| dam_transport::w2(a, b).expect("w2");
 
     // Shared stream: every cluster size sees identical epochs.
     let epoch_data: Vec<Vec<Point>> = (0..epochs)

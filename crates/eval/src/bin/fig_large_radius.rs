@@ -20,6 +20,7 @@ use dam_eval::{CliArgs, EvalContext, Report};
 use dam_fo::em::EmParams;
 use dam_geo::rng::derived;
 use dam_geo::{Grid2D, Histogram2D};
+use dam_transport::w2;
 
 const D: u32 = 64;
 const EPS: f64 = 5.0;
@@ -52,7 +53,7 @@ fn main() {
         let est = DamEstimator::new(config).estimate(points, &grid, &mut rng);
         let secs = watch.elapsed_secs();
         let w2_watch = dam_obs::Stopwatch::start(dam_eval::obs::wall());
-        let w = ctx.w2(&est, &truth).expect("W2 computation failed");
+        let w = w2(&est, &truth).expect("W2 computation failed");
         let w2_secs = w2_watch.elapsed_secs();
         report.push_row(vec![
             b_hat.to_string(),

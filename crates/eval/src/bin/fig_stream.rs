@@ -11,7 +11,7 @@
 //! evaluations) against a **cold** uniform
 //! start under the one-shot 150-iteration protocol on the *same* window
 //! counts: iterations, PostProcess seconds, and window TV/W₂ against the
-//! true sliding-window histogram (W₂ through [`EvalContext::w2`], the
+//! true sliding-window histogram (W₂ through [`dam_transport::w2`], the
 //! exact LP at d = 20, like every one-shot figure). The two runs stop at
 //! deliberately *different* points of the likelihood — the ML optimum
 //! overfits the privacy noise, so the evidence-stopped warm path is
@@ -39,7 +39,7 @@ use dam_data::synthetic::drifting_foci;
 use dam_eval::report::fmt4;
 use dam_eval::runner::label_stream;
 use dam_eval::{CliArgs, EvalContext, Report};
-use dam_fault::{EpochFate, FaultPlan};
+use dam_fault::FaultPlan;
 use dam_fo::em::EmParams;
 use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Histogram2D, Point};
@@ -59,20 +59,11 @@ fn ingest_faulty(
     points: &[Point],
     carry: &mut Vec<Point>,
 ) {
-    let mut batch = std::mem::take(carry);
-    match plan.epoch_fate(epoch) {
-        EpochFate::Deliver => batch.extend_from_slice(points),
-        EpochFate::Delay => *carry = points.to_vec(),
-        EpochFate::Drop => {}
-    }
-    plan.corrupt_points(epoch, &mut batch);
+    let batch = plan.deliver(epoch, points, carry);
     if batch.is_empty() {
         stream.ingest_missed_epoch();
     } else {
-        stream.ingest_epoch_with(&batch, |e, plane| {
-            plan.poison_counts(e, plane);
-            plan.inject_nonfinite(e, plane);
-        });
+        stream.ingest_epoch_with(&batch, |e, plane| plan.tamper(e, plane));
     }
 }
 
@@ -90,7 +81,7 @@ fn main() {
     // `EmParams::streaming()` via `StreamConfig::new`.
     let em = EmParams { max_iters: 150, rel_tol: 1e-9, gain_tol: 0.0 };
     let grid = Grid2D::new(BoundingBox::unit(), D);
-    let w2 = |a: &Histogram2D, b: &Histogram2D| ctx.w2(a, b).expect("w2");
+    let w2 = |a: &Histogram2D, b: &Histogram2D| dam_transport::w2(a, b).expect("w2");
 
     // Shared data stream: every mechanism sees identical epochs.
     let epoch_data: Vec<Vec<Point>> = (0..epochs)

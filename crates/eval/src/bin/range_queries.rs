@@ -3,20 +3,20 @@
 //! improve the accuracy in private range query").
 //!
 //! Compares ε-LDP range-query engines on the Crime dataset across query
-//! selectivities: (1) DAM estimate read through the pyramid-backed
-//! [`dam_range::RangeIndex`], (2) the hierarchical HIO-style oracle with
+//! selectivities: (1) DAM estimate read through a [`dam_core::Pyramid`]
+//! built over it, (2) the hierarchical HIO-style oracle with
 //! constrained inference, (3) the same oracle's raw independent levels
 //! (the pre-consistency ablation), (4) CFO estimate + cell summation.
 //! Metric: mean absolute error of the range fraction over 200 random
 //! queries per selectivity.
 
 use dam_baselines::{CfoEstimator, CfoFlavor};
-use dam_core::{DamConfig, DamEstimator, SpatialEstimator};
+use dam_core::{DamConfig, DamEstimator, Pyramid, SpatialEstimator};
 use dam_data::DatasetKind;
 use dam_eval::{CliArgs, EvalContext, Report};
 use dam_geo::rng::derived;
 use dam_geo::Grid2D;
-use dam_range::{answer_from_histogram, random_queries, HierarchicalOracle, RangeIndex};
+use dam_range::{answer_from_histogram, random_queries, HierarchicalOracle};
 
 fn main() {
     let args = CliArgs::parse();
@@ -32,7 +32,7 @@ fn main() {
     // Fit each engine once.
     let mut rng = derived(ctx.seed, 0x7A4E);
     let dam_est = DamEstimator::new(DamConfig::dam(eps)).estimate(points, &grid, &mut rng);
-    let dam_idx = RangeIndex::new(&dam_est);
+    let dam_pyr = Pyramid::from_plane(dam_est.values(), d);
     let cfo_est = CfoEstimator::new(eps, CfoFlavor::Oue).estimate(points, &grid, &mut rng);
     let hio = HierarchicalOracle::fit(points, &grid, eps, &mut rng);
 
@@ -45,7 +45,7 @@ fn main() {
         let (mut e_dam, mut e_hio, mut e_raw, mut e_cfo) = (0.0, 0.0, 0.0, 0.0);
         for q in &queries {
             let truth = q.true_answer(&grid, points);
-            e_dam += (dam_idx.answer(q) - truth).abs();
+            e_dam += (dam_pyr.range_sum(q.x0, q.y0, q.x1, q.y1) - truth).abs();
             e_hio += (hio.answer(q) - truth).abs();
             e_raw += (hio.answer_independent(q) - truth).abs();
             e_cfo += (answer_from_histogram(&cfo_est, q) - truth).abs();

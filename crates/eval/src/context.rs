@@ -6,14 +6,16 @@ use dam_core::SpatialEstimator;
 use dam_data::{load, DatasetKind, DatasetPart, SpatialDataset};
 use dam_geo::rng::derived;
 use dam_geo::{Grid2D, Histogram2D};
-use dam_transport::exact::TransportError;
-use dam_transport::metrics::w2;
-use dam_transport::SinkhornParams;
+use dam_transport::w2;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Evaluation configuration plus dataset cache.
+/// Evaluation configuration plus dataset cache. It carries no W₂
+/// settings: [`part_w2`](Self::part_w2) scores through
+/// [`dam_transport::w2`], which owns the exact-vs-grid switch (on the
+/// *actual* nonzero supports, so harnesses must not re-derive it from
+/// `d²`) and the grid solver's tuning.
 pub struct EvalContext {
     /// Experiment seed (datasets and mechanism randomness derive from it).
     pub seed: u64,
@@ -21,9 +23,6 @@ pub struct EvalContext {
     pub repeats: usize,
     /// Optional cap on users per dataset part.
     pub user_cap: Option<usize>,
-    /// Settings for the grid-separable Sinkhorn solver (the large-grid
-    /// regime; the exact LP ignores them).
-    pub sinkhorn: SinkhornParams,
     /// Monte-Carlo samples for Local-Privacy calibration.
     pub lp_samples: usize,
     /// Skip LP calibration (use ε as ε′ directly).
@@ -43,7 +42,6 @@ impl EvalContext {
             seed: args.seed,
             repeats: args.repeats,
             user_cap: args.users,
-            sinkhorn: SinkhornParams { reg_rel: 1e-3, max_iters: 400, tol: 1e-8 },
             lp_samples: if args.fast { 400 } else { 1200 },
             no_calib: args.no_calib,
             threads: args.threads,
@@ -55,15 +53,6 @@ impl EvalContext {
     pub fn dataset(&self, kind: DatasetKind) -> Arc<SpatialDataset> {
         let mut cache = self.datasets.lock();
         cache.entry(kind).or_insert_with(|| Arc::new(load(kind, self.seed))).clone()
-    }
-
-    /// `W₂(a, b)` in cell units under this context's Sinkhorn tuning.
-    /// The one-shot figure binaries measure W₂ only through this: [`w2`]
-    /// owns the size switch between the exact LP and the grid solver,
-    /// which looks at the *actual* nonzero supports, so harnesses must
-    /// not re-derive it from `d²` (a predicted support).
-    pub fn w2(&self, a: &Histogram2D, b: &Histogram2D) -> Result<f64, TransportError> {
-        w2(a, b, self.sinkhorn)
     }
 
     /// A dataset part's points under this context's `--users` cap
@@ -93,7 +82,7 @@ impl EvalContext {
         for rep in 0..self.repeats {
             let mut rng = derived(self.seed, stream ^ (0x5151_0000 + rep as u64));
             let est = mech.estimate(points, &grid, &mut rng).normalized();
-            acc += self.w2(&est, &truth).expect("W2 computation failed");
+            acc += w2(&est, &truth).expect("W2 computation failed");
         }
         acc / self.repeats as f64
     }

@@ -32,6 +32,12 @@
 //!   epoch)`. Coordinator crashes are not a plan key: the recovery tests
 //!   and `fig_cluster` kill the coordinator where they choose.
 //!
+//! [`FaultPlan::deliver`] (epoch fate, then report corruption) and
+//! [`FaultPlan::tamper`] (poisoning, then non-finite cells) bundle the
+//! report-stream families into the two calls a streaming driver makes
+//! per epoch; `fig_stream --inject` and the chaos tests both drive the
+//! pipeline through them.
+//!
 //! Plans round-trip through a compact text spec
 //! ([`FaultPlan::parse`] / [`FaultPlan::spec`]) so a chaos run is fully
 //! described by one CLI flag: `fig_stream --inject

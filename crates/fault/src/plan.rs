@@ -346,6 +346,29 @@ impl FaultPlan {
         }
         hits
     }
+
+    /// The report batch epoch `epoch` delivers: the batch an earlier
+    /// delay left in `carry`, then `points` unless the epoch's fate drops
+    /// them or holds them in `carry` for the next call, with report
+    /// corruption applied. An empty batch is a missed epoch.
+    pub fn deliver(&self, epoch: usize, points: &[Point], carry: &mut Vec<Point>) -> Vec<Point> {
+        let mut batch = std::mem::take(carry);
+        match self.epoch_fate(epoch) {
+            EpochFate::Deliver => batch.extend_from_slice(points),
+            EpochFate::Delay => *carry = points.to_vec(),
+            EpochFate::Drop => {}
+        }
+        self.corrupt_points(epoch, &mut batch);
+        batch
+    }
+
+    /// Poisons epoch `epoch`'s aggregated count plane: count flips
+    /// ([`FaultPlan::poison_counts`]), then non-finite cells
+    /// ([`FaultPlan::inject_nonfinite`]).
+    pub fn tamper(&self, epoch: usize, plane: &mut [f64]) {
+        self.poison_counts(epoch, plane);
+        self.inject_nonfinite(epoch, plane);
+    }
 }
 
 #[cfg(test)]
@@ -476,6 +499,22 @@ mod tests {
         assert!(seen.iter().all(|&s| s > 40), "fates {seen:?}");
         let clean = FaultPlan::clean(5);
         assert!((0..100).all(|e| clean.epoch_fate(e) == EpochFate::Deliver));
+    }
+
+    #[test]
+    fn delivery_carries_a_delayed_batch_into_the_next_epoch() {
+        let batch = |e: usize| vec![Point::new(e as f64 / 10.0, 0.5); e + 1];
+        let mut carry = Vec::new();
+        let always_late = FaultPlan::parse("seed=1,delay=1").unwrap();
+        assert!(always_late.deliver(0, &batch(0), &mut carry).is_empty());
+        assert_eq!(carry, batch(0));
+        assert_eq!(always_late.deliver(1, &batch(1), &mut carry), batch(0));
+        assert_eq!(carry, batch(1));
+        let on_time = FaultPlan::clean(1);
+        assert_eq!(on_time.deliver(2, &batch(2), &mut carry), [batch(1), batch(2)].concat());
+        assert!(carry.is_empty());
+        let lost = FaultPlan::parse("seed=1,drop=1").unwrap();
+        assert!(lost.deliver(3, &batch(3), &mut carry).is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! within 2× of a clean run at 1% report corruption).
 
 use dam_core::DamConfig;
-use dam_fault::{EpochFate, FaultPlan};
+use dam_fault::FaultPlan;
 use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Histogram2D, Point};
 use dam_stream::{StreamConfig, StreamingEstimator, WindowEstimate};
@@ -42,11 +42,12 @@ fn epoch_data() -> Vec<Vec<Point>> {
         .collect()
 }
 
-/// Runs the streaming pipeline over [`epoch_data`] under `plan`,
-/// mirroring `fig_stream --inject`'s wiring: delayed batches merge into
-/// the next delivery, dropped epochs ingest as missed, corrupted points
-/// hit ingest validation, and retained planes are poisoned through the
-/// tamper hook. Returns the per-epoch warm window estimates.
+/// Runs the streaming pipeline over [`epoch_data`] under `plan` through
+/// the same [`FaultPlan::deliver`] and [`FaultPlan::tamper`] calls as
+/// `fig_stream --inject`: delayed batches merge into the next delivery,
+/// dropped epochs ingest as missed, corrupted points hit ingest
+/// validation, and retained planes are poisoned through the tamper hook.
+/// Returns the per-epoch warm window estimates.
 fn run_chaos(plan: &FaultPlan, threads: Option<usize>) -> Vec<WindowEstimate> {
     let grid = Grid2D::new(BoundingBox::unit(), D);
     let dam = DamConfig::dam(EPS).with_threads(threads);
@@ -54,20 +55,11 @@ fn run_chaos(plan: &FaultPlan, threads: Option<usize>) -> Vec<WindowEstimate> {
     let mut carry: Vec<Point> = Vec::new();
     let mut estimates = Vec::with_capacity(EPOCHS);
     for (e, pts) in epoch_data().iter().enumerate() {
-        let mut batch = std::mem::take(&mut carry);
-        match plan.epoch_fate(e) {
-            EpochFate::Deliver => batch.extend_from_slice(pts),
-            EpochFate::Delay => carry = pts.clone(),
-            EpochFate::Drop => {}
-        }
-        plan.corrupt_points(e, &mut batch);
+        let batch = plan.deliver(e, pts, &mut carry);
         if batch.is_empty() {
             stream.ingest_missed_epoch();
         } else {
-            stream.ingest_epoch_with(&batch, |epoch, plane| {
-                plan.poison_counts(epoch, plane);
-                plan.inject_nonfinite(epoch, plane);
-            });
+            stream.ingest_epoch_with(&batch, |epoch, plane| plan.tamper(epoch, plane));
         }
         estimates.push(stream.estimate_window());
     }

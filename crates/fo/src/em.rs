@@ -23,23 +23,23 @@
 //! the same trait and drop straight into every EM call site, so the
 //! estimator pipeline never materialises an `n_out × n_in` matrix.
 //!
-//! Both primitives take an [`EmWorkspace`]: a bag of reusable scratch
-//! planes a structured operator can carve its per-call buffers out of
-//! (padded grids, FFT spectra, …). The workspace is created once per EM
-//! run, so steady-state iterations allocate nothing; operators that need
-//! no scratch (the dense channel, the stencil) simply ignore it.
+//! Both primitives take an [`EmWorkspace`], whose reusable scratch plane
+//! a structured operator uses as its per-call buffer (the FFT spectrum of
+//! `FftChannel`). The workspace is created once per EM run, so
+//! steady-state iterations allocate nothing; the dense channel needs no
+//! scratch and ignores it.
 
-/// Reusable scratch planes for [`ChannelOp`] primitives.
+/// Reusable scratch for [`ChannelOp`] primitives.
 ///
-/// An operator asks for its scratch through [`EmWorkspace::planes`]; the
-/// buffers are allocated on first use and reused verbatim on every later
-/// call with the same sizes, which is what makes steady-state EM
+/// An operator asks for its scratch through [`EmWorkspace::plane`]; the
+/// buffer is allocated on first use and reused verbatim on every later
+/// call with the same size, which is what makes steady-state EM
 /// iterations allocation-free. Plane contents are **not** cleared between
 /// calls — whatever the previous call left behind is still there, and
 /// callers must overwrite (or explicitly zero) everything they read.
 #[derive(Debug, Default)]
 pub struct EmWorkspace {
-    planes: Vec<Vec<f64>>,
+    plane: Vec<f64>,
     /// Plane handoffs the NaN canary found non-finite values in
     /// (debug builds; stays 0 in release).
     tainted_handoffs: usize,
@@ -56,30 +56,19 @@ pub struct EmWorkspace {
 }
 
 impl EmWorkspace {
-    /// An empty workspace; planes materialise on first use.
+    /// An empty workspace; the plane materialises on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Borrows `N` scratch planes resized to `sizes`.
+    /// Borrows the scratch plane resized to `len`.
     ///
-    /// Growing a plane past its capacity allocates (zero-filling the new
+    /// Growing the plane past its capacity allocates (zero-filling the new
     /// tail); shrinking or matching the previous size is allocation-free,
-    /// so a fixed-size caller pays for its buffers exactly once.
-    #[expect(
-        clippy::expect_used,
-        reason = "head has exactly N elements, so N next() calls all succeed"
-    )]
-    pub fn planes<const N: usize>(&mut self, sizes: [usize; N]) -> [&mut Vec<f64>; N] {
-        if self.planes.len() < N {
-            self.planes.resize_with(N, Vec::new);
-        }
-        let head = &mut self.planes[..N];
-        for (plane, &len) in head.iter_mut().zip(&sizes) {
-            plane.resize(len, 0.0);
-        }
-        let mut it = head.iter_mut();
-        std::array::from_fn(|_| it.next().expect("plane count matches N"))
+    /// so a fixed-size caller pays for its buffer exactly once.
+    pub fn plane(&mut self, len: usize) -> &mut [f64] {
+        self.plane.resize(len, 0.0);
+        &mut self.plane
     }
 
     /// Debug-gated NaN canary on a plane handoff between EM stages.
@@ -903,20 +892,17 @@ mod tests {
     #[test]
     fn workspace_planes_reuse_allocation() {
         let mut ws = EmWorkspace::new();
-        let ptrs: Vec<*const f64> = {
-            let [a, b] = ws.planes([32, 64]);
+        let ptr = {
+            let a = ws.plane(32);
             a.fill(1.0);
-            b.fill(2.0);
-            vec![a.as_ptr(), b.as_ptr()]
+            a.as_ptr()
         };
-        // Same sizes again: same allocations, contents preserved.
-        let [a, b] = ws.planes([32, 64]);
-        assert_eq!(a.as_ptr(), ptrs[0]);
-        assert_eq!(b.as_ptr(), ptrs[1]);
+        // Same size again: same allocation, contents preserved.
+        let a = ws.plane(32);
+        assert_eq!(a.as_ptr(), ptr);
         assert!(a.iter().all(|&x| x == 1.0));
-        assert!(b.iter().all(|&x| x == 2.0));
-        // Growing reallocates but zero-fills only the new tail.
-        let [a2] = ws.planes([48]);
+        // Growing zero-fills only the new tail.
+        let a2 = ws.plane(48);
         assert_eq!(a2.len(), 48);
         assert!(a2[..32].iter().all(|&x| x == 1.0));
         assert!(a2[32..].iter().all(|&x| x == 0.0));
@@ -1107,7 +1093,7 @@ mod tests {
                 self.0.n_out
             }
             fn apply(&self, f: &[f64], out: &mut [f64], ws: &mut EmWorkspace) {
-                let [staged] = ws.planes([f.len()]);
+                let staged = ws.plane(f.len());
                 staged.copy_from_slice(f);
                 self.0.apply(staged, out, &mut EmWorkspace::new());
             }

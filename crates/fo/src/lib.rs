@@ -14,8 +14,8 @@
 //! * [`em`] — operator-based Expectation-Maximisation with optional
 //!   smoothing (the "EMS" of SW-EMS; the paper's 2-D PostProcess runs it
 //!   without a smoother): EM is generic over the [`em::ChannelOp`] trait (`apply` +
-//!   `accumulate_adjoint`, both threading an [`em::EmWorkspace`] of
-//!   reusable scratch planes), with the dense [`em::Channel`] as reference
+//!   `accumulate_adjoint`, both threading an [`em::EmWorkspace`] with a
+//!   reusable scratch plane), with the dense [`em::Channel`] as reference
 //!   implementation and a structured operator (`dam-core`'s spectral
 //!   `FftChannel`) as the fast path.
 

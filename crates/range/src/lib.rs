@@ -16,9 +16,9 @@
 //!   raw-levels walk stays available as an ablation);
 //! * [`answer`] — answering ranges directly from any
 //!   [`dam_geo::Histogram2D`] estimate (DAM, MDSW, CFO, …), so every
-//!   mechanism in the workspace doubles as a range-query engine — with a
-//!   pyramid-backed [`RangeIndex`] for repeated queries against one
-//!   estimate.
+//!   mechanism in the workspace doubles as a range-query engine; repeated
+//!   queries against one estimate read a [`dam_core::Pyramid`] built over
+//!   its plane.
 //!
 //! The `range_queries` binary in `dam-eval` compares DAM-backed answering
 //! against the hierarchical baseline across selectivities.
@@ -35,6 +35,6 @@ pub mod answer;
 pub mod hierarchy;
 pub mod query;
 
-pub use answer::{answer_from_histogram, RangeIndex};
+pub use answer::answer_from_histogram;
 pub use hierarchy::{HierarchicalOracle, HIO_NAME};
 pub use query::{random_queries, RangeQuery};

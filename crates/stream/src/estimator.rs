@@ -304,7 +304,7 @@ impl StreamingEstimator {
     /// and aggregated, `tamper(epoch, plane)` may mutate the count plane
     /// before it enters the window and the ring. This is the
     /// fault-injection seam (`fig_stream --inject` wires
-    /// `dam_fault::FaultPlan` plane poisoning through it) — production
+    /// `dam_fault::FaultPlan::tamper` through it) — production
     /// callers use [`StreamingEstimator::ingest_epoch`].
     ///
     /// Whatever the hook does, the pipeline stays serving: non-finite or

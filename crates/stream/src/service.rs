@@ -204,15 +204,10 @@ pub struct QueryService {
 impl QueryService {
     /// Builds the service with the estimator's grid and configuration.
     /// Until the first epoch closes, queries answer from the uniform
-    /// (non-informative) snapshot at epoch 0.
+    /// (non-informative) snapshot at epoch 0. The service and the inner
+    /// estimator record into one registry.
     pub fn new(grid: Grid2D, config: StreamConfig) -> Self {
-        Self::with_registry(grid, config, Registry::new())
-    }
-
-    /// [`QueryService::new`] recording into a caller-supplied registry,
-    /// shared with the inner estimator — the harness's seam for
-    /// wall-clocked latency histograms.
-    pub fn with_registry(grid: Grid2D, config: StreamConfig, obs: Registry) -> Self {
+        let obs = Registry::new();
         Self {
             publisher: Publisher::new(&grid, obs.clone()),
             so: ServiceObs::register(&obs),

@@ -19,8 +19,10 @@
 //! * [`sliced`] — Radon projections of grid histograms and the sliced
 //!   Wasserstein distance built on [`w1d`];
 //! * [`metrics`] — the high-level `W₂` API used by the experiment harness:
-//!   [`metrics::w2`] runs the exact LP for small supports and the grid
-//!   solver otherwise.
+//!   [`metrics::w2`]`(a, b)` runs the exact LP for small supports and the
+//!   grid solver under one fixed tuning otherwise; [`SinkhornParams`] is
+//!   a parameter of [`metrics::w2_grid_sinkhorn`] and
+//!   [`grid_sinkhorn_cost`] only.
 
 #![cfg_attr(
     test,

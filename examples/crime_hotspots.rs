@@ -20,7 +20,6 @@ use spatial_ldp::data::{load, DatasetKind};
 use spatial_ldp::geo::rng::derived;
 use spatial_ldp::geo::{Grid2D, Histogram2D};
 use spatial_ldp::transport::metrics::w2;
-use spatial_ldp::transport::SinkhornParams;
 
 /// Indices of the k largest cells.
 fn top_k(h: &Histogram2D, k: usize) -> Vec<usize> {
@@ -57,7 +56,7 @@ fn main() {
             let start = Stopwatch::start(&clock);
             let est = mech.estimate(&part.points, &grid, &mut rng);
             let secs = start.elapsed_secs();
-            let err = w2(&est, &truth, SinkhornParams::default()).expect("w2");
+            let err = w2(&est, &truth).expect("w2");
             let true_hot = top_k(&truth, k);
             let est_hot = top_k(&est, k);
             let hits = est_hot.iter().filter(|c| true_hot.contains(c)).count();

@@ -25,7 +25,6 @@ use spatial_ldp::geo::rng::{derived, seeded};
 use spatial_ldp::geo::{BoundingBox, Grid2D, Histogram2D, Point};
 use spatial_ldp::stream::{StreamConfig, StreamingEstimator};
 use spatial_ldp::transport::metrics::w2;
-use spatial_ldp::transport::SinkhornParams;
 
 fn main() {
     let mut data_rng = seeded(21);
@@ -43,8 +42,8 @@ fn main() {
         let mut rng_b = derived(34, i as u64);
         let dam = DamEstimator::new(DamConfig::dam(eps)).estimate(&cases, &grid, &mut rng_a);
         let cfo = CfoEstimator::new(eps, CfoFlavor::Grr).estimate(&cases, &grid, &mut rng_b);
-        let w_dam = w2(&dam, &truth, SinkhornParams::default()).expect("w2");
-        let w_cfo = w2(&cfo, &truth, SinkhornParams::default()).expect("w2");
+        let w_dam = w2(&dam, &truth).expect("w2");
+        let w_cfo = w2(&cfo, &truth).expect("w2");
         println!(
             "{:<8} {:>10.4} {:>10.4} {:>9.1}%",
             eps,

@@ -23,7 +23,6 @@ use spatial_ldp::fo::em::EmParams;
 use spatial_ldp::geo::rng::{derived, seeded};
 use spatial_ldp::geo::{CellIndex, Grid2D, Histogram2D};
 use spatial_ldp::transport::metrics::w2;
-use spatial_ldp::transport::SinkhornParams;
 
 const SHADES: [char; 7] = [' ', '.', ':', '-', '=', '%', '@'];
 
@@ -73,7 +72,7 @@ fn main() {
 
     let estimate = aggregator.estimate(EmParams::default(), None);
     let truth = Histogram2D::from_points(grid.clone(), &part.points).normalized();
-    let err = w2(&estimate, &truth, SinkhornParams::default()).expect("w2");
+    let err = w2(&estimate, &truth).expect("w2");
 
     println!("\ntrue pickup density:");
     heat(&truth);

@@ -17,7 +17,6 @@ use spatial_ldp::geo::Grid2D;
 use spatial_ldp::trajectory::mechanism::{true_distribution, TrajectoryMechanism};
 use spatial_ldp::trajectory::{sample_workload, DamOnPoints, LdpTrace, PivotTrace};
 use spatial_ldp::transport::metrics::w2;
-use spatial_ldp::transport::SinkhornParams;
 
 fn main() {
     let eps = 1.5;
@@ -50,7 +49,7 @@ fn main() {
         let mut rng = derived(62, i as u64);
         let start = Stopwatch::start(&clock);
         let est = mech.estimate_distribution(&trips, &grid, &mut rng);
-        let err = w2(&est, &truth, SinkhornParams::default()).expect("w2");
+        let err = w2(&est, &truth).expect("w2");
         println!("{:<12} {:>10.4} {:>10.2}", mech.name(), err, start.elapsed_secs());
     }
 

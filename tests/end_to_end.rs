@@ -8,7 +8,6 @@ use spatial_ldp::data::{load, DatasetKind};
 use spatial_ldp::geo::rng::{derived, seeded};
 use spatial_ldp::geo::{BoundingBox, Grid2D, Histogram2D, Point};
 use spatial_ldp::transport::metrics::{w2, w2_exact};
-use spatial_ldp::transport::SinkhornParams;
 
 fn truth_of(points: &[Point], grid: &Grid2D) -> Histogram2D {
     Histogram2D::from_points(grid.clone(), points).normalized()
@@ -120,7 +119,7 @@ fn all_mechanisms_agree_on_interface_contract() {
         assert_eq!(est.grid().d(), 4, "{}", mech.name());
         assert!((est.total() - 1.0).abs() < 1e-9, "{}", mech.name());
         assert!(est.values().iter().all(|&v| v >= 0.0), "{}", mech.name());
-        let w = w2(&est, &truth_of(&points, &grid), SinkhornParams::default()).unwrap();
+        let w = w2(&est, &truth_of(&points, &grid)).unwrap();
         assert!(w.is_finite() && w < 8.0, "{}: unreasonable W2 {w}", mech.name());
     }
 }
@@ -139,10 +138,7 @@ fn city_datasets_expose_shrinkage_advantage_signal() {
     let mut r2 = derived(1050, 1);
     let dam = DamEstimator::new(DamConfig::dam(3.5)).estimate(&part.points, &grid, &mut r1);
     let ns = DamEstimator::new(DamConfig::dam_ns(3.5)).estimate(&part.points, &grid, &mut r2);
-    let (w_dam, w_ns) = (
-        w2(&dam, &truth, SinkhornParams::default()).unwrap(),
-        w2(&ns, &truth, SinkhornParams::default()).unwrap(),
-    );
+    let (w_dam, w_ns) = (w2(&dam, &truth).unwrap(), w2(&ns, &truth).unwrap());
     assert!(w_dam.is_finite() && w_ns.is_finite());
     assert!(dam.values() != ns.values(), "shrinkage must change the estimate");
 }

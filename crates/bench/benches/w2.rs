@@ -1,7 +1,7 @@
-//! W₂ solver scaling: the exact LP (the network simplex) against the
-//! grid-separable Sinkhorn solver on full-support `d × d` histograms at
-//! `d ∈ {10, 20, 32, 64}` — the measurement behind
-//! [`dam_transport::metrics::w2`]'s switch from the LP to the grid solver.
+//! W₂ solver scaling: the exact LP (the network simplex behind
+//! [`dam_transport::metrics::w2`]) against the grid-separable Sinkhorn
+//! solver (`w2_grid_sinkhorn`) on full-support `d × d` histograms at
+//! `d ∈ {10, 20, 32, 64}`, the grid rows under `SinkhornParams::default()`.
 //! The exact LP runs up to d = 32; the grid solver does O(d³) axis passes
 //! on O(d²) state at every d.
 //!
@@ -21,12 +21,6 @@ const DS: [usize; 4] = [10, 20, 32, 64];
 /// Largest d still solved with the exact LP (~1 s a solve at d = 32; a
 /// 4096-atom support at d = 64 would dominate the whole bench).
 const EXACT_MAX_D: usize = 32;
-
-/// One shared Sinkhorn tuning for every entropic row (matches the eval
-/// harness's large-grid settings in spirit: mid accuracy, bounded iters).
-fn params() -> SinkhornParams {
-    SinkhornParams { reg_rel: 2e-3, max_iters: 300, tol: 1e-6 }
-}
 
 /// A smooth non-uniform full-support histogram on a `d × d` grid: a
 /// Gaussian bump at `(cx, cy)` (grid-relative) over a flat background.
@@ -77,7 +71,7 @@ fn bench_w2_solvers(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("grid", d), &d, |be, _| {
             be.iter(|| {
-                let v = grid_sinkhorn_cost(&a, &b, d, params()).unwrap();
+                let v = grid_sinkhorn_cost(&a, &b, d, SinkhornParams::default()).unwrap();
                 costs.borrow_mut().insert(format!("grid/{d}"), v);
                 black_box(v)
             });
@@ -109,8 +103,8 @@ fn emit_bench_json(c: &Criterion, costs: &BTreeMap<String, f64>) {
         }
     }
     // Worst relative gap between the two solvers at d ≤ 32 (the entropic
-    // bias the size-based switch accepts; the exact LP only has rows up
-    // to `EXACT_MAX_D`).
+    // bias a caller of `w2_grid_sinkhorn` accepts; the exact LP only has
+    // rows up to `EXACT_MAX_D`).
     let mut max_gap = 0.0f64;
     for &d in DS.iter().filter(|&&d| d <= 32) {
         let vals: Vec<f64> =
@@ -121,9 +115,9 @@ fn emit_bench_json(c: &Criterion, costs: &BTreeMap<String, f64>) {
             }
         }
     }
-    // Derived from `params()` so the recorded tuning can't drift from
-    // the tuning the rows were actually measured under.
-    let p = params();
+    // Derived from the same `Default` so the recorded tuning can't drift
+    // from the tuning the rows were actually measured under.
+    let p = SinkhornParams::default();
     let json = format!(
         "{{\n  \"bench\": \"w2_solvers\",\n  \
          \"params\": {{\"reg_rel\": {}, \"max_iters\": {}, \"tol\": {}}},\n  \

@@ -66,6 +66,23 @@ const MAX_ATTEMPTS: u32 = 4;
 /// enough to ride out the default delivery-delay bound.
 const BASE_BACKOFF: u64 = 1;
 
+/// Rejects epochs the window cannot rebuild exactly, whether a checkpoint
+/// restores them or the WAL replays them: a coverage entry above the `k`
+/// nodes (it would hide an under-covered epoch from `partial_window`), or
+/// a plane cell that is not a whole count below 2⁵³ (the window sums are
+/// exact only for those; NaN fails too).
+fn check_epochs(k: usize, coverage: &[usize], planes: &[Vec<f64>]) -> Result<(), CheckpointError> {
+    let corrupt = |detail: String| Err(CheckpointError::Corrupt { detail });
+    if let Some(&c) = coverage.iter().find(|&&c| c > k) {
+        return corrupt(format!("coverage entry {c} exceeds the {k} nodes"));
+    }
+    let whole = |v: f64| (0.0..9_007_199_254_740_992.0).contains(&v) && v.fract() == 0.0;
+    if let Some(&v) = planes.iter().flatten().find(|&&v| !whole(v)) {
+        return corrupt(format!("a plane holds {v}, not a whole count below 2^53"));
+    }
+    Ok(())
+}
+
 /// Cluster topology and collection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
@@ -251,8 +268,7 @@ impl Coordinator {
             return corrupt(format!("checkpoint plane {bad} has {len} cells, want {n}"));
         }
         // The estimator restores the planes as the last epochs before the
-        // head its health counters name; the window sum it rebuilds from
-        // them is exact only for whole counts below 2⁵³ (NaN fails too).
+        // head its health counters name.
         let h = &state.health;
         let Some(head) = h.epochs_ingested.checked_add(h.epochs_missed) else {
             return corrupt("epoch counters overflow".into());
@@ -267,21 +283,13 @@ impl Coordinator {
             let got = state.planes.len();
             return corrupt(format!("{got} planes for a head of {head}, want {want}"));
         }
-        // One coverage entry per retained plane, each at most K, or an
-        // under-covered epoch in the window could go unflagged by
-        // `partial_window`.
+        // One coverage entry per retained plane, or an under-covered epoch
+        // in the window could go unflagged by `partial_window`.
         if state.coverage.len() != state.planes.len() {
             let (got, want) = (state.coverage.len(), state.planes.len());
             return corrupt(format!("{got} coverage entries for {want} planes"));
         }
-        let k = self.cluster.nodes;
-        if let Some(&c) = state.coverage.iter().find(|&&c| c > k) {
-            return corrupt(format!("coverage entry {c} exceeds the {k} nodes"));
-        }
-        let whole = |v: f64| (0.0..9_007_199_254_740_992.0).contains(&v) && v.fract() == 0.0;
-        if let Some(&v) = state.planes.iter().flatten().find(|&&v| !whole(v)) {
-            return corrupt(format!("a plane holds {v}, not a whole count below 2^53"));
-        }
+        check_epochs(self.cluster.nodes, &state.coverage, &state.planes)?;
         if let Some(w) = &state.warm {
             if w.len() != self.grid.n_cells() {
                 let cells = self.grid.n_cells();
@@ -337,6 +345,7 @@ impl Coordinator {
                 detail: format!("wal plane has {} cells, want {n}", entry.plane.len()),
             });
         }
+        check_epochs(self.cluster.nodes, &[entry.arrived], std::slice::from_ref(&entry.plane))?;
         self.stats.dup_dropped += entry.dup_delta;
         self.stats.retries += entry.retries_delta;
         self.obs.dup_dropped.add(entry.dup_delta);

@@ -72,12 +72,6 @@ impl AggregatorNode {
         }
     }
 
-    /// This node's index.
-    #[inline]
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// Ingests this node's share of epoch `epoch`'s batch: validated
     /// sharded randomization restricted to the shards
     /// [`shard_owner`] assigns to `self.node`, under the epoch's master

@@ -52,12 +52,6 @@ impl SimTransport {
         }
     }
 
-    /// The fault plan in force.
-    #[inline]
-    pub fn plan(&self) -> &NodeFaultPlan {
-        &self.plan
-    }
-
     /// Forces node `node` down (or back up): it delivers nothing while
     /// forced, independent of the plan's crash stream. This is the
     /// deterministic knob the quorum-degradation experiment uses to keep
@@ -90,11 +84,6 @@ impl SimTransport {
                 Pending { plane, ready_at: None, delivered: false }
             });
         }
-    }
-
-    /// Planes staged and not yet delivered (diagnostics).
-    pub fn undelivered(&self) -> usize {
-        self.pending.iter().flatten().filter(|p| !p.delivered).count()
     }
 
     /// Polls node `node` for the epoch in flight at simulated tick
@@ -159,7 +148,6 @@ mod tests {
         assert_eq!(t.poll(1, 0).len(), 1);
         // Delivered once; later polls are empty.
         assert!(t.poll(0, 5).is_empty());
-        assert_eq!(t.undelivered(), 0);
     }
 
     #[test]

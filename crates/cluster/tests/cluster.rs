@@ -2,8 +2,9 @@
 //! degradation — plus the checkpoint/WAL format contract: round-trips
 //! for empty/partial/full windows, structured errors (never a panic) for
 //! version mismatches, truncated files and byte-level mutations of real
-//! files, a restore that rejects what it cannot rebuild exactly, and
-//! checkpoints that stop growing once the window fills.
+//! files, a restore and a WAL replay that reject what they cannot
+//! rebuild exactly, and checkpoints that stop growing once the window
+//! fills.
 
 #![allow(
     clippy::panic,
@@ -456,6 +457,17 @@ fn run_into(dir: &Path, epochs: usize, every: usize) -> Vec<(Bits, u64)> {
         .collect()
 }
 
+/// The `Corrupt` detail that recovery from the store at `dir` fails
+/// with; removes the store.
+fn corrupt_detail(tag: &str, dir: &Path) -> String {
+    let recovered = persistent(dir, 4).map(drop);
+    let _ = fs::remove_dir_all(dir);
+    match recovered {
+        Err(CheckpointError::Corrupt { detail }) => detail,
+        other => panic!("{tag}: expected Corrupt, got {other:?}"),
+    }
+}
+
 /// What recovery makes of a real epoch-4 checkpoint that `edit` broke.
 fn recover_edited(tag: &str, edit: impl FnOnce(&mut CheckpointState)) -> String {
     let dir = scratch(tag);
@@ -464,12 +476,22 @@ fn recover_edited(tag: &str, edit: impl FnOnce(&mut CheckpointState)) -> String 
     let mut state = store.read_checkpoint().unwrap().unwrap();
     edit(&mut state);
     store.write_checkpoint(&state).unwrap();
-    let recovered = persistent(&dir, 4).map(drop);
-    let _ = fs::remove_dir_all(&dir);
-    match recovered {
-        Err(CheckpointError::Corrupt { detail }) => detail,
-        other => panic!("{tag}: expected Corrupt, got {other:?}"),
-    }
+    corrupt_detail(tag, &dir)
+}
+
+/// What recovery makes of a real store — a checkpoint at epoch 4 and a
+/// checksummed WAL entry for epoch 4 — whose entry `edit` broke.
+fn replay_edited(tag: &str, edit: impl FnOnce(&mut WalEntry)) -> String {
+    let dir = scratch(tag);
+    run_into(&dir, 5, 4);
+    let store = CheckpointStore::new(&dir).unwrap();
+    let mut entry = store.read_wal().unwrap().pop().unwrap();
+    assert_eq!(entry.epoch, 4);
+    edit(&mut entry);
+    // Rewriting the checkpoint empties the WAL for the edited entry.
+    store.write_checkpoint(&store.read_checkpoint().unwrap().unwrap()).unwrap();
+    store.append_wal(&entry).unwrap();
+    corrupt_detail(tag, &dir)
 }
 
 #[test]
@@ -500,6 +522,18 @@ fn restore_rejects_coverage_that_does_not_match_the_planes() {
     assert!(detail.contains("2 coverage entries for 3 planes"), "{detail}");
     let detail = recover_edited("coverage-k", |s| s.coverage[0] = 4);
     assert!(detail.contains("coverage entry 4 exceeds the 3 nodes"), "{detail}");
+}
+
+#[test]
+fn replay_rejects_what_restore_rejects() {
+    // A WAL entry that a checkpoint would not restore must not replay
+    // either, or the store serves it and fails at the next restore.
+    let detail = replay_edited("wal-arrived", |e| e.arrived = 4);
+    assert!(detail.contains("coverage entry 4 exceeds the 3 nodes"), "{detail}");
+    for bad in [0.5, -1.0, f64::NAN, f64::INFINITY, 2f64.powi(53)] {
+        let detail = replay_edited("wal-cells", |e| e.plane[2] = bad);
+        assert!(detail.contains("not a whole count"), "{bad}: {detail}");
+    }
 }
 
 /// A real store (checkpoint at epoch 4, WAL entries for epochs 4 and 5),

@@ -1,7 +1,7 @@
 //! Figure 9(f–j): W₂ vs d ∈ {1, 5, 10, 15, 20} at ε = 5 for SEM-Geo-I vs
 //! DAM (the paper's large-d regime, where it approximates W₂ with
-//! Sinkhorn; every support up to d = 20 fits `w2`'s 400-cell exact-LP
-//! limit, so the network simplex solves it exactly).
+//! Sinkhorn; here `w2` solves every support up to d = 20 exactly with
+//! the network simplex).
 //! Expected shape: both curves grow with d; DAM overtakes SEM-Geo-I once
 //! d is large enough that the discrete disk approximates the continuous
 //! one.

@@ -1,6 +1,6 @@
 //! Figure 9(p–t): W₂ vs ε ∈ {5..9} at d = 15 for SEM-Geo-I vs DAM (the
-//! paper approximates W₂ with Sinkhorn here; every 225-cell support fits
-//! `w2`'s 400-cell exact-LP limit, so it is solved exactly). Expected
+//! paper approximates W₂ with Sinkhorn here; `w2` solves every 225-cell
+//! support exactly with the network simplex). Expected
 //! shape: both fall towards zero as ε grows; DAM ahead of SEM-Geo-I at
 //! large ε.
 

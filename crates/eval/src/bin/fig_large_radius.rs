@@ -7,11 +7,13 @@
 //! transform grows only with `d + 2b̂`), while the error grows with the
 //! radius the budget is spread over.
 //!
-//! Error is reported as TV *and* W₂ per row: at d = 64 the full-support
-//! histograms pass `w2`'s 400-cell exact-LP limit, so it runs the
-//! grid-separable Sinkhorn solver and the paper's headline metric is
-//! feasible in this regime — and bit-identical for any `--threads`
-//! value, like everything else here.
+//! Error is reported as TV *and* as the grid-separable Sinkhorn cost per
+//! row (`sinkhorn`, under `SinkhornParams::default()`): the paper
+//! approximates W₂ with Sinkhorn in this regime, and an exact LP on two
+//! 4096-cell supports would dwarf the EM runs. The entropic value is an
+//! upper bound on W₂ that stays above 0 even for a perfect estimate, so
+//! it is not headed `w2`; like everything else here it is bit-identical
+//! for any `--threads` value.
 
 use dam_core::{DamConfig, DamEstimator, SpatialEstimator};
 use dam_data::DatasetKind;
@@ -20,7 +22,7 @@ use dam_eval::{CliArgs, EvalContext, Report};
 use dam_fo::em::EmParams;
 use dam_geo::rng::derived;
 use dam_geo::{Grid2D, Histogram2D};
-use dam_transport::w2;
+use dam_transport::{w2_grid_sinkhorn, SinkhornParams};
 
 const D: u32 = 64;
 const EPS: f64 = 5.0;
@@ -43,7 +45,7 @@ fn main() {
             points.len(),
             em.max_iters
         ),
-        &["b_hat", "secs", "tv_error", "w2", "w2_secs"],
+        &["b_hat", "secs", "tv_error", "sinkhorn", "sinkhorn_secs"],
     );
     for &b_hat in radii {
         let config =
@@ -52,15 +54,16 @@ fn main() {
         let watch = dam_obs::Stopwatch::start(dam_eval::obs::wall());
         let est = DamEstimator::new(config).estimate(points, &grid, &mut rng);
         let secs = watch.elapsed_secs();
-        let w2_watch = dam_obs::Stopwatch::start(dam_eval::obs::wall());
-        let w = w2(&est, &truth).expect("W2 computation failed");
-        let w2_secs = w2_watch.elapsed_secs();
+        let ot_watch = dam_obs::Stopwatch::start(dam_eval::obs::wall());
+        let ot = w2_grid_sinkhorn(&est, &truth, SinkhornParams::default())
+            .expect("Sinkhorn computation failed");
+        let ot_secs = ot_watch.elapsed_secs();
         report.push_row(vec![
             b_hat.to_string(),
             format!("{secs:.3}"),
             fmt4(est.tv_distance(&truth)),
-            fmt4(w),
-            format!("{w2_secs:.3}"),
+            fmt4(ot),
+            format!("{ot_secs:.3}"),
         ]);
     }
     println!("{}", report.render());

@@ -13,9 +13,7 @@ use std::sync::Arc;
 
 /// Evaluation configuration plus dataset cache. It carries no W₂
 /// settings: [`part_w2`](Self::part_w2) scores through
-/// [`dam_transport::w2`], which owns the exact-vs-grid switch (on the
-/// *actual* nonzero supports, so harnesses must not re-derive it from
-/// `d²`) and the grid solver's tuning.
+/// [`dam_transport::w2`], the exact LP at every grid size.
 pub struct EvalContext {
     /// Experiment seed (datasets and mechanism randomness derive from it).
     pub seed: u64,

@@ -11,18 +11,20 @@
 //!   stored;
 //! * [`grid`] — the paper's Sinkhorn for same-grid histograms: the
 //!   squared-Euclidean Gibbs kernel factorizes per axis, so entropic
-//!   iterations cost `O(d³)` on `O(d²)` state with no cost matrix —
-//!   `W₂` at `d = 64` (4096-cell supports) in seconds, serially on the
-//!   caller's thread (the crate spawns no work of its own: the figure
-//!   runner parallelises across W₂ jobs on the persistent pool instead);
+//!   iterations cost `O(d³)` on `O(d²)` state with no cost matrix — an
+//!   entropic upper bound on `W₂` at `d = 64` (4096-cell supports) in
+//!   under a second, serially on the caller's thread (the crate spawns
+//!   no work of its own: the figure runner parallelises across W₂ jobs
+//!   on the persistent pool instead);
 //! * [`w1d`] — closed-form 1-D Wasserstein distances via quantile coupling;
 //! * [`sliced`] — Radon projections of grid histograms and the sliced
 //!   Wasserstein distance built on [`w1d`];
 //! * [`metrics`] — the high-level `W₂` API used by the experiment harness:
-//!   [`metrics::w2`]`(a, b)` runs the exact LP for small supports and the
-//!   grid solver under one fixed tuning otherwise; [`SinkhornParams`] is
-//!   a parameter of [`metrics::w2_grid_sinkhorn`] and
-//!   [`grid_sinkhorn_cost`] only.
+//!   [`metrics::w2`]`(a, b)` runs the exact LP at every support size
+//!   (about 0.94 s for a full-support d = 32 pair, `BENCH_w2.json`); a
+//!   caller who accepts an entropic bias calls
+//!   [`metrics::w2_grid_sinkhorn`] by name, the one place besides
+//!   [`grid_sinkhorn_cost`] that takes [`SinkhornParams`].
 
 #![cfg_attr(
     test,
@@ -40,4 +42,4 @@ pub mod w1d;
 
 pub use exact::{solve_exact, TransportPlan};
 pub use grid::{grid_sinkhorn_cost, SinkhornParams};
-pub use metrics::{w2, w2_exact, w2_grid_sinkhorn};
+pub use metrics::{w2, w2_grid_sinkhorn};

@@ -16,7 +16,7 @@ use spatial_ldp::core::{DamConfig, DamEstimator, SpatialEstimator};
 use spatial_ldp::data::synthetic::normal_dataset;
 use spatial_ldp::geo::rng::seeded;
 use spatial_ldp::geo::{BoundingBox, Grid2D, Histogram2D};
-use spatial_ldp::transport::metrics::w2_exact;
+use spatial_ldp::transport::metrics::w2;
 
 fn main() {
     let mut rng = seeded(7);
@@ -38,12 +38,12 @@ fn main() {
     let estimate = dam.estimate(&points, &grid, &mut rng);
 
     // 4. How good is it? W2 in cell units (the paper's metric).
-    let err = w2_exact(&estimate, &truth).expect("w2");
+    let err = w2(&estimate, &truth).expect("w2");
     println!("DAM (eps = {eps}):  W2(estimate, truth) = {err:.4} cell units");
 
     // For scale: the uniform distribution's error on the same data.
     let uniform = Histogram2D::zeros(grid.clone()).normalized();
-    let base = w2_exact(&uniform, &truth).expect("w2");
+    let base = w2(&uniform, &truth).expect("w2");
     println!("uniform baseline:  W2(uniform,  truth) = {base:.4} cell units");
     println!(
         "DAM recovers {:.1}% of the distance a no-information estimate leaves",

@@ -7,7 +7,7 @@ use spatial_ldp::data::synthetic::{mnormal_dataset, normal_dataset};
 use spatial_ldp::data::{load, DatasetKind};
 use spatial_ldp::geo::rng::{derived, seeded};
 use spatial_ldp::geo::{BoundingBox, Grid2D, Histogram2D, Point};
-use spatial_ldp::transport::metrics::{w2, w2_exact};
+use spatial_ldp::transport::metrics::w2;
 
 fn truth_of(points: &[Point], grid: &Grid2D) -> Histogram2D {
     Histogram2D::from_points(grid.clone(), points).normalized()
@@ -25,8 +25,8 @@ fn dam_beats_categorical_oracle_on_spatial_data() {
     let mut r2 = derived(1001, 1);
     let dam = DamEstimator::new(DamConfig::dam(eps)).estimate(&points, &grid, &mut r1);
     let cfo = CfoEstimator::new(eps, CfoFlavor::Grr).estimate(&points, &grid, &mut r2);
-    let w_dam = w2_exact(&dam, &truth).unwrap();
-    let w_cfo = w2_exact(&cfo, &truth).unwrap();
+    let w_dam = w2(&dam, &truth).unwrap();
+    let w_cfo = w2(&cfo, &truth).unwrap();
     assert!(
         w_dam < w_cfo,
         "DAM ({w_dam}) must beat the ordinal-blind CFO ({w_cfo}) at eps = {eps}"
@@ -46,8 +46,8 @@ fn dam_beats_mdsw_on_correlated_data() {
         let mut r2 = derived(1012, i as u64);
         let dam = DamEstimator::new(DamConfig::dam(eps)).estimate(&points, &grid, &mut r1);
         let mdsw = Mdsw::new(eps).estimate(&points, &grid, &mut r2);
-        let w_dam = w2_exact(&dam, &truth).unwrap();
-        let w_mdsw = w2_exact(&mdsw, &truth).unwrap();
+        let w_dam = w2(&dam, &truth).unwrap();
+        let w_mdsw = w2(&mdsw, &truth).unwrap();
         assert!(w_dam < w_mdsw, "eps {eps}: DAM ({w_dam}) must beat MDSW ({w_mdsw})");
     }
 }
@@ -63,7 +63,7 @@ fn error_decreases_with_privacy_budget() {
     for (i, eps) in [0.7f64, 2.1, 6.0].into_iter().enumerate() {
         let mut r = derived(1021, i as u64);
         let est = DamEstimator::new(DamConfig::dam(eps)).estimate(&points, &grid, &mut r);
-        let w = w2_exact(&est, &truth).unwrap();
+        let w = w2(&est, &truth).unwrap();
         assert!(w < prev + 0.02, "eps {eps}: W2 {w} did not improve on {prev}");
         prev = w;
     }
@@ -84,7 +84,7 @@ fn error_decreases_with_population() {
         let truth = truth_of(subset, &grid);
         let mut r = derived(1031, i as u64);
         let est = DamEstimator::new(DamConfig::dam(eps)).estimate(subset, &grid, &mut r);
-        errs.push(w2_exact(&est, &truth).unwrap());
+        errs.push(w2(&est, &truth).unwrap());
     }
     assert!(errs[1] < errs[0], "120k users ({}) must beat 3k users ({})", errs[1], errs[0]);
 }

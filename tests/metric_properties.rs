@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use spatial_ldp::geo::{BoundingBox, Grid2D, Histogram2D};
-use spatial_ldp::transport::metrics::{w2_exact, w2_grid_sinkhorn};
+use spatial_ldp::transport::metrics::{w2, w2_grid_sinkhorn};
 use spatial_ldp::transport::sliced::sliced_wasserstein;
 use spatial_ldp::transport::w1d::wasserstein_1d_pow;
 use spatial_ldp::transport::SinkhornParams;
@@ -25,14 +25,14 @@ proptest! {
 
     #[test]
     fn w2_identity_axiom(h in hist_strategy(4)) {
-        let w = w2_exact(&h, &h).unwrap();
+        let w = w2(&h, &h).unwrap();
         prop_assert!(w < 1e-4, "W2(h, h) = {w}");
     }
 
     #[test]
     fn w2_symmetry(a in hist_strategy(4), b in hist_strategy(4)) {
-        let ab = w2_exact(&a, &b).unwrap();
-        let ba = w2_exact(&b, &a).unwrap();
+        let ab = w2(&a, &b).unwrap();
+        let ba = w2(&b, &a).unwrap();
         prop_assert!((ab - ba).abs() < 1e-6, "W2 asymmetric: {ab} vs {ba}");
     }
 
@@ -42,15 +42,15 @@ proptest! {
         b in hist_strategy(3),
         c in hist_strategy(3),
     ) {
-        let ab = w2_exact(&a, &b).unwrap();
-        let bc = w2_exact(&b, &c).unwrap();
-        let ac = w2_exact(&a, &c).unwrap();
+        let ab = w2(&a, &b).unwrap();
+        let bc = w2(&b, &c).unwrap();
+        let ac = w2(&a, &c).unwrap();
         prop_assert!(ac <= ab + bc + 1e-6, "triangle violated: {ac} > {ab} + {bc}");
     }
 
     #[test]
     fn sinkhorn_upper_bounds_exact(a in hist_strategy(4), b in hist_strategy(4)) {
-        let exact = w2_exact(&a, &b).unwrap();
+        let exact = w2(&a, &b).unwrap();
         let approx = w2_grid_sinkhorn(&a, &b, SinkhornParams::default()).unwrap();
         // Rounded Sinkhorn coupling is feasible => cost at least optimal.
         prop_assert!(approx >= exact - 1e-6, "sinkhorn {approx} below exact {exact}");
@@ -64,7 +64,7 @@ proptest! {
         // sliced average) is at most the 2-D distance. Sliced works in
         // data units on the unit square, W2 here in cell units: rescale.
         let sw = sliced_wasserstein(&a, &b, 2, 24) * 4.0; // d = 4 cells per unit
-        let w = w2_exact(&a, &b).unwrap();
+        let w = w2(&a, &b).unwrap();
         prop_assert!(sw <= w + 1e-6, "SW2 {sw} exceeds W2 {w}");
     }
 
@@ -97,7 +97,7 @@ proptest! {
         let mut b = Histogram2D::zeros(g);
         a.add_cell(spatial_ldp::geo::CellIndex::new(1, 1));
         b.add_cell(spatial_ldp::geo::CellIndex::new(1 + shift, 1));
-        let w = w2_exact(&a, &b).unwrap();
+        let w = w2(&a, &b).unwrap();
         prop_assert!((w - shift as f64).abs() < 1e-6);
     }
 }

@@ -8,7 +8,7 @@
 
 use dam_core::shard::sharded_accumulate;
 use dam_core::SpatialEstimator;
-use dam_fo::{Grr, Oue};
+use dam_fo::{clamp_normalize, Grr, Oue};
 use dam_geo::{Grid2D, Histogram2D, Point};
 use rand::RngCore;
 
@@ -42,22 +42,6 @@ impl CfoEstimator {
         self.threads = threads;
         self
     }
-
-    /// Clamps negative unbiased estimates to zero and renormalises — the
-    /// standard simplex projection used with CFO estimators.
-    fn clamp_normalize(est: Vec<f64>) -> Vec<f64> {
-        let mut v: Vec<f64> = est.into_iter().map(|x| x.max(0.0)).collect();
-        let total: f64 = v.iter().sum();
-        if total > 0.0 {
-            for x in &mut v {
-                *x /= total;
-            }
-        } else {
-            let u = 1.0 / v.len() as f64;
-            v.fill(u);
-        }
-        v
-    }
 }
 
 impl SpatialEstimator for CfoEstimator {
@@ -77,7 +61,7 @@ impl SpatialEstimator for CfoEstimator {
         // One draw keys the deterministic per-shard streams of the
         // sharded report pipeline (bit-identical for any thread count).
         let master_seed = rng.next_u64();
-        let est = match self.flavor {
+        let mut est = match self.flavor {
             CfoFlavor::Grr => {
                 let grr = Grr::new(n, self.eps);
                 let counts = sharded_accumulate(
@@ -113,7 +97,8 @@ impl SpatialEstimator for CfoEstimator {
                 oue.estimate(&support, points.len())
             }
         };
-        Histogram2D::from_values(grid.clone(), Self::clamp_normalize(est))
+        clamp_normalize(&mut est);
+        Histogram2D::from_values(grid.clone(), est)
     }
 }
 

@@ -11,11 +11,13 @@
 //! * [`sem`] — the Subset Exponential Mechanism under ε-Geo-I (Wang et al.
 //!   \[12\]): k-subset reports with product weights
 //!   `exp(−(ε/2k)·dis(u, v))`, sampled by conditional Poisson sampling and
-//!   inverted by Richardson–Lucy on the inclusion-probability matrix;
+//!   inverted by EM on Π/k (the inclusion-probability matrix over the
+//!   subset size) through the shared driver, 200 maps;
 //! * [`subset`] — the log-domain elementary-symmetric-polynomial machinery
 //!   behind the subset sampler (exposed for reuse and property tests);
 //! * [`cfo`] — the classical categorical frequency oracle on grid cells
-//!   (Bucket+CFO of Table I), in GRR and OUE flavours.
+//!   (Bucket+CFO of Table I), in GRR and OUE flavours, projected onto the
+//!   simplex by [`dam_fo::clamp_normalize`].
 
 #![cfg_attr(
     test,

@@ -14,17 +14,20 @@
 //!
 //! Estimation inverts the inclusion-probability matrix
 //! `Π[u][v] = Pr[u ∈ S | v]` (computed exactly from elementary symmetric
-//! polynomials) with multiplicative Richardson–Lucy updates, the EM
-//! algorithm for this Poisson-counts inverse problem.
+//! polynomials). Every report holds `k` cells, so every column of `Π`
+//! sums to `k` and `Π/k` is a channel: the inversion is EM on `Π/k`
+//! through the shared driver, [`dam_fo::em::expectation_maximization`],
+//! for 200 maps.
 
 use crate::subset::{inclusion_probabilities, LogEsp};
 use dam_core::shard::sharded_accumulate;
 use dam_core::SpatialEstimator;
+use dam_fo::em::{expectation_maximization, Channel, EmParams, EmWorkspace};
 use dam_geo::{Grid2D, Histogram2D, Point};
 use rand::RngCore;
 
-/// Richardson–Lucy iterations of the estimate's inversion step.
-const RL_ITERS: usize = 200;
+/// The inversion's EM budget: 200 plain maps, no tolerance stop.
+const INVERSION: EmParams = EmParams { max_iters: 200, rel_tol: 0.0, gain_tol: 0.0 };
 
 /// The SEM-Geo-I estimator.
 #[derive(Debug, Clone, Copy)]
@@ -85,6 +88,20 @@ impl SemGeoI {
                 Point::new(c.ix as f64 + 0.5, c.iy as f64 + 0.5)
             })
             .collect()
+    }
+
+    /// The exact inclusion-probability matrix `Π[u][v] = Pr[u ∈ S | v]`,
+    /// row-major over `u`.
+    fn inclusion_matrix(&self, centers: &[Point], k: usize) -> Vec<f64> {
+        let n = centers.len();
+        let mut pi = vec![0.0f64; n * n];
+        for v in 0..n {
+            let probs = inclusion_probabilities(&self.log_weights(centers, v, k), k);
+            for (u, p) in probs.into_iter().enumerate() {
+                pi[u * n + v] = p;
+            }
+        }
+        pi
     }
 }
 
@@ -149,63 +166,28 @@ impl SpatialEstimator for SemGeoI {
                 }
             });
 
-        // Exact inclusion-probability matrix Π[u][v], row-major over u.
-        let mut pi = vec![0.0f64; n * n];
-        for v in 0..n {
-            let lw = self.log_weights(&centers, v, k);
-            let probs = inclusion_probabilities(&lw, k);
-            for (u, p) in probs.into_iter().enumerate() {
-                pi[u * n + v] = p;
-            }
-        }
-
-        // Richardson–Lucy inversion of E[c_u] = N · Σ_v Π[u][v] f_v.
-        let n_users = points.len() as f64;
-        let observed: Vec<f64> = incl_counts.iter().map(|&c| c / n_users).collect();
-        let mut f = vec![1.0 / n as f64; n];
-        let mut denom = vec![0.0f64; n];
-        for v in 0..n {
-            for u in 0..n {
-                denom[v] += pi[u * n + v];
-            }
-        }
-        for _ in 0..RL_ITERS {
-            // Predicted inclusion rates.
-            let mut pred = vec![0.0f64; n];
-            for u in 0..n {
-                let mut acc = 0.0;
-                for v in 0..n {
-                    acc += pi[u * n + v] * f[v];
-                }
-                pred[u] = acc;
-            }
-            let mut f_new = vec![0.0f64; n];
-            for v in 0..n {
-                let mut acc = 0.0;
-                for u in 0..n {
-                    if pred[u] > 0.0 {
-                        acc += pi[u * n + v] * observed[u] / pred[u];
-                    }
-                }
-                f_new[v] = f[v] * acc / denom[v].max(1e-300);
-            }
-            let total: f64 = f_new.iter().sum();
-            if total > 0.0 {
-                for x in &mut f_new {
-                    *x /= total;
-                }
-            }
-            f = f_new;
-        }
-        Histogram2D::from_values(grid.clone(), f)
+        let pi = self.inclusion_matrix(&centers, k);
+        Histogram2D::from_values(grid.clone(), invert(pi, k, &incl_counts))
     }
+}
+
+/// EM on the channel `Π/k` (`pi` row-major over the reported cell `u`)
+/// from the per-cell inclusion counts, which sum to `k` per report.
+fn invert(mut pi: Vec<f64>, k: usize, incl_counts: &[f64]) -> Vec<f64> {
+    let n = incl_counts.len();
+    for p in &mut pi {
+        *p /= k as f64;
+    }
+    let channel = Channel::new(n, n, pi);
+    expectation_maximization(&channel, incl_counts, None, None, INVERSION, &mut EmWorkspace::new())
+        .estimate
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dam_geo::{BoundingBox, CellIndex};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn grid(d: u32) -> Grid2D {
         Grid2D::new(BoundingBox::unit(), d)
@@ -270,6 +252,103 @@ mod tests {
         let pts = vec![Point::new(0.5, 0.5); 100];
         let est = SemGeoI::new(1.0).estimate(&pts, &grid(1), &mut rng);
         assert_eq!(est.values(), &[1.0]);
+    }
+
+    /// Reference for [`invert`]: Richardson–Lucy on `Π`, the same EM in
+    /// its multiplicative form, `f_v ← f_v · Σ_u Π[u][v]·(c_u/N)/(Πf)_u /
+    /// Σ_u Π[u][v]`, renormalized, 200 times from uniform.
+    fn richardson_lucy(pi: &[f64], incl_counts: &[f64], n_users: f64) -> Vec<f64> {
+        const RL_ITERS: usize = 200;
+        let n = incl_counts.len();
+        let observed: Vec<f64> = incl_counts.iter().map(|&c| c / n_users).collect();
+        let mut f = vec![1.0 / n as f64; n];
+        let mut denom = vec![0.0f64; n];
+        for v in 0..n {
+            for u in 0..n {
+                denom[v] += pi[u * n + v];
+            }
+        }
+        for _ in 0..RL_ITERS {
+            // Predicted inclusion rates.
+            let mut pred = vec![0.0f64; n];
+            for u in 0..n {
+                let mut acc = 0.0;
+                for v in 0..n {
+                    acc += pi[u * n + v] * f[v];
+                }
+                pred[u] = acc;
+            }
+            let mut f_new = vec![0.0f64; n];
+            for v in 0..n {
+                let mut acc = 0.0;
+                for u in 0..n {
+                    if pred[u] > 0.0 {
+                        acc += pi[u * n + v] * observed[u] / pred[u];
+                    }
+                }
+                f_new[v] = f[v] * acc / denom[v].max(1e-300);
+            }
+            let total: f64 = f_new.iter().sum();
+            if total > 0.0 {
+                for x in &mut f_new {
+                    *x /= total;
+                }
+            }
+            f = f_new;
+        }
+        f
+    }
+
+    #[test]
+    fn inversion_matches_richardson_lucy_reference() {
+        // (d, ε′, k): k = 1 at d = 3, ε′ = 4; k = 3 of 16; k = 13 of 25, near
+        // n/2, at the small ε′ = 0.7; k = 37 of 100.
+        for (d, eps, want_k) in [(3, 4.0, 1), (4, 2.0, 3), (5, 0.7, 13), (10, 1.0, 37)] {
+            let sem = SemGeoI::new(eps);
+            let n = (d * d) as usize;
+            let k = sem.resolve_k(n);
+            assert_eq!(k, want_k);
+            let pi = sem.inclusion_matrix(&SemGeoI::cell_centers(&grid(d)), k);
+            // Expected inclusion counts of 5000 users on a skewed input,
+            // jittered by ±20% from a seeded stream and rounded.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(124 + u64::from(d));
+            let truth: Vec<f64> = (0..n).map(|v| 1.0 + (v % 7) as f64).collect();
+            let mass: f64 = truth.iter().sum();
+            let n_users = 5_000.0;
+            let counts: Vec<f64> = (0..n)
+                .map(|u| {
+                    let rate: f64 = (0..n).map(|v| pi[u * n + v] * truth[v] / mass).sum();
+                    (n_users * rate * rng.gen_range(0.8..1.2f64)).round()
+                })
+                .collect();
+            let reference = richardson_lucy(&pi, &counts, n_users);
+            let est = invert(pi, k, &counts);
+            for (v, (a, b)) in est.iter().zip(&reference).enumerate() {
+                assert!((a - b).abs() <= 1e-12, "d {d} k {k} cell {v}: {a} vs {b}");
+            }
+        }
+    }
+
+    /// FNV-1a fold of `SemGeoI::estimate`'s bits on the two shapes below
+    /// (k-subset reports, EM on `Π/k` for 200 maps). Moving it is a
+    /// behaviour change of the baseline, not a refactor.
+    const SEM_ESTIMATE_BITS: u64 = 0xfeb0_175e_3eb3_2afa;
+
+    #[test]
+    fn estimate_matches_pinned_bits() {
+        let pts: Vec<Point> = (0..3_000)
+            .map(|i| Point::new((i % 97) as f64 / 97.0, ((i * 13) % 61) as f64 / 61.0))
+            .collect();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (eps, d) in [(1.0, 4), (3.5, 6)] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(125 + u64::from(d));
+            let est = SemGeoI::new(eps).estimate(&pts, &grid(d), &mut rng);
+            for byte in est.values().iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, SEM_ESTIMATE_BITS, "SEM-Geo-I estimate bits moved: {h:#018x}");
     }
 
     #[test]

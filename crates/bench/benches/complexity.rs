@@ -11,7 +11,7 @@
 //! perf trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dam_bench::{bench_grid, bench_points};
+use dam_bench::{bench_grid, bench_points, median, write_baseline};
 use dam_core::fft::next_fft_side;
 use dam_core::grid::KernelKind;
 use dam_core::kernel::DiscreteKernel;
@@ -134,8 +134,7 @@ fn bench_em_fft(c: &mut Criterion) {
 fn emit_bench_json(c: &mut Criterion) {
     let entries: Vec<String> = em_shapes()
         .filter_map(|(d, b)| {
-            let name = format!("em_fft/fft/d{d}_b{b}");
-            let &(_, ns) = c.results().iter().find(|(n, _)| n == &name)?;
+            let ns = median(c.results(), &format!("em_fft/fft/d{d}_b{b}"))?;
             let n = next_fft_side((d + 2 * b) as usize);
             Some(format!(
                 "    {{\"d\": {d}, \"b_hat\": {b}, \"padded_n\": {n}, \"em_iters\": {EM_ITERS}, \
@@ -148,11 +147,7 @@ fn emit_bench_json(c: &mut Criterion) {
         "{{\n  \"bench\": \"em_fft\",\n  \"configs\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_em.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_baseline("BENCH_em.json", &json);
 }
 
 fn bench_histogram(c: &mut Criterion) {

@@ -8,6 +8,7 @@
 //! Emits `BENCH_obs.json` at the repo root with per-operation medians.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dam_bench::{median, write_baseline};
 use dam_obs::{Plane, Registry};
 use std::hint::black_box;
 
@@ -57,11 +58,9 @@ fn bench_obs(c: &mut Criterion) {
 /// add, one histogram record (ns per operation), and one 64-instrument
 /// registry snapshot (ns per call).
 fn emit_bench_json(c: &Criterion) {
-    let median = |path: &str| -> Option<f64> {
-        c.results().iter().find(|(name, _)| name == &format!("obs/{path}/{OPS}")).map(|&(_, ns)| ns)
-    };
+    let ns = |path: &str| median(c.results(), &format!("obs/{path}/{OPS}"));
     let (Some(counter), Some(hist), Some(snapshot)) =
-        (median("counter_add"), median("histogram_record"), median("snapshot"))
+        (ns("counter_add"), ns("histogram_record"), ns("snapshot"))
     else {
         eprintln!("obs results missing; not writing BENCH_obs.json");
         return;
@@ -74,15 +73,12 @@ fn emit_bench_json(c: &Criterion) {
         counter / OPS as f64,
         hist / OPS as f64,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!(
-            "wrote {path} (counter add {:.2} ns, histogram record {:.2} ns per op)",
-            counter / OPS as f64,
-            hist / OPS as f64
-        ),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_baseline("BENCH_obs.json", &json);
+    println!(
+        "counter add {:.2} ns, histogram record {:.2} ns per op",
+        counter / OPS as f64,
+        hist / OPS as f64
+    );
 }
 
 criterion_group!(benches, bench_obs);

@@ -17,6 +17,7 @@
 //! against the recorded trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dam_bench::{median, write_baseline};
 use dam_core::{NoisyLevel, Pyramid};
 use std::hint::black_box;
 
@@ -131,17 +132,15 @@ fn bench_range(c: &mut Criterion) {
 }
 
 fn emit_bench_json(c: &Criterion) {
-    let median = |name: String| -> Option<f64> {
-        c.results().iter().find(|(n, _)| n == &name).map(|&(_, ns)| ns)
-    };
+    let ns = |name: String| median(c.results(), &name);
     let mut rows = String::new();
     for (i, &d) in SIDES.iter().enumerate() {
         let (Some(build), Some(infer), Some(cover), Some(naive), Some(point)) = (
-            median(format!("pyramid_build/from_plane/{d}")),
-            median(format!("constrained/infer/{d}")),
-            median(format!("range_answer/cover/{d}")),
-            median(format!("range_answer/naive/{d}")),
-            median(format!("range_answer/point/{d}")),
+            ns(format!("pyramid_build/from_plane/{d}")),
+            ns(format!("constrained/infer/{d}")),
+            ns(format!("range_answer/cover/{d}")),
+            ns(format!("range_answer/naive/{d}")),
+            ns(format!("range_answer/point/{d}")),
         ) else {
             eprintln!("range results missing for d={d}; not writing BENCH_range.json");
             return;
@@ -164,11 +163,7 @@ fn emit_bench_json(c: &Criterion) {
         "{{\n  \"bench\": \"range\",\n  \"threads\": {threads},\n  \
          \"query\": \"centered d/2 x d/2, one-cell offset\",\n  \"sides\": [\n{rows}  ]\n}}\n",
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_range.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path} (cover-over-naive speedup per row)"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_baseline("BENCH_range.json", &json);
 }
 
 criterion_group!(benches, bench_range);

@@ -23,7 +23,7 @@
 //! it amortizes to noise at this scale).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dam_bench::{bench_grid, bench_points};
+use dam_bench::{bench_grid, bench_points, median, write_baseline};
 use dam_core::{DamClient, DamConfig, IngestPolicy};
 use dam_geo::rng::seeded;
 use dam_obs::{Plane, Registry};
@@ -108,14 +108,9 @@ fn bench_report_phase(c: &mut Criterion) {
 /// batch for both paths, per-report cost, worker count and the headline
 /// speedup.
 fn emit_bench_json(c: &Criterion) {
-    let median = |path: &str| -> Option<f64> {
-        c.results()
-            .iter()
-            .find(|(name, _)| name == &format!("reports_throughput/{path}/{N_POINTS}"))
-            .map(|&(_, ns)| ns)
-    };
+    let ns = |path: &str| median(c.results(), &format!("reports_throughput/{path}/{N_POINTS}"));
     let (Some(seq), Some(sharded), Some(validated), Some(metered)) =
-        (median("sequential"), median("sharded"), median("validated"), median("metered"))
+        (ns("sequential"), ns("sharded"), ns("validated"), ns("metered"))
     else {
         eprintln!("reports_throughput results missing; not writing BENCH_reports.json");
         return;
@@ -148,14 +143,8 @@ fn emit_bench_json(c: &Criterion) {
         validated / N_POINTS as f64,
         metered / N_POINTS as f64,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_reports.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!(
-            "wrote {path} (sharded/sequential speedup at {N_POINTS} reports, \
-             {threads} threads: {speedup:.2}x)"
-        ),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_baseline("BENCH_reports.json", &json);
+    println!("sharded/sequential speedup at {N_POINTS} reports, {threads} threads: {speedup:.2}x");
 }
 
 criterion_group!(benches, bench_report_phase);

@@ -9,6 +9,7 @@
 //! values, and the worst exact-vs-grid gap at d ≤ 32.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dam_bench::{median, write_baseline};
 use dam_transport::exact::solve_exact;
 use dam_transport::grid::{grid_sinkhorn_cost, SinkhornParams};
 use std::cell::RefCell;
@@ -84,9 +85,7 @@ fn bench_w2_solvers(c: &mut Criterion) {
 /// Writes `BENCH_w2.json` at the repo root: per-row medians and W₂
 /// values, and the max solver disagreement at d ≤ 32.
 fn emit_bench_json(c: &Criterion, costs: &BTreeMap<String, f64>) {
-    let ns = |group: &str, row: &str| -> Option<f64> {
-        c.results().iter().find(|(name, _)| name == &format!("{group}/{row}")).map(|&(_, v)| v)
-    };
+    let ns = |group: &str, row: &str| median(c.results(), &format!("{group}/{row}"));
     let w2 = |row: &str| costs.get(row).map(|sq| sq.max(0.0).sqrt());
     let fmt = |v: Option<f64>| v.map(|x| format!("{x:.4}")).unwrap_or_else(|| "null".into());
 
@@ -128,11 +127,7 @@ fn emit_bench_json(c: &Criterion, costs: &BTreeMap<String, f64>) {
         p.tol,
         rows.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_w2.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_baseline("BENCH_w2.json", &json);
 }
 
 criterion_group!(benches, bench_w2_solvers);

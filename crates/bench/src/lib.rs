@@ -14,7 +14,8 @@
 //! The end-to-end epoch benchmark is `perfbench/`, and the `dam-eval`
 //! `fig_*` binaries regenerate the paper's tables and figures.
 //!
-//! This library exposes the small fixtures the benches share.
+//! This library exposes the small fixtures the benches share, and the
+//! lookup and write that turn a run's medians into its baseline file.
 
 use dam_geo::rng::derived;
 use dam_geo::{BoundingBox, Grid2D, Point};
@@ -37,4 +38,19 @@ pub fn bench_points(n: usize, seed: u64) -> Vec<Point> {
 /// The unit grid used across benches.
 pub fn bench_grid(d: u32) -> Grid2D {
     Grid2D::new(BoundingBox::unit(), d)
+}
+
+/// The median nanoseconds of the benchmark named `name` in a criterion
+/// run's `(name, median_ns)` results.
+pub fn median(results: &[(String, f64)], name: &str) -> Option<f64> {
+    results.iter().find(|(n, _)| n == name).map(|&(_, ns)| ns)
+}
+
+/// Writes `json` to the baseline `file` at the repository root.
+pub fn write_baseline(file: &str, json: &str) {
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    match std::fs::write(&path, json) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
+    }
 }

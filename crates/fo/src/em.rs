@@ -733,6 +733,17 @@ pub fn smooth_1d(f: &mut [f64]) {
     }
 }
 
+/// Projects unbiased frequency estimates onto the simplex: clamps every
+/// entry at 0, then scales to sum 1 (uniform when nothing positive is
+/// left). The post-processing of the oracles that run no EM (CFO-GRR,
+/// CFO-OUE, LDPTrace).
+pub fn clamp_normalize(f: &mut [f64]) {
+    for x in f.iter_mut() {
+        *x = x.max(0.0);
+    }
+    normalize(f);
+}
+
 /// Scales `f` to sum to 1 (uniform when the sum is not positive) and
 /// returns whether the sum was finite.
 fn normalize(f: &mut [f64]) -> bool {
@@ -767,6 +778,17 @@ mod tests {
     /// Cold start through a fresh workspace, estimate only.
     fn cold<C: ChannelOp + ?Sized>(ch: &C, counts: &[f64], params: EmParams) -> Vec<f64> {
         expectation_maximization(ch, counts, None, None, params, &mut EmWorkspace::new()).estimate
+    }
+
+    #[test]
+    fn clamp_normalize_projects_onto_the_simplex() {
+        let mut f = [0.5, -0.25, 1.5, 0.0, -3.0];
+        clamp_normalize(&mut f);
+        assert_eq!(f, [0.25, 0.0, 0.75, 0.0, 0.0]);
+        assert_eq!(f.iter().sum::<f64>(), 1.0);
+        let mut flat = [-1.0, 0.0, -0.5, -2.0];
+        clamp_normalize(&mut flat);
+        assert_eq!(flat, [0.25; 4]);
     }
 
     #[test]

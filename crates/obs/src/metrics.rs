@@ -278,16 +278,6 @@ impl Trace {
     }
 }
 
-/// One span path's aggregate, updated on every guard drop.
-#[derive(Debug)]
-pub(crate) struct SpanSlot {
-    pub path: String,
-    pub count: u64,
-    pub total_ns: u64,
-    pub self_ns: u64,
-    pub last: LogicalStamp,
-}
-
 #[derive(Debug, Default)]
 struct Instruments {
     counters: Vec<Counter>,
@@ -300,7 +290,8 @@ struct Inner {
     enabled: AtomicBool,
     clock: Mutex<Arc<dyn Clock>>,
     instruments: Mutex<Instruments>,
-    spans: Mutex<Vec<SpanSlot>>,
+    /// One aggregate per span path, updated on every guard drop.
+    spans: Mutex<Vec<SpanAggregate>>,
 }
 
 /// The handle-granting registry. Cloning shares the underlying store.
@@ -440,7 +431,7 @@ impl Registry {
             slot.self_ns += self_ns;
             slot.last = stamp;
         } else {
-            spans.push(SpanSlot {
+            spans.push(SpanAggregate {
                 path: path.to_string(),
                 count: 1,
                 total_ns: dur_ns,
@@ -471,18 +462,7 @@ impl Registry {
         traces.sort_by(|a, b| a.0.cmp(&b.0));
         drop(inst);
 
-        let spans_guard = self.inner.spans.lock();
-        let mut spans: Vec<SpanAggregate> = spans_guard
-            .iter()
-            .map(|s| SpanAggregate {
-                path: s.path.clone(),
-                count: s.count,
-                total_ns: s.total_ns,
-                self_ns: s.self_ns,
-                last: s.last,
-            })
-            .collect();
-        drop(spans_guard);
+        let mut spans = self.inner.spans.lock().clone();
         spans.sort_by(|a, b| a.path.cmp(&b.path));
 
         MetricsSnapshot { counters, gauges, histograms, traces, spans }

@@ -18,7 +18,7 @@
 
 use crate::mechanism::TrajectoryMechanism;
 use crate::traj::Trajectory;
-use dam_fo::Oue;
+use dam_fo::{clamp_normalize, Oue};
 use dam_geo::{CellIndex, Grid2D, Histogram2D};
 use rand::{Rng, RngCore};
 
@@ -56,23 +56,6 @@ impl LdpTrace {
         let lo = LEN_EDGES[bucket];
         let hi = if bucket + 1 < LEN_EDGES.len() { LEN_EDGES[bucket + 1] } else { 201 };
         rng.gen_range(lo..hi.max(lo + 1))
-    }
-
-    /// Clamps unbiased FO estimates onto the simplex.
-    fn clamp_normalize(v: &mut [f64]) {
-        let mut total = 0.0;
-        for x in v.iter_mut() {
-            *x = x.max(0.0);
-            total += *x;
-        }
-        if total > 0.0 {
-            for x in v.iter_mut() {
-                *x /= total;
-            }
-        } else {
-            let u = 1.0 / v.len() as f64;
-            v.fill(u);
-        }
     }
 }
 
@@ -127,9 +110,9 @@ impl TrajectoryMechanism for LdpTrace {
         }
 
         let mut f_start = start_fo.estimate(&start_support, n_users);
-        Self::clamp_normalize(&mut f_start);
+        clamp_normalize(&mut f_start);
         let mut f_len = len_fo.estimate(&len_support, n_users);
-        Self::clamp_normalize(&mut f_len);
+        clamp_normalize(&mut f_len);
         let mut f_trans = trans_fo.estimate(&trans_support, trans_reporters.max(1));
         // Per-cell direction distributions.
         let nd = DIRS.len();

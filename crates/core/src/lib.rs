@@ -24,7 +24,10 @@
 //!   channel matrix would not fit — the committed `BENCH_em.json` records
 //!   its cost across the d = 64 radius sweep;
 //! * [`fft`] — the in-repo iterative mixed-radix (2·3) real 2-D FFT
-//!   ([`fft::Fft2d`]): precomputed twiddle/digit-reversal plans, one
+//!   ([`fft::Fft2d`]): precomputed twiddle/digit-reversal plans whose
+//!   stages run two per sweep over the data (radix-2² passes, and one
+//!   radix-6 pass where a lone radix-2 stage meets a single radix-3 stage,
+//!   with the bits of the stage-by-stage loop), one
 //!   row-major half-spectrum whose column pass runs butterflies between
 //!   whole rows, all-zero rows skipped; each convolution split across two
 //!   cores from side 96 up (`stream-fft`'s grid), serial below;

@@ -116,15 +116,10 @@ impl TrajectoryMechanism for LdpTrace {
         let mut f_trans = trans_fo.estimate(&trans_support, trans_reporters.max(1));
         // Per-cell direction distributions.
         let nd = DIRS.len();
-        let mut dir_dist = vec![[1.0f64 / 9.0; 9]; n_cells];
-        for (cell, dist) in dir_dist.iter_mut().enumerate() {
-            let slice = &mut f_trans[cell * nd..(cell + 1) * nd];
-            let total: f64 = slice.iter().map(|x| x.max(0.0)).sum();
-            if total > 1e-9 {
-                for (k, v) in slice.iter().enumerate() {
-                    dist[k] = v.max(0.0) / total;
-                }
-            }
+        let mut dir_dist = vec![[0.0f64; 9]; n_cells];
+        for (slice, dist) in f_trans.chunks_exact_mut(nd).zip(&mut dir_dist) {
+            clamp_normalize(slice);
+            dist.copy_from_slice(slice);
         }
 
         // Synthesis: sample a synthetic trajectory database and count its

@@ -4,11 +4,11 @@
 //! channel's O(n_out·n_in) is what it replaces). The exact OT solver's
 //! scaling is measured by the `w2` bench.
 //!
-//! The `em_fft` group (the d = 64 radius sweep plus the d = 20, b̂ = 4
-//! shape the `ingest-1m` and `durable-cluster` benchmark workloads run
-//! at) also emits `BENCH_em.json` at the repo root — machine-readable
-//! medians per shape, so later changes can regress against a recorded
-//! perf trajectory.
+//! The `em_fft` group (the d = 64 radius sweep plus the shapes the
+//! end-to-end benchmark workloads run at: d = 20, b̂ = 4 for `ingest-1m`
+//! and `durable-cluster`, d = 64, b̂ = 14 for `stream-fft`) also emits
+//! `BENCH_em.json` at the repo root — machine-readable medians per shape,
+//! so later changes can regress against a recorded perf trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dam_bench::{bench_grid, bench_points, median, write_baseline};
@@ -99,13 +99,24 @@ const EM_ITERS: usize = 10;
 const RADIUS_SWEEP_B: [u32; 4] = [4, 8, 16, 32];
 /// Grid side of the radius sweep.
 const RADIUS_SWEEP_D: u32 = 64;
-/// Extra `(d, b̂)` shape outside the sweep: the end-to-end benchmark's
-/// 1M-users/epoch workloads.
-const SMALL_SHAPE: (u32, u32) = (20, 4);
+/// Extra `(d, b̂)` shapes outside the sweep, those of the end-to-end
+/// benchmark's workloads: the 1M-users/epoch ones (serial n = 32 plans)
+/// and `stream-fft` (n = 96, split on a multi-core host).
+const WORKLOAD_SHAPES: [(u32, u32); 2] = [(20, 4), (64, 14)];
+
+/// Samples per `em_fft` row: 0.5 s (d = 20) to 5 s (d = 64, b̂ = 32) of
+/// EM each. On a 2-vCPU VM the host's speed drifts in spells of seconds,
+/// so a row's median is only as steady as the time it spans. Three runs
+/// of one commit read `d64_b4` from 2.14 to 3.89 ms with the shim's
+/// default of 20 samples, and `d64_b32` 1.6× apart with 200. With 1000,
+/// a quiet batch stayed within 10% on five of the six rows (`d64_b14`
+/// 15%) while a busy one spread 1.8× on `d20_b4`; 3000 samples (about a
+/// minute a run) did no better on a busy host.
+const EM_SAMPLES: usize = 1000;
 
 /// `(d, b̂)` shapes of the `em_fft` group, keyed `d{d}_b{b̂}`.
 fn em_shapes() -> impl Iterator<Item = (u32, u32)> {
-    RADIUS_SWEEP_B.iter().map(|&b| (RADIUS_SWEEP_D, b)).chain([SMALL_SHAPE])
+    RADIUS_SWEEP_B.iter().map(|&b| (RADIUS_SWEEP_D, b)).chain(WORKLOAD_SHAPES)
 }
 
 /// Cold-start spectral EM at a fixed iteration count across
@@ -113,6 +124,7 @@ fn em_shapes() -> impl Iterator<Item = (u32, u32)> {
 fn bench_em_fft(c: &mut Criterion) {
     let params = EmParams { max_iters: EM_ITERS, rel_tol: 0.0, gain_tol: 0.0 };
     let mut group = c.benchmark_group("em_fft");
+    group.sample_size(EM_SAMPLES);
     for (d, b) in em_shapes() {
         let kernel = DiscreteKernel::dam(3.5, d, b, KernelKind::Shrunken);
         let counts = em_counts(&kernel, 6);

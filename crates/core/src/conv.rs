@@ -22,7 +22,10 @@
 //! That is O(n² log n) work per iteration and O(n²) storage instead of
 //! the dense operator's O(n_out·n_in) — at `d = 64, b̂ = 8` the dense
 //! matrix would be ~210 MB. It is the one production 2-D operator
-//! (`BENCH_em.json` records its cost across the d = 64 radius sweep).
+//! (`BENCH_em.json` records its cost across the d = 64 radius sweep). On
+//! grids split across cores one EM map — both convolutions and EM's
+//! per-cell sweep between them — is a single pool batch (see
+//! [`FftChannel`]).
 //!
 //! The dense [`Channel`](dam_fo::em::Channel) remains available as the
 //! reference implementation; property tests assert the spectral operator
@@ -32,7 +35,7 @@
 
 use crate::fft::{spectrum_mul, spectrum_mul_conj, Fft2d};
 use crate::kernel::DiscreteKernel;
-use dam_fo::em::{ChannelOp, EmWorkspace};
+use dam_fo::em::{em_step_in_sequence, sweep_cell, ChannelOp, EmWorkspace};
 
 /// The spectral [`ChannelOp`]: the `δ + far-field` decomposition of the
 /// [module docs](self), with the δ-convolutions evaluated in the frequency
@@ -49,14 +52,17 @@ use dam_fo::em::{ChannelOp, EmWorkspace};
 ///   because `t + s ≤ d + 2b̂ - 1 < n` on both axes.
 ///
 /// The kernel spectrum is computed **once** here and reused by every EM
-/// iteration. Each primitive is one [`Fft2d::convolve`]: it transforms,
-/// multiplies and inverts in place in one workspace plane — a single
-/// `n × (n + 2)` half-spectrum — so steady-state iterations allocate
-/// nothing. On a multi-core host with `n ≥`
+/// iteration. Each primitive on its own is one [`Fft2d::convolve`]: it
+/// transforms, multiplies and inverts in place in one workspace plane — a
+/// single `n × (n + 2)` half-spectrum — so steady-state iterations
+/// allocate nothing. On a multi-core host with `n ≥`
 /// [`PARALLEL_FFT_MIN_SIDE`](crate::fft::PARALLEL_FFT_MIN_SIDE) that
-/// plane is cut into column-block planes and each primitive runs as one
-/// pool batch across the threads it was built for, with the same bits as
-/// the serial path.
+/// plane is cut into column-block planes, each primitive runs as one pool
+/// batch across the threads it was built for, and a whole EM map
+/// ([`ChannelOp::em_step`]) runs as one batch too, with EM's per-cell
+/// sweep in the E-step's read-back ([`Fft2d::convolve_then_correlate`]).
+/// Both give the bits of the serial path, where a map runs the two
+/// primitives in turn.
 #[derive(Debug, Clone)]
 pub struct FftChannel {
     /// Input grid side.
@@ -77,15 +83,17 @@ impl FftChannel {
     /// threads a split transform runs on (`None` = available
     /// parallelism); `Some(1)` keeps every EM primitive serial.
     pub fn new(kernel: &DiscreteKernel, threads: Option<usize>) -> Self {
-        let d = kernel.d() as usize;
-        let out_d = kernel.out_d() as usize;
-        let side = kernel.box_side();
+        let fft = Fft2d::new(kernel.out_d() as usize)
+            .with_threads(threads.unwrap_or_else(rayon::current_num_threads));
+        Self::with_plan(kernel, fft)
+    }
+
+    /// The operator on a given transform plan (one for `kernel.out_d()`).
+    fn with_plan(kernel: &DiscreteKernel, fft: Fft2d) -> Self {
         let far = kernel.q_hat();
-        let fft =
-            Fft2d::new(out_d).with_threads(threads.unwrap_or_else(rayon::current_num_threads));
         let delta: Vec<f64> = kernel.offset_masses().iter().map(|&m| m - far).collect();
-        let kspec = fft.kernel_spectrum(&delta, side);
-        Self { d, out_d, far, fft, kspec }
+        let kspec = fft.kernel_spectrum(&delta, kernel.box_side());
+        Self { d: kernel.d() as usize, out_d: kernel.out_d() as usize, far, fft, kspec }
     }
 
     /// Padded transform side `n = next_fft_side(d + 2b̂)`: 96 at d = 64,
@@ -93,6 +101,25 @@ impl FftChannel {
     #[inline]
     pub fn padded_n(&self) -> usize {
         self.fft.n()
+    }
+
+    /// E-step read-back of one output row: `q̂·Σf + (δ ∗ f)`, from
+    /// `total = Σf` and the convolution's row.
+    fn predict_row(&self, total: f64, row: &[f64], out_row: &mut [f64]) {
+        let far_term = self.far * total;
+        for (o, &c) in out_row.iter_mut().zip(row) {
+            *o = far_term + c;
+        }
+    }
+
+    /// M-step read-back of input row `y`: `f ⊙ (q̂·Σw + (δ ⋆ w))`, from
+    /// `total = Σw` and the correlation's row.
+    fn update_row(&self, f: &[f64], total: f64, y: usize, row: &[f64], new_row: &mut [f64]) {
+        let far_term = self.far * total;
+        let f_row = &f[y * self.d..(y + 1) * self.d];
+        for (new, (&fi, &c)) in new_row.iter_mut().zip(f_row.iter().zip(row)) {
+            *new = fi * (far_term + c);
+        }
     }
 }
 
@@ -119,12 +146,7 @@ impl ChannelOp for FftChannel {
             spec,
             out,
             self.out_d,
-            |total, _, row, out_row| {
-                let far_term = self.far * total;
-                for (o, &c) in out_row.iter_mut().zip(row) {
-                    *o = far_term + c;
-                }
-            },
+            |total, _, row, out_row| self.predict_row(total, row, out_row),
         );
     }
 
@@ -132,7 +154,6 @@ impl ChannelOp for FftChannel {
         debug_assert_eq!(w.len(), self.n_out());
         debug_assert_eq!(f.len(), self.n_in());
         debug_assert_eq!(f_new.len(), self.n_in());
-        let d = self.d;
         let spec = ws.plane(self.fft.spectrum_len());
         self.fft.convolve(
             w,
@@ -141,15 +162,64 @@ impl ChannelOp for FftChannel {
             spectrum_mul_conj,
             spec,
             f_new,
-            d,
-            |total, y, row, new_row| {
-                let far_term = self.far * total;
-                let f_row = &f[y * d..(y + 1) * d];
-                for (new, (&fi, &c)) in new_row.iter_mut().zip(f_row.iter().zip(row)) {
-                    *new = fi * (far_term + c);
+            self.d,
+            |total, y, row, new_row| self.update_row(f, total, y, row, new_row),
+        );
+    }
+
+    /// On a split plan the whole map is one
+    /// [`Fft2d::convolve_then_correlate`] batch: the E-step's read-back
+    /// predicts each output row into `weights`, sweeps it
+    /// ([`sweep_cell`]) into the weight row and a row of log-likelihood
+    /// terms in `out`, and hands the weight row straight to the adjoint's
+    /// forward transform. The log-likelihood is the in-order sum of the
+    /// terms. Every value has the bits of [`em_step_in_sequence`], which
+    /// serial plans run.
+    ///
+    /// The NaN canary audits the weights and the terms as `"apply"` and
+    /// `f_new` as `"adjoint"`, after the batch. An unobserved cell's
+    /// prediction is never read (its weight and term are 0 whatever it
+    /// is), so it is not audited. At an observed cell a NaN prediction
+    /// shows as a NaN weight and +∞ as an infinite term, while −∞, like
+    /// any `p ≤ 0`, gives the weight 0 and the finite term `c·ln 1e-300`.
+    fn em_step(
+        &self,
+        f: &[f64],
+        counts: &[f64],
+        n_total: f64,
+        out: &mut [f64],
+        weights: &mut [f64],
+        f_new: &mut [f64],
+        ws: &mut EmWorkspace,
+    ) -> f64 {
+        debug_assert_eq!(counts.len(), self.n_out());
+        let out_d = self.out_d;
+        let spec = ws.plane(self.fft.spectrum_len());
+        let ll = self.fft.convolve_then_correlate(
+            f,
+            self.d,
+            &self.kspec,
+            spec,
+            weights,
+            out,
+            out_d,
+            |total, y, row, w_row, term_row| {
+                self.predict_row(total, row, w_row);
+                let c_row = &counts[y * out_d..(y + 1) * out_d];
+                for ((w, term), &c) in w_row.iter_mut().zip(term_row).zip(c_row) {
+                    (*w, *term) = sweep_cell(c, *w, n_total);
                 }
             },
+            f_new,
+            |total, y, row, new_row| self.update_row(f, total, y, row, new_row),
         );
+        let Some(ll) = ll else {
+            return em_step_in_sequence(self, f, counts, n_total, out, weights, f_new, ws);
+        };
+        ws.audit_handoff("apply", weights);
+        ws.audit_handoff("apply", out);
+        ws.audit_handoff("adjoint", f_new);
+        ll
     }
 }
 
@@ -157,7 +227,7 @@ impl ChannelOp for FftChannel {
 mod tests {
     use super::*;
     use crate::grid::KernelKind;
-    use dam_fo::em::{expectation_maximization, EmParams, EmWorkspace};
+    use dam_fo::em::{expectation_maximization, EmParams};
     use rand::{Rng, SeedableRng};
 
     /// Per-cell tolerance against the dense reference: one forward/inverse
@@ -254,6 +324,72 @@ mod tests {
             for i in 0..fftc.n_in() {
                 assert!((fd[i] - ff[i]).abs() < tol, "bin {i}: {} vs {}", fd[i], ff[i]);
             }
+        }
+    }
+
+    #[test]
+    fn fft_em_step_matches_sequential_bits() {
+        // The one-batch map against the trait's default body on the same
+        // split plan and on a serial one, over three chained maps with
+        // counts that hold zeros: the `stream-fft` shape (n = 96) and
+        // n = 128 on two to four threads, and uneven row blocks at n = 24
+        // and 72 (split below the size gate). Scratch starts as NaN, so
+        // a value the map failed to write would show.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut cases = Vec::new();
+        for (d, b_hat, n) in [(64, 14, 96), (100, 14, 128)] {
+            let kernel = DiscreteKernel::dam(3.0, d, b_hat, KernelKind::Shrunken);
+            for threads in 2..=4 {
+                cases.push((FftChannel::new(&kernel, Some(threads)), n, kernel.clone()));
+            }
+        }
+        for (d, b_hat, n) in [(13, 5, 24), (48, 12, 72)] {
+            let kernel = DiscreteKernel::dam(3.0, d, b_hat, KernelKind::Shrunken);
+            for threads in [2, 3] {
+                let plan = Fft2d::new(kernel.out_d() as usize).split_across(threads);
+                cases.push((FftChannel::with_plan(&kernel, plan), n, kernel.clone()));
+            }
+        }
+        for (split, n, kernel) in cases {
+            assert_eq!(split.padded_n(), n);
+            assert!(split.fft.is_split(), "n {n}: the plan must be split");
+            let serial = FftChannel::new(&kernel, Some(1));
+            assert!(!serial.fft.is_split());
+            let (n_in, n_out) = (split.n_in(), split.n_out());
+            let counts: Vec<f64> =
+                (0..n_out).map(|o| ((o * 7) % 13).saturating_sub(4) as f64).collect();
+            assert!(counts.contains(&0.0));
+            let n_total: f64 = counts.iter().sum();
+            let mut wss: [EmWorkspace; 3] = Default::default();
+            let mut f = random_f(n_in, n as u64);
+            for map in 0..3 {
+                let mut results = Vec::new();
+                for (path, ws) in wss.iter_mut().enumerate() {
+                    let (mut out, mut w) = (vec![f64::NAN; n_out], vec![f64::NAN; n_out]);
+                    let mut f_new = vec![f64::NAN; n_in];
+                    let ll = match path {
+                        0 => split.em_step(&f, &counts, n_total, &mut out, &mut w, &mut f_new, ws),
+                        1 => em_step_in_sequence(
+                            &split, &f, &counts, n_total, &mut out, &mut w, &mut f_new, ws,
+                        ),
+                        _ => em_step_in_sequence(
+                            &serial, &f, &counts, n_total, &mut out, &mut w, &mut f_new, ws,
+                        ),
+                    };
+                    assert!(ll.is_finite() && ll < 0.0, "n {n} map {map}: ll {ll}");
+                    results.push((ll.to_bits(), bits(&w), f_new));
+                }
+                for (path, other) in results.iter().enumerate().skip(1) {
+                    let what = format!("n {n} map {map}, path {path}");
+                    assert_eq!(results[0].0, other.0, "{what}: ll bits differ");
+                    assert!(results[0].1 == other.1, "{what}: weight bits differ");
+                    assert!(bits(&results[0].2) == bits(&other.2), "{what}: f_new bits differ");
+                }
+                let f_new = &results[0].2;
+                let s: f64 = f_new.iter().sum();
+                f = f_new.iter().map(|x| x / s).collect();
+            }
+            assert_eq!(wss[0].tainted_handoffs(), 0);
         }
     }
 

@@ -110,6 +110,19 @@
 //! 3. inverse row transforms of only the rows read back, each finished
 //!    straight into the caller's output.
 //!
+//! An EM map's two convolutions run as **one** batch of five phases,
+//! [`Fft2d::convolve_then_correlate`]: the first two phases above; then,
+//! per row block, the E-step's inverse rows, the caller's per-row stop
+//! (EM's weights and log-likelihood terms) and the forward transform of
+//! each weight row straight back into the spectrum rows it was read from;
+//! then the adjoint's plane pass with the conjugate spectrum, next to the
+//! in-order sum of the weights; and last the adjoint's inverse rows, next
+//! to the in-order sum of the terms. The row and plane units are the
+//! ones `convolve` runs. One pool handoff thus serves a whole map, and
+//! the per-cell `ln` and divisions between the two convolutions, which
+//! ran on one core while the pool helper parked, are split across the
+//! row blocks.
+//!
 //! The column pass inside a plane is the whole-row butterfly above, on a
 //! narrower row, so every element still gets the same butterflies,
 //! twiddles, product and operation order: split and serial plans give the
@@ -139,7 +152,7 @@
 //! per iteration, the whole gap. Split plans resolve their thread count
 //! once, when they are built.
 
-use rayon::pool::Tiles;
+use rayon::pool::{Lease, Tiles};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Smallest padded side `n` at which a spectral convolution
@@ -558,6 +571,52 @@ impl PlaneSplit {
     fn row_span(&self, p: usize) -> std::ops::Range<usize> {
         2 * self.cols[p]..2 * self.cols[p + 1]
     }
+
+    /// Spectrum tile of row block `b` of plane `p`.
+    fn tile(b: usize, p: usize) -> usize {
+        p * ROW_BLOCKS + b
+    }
+
+    /// The spectrum tiles of row block `b`, one per plane.
+    fn block_tiles(&self, b: usize) -> impl Iterator<Item = usize> {
+        (0..self.planes()).map(move |p| Self::tile(b, p))
+    }
+
+    /// Bounds that cut a row-major field of `rows` rows of `d` values into
+    /// the row blocks (blocks past `rows` are empty).
+    fn field_bounds(&self, rows: usize, d: usize) -> [usize; ROW_BLOCKS + 1] {
+        self.rows.map(|y| y.min(rows) * d)
+    }
+
+    /// How many row blocks hold any of the first `rows` rows.
+    fn blocks_below(&self, rows: usize) -> usize {
+        self.rows[..ROW_BLOCKS].iter().filter(|&&y| y < rows).count()
+    }
+
+    /// Copies spectrum row `r` of row block `b` out of the planes into the
+    /// row-major `row`.
+    fn gather(&self, planes: &mut Lease<'_, '_, f64>, b: usize, r: usize, row: &mut [f64]) {
+        for p in 0..self.planes() {
+            let span = self.row_span(p);
+            let t = Self::tile(b, p);
+            row[span.clone()]
+                .copy_from_slice(&planes.get(t..t + 1)[r * span.len()..][..span.len()]);
+        }
+    }
+
+    /// Writes the row-major spectrum `row` (zeros on `None`) into row `r`
+    /// of row block `b` of every plane.
+    fn scatter(&self, planes: &mut Lease<'_, '_, f64>, b: usize, r: usize, row: Option<&[f64]>) {
+        for p in 0..self.planes() {
+            let span = self.row_span(p);
+            let t = Self::tile(b, p);
+            let out = &mut planes.get(t..t + 1)[r * span.len()..][..span.len()];
+            match row {
+                Some(row) => out.copy_from_slice(&row[span]),
+                None => out.fill(0.0),
+            }
+        }
+    }
 }
 
 /// A reusable plan for real 2-D FFTs on an `n × n` grid, `n` an even
@@ -578,8 +637,9 @@ pub struct Fft2d {
     halfplan: CfftPlan,
     /// Untangle twiddles `e^{-2πik/n}` for `k ∈ [0, n/2]`, interleaved.
     unt: Vec<f64>,
-    /// Plane layout of [`Fft2d::convolve`]; `None` runs it serially in
-    /// the row-major layout.
+    /// Plane layout of the split batches ([`Fft2d::convolve`],
+    /// [`Fft2d::convolve_then_correlate`]); `None` runs `convolve`
+    /// serially in the row-major layout.
     split: Option<PlaneSplit>,
 }
 
@@ -598,9 +658,10 @@ impl Fft2d {
         Self { n, half, full: CfftPlan::new(n), halfplan: CfftPlan::new(half), unt, split: None }
     }
 
-    /// The same plan, with [`Self::convolve`] split across `threads`
-    /// cores when the grid is at least [`PARALLEL_FFT_MIN_SIDE`] on a
-    /// side; smaller grids, or one thread, keep the serial path.
+    /// The same plan, with [`Self::convolve`] and
+    /// [`Self::convolve_then_correlate`] split across `threads` cores when
+    /// the grid is at least [`PARALLEL_FFT_MIN_SIDE`] on a side; smaller
+    /// grids, or one thread, keep the serial path.
     pub fn with_threads(self, threads: usize) -> Self {
         if threads > 1 && self.n >= PARALLEL_FFT_MIN_SIDE {
             self.split_across(threads)
@@ -611,11 +672,17 @@ impl Fft2d {
 
     /// [`Self::with_threads`] without the size gate (at least
     /// `ROW_BLOCKS` rows, so every row block holds one).
-    fn split_across(mut self, threads: usize) -> Self {
+    pub(crate) fn split_across(mut self, threads: usize) -> Self {
         if threads > 1 && self.n >= ROW_BLOCKS {
             self.split = Some(PlaneSplit::new(self.n, threads));
         }
         self
+    }
+
+    /// Whether [`Self::convolve`] runs split across threads.
+    #[cfg(test)]
+    pub(crate) fn is_split(&self) -> bool {
+        self.split.is_some()
     }
 
     /// Padded grid side.
@@ -821,72 +888,215 @@ impl Fft2d {
             }
             return;
         };
-        let (n, planes) = (self.n, split.planes());
-        debug_assert!(src.len() / src_d <= n && rows <= n);
-        let spec = Tiles::new(spec, &split.tiles);
-        let dst_bounds = split.rows.map(|y| y.min(rows) * dst_d);
+        debug_assert!(src.len() / src_d <= self.n && rows <= self.n);
+        let batch = SplitBatch { fft: self, split, spec: Tiles::new(spec, &split.tiles) };
+        let dst_bounds = split.field_bounds(rows, dst_d);
         let dst = Tiles::new(dst, &dst_bounds);
         // `Σ src` as f64 bits: stored in phase 0, read after its barrier.
         let total = AtomicU64::new(0);
-        let tile = |p: usize, b: usize| p * ROW_BLOCKS + b;
-        let read_blocks = split.rows[..ROW_BLOCKS].iter().filter(|&&y| y < rows).count();
-        let units = [1 + ROW_BLOCKS, planes, read_blocks];
+        let units = [1 + ROW_BLOCKS, split.planes(), split.blocks_below(rows)];
         rayon::pool::run_phases(&units, Some(split.threads), |phase, unit| match (phase, unit) {
             // The source sum, first: a serial add chain that the other
             // thread's row transforms overlap.
-            (0, 0) => total.store(src.iter().sum::<f64>().to_bits(), Ordering::Relaxed),
-            // Forward row transforms of row block `unit - 1`, each row
-            // written into every plane; rows past the source are zero.
-            (0, _) => with_row_scratch(2 * (self.half + 1), |row| {
-                let b = unit - 1;
-                let mut planes_out = spec.lease((0..planes).map(|p| tile(p, b)));
-                for (r, y) in (split.rows[b]..split.rows[b + 1]).enumerate() {
-                    let src_row = src.get(y * src_d..(y + 1) * src_d);
-                    if let Some(src_row) = src_row {
-                        self.forward_row(src_row, row);
-                    }
-                    for p in 0..planes {
-                        let width = split.row_span(p).len();
-                        let out = &mut planes_out.get(tile(p, b)..tile(p, b) + 1)[r * width..];
-                        match src_row {
-                            Some(_) => out[..width].copy_from_slice(&row[split.row_span(p)]),
-                            None => out[..width].fill(0.0),
-                        }
-                    }
-                }
-            }),
-            // Plane `unit`: column pass, kernel product, inverse column
-            // pass — columns are independent, so no barrier.
-            (1, _) => {
-                let tiles = tile(unit, 0)..tile(unit + 1, 0);
-                let mut lease = spec.lease(tiles.clone());
-                let plane = lease.get(tiles);
-                let span = split.row_span(unit);
-                let width = span.len();
-                self.full.transform(plane, width, false);
-                product(plane, &kspec[n * span.start..n * span.end]);
-                self.full.transform(plane, width, true);
-            }
-            // Inverse row transforms of the rows of block `unit` that are
-            // read back, each finished straight into `dst`.
-            _ => with_row_scratch(2 * (self.half + 1), |row| {
-                let total = f64::from_bits(total.load(Ordering::Relaxed));
-                let mut planes_in = spec.lease((0..planes).map(|p| tile(p, unit)));
-                let mut dst_lease = dst.lease([unit]);
-                let dst_rows = dst_lease.get(unit..unit + 1).chunks_exact_mut(dst_d);
-                for (r, dst_row) in dst_rows.enumerate() {
-                    for p in 0..planes {
-                        let width = split.row_span(p).len();
-                        row[split.row_span(p)].copy_from_slice(
-                            &planes_in.get(tile(p, unit)..tile(p, unit) + 1)[r * width..][..width],
-                        );
-                    }
-                    self.inverse_row(row);
-                    finish(total, split.rows[unit] + r, &row[..n], dst_row);
-                }
-            }),
+            (0, 0) => store_sum(&total, src),
+            (0, _) => batch.forward_block(unit - 1, src, src_d),
+            (1, _) => batch.plane_pass(unit, kspec, product),
+            _ => batch.inverse_block(unit, &dst, dst_d, load_sum(&total), &finish),
         });
     }
+
+    /// An EM map's two convolutions with one kernel as **one** pool batch
+    /// on a split plan: the convolution of the zero-padded field `src`
+    /// (`src_d` wide), a stop in its read-back, and the correlation
+    /// (through the conjugate of `kspec`) of the field that stop writes,
+    /// read back onto the source grid. Returns `None`, touching nothing, on
+    /// a serial plan.
+    ///
+    /// The first `mid.len() / mid_d` rows of the convolution are read
+    /// back: `middle(total, y, row, mid_row, side_row)` gets
+    /// `total = Σ src`, result row `y` (`n` reals) and row `y` of `mid`
+    /// and of `side` (`mid_d` values each, `side` shaped as `mid`). `mid`
+    /// is the correlation's source; the correlation is then read back as
+    /// [`Self::convolve`] does, through `finish(Σ mid, y, row, dst_row)`
+    /// with `dst` `src_d` wide. Returns `Σ side`, summed in order.
+    ///
+    /// The batch has five phases, so one pool handoff serves what two
+    /// [`Self::convolve`] calls and a serial stop between them would:
+    ///
+    /// 0. forward row transforms of `src`, plus the `Σ src` unit;
+    /// 1. per plane: column pass, × `kspec`, inverse column pass;
+    /// 2. per row block: the inverse row transforms of the rows read back,
+    ///    `middle` on each, and the forward transform of each `mid` row
+    ///    back into the spectrum rows it was read from (rows past `mid`
+    ///    are zeroed);
+    /// 3. per plane: column pass, × `conj(kspec)`, inverse column pass,
+    ///    plus the `Σ mid` unit;
+    /// 4. the inverse row transforms read back into `dst`, plus the
+    ///    `Σ side` unit.
+    ///
+    /// Phases 0 and 1, and 3 and 4, run the units of [`Self::convolve`],
+    /// and phase 2 does to each row what the read-back of one and the
+    /// forward rows of the next would, so every value has the bits of
+    /// `convolve`, `middle` and `convolve` in turn.
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the buffers of two convolutions the EM step reuses; a struct would only rename them"
+    )]
+    pub fn convolve_then_correlate<M, F>(
+        &self,
+        src: &[f64],
+        src_d: usize,
+        kspec: &[f64],
+        spec: &mut [f64],
+        mid: &mut [f64],
+        side: &mut [f64],
+        mid_d: usize,
+        middle: M,
+        dst: &mut [f64],
+        finish: F,
+    ) -> Option<f64>
+    where
+        M: Fn(f64, usize, &[f64], &mut [f64], &mut [f64]) + Sync,
+        F: Fn(f64, usize, &[f64], &mut [f64]) + Sync,
+    {
+        let split = self.split.as_ref()?;
+        debug_assert_eq!(spec.len(), self.spectrum_len());
+        debug_assert_eq!(kspec.len(), self.spectrum_len());
+        debug_assert!(mid.len().is_multiple_of(mid_d) && side.len() == mid.len());
+        debug_assert!(dst.len().is_multiple_of(src_d));
+        let (mid_rows, rows) = (mid.len() / mid_d, dst.len() / src_d);
+        debug_assert!(src.len() / src_d <= self.n && mid_rows <= self.n && rows <= self.n);
+        let batch = SplitBatch { fft: self, split, spec: Tiles::new(spec, &split.tiles) };
+        let mid_bounds = split.field_bounds(mid_rows, mid_d);
+        let mid = Tiles::new(mid, &mid_bounds);
+        let side = Tiles::new(side, &mid_bounds);
+        let dst_bounds = split.field_bounds(rows, src_d);
+        let dst = Tiles::new(dst, &dst_bounds);
+        // `Σ src`, `Σ mid` and `Σ side` as f64 bits, each stored in the
+        // phase before it is read.
+        let totals: [AtomicU64; 3] = Default::default();
+        let planes = split.planes();
+        let units = [1 + ROW_BLOCKS, planes, ROW_BLOCKS, 1 + planes, 1 + split.blocks_below(rows)];
+        rayon::pool::run_phases(&units, Some(split.threads), |phase, unit| match (phase, unit) {
+            (0, 0) => store_sum(&totals[0], src),
+            (0, _) => batch.forward_block(unit - 1, src, src_d),
+            (1, _) => batch.plane_pass(unit, kspec, spectrum_mul),
+            (2, _) => batch.turn_block(unit, [&mid, &side], mid_d, load_sum(&totals[0]), &middle),
+            // The sums run first in their phases: serial add chains that
+            // the other thread's plane or row units overlap.
+            (3, 0) => store_sum(&totals[1], mid.lease(0..ROW_BLOCKS).get(0..ROW_BLOCKS)),
+            (3, _) => batch.plane_pass(unit - 1, kspec, spectrum_mul_conj),
+            (4, 0) => store_sum(&totals[2], side.lease(0..ROW_BLOCKS).get(0..ROW_BLOCKS)),
+            _ => batch.inverse_block(unit - 1, &dst, src_d, load_sum(&totals[1]), &finish),
+        });
+        Some(load_sum(&totals[2]))
+    }
+}
+
+/// What every unit of one split batch shares: the plan, its plane layout
+/// and the spectrum cut into tiles. Its methods are the units, so
+/// [`Fft2d::convolve`] and [`Fft2d::convolve_then_correlate`] run one
+/// copy of each.
+struct SplitBatch<'a> {
+    fft: &'a Fft2d,
+    split: &'a PlaneSplit,
+    spec: Tiles<'a, f64>,
+}
+
+impl SplitBatch<'_> {
+    /// Forward row transforms of row block `b` of the zero-padded field
+    /// `src`, each row written into every plane; rows past the source
+    /// are zero.
+    fn forward_block(&self, b: usize, src: &[f64], src_d: usize) {
+        let (fft, split) = (self.fft, self.split);
+        with_row_scratch(2 * (fft.half + 1), |row| {
+            let mut planes_out = self.spec.lease(split.block_tiles(b));
+            for (r, y) in (split.rows[b]..split.rows[b + 1]).enumerate() {
+                let src_row = src.get(y * src_d..(y + 1) * src_d);
+                if let Some(src_row) = src_row {
+                    fft.forward_row(src_row, row);
+                }
+                split.scatter(&mut planes_out, b, r, src_row.map(|_| &row[..]));
+            }
+        });
+    }
+
+    /// Plane `p`'s column pass, kernel product and inverse column pass —
+    /// columns are independent, so no barrier between them.
+    fn plane_pass(&self, p: usize, kspec: &[f64], product: fn(&mut [f64], &[f64])) {
+        let tiles = PlaneSplit::tile(0, p)..PlaneSplit::tile(0, p + 1);
+        let mut lease = self.spec.lease(tiles.clone());
+        let plane = lease.get(tiles);
+        let span = self.split.row_span(p);
+        let (n, width) = (self.fft.n, span.len());
+        self.fft.full.transform(plane, width, false);
+        product(plane, &kspec[n * span.start..n * span.end]);
+        self.fft.full.transform(plane, width, true);
+    }
+
+    /// Inverse row transforms of the rows of block `b` that are read
+    /// back, each finished straight into `dst`.
+    fn inverse_block<F>(&self, b: usize, dst: &Tiles<'_, f64>, dst_d: usize, total: f64, finish: &F)
+    where
+        F: Fn(f64, usize, &[f64], &mut [f64]),
+    {
+        let (fft, split) = (self.fft, self.split);
+        with_row_scratch(2 * (fft.half + 1), |row| {
+            let mut planes_in = self.spec.lease(split.block_tiles(b));
+            let mut dst_lease = dst.lease([b]);
+            for (r, dst_row) in dst_lease.get(b..b + 1).chunks_exact_mut(dst_d).enumerate() {
+                split.gather(&mut planes_in, b, r, row);
+                fft.inverse_row(row);
+                finish(total, split.rows[b] + r, &row[..fft.n], dst_row);
+            }
+        });
+    }
+
+    /// [`Fft2d::convolve_then_correlate`]'s middle unit: each row of block
+    /// `b` that is read back is inverted, passed to `middle` with its rows
+    /// of `mid` and `side` (`fields`), and replaced by the forward
+    /// transform of its `mid` row; rows past `mid` are zeroed.
+    fn turn_block<M>(
+        &self,
+        b: usize,
+        fields: [&Tiles<'_, f64>; 2],
+        mid_d: usize,
+        total: f64,
+        middle: &M,
+    ) where
+        M: Fn(f64, usize, &[f64], &mut [f64], &mut [f64]),
+    {
+        let (fft, split) = (self.fft, self.split);
+        with_row_scratch(2 * (fft.half + 1), |row| {
+            let mut planes_io = self.spec.lease(split.block_tiles(b));
+            let [mut mid, mut side] = fields.map(|field| field.lease([b]));
+            let side_rows = side.get(b..b + 1).chunks_exact_mut(mid_d);
+            let mut read = mid.get(b..b + 1).chunks_exact_mut(mid_d).zip(side_rows);
+            for (r, y) in (split.rows[b]..split.rows[b + 1]).enumerate() {
+                let Some((mid_row, side_row)) = read.next() else {
+                    split.scatter(&mut planes_io, b, r, None);
+                    continue;
+                };
+                split.gather(&mut planes_io, b, r, row);
+                fft.inverse_row(row);
+                middle(total, y, &row[..fft.n], mid_row, side_row);
+                fft.forward_row(mid_row, row);
+                split.scatter(&mut planes_io, b, r, Some(row));
+            }
+        });
+    }
+}
+
+/// Stores the in-order sum of `values` as f64 bits. `Relaxed` suffices:
+/// it is read only in a later phase of the same `run_phases` batch, whose
+/// barrier (Release/Acquire on its own counter) orders this store first.
+fn store_sum(slot: &AtomicU64, values: &[f64]) {
+    slot.store(values.iter().sum::<f64>().to_bits(), Ordering::Relaxed);
+}
+
+/// Loads a sum [`store_sum`] stored in an earlier phase.
+fn load_sum(slot: &AtomicU64) -> f64 {
+    f64::from_bits(slot.load(Ordering::Relaxed))
 }
 
 /// Pointwise half-spectrum product `a ⊙ b` into `a` (convolution

@@ -23,11 +23,23 @@
 //! the same trait and drop straight into every EM call site, so the
 //! estimator pipeline never materialises an `n_out × n_in` matrix.
 //!
-//! Both primitives take an [`EmWorkspace`], whose reusable scratch plane
-//! a structured operator uses as its per-call buffer (the FFT spectrum of
-//! `FftChannel`). The workspace is created once per EM run, so
-//! steady-state iterations allocate nothing; the dense channel needs no
-//! scratch and ignores it.
+//! One EM map reaches the channel through one more call,
+//! [`ChannelOp::em_step`]: the E-step, EM's per-cell sweep
+//! ([`sweep_cell`]: the M-step weights and the log-likelihood terms) and
+//! the M-step. Its default, [`em_step_in_sequence`], runs the two
+//! primitives one after the other with the sweep between them, so an
+//! operator that implements only `apply` and `accumulate_adjoint` gets
+//! the classic loop. An operator may run the whole map as one unit of
+//! work instead, with the same bits: a split `FftChannel` computes the
+//! sweep in the E-step's read-back on every core and feeds the weights
+//! straight into the adjoint, all in one pool batch.
+//!
+//! Every call takes an [`EmWorkspace`], whose reusable scratch plane a
+//! structured operator uses as its per-call buffer (the FFT spectrum of
+//! `FftChannel`). A caller keeps one workspace across its runs (the
+//! streaming estimator keeps one for its lifetime), so steady-state
+//! iterations allocate nothing; the dense channel needs no scratch and
+//! ignores it.
 
 /// Reusable scratch for [`ChannelOp`] primitives.
 ///
@@ -111,7 +123,8 @@ impl EmWorkspace {
     }
 }
 
-/// The two linear-algebra primitives EM needs from a reporting channel.
+/// The two linear-algebra primitives EM needs from a reporting channel,
+/// and the map step that runs them ([`ChannelOp::em_step`], provided).
 ///
 /// Implementations must behave like a column-stochastic matrix `M` of
 /// shape `n_out × n_in` (`Σ_o M[o,i] = 1` for every `i`), but are free to
@@ -136,6 +149,83 @@ pub trait ChannelOp {
     /// `n_in()`. Entries of `w` may be zero (outputs with no observations
     /// contribute nothing). `ws` provides reusable scratch.
     fn accumulate_adjoint(&self, w: &[f64], f: &[f64], f_new: &mut [f64], ws: &mut EmWorkspace);
+
+    /// One EM map's two products: the E-step `p = M·f`, the sweep of
+    /// [`sweep_cell`] over `p` and the observed `counts` (`n_total` of
+    /// them), and the M-step with the weights it yields. Writes the
+    /// unnormalised update `f_new[i] = f[i]·Σ_o w[o]·M[o,i]` and returns
+    /// the log-likelihood `ll(f) = Σ_o c_o·ln max(p_o, 1e-300)` over the
+    /// observed outputs, summed in output order.
+    ///
+    /// `out` and `weights` are `n_out()` floats of scratch: on return
+    /// `weights` holds the M-step weights and `out` is unspecified. The
+    /// default is [`em_step_in_sequence`], which runs the NaN canary on
+    /// both handoffs; an override must give the same bits.
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the estimate, the observations and three caller-owned planes the EM loop reuses; a struct would only rename them"
+    )]
+    fn em_step(
+        &self,
+        f: &[f64],
+        counts: &[f64],
+        n_total: f64,
+        out: &mut [f64],
+        weights: &mut [f64],
+        f_new: &mut [f64],
+        ws: &mut EmWorkspace,
+    ) -> f64 {
+        em_step_in_sequence(self, f, counts, n_total, out, weights, f_new, ws)
+    }
+}
+
+/// EM's sweep over one output cell: from its observed count `c` and its
+/// predicted probability `p` under `n_total` reports, the M-step weight
+/// `c/N/p` (0 where `c = 0` or `p ≤ 0`) and the log-likelihood term
+/// `c·ln max(p, 1e-300)` (0 where `c = 0`; counts are never negative).
+///
+/// `f64::max` returns its non-NaN operand, so a NaN prediction at an
+/// observed cell gives the finite term `c·ln 1e-300` and a NaN weight,
+/// and a prediction `p ≤ 0` gives that term and the weight 0. Only
+/// `p = +∞` makes the term non-finite. The log-likelihood is the in-order
+/// sum of the terms from `+0.0`; no term is `−0.0`, so the sum never is,
+/// and the zero terms of unobserved cells leave its bits unchanged.
+#[inline]
+pub fn sweep_cell(c: f64, p: f64, n_total: f64) -> (f64, f64) {
+    let term = if c > 0.0 { c * p.max(1e-300).ln() } else { 0.0 };
+    let weight = if c == 0.0 || p <= 0.0 { 0.0 } else { c / n_total / p };
+    (weight, term)
+}
+
+/// [`ChannelOp::em_step`]'s default: `apply` into `out`, the NaN canary
+/// on `out` (`"apply"`), one [`sweep_cell`] pass over `out` that writes
+/// `weights` and sums the log-likelihood, `accumulate_adjoint` into
+/// `f_new`, and the canary on `f_new` (`"adjoint"`).
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the arguments of `ChannelOp::em_step`, whose default body this is"
+)]
+pub fn em_step_in_sequence<C: ChannelOp + ?Sized>(
+    channel: &C,
+    f: &[f64],
+    counts: &[f64],
+    n_total: f64,
+    out: &mut [f64],
+    weights: &mut [f64],
+    f_new: &mut [f64],
+    ws: &mut EmWorkspace,
+) -> f64 {
+    channel.apply(f, out, ws);
+    ws.audit_handoff("apply", out);
+    let mut ll = 0.0;
+    for ((w, &c), &p) in weights.iter_mut().zip(counts).zip(out.iter()) {
+        let (weight, term) = sweep_cell(c, p, n_total);
+        *w = weight;
+        ll += term;
+    }
+    channel.accumulate_adjoint(weights, f, f_new, ws);
+    ws.audit_handoff("adjoint", f_new);
+    ll
 }
 
 /// Dense channel matrix: `n_out × n_in`, column-stochastic
@@ -383,7 +473,7 @@ const MAX_BACKOFFS: usize = 10;
 /// provided, is applied to the estimate after each M-step (it may leave the
 /// vector un-normalised; EM renormalises). The channel may be any
 /// [`ChannelOp`] — dense or structured. `ws` is threaded through every
-/// `apply`/`accumulate_adjoint`, so repeated runs against same-shaped
+/// map ([`ChannelOp::em_step`]), so repeated runs against same-shaped
 /// channels reuse all scratch and steady-state iterations allocate
 /// nothing; one-shot callers pass a fresh [`EmWorkspace::new`].
 ///
@@ -521,26 +611,24 @@ impl<C: ChannelOp + ?Sized> EmMap<'_, C> {
     /// log-likelihood of the *input*; `None` when the map diverged
     /// (`f_new` is then garbage and `f` untouched).
     fn eval(&mut self, f: &[f64], f_new: &mut [f64], ws: &mut EmWorkspace) -> Option<f64> {
-        // E: predicted output distribution under the current estimate.
-        self.channel.apply(f, &mut self.out, ws);
-        ws.audit_handoff("apply", &self.out);
-        // One sweep: the observed-data log-likelihood of the current
-        // estimate (also the divergence sentinel: a corrupted `out` turns
-        // it NaN) and the M-step weights.
-        let mut ll = 0.0;
-        for ((w, &c), &p) in self.weights.iter_mut().zip(self.counts).zip(self.out.iter()) {
-            if c > 0.0 {
-                ll += c * p.max(1e-300).ln();
-            }
-            *w = if c == 0.0 || p <= 0.0 { 0.0 } else { c / self.n_total / p };
-        }
-        // M: multiplicative update through the adjoint.
-        self.channel.accumulate_adjoint(&self.weights, f, f_new, ws);
-        ws.audit_handoff("adjoint", f_new);
-        // Divergence guard: a non-finite update — a NaN or ∞ entry, or
-        // finite entries whose sum overflows — has a non-finite sum, which
-        // normalisation reports instead of silently flattening the update
-        // to uniform or zero.
+        // E-step, weights and the log-likelihood of the current estimate,
+        // then the multiplicative update through the adjoint.
+        let ll = self.channel.em_step(
+            f,
+            self.counts,
+            self.n_total,
+            &mut self.out,
+            &mut self.weights,
+            f_new,
+            ws,
+        );
+        // Divergence guard. `ll` turns non-finite only on a +∞ prediction
+        // at an observed cell: a NaN one gives a finite term and a NaN
+        // weight (see `sweep_cell`). That weight, like any non-finite
+        // update — a NaN or ∞ entry, or finite entries whose sum
+        // overflows — gives `f_new` a non-finite sum, which normalisation
+        // reports instead of silently flattening the update to uniform or
+        // zero.
         if !ll.is_finite() || !normalize(f_new) {
             return None;
         }
@@ -1275,6 +1363,75 @@ mod tests {
         if cfg!(debug_assertions) {
             assert!(ws.tainted_handoffs() >= 1, "canary must record the tainted handoff");
             assert_eq!(ws.first_taint(), Some("adjoint"));
+        }
+    }
+
+    #[test]
+    fn corrupted_predictions_reach_the_guard_through_ll_or_the_weights() {
+        // An E-step that emits NaN, +∞ and −1 at the observed cells 0, 2,
+        // 4 and at the unobserved cells 1, 3, 5 (6 and 7 stay honest), or
+        // the same without the +∞ at cell 2.
+        struct Corrupt(Channel, bool);
+        impl ChannelOp for Corrupt {
+            fn n_in(&self) -> usize {
+                self.0.n_in
+            }
+            fn n_out(&self) -> usize {
+                self.0.n_out
+            }
+            fn apply(&self, f: &[f64], out: &mut [f64], ws: &mut EmWorkspace) {
+                self.0.apply(f, out, ws);
+                for (o, bad) in [f64::NAN, f64::INFINITY, -1.0].into_iter().enumerate() {
+                    out[2 * o + 1] = bad;
+                    if self.1 || bad != f64::INFINITY {
+                        out[2 * o] = bad;
+                    }
+                }
+            }
+            fn accumulate_adjoint(
+                &self,
+                w: &[f64],
+                f: &[f64],
+                f_new: &mut [f64],
+                ws: &mut EmWorkspace,
+            ) {
+                self.0.accumulate_adjoint(w, f, f_new, ws);
+            }
+        }
+        let counts = [40.0, 0.0, 30.0, 0.0, 20.0, 0.0, 10.0, 5.0];
+        let n_total: f64 = counts.iter().sum();
+        let f = [0.125; 8];
+        let mut honest = vec![0.0; 8];
+        noisy_channel(8, 0.6).apply(&f, &mut honest, &mut EmWorkspace::new());
+        let floor = 1e-300f64.ln();
+        for with_inf in [true, false] {
+            let ch = Corrupt(noisy_channel(8, 0.6), with_inf);
+            let (mut out, mut w, mut f_new) = (vec![0.0; 8], vec![0.0; 8], vec![0.0; 8]);
+            let mut ws = EmWorkspace::new();
+            let ll = ch.em_step(&f, &counts, n_total, &mut out, &mut w, &mut f_new, &mut ws);
+            // `f64::max` returns its non-NaN operand: the NaN and −1
+            // predictions give the floor term, and only +∞ makes `ll`
+            // non-finite.
+            let third = if with_inf { f64::INFINITY } else { 30.0 * honest[2].ln() };
+            let want =
+                40.0 * floor + third + 20.0 * floor + 10.0 * honest[6].ln() + 5.0 * honest[7].ln();
+            assert_eq!(ll.to_bits(), want.to_bits(), "+∞ at an observed cell: {with_inf}");
+            // The NaN prediction's weight is NaN; the weights of +∞, −1
+            // and every unobserved cell are 0.
+            let weight_2 = if with_inf { 0.0 } else { 30.0 / n_total / honest[2] };
+            let (weight_6, weight_7) = (10.0 / n_total / honest[6], 5.0 / n_total / honest[7]);
+            assert!(w[0].is_nan());
+            assert_eq!(bits(&w[1..]), bits(&[0.0, weight_2, 0.0, 0.0, 0.0, weight_6, weight_7]));
+            assert!(f_new.iter().all(|x| x.is_nan()), "the NaN weight reaches every cell");
+            // Every map diverges, so the run reseeds until it gives up.
+            let mut ws = EmWorkspace::new();
+            let params = EmParams { max_iters: 20, rel_tol: 0.0, gain_tol: 0.0 };
+            let run = expectation_maximization(&ch, &counts, None, None, params, &mut ws);
+            assert_eq!(run.health.reseeds, MAX_RESEEDS);
+            assert!(run.estimate.iter().all(|x| x.is_finite() && *x > 0.0));
+            if cfg!(debug_assertions) {
+                assert_eq!(ws.first_taint(), Some("apply"));
+            }
         }
     }
 

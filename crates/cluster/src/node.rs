@@ -43,7 +43,8 @@ pub struct AggregatorNode {
     partition_seed: u64,
     client: DamClient,
     policy: IngestPolicy,
-    threads: Option<usize>,
+    /// `dam.threads`, resolved once at construction.
+    threads: usize,
     scratch: Vec<f64>,
 }
 
@@ -67,7 +68,7 @@ impl AggregatorNode {
             partition_seed,
             client: DamClient::new(grid, dam),
             policy,
-            threads: dam.threads,
+            threads: dam.resolved_threads(),
             scratch: Vec::new(),
         }
     }
@@ -82,7 +83,7 @@ impl AggregatorNode {
         let summary = self.client.report_batch_validated_partition_in(
             points,
             seed,
-            self.threads,
+            Some(self.threads),
             self.policy,
             |shard| shard_owner(pseed, epoch, shard, nodes) == node,
             &mut self.scratch,

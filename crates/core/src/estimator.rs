@@ -91,6 +91,14 @@ impl DamConfig {
         self
     }
 
+    /// The thread count [`DamConfig::threads`] stands for: the cap, or
+    /// the available parallelism when `None`. That lookup reads cgroup
+    /// files (tens of µs a call), so a pipeline that ingests batch after
+    /// batch resolves it once, when it is built, and passes `Some(n)`.
+    pub fn resolved_threads(&self) -> usize {
+        self.threads.unwrap_or_else(rayon::current_num_threads)
+    }
+
     /// DAM-NS (no shrinkage) at budget `eps`.
     pub fn dam_ns(eps: f64) -> Self {
         Self { variant: SamVariant::DamNonShrunken, ..Self::dam(eps) }

@@ -77,7 +77,26 @@ impl PyramidLevel {
         }
         Some((cx0, cy0, (cx0 + self.per - 1).min(d - 1), (cy0 + self.per - 1).min(d - 1)))
     }
+
+    /// The nodes wholly inside the inclusive cell rectangle
+    /// `x0..=x1 × y0..=y1`, or `None` if there are none. Containment is
+    /// by the *unclamped* dyadic geometry: an edge-clamped node is never
+    /// contained, so its real cells are read at finer levels instead —
+    /// exact, since its out-of-grid children hold zero. `per` is a power
+    /// of two, so the ceiling and floor divisions by it are shifts.
+    #[inline]
+    fn contained(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Option<NodeRect> {
+        let (round, shift) = (self.per - 1, self.per.trailing_zeros());
+        let lo = |c: u32| ((c + round) >> shift) as usize;
+        let hi = |c: u32| ((c + 1) >> shift) as usize;
+        let r = (lo(x0), lo(y0), hi(x1), hi(y1));
+        (r.0 < r.2 && r.1 < r.3).then_some(r)
+    }
 }
+
+/// A rectangle of nodes on one level, `(x_lo, y_lo, x_hi, y_hi)` in node
+/// coordinates (lo inclusive, hi exclusive).
+type NodeRect = (usize, usize, usize, usize);
 
 /// One level's independent noisy estimate entering
 /// [`Pyramid::constrained`].
@@ -373,26 +392,81 @@ impl Pyramid {
     /// the quantity the `range` bench pins against naive O(cells)
     /// summation.
     ///
-    /// The cover is walked level by level: at each level the nodes wholly
-    /// inside the query form a rectangle, and the nodes to emit are that
-    /// rectangle minus the (doubled) rectangle already emitted at the
-    /// coarser level — a thin ring summed as contiguous row slices. The
-    /// leaf ring is the query's unaligned cell fringe itself.
+    /// The cover is walked level by level, coarse to fine. At each level
+    /// the nodes wholly inside the query form a rectangle; the first
+    /// level where it is non-empty is emitted whole, row by row. On every
+    /// later level the nodes to emit are that rectangle minus the *hole*,
+    /// the doubled rectangle of the level above, and the ring between the
+    /// two is at most one node wide on every side: doubling a ceiling
+    /// (floor) division by `2·per` lands at most one below (above) the
+    /// division by `per`. So a level adds at most one full row above the
+    /// hole, then one or two single nodes on each row the hole spans (left
+    /// before right), then at most one full row below it; the leaf ring is
+    /// the query's unaligned cell fringe itself. A one-node add is exact
+    /// against the one-node slice sum it replaces (`Sum` for `f64` folds
+    /// from `−0.0`, the identity of `+`), so the answer carries the bits
+    /// of the row-slice walk it specialises. The node count is closed
+    /// form: rectangle area minus hole area, summed over the levels.
     pub fn range_sum_counted(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> (f64, usize) {
         assert!(x0 <= x1 && y0 <= y1, "inverted range");
         assert!(x1 < self.d && y1 < self.d, "query exceeds the grid");
+        let mut levels = self.levels.iter();
+        // The leaf level contains every cell of the query, so a first
+        // non-empty level always exists.
+        let Some((first, mut prev)) =
+            levels.by_ref().find_map(|lv| lv.contained(x0, y0, x1, y1).map(|r| (lv, r)))
+        else {
+            return (0.0, 0);
+        };
+        let (x_lo, y_lo, x_hi, y_hi) = prev;
+        let side = first.side as usize;
+        let mut sum = 0.0;
+        for row in first.values[y_lo * side..y_hi * side].chunks_exact(side) {
+            sum += row[x_lo..x_hi].iter().sum::<f64>();
+        }
+        let mut nodes = (x_hi - x_lo) * (y_hi - y_lo);
+        for lv in levels {
+            // Every later level contains the doubled rectangle of the one
+            // above, so it is non-empty too.
+            let Some((x_lo, y_lo, x_hi, y_hi)) = lv.contained(x0, y0, x1, y1) else { break };
+            let (hx_lo, hy_lo, hx_hi, hy_hi) = (2 * prev.0, 2 * prev.1, 2 * prev.2, 2 * prev.3);
+            let (side, values) = (lv.side as usize, &lv.values[..]);
+            if y_lo < hy_lo {
+                let row = y_lo * side;
+                sum += values[row + x_lo..row + x_hi].iter().sum::<f64>();
+            }
+            let hole = values[hy_lo * side..hy_hi * side].chunks_exact(side);
+            match (x_lo < hx_lo, hx_hi < x_hi) {
+                (false, false) => {}
+                (true, false) => hole.for_each(|row| sum += row[x_lo]),
+                (false, true) => hole.for_each(|row| sum += row[hx_hi]),
+                (true, true) => hole.for_each(|row| {
+                    sum += row[x_lo];
+                    sum += row[hx_hi];
+                }),
+            }
+            if hy_hi < y_hi {
+                let row = hy_hi * side;
+                sum += values[row + x_lo..row + x_hi].iter().sum::<f64>();
+            }
+            nodes += (x_hi - x_lo) * (y_hi - y_lo) - (hx_hi - hx_lo) * (hy_hi - hy_lo);
+            prev = (x_lo, y_lo, x_hi, y_hi);
+        }
+        (sum, nodes)
+    }
+
+    /// The row-slice cover walk [`Pyramid::range_sum_counted`]
+    /// specialises: every level's ring as up to four row segments per
+    /// row, each summed through its own sub-slice. The bit-identity
+    /// reference of `ring_walk_matches_row_slice_reference_bits`.
+    #[cfg(test)]
+    fn range_sum_counted_reference(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> (f64, usize) {
         let mut sum = 0.0;
         let mut nodes = 0usize;
         // The previous level's contained node rectangle (lo inclusive,
         // hi exclusive), in that level's node coordinates.
         let mut prev: Option<(u32, u32, u32, u32)> = None;
         for lv in &self.levels {
-            // Nodes wholly inside the query, by the *unclamped* dyadic
-            // geometry (an edge-clamped node is never "contained", so
-            // its real cells are emitted at finer levels instead —
-            // exact, since its out-of-grid children hold zero). `per` is
-            // a power of two, so the ceiling and floor divisions by it
-            // are shifts.
             let (round, shift) = (lv.per - 1, lv.per.trailing_zeros());
             let nx_lo = (x0 + round) >> shift;
             let nx_hi = (x1 + 1) >> shift;
@@ -416,8 +490,6 @@ impl Pyramid {
                     }
                 }
                 Some((px_lo, py_lo, px_hi, py_hi)) => {
-                    // The hole: the coarser rectangle in this level's
-                    // coordinates (always inside the current one).
                     let (hx_lo, hy_lo, hx_hi, hy_hi) = (2 * px_lo, 2 * py_lo, 2 * px_hi, 2 * py_hi);
                     for ny in ny_lo..hy_lo {
                         row(ny, nx_lo, nx_hi);
@@ -483,6 +555,8 @@ fn fuse(y: f64, var_y: f64, cs: f64, var_cs: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dam_geo::rng::splitmix64;
+    use proptest::prelude::*;
 
     fn plane(d: u32, f: impl Fn(u32, u32) -> f64) -> Vec<f64> {
         (0..d * d).map(|i| f(i % d, i / d)).collect()
@@ -668,5 +742,89 @@ mod tests {
     #[should_panic(expected = "query exceeds the grid")]
     fn rejects_out_of_grid_ranges() {
         Pyramid::uniform(4).range_sum(0, 0, 4, 1);
+    }
+
+    /// Value `i` of the planes and levels drawn from `seed`: `+0.0`,
+    /// `−0.0`, negatives, large magnitudes and values spread over nine
+    /// decades, so a changed summation order shows in the low bits.
+    fn wild(seed: u64, i: usize) -> f64 {
+        let z = splitmix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let unit = (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        match z % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -unit * 10f64.powi((z >> 3) as i32 % 9 - 4),
+            3 => unit * 1e150,
+            4 => -unit * 1e12,
+            _ => unit * 10f64.powi((z >> 3) as i32 % 9 - 4),
+        }
+    }
+
+    /// The pyramid one case reads: `kind` 0 aggregates a plane, 1 wraps
+    /// arbitrary per-level values (so `±0.0` and negatives sit at every
+    /// level), 2 is constrained inference over such levels.
+    fn case_pyramid(d: u32, kind: u32, seed: u64) -> Pyramid {
+        if kind == 0 {
+            let plane: Vec<f64> = (0..(d * d) as usize).map(|i| wild(seed, i)).collect();
+            return Pyramid::from_plane(&plane, d);
+        }
+        let levels: Vec<Vec<f64>> = (0..Pyramid::n_levels_for(d))
+            .map(|li| (0..1usize << (2 * li)).map(|i| wild(seed ^ (li as u64) << 56, i)).collect())
+            .collect();
+        if kind == 1 {
+            return Pyramid::from_levels(&levels, d);
+        }
+        let noisy: Vec<NoisyLevel> = levels
+            .iter()
+            .enumerate()
+            .map(|(li, v)| NoisyLevel {
+                values: v,
+                variance: if li == 0 { 0.0 } else { li as f64 },
+            })
+            .collect();
+        Pyramid::constrained(&noisy, d)
+    }
+
+    /// Query `shape` on a `d × d` grid from raw draws `(a, b, c, e)`: a
+    /// 1×1 range, a single row, a single column, the full grid, or (4, 5)
+    /// a random rectangle.
+    fn case_query(d: u32, (shape, a, b, c, e): (u32, u32, u32, u32, u32)) -> (u32, u32, u32, u32) {
+        let (a, b, c, e) = (a % d, b % d, c % d, e % d);
+        match shape {
+            0 => (a, b, a, b),
+            1 => (a.min(c), b, a.max(c), b),
+            2 => (a, b.min(e), a, b.max(e)),
+            3 => (0, 0, d - 1, d - 1),
+            _ => (a.min(c), b.min(e), a.max(c), b.max(e)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The strip-specialised ring walk adds the same nodes in the
+        /// same order as the row-slice walk it replaced: identical answer
+        /// bits and node counts at every side 1..=70 (powers of two and
+        /// not), on planes with signed zeros, negatives and large
+        /// magnitudes and on constrained-inference outputs.
+        #[test]
+        fn ring_walk_matches_row_slice_reference_bits(
+            d in 1u32..=70,
+            kind in 0u32..3,
+            seed in 0u64..u64::MAX,
+            queries in prop::collection::vec((0u32..6, 0u32..70, 0u32..70, 0u32..70, 0u32..70), 48),
+        ) {
+            let p = case_pyramid(d, kind, seed);
+            for raw in queries {
+                let q = case_query(d, raw);
+                let got = p.range_sum_counted(q.0, q.1, q.2, q.3);
+                let want = p.range_sum_counted_reference(q.0, q.1, q.2, q.3);
+                prop_assert_eq!(
+                    (got.0.to_bits(), got.1),
+                    (want.0.to_bits(), want.1),
+                    "d={} kind={} q={:?}: {:?} vs {:?}", d, kind, q, got, want
+                );
+            }
+        }
     }
 }

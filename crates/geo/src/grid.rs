@@ -82,6 +82,7 @@ impl Grid2D {
     /// Maps a point to the cell containing it, clamping points on (or
     /// slightly past) the maximum edge into the last cell so that the whole
     /// closed box maps somewhere.
+    #[inline]
     pub fn cell_of(&self, p: Point) -> CellIndex {
         let fx = (p.x - self.bbox.min_x) / self.cell_side;
         let fy = (p.y - self.bbox.min_y) / self.cell_side;

@@ -176,6 +176,8 @@ pub struct StreamingEstimator {
     config: StreamConfig,
     client: DamClient,
     channel: FftChannel,
+    /// `config.dam.threads`, resolved once at construction.
+    threads: usize,
     grid: Grid2D,
     /// Exact sum of the last `min(epochs, window)` retained planes.
     window_counts: Vec<f64>,
@@ -200,7 +202,8 @@ impl StreamingEstimator {
     pub fn with_registry(grid: Grid2D, config: StreamConfig, obs: Registry) -> Self {
         assert!(config.window > 0, "window must hold at least one epoch");
         let client = DamClient::new(grid.clone(), &config.dam);
-        let channel = client.kernel().fft_channel(config.dam.threads);
+        let threads = config.dam.resolved_threads();
+        let channel = client.kernel().fft_channel(Some(threads));
         let n_out = client.kernel().n_out();
         let hh = ObsHandles::register(&obs);
         // Read by the end-to-end benchmark (`perfbench`) for its run note.
@@ -212,6 +215,7 @@ impl StreamingEstimator {
         Self {
             client,
             channel,
+            threads,
             grid,
             window_counts: vec![0.0; n_out],
             ring: EpochRing::new(n_out, config.window, 0),
@@ -322,7 +326,7 @@ impl StreamingEstimator {
         let summary = self.client.report_batch_validated_in(
             points,
             seed,
-            self.config.dam.threads,
+            Some(self.threads),
             self.config.policy,
             &mut plane,
         );

@@ -381,9 +381,9 @@ impl Coordinator {
         &self.est
     }
 
-    /// The latest published snapshot (cheap `Arc` clone under a read
-    /// lock — same publisher, and so the same serve-while-ingesting
-    /// contract, as `dam_stream::QueryService`).
+    /// The latest published snapshot (a lock-free clone of this
+    /// thread's cached `Arc` — same publisher, and so the same
+    /// serve-while-ingesting contract, as `dam_stream::QueryService`).
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.publisher.snapshot()
     }

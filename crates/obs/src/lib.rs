@@ -6,11 +6,15 @@
 //! with different determinism contracts:
 //!
 //! * the **deterministic plane** ([`Plane::Deterministic`]) — counts,
-//!   iterations, retries, coverage. Counters are striped over
-//!   per-worker atomic cells and merged in fixed cell order at snapshot
-//!   time; because `u64` addition commutes exactly, a deterministic-plane
-//!   snapshot is **bit-identical for any thread count** and is pinned by
-//!   tests ([`MetricsSnapshot::deterministic_plane`]);
+//!   iterations, retries, coverage. Counters are striped over atomic
+//!   cells and merged in fixed cell order at snapshot time. Each of the
+//!   first [`metrics::STRIPES`] live recording threads owns a cell and
+//!   adds to it with a plain load and store (it is the only writer);
+//!   later threads `fetch_add` into a few shared cells, one per cache
+//!   line. No add is lost either way, and because `u64` addition
+//!   commutes exactly, a deterministic-plane snapshot is
+//!   **bit-identical for any thread count** and is pinned by tests
+//!   ([`MetricsSnapshot::deterministic_plane`]);
 //! * the **timing plane** ([`Plane::Timing`]) — wall durations and
 //!   ages. Explicitly excluded from determinism pins; under the default
 //!   [`clock::LogicalClock`] every duration is zero, so a pipeline that
@@ -36,7 +40,7 @@
     test,
     allow(
         clippy::disallowed_methods,
-        reason = "a unit test increments a counter from a raw thread to reach a second stripe; the library target is still checked without cfg(test)"
+        reason = "unit tests increment counters from raw threads to reach other stripes, owned and shared; the library target is still checked without cfg(test)"
     )
 )]
 

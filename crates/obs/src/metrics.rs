@@ -5,14 +5,19 @@
 //!
 //! Handles are registered once (name lookup under a lock) and then
 //! recorded through lock-free atomics. [`Counter`] stripes its value
-//! over [`STRIPES`] per-worker cells — each thread picks a home cell on
-//! first use — and a snapshot merges the cells **in fixed cell order**.
-//! Because `u64` addition commutes exactly, the merged value is
-//! identical no matter how many threads recorded or how their writes
-//! interleaved: the deterministic plane is bit-identical for any thread
-//! count. [`Histogram`] buckets and [`Gauge`] cells are single atomics
-//! (`u64` bucket adds commute the same way; gauges are last-wins and
-//! only recorded from sequential driver code).
+//! over [`STRIPES`] owned cells and [`SHARED_STRIPES`] shared ones. The
+//! first [`STRIPES`] live threads to record each own one cell (a
+//! thread's claim is released when it exits, for the next thread to
+//! take): an owner is its cell's only writer, so it adds with a plain
+//! load and store, no atomic read-modify-write. Threads past that share
+//! the shared cells, one per cache line, and `fetch_add` into them. A
+//! snapshot merges the cells **in fixed cell order**. Because `u64`
+//! addition commutes exactly and no add is ever lost, the merged value
+//! is identical no matter how many threads recorded or how their
+//! writes interleaved: the deterministic plane is bit-identical for any
+//! thread count. [`Histogram`] buckets and [`Gauge`] cells are single
+//! atomics (`u64` bucket adds commute the same way; gauges are
+//! last-wins and only recorded from sequential driver code).
 //!
 //! [`Trace`] is the one order-sensitive instrument (an `f64` ring of
 //! per-iteration residuals). It is deterministic because its writers are
@@ -48,32 +53,96 @@ impl Plane {
     }
 }
 
-/// Number of per-worker counter cells. More stripes than the runner's
-/// worker cap keeps hot counters contention-free.
+/// Number of owned counter cells: at most this many live threads add
+/// without an atomic read-modify-write. More than the runner's worker
+/// cap keeps every pool worker an owner.
 pub const STRIPES: usize = 16;
+
+/// Number of shared counter cells, each on its own cache line, for the
+/// threads that found every owned cell taken.
+pub const SHARED_STRIPES: usize = 4;
 
 /// Log₂ histogram bucket count: bucket 0 holds zeros, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`, bucket 64 the top of the u64 range.
 pub const BUCKETS: usize = 65;
 
-static NEXT_WORKER: AtomicUsize = AtomicUsize::new(0);
+/// Bit `i` is set while a live thread owns cell `i`.
+static OWNED: AtomicU64 = AtomicU64::new(0);
+const ALL_OWNED: u64 = (1 << STRIPES) - 1;
+static NEXT_SHARED: AtomicUsize = AtomicUsize::new(0);
+
+/// Where a thread's counter adds land.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stripe {
+    /// Owned cell `i`: the thread is its only writer.
+    Owned(usize),
+    /// Shared cell `j`, added to with `fetch_add`.
+    Shared(usize),
+}
+
+/// A thread's stripe, claimed on its first add and, if owned, released
+/// when the thread exits.
+struct Home(Stripe);
+
+impl Home {
+    fn claim() -> Self {
+        let mut owned = OWNED.load(Ordering::Acquire);
+        loop {
+            let free = !owned & ALL_OWNED;
+            if free == 0 {
+                let j = NEXT_SHARED.fetch_add(1, Ordering::Relaxed) % SHARED_STRIPES;
+                return Self(Stripe::Shared(j));
+            }
+            let i = free.trailing_zeros() as usize;
+            // Acquire: the previous owner's last stores to cell `i`
+            // happen before this thread's first load of it.
+            match OWNED.compare_exchange_weak(
+                owned,
+                owned | 1 << i,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return Self(Stripe::Owned(i)),
+                Err(now) => owned = now,
+            }
+        }
+    }
+}
+
+impl Drop for Home {
+    fn drop(&mut self) {
+        if let Stripe::Owned(i) = self.0 {
+            // Release: hands this thread's stores to the next owner.
+            OWNED.fetch_and(!(1 << i), Ordering::Release);
+        }
+    }
+}
 
 thread_local! {
-    static HOME_CELL: usize = NEXT_WORKER.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    static HOME: Home = Home::claim();
 }
 
-fn home_cell() -> usize {
-    HOME_CELL.with(|c| *c)
+/// This thread's stripe. A thread whose claim is already released (an
+/// add from a later thread-local destructor) adds to a shared cell.
+#[inline]
+fn home() -> Stripe {
+    HOME.try_with(|h| h.0).unwrap_or(Stripe::Shared(0))
 }
+
+/// A shared cell alone on its cache line.
+#[derive(Debug)]
+#[repr(align(64))]
+struct SharedCell(AtomicU64);
 
 #[derive(Debug)]
 struct CounterCore {
     name: String,
     plane: Plane,
-    cells: [AtomicU64; STRIPES],
+    owned: [AtomicU64; STRIPES],
+    shared: [SharedCell; SHARED_STRIPES],
 }
 
-/// A monotone counter striped over per-worker cells.
+/// A monotone counter striped over per-thread cells.
 #[derive(Debug, Clone)]
 pub struct Counter(Arc<CounterCore>);
 
@@ -82,46 +151,70 @@ impl Counter {
         Self(Arc::new(CounterCore {
             name: name.to_string(),
             plane,
-            cells: [const { AtomicU64::new(0) }; STRIPES],
+            owned: [const { AtomicU64::new(0) }; STRIPES],
+            shared: [const { SharedCell(AtomicU64::new(0)) }; SHARED_STRIPES],
         }))
     }
 
-    /// Adds `n` to this worker's cell (lock-free, commutative).
+    /// Adds `n` to this thread's cell and returns the cell as it was.
+    #[inline]
+    fn add_seq(&self, n: u64) -> u64 {
+        match home() {
+            Stripe::Owned(i) => {
+                let cell = &self.0.owned[i];
+                let before = cell.load(Ordering::Relaxed);
+                cell.store(before.wrapping_add(n), Ordering::Relaxed);
+                before
+            }
+            Stripe::Shared(j) => self.0.shared[j].0.fetch_add(n, Ordering::Relaxed),
+        }
+    }
+
+    /// Adds `n` to this thread's cell (lock-free, commutative).
+    #[inline]
     pub fn add(&self, n: u64) {
-        self.0.cells[home_cell()].fetch_add(n, Ordering::Relaxed);
+        self.add_seq(n);
     }
 
     /// Adds one.
+    #[inline]
     pub fn incr(&self) {
         self.add(1);
     }
 
-    /// Adds one and returns this worker's cell as it was before: a
-    /// per-worker sequence number (workers beyond [`STRIPES`] share
-    /// cells, so theirs interleave), for deterministic 1-in-k sampling
-    /// without a second thread-local.
+    /// Adds one and returns this thread's cell as it was before, for
+    /// deterministic 1-in-k sampling without a second thread-local. On
+    /// an owned cell that is a per-thread sequence number 0, 1, 2, …
+    /// (continuing from the cell's previous owner, if it had one); on a
+    /// shared cell the sharers' numbers interleave.
+    #[inline]
     pub fn incr_seq(&self) -> u64 {
-        self.0.cells[home_cell()].fetch_add(1, Ordering::Relaxed)
+        self.add_seq(1)
+    }
+
+    /// Every cell, owned then shared: the fixed merge order.
+    fn cells(&self) -> impl Iterator<Item = &AtomicU64> {
+        self.0.owned.iter().chain(self.0.shared.iter().map(|c| &c.0))
     }
 
     /// Merges the cells in fixed order: the deterministic total.
     pub fn value(&self) -> u64 {
-        let mut total = 0u64;
-        for cell in &self.0.cells {
-            total = total.wrapping_add(cell.load(Ordering::Relaxed));
-        }
-        total
+        self.cells().fold(0, |total, cell| total.wrapping_add(cell.load(Ordering::Relaxed)))
     }
 
     /// Resets the counter to an absolute value.
     ///
     /// Restore-path only (checkpoint recovery): callers must be
-    /// sequential — a concurrent `add` may be lost.
+    /// sequential. A concurrent `add` may be lost — an owner adds with a
+    /// load and a store, so one racing this reset can write its old
+    /// cell value back over the zero — and an add made afterwards must
+    /// be ordered after the reset (the same thread, or one synchronized
+    /// with it) to build on it.
     pub fn store(&self, v: u64) {
-        for cell in self.0.cells.iter().skip(1) {
+        for cell in self.cells() {
             cell.store(0, Ordering::Relaxed);
         }
-        self.0.cells[0].store(v, Ordering::Relaxed);
+        self.0.owned[0].store(v, Ordering::Relaxed);
     }
 
     /// The registered metric name.
@@ -493,13 +586,77 @@ mod tests {
         let c = r.counter("q", Plane::Deterministic);
         let seq: Vec<u64> = (0..4).map(|_| c.incr_seq()).collect();
         assert_eq!(seq, vec![0, 1, 2, 3]);
-        // Another worker starts from zero on its own cell, or continues
-        // this one's if the test binary's workers have wrapped round
-        // STRIPES onto it; the merged value counts both either way.
+        // Another thread starts from zero on its own cell (owned, or a
+        // shared one nobody else has added `q` to), and continues this
+        // one's only if both found every owned cell taken and share a
+        // cell; the merged value counts both either way.
         let other = r.counter("q", Plane::Deterministic);
-        let first = std::thread::spawn(move || other.incr_seq()).join().unwrap();
-        assert!(first == 0 || first == 4, "foreign sequence {first}");
+        let (stripe, first) =
+            std::thread::spawn(move || (home(), other.incr_seq())).join().unwrap();
+        let expected = if stripe == home() { 4 } else { 0 };
+        assert_eq!(first, expected, "foreign sequence on {stripe:?}");
         assert_eq!(c.value(), 5);
+    }
+
+    #[test]
+    fn counters_stay_exact_with_more_threads_than_stripes() {
+        const THREADS: usize = 24;
+        const OPS: u64 = 10_000;
+        let r = Registry::new();
+        let added = r.counter("added", Plane::Deterministic);
+        let seq = r.counter("seq", Plane::Deterministic);
+        let claimed = std::sync::Barrier::new(THREADS);
+        let runs: Vec<(Stripe, Vec<u64>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (1..=THREADS as u64)
+                .map(|t| {
+                    let (added, seq, claimed) = (&added, &seq, &claimed);
+                    s.spawn(move || {
+                        let stripe = home();
+                        // Every thread holds its claim before any adds,
+                        // so no cell changes owner while they run.
+                        claimed.wait();
+                        let mine: Vec<u64> = (0..OPS)
+                            .map(|_| {
+                                added.add(t);
+                                seq.incr_seq()
+                            })
+                            .collect();
+                        (stripe, mine)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let threads = THREADS as u64;
+        assert_eq!(added.value(), OPS * threads * (threads + 1) / 2);
+        assert_eq!(seq.value(), OPS * threads);
+        let mut owned: Vec<usize> = runs
+            .iter()
+            .filter_map(|(s, _)| match s {
+                Stripe::Owned(i) => Some(*i),
+                Stripe::Shared(_) => None,
+            })
+            .collect();
+        assert!(owned.len() <= STRIPES, "{} owners", owned.len());
+        owned.sort_unstable();
+        owned.dedup();
+        assert_eq!(owned.len(), runs.iter().filter(|(s, _)| matches!(s, Stripe::Owned(_))).count());
+        let count: Vec<u64> = (0..OPS).collect();
+        for (stripe, mine) in &runs {
+            if let Stripe::Owned(_) = stripe {
+                assert_eq!(mine, &count, "owner on {stripe:?} lost its sequence");
+            }
+        }
+        // Each shared cell hands every number out exactly once.
+        for j in 0..SHARED_STRIPES {
+            let mut got: Vec<u64> = runs
+                .iter()
+                .filter(|(s, _)| *s == Stripe::Shared(j))
+                .flat_map(|(_, mine)| mine.iter().copied())
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, (0..got.len() as u64).collect::<Vec<_>>(), "shared cell {j}");
+        }
     }
 
     #[test]

@@ -6,21 +6,33 @@
 //! window estimate, its [`Pyramid`] (so large ranges read a
 //! boundary-proportional node cover instead of O(cells)) and the
 //! [`PipelineHealth`] into an immutable epoch-versioned snapshot, swaps
-//! it in under a brief write lock (the replaced one is released after
-//! the guard) and records the publish telemetry.
+//! it in under a brief write lock, bumps the publisher's sequence
+//! number and records the publish telemetry. The publisher keeps the
+//! replaced snapshot until the next publish, which releases it after
+//! the write guard.
+//!
+//! Reads write nothing shared. Each reader thread keeps a small bounded
+//! cache ([`Publisher::THREAD_CACHE_SLOTS`] publishers) of
+//! `(publisher id, sequence number, Arc<Snapshot>)`. A read revalidates
+//! its entry with one `Acquire` load of the sequence number and borrows
+//! the cached snapshot; only the thread's first read after a publish
+//! takes the read guard, to clone the new snapshot into the cache. The
+//! snapshot that refresh drops is still held by the publisher, so a
+//! reader never frees one on a query. A thread's cache holds at most
+//! one stale snapshot per cached publisher, and a dropped publisher's
+//! snapshot lives until its entry is evicted. A thread's epochs never
+//! decrease, and a thread that has synchronized with a publish's return
+//! (a join, a barrier, a channel) reads that snapshot or a later one.
 //!
 //! [`QueryService`] runs **one writer and wait-free-in-practice readers**:
 //!
 //! * ingest (`ingest_epoch` / `ingest_missed_epoch`) serializes on a
 //!   `Mutex<StreamingEstimator>`; the epoch is ingested and the window
 //!   re-estimated *outside* any reader-visible state, then published;
-//! * `point` and `range` answer under the publisher's read guard, which
-//!   saves the two shared reference-count updates of an `Arc` clone and
-//!   drop; a cover walk takes at most a few hundred nanoseconds, so the
-//!   writer's swap waits for at most the point and range queries in
-//!   flight when it asks;
-//! * `heatmap` (an O(side²) copy) and `snapshot` clone the `Arc` under
-//!   the read guard and work on that immutable snapshot unlocked.
+//! * `point`, `range`, `heatmap` (an O(side²) copy) and `epoch` answer
+//!   from the thread's cached snapshot, holding no lock; the writer's
+//!   swap waits only for the cache refreshes in flight when it asks;
+//! * `snapshot` clones the cached `Arc`, also without the lock.
 //!
 //! Readers therefore never observe a half-built estimate: every answer
 //! is computed against exactly one published epoch boundary. Because the
@@ -33,15 +45,19 @@
 //! pins both properties.
 //!
 //! What a query records: one increment of its kind's striped counter
-//! (`service_queries_{point,range,heatmap}`, the worker's own cell) and,
-//! for a range, its cover size on the striped `range_cover_nodes_total`
-//! (mean cover = that counter over `service_queries_range`). Latency is
-//! sampled: the query whose count on its worker's cell is a multiple of
-//! 64 (a private `const`) reads the registry clock around its answer and
-//! records into the timing-plane `service_query_*_ns` histogram; the
-//! rest read no clock. Snapshot age is computed only when asked, by
+//! (`service_queries_{point,range,heatmap}`) and, for a range, its
+//! cover size on the striped `range_cover_nodes_total` (mean cover =
+//! that counter over `service_queries_range`). A thread that owns its
+//! counter cell adds with a plain load and store (see `dam_obs`'s
+//! metrics docs), so a query on such a thread makes no atomic
+//! read-modify-write at all. Latency is sampled: the query whose count
+//! on its thread's cell is a multiple of 64 (a private `const`) reads
+//! the registry clock around its answer and records into the
+//! timing-plane `service_query_*_ns` histogram; the rest read no clock.
+//! Snapshot age is computed only when asked, by
 //! [`QueryService::snapshot_age_ns`].
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -91,10 +107,84 @@ impl Snapshot {
     }
 }
 
+/// Source of [`Publisher`] ids: never reused, so a reader cache entry
+/// can never be mistaken for a later publisher's.
+static NEXT_PUBLISHER: AtomicU64 = AtomicU64::new(0);
+
+/// The published snapshot, and the one it replaced.
+struct Published {
+    current: Arc<Snapshot>,
+    /// Kept until the next publish, so a reader cache that drops it on
+    /// refresh never frees it.
+    replaced: Option<Arc<Snapshot>>,
+}
+
+/// A reader thread's copy of one publisher's current snapshot.
+struct Cached {
+    publisher: u64,
+    seq: u64,
+    snapshot: Arc<Snapshot>,
+}
+
+/// A reader thread's snapshot cache: at most
+/// [`Publisher::THREAD_CACHE_SLOTS`] publishers, evicted oldest
+/// first.
+struct ReaderCache {
+    slots: Vec<Cached>,
+    next: usize,
+}
+
+thread_local! {
+    static READER_CACHE: RefCell<ReaderCache> =
+        const { RefCell::new(ReaderCache { slots: Vec::new(), next: 0 }) };
+}
+
+impl ReaderCache {
+    /// `publisher`'s current snapshot as of sequence number `seq`,
+    /// refreshed from the cell only if the cached one is older.
+    #[inline]
+    fn current(&mut self, publisher: &Publisher, seq: u64) -> &Arc<Snapshot> {
+        let i = match self.slots.iter().position(|c| c.publisher == publisher.id) {
+            Some(i) if self.slots[i].seq == seq => i,
+            found => self.refresh(publisher, found),
+        };
+        &self.slots[i].snapshot
+    }
+
+    /// Loads `publisher`'s current snapshot into its slot `found`, or
+    /// into a new one (evicting the oldest entry when full); returns the
+    /// slot. The snapshot it replaces drops after the read guard, and
+    /// the publisher still holds it.
+    #[cold]
+    #[inline(never)]
+    fn refresh(&mut self, publisher: &Publisher, found: Option<usize>) -> usize {
+        let (seq, snapshot) = publisher.load();
+        let entry = Cached { publisher: publisher.id, seq, snapshot };
+        let i = match found {
+            Some(i) => i,
+            None if self.slots.len() < Publisher::THREAD_CACHE_SLOTS => {
+                self.slots.push(entry);
+                return self.slots.len() - 1;
+            }
+            None => {
+                let i = self.next;
+                self.next = (i + 1) % Publisher::THREAD_CACHE_SLOTS;
+                i
+            }
+        };
+        self.slots[i] = entry;
+        i
+    }
+}
+
 /// Owner of the published-snapshot cell: builds, swaps and instruments
-/// every snapshot readers see (see the [module docs](self)).
+/// every snapshot readers see, and serves them through each reader
+/// thread's cache (see the [module docs](self)).
 pub struct Publisher {
-    cell: RwLock<Arc<Snapshot>>,
+    id: u64,
+    /// Publishes so far; bumped under the write guard after each swap.
+    seq: AtomicU64,
+    cell: RwLock<Published>,
     obs: Registry,
     snapshot_epoch: Gauge,
     publish_ns: ObsHistogram,
@@ -102,6 +192,10 @@ pub struct Publisher {
 }
 
 impl Publisher {
+    /// How many publishers' snapshots one reader thread caches; reading
+    /// another evicts the entry cached longest ago.
+    pub const THREAD_CACHE_SLOTS: usize = 4;
+
     /// A publisher serving the uniform (non-informative) snapshot at
     /// epoch 0 over `grid`, recording into `obs`.
     pub fn new(grid: &Grid2D, obs: Registry) -> Self {
@@ -117,7 +211,9 @@ impl Publisher {
         let nodes: usize = initial.pyramid.levels().iter().map(|lv| lv.values().len()).sum();
         obs.gauge("pyramid_nodes", Plane::Deterministic).set(nodes as f64);
         Self {
-            cell: RwLock::new(Arc::new(initial)),
+            id: NEXT_PUBLISHER.fetch_add(1, Ordering::Relaxed),
+            seq: AtomicU64::new(0),
+            cell: RwLock::new(Published { current: Arc::new(initial), replaced: None }),
             snapshot_epoch: obs.gauge("service_snapshot_epoch", Plane::Deterministic),
             publish_ns: obs.histogram("service_publish_ns", Plane::Timing),
             obs,
@@ -132,10 +228,17 @@ impl Publisher {
         let _span = self.obs.span_at("publish", LogicalStamp::epoch(epoch as u64));
         let t0 = self.obs.now_ns();
         let snapshot = Arc::new(Snapshot::of(epoch, window()));
-        // The replaced snapshot is released after the write guard, so
-        // readers never wait on its deallocation.
-        let replaced = std::mem::replace(&mut *self.cell.write(), Arc::clone(&snapshot));
-        drop(replaced);
+        let released = {
+            let mut cell = self.cell.write();
+            let replaced = std::mem::replace(&mut cell.current, Arc::clone(&snapshot));
+            // Under the guard, so a refresh reads a sequence number and
+            // the snapshot it names together.
+            self.seq.fetch_add(1, Ordering::Release);
+            cell.replaced.replace(replaced)
+        };
+        // The snapshot before the replaced one is released after the
+        // write guard, so readers never wait on its deallocation.
+        drop(released);
         let now = self.obs.now_ns();
         self.publish_ns.record(now.saturating_sub(t0));
         self.snapshot_epoch.set(epoch as f64);
@@ -143,16 +246,38 @@ impl Publisher {
         snapshot
     }
 
-    /// The current snapshot, by `Arc` clone under the read guard.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.cell.read())
+    /// The sequence number and current snapshot, read together under
+    /// the read guard: a reader cache's refresh.
+    fn load(&self) -> (u64, Arc<Snapshot>) {
+        let cell = self.cell.read();
+        (self.seq.load(Ordering::Relaxed), Arc::clone(&cell.current))
     }
 
-    /// Runs `f` on the current snapshot under the read guard; the
-    /// writer's next swap waits for it, so keep `f` short.
+    /// Runs `f` on this thread's cached current snapshot, refreshing
+    /// the cache first if a publish has landed since it was filled.
+    #[inline]
+    fn with_current<T>(&self, f: impl FnOnce(&Arc<Snapshot>) -> T) -> T {
+        let seq = self.seq.load(Ordering::Acquire);
+        READER_CACHE.with(|cache| match cache.try_borrow_mut() {
+            Ok(mut cache) => f(cache.current(self, seq)),
+            // A read nested in another read's `f` finds the cache
+            // borrowed and reads under the guard instead.
+            Err(_) => f(&self.cell.read().current),
+        })
+    }
+
+    /// The current snapshot: a clone of this thread's cached `Arc`,
+    /// taken without the lock.
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        self.with_current(Arc::clone)
+    }
+
+    /// Runs `f` on the current snapshot, borrowed from this thread's
+    /// cache: no lock is held, and the read writes no shared memory
+    /// unless a publish has landed since this thread last read.
     #[inline]
     pub fn read<T>(&self, f: impl FnOnce(&Snapshot) -> T) -> T {
-        f(&self.cell.read())
+        self.with_current(|s| f(s))
     }
 
     /// Registry-clock time since the current snapshot was published.
@@ -253,8 +378,8 @@ impl QueryService {
         age
     }
 
-    /// The latest published snapshot (cheap: clones an `Arc` under a
-    /// read lock).
+    /// The latest published snapshot (cheap: clones this thread's
+    /// cached `Arc`, without the lock).
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.publisher.snapshot()
     }
@@ -277,8 +402,8 @@ impl QueryService {
         out
     }
 
-    /// Point query: the estimated mass of cell `(ix, iy)`, read under
-    /// the snapshot read guard.
+    /// Point query: the estimated mass of cell `(ix, iy)`, read from
+    /// this thread's cached snapshot.
     pub fn point(&self, ix: u32, iy: u32) -> f64 {
         self.query(&self.so.queries_point, &self.so.query_point_ns, || {
             self.publisher.read(|s| s.pyramid.cell(ix, iy))
@@ -286,8 +411,8 @@ impl QueryService {
     }
 
     /// Range query: estimated mass of the inclusive cell rectangle,
-    /// answered under the read guard by the snapshot pyramid's minimal
-    /// node cover (the cover size is added to `range_cover_nodes_total`).
+    /// answered by the cached snapshot pyramid's minimal node cover
+    /// (the cover size is added to `range_cover_nodes_total`).
     pub fn range(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> f64 {
         let (v, nodes) = self.query(&self.so.queries_range, &self.so.query_range_ns, || {
             self.publisher.read(|s| s.pyramid.range_sum_counted(x0, y0, x1, y1))
@@ -299,11 +424,11 @@ impl QueryService {
     /// Heatmap query: the `side × side` aggregate plane (row-major) from
     /// the snapshot pyramid, or `None` if `side` is not one of its
     /// dyadic levels. Edge-clamped nodes of a non-power-of-two grid hold
-    /// their clamped mass (zero past the edge). The copy runs on a
-    /// cloned snapshot, outside the read guard.
+    /// their clamped mass (zero past the edge). The copy reads the
+    /// cached snapshot, holding no lock.
     pub fn heatmap(&self, side: u32) -> Option<Vec<f64>> {
         self.query(&self.so.queries_heatmap, &self.so.query_heatmap_ns, || {
-            self.snapshot().pyramid.level_for_side(side).map(|lv| lv.values().to_vec())
+            self.publisher.read(|s| s.pyramid.level_for_side(side).map(|lv| lv.values().to_vec()))
         })
     }
 
@@ -354,5 +479,18 @@ mod tests {
         // Missed epochs still publish.
         svc.ingest_missed_epoch();
         assert_eq!(svc.epoch(), 2);
+    }
+
+    #[test]
+    fn a_read_nested_in_a_read_falls_back_to_the_guard() {
+        let svc = service(4);
+        let pts: Vec<Point> = (0..500).map(|i| Point::new(0.3, (i % 9) as f64 * 0.1)).collect();
+        svc.ingest_epoch(&pts);
+        // The outer read holds this thread's cache borrowed, so an inner
+        // one reads under its publisher's guard instead.
+        let other = service(4);
+        let (outer, inner) = svc.publisher.read(|s| (s.epoch, other.publisher.read(|o| o.epoch)));
+        assert_eq!((outer, inner), (1, 0));
+        assert_eq!(svc.publisher.read(|s| svc.publisher.snapshot().epoch + s.epoch), 2);
     }
 }

@@ -6,7 +6,11 @@
 //! 2. **Atomic snapshot swap** — queries racing a concurrent ingest
 //!    always observe a value bit-identical to one of the *published*
 //!    epoch-boundary snapshots, never a torn or intermediate state, for
-//!    any ingest/query interleaving.
+//!    any ingest/query interleaving;
+//! 3. **Per-thread snapshot cache** — a reader's epochs never decrease,
+//!    a reader that has seen a publish return reads it, a cache refresh
+//!    never frees a snapshot, and a thread's cache holds a bounded
+//!    number of publishers.
 
 #![allow(
     clippy::disallowed_methods,
@@ -16,12 +20,12 @@
 )]
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 use dam_core::DamConfig;
 use dam_geo::{BoundingBox, Grid2D, Point};
-use dam_stream::{QueryService, StreamConfig};
+use dam_stream::{Publisher, QueryService, StreamConfig};
 
 const D: u32 = 12;
 const EPOCHS: usize = 5;
@@ -149,4 +153,116 @@ fn concurrent_queries_only_ever_see_published_snapshots() {
     // After the writer finishes, the live service agrees with the
     // reference run bit-for-bit.
     assert_eq!(estimate_bits(&live), estimate_bits(&reference));
+}
+
+/// One reader's look at the service: `epoch()` before and after a point
+/// and a range query, and the answers' bits.
+#[derive(Debug, Clone, Copy)]
+struct Reading {
+    before: usize,
+    after: usize,
+    point: u64,
+    range: u64,
+}
+
+const POINT: (u32, u32) = (3, 4);
+const RANGE: (u32, u32, u32, u32) = (1, 2, D - 2, D - 3);
+
+fn reading(svc: &QueryService) -> Reading {
+    let before = svc.epoch();
+    let point = svc.point(POINT.0, POINT.1).to_bits();
+    let range = svc.range(RANGE.0, RANGE.1, RANGE.2, RANGE.3).to_bits();
+    Reading { before, after: svc.epoch(), point, range }
+}
+
+#[test]
+fn cached_reads_follow_a_racing_writer() {
+    const READERS: usize = 3;
+    let svc = service(Some(2));
+    let returned = AtomicUsize::new(0);
+    let (seen, resumed) = (Barrier::new(READERS + 1), Barrier::new(READERS + 1));
+    // Readers only log (their first reading after each publish returned
+    // is tagged with its epoch); the checks run after the join, so a
+    // failure cannot leave the others waiting at a barrier.
+    let (snaps, logs) = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut log: Vec<(Option<usize>, Reading)> = Vec::new();
+                    for e in 1..=EPOCHS {
+                        while returned.load(Ordering::Relaxed) < e {
+                            log.push((None, reading(&svc)));
+                        }
+                        // The barrier orders `ingest_epoch`'s return
+                        // before the next reading.
+                        seen.wait();
+                        log.push((Some(e), reading(&svc)));
+                        resumed.wait();
+                    }
+                    log
+                })
+            })
+            .collect();
+        let mut snaps = vec![svc.snapshot()];
+        for e in 0..EPOCHS {
+            svc.ingest_epoch(&epoch_batch(e, 3_000));
+            snaps.push(svc.snapshot());
+            returned.store(e + 1, Ordering::Relaxed);
+            seen.wait();
+            resumed.wait();
+        }
+        (snaps, readers.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>())
+    });
+
+    for (e, snap) in snaps.iter().enumerate() {
+        assert_eq!(snap.epoch, e);
+    }
+    for log in logs {
+        let mut last = 0;
+        for &(published, r) in &log {
+            assert!(last <= r.before && r.before <= r.after, "epochs went back: {last}, {r:?}");
+            last = r.after;
+            if let Some(e) = published {
+                assert_eq!((r.before, r.after), (e, e), "stale read after epoch {e} returned");
+            }
+            // Every answer whose epoch is pinned (no publish landed
+            // between its two `epoch()` reads) is the same query on that
+            // epoch's snapshot, bit for bit.
+            if r.before == r.after {
+                let pyramid = &snaps[r.before].pyramid;
+                assert_eq!(r.point, pyramid.cell(POINT.0, POINT.1).to_bits(), "point at {r:?}");
+                let range = pyramid.range_sum(RANGE.0, RANGE.1, RANGE.2, RANGE.3);
+                assert_eq!(r.range, range.to_bits(), "range at {r:?}");
+            }
+        }
+        assert_eq!(log.iter().filter(|(p, _)| p.is_some()).count(), EPOCHS);
+    }
+}
+
+#[test]
+fn a_cache_refresh_leaves_the_replaced_snapshot_to_the_publisher() {
+    let svc = service(Some(1));
+    svc.ingest_epoch(&epoch_batch(0, 1_000));
+    let first = Arc::downgrade(&svc.snapshot());
+    svc.ingest_epoch(&epoch_batch(1, 1_000));
+    // This thread's refresh drops its cached `Arc` of epoch 1 ...
+    assert_eq!(reading(&svc).after, 2);
+    // ... but the publisher keeps it until the next publish.
+    assert!(first.upgrade().is_some(), "a reader's refresh freed the replaced snapshot");
+    svc.ingest_epoch(&epoch_batch(2, 1_000));
+    assert!(first.upgrade().is_none(), "the publish after next kept epoch 1 alive");
+}
+
+#[test]
+fn a_threads_cache_holds_a_bounded_number_of_publishers() {
+    let first = service(Some(1));
+    let snapshot = Arc::downgrade(&first.snapshot());
+    drop(first);
+    // The thread's cache outlives the service ...
+    assert!(snapshot.upgrade().is_some());
+    // ... until reads of as many other services evict it.
+    for _ in 0..Publisher::THREAD_CACHE_SLOTS {
+        service(Some(1)).point(0, 0);
+    }
+    assert!(snapshot.upgrade().is_none(), "a dropped service's snapshot outlived eviction");
 }

@@ -7,11 +7,11 @@
 //!
 //! * the **deterministic plane** ([`Plane::Deterministic`]) — counts,
 //!   iterations, retries, coverage. Counters are striped over atomic
-//!   cells and merged in fixed cell order at snapshot time. Each of the
-//!   first [`metrics::STRIPES`] live recording threads owns a cell and
-//!   adds to it with a plain load and store (it is the only writer);
-//!   later threads `fetch_add` into a few shared cells, one per cache
-//!   line. No add is lost either way, and because `u64` addition
+//!   cells and merged in fixed cell order at snapshot time. The first
+//!   [`metrics::STRIPES`] threads to record each own a cell for their
+//!   lives and add to it with a plain load and store (each is its
+//!   cell's only writer); later threads `fetch_add` into a few shared
+//!   cells, one per cache line. No add is lost either way, and because `u64` addition
 //!   commutes exactly, a deterministic-plane snapshot is
 //!   **bit-identical for any thread count** and is pinned by tests
 //!   ([`MetricsSnapshot::deterministic_plane`]);

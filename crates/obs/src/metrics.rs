@@ -6,11 +6,14 @@
 //! Handles are registered once (name lookup under a lock) and then
 //! recorded through lock-free atomics. [`Counter`] stripes its value
 //! over [`STRIPES`] owned cells and [`SHARED_STRIPES`] shared ones. The
-//! first [`STRIPES`] live threads to record each own one cell (a
-//! thread's claim is released when it exits, for the next thread to
-//! take): an owner is its cell's only writer, so it adds with a plain
-//! load and store, no atomic read-modify-write. Threads past that share
-//! the shared cells, one per cache line, and `fetch_add` into them. A
+//! first [`STRIPES`] threads to record in the process each own one cell
+//! for their lives: an owner is its cell's only writer, so it adds with
+//! a plain load and store, no atomic read-modify-write. Threads past
+//! that share the shared cells, one per cache line, and `fetch_add` into
+//! them. All parallelism rides the persistent pool, whose workers never
+//! exit, so the owners are the pool's workers and the driver threads; a
+//! process that keeps spawning threads (a test binary) leaves its later
+//! ones on shared cells, which costs time, never exactness. A
 //! snapshot merges the cells **in fixed cell order**. Because `u64`
 //! addition commutes exactly and no add is ever lost, the merged value
 //! is identical no matter how many threads recorded or how their
@@ -53,23 +56,20 @@ impl Plane {
     }
 }
 
-/// Number of owned counter cells: at most this many live threads add
-/// without an atomic read-modify-write. More than the runner's worker
-/// cap keeps every pool worker an owner.
+/// Number of owned counter cells: the first this many recording threads
+/// add without an atomic read-modify-write. More than the runner's
+/// worker cap keeps every pool worker an owner.
 pub const STRIPES: usize = 16;
 
 /// Number of shared counter cells, each on its own cache line, for the
-/// threads that found every owned cell taken.
+/// threads that came after every owned cell was taken.
 pub const SHARED_STRIPES: usize = 4;
 
 /// Log₂ histogram bucket count: bucket 0 holds zeros, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`, bucket 64 the top of the u64 range.
 pub const BUCKETS: usize = 65;
 
-/// Bit `i` is set while a live thread owns cell `i`.
-static OWNED: AtomicU64 = AtomicU64::new(0);
-const ALL_OWNED: u64 = (1 << STRIPES) - 1;
-static NEXT_SHARED: AtomicUsize = AtomicUsize::new(0);
+static NEXT_HOME: AtomicUsize = AtomicUsize::new(0);
 
 /// Where a thread's counter adds land.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,53 +80,26 @@ enum Stripe {
     Shared(usize),
 }
 
-/// A thread's stripe, claimed on its first add and, if owned, released
-/// when the thread exits.
-struct Home(Stripe);
-
-impl Home {
-    fn claim() -> Self {
-        let mut owned = OWNED.load(Ordering::Acquire);
-        loop {
-            let free = !owned & ALL_OWNED;
-            if free == 0 {
-                let j = NEXT_SHARED.fetch_add(1, Ordering::Relaxed) % SHARED_STRIPES;
-                return Self(Stripe::Shared(j));
-            }
-            let i = free.trailing_zeros() as usize;
-            // Acquire: the previous owner's last stores to cell `i`
-            // happen before this thread's first load of it.
-            match OWNED.compare_exchange_weak(
-                owned,
-                owned | 1 << i,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Self(Stripe::Owned(i)),
-                Err(now) => owned = now,
-            }
-        }
-    }
-}
-
-impl Drop for Home {
-    fn drop(&mut self) {
-        if let Stripe::Owned(i) = self.0 {
-            // Release: hands this thread's stores to the next owner.
-            OWNED.fetch_and(!(1 << i), Ordering::Release);
+impl Stripe {
+    /// The stripe of the `n`th thread to record: the first [`STRIPES`]
+    /// own a cell each, later ones share cells round-robin.
+    fn nth(n: usize) -> Self {
+        if n < STRIPES {
+            Self::Owned(n)
+        } else {
+            Self::Shared((n - STRIPES) % SHARED_STRIPES)
         }
     }
 }
 
 thread_local! {
-    static HOME: Home = Home::claim();
+    static HOME: Stripe = Stripe::nth(NEXT_HOME.fetch_add(1, Ordering::Relaxed));
 }
 
-/// This thread's stripe. A thread whose claim is already released (an
-/// add from a later thread-local destructor) adds to a shared cell.
+/// This thread's stripe, assigned on its first add and kept for its life.
 #[inline]
 fn home() -> Stripe {
-    HOME.try_with(|h| h.0).unwrap_or(Stripe::Shared(0))
+    HOME.with(|h| *h)
 }
 
 /// A shared cell alone on its cache line.
@@ -159,7 +132,14 @@ impl Counter {
     /// Adds `n` to this thread's cell and returns the cell as it was.
     #[inline]
     fn add_seq(&self, n: u64) -> u64 {
-        match home() {
+        self.add_on(home(), n)
+    }
+
+    /// Adds `n` to `stripe`'s cell and returns the cell as it was; an
+    /// owned stripe must be the calling thread's.
+    #[inline]
+    fn add_on(&self, stripe: Stripe, n: u64) -> u64 {
+        match stripe {
             Stripe::Owned(i) => {
                 let cell = &self.0.owned[i];
                 let before = cell.load(Ordering::Relaxed);
@@ -184,9 +164,8 @@ impl Counter {
 
     /// Adds one and returns this thread's cell as it was before, for
     /// deterministic 1-in-k sampling without a second thread-local. On
-    /// an owned cell that is a per-thread sequence number 0, 1, 2, …
-    /// (continuing from the cell's previous owner, if it had one); on a
-    /// shared cell the sharers' numbers interleave.
+    /// an owned cell that is a per-thread sequence number 0, 1, 2, …;
+    /// on a shared cell the sharers' numbers interleave.
     #[inline]
     pub fn incr_seq(&self) -> u64 {
         self.add_seq(1)
@@ -588,8 +567,8 @@ mod tests {
         assert_eq!(seq, vec![0, 1, 2, 3]);
         // Another thread starts from zero on its own cell (owned, or a
         // shared one nobody else has added `q` to), and continues this
-        // one's only if both found every owned cell taken and share a
-        // cell; the merged value counts both either way.
+        // one's only if both came after every owned cell was taken and
+        // share a cell; the merged value counts both either way.
         let other = r.counter("q", Plane::Deterministic);
         let (stripe, first) =
             std::thread::spawn(move || (home(), other.incr_seq())).join().unwrap();
@@ -605,16 +584,16 @@ mod tests {
         let r = Registry::new();
         let added = r.counter("added", Plane::Deterministic);
         let seq = r.counter("seq", Plane::Deterministic);
-        let claimed = std::sync::Barrier::new(THREADS);
+        let start = std::sync::Barrier::new(THREADS);
         let runs: Vec<(Stripe, Vec<u64>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (1..=THREADS as u64)
                 .map(|t| {
-                    let (added, seq, claimed) = (&added, &seq, &claimed);
+                    let (added, seq, start) = (&added, &seq, &start);
                     s.spawn(move || {
                         let stripe = home();
-                        // Every thread holds its claim before any adds,
-                        // so no cell changes owner while they run.
-                        claimed.wait();
+                        // Every thread starts adding at once, so threads
+                        // on one shared cell race.
+                        start.wait();
                         let mine: Vec<u64> = (0..OPS)
                             .map(|_| {
                                 added.add(t);
@@ -657,6 +636,25 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, (0..got.len() as u64).collect::<Vec<_>>(), "shared cell {j}");
         }
+    }
+
+    #[test]
+    fn a_shared_cell_loses_no_add_under_contention() {
+        // Every thread adds to one shared cell, whatever its own stripe,
+        // so the cell's read-modify-writes race on both cores.
+        const THREADS: u64 = 4;
+        const OPS: u64 = 250_000;
+        let c = Registry::new().counter("shared", Plane::Deterministic);
+        let before: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| s.spawn(|| (0..OPS).map(|_| c.add_on(Stripe::Shared(0), 1)).collect()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(c.value(), THREADS * OPS);
+        let mut seen: Vec<u64> = before.into_iter().flatten().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..THREADS * OPS).collect::<Vec<_>>(), "a shared add was lost");
     }
 
     #[test]

@@ -11,18 +11,21 @@
 //! replaced snapshot until the next publish, which releases it after
 //! the write guard.
 //!
-//! Reads write nothing shared. Each reader thread keeps a small bounded
-//! cache ([`Publisher::THREAD_CACHE_SLOTS`] publishers) of
-//! `(publisher id, sequence number, Arc<Snapshot>)`. A read revalidates
-//! its entry with one `Acquire` load of the sequence number and borrows
-//! the cached snapshot; only the thread's first read after a publish
-//! takes the read guard, to clone the new snapshot into the cache. The
-//! snapshot that refresh drops is still held by the publisher, so a
-//! reader never frees one on a query. A thread's cache holds at most
-//! one stale snapshot per cached publisher, and a dropped publisher's
-//! snapshot lives until its entry is evicted. A thread's epochs never
-//! decrease, and a thread that has synchronized with a publish's return
-//! (a join, a barrier, a channel) reads that snapshot or a later one.
+//! Reads write nothing shared. Each reader thread caches one
+//! `(publisher id, sequence number, Arc<Snapshot>)`: the last publisher
+//! it read. A read revalidates it with one `Acquire` load of the
+//! sequence number and borrows the cached snapshot; only the thread's
+//! first read after a publish, or its first read of another publisher,
+//! takes the read guard to clone the current snapshot into the cache.
+//! The publisher keeps the snapshot it replaced until the next publish,
+//! so a reader that has read since the last publish never frees a
+//! snapshot on a query. A thread idle across two or more publishes, or
+//! one that switches publishers (a dropped one's included), may free
+//! the stale snapshot its refresh drops. A thread holds at most one
+//! cached snapshot, alive until its next refresh or its exit. A
+//! thread's epochs never decrease, and a thread that has synchronized
+//! with a publish's return (a join, a barrier, a channel) reads that
+//! snapshot or a later one.
 //!
 //! [`QueryService`] runs **one writer and wait-free-in-practice readers**:
 //!
@@ -119,62 +122,15 @@ struct Published {
     replaced: Option<Arc<Snapshot>>,
 }
 
-/// A reader thread's copy of one publisher's current snapshot.
+/// A reader thread's copy of the last publisher's snapshot it read.
 struct Cached {
     publisher: u64,
     seq: u64,
     snapshot: Arc<Snapshot>,
 }
 
-/// A reader thread's snapshot cache: at most
-/// [`Publisher::THREAD_CACHE_SLOTS`] publishers, evicted oldest
-/// first.
-struct ReaderCache {
-    slots: Vec<Cached>,
-    next: usize,
-}
-
 thread_local! {
-    static READER_CACHE: RefCell<ReaderCache> =
-        const { RefCell::new(ReaderCache { slots: Vec::new(), next: 0 }) };
-}
-
-impl ReaderCache {
-    /// `publisher`'s current snapshot as of sequence number `seq`,
-    /// refreshed from the cell only if the cached one is older.
-    #[inline]
-    fn current(&mut self, publisher: &Publisher, seq: u64) -> &Arc<Snapshot> {
-        let i = match self.slots.iter().position(|c| c.publisher == publisher.id) {
-            Some(i) if self.slots[i].seq == seq => i,
-            found => self.refresh(publisher, found),
-        };
-        &self.slots[i].snapshot
-    }
-
-    /// Loads `publisher`'s current snapshot into its slot `found`, or
-    /// into a new one (evicting the oldest entry when full); returns the
-    /// slot. The snapshot it replaces drops after the read guard, and
-    /// the publisher still holds it.
-    #[cold]
-    #[inline(never)]
-    fn refresh(&mut self, publisher: &Publisher, found: Option<usize>) -> usize {
-        let (seq, snapshot) = publisher.load();
-        let entry = Cached { publisher: publisher.id, seq, snapshot };
-        let i = match found {
-            Some(i) => i,
-            None if self.slots.len() < Publisher::THREAD_CACHE_SLOTS => {
-                self.slots.push(entry);
-                return self.slots.len() - 1;
-            }
-            None => {
-                let i = self.next;
-                self.next = (i + 1) % Publisher::THREAD_CACHE_SLOTS;
-                i
-            }
-        };
-        self.slots[i] = entry;
-        i
-    }
+    static READER_CACHE: RefCell<Option<Cached>> = const { RefCell::new(None) };
 }
 
 /// Owner of the published-snapshot cell: builds, swaps and instruments
@@ -192,10 +148,6 @@ pub struct Publisher {
 }
 
 impl Publisher {
-    /// How many publishers' snapshots one reader thread caches; reading
-    /// another evicts the entry cached longest ago.
-    pub const THREAD_CACHE_SLOTS: usize = 4;
-
     /// A publisher serving the uniform (non-informative) snapshot at
     /// epoch 0 over `grid`, recording into `obs`.
     pub fn new(grid: &Grid2D, obs: Registry) -> Self {
@@ -253,13 +205,27 @@ impl Publisher {
         (self.seq.load(Ordering::Relaxed), Arc::clone(&cell.current))
     }
 
+    /// Loads the sequence number and current snapshot into this
+    /// thread's cache, replacing its entry. The snapshot that entry held
+    /// drops after the read guard.
+    #[cold]
+    #[inline(never)]
+    fn refresh<'a>(&self, cache: &'a mut Option<Cached>) -> &'a Cached {
+        let (seq, snapshot) = self.load();
+        cache.insert(Cached { publisher: self.id, seq, snapshot })
+    }
+
     /// Runs `f` on this thread's cached current snapshot, refreshing
-    /// the cache first if a publish has landed since it was filled.
+    /// the cache first if a publish has landed since it was filled or
+    /// it holds another publisher's.
     #[inline]
     fn with_current<T>(&self, f: impl FnOnce(&Arc<Snapshot>) -> T) -> T {
         let seq = self.seq.load(Ordering::Acquire);
         READER_CACHE.with(|cache| match cache.try_borrow_mut() {
-            Ok(mut cache) => f(cache.current(self, seq)),
+            Ok(mut cache) => match &*cache {
+                Some(c) if c.publisher == self.id && c.seq == seq => f(&c.snapshot),
+                _ => f(&self.refresh(&mut cache).snapshot),
+            },
             // A read nested in another read's `f` finds the cache
             // borrowed and reads under the guard instead.
             Err(_) => f(&self.cell.read().current),
@@ -274,7 +240,8 @@ impl Publisher {
 
     /// Runs `f` on the current snapshot, borrowed from this thread's
     /// cache: no lock is held, and the read writes no shared memory
-    /// unless a publish has landed since this thread last read.
+    /// unless a publish has landed since this thread last read, or its
+    /// last read was of another publisher.
     #[inline]
     pub fn read<T>(&self, f: impl FnOnce(&Snapshot) -> T) -> T {
         self.with_current(|s| f(s))

@@ -9,8 +9,8 @@
 //!    any ingest/query interleaving;
 //! 3. **Per-thread snapshot cache** — a reader's epochs never decrease,
 //!    a reader that has seen a publish return reads it, a cache refresh
-//!    never frees a snapshot, and a thread's cache holds a bounded
-//!    number of publishers.
+//!    never frees a snapshot, and a thread's cache holds one
+//!    publisher's snapshot.
 
 #![allow(
     clippy::disallowed_methods,
@@ -25,7 +25,7 @@ use std::sync::{Arc, Barrier};
 
 use dam_core::DamConfig;
 use dam_geo::{BoundingBox, Grid2D, Point};
-use dam_stream::{Publisher, QueryService, StreamConfig};
+use dam_stream::{QueryService, StreamConfig};
 
 const D: u32 = 12;
 const EPOCHS: usize = 5;
@@ -254,15 +254,22 @@ fn a_cache_refresh_leaves_the_replaced_snapshot_to_the_publisher() {
 }
 
 #[test]
-fn a_threads_cache_holds_a_bounded_number_of_publishers() {
+fn a_threads_cache_holds_one_publisher() {
     let first = service(Some(1));
     let snapshot = Arc::downgrade(&first.snapshot());
     drop(first);
     // The thread's cache outlives the service ...
     assert!(snapshot.upgrade().is_some());
-    // ... until reads of as many other services evict it.
-    for _ in 0..Publisher::THREAD_CACHE_SLOTS {
-        service(Some(1)).point(0, 0);
+    // ... until the thread reads another one.
+    let (a, b) = (service(Some(1)), service(Some(1)));
+    a.point(0, 0);
+    assert!(snapshot.upgrade().is_none(), "a dropped service's snapshot outlived the next read");
+    // Reads alternating between two live services each refresh the
+    // entry, and each answers from its own service.
+    a.ingest_epoch(&epoch_batch(0, 1_000));
+    for _ in 0..3 {
+        assert_eq!((a.epoch(), b.epoch()), (1, 0));
+        assert_eq!(a.snapshot().epoch, 1);
+        assert_eq!(b.snapshot().epoch, 0);
     }
-    assert!(snapshot.upgrade().is_none(), "a dropped service's snapshot outlived eviction");
 }

@@ -1,5 +1,5 @@
 //! §VI-B complexity benches: GridAreaResponse is O(1) per report after an
-//! O(b̂²) setup; EM post-processing through the spectral operator is
+//! O(b̂² + d²) setup (one alias table over the box and the output grid); EM post-processing through the spectral operator is
 //! O(n² log n) per iteration on the padded `2^a·3^b` grid (the dense
 //! channel's O(n_out·n_in) is what it replaces). The exact OT solver's
 //! scaling is measured by the `w2` bench.
@@ -28,8 +28,7 @@ fn bench_response(c: &mut Criterion) {
         let kernel = DiscreteKernel::dam(3.5, 15, b, KernelKind::Shrunken);
         let resp = GridAreaResponse::new(kernel);
         let mut rng = seeded(1);
-        // Cycle over every input cell: one fixed input would let the
-        // branch predictor learn a single far-field layout.
+        // Cycle over every input cell, as a batch of users does.
         let inputs: Vec<CellIndex> = (0..15 * 15).map(|k| CellIndex::new(k % 15, k / 15)).collect();
         let mut next = inputs.iter().cycle();
         group.bench_with_input(BenchmarkId::new("report", b), &b, |bench, _| {

@@ -21,6 +21,12 @@
 //! on top of the validated path — the observability tax, pinned at ≤5%
 //! of the raw sharded path (recording is per *batch*, not per report, so
 //! it amortizes to noise at this scale).
+//!
+//! The `by_d` rows time the same validated batch at d ∈ {20, 64, 128} on
+//! one thread and on every core. The sampler's alias table has
+//! `box_side² + n_out` 16-byte slots (13.8 KB at d = 20, 149 KB at
+//! d = 64, ~600 KB at d = 128), so these rows show what a table that
+//! leaves L1 costs a report at the sizes the figure binaries run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dam_bench::{bench_grid, bench_points, median, write_baseline};
@@ -35,6 +41,10 @@ const N_POINTS: usize = 1_000_000;
 const D: u32 = 20;
 const EPS: f64 = 3.5;
 const MASTER_SEED: u64 = 0xBE7C_0011;
+/// Grid sides of the `by_d` rows.
+const BY_D: [u32; 3] = [20, 64, 128];
+/// Thread caps of the `by_d` rows: one thread, and every core.
+const BY_D_THREADS: [(&str, Option<usize>); 2] = [("1", Some(1)), ("all", None)];
 
 fn bench_report_phase(c: &mut Criterion) {
     let points = bench_points(N_POINTS, 9);
@@ -101,16 +111,59 @@ fn bench_report_phase(c: &mut Criterion) {
         });
         group.finish();
     }
+    {
+        let mut group = c.benchmark_group("reports_by_d");
+        group.sample_size(10);
+        for d in BY_D {
+            let client = DamClient::new(bench_grid(d), &DamConfig::dam(EPS));
+            for (label, threads) in BY_D_THREADS {
+                let mut scratch = Vec::new();
+                group.bench_function(BenchmarkId::new(format!("d{d}"), label), |bench| {
+                    bench.iter(|| {
+                        let summary = client.report_batch_validated_in(
+                            &points,
+                            MASTER_SEED,
+                            threads,
+                            IngestPolicy::Clamp,
+                            &mut scratch,
+                        );
+                        black_box((summary.accepted(), scratch.len()))
+                    });
+                });
+            }
+        }
+        group.finish();
+    }
     emit_bench_json(c);
 }
 
+/// The `by_d` rows of `BENCH_reports.json`, or `None` if one is missing.
+fn by_d_rows(c: &Criterion) -> Option<String> {
+    let mut rows = Vec::new();
+    for d in BY_D {
+        let kernel = DamClient::new(bench_grid(d), &DamConfig::dam(EPS)).kernel().clone();
+        let slots = kernel.box_side().pow(2) + kernel.n_out();
+        for (label, _) in BY_D_THREADS {
+            let ns = median(c.results(), &format!("reports_by_d/d{d}/{label}"))?;
+            rows.push(format!(
+                "    {{\"d\": {d}, \"b_hat\": {}, \"table_slots\": {slots}, \
+                 \"threads\": \"{label}\", \"median_ns_per_batch\": {ns:.1}, \
+                 \"median_ns_per_report\": {:.2}}}",
+                kernel.b_hat(),
+                ns / N_POINTS as f64,
+            ));
+        }
+    }
+    Some(rows.join(",\n"))
+}
+
 /// Writes `BENCH_reports.json` at the repo root: median ns per 1M-report
-/// batch for both paths, per-report cost, worker count and the headline
-/// speedup.
+/// batch for both paths, per-report cost, worker count, the headline
+/// speedup and the `by_d` rows.
 fn emit_bench_json(c: &Criterion) {
     let ns = |path: &str| median(c.results(), &format!("reports_throughput/{path}/{N_POINTS}"));
-    let (Some(seq), Some(sharded), Some(validated), Some(metered)) =
-        (ns("sequential"), ns("sharded"), ns("validated"), ns("metered"))
+    let (Some(seq), Some(sharded), Some(validated), Some(metered), Some(by_d)) =
+        (ns("sequential"), ns("sharded"), ns("validated"), ns("metered"), by_d_rows(c))
     else {
         eprintln!("reports_throughput results missing; not writing BENCH_reports.json");
         return;
@@ -137,7 +190,8 @@ fn emit_bench_json(c: &Criterion) {
          \"speedup_sharded_over_sequential\": {speedup:.2},\n  \
          \"validation_overhead_vs_sharded\": {overhead:.3},\n  \
          \"metered_overhead_vs_sharded\": {metered_overhead:.3},\n  \
-         \"metering_tax_vs_sharded\": {metering_tax:.3}\n}}\n",
+         \"metering_tax_vs_sharded\": {metering_tax:.3},\n  \
+         \"by_d\": [\n{by_d}\n  ]\n}}\n",
         seq / N_POINTS as f64,
         sharded / N_POINTS as f64,
         validated / N_POINTS as f64,

@@ -90,10 +90,9 @@ impl FftChannel {
 
     /// The operator on a given transform plan (one for `kernel.out_d()`).
     fn with_plan(kernel: &DiscreteKernel, fft: Fft2d) -> Self {
-        let far = kernel.q_hat();
-        let delta: Vec<f64> = kernel.offset_masses().iter().map(|&m| m - far).collect();
-        let kspec = fft.kernel_spectrum(&delta, kernel.box_side());
-        Self { d: kernel.d() as usize, out_d: kernel.out_d() as usize, far, fft, kspec }
+        let kspec = fft.kernel_spectrum(&kernel.offset_excess(), kernel.box_side());
+        let (d, out_d, far) = (kernel.d() as usize, kernel.out_d() as usize, kernel.q_hat());
+        Self { d, out_d, far, fft, kspec }
     }
 
     /// Padded transform side `n = next_fft_side(d + 2b̂)`: 96 at d = 64,

@@ -161,10 +161,11 @@ impl DamClient {
     ///
     /// This is the validated loop under [`IngestPolicy::Clamp`] with the
     /// summary dropped: a finite point clamped onto the covered square
-    /// lands in the same edge cell `Grid2D::cell_of` would pick, so the
-    /// buffer matches the per-point [`DamClient::report`] reference bit for
-    /// bit, while non-finite points are quarantined instead of inventing
-    /// mass in a corner cell.
+    /// lands in the same edge cell `Grid2D::cell_of` would pick, and each
+    /// report adds one at the linear index of the one draw that
+    /// [`DamClient::report`] decodes into a cell, so the buffer matches the
+    /// per-point reference bit for bit, while non-finite points are
+    /// quarantined instead of inventing mass in a corner cell.
     pub fn report_batch(
         &self,
         points: &[Point],
@@ -198,7 +199,9 @@ impl DamClient {
     ///   remainder of a batch reports exactly as if the garbage had never
     ///   arrived;
     /// * an all-valid batch reports exactly as the per-point
-    ///   [`DamClient::report`] loop over the same shard streams.
+    ///   [`DamClient::report`] loop over the same shard streams: both make
+    ///   the same one draw per report, which the batch adds into its count
+    ///   cell by linear index.
     ///
     /// The per-shard seen/quarantined/clamped tallies ride the same
     /// shard-order merge as the counts (three tail slots per shard
@@ -252,8 +255,7 @@ impl DamClient {
     where
         O: Fn(usize) -> bool + Sync,
     {
-        let od = self.kernel().out_d() as usize;
-        let n = od * od;
+        let n = self.kernel().n_out();
         // Hoisted out of the per-point loop: recomputing the covered
         // square per report is what would push validation past its ~10%
         // throughput budget (the guard in `BENCH_reports.json`).
@@ -287,8 +289,7 @@ impl DamClient {
                             continue;
                         }
                     };
-                    let noisy = self.response.respond(self.grid.cell_of(accepted), rng);
-                    buf[noisy.iy as usize * od + noisy.ix as usize] += 1.0;
+                    buf[self.response.respond_index(self.grid.cell_of(accepted), rng)] += 1.0;
                 }
                 buf[n + 1] += quarantined as f64;
                 buf[n + 2] += clamped as f64;

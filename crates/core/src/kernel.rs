@@ -238,6 +238,15 @@ impl DiscreteKernel {
         &self.offset_mass
     }
 
+    /// The box excess `δ = offset_masses − q̂`, laid out like
+    /// [`DiscreteKernel::offset_masses`]: the kernel is
+    /// `M[o, i] = q̂ + δ(o − i)` with `δ = 0` outside the box. The
+    /// spectral operator convolves with it and the report sampler draws
+    /// from it.
+    pub fn offset_excess(&self) -> Vec<f64> {
+        self.offset_mass.iter().map(|&m| m - self.far_mass).collect()
+    }
+
     /// Probability that input cell `input` (input-grid coordinates) is
     /// reported as output cell `out` (output-grid coordinates).
     pub fn mass(&self, input: CellIndex, out: CellIndex) -> f64 {
@@ -343,6 +352,26 @@ mod tests {
                     "eps {eps} d {d} b {b}: ratio {r} > e^eps {}",
                     eps.exp()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn offset_excess_is_non_negative_and_completes_the_floor() {
+        for eps in [0.5, 1.0, 3.5, 5.0] {
+            for d in [1u32, 4, 20, 64] {
+                let b = crate::radius::optimal_b_cells(eps, d);
+                for (name, k) in [
+                    ("DAM", DiscreteKernel::dam(eps, d, b, KernelKind::Shrunken)),
+                    ("DAM-NS", DiscreteKernel::dam(eps, d, b, KernelKind::NonShrunken)),
+                    ("HUEM", DiscreteKernel::huem(eps, d, b)),
+                    ("b0", DiscreteKernel::dam(eps, d, 0, KernelKind::Shrunken)),
+                ] {
+                    let delta = k.offset_excess();
+                    assert!(delta.iter().all(|&x| x >= 0.0), "{name} eps {eps} d {d}: δ < 0");
+                    let total = delta.iter().sum::<f64>() + k.n_out() as f64 * k.q_hat();
+                    assert!((total - 1.0).abs() <= 1e-12, "{name} eps {eps} d {d}: {total}");
+                }
             }
         }
     }

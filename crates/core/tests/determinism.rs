@@ -47,7 +47,7 @@ fn estimate_is_bit_identical_for_any_thread_count_all_sam_variants() {
 /// sharded report pipeline, then EM on the spectral operator through
 /// `DamAggregator::estimate`. Moving it is a behaviour change of the
 /// one-shot path, not a refactor.
-const DAM_ESTIMATE_BITS: u64 = 0x9700_1124_bdb9_d553;
+const DAM_ESTIMATE_BITS: u64 = 0xba2e_c181_98aa_8ba1;
 
 #[test]
 fn dam_estimate_matches_pinned_bits() {

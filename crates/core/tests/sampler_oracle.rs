@@ -1,9 +1,11 @@
 //! Oracle suite for `GridAreaResponse`: the report sampler must make
-//! exactly the RNG draws of the direct rectangle-decomposition sampler and
-//! land in the same output cell, for every input cell of every shape
-//! below. The reference is deliberately the plain form — a `%`/`/` split
-//! of the alias pick and up to four far-field rectangles — so any later
-//! sampler change is checked against it rather than against itself.
+//! exactly the RNG draws of the direct mixture sampler and land in the
+//! same output cell, for every input cell of every shape below. The
+//! reference is deliberately the plain form — `AliasTable::sample` over
+//! the box excess `δ` then one floor outcome `q̂` per output cell, a box
+//! pick split by `%`/`/` and a floor pick taken as an absolute cell — so
+//! any later sampler change is checked against it rather than against
+//! itself.
 
 use dam_core::kernel::DiscreteKernel;
 use dam_core::response::GridAreaResponse;
@@ -16,9 +18,8 @@ use rand::{Rng, RngCore};
 /// Salt naming this suite's per-input-cell streams.
 const ORACLE_SALT: u64 = 0x0AC1_E5A3_B1E5_0017;
 
-/// The rectangle-decomposition sampler: one alias draw over the box
-/// offsets plus a far outcome, the offset split by `%`/`/`, and the far
-/// field drawn uniformly over up to four rectangles.
+/// The mixture sampler `M[o, i] = q̂ + δ(o − i)`: one alias draw over the
+/// box offsets weighted `δ` and the output cells weighted `q̂`.
 struct Reference {
     kernel: DiscreteKernel,
     alias: AliasTable,
@@ -26,11 +27,8 @@ struct Reference {
 
 impl Reference {
     fn new(kernel: DiscreteKernel) -> Self {
-        let box_cells = kernel.box_side() * kernel.box_side();
-        let far_cells = kernel.n_out() - box_cells;
-        let mut weights = Vec::with_capacity(box_cells + 1);
-        weights.extend_from_slice(kernel.offset_masses());
-        weights.push(far_cells as f64 * kernel.q_hat());
+        let mut weights = kernel.offset_excess();
+        weights.extend(std::iter::repeat_n(kernel.q_hat(), kernel.n_out()));
         let alias = AliasTable::new(&weights);
         Self { kernel, alias }
     }
@@ -38,77 +36,26 @@ impl Reference {
     fn respond(&self, input: CellIndex, rng: &mut (impl Rng + ?Sized)) -> CellIndex {
         let d = self.kernel.d();
         assert!(input.ix < d && input.iy < d, "input cell out of grid");
-        let b = self.kernel.b_hat();
         let side = self.kernel.box_side();
         let box_cells = side * side;
         let pick = self.alias.sample(rng);
         if pick < box_cells {
-            let dx = (pick % side) as i64 - b as i64;
-            let dy = (pick / side) as i64 - b as i64;
-            CellIndex::new(
-                (input.ix as i64 + b as i64 + dx) as u32,
-                (input.iy as i64 + b as i64 + dy) as u32,
-            )
+            // The box's lower-left corner sits at the input's own index
+            // in output coordinates.
+            CellIndex::new(input.ix + (pick % side) as u32, input.iy + (pick / side) as u32)
         } else {
-            self.sample_far(input, rng)
+            let out_d = self.kernel.out_d() as usize;
+            let cell = pick - box_cells;
+            CellIndex::new((cell % out_d) as u32, (cell / out_d) as u32)
         }
-    }
-
-    fn sample_far(&self, input: CellIndex, rng: &mut (impl Rng + ?Sized)) -> CellIndex {
-        let out_d = self.kernel.out_d() as u64;
-        // The box in output coordinates: [bx0, bx1] × [by0, by1].
-        let bx0 = input.ix as u64;
-        let bx1 = input.ix as u64 + 2 * self.kernel.b_hat() as u64;
-        let by0 = input.iy as u64;
-        let by1 = input.iy as u64 + 2 * self.kernel.b_hat() as u64;
-        debug_assert!(bx1 < out_d && by1 < out_d);
-
-        // (x0, x1, y0, y1) inclusive rectangles.
-        let mut rects: [(u64, u64, u64, u64); 4] = [(0, 0, 0, 0); 4];
-        let mut areas = [0u64; 4];
-        let mut n = 0;
-        if by0 > 0 {
-            rects[n] = (0, out_d - 1, 0, by0 - 1);
-            n += 1;
-        }
-        if by1 + 1 < out_d {
-            rects[n] = (0, out_d - 1, by1 + 1, out_d - 1);
-            n += 1;
-        }
-        if bx0 > 0 {
-            rects[n] = (0, bx0 - 1, by0, by1);
-            n += 1;
-        }
-        if bx1 + 1 < out_d {
-            rects[n] = (bx1 + 1, out_d - 1, by0, by1);
-            n += 1;
-        }
-        assert!(n > 0, "far-field sampling requires d >= 2 or was mis-weighted");
-        let mut total = 0u64;
-        for k in 0..n {
-            let (x0, x1, y0, y1) = rects[k];
-            areas[k] = (x1 - x0 + 1) * (y1 - y0 + 1);
-            total += areas[k];
-        }
-        let mut t = rng.gen_range(0..total);
-        for k in 0..n {
-            if t < areas[k] {
-                let (x0, x1, y0, _) = rects[k];
-                let w = x1 - x0 + 1;
-                return CellIndex::new((x0 + t % w) as u32, (y0 + t / w) as u32);
-            }
-            t -= areas[k];
-        }
-        unreachable!("rectangle areas summed to total");
     }
 }
 
-/// Every shape the suite covers, as `(name, variant, ε, d, b̂)`: no far
-/// field (d = 1), the smallest far field (d = 2), the randomized-response
-/// limit (b̂ = 0), the `ingest-1m` shape (d = 20, b̂ = 4), the `stream-fft`
-/// shape (d = 64, b̂ = 14), and the DAM-NS and HUEM kernels. Every d ≥ 3
-/// shape includes the inputs with a one-cell side strip (`ix = 1`,
-/// `ix = d − 2`).
+/// Every shape the suite covers, as `(name, variant, ε, d, b̂)`: a box
+/// that covers the whole output grid (d = 1), the smallest far field
+/// (d = 2), the randomized-response limit (b̂ = 0), the `ingest-1m` shape
+/// (d = 20, b̂ = 4), the `stream-fft` shape (d = 64, b̂ = 14), and the
+/// DAM-NS and HUEM kernels.
 const SHAPES: [(&str, SamVariant, f64, u32, u32); 7] = [
     ("d1", SamVariant::Dam, 1.0, 1, 3),
     ("d2", SamVariant::Dam, 0.5, 2, 1),
@@ -169,9 +116,8 @@ fn span_points(n: usize) -> Vec<Point> {
 }
 
 /// FNV-1a over the `report_batch` planes of every shape in
-/// [`sampler_matches_pinned_bits`], as the direct rectangle-decomposition
-/// sampler produces them.
-const SAMPLER_BITS: u64 = 0x5fe2_1ff7_d17b_3537;
+/// [`sampler_matches_pinned_bits`], as the mixture sampler produces them.
+const SAMPLER_BITS: u64 = 0x433f_cbc6_57dc_3697;
 
 /// Pins the whole report pipeline bit for bit: any change to which draw
 /// feeds which cell moves the hash.

@@ -27,7 +27,7 @@ impl AliasTable {
             weights.iter().all(|w| w.is_finite() && *w >= 0.0),
             "weights must be finite and non-negative"
         );
-        let total: f64 = weights.iter().sum();
+        let total = compensated_sum(weights);
         assert!(total > 0.0, "weights must not all be zero");
         let k = weights.len();
         let mut prob: Vec<f64> = weights.iter().map(|w| w * k as f64 / total).collect();
@@ -108,6 +108,21 @@ impl AliasTable {
     }
 }
 
+/// `Σ weights` with Neumaier's compensation, within about one rounding of
+/// the exact sum. The slots left over when the table is built are set to
+/// exactly 1, so they absorb whatever `k·Σw/total` misses `k` by: with a
+/// plain sum that miss grows with `k` (about `k·2⁻⁵³`), and all of it
+/// lands on one outcome, whose mass is only about `1/k`.
+fn compensated_sum(weights: &[f64]) -> f64 {
+    let (mut sum, mut lost) = (0.0f64, 0.0f64);
+    for &w in weights {
+        let t = sum + w;
+        lost += if sum.abs() >= w.abs() { (sum - t) + w } else { (w - t) + sum };
+        sum = t;
+    }
+    sum + lost
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,6 +145,28 @@ mod tests {
             assert!((got - expect).abs() < 0.005, "outcome {i}: {got} vs {expect}");
         }
         assert_eq!(counts[2], 0.0, "zero-weight outcome must never be drawn");
+    }
+
+    #[test]
+    fn every_outcome_keeps_its_weight_when_the_plain_sum_rounds() {
+        // A zero-weight outcome every third slot, the rest 0.1: the zeros
+        // alias into the 0.1s, and a plain sum of the 0.1s misses its
+        // exact value by far more than one rounding.
+        let weights: Vec<f64> = (0..3000).map(|i| if i % 3 == 0 { 0.0 } else { 0.1 }).collect();
+        let t = AliasTable::new(&weights);
+        let k = t.len() as f64;
+        let mut mass = vec![0.0f64; t.len()];
+        for i in 0..t.len() {
+            let (p, a) = t.slot(i);
+            mass[i] += p / k;
+            mass[a] += (1.0 - p) / k;
+        }
+        // 2000 outcomes of 0.1 make the total 200: each carries 1/2000.
+        let unit = 1.0 / 2000.0;
+        for (i, (&m, &w)) in mass.iter().zip(&weights).enumerate() {
+            let want = w / 0.1 * unit;
+            assert!((m - want).abs() <= 1e-13 * unit, "outcome {i}: {m:e} vs {want:e}");
+        }
     }
 
     #[test]

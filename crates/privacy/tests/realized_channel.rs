@@ -1,8 +1,9 @@
 //! Exact privacy audit of the report sampler as it runs, not of the
 //! analytic kernel it approximates (the numerical-verification approach of
 //! Han & Martínez). `GridAreaResponse::realized_masses` counts, exactly,
-//! how many of the 2⁶⁴ alias draws reach each outcome; those probabilities
-//! go through the same `ldp_audit` as the analytic kernels, over the
+//! how many of the 2⁶⁴ alias draws reach each outcome (a box offset or an
+//! output cell of the floor), and the channel `u[o] + δ[o − i]` they make
+//! goes through the same `ldp_audit` as the analytic kernels, over the
 //! paper's ε grid and three grid sizes, for DAM, DAM-NS and HUEM.
 
 use dam_core::grid::KernelKind;
@@ -29,24 +30,26 @@ fn realized_channel_passes_ldp_audit() {
                 ("DAM-NS", DiscreteKernel::dam(eps, d, b, KernelKind::NonShrunken)),
                 ("HUEM", DiscreteKernel::huem(eps, d, b)),
             ] {
-                let (box_mass, far_mass) = GridAreaResponse::new(kernel.clone()).realized_masses();
+                let (box_delta, floor) = GridAreaResponse::new(kernel.clone()).realized_masses();
                 let (dd, od, side) = (d as usize, kernel.out_d() as usize, kernel.box_side());
                 let cell = |o: usize, i: usize| {
                     let input = CellIndex::new((i % dd) as u32, (i / dd) as u32);
                     let out = CellIndex::new((o % od) as u32, (o / od) as u32);
                     (input, out)
                 };
+                // `u[o] + δ[o − i]`: the floor every output cell gets from
+                // any input, plus the box excess around the input.
                 let realized = |o: usize, i: usize| {
                     let (input, out) = cell(o, i);
                     let (dx, dy) = (out.ix.wrapping_sub(input.ix), out.iy.wrapping_sub(input.iy));
-                    if (dx as usize) < side && (dy as usize) < side {
-                        box_mass[dy as usize * side + dx as usize]
+                    let excess = if (dx as usize) < side && (dy as usize) < side {
+                        box_delta[dy as usize * side + dx as usize]
                     } else {
-                        far_mass
-                    }
+                        0.0
+                    };
+                    floor[o] + excess
                 };
-                let total =
-                    box_mass.iter().sum::<f64>() + far_mass * (od * od - side * side) as f64;
+                let total = box_delta.iter().sum::<f64>() + floor.iter().sum::<f64>();
                 assert!((total - 1.0).abs() < 1e-12, "{name} eps {eps} d {d}: total {total}");
 
                 let scale = kernel.offset_masses().iter().fold(kernel.q_hat(), |m, &x| m.max(x));

@@ -58,7 +58,7 @@ fn streaming_run_is_bit_identical_for_any_thread_count() {
 
 /// FNV-1a fold of the window chain below. Moving it is a behaviour
 /// change of the warm streaming path, not a refactor.
-const WARM_WINDOW_CHAIN_BITS: u64 = 0x2c54_a5f3_67b8_d3f6;
+const WARM_WINDOW_CHAIN_BITS: u64 = 0x6f87_a9cc_e56a_61f7;
 
 #[test]
 fn warm_window_chain_matches_pinned_bits() {

@@ -99,8 +99,9 @@ const RADIUS_SWEEP_B: [u32; 4] = [4, 8, 16, 32];
 /// Grid side of the radius sweep.
 const RADIUS_SWEEP_D: u32 = 64;
 /// Extra `(d, b̂)` shapes outside the sweep, those of the end-to-end
-/// benchmark's workloads: the 1M-users/epoch ones (serial n = 32 plans)
-/// and `stream-fft` (n = 96, split on a multi-core host).
+/// benchmark's workloads: the 1M-users/epoch ones (one-plane n = 32
+/// plans) and `stream-fft` (n = 96, one plane per core on a multi-core
+/// host).
 const WORKLOAD_SHAPES: [(u32, u32); 2] = [(20, 4), (64, 14)];
 
 /// Samples per `em_fft` row: 0.5 s (d = 20) to 5 s (d = 64, b̂ = 32) of

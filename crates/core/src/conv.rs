@@ -22,9 +22,9 @@
 //! That is O(n² log n) work per iteration and O(n²) storage instead of
 //! the dense operator's O(n_out·n_in) — at `d = 64, b̂ = 8` the dense
 //! matrix would be ~210 MB. It is the one production 2-D operator
-//! (`BENCH_em.json` records its cost across the d = 64 radius sweep). On
-//! grids split across cores one EM map — both convolutions and EM's
-//! per-cell sweep between them — is a single pool batch (see
+//! (`BENCH_em.json` records its cost across the d = 64 radius sweep).
+//! Every EM map — both convolutions and EM's per-cell sweep between them
+//! — is a single pool batch, on one plane or on one per core (see
 //! [`FftChannel`]).
 //!
 //! The dense [`Channel`](dam_fo::em::Channel) remains available as the
@@ -35,7 +35,7 @@
 
 use crate::fft::{spectrum_mul, spectrum_mul_conj, Fft2d};
 use crate::kernel::DiscreteKernel;
-use dam_fo::em::{em_step_in_sequence, sweep_cell, ChannelOp, EmWorkspace};
+use dam_fo::em::{sweep_cell, ChannelOp, EmWorkspace};
 
 /// The spectral [`ChannelOp`]: the `δ + far-field` decomposition of the
 /// [module docs](self), with the δ-convolutions evaluated in the frequency
@@ -52,17 +52,18 @@ use dam_fo::em::{em_step_in_sequence, sweep_cell, ChannelOp, EmWorkspace};
 ///   because `t + s ≤ d + 2b̂ - 1 < n` on both axes.
 ///
 /// The kernel spectrum is computed **once** here and reused by every EM
-/// iteration. Each primitive on its own is one [`Fft2d::convolve`]: it
-/// transforms, multiplies and inverts in place in one workspace plane — a
-/// single `n × (n + 2)` half-spectrum — so steady-state iterations
-/// allocate nothing. On a multi-core host with `n ≥`
-/// [`PARALLEL_FFT_MIN_SIDE`](crate::fft::PARALLEL_FFT_MIN_SIDE) that
-/// plane is cut into column-block planes, each primitive runs as one pool
-/// batch across the threads it was built for, and a whole EM map
-/// ([`ChannelOp::em_step`]) runs as one batch too, with EM's per-cell
-/// sweep in the E-step's read-back ([`Fft2d::convolve_then_correlate`]).
-/// Both give the bits of the serial path, where a map runs the two
-/// primitives in turn.
+/// iteration. Each primitive on its own is one [`Fft2d::convolve`] batch:
+/// it transforms, multiplies and inverts in place in one workspace plane
+/// — a single `n × (n + 2)` half-spectrum — so steady-state iterations
+/// allocate nothing. A whole EM map ([`ChannelOp::em_step`]) is one batch
+/// too, with EM's per-cell sweep in the E-step's read-back
+/// ([`Fft2d::convolve_then_correlate`]). Below
+/// [`PARALLEL_FFT_MIN_SIDE`](crate::fft::PARALLEL_FFT_MIN_SIDE), or on
+/// one thread, a batch runs on its caller with the workspace plane as its
+/// one column-block plane; on a multi-core host with a larger grid the
+/// plane is cut into one column-block plane per thread. Every plane count
+/// gives the bits of [`em_step_in_sequence`](dam_fo::em::em_step_in_sequence),
+/// which runs the two primitives in turn.
 #[derive(Debug, Clone)]
 pub struct FftChannel {
     /// Input grid side.
@@ -79,13 +80,14 @@ pub struct FftChannel {
 
 impl FftChannel {
     /// Builds the spectral operator for a kernel: extracts the δ stencil
-    /// and transforms it once. O(n² log n) setup. `threads` caps the
-    /// threads a split transform runs on (`None` = available
-    /// parallelism); `Some(1)` keeps every EM primitive serial.
+    /// and transforms it once. O(n² log n) setup. `threads` is the thread
+    /// count of the plan's batches (`None` = available parallelism): one
+    /// column-block plane each at padded sides of at least
+    /// [`PARALLEL_FFT_MIN_SIDE`](crate::fft::PARALLEL_FFT_MIN_SIDE), and
+    /// one plane on the caller below that or with `Some(1)`.
     pub fn new(kernel: &DiscreteKernel, threads: Option<usize>) -> Self {
-        let fft = Fft2d::new(kernel.out_d() as usize)
-            .with_threads(threads.unwrap_or_else(rayon::current_num_threads));
-        Self::with_plan(kernel, fft)
+        let threads = threads.unwrap_or_else(rayon::current_num_threads);
+        Self::with_plan(kernel, Fft2d::new(kernel.out_d() as usize, threads))
     }
 
     /// The operator on a given transform plan (one for `kernel.out_d()`).
@@ -166,14 +168,13 @@ impl ChannelOp for FftChannel {
         );
     }
 
-    /// On a split plan the whole map is one
-    /// [`Fft2d::convolve_then_correlate`] batch: the E-step's read-back
-    /// predicts each output row into `weights`, sweeps it
-    /// ([`sweep_cell`]) into the weight row and a row of log-likelihood
-    /// terms in `out`, and hands the weight row straight to the adjoint's
-    /// forward transform. The log-likelihood is the in-order sum of the
-    /// terms. Every value has the bits of [`em_step_in_sequence`], which
-    /// serial plans run.
+    /// The whole map is one [`Fft2d::convolve_then_correlate`] batch on
+    /// every plan: the E-step's read-back predicts each output cell and
+    /// sweeps it ([`sweep_cell`]) straight into its weight in `weights` and
+    /// its log-likelihood term in `out`, and hands the weight row to the
+    /// adjoint's forward transform. The log-likelihood is the in-order sum
+    /// of the terms. Every value has the bits of
+    /// [`em_step_in_sequence`](dam_fo::em::em_step_in_sequence).
     ///
     /// The NaN canary audits the weights and the terms as `"apply"` and
     /// `f_new` as `"adjoint"`, after the batch. An unobserved cell's
@@ -203,18 +204,15 @@ impl ChannelOp for FftChannel {
             out,
             out_d,
             |total, y, row, w_row, term_row| {
-                self.predict_row(total, row, w_row);
+                let far_term = self.far * total;
                 let c_row = &counts[y * out_d..(y + 1) * out_d];
-                for ((w, term), &c) in w_row.iter_mut().zip(term_row).zip(c_row) {
-                    (*w, *term) = sweep_cell(c, *w, n_total);
+                for (((w, term), &c), &conv) in w_row.iter_mut().zip(term_row).zip(c_row).zip(row) {
+                    (*w, *term) = sweep_cell(c, far_term + conv, n_total);
                 }
             },
             f_new,
             |total, y, row, new_row| self.update_row(f, total, y, row, new_row),
         );
-        let Some(ll) = ll else {
-            return em_step_in_sequence(self, f, counts, n_total, out, weights, f_new, ws);
-        };
         ws.audit_handoff("apply", weights);
         ws.audit_handoff("apply", out);
         ws.audit_handoff("adjoint", f_new);
@@ -226,7 +224,7 @@ impl ChannelOp for FftChannel {
 mod tests {
     use super::*;
     use crate::grid::KernelKind;
-    use dam_fo::em::{expectation_maximization, EmParams};
+    use dam_fo::em::{em_step_in_sequence, expectation_maximization, EmParams};
     use rand::{Rng, SeedableRng};
 
     /// Per-cell tolerance against the dense reference: one forward/inverse
@@ -329,13 +327,19 @@ mod tests {
     #[test]
     fn fft_em_step_matches_sequential_bits() {
         // The one-batch map against the trait's default body on the same
-        // split plan and on a serial one, over three chained maps with
-        // counts that hold zeros: the `stream-fft` shape (n = 96) and
-        // n = 128 on two to four threads, and uneven row blocks at n = 24
-        // and 72 (split below the size gate). Scratch starts as NaN, so
-        // a value the map failed to write would show.
+        // plan and on a one-plane one, over three chained maps with counts
+        // that hold zeros: one plane at n = 8, 12 and 32 (d = 5 at b̂ = 1
+        // and 2, whose row blocks fall past the grid, and the `ingest-1m`
+        // shape), even with two threads offered; the `stream-fft` shape
+        // (n = 96) and n = 128 on two to four planes; and uneven row
+        // blocks at n = 24 and 72 (split below the size gate). Scratch
+        // starts as NaN, so a value the map failed to write would show.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut cases = Vec::new();
+        for (d, b_hat, n) in [(5, 1, 8), (5, 2, 12), (20, 4, 32)] {
+            let kernel = DiscreteKernel::dam(3.0, d, b_hat, KernelKind::Shrunken);
+            cases.push((FftChannel::new(&kernel, Some(2)), n, kernel.clone()));
+        }
         for (d, b_hat, n) in [(64, 14, 96), (100, 14, 128)] {
             let kernel = DiscreteKernel::dam(3.0, d, b_hat, KernelKind::Shrunken);
             for threads in 2..=4 {
@@ -345,15 +349,13 @@ mod tests {
         for (d, b_hat, n) in [(13, 5, 24), (48, 12, 72)] {
             let kernel = DiscreteKernel::dam(3.0, d, b_hat, KernelKind::Shrunken);
             for threads in [2, 3] {
-                let plan = Fft2d::new(kernel.out_d() as usize).split_across(threads);
-                cases.push((FftChannel::with_plan(&kernel, plan), n, kernel.clone()));
+                let plan = FftChannel::with_plan(&kernel, Fft2d::split_across(n, threads));
+                cases.push((plan, n, kernel.clone()));
             }
         }
         for (split, n, kernel) in cases {
             assert_eq!(split.padded_n(), n);
-            assert!(split.fft.is_split(), "n {n}: the plan must be split");
             let serial = FftChannel::new(&kernel, Some(1));
-            assert!(!serial.fft.is_split());
             let (n_in, n_out) = (split.n_in(), split.n_out());
             let counts: Vec<f64> =
                 (0..n_out).map(|o| ((o * 7) % 13).saturating_sub(4) as f64).collect();

@@ -72,10 +72,10 @@ pub struct DamConfig {
     pub b_hat: Option<u32>,
     /// EM convergence knobs.
     pub em: EmParams,
-    /// Worker threads for the sharded report pipeline and the split
-    /// spectral EM (`None` = all cores). Any value yields bit-identical
-    /// output — shard layout, RNG streams and the split transform's
-    /// arithmetic are thread-count independent.
+    /// Worker threads for the sharded report pipeline and the spectral
+    /// EM's column-block planes (`None` = all cores). Any value yields
+    /// bit-identical output — shard layout, RNG streams and the
+    /// transform's arithmetic are thread-count independent.
     pub threads: Option<usize>,
 }
 
@@ -352,8 +352,8 @@ impl DamAggregator {
     }
 
     /// Runs PostProcess (plain EM on the kernel's spectral operator,
-    /// [`DiscreteKernel::fft_channel`], split across up to `threads`
-    /// threads; `None` = available parallelism) and returns the
+    /// [`DiscreteKernel::fft_channel`], on up to `threads` threads;
+    /// `None` = available parallelism) and returns the
     /// estimated distribution, bit-identical for any `threads`.
     pub fn estimate(&self, em: EmParams, threads: Option<usize>) -> Histogram2D {
         let channel = self.kernel.fft_channel(threads);

@@ -24,7 +24,7 @@
 //! and operation order of the stage-by-stage loop, and the same bits — a
 //! `#[cfg(test)]` copy of that loop pins them at every `2^a·3^b` length up
 //! to 384. One kernel, `CfftPlan::transform`, serves the row passes and
-//! the column passes of the serial and split paths.
+//! every plane's column pass.
 //!
 //! # Why 2·3 sides
 //!
@@ -57,25 +57,32 @@
 //!
 //! # Layout
 //!
-//! A spectrum is one row-major half-spectrum: `n` rows (column frequency
+//! A spectrum is a row-major half-spectrum: `n` rows (column frequency
 //! `ky`), each holding the `n/2 + 1` interleaved complex row frequencies
-//! `kx`, so `S[ky, kx]` lives at `spec[ky·(n + 2) + 2·kx]`. A row's real
-//! transform runs in place in its own row — the `n + 2` floats hold the
-//! `n` reals before and the half-spectrum after. The column pass runs
-//! each butterfly between two *whole rows*: one twiddle, then a
-//! contiguous sweep over the `n/2 + 1` column frequencies. One
-//! `n × (n + 2)` buffer is thus the only scratch a transform pair needs.
-//! (Plans split across threads cut the same floats into column-block
-//! planes; see [below](#two-cores-on-large-grids).)
+//! `kx`, so `S[ky, kx]` lives at `spec[ky·(n + 2) + 2·kx]`
+//! ([`Fft2d::forward`] writes it). A row's real transform runs in place in
+//! its own row — the `n + 2` floats hold the `n` reals before and the
+//! half-spectrum after. The column pass runs each butterfly between two
+//! *whole rows*: one twiddle, then a contiguous sweep over the `n/2 + 1`
+//! column frequencies. One `n × (n + 2)` buffer is thus the only scratch
+//! a transform pair needs.
 //!
-//! Rows that are all zero are never transformed ([`Fft2d::forward`]
-//! writes `+0.0` into them), and rows the caller never reads back are
-//! never inverted ([`Fft2d::inverse`] takes the row count). Every other
-//! element gets exactly the butterflies, twiddles and operation order of
-//! a transform of the whole padded grid. A transformed zero row would be
-//! zero too, up to the sign of some zero imaginary parts, and a zero's
-//! sign can only reach results that are themselves zero — so the EM
-//! estimates stay bit-identical (pinned by the `conv_equivalence` suite).
+//! A plan cuts that buffer, and its kernel spectrum, by column frequency
+//! into contiguous **column-block planes**: plane `p` holds all `n` rows
+//! of the frequencies `kx ∈ [c_p, c_{p+1})`, so the planes together are
+//! exactly the floats of the half-spectrum (no memory is added). Below
+//! [`PARALLEL_FFT_MIN_SIDE`], or on one thread, a plan has one plane,
+//! which *is* the row-major half-spectrum; otherwise it has one plane per
+//! thread ([`Fft2d::new`]).
+//!
+//! Rows that are all zero are never transformed (their spectrum rows are
+//! written `+0.0`), and rows the caller never reads back are never
+//! inverted. Every other element gets exactly the butterflies, twiddles
+//! and operation order of a transform of the whole padded grid. A
+//! transformed zero row would be zero too, up to the sign of some zero
+//! imaginary parts, and a zero's sign can only reach results that are
+//! themselves zero — so the EM estimates stay bit-identical (pinned by
+//! the `conv_equivalence` suite).
 //!
 //! # Padding scheme
 //!
@@ -89,89 +96,89 @@
 //! contaminates the cells that are read back — equivalence with the
 //! dense operator is exact up to roundoff (tested to ≤ 1e-9).
 //!
-//! # Two cores on large grids
+//! # One batch per convolution, on any number of planes
 //!
-//! A plan built [`Fft2d::with_threads`] on a grid of side at least
-//! [`PARALLEL_FFT_MIN_SIDE`] runs each [`Fft2d::convolve`] as one
-//! [`rayon::pool::run_phases`] batch. Its spectrum is cut by column
-//! frequency into one contiguous **column-block plane** per thread: plane
-//! `p` holds all `n` rows of the frequencies `kx ∈ [c_p, c_{p+1})`, so the
-//! planes together are exactly the floats of the row-major half-spectrum
-//! (no memory is added), and the cached kernel spectrum is laid out the
-//! same way. The batch has three phases:
+//! Every [`Fft2d::convolve`] is one [`rayon::pool::run_phases`] batch of
+//! three phases:
 //!
-//! 1. forward row transforms over row blocks, each transformed row written
-//!    into every plane — plus, as the first unit, the sum of the source
-//!    that the far-field term needs (a serial add chain that the other
-//!    thread's row transforms overlap);
+//! 1. forward row transforms, each transformed row written into every
+//!    plane and the rows past the source zeroed — the first unit also sums
+//!    the source for the far-field term (a serial add chain that the other
+//!    threads' row units overlap);
 //! 2. per plane, the forward column pass, the kernel product and the
 //!    inverse column pass — columns are independent, so these need no
 //!    barrier between them;
 //! 3. inverse row transforms of only the rows read back, each finished
 //!    straight into the caller's output.
 //!
+//! With one plane the batch runs on its caller, each row phase is a single
+//! unit, and each row is transformed in place in the plane: the row-major
+//! transform pair of the layout above. With several, each row phase has
+//! one unit per row block (`n / ROW_BLOCKS` rows, rounded per block when
+//! 16 does not divide `n`), which gathers each row from the planes into
+//! row scratch and scatters it back.
+//!
 //! An EM map's two convolutions run as **one** batch of five phases,
-//! [`Fft2d::convolve_then_correlate`]: the first two phases above; then,
-//! per row block, the E-step's inverse rows, the caller's per-row stop
-//! (EM's weights and log-likelihood terms) and the forward transform of
-//! each weight row straight back into the spectrum rows it was read from;
-//! then the adjoint's plane pass with the conjugate spectrum, next to the
-//! in-order sum of the weights; and last the adjoint's inverse rows, next
-//! to the in-order sum of the terms. The row and plane units are the
-//! ones `convolve` runs. One pool handoff thus serves a whole map, and
-//! the per-cell `ln` and divisions between the two convolutions, which
-//! ran on one core while the pool helper parked, are split across the
+//! [`Fft2d::convolve_then_correlate`]: the first two phases above; then
+//! the E-step's inverse rows, the caller's per-row stop (EM's weights and
+//! log-likelihood terms) and the forward transform of each weight row
+//! straight back into the spectrum row it was read from; then the
+//! adjoint's plane pass with the conjugate spectrum, next to the in-order
+//! sums of the weights and of the terms; and last the adjoint's inverse
+//! rows. The row and plane units are the ones `convolve` runs. One pool
+//! handoff thus serves a whole map, and on several planes the per-cell
+//! `ln` and divisions between the two convolutions are split across the
 //! row blocks.
 //!
 //! The column pass inside a plane is the whole-row butterfly above, on a
-//! narrower row, so every element still gets the same butterflies,
-//! twiddles, product and operation order: split and serial plans give the
-//! same bits (`split_convolution_matches_serial_bits` below, and the
-//! pinned `conv_equivalence` constants, which CI checks both on two cores
-//! and under `taskset -c 0`). A row unit keeps its row scratch on its own
-//! stack. Two other layouts measured slower: splitting the column pass by
-//! column ranges inside shared rows ran ~3× slower per element on both
-//! threads in a prototype (coherence traffic the prefetchers drive across
-//! the range boundary), and scratch rows packed side by side in one shared buffer
+//! narrower row, so every element gets the same butterflies, twiddles,
+//! product and operation order whatever the plane count: every plan gives
+//! the bits of the row-major reference
+//! (`planes_match_row_major_reference_bits` below, and the pinned
+//! `conv_equivalence` constants, which CI checks both on two cores and
+//! under `taskset -c 0`). Two other multi-plane
+//! layouts measured slower: splitting the column pass by column ranges
+//! inside shared rows ran ~3× slower per element on both threads in a
+//! prototype (coherence traffic the prefetchers drive across the range
+//! boundary), and scratch rows packed side by side in one shared buffer
 //! cost the row phases ~1.7× per element.
 //!
 //! The two convolutions of one EM iteration (apply + adjoint) on a
-//! 2-vCPU x86-64 host, serial vs split, medians of finely interleaved
-//! samples: 66.2 vs 90.0 µs at n = 48 (d = 32, b̂ = 8), 165.4 vs 171.7 µs
-//! at n = 72 (d = 48, b̂ = 12), 308.6 vs 250.4 µs at n = 96 (d = 64,
-//! b̂ = 14) and 639.1 vs 435.6 µs at n = 128 (d = 100, b̂ = 14); the
-//! threshold's docs list the spread across rounds. Row blocks hold
-//! `n / ROW_BLOCKS` rows, rounded per block when 16 does not divide `n`.
-//! Below the crossover the serial path runs as before.
+//! 2-vCPU x86-64 host, the former row-major path vs two planes, medians
+//! of finely interleaved samples: 66.2 vs 90.0 µs at n = 48 (d = 32,
+//! b̂ = 8), 165.4 vs 171.7 µs at n = 72 (d = 48, b̂ = 12), 308.6 vs
+//! 250.4 µs at n = 96 (d = 64, b̂ = 14) and 639.1 vs 435.6 µs at n = 128
+//! (d = 100, b̂ = 14); the threshold's docs list the spread across rounds.
 //!
 //! An earlier measurement had put the row passes on the pool and found
 //! them slower (603 vs 431 µs per iteration at n = 128). It was
 //! confounded: each `pool::run(.., None, ..)` asks
 //! [`rayon::current_num_threads`], and that `available_parallelism` call
 //! reads cgroup files — 21.7 µs per call on that host, about eight calls
-//! per iteration, the whole gap. Split plans resolve their thread count
-//! once, when they are built.
+//! per iteration, the whole gap. Plans resolve their thread count once,
+//! when they are built.
 
-use rayon::pool::{Lease, Tiles};
+use rayon::pool::Tiles;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Smallest padded side `n` at which a spectral convolution
-/// ([`Fft2d::convolve`]) splits across threads.
+/// Smallest padded side `n` at which a plan ([`Fft2d::new`]) has one
+/// column-block plane per thread; smaller grids keep one plane.
 ///
 /// Measured on a 2-vCPU x86-64 host, the two convolutions of one EM
-/// iteration (apply + adjoint), serial time over split time (two
-/// column-block planes), medians of 600 finely interleaved samples in
-/// each of six rounds, with the fused two-stage FFT passes: 0.56–1.08×
+/// iteration (apply + adjoint), time on the former row-major path over
+/// time on two column-block planes, medians of 600 finely interleaved
+/// samples in each of six rounds, with the fused two-stage FFT passes: 0.56–1.08×
 /// at n = 48 (d = 32, b̂ = 8), 0.77–1.14× at n = 72 (d = 48, b̂ = 12),
 /// 0.92–1.32× at n = 96 (d = 64, b̂ = 14) and 1.41–1.56× at n = 128
 /// (d = 100, b̂ = 14). In the `stream-fft` benchmark (n = 96) a plan kept
-/// serial there read `epoch_ms_p50` 1.06× the split one (four
-/// alternating pairs, split faster in three). Before the fusion the split
-/// read 1.06–1.15× at n = 96 and cut traced `em.us_per_iter` from
+/// row-major there read `epoch_ms_p50` 1.06× the two-plane one (four
+/// alternating pairs, two planes faster in three). Before the fusion two
+/// planes read 1.06–1.15× at n = 96 and cut traced `em.us_per_iter` from
 /// 365–430 µs to 329–334 µs; earlier, on the radix-2 grids: 0.56× at
 /// n = 32, ~1.0× at n = 64, 1.44× at n = 128.
 /// The `ingest-1m` and `durable-cluster` shapes (d = 20, n = 32)
-/// therefore stay serial, and `stream-fft` splits.
+/// therefore keep one plane, and `stream-fft` has one per thread.
 pub const PARALLEL_FFT_MIN_SIDE: usize = 96;
 
 /// Smallest even `2^a·3^b` ≥ `n`, clamped to at least 2 (the real-FFT
@@ -510,32 +517,20 @@ fn butterfly3(
     ((a.0 + sr, a.1 + si), (mr + di, mi - dr), (mr - di, mi + dr))
 }
 
-/// Row blocks a split convolution cuts the grid into: the units of its
-/// row phases, and of each plane's tiles. Sixteen measured faster than
+/// Row blocks a plan cuts the grid into: the tiles of each plane, and the
+/// units of a multi-plane batch's row phases. Sixteen measured faster than
 /// eight at n = 128: the helper thread wakes after the caller has started,
-/// and smaller units still leave it half of each row phase.
+/// and smaller units still leave it half of each row phase. Below n = 16
+/// some blocks hold no row.
 const ROW_BLOCKS: usize = 16;
 
-/// Floats of row scratch a split convolution's row units keep on the
-/// stack (rows of grids up to `n = 1024`).
-const STACK_ROW: usize = 1026;
-
-/// Runs `f` on `len` floats of row scratch: on the stack up to
-/// [`STACK_ROW`] floats, so it stays in the running core's cache and
-/// shares no cache line with another thread's row.
-fn with_row_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    if len <= STACK_ROW {
-        f(&mut [0.0; STACK_ROW][..len])
-    } else {
-        f(&mut vec![0.0; len])
-    }
-}
-
-/// The column-block plane layout of a convolution split across threads
-/// (see the [module docs](self)).
+/// The column-block plane layout of a plan's batches (see the
+/// [module docs](self)): one plane, which is the row-major half-spectrum,
+/// or one per thread.
 #[derive(Debug, Clone)]
 struct PlaneSplit {
-    /// Threads a convolution runs on, resolved when the plan was built.
+    /// Threads a batch runs on, resolved when the plan was built: 1 with
+    /// one plane, whose batches run on their caller alone.
     threads: usize,
     /// Complex column bounds: plane `p` holds the frequencies
     /// `cols[p]..cols[p + 1]` of every row.
@@ -549,7 +544,10 @@ struct PlaneSplit {
 }
 
 impl PlaneSplit {
+    /// One plane per thread, at most one per `ROW_BLOCKS` tiles of a
+    /// [`Tiles`] and one per column.
     fn new(n: usize, threads: usize) -> Self {
+        let threads = threads.max(1);
         let cols_n = n / 2 + 1;
         let planes = threads.min(rayon::pool::MAX_TILES / ROW_BLOCKS).min(cols_n);
         let cols: Vec<usize> = (0..=planes).map(|p| p * cols_n / planes).collect();
@@ -568,18 +566,36 @@ impl PlaneSplit {
 
     /// Float range of plane `p`'s rows within a row: its slice of every
     /// row-major spectrum row.
-    fn row_span(&self, p: usize) -> std::ops::Range<usize> {
+    fn row_span(&self, p: usize) -> Range<usize> {
         2 * self.cols[p]..2 * self.cols[p + 1]
     }
 
-    /// Spectrum tile of row block `b` of plane `p`.
-    fn tile(b: usize, p: usize) -> usize {
-        p * ROW_BLOCKS + b
+    /// Spectrum tiles of row blocks `blocks` of plane `p`: one slice of
+    /// its rows.
+    fn tiles_of(blocks: &Range<usize>, p: usize) -> Range<usize> {
+        p * ROW_BLOCKS + blocks.start..p * ROW_BLOCKS + blocks.end
     }
 
-    /// The spectrum tiles of row block `b`, one per plane.
-    fn block_tiles(&self, b: usize) -> impl Iterator<Item = usize> {
-        (0..self.planes()).map(move |p| Self::tile(b, p))
+    /// Units of a row phase that reads the first `rows` rows: with one
+    /// plane, whose rows are transformed in place, one for them all; with
+    /// several, whose rows pass through row scratch, one per row block
+    /// that holds any of them.
+    fn row_units(&self, rows: usize) -> usize {
+        let blocks = self.rows[..ROW_BLOCKS].iter().filter(|&&y| y < rows).count();
+        if self.planes() == 1 {
+            blocks.min(1)
+        } else {
+            blocks
+        }
+    }
+
+    /// Row blocks of row unit `u`.
+    fn unit_blocks(&self, u: usize) -> Range<usize> {
+        if self.planes() == 1 {
+            0..ROW_BLOCKS
+        } else {
+            u..u + 1
+        }
     }
 
     /// Bounds that cut a row-major field of `rows` rows of `d` values into
@@ -587,46 +603,15 @@ impl PlaneSplit {
     fn field_bounds(&self, rows: usize, d: usize) -> [usize; ROW_BLOCKS + 1] {
         self.rows.map(|y| y.min(rows) * d)
     }
-
-    /// How many row blocks hold any of the first `rows` rows.
-    fn blocks_below(&self, rows: usize) -> usize {
-        self.rows[..ROW_BLOCKS].iter().filter(|&&y| y < rows).count()
-    }
-
-    /// Copies spectrum row `r` of row block `b` out of the planes into the
-    /// row-major `row`.
-    fn gather(&self, planes: &mut Lease<'_, '_, f64>, b: usize, r: usize, row: &mut [f64]) {
-        for p in 0..self.planes() {
-            let span = self.row_span(p);
-            let t = Self::tile(b, p);
-            row[span.clone()]
-                .copy_from_slice(&planes.get(t..t + 1)[r * span.len()..][..span.len()]);
-        }
-    }
-
-    /// Writes the row-major spectrum `row` (zeros on `None`) into row `r`
-    /// of row block `b` of every plane.
-    fn scatter(&self, planes: &mut Lease<'_, '_, f64>, b: usize, r: usize, row: Option<&[f64]>) {
-        for p in 0..self.planes() {
-            let span = self.row_span(p);
-            let t = Self::tile(b, p);
-            let out = &mut planes.get(t..t + 1)[r * span.len()..][..span.len()];
-            match row {
-                Some(row) => out.copy_from_slice(&row[span]),
-                None => out.fill(0.0),
-            }
-        }
-    }
 }
 
 /// A reusable plan for real 2-D FFTs on an `n × n` grid, `n` an even
 /// `2^a·3^b`.
 ///
-/// Spectra use the row-major half-spectrum layout described in the
+/// [`Fft2d::forward`] writes the row-major half-spectrum of the
 /// [module docs](self): `n` rows of `n/2 + 1` interleaved complex values.
-/// A plan built [`Fft2d::with_threads`] on a large enough grid keeps its
-/// kernel spectra and [`Fft2d::convolve`] scratch in column-block planes
-/// instead.
+/// Kernel spectra and the scratch of [`Fft2d::convolve`] are kept in the
+/// plan's column-block planes, which with one plane is that same layout.
 #[derive(Debug, Clone)]
 pub struct Fft2d {
     n: usize,
@@ -637,17 +622,25 @@ pub struct Fft2d {
     halfplan: CfftPlan,
     /// Untangle twiddles `e^{-2πik/n}` for `k ∈ [0, n/2]`, interleaved.
     unt: Vec<f64>,
-    /// Plane layout of the split batches ([`Fft2d::convolve`],
-    /// [`Fft2d::convolve_then_correlate`]); `None` runs `convolve`
-    /// serially in the row-major layout.
-    split: Option<PlaneSplit>,
+    /// Plane layout of the batches ([`Fft2d::convolve`],
+    /// [`Fft2d::convolve_then_correlate`]).
+    split: PlaneSplit,
 }
 
 impl Fft2d {
     /// Plans transforms for the smallest grid with an even `2^a·3^b` side
-    /// ≥ `min_side` ([`next_fft_side`]).
-    pub fn new(min_side: usize) -> Self {
+    /// ≥ `min_side` ([`next_fft_side`]). Its batches cut the spectrum
+    /// into one column-block plane per thread of `threads` when that side
+    /// is at least [`PARALLEL_FFT_MIN_SIDE`], and run on one plane on
+    /// their caller otherwise, or when `threads` is 1.
+    pub fn new(min_side: usize, threads: usize) -> Self {
         let n = next_fft_side(min_side);
+        Self::split_across(n, if n >= PARALLEL_FFT_MIN_SIDE { threads } else { 1 })
+    }
+
+    /// [`Self::new`] on the even `2^a·3^b` side `n`, without the size
+    /// gate: one plane per thread at any size.
+    pub(crate) fn split_across(n: usize, threads: usize) -> Self {
         let half = n / 2;
         let mut unt = Vec::with_capacity(2 * (half + 1));
         for k in 0..=half {
@@ -655,34 +648,8 @@ impl Fft2d {
             unt.push(angle.cos());
             unt.push(angle.sin());
         }
-        Self { n, half, full: CfftPlan::new(n), halfplan: CfftPlan::new(half), unt, split: None }
-    }
-
-    /// The same plan, with [`Self::convolve`] and
-    /// [`Self::convolve_then_correlate`] split across `threads` cores when
-    /// the grid is at least [`PARALLEL_FFT_MIN_SIDE`] on a side; smaller
-    /// grids, or one thread, keep the serial path.
-    pub fn with_threads(self, threads: usize) -> Self {
-        if threads > 1 && self.n >= PARALLEL_FFT_MIN_SIDE {
-            self.split_across(threads)
-        } else {
-            self
-        }
-    }
-
-    /// [`Self::with_threads`] without the size gate (at least
-    /// `ROW_BLOCKS` rows, so every row block holds one).
-    pub(crate) fn split_across(mut self, threads: usize) -> Self {
-        if threads > 1 && self.n >= ROW_BLOCKS {
-            self.split = Some(PlaneSplit::new(self.n, threads));
-        }
-        self
-    }
-
-    /// Whether [`Self::convolve`] runs split across threads.
-    #[cfg(test)]
-    pub(crate) fn is_split(&self) -> bool {
-        self.split.is_some()
+        let split = PlaneSplit::new(n, threads);
+        Self { n, half, full: CfftPlan::new(n), halfplan: CfftPlan::new(half), unt, split }
     }
 
     /// Padded grid side.
@@ -810,29 +777,16 @@ impl Fft2d {
         }
     }
 
-    /// Inverse of [`Self::forward`], in place: runs the column pass over
-    /// all of `spec`, then inverts and scales only its first `rows` rows
-    /// and returns them, `n` reals each. The other rows are left as
-    /// column-pass intermediates.
-    pub fn inverse<'s>(&self, spec: &'s mut [f64], rows: usize) -> impl Iterator<Item = &'s [f64]> {
-        let (n, rw) = (self.n, 2 * (self.half + 1));
-        debug_assert_eq!(spec.len(), self.spectrum_len());
-        self.full.transform(spec, rw, true);
-        for row in spec.chunks_exact_mut(rw).take(rows) {
-            self.inverse_row(row);
-        }
-        let spec: &'s [f64] = spec;
-        spec.chunks_exact(rw).take(rows).map(move |row| &row[..n])
-    }
-
     /// The spectrum of the zero-padded field `src` (as for
-    /// [`Self::forward`]) in the layout [`Self::convolve`] multiplies by:
-    /// row-major, or column-block planes when the plan is split.
+    /// [`Self::forward`]) in the plane layout [`Self::convolve`]
+    /// multiplies by.
     pub fn kernel_spectrum(&self, src: &[f64], src_d: usize) -> Vec<f64> {
         let mut spec = vec![0.0; self.spectrum_len()];
         self.forward(src, src_d, &mut spec);
-        let Some(split) = &self.split else { return spec };
-        let rw = 2 * (self.half + 1);
+        let (split, rw) = (&self.split, 2 * (self.half + 1));
+        if split.planes() == 1 {
+            return spec;
+        }
         (0..split.planes())
             .flat_map(|p| spec.chunks_exact(rw).flat_map(move |row| &row[split.row_span(p)]))
             .copied()
@@ -849,13 +803,13 @@ impl Fft2d {
     /// order), result row `y` (`n` reals) and row `y` of `dst` (`dst_d`
     /// values). `spec` is [`Self::spectrum_len`] floats of scratch.
     ///
-    /// On a split plan this is one [`rayon::pool::run_phases`] batch of
-    /// three phases: forward row transforms of row blocks, written into
-    /// the planes, with the sum of `src` as one more unit; per plane, the
-    /// forward column pass, the product and the inverse column pass;
-    /// inverse row transforms of the row blocks read back, each finished
-    /// into `dst`. Every element gets the butterflies, twiddles and
-    /// operation order of the serial path, so the two give the same bits.
+    /// This is one [`rayon::pool::run_phases`] batch of three phases:
+    /// forward row transforms, written into the planes, with the sum of
+    /// `src` as one more unit; per plane, the forward column pass, the
+    /// product and the inverse column pass; inverse row transforms of the
+    /// rows read back, each finished into `dst`. Every element gets the
+    /// butterflies, twiddles and operation order of a row-major transform
+    /// of the whole padded grid, so every plane count gives the same bits.
     #[allow(
         clippy::too_many_arguments,
         reason = "source, kernel spectrum, scratch and destination are caller-owned buffers the EM step reuses; a struct would only rename them"
@@ -877,40 +831,26 @@ impl Fft2d {
         debug_assert_eq!(kspec.len(), self.spectrum_len());
         debug_assert!(dst.len().is_multiple_of(dst_d));
         let rows = dst.len() / dst_d;
-        let Some(split) = &self.split else {
-            let total = src.iter().sum();
-            self.forward(src, src_d, spec);
-            product(spec, kspec);
-            for (y, (row, dst_row)) in
-                self.inverse(spec, rows).zip(dst.chunks_exact_mut(dst_d)).enumerate()
-            {
-                finish(total, y, row, dst_row);
-            }
-            return;
-        };
         debug_assert!(src.len() / src_d <= self.n && rows <= self.n);
-        let batch = SplitBatch { fft: self, split, spec: Tiles::new(spec, &split.tiles) };
+        let split = &self.split;
+        let batch = Batch { fft: self, split, spec: Tiles::new(spec, &split.tiles) };
         let dst_bounds = split.field_bounds(rows, dst_d);
         let dst = Tiles::new(dst, &dst_bounds);
         // `Σ src` as f64 bits: stored in phase 0, read after its barrier.
         let total = AtomicU64::new(0);
-        let units = [1 + ROW_BLOCKS, split.planes(), split.blocks_below(rows)];
-        rayon::pool::run_phases(&units, Some(split.threads), |phase, unit| match (phase, unit) {
-            // The source sum, first: a serial add chain that the other
-            // thread's row transforms overlap.
-            (0, 0) => store_sum(&total, src),
-            (0, _) => batch.forward_block(unit - 1, src, src_d),
-            (1, _) => batch.plane_pass(unit, kspec, product),
-            _ => batch.inverse_block(unit, &dst, dst_d, load_sum(&total), &finish),
+        let units = [split.row_units(self.n), split.planes(), split.row_units(rows)];
+        rayon::pool::run_phases(&units, Some(split.threads), |phase, unit| match phase {
+            0 => batch.forward_rows(unit, src, src_d, &total),
+            1 => batch.plane_pass(unit, kspec, product),
+            _ => batch.inverse_rows(unit, &dst, dst_d, load_sum(&total), &finish),
         });
     }
 
-    /// An EM map's two convolutions with one kernel as **one** pool batch
-    /// on a split plan: the convolution of the zero-padded field `src`
-    /// (`src_d` wide), a stop in its read-back, and the correlation
-    /// (through the conjugate of `kspec`) of the field that stop writes,
-    /// read back onto the source grid. Returns `None`, touching nothing, on
-    /// a serial plan.
+    /// An EM map's two convolutions with one kernel as **one** pool batch:
+    /// the convolution of the zero-padded field `src` (`src_d` wide), a
+    /// stop in its read-back, and the correlation (through the conjugate
+    /// of `kspec`) of the field that stop writes, read back onto the
+    /// source grid.
     ///
     /// The first `mid.len() / mid_d` rows of the convolution are read
     /// back: `middle(total, y, row, mid_row, side_row)` gets
@@ -923,16 +863,14 @@ impl Fft2d {
     /// The batch has five phases, so one pool handoff serves what two
     /// [`Self::convolve`] calls and a serial stop between them would:
     ///
-    /// 0. forward row transforms of `src`, plus the `Σ src` unit;
+    /// 0. forward row transforms of `src`, the first unit summing `src`;
     /// 1. per plane: column pass, × `kspec`, inverse column pass;
-    /// 2. per row block: the inverse row transforms of the rows read back,
-    ///    `middle` on each, and the forward transform of each `mid` row
-    ///    back into the spectrum rows it was read from (rows past `mid`
-    ///    are zeroed);
+    /// 2. the inverse row transforms of the rows read back, `middle` on
+    ///    each, and the forward transform of each `mid` row back into the
+    ///    spectrum row it was read from (rows past `mid` are zeroed);
     /// 3. per plane: column pass, × `conj(kspec)`, inverse column pass,
-    ///    plus the `Σ mid` unit;
-    /// 4. the inverse row transforms read back into `dst`, plus the
-    ///    `Σ side` unit.
+    ///    plus one unit that sums `mid` and `side`;
+    /// 4. the inverse row transforms read back into `dst`.
     ///
     /// Phases 0 and 1, and 3 and 4, run the units of [`Self::convolve`],
     /// and phase 2 does to each row what the read-back of one and the
@@ -954,19 +892,19 @@ impl Fft2d {
         middle: M,
         dst: &mut [f64],
         finish: F,
-    ) -> Option<f64>
+    ) -> f64
     where
         M: Fn(f64, usize, &[f64], &mut [f64], &mut [f64]) + Sync,
         F: Fn(f64, usize, &[f64], &mut [f64]) + Sync,
     {
-        let split = self.split.as_ref()?;
         debug_assert_eq!(spec.len(), self.spectrum_len());
         debug_assert_eq!(kspec.len(), self.spectrum_len());
         debug_assert!(mid.len().is_multiple_of(mid_d) && side.len() == mid.len());
         debug_assert!(dst.len().is_multiple_of(src_d));
         let (mid_rows, rows) = (mid.len() / mid_d, dst.len() / src_d);
         debug_assert!(src.len() / src_d <= self.n && mid_rows <= self.n && rows <= self.n);
-        let batch = SplitBatch { fft: self, split, spec: Tiles::new(spec, &split.tiles) };
+        let split = &self.split;
+        let batch = Batch { fft: self, split, spec: Tiles::new(spec, &split.tiles) };
         let mid_bounds = split.field_bounds(mid_rows, mid_d);
         let mid = Tiles::new(mid, &mid_bounds);
         let side = Tiles::new(side, &mid_bounds);
@@ -975,56 +913,112 @@ impl Fft2d {
         // `Σ src`, `Σ mid` and `Σ side` as f64 bits, each stored in the
         // phase before it is read.
         let totals: [AtomicU64; 3] = Default::default();
-        let planes = split.planes();
-        let units = [1 + ROW_BLOCKS, planes, ROW_BLOCKS, 1 + planes, 1 + split.blocks_below(rows)];
+        let (planes, row_units) = (split.planes(), split.row_units(self.n));
+        let units = [row_units, planes, row_units, 1 + planes, split.row_units(rows)];
         rayon::pool::run_phases(&units, Some(split.threads), |phase, unit| match (phase, unit) {
-            (0, 0) => store_sum(&totals[0], src),
-            (0, _) => batch.forward_block(unit - 1, src, src_d),
+            (0, _) => batch.forward_rows(unit, src, src_d, &totals[0]),
             (1, _) => batch.plane_pass(unit, kspec, spectrum_mul),
-            (2, _) => batch.turn_block(unit, [&mid, &side], mid_d, load_sum(&totals[0]), &middle),
-            // The sums run first in their phases: serial add chains that
-            // the other thread's plane or row units overlap.
-            (3, 0) => store_sum(&totals[1], mid.lease(0..ROW_BLOCKS).get(0..ROW_BLOCKS)),
+            (2, _) => batch.turn_rows(unit, [&mid, &side], mid_d, load_sum(&totals[0]), &middle),
+            // Both sums, first in their phase: the other thread's plane
+            // units overlap them.
+            (3, 0) => {
+                let (mut mid, mut side) = (mid.lease(0..ROW_BLOCKS), side.lease(0..ROW_BLOCKS));
+                store_sums(&totals[1..], mid.get(0..ROW_BLOCKS), side.get(0..ROW_BLOCKS));
+            }
             (3, _) => batch.plane_pass(unit - 1, kspec, spectrum_mul_conj),
-            (4, 0) => store_sum(&totals[2], side.lease(0..ROW_BLOCKS).get(0..ROW_BLOCKS)),
-            _ => batch.inverse_block(unit - 1, &dst, src_d, load_sum(&totals[1]), &finish),
+            _ => batch.inverse_rows(unit, &dst, src_d, load_sum(&totals[1]), &finish),
         });
-        Some(load_sum(&totals[2]))
+        load_sum(&totals[2])
     }
 }
 
-/// What every unit of one split batch shares: the plan, its plane layout
-/// and the spectrum cut into tiles. Its methods are the units, so
+/// How a row phase uses the spectrum rows it visits: forward transforms
+/// write them, inverse transforms read them, EM's turn does both.
+#[derive(Clone, Copy, PartialEq)]
+enum RowIo {
+    Write,
+    Read,
+    ReadWrite,
+}
+
+/// What every unit of one batch shares: the plan, its plane layout and
+/// the spectrum cut into tiles. Its methods are the units, so
 /// [`Fft2d::convolve`] and [`Fft2d::convolve_then_correlate`] run one
 /// copy of each.
-struct SplitBatch<'a> {
+struct Batch<'a> {
     fft: &'a Fft2d,
     split: &'a PlaneSplit,
     spec: Tiles<'a, f64>,
 }
 
-impl SplitBatch<'_> {
-    /// Forward row transforms of row block `b` of the zero-padded field
-    /// `src`, each row written into every plane; rows past the source
-    /// are zero.
-    fn forward_block(&self, b: usize, src: &[f64], src_d: usize) {
-        let (fft, split) = (self.fft, self.split);
-        with_row_scratch(2 * (fft.half + 1), |row| {
-            let mut planes_out = self.spec.lease(split.block_tiles(b));
-            for (r, y) in (split.rows[b]..split.rows[b + 1]).enumerate() {
-                let src_row = src.get(y * src_d..(y + 1) * src_d);
-                if let Some(src_row) = src_row {
-                    fft.forward_row(src_row, row);
-                }
-                split.scatter(&mut planes_out, b, r, src_row.map(|_| &row[..]));
+impl Batch<'_> {
+    /// Runs `f(y, row)` on row unit `u`'s spectrum rows `y < rows`, `row`
+    /// holding row `y`'s `n + 2` floats, and when `io` writes the spectrum
+    /// zeroes the unit's rows past them. With one plane `row` is the
+    /// spectrum row itself. With several it is the unit's row scratch,
+    /// gathered from the planes first and scattered back into them after,
+    /// as `io` says.
+    #[inline(always)]
+    fn each_row(&self, u: usize, rows: usize, io: RowIo, mut f: impl FnMut(usize, &mut [f64])) {
+        let split = self.split;
+        let blocks = split.unit_blocks(u);
+        let tiles = |p| PlaneSplit::tiles_of(&blocks, p);
+        let mut planes = self.spec.lease((0..split.planes()).flat_map(tiles));
+        let (top, bottom) = (split.rows[blocks.start], split.rows[blocks.end]);
+        let (end, rw) = (rows.clamp(top, bottom), 2 * (self.fft.half + 1));
+        let zeroed = end..if io == RowIo::Read { end } else { bottom };
+        if split.planes() == 1 {
+            let (visit, rest) = planes.get(tiles(0)).split_at_mut((end - top) * rw);
+            for (k, row) in visit.chunks_exact_mut(rw).enumerate() {
+                f(top + k, row);
             }
+            rest[..zeroed.len() * rw].fill(0.0);
+            return;
+        }
+        // Row scratch zeroed to the row's length only (a stack array sized
+        // for the largest row zeroed 8 KB per unit).
+        let mut row = vec![0.0; rw];
+        for y in top..end {
+            if io != RowIo::Write {
+                for p in 0..split.planes() {
+                    let span = split.row_span(p);
+                    let width = span.len();
+                    row[span].copy_from_slice(&planes.get(tiles(p))[(y - top) * width..][..width]);
+                }
+            }
+            f(y, &mut row);
+            if io != RowIo::Read {
+                for p in 0..split.planes() {
+                    let span = split.row_span(p);
+                    let width = span.len();
+                    planes.get(tiles(p))[(y - top) * width..][..width].copy_from_slice(&row[span]);
+                }
+            }
+        }
+        for p in 0..split.planes() {
+            let width = split.row_span(p).len();
+            planes.get(tiles(p))[(zeroed.start - top) * width..(zeroed.end - top) * width]
+                .fill(0.0);
+        }
+    }
+
+    /// Forward row transforms of row unit `u`'s rows of the zero-padded
+    /// field `src`; rows past the source are zero. Unit 0 first stores
+    /// `Σ src` in `total`: a serial add chain that the other threads' row
+    /// units overlap.
+    fn forward_rows(&self, u: usize, src: &[f64], src_d: usize, total: &AtomicU64) {
+        if u == 0 {
+            store_sum(total, src);
+        }
+        self.each_row(u, src.len() / src_d, RowIo::Write, |y, row| {
+            self.fft.forward_row(&src[y * src_d..(y + 1) * src_d], row);
         });
     }
 
     /// Plane `p`'s column pass, kernel product and inverse column pass —
     /// columns are independent, so no barrier between them.
     fn plane_pass(&self, p: usize, kspec: &[f64], product: fn(&mut [f64], &[f64])) {
-        let tiles = PlaneSplit::tile(0, p)..PlaneSplit::tile(0, p + 1);
+        let tiles = PlaneSplit::tiles_of(&(0..ROW_BLOCKS), p);
         let mut lease = self.spec.lease(tiles.clone());
         let plane = lease.get(tiles);
         let span = self.split.row_span(p);
@@ -1034,31 +1028,29 @@ impl SplitBatch<'_> {
         self.fft.full.transform(plane, width, true);
     }
 
-    /// Inverse row transforms of the rows of block `b` that are read
-    /// back, each finished straight into `dst`.
-    fn inverse_block<F>(&self, b: usize, dst: &Tiles<'_, f64>, dst_d: usize, total: f64, finish: &F)
+    /// Inverse row transforms of row unit `u`'s rows that are read back,
+    /// each finished straight into `dst`.
+    fn inverse_rows<F>(&self, u: usize, dst: &Tiles<'_, f64>, dst_d: usize, total: f64, finish: &F)
     where
         F: Fn(f64, usize, &[f64], &mut [f64]),
     {
-        let (fft, split) = (self.fft, self.split);
-        with_row_scratch(2 * (fft.half + 1), |row| {
-            let mut planes_in = self.spec.lease(split.block_tiles(b));
-            let mut dst_lease = dst.lease([b]);
-            for (r, dst_row) in dst_lease.get(b..b + 1).chunks_exact_mut(dst_d).enumerate() {
-                split.gather(&mut planes_in, b, r, row);
-                fft.inverse_row(row);
-                finish(total, split.rows[b] + r, &row[..fft.n], dst_row);
-            }
+        let blocks = self.split.unit_blocks(u);
+        let top = self.split.rows[blocks.start];
+        let mut dst_lease = dst.lease(blocks.clone());
+        let dst = dst_lease.get(blocks);
+        self.each_row(u, top + dst.len() / dst_d, RowIo::Read, |y, row| {
+            self.fft.inverse_row(row);
+            finish(total, y, &row[..self.fft.n], &mut dst[(y - top) * dst_d..][..dst_d]);
         });
     }
 
-    /// [`Fft2d::convolve_then_correlate`]'s middle unit: each row of block
-    /// `b` that is read back is inverted, passed to `middle` with its rows
-    /// of `mid` and `side` (`fields`), and replaced by the forward
+    /// [`Fft2d::convolve_then_correlate`]'s middle unit: each of row unit
+    /// `u`'s rows that is read back is inverted, passed to `middle` with
+    /// its rows of `mid` and `side` (`fields`), and replaced by the forward
     /// transform of its `mid` row; rows past `mid` are zeroed.
-    fn turn_block<M>(
+    fn turn_rows<M>(
         &self,
-        b: usize,
+        u: usize,
         fields: [&Tiles<'_, f64>; 2],
         mid_d: usize,
         total: f64,
@@ -1066,23 +1058,15 @@ impl SplitBatch<'_> {
     ) where
         M: Fn(f64, usize, &[f64], &mut [f64], &mut [f64]),
     {
-        let (fft, split) = (self.fft, self.split);
-        with_row_scratch(2 * (fft.half + 1), |row| {
-            let mut planes_io = self.spec.lease(split.block_tiles(b));
-            let [mut mid, mut side] = fields.map(|field| field.lease([b]));
-            let side_rows = side.get(b..b + 1).chunks_exact_mut(mid_d);
-            let mut read = mid.get(b..b + 1).chunks_exact_mut(mid_d).zip(side_rows);
-            for (r, y) in (split.rows[b]..split.rows[b + 1]).enumerate() {
-                let Some((mid_row, side_row)) = read.next() else {
-                    split.scatter(&mut planes_io, b, r, None);
-                    continue;
-                };
-                split.gather(&mut planes_io, b, r, row);
-                fft.inverse_row(row);
-                middle(total, y, &row[..fft.n], mid_row, side_row);
-                fft.forward_row(mid_row, row);
-                split.scatter(&mut planes_io, b, r, Some(row));
-            }
+        let blocks = self.split.unit_blocks(u);
+        let top = self.split.rows[blocks.start];
+        let [mut mid, mut side] = fields.map(|field| field.lease(blocks.clone()));
+        let (mid, side) = (mid.get(blocks.clone()), side.get(blocks));
+        self.each_row(u, top + mid.len() / mid_d, RowIo::ReadWrite, |y, row| {
+            let cells = (y - top) * mid_d..(y - top + 1) * mid_d;
+            self.fft.inverse_row(row);
+            middle(total, y, &row[..self.fft.n], &mut mid[cells.clone()], &mut side[cells.clone()]);
+            self.fft.forward_row(&mid[cells], row);
         });
     }
 }
@@ -1092,6 +1076,14 @@ impl SplitBatch<'_> {
 /// barrier (Release/Acquire on its own counter) orders this store first.
 fn store_sum(slot: &AtomicU64, values: &[f64]) {
     slot.store(values.iter().sum::<f64>().to_bits(), Ordering::Relaxed);
+}
+
+/// [`store_sum`] of `a` and of `b` into `slots[0..2]`, as two add chains
+/// in one loop, which take the time of one.
+fn store_sums(slots: &[AtomicU64], a: &[f64], b: &[f64]) {
+    let (sum_a, sum_b) = a.iter().zip(b).fold((0.0, 0.0), |(x, y), (&p, &q)| (x + p, y + q));
+    slots[0].store(f64::to_bits(sum_a), Ordering::Relaxed);
+    slots[1].store(f64::to_bits(sum_b), Ordering::Relaxed);
 }
 
 /// Loads a sum [`store_sum`] stored in an earlier phase.
@@ -1161,9 +1153,24 @@ mod tests {
         spec
     }
 
+    /// The row-major inverse of [`Fft2d::forward`], in place: the column
+    /// pass over all of `spec`, then the inverse of only its first `rows`
+    /// rows, returned as `n` reals each (the other rows are left as
+    /// column-pass intermediates). With `forward` it is the reference the
+    /// plane batches are checked against.
+    fn inverse<'s>(plan: &Fft2d, spec: &'s mut [f64], rows: usize) -> Vec<&'s [f64]> {
+        let (n, rw) = (plan.n, 2 * (plan.half + 1));
+        plan.full.transform(spec, rw, true);
+        for row in spec.chunks_exact_mut(rw).take(rows) {
+            plan.inverse_row(row);
+        }
+        let spec: &'s [f64] = spec;
+        spec.chunks_exact(rw).take(rows).map(|row| &row[..n]).collect()
+    }
+
     /// Inverts all `n` rows of `spec` and returns the `n × n` reals.
     fn run_inverse(plan: &Fft2d, spec: &mut [f64]) -> Vec<f64> {
-        plan.inverse(spec, plan.n()).flatten().copied().collect()
+        inverse(plan, spec, plan.n()).concat()
     }
 
     /// The stage-by-stage loop [`CfftPlan::transform`] replaced: one
@@ -1304,7 +1311,7 @@ mod tests {
     #[test]
     fn forward_matches_direct_dft() {
         for n in [2usize, 4, 6, 8, 12, 16, 24] {
-            let plan = Fft2d::new(n);
+            let plan = Fft2d::new(n, 1);
             assert_eq!(plan.n(), n);
             let src = random_grid(n, 7 + n as u64);
             let spec = run_forward(&plan, &src);
@@ -1318,7 +1325,7 @@ mod tests {
     #[test]
     fn roundtrip_is_identity() {
         for n in [2usize, 4, 6, 8, 24, 32, 48, 64, 72, 96] {
-            let plan = Fft2d::new(n);
+            let plan = Fft2d::new(n, 1);
             assert_eq!(plan.n(), n);
             let src = random_grid(n, 40 + n as u64);
             let mut spec = run_forward(&plan, &src);
@@ -1333,7 +1340,7 @@ mod tests {
     fn short_source_and_partial_inverse_match_the_padded_grid() {
         // A 5 × 3 field on an 8 × 8 plan: skipping its zero rows forward
         // and inverting only the rows read back changes no value.
-        let plan = Fft2d::new(8);
+        let plan = Fft2d::new(8, 1);
         let small = &random_grid(4, 9)[..15];
         let mut pad = vec![0.0; 64];
         for (y, row) in small.chunks_exact(3).enumerate() {
@@ -1344,7 +1351,7 @@ mod tests {
         plan.forward(small, 3, &mut spec);
         assert_eq!(spec, full);
         let back = run_inverse(&plan, &mut full);
-        let rows: Vec<&[f64]> = plan.inverse(&mut spec, 5).collect();
+        let rows = inverse(&plan, &mut spec, 5);
         assert_eq!(rows.len(), 5);
         for (y, row) in rows.into_iter().enumerate() {
             assert_eq!(row, &back[y * 8..(y + 1) * 8], "row {y}");
@@ -1354,7 +1361,7 @@ mod tests {
     #[test]
     fn spectrum_product_is_circular_convolution() {
         let n = 8;
-        let plan = Fft2d::new(n);
+        let plan = Fft2d::new(n, 1);
         let a = random_grid(n, 1);
         let b = random_grid(n, 2);
         // Direct circular convolution.
@@ -1382,7 +1389,7 @@ mod tests {
     #[test]
     fn conjugate_product_is_circular_correlation() {
         let n = 8;
-        let plan = Fft2d::new(n);
+        let plan = Fft2d::new(n, 1);
         let w = random_grid(n, 3);
         let k = random_grid(n, 4);
         // corr[t] = Σ_s k[s]·w[(t+s) mod n] per axis.
@@ -1407,15 +1414,25 @@ mod tests {
         }
     }
 
-    /// Runs one convolution of `src` (`src_d` wide) with the kernel `k`
-    /// (`k_d` wide) through `plan`, reading back `rows` rows of `dst_d`,
-    /// each finished as `row + y·Σ src`.
+    /// Finishes result row `y` as `row + y·Σ src`, so a wrong row index
+    /// or total would show.
+    fn finish_row(total: f64, y: usize, row: &[f64], out: &mut [f64]) {
+        for (o, &c) in out.iter_mut().zip(row) {
+            *o = c + y as f64 * total;
+        }
+    }
+
+    /// One convolution of `src` (`src_d` wide) with the kernel `k` (`k_d`
+    /// wide), `rows` rows of `dst_d` read back through [`finish_row`]:
+    /// through `plan`'s batch, or on `None` through the row-major
+    /// reference ([`Fft2d::forward`], the product and [`inverse`]).
     #[allow(
         clippy::too_many_arguments,
         reason = "a test driver over `convolve`, taking the same inputs"
     )]
     fn run_convolve(
-        plan: &Fft2d,
+        plan: Option<&Fft2d>,
+        n: usize,
         src: &[f64],
         src_d: usize,
         k: &[f64],
@@ -1424,64 +1441,92 @@ mod tests {
         rows: usize,
         dst_d: usize,
     ) -> Vec<f64> {
-        let kspec = plan.kernel_spectrum(k, k_d);
-        let mut spec = vec![f64::NAN; plan.spectrum_len()];
         let mut dst = vec![f64::NAN; rows * dst_d];
-        plan.convolve(
-            src,
-            src_d,
-            &kspec,
-            product,
-            &mut spec,
-            &mut dst,
-            dst_d,
-            |total, y, row, out| {
-                for (o, &c) in out.iter_mut().zip(row) {
-                    *o = c + y as f64 * total;
-                }
-            },
-        );
+        if let Some(plan) = plan {
+            let kspec = plan.kernel_spectrum(k, k_d);
+            let mut spec = vec![f64::NAN; plan.spectrum_len()];
+            plan.convolve(src, src_d, &kspec, product, &mut spec, &mut dst, dst_d, finish_row);
+            return dst;
+        }
+        let plan = Fft2d::new(n, 1);
+        let (mut kspec, mut spec) =
+            (vec![0.0; plan.spectrum_len()], vec![0.0; plan.spectrum_len()]);
+        plan.forward(k, k_d, &mut kspec);
+        plan.forward(src, src_d, &mut spec);
+        product(&mut spec, &kspec);
+        let total = src.iter().sum();
+        for (y, (row, out)) in
+            inverse(&plan, &mut spec, rows).into_iter().zip(dst.chunks_exact_mut(dst_d)).enumerate()
+        {
+            finish_row(total, y, row, out);
+        }
         dst
     }
 
     #[test]
-    fn split_convolution_matches_serial_bits() {
-        // Two to four planes, one-row blocks at n = 16, uneven row
-        // blocks at n = 24 and 72, and the short sources and partial
-        // read-backs of the EM primitives (the n = 96 shapes are
+    fn planes_match_row_major_reference_bits() {
+        // One to four planes (eight threads still make four) against the
+        // row-major reference: empty row blocks and a two-column cap below
+        // n = 16, one-row blocks at n = 16, uneven row blocks at n = 12,
+        // 24 and 72, and the short sources and partial read-backs of the
+        // EM primitives (n = 8, 12 and 32 are the one-plane shapes of
+        // d = 5 at b̂ = 1 and 2 and of `ingest-1m`; n = 96 is
         // `stream-fft`'s E- and M-step).
         for (n, src_d, src_rows, rows, dst_d) in [
+            (2, 2, 2, 2, 2),
+            (4, 3, 3, 4, 4),
+            (6, 5, 4, 6, 6),
+            (8, 5, 5, 7, 7),
+            (8, 7, 7, 5, 5),
+            (12, 5, 5, 9, 9),
+            (12, 9, 9, 5, 5),
             (16, 16, 16, 16, 16),
             (24, 13, 13, 23, 23),
-            (32, 13, 13, 23, 23),
-            (32, 23, 23, 13, 13),
+            (32, 20, 20, 28, 28),
+            (32, 28, 28, 20, 20),
             (48, 30, 30, 40, 40),
             (72, 50, 50, 60, 60),
             (96, 64, 64, 92, 92),
             (96, 92, 92, 64, 64),
             (128, 64, 64, 92, 92),
         ] {
-            let serial = Fft2d::new(n);
             let src = &random_grid(n, 3 * n as u64)[..src_rows * src_d];
-            let k = &random_grid(n, 5 * n as u64)[..7 * 7];
+            let k_d = n.min(7);
+            let k = &random_grid(n, 5 * n as u64)[..k_d * k_d];
             for product in [spectrum_mul as fn(&mut [f64], &[f64]), spectrum_mul_conj] {
-                let want = run_convolve(&serial, src, src_d, k, 7, product, rows, dst_d);
-                for threads in [2, 3, 4, 8] {
-                    let split = Fft2d::new(n).split_across(threads);
-                    assert!(split.split.is_some());
-                    let got = run_convolve(&split, src, src_d, k, 7, product, rows, dst_d);
+                let want = run_convolve(None, n, src, src_d, k, k_d, product, rows, dst_d);
+                assert!(want.iter().all(|v| v.is_finite()), "n {n}: reference left a cell");
+                for threads in [1, 2, 3, 4, 8] {
+                    let plan = Fft2d::split_across(n, threads);
+                    let planes = plan.split.planes();
+                    assert_eq!(planes, threads.min(4).min(n / 2 + 1), "n {n}");
+                    let got =
+                        run_convolve(Some(&plan), n, src, src_d, k, k_d, product, rows, dst_d);
                     let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "n {n} threads {threads}: split bits differ from serial");
+                    assert!(
+                        same,
+                        "n {n}, {planes} planes: bits differ from the row-major reference"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn only_large_grids_on_several_threads_split() {
-        assert!(Fft2d::new(PARALLEL_FFT_MIN_SIDE).with_threads(2).split.is_some());
-        assert!(Fft2d::new(PARALLEL_FFT_MIN_SIDE).with_threads(1).split.is_none());
-        assert!(Fft2d::new(PARALLEL_FFT_MIN_SIDE / 2).with_threads(2).split.is_none());
+    fn plane_count_follows_threads_and_the_size_gate() {
+        let planes = |min_side, threads| Fft2d::new(min_side, threads).split.planes();
+        assert_eq!(planes(PARALLEL_FFT_MIN_SIDE, 2), 2);
+        assert_eq!(planes(PARALLEL_FFT_MIN_SIDE, 3), 3);
+        assert_eq!(planes(PARALLEL_FFT_MIN_SIDE, 8), 4, "at most 4 planes of 16 tiles");
+        assert_eq!(planes(PARALLEL_FFT_MIN_SIDE, 1), 1);
+        assert_eq!(planes(PARALLEL_FFT_MIN_SIDE / 2, 2), 1);
+        assert_eq!(planes(5, 2), 1);
+        // A one-plane plan runs its batches on its caller alone.
+        for plan in [Fft2d::new(PARALLEL_FFT_MIN_SIDE / 2, 2), Fft2d::new(PARALLEL_FFT_MIN_SIDE, 1)]
+        {
+            assert_eq!(plan.split.threads, 1);
+        }
+        assert_eq!(Fft2d::new(PARALLEL_FFT_MIN_SIDE, 2).split.threads, 2);
     }
 
     #[test]
@@ -1497,11 +1542,11 @@ mod tests {
 
     #[test]
     fn non_pow2_request_rounds_up() {
-        let plan = Fft2d::new(23);
+        let plan = Fft2d::new(23, 1);
         assert_eq!(plan.n(), 24);
-        let plan = Fft2d::new(28);
+        let plan = Fft2d::new(28, 1);
         assert_eq!(plan.n(), 32);
-        let plan = Fft2d::new(1);
+        let plan = Fft2d::new(1, 1);
         assert_eq!(plan.n(), 2, "real split needs an even length");
     }
 }

@@ -29,8 +29,9 @@
 //!   radix-6 pass where a lone radix-2 stage meets a single radix-3 stage,
 //!   with the bits of the stage-by-stage loop), one
 //!   row-major half-spectrum whose column pass runs butterflies between
-//!   whole rows, all-zero rows skipped; each convolution split across two
-//!   cores from side 96 up (`stream-fft`'s grid), serial below;
+//!   whole rows, all-zero rows skipped; each convolution one pool batch
+//!   over column-block planes, one per core from side 96 up
+//!   (`stream-fft`'s grid) and one on the caller below;
 //! * [`em2d`] — the 2-D smoother ([`em2d::smooth_2d`]) of the
 //!   "PostProcess" step, which is plain EM on the spectral operator;
 //! * [`pyramid`] — hierarchical estimate pyramids: dyadic aggregate

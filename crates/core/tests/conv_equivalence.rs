@@ -360,7 +360,7 @@ fn fft_channel_2x3_matches_pinned_bits() {
 /// more than one core. On a shape above that threshold (d = 100, b̂ = 14:
 /// n = 128) at least two threads must have drained a pool batch at once.
 /// (CI runs this suite again under `taskset -c 0`, where the same
-/// constants pin the serial path.)
+/// constants pin the one-plane path.)
 #[test]
 fn padded_128_channel_runs_on_several_threads() {
     let kernel = DiscreteKernel::dam(3.0, 100, 14, KernelKind::Shrunken);

@@ -30,9 +30,9 @@
 //! primitives one after the other with the sweep between them, so an
 //! operator that implements only `apply` and `accumulate_adjoint` gets
 //! the classic loop. An operator may run the whole map as one unit of
-//! work instead, with the same bits: a split `FftChannel` computes the
-//! sweep in the E-step's read-back on every core and feeds the weights
-//! straight into the adjoint, all in one pool batch.
+//! work instead, with the same bits: `FftChannel` computes the sweep in
+//! the E-step's read-back and feeds the weights straight into the
+//! adjoint, all in one pool batch, on its caller alone or on every core.
 //!
 //! Every call takes an [`EmWorkspace`], whose reusable scratch plane a
 //! structured operator uses as its per-call buffer (the FFT spectrum of
@@ -160,7 +160,8 @@ pub trait ChannelOp {
     /// `out` and `weights` are `n_out()` floats of scratch: on return
     /// `weights` holds the M-step weights and `out` is unspecified. The
     /// default is [`em_step_in_sequence`], which runs the NaN canary on
-    /// both handoffs; an override must give the same bits.
+    /// both handoffs; an override, such as `dam-core`'s `FftChannel`, which
+    /// runs every map as one pool batch, must give the same bits.
     #[allow(
         clippy::too_many_arguments,
         reason = "the estimate, the observations and three caller-owned planes the EM loop reuses; a struct would only rename them"
